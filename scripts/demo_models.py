@@ -9,9 +9,7 @@ simple-system verification for each.
 import sys
 
 from conley_kernel import conley as co
-from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
-from conley_kernel import semiflow as sf
 from conley_kernel.boxes import BoxSet
 from conley_kernel.suites import clamp_flow, doubling_map
 
@@ -58,12 +56,12 @@ def main() -> int:
 
     flow = clamp_flow()
     s0 = BoxSet.interval(0, True, 0, True)
-    rep = sf.verify_simple_system_cont(
+    rep = co.verify_simple_system(
         flow, s0, [BoxSet.interval(0, True, 1, True),
                    BoxSet.interval(0, True, "1/2", True)])
     ok &= show_report("clamped semiflow (two index neighbourhoods)", rep)
 
-    rejected = sf.is_index_nbhd_cont(flow, BoxSet.interval(0, True, 1, False), s0)
+    rejected = co.is_index_nbhd(flow, BoxSet.interval(0, True, 1, False), s0)
     print(f"== clamped semiflow, half-open candidate: "
           f"{getattr(rejected, 'reason', 'certified')}")
     ok &= isinstance(rejected, co.Failure)

@@ -1,45 +1,93 @@
-"""Uniform carrier interface over the finite and interval carriers.
+"""Uniform carrier interface: one theory over three carriers, two time domains.
 
-The discrete-time theory in :mod:`conley_kernel.dynamics` is written against
-this interface only, so one code path serves both carriers.  On the finite
-carrier the topology trivializes (discrete): closure and interior are the
-identity, every subset is compact, every partial map is proper and openly
-defined.
+The theory in :mod:`conley_kernel.dynamics` and :mod:`conley_kernel.conley`
+is written against this interface only, so one code path serves every
+carrier.  A carrier supplies the set algebra and topology of its subsets,
+the partial-map operations on realized maps, and the operations that depend
+on the time domain:
+
+- the default search bound and the search context over its times;
+- the time-t map, the swept domain D_t(E) (the points whose orbit segment
+  over [0, t] stays in E) and the time-t preimage;
+- the invariant-part strategy and the invariance precondition on S;
+- interior relative to the carrier and Dom f ("closure in domain");
+- the weak-compactifiability checks of the induced system.
+
+Time in N: the finite carrier (discrete topology, so closure and interior
+are the identity, every subset is compact, every partial map is proper and
+openly defined; searches derive a complete bound) and the interval carrier
+(piecewise-affine maps on rational box sets).  Time in R>=0: the semiflow
+carrier, which keeps the interval carrier's box-set operations and takes its
+time maps, swept domains and candidate times from
+:mod:`conley_kernel.semiflow`.
 """
 
 from __future__ import annotations
 
 from . import affine, finite
+from . import semiflow as sf
 from .affine import PiecewiseAffineMap
-from .boxes import BoxSet
-from .finite import FinitePartialMap, FiniteSubset
+from .finite import FinitePartialMap
+from .semiflow import ExactSemiflow
+
+DEFAULT_INTERVAL_BOUND = 64
 
 
-class FiniteCarrier:
+class _DiscreteTime:
+    """Time in N: f^t is the t-th power and D_t(E) the t-fold iterated domain."""
+
+    def time_map(self, f, t):
+        return self.power(f, t)
+
+    def preimage(self, f, a, t=1):
+        for _ in range(t):
+            a = self.preimage_step(f, a)
+        return a
+
+    def dom(self, f, e, t):
+        """D_t(E): the intersection of f^-i(E) for i = 0..t."""
+        if t < 0:
+            raise ValueError("negative power")
+        self.check_set(f, e)
+        d = e
+        for _ in range(t):
+            d = self.intersect(e, self.preimage(f, d))
+        return d
+
+    # dynamics imports this module, so its names are imported at call time
+    def search_context(self, f, e, e2, bound):
+        from .dynamics import _SearchContext
+        return _SearchContext(f, e, e2,
+                              self.default_bound if bound is None else bound)
+
+    def invariant_part(self, f, e, cap=None):
+        from .dynamics import invariant_part_exact
+        return invariant_part_exact(f, e,
+                                    self.default_bound if cap is None else cap)
+
+    def check_invariant(self, f, s):
+        self.check_set(f, s)
+        if not self.is_subset(s, self.map_domain(f)):
+            raise ValueError("S is not invariant: S is not contained in Dom f")
+        if not self.sets_equal(self.image(f, s), s):
+            raise ValueError("S is not invariant: f(S) != S")
+
+    def weak_compactifiability_checks(self, f, e):
+        dom = self.dom(f, e, 1)
+        return [("induced map proper", self.is_proper_on(f, dom, e)),
+                ("induced domain open in E", self.is_open_in(dom, e))]
+
+
+class FiniteCarrier(_DiscreteTime):
     name = "finite"
-
-    # sets
-    def ambient(self, f: FinitePartialMap) -> FiniteSubset:
-        return FiniteSubset.of(f.space, f.space.points)
+    default_bound = None      # searches derive a complete bound
 
     def check_set(self, f, e):
         if e.space != f.space:
             raise ValueError("carrier mismatch: subset lives on another space")
 
-    def empty(self, f) -> FiniteSubset:
-        return FiniteSubset.of(f.space, ())
-
-    def union(self, a, b):
-        return FiniteSubset(a.space, a.members | b.members)
-
     def intersect(self, a, b):
-        return FiniteSubset(a.space, a.members & b.members)
-
-    def difference(self, a, b):
-        return FiniteSubset(a.space, a.members - b.members)
-
-    def is_empty(self, a) -> bool:
-        return not a.members
+        return finite.FiniteSubset(a.space, a.members & b.members)
 
     def is_subset(self, a, b) -> bool:
         return a.members <= b.members
@@ -51,8 +99,11 @@ class FiniteCarrier:
     def closure(self, a):
         return a
 
-    def interior(self, a):
+    def interior(self, f, a):
         return a
+
+    def is_closed(self, a) -> bool:
+        return True
 
     def is_compact(self, a) -> bool:
         return True
@@ -62,22 +113,17 @@ class FiniteCarrier:
             raise ValueError("is_open_in requires a subset")
         return True
 
-    def is_closed_in(self, a, b) -> bool:
-        if not a.members <= b.members:
-            raise ValueError("is_closed_in requires a subset")
-        return True
-
     def is_locally_compact(self, a) -> bool:
         return True
 
     # maps
-    def map_domain(self, f) -> FiniteSubset:
+    def map_domain(self, f):
         return f.domain
 
-    def preimage(self, f, a) -> FiniteSubset:
+    def preimage_step(self, f, a):
         return finite.preimage_step(f, a)
 
-    def image(self, f, a) -> FiniteSubset:
+    def image(self, f, a):
         return finite.image(f, a)
 
     def compose(self, g, f):
@@ -100,30 +146,16 @@ class FiniteCarrier:
         return True
 
 
-class IntervalCarrier:
+class IntervalCarrier(_DiscreteTime):
     name = "interval"
-
-    def ambient(self, f: PiecewiseAffineMap) -> BoxSet:
-        return BoxSet.full(f.dimension)
+    default_bound = DEFAULT_INTERVAL_BOUND
 
     def check_set(self, f, e):
         if e.dimension != f.dimension:
             raise ValueError("carrier mismatch: dimension differs")
 
-    def empty(self, f) -> BoxSet:
-        return BoxSet.empty(f.dimension)
-
-    def union(self, a, b):
-        return a.union(b)
-
     def intersect(self, a, b):
         return a.intersect(b)
-
-    def difference(self, a, b):
-        return a.difference(b)
-
-    def is_empty(self, a) -> bool:
-        return a.is_empty
 
     def is_subset(self, a, b) -> bool:
         return a.subset_of(b)
@@ -134,8 +166,11 @@ class IntervalCarrier:
     def closure(self, a):
         return a.closure()
 
-    def interior(self, a):
+    def interior(self, f, a):
         return a.interior()
+
+    def is_closed(self, a) -> bool:
+        return a.is_closed()
 
     def is_compact(self, a) -> bool:
         return a.is_compact()
@@ -143,19 +178,16 @@ class IntervalCarrier:
     def is_open_in(self, a, b) -> bool:
         return a.is_open_in(b)
 
-    def is_closed_in(self, a, b) -> bool:
-        return a.is_closed_in(b)
-
     def is_locally_compact(self, a) -> bool:
         return a.is_locally_compact()
 
-    def map_domain(self, f) -> BoxSet:
+    def map_domain(self, f):
         return f.domain
 
-    def preimage(self, f, a) -> BoxSet:
+    def preimage_step(self, f, a):
         return f.preimage(a)
 
-    def image(self, f, a) -> BoxSet:
+    def image(self, f, a):
         return f.image(a)
 
     def compose(self, g, f):
@@ -174,8 +206,58 @@ class IntervalCarrier:
         return affine.is_proper_on(f, d, y)
 
 
+class SemiflowCarrier(IntervalCarrier):
+    """Time in R>=0 on box sets inside the flow's carrier.
+
+    Realized maps (time maps, cross maps) are piecewise affine, so the map
+    operations are the interval carrier's."""
+
+    name = "semiflow"
+    default_bound = sf.DEFAULT_TIME_BOUND
+
+    def check_set(self, f, e):
+        f.check_set(e)
+
+    def interior(self, f, a):
+        return a.interior_in(f.carrier)
+
+    def time_map(self, f, t):
+        return sf.time_map(f, t)
+
+    def dom(self, f, e, t):
+        return sf.dom_interval(f, e, t)
+
+    def preimage(self, f, a, t=1):
+        return a if t == 0 else sf.time_map(f, t).preimage(a)
+
+    def search_context(self, f, e, e2, bound):
+        return sf._ContContext(f, e, e2,
+                               self.default_bound if bound is None else bound)
+
+    def invariant_part(self, f, e, cap=None):
+        return sf.invariant_part_F(f, e)
+
+    def check_invariant(self, f, s):
+        """S must be a set of rest points; unbounded S is undecided."""
+        f.check_set(s)
+        if s.is_empty:
+            return
+        if not s.is_bounded and any(r.kind != "identity" and r.velocity != 0
+                                    for r in f.axes):
+            raise sf.UndecidedError("invariance of an unbounded set is undecided")
+        if not s.subset_of(f.fixed_set()):
+            raise ValueError("S is not invariant under the semiflow")
+
+    def weak_compactifiability_checks(self, f, e):
+        return [("induced semiflow finite-time proper",
+                 sf.is_finite_time_proper(f, e)),
+                ("induced semiflow openly defined",
+                 sf.is_openly_defined_cont(f, e))]
+
+
 FINITE = FiniteCarrier()
 INTERVAL = IntervalCarrier()
+SEMIFLOW = SemiflowCarrier()
 
 
 def carrier_for(f):
@@ -183,4 +265,6 @@ def carrier_for(f):
         return FINITE
     if isinstance(f, PiecewiseAffineMap):
         return INTERVAL
+    if isinstance(f, ExactSemiflow):
+        return SEMIFLOW
     raise TypeError(f"no carrier for {type(f).__name__}")

@@ -8,17 +8,19 @@ default search bound is 64, overridable via CONLEY_DEFAULT_BOUND.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import conley as co
 from . import dynamics as dyn
-from . import semiflow as sf
+from .carriers import carrier_for
 from .documents import (
     DocumentError, checks_to_json, meta_block, parse_document,
     report_to_json, set_to_json,
 )
+from .semiflow import UndecidedError
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -53,30 +55,21 @@ def _emit(args, payload: dict, human_lines: list[str]):
             print(line)
 
 
-def _is_flow(doc) -> bool:
-    return doc.kind == "semiflow"
+def _search_bound(doc, bound):
+    """The bound a search on doc runs with: none on the finite carrier,
+    whose searches derive their own complete bound."""
+    return None if carrier_for(doc.system).default_bound is None else bound
 
 
-def _predicates_for(doc, label, subset, bound):
+def _predicates_for(doc, subset):
     """Predicate table for one subset; values True/False/'unknown'."""
-    out = {}
-    if _is_flow(doc):
-        flow = doc.system
-        try:
-            checks = sf.compactifiability_checks_cont(flow, subset)
-            for name, ok in checks:
-                out[name] = ok
-            out["compactifiable"] = all(ok for _, ok in checks)
-        except sf.UndecidedError as exc:
-            out["compactifiable"] = "unknown"
-            out["reason"] = str(exc)
-    else:
-        f = doc.system
-        checks = dyn.compactifiability_checks(f, subset)
-        for name, ok in checks:
-            out[name] = ok
-        out["weakly compactifiable"] = all(ok for _, ok in checks[:2])
-        out["compactifiable"] = all(ok for _, ok in checks)
+    try:
+        checks = dyn.compactifiability_checks(doc.system, subset)
+    except UndecidedError as exc:
+        return {"compactifiable": "unknown", "reason": str(exc)}
+    out = dict(checks)
+    out["weakly compactifiable"] = all(ok for _, ok in checks[:2])
+    out["compactifiable"] = all(ok for _, ok in checks)
     return out
 
 
@@ -88,7 +81,7 @@ def cmd_check(args) -> int:
     any_unknown = False
     for label in labels:
         subset = doc.resolve(label)
-        preds = _predicates_for(doc, label, subset, bound)
+        preds = _predicates_for(doc, subset)
         table[label] = preds
         if any(v == "unknown" for v in preds.values()):
             any_unknown = True
@@ -105,11 +98,7 @@ def cmd_invariant_part(args) -> int:
     doc = _load(args.doc)
     e = doc.resolve(args.set)
     bound = args.bound if args.bound is not None else default_bound()
-    if _is_flow(doc):
-        result = sf.invariant_part_F(doc.system, e)
-    else:
-        result = dyn.invariant_part_exact(doc.system, e, cap=bound) \
-            if doc.kind == "interval_map" else dyn.invariant_part(doc.system, e)
+    result = carrier_for(doc.system).invariant_part(doc.system, e, bound)
     if isinstance(result, dyn.Undecided):
         _emit(args, {"meta": meta_block(bound=bound), "status": "unknown",
                      "reason": result.reason,
@@ -146,10 +135,7 @@ def cmd_isolating(args) -> int:
     doc = _load(args.doc)
     s, e = doc.resolve(args.set), doc.resolve(args.nbhd)
     bound = args.bound if args.bound is not None else default_bound()
-    if _is_flow(doc):
-        result = sf.is_isolating_cont(doc.system, e, s)
-    else:
-        result = co.is_isolating(doc.system, e, s, cap=bound)
+    result = co.is_isolating(doc.system, e, s, cap=bound)
     return _certificate_exit(args, result, bound)
 
 
@@ -157,10 +143,7 @@ def cmd_index_nbhd(args) -> int:
     doc = _load(args.doc)
     s, e = doc.resolve(args.set), doc.resolve(args.nbhd)
     bound = args.bound if args.bound is not None else default_bound()
-    if _is_flow(doc):
-        result = sf.is_index_nbhd_cont(doc.system, e, s)
-    else:
-        result = co.is_index_nbhd(doc.system, e, s, cap=bound)
+    result = co.is_index_nbhd(doc.system, e, s, cap=bound)
     return _certificate_exit(args, result, bound)
 
 
@@ -168,11 +151,7 @@ def cmd_sim(args) -> int:
     doc = _load(args.doc)
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
     bound = args.bound if args.bound is not None else default_bound()
-    if _is_flow(doc):
-        result = sf.sim_F(doc.system, e, e2, bound=bound)
-    else:
-        result = dyn.sim_f(doc.system, e, e2,
-                           bound=None if doc.kind == "finite_map" else bound)
+    result = dyn.sim_f(doc.system, e, e2, bound=_search_bound(doc, bound))
     payload = {"meta": meta_block(bound=bound), "status": result.status,
                "forward": [str(x) for x in result.forward] if result.forward else None,
                "backward": [str(x) for x in result.backward] if result.backward else None}
@@ -189,12 +168,8 @@ def cmd_admissible(args) -> int:
     doc = _load(args.doc)
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
     bound = args.bound if args.bound is not None else default_bound()
-    if _is_flow(doc):
-        search = sf.find_admissible_cont(doc.system, e, e2, bound=bound)
-    else:
-        search = dyn.find_admissible(
-            doc.system, e, e2,
-            bound=None if doc.kind == "finite_map" else bound)
+    search = dyn.find_admissible(doc.system, e, e2,
+                                 bound=_search_bound(doc, bound))
     if search.found:
         t = search.triple
         _emit(args, {"meta": meta_block(bound=bound), "status": "found",
@@ -213,19 +188,14 @@ def cmd_index(args) -> int:
     s = doc.resolve(args.set)
     e = doc.resolve(args.nbhd)
     bound = args.bound if args.bound is not None else default_bound()
-    flow = _is_flow(doc)
     constructed = None
     if args.search is not None:
-        builder = sf.construct_index_nbhd_cont if flow else co.construct_index_nbhd
-        built = builder(doc.system, s, e, args.search)
+        built = co.construct_index_nbhd(doc.system, s, e, args.search)
         if isinstance(built, (dyn.Undecided, co.Failure)):
             return _certificate_exit(args, built, bound)
         constructed = built
         e = built.subset
-    if flow:
-        report = sf.verify_simple_system_cont(doc.system, s, [e], bound=bound)
-    else:
-        report = co.verify_simple_system(doc.system, s, [e], bound=bound)
+    report = co.verify_simple_system(doc.system, s, [e], bound=bound)
     if isinstance(report, (dyn.Undecided, co.Failure)):
         return _certificate_exit(args, report, bound)
     payload = {"meta": meta_block(bound=bound), "report": report_to_json(report)}
@@ -253,42 +223,19 @@ def cmd_szymczak_equal(args) -> int:
     doc = _load(args.doc)
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
     bound = args.bound if args.bound is not None else default_bound()
-    if _is_flow(doc):
-        find, cross = sf.find_admissible_cont, sf.cross_map_cont
-        is_adm = sf.is_admissible_cont
-    else:
-        find, cross = dyn.find_admissible, dyn.cross_map
-        is_adm = dyn.is_admissible
-    search = find(doc.system, e, e2, bound)
+    search = dyn.find_admissible(doc.system, e, e2, _search_bound(doc, bound))
     if not search.found:
-        _emit(args, {"meta": meta_block(bound=bound), "status": "unknown"},
-              ["unknown: no admissible triple found"])
+        status = "none" if search.complete else "unknown"
+        _emit(args, {"meta": meta_block(bound=bound), "status": status},
+              [f"{status}: no admissible triple found"])
         return EXIT_VIOLATION if search.complete else EXIT_UNDECIDED
     t1 = search.triple
     t2 = dyn.AdmissibleTriple(t1.a, t1.b, t1.c + 1)
-    if not is_adm(doc.system, e, e2, t2):
+    if not dyn.is_admissible(doc.system, e, e2, t2):
         _emit(args, {"meta": meta_block(bound=bound), "status": "unknown"},
               ["unknown: no second admissible triple"])
         return EXIT_UNDECIDED
-    if doc.kind == "finite_map":
-        m1 = co._finite_sz_morphism(doc.system, cross(doc.system, e, e2, t1))
-        m2 = co._finite_sz_morphism(doc.system, cross(doc.system, e, e2, t2))
-        from .szymczak import sz_equal
-        equal = sz_equal(m1, m2)
-    else:
-        c1 = cross(doc.system, e, e2, t1)
-        c2 = cross(doc.system, e, e2, t2)
-        if _is_flow(doc):
-            p1 = sf.induced_power(doc.system, e, t2.c)
-            p2 = sf.induced_power(doc.system, e, t1.c)
-            from .affine import compose as pam_compose
-            equal = pam_compose(c1.realized, p1).maps_equal(
-                pam_compose(c2.realized, p2))
-        else:
-            ca = dyn.carrier_for(doc.system)
-            lhs = ca.compose(c1.realized, dyn.induced_power(doc.system, e, t2.c))
-            rhs = ca.compose(c2.realized, dyn.induced_power(doc.system, e, t1.c))
-            equal = ca.maps_equal(lhs, rhs)
+    equal = co.same_class(doc.system, e, e2, t1, t2)
     _emit(args, {"meta": meta_block(bound=bound), "equal": equal,
                  "triples": [[str(x) for x in t.as_tuple()] for t in (t1, t2)]},
           [f"morphism classes from triples {t1} and {t2}: "
@@ -300,12 +247,17 @@ def cmd_shift_equiv(args) -> int:
     doc = _load(args.doc)
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
     bound = args.bound if args.bound is not None else default_bound()
-    if doc.kind == "finite_map":
+    if carrier_for(doc.system).name == "finite":
+        # explicit based endos: decide shift equivalence directly
         m = co.connecting_morphism(doc.system, e, e2)
         if isinstance(m, dyn.Undecided):
             _emit(args, {"meta": meta_block(bound=bound), "status": "unknown"},
                   ["unknown"])
             return EXIT_UNDECIDED
+        if isinstance(m, co.Failure):
+            _emit(args, {"meta": meta_block(bound=bound), "status": "no",
+                         "reason": m.reason}, [f"no: {m.reason}"])
+            return EXIT_VIOLATION
         from .szymczak import is_shift_equivalence
         wit = is_shift_equivalence(m.phi)
         if wit is None:
@@ -316,13 +268,11 @@ def cmd_shift_equiv(args) -> int:
                      "exponent": wit.exponent, "partner": repr(wit.psi)},
               [f"yes: partner {wit.psi!r} with exponent {wit.exponent}"])
         return EXIT_OK
-    # interval / semiflow: verify invertibility through the functor laws
+    # box carriers: verify invertibility through the functor laws
     try:
-        verifier = sf.verify_simple_system_cont if _is_flow(doc) \
-            else co.verify_simple_system
         s = _invariant_for(doc, e)
-        rep = verifier(doc.system, s, [e, e2], bound=bound)
-    except (ValueError, sf.UndecidedError) as exc:
+        rep = co.verify_simple_system(doc.system, s, [e, e2], bound=bound)
+    except (ValueError, UndecidedError) as exc:
         _emit(args, {"meta": meta_block(bound=bound), "status": "unknown",
                      "reason": str(exc)}, [f"unknown: {exc}"])
         return EXIT_UNDECIDED
@@ -338,14 +288,10 @@ def cmd_shift_equiv(args) -> int:
 
 
 def _invariant_for(doc, e):
-    if _is_flow(doc):
-        result = sf.invariant_part_F(doc.system, e.closure())
-    elif doc.kind == "interval_map":
-        result = dyn.invariant_part_exact(doc.system, e.closure())
-    else:
-        result = dyn.invariant_part(doc.system, e)
+    ca = carrier_for(doc.system)
+    result = ca.invariant_part(doc.system, ca.closure(e))
     if isinstance(result, dyn.Undecided):
-        raise sf.UndecidedError(result.reason)
+        raise UndecidedError(result.reason)
     return result
 
 
@@ -451,15 +397,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state
+    between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except sf.UndecidedError as exc:
+    except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ValueError as exc:

@@ -1,24 +1,31 @@
 """Isolating and index neighbourhoods, and the Conley functor.
 
+Written once for every carrier and both time domains: the finite and
+interval carriers (times in N) and the semiflow carrier (times in R>=0)
+differ only through the operations of :mod:`conley_kernel.carriers`.
+
 Certificates are replayable: each records the named checks with their inputs
 in printable form, so a third party can re-run every condition without
-trusting the tool.  On the interval carrier, index objects stay symbolic
-as pairs (E, f_E); morphism-level laws are verified as exact partial-map
-identities, never by materializing one-point compactifications.
+trusting the tool.  On the box carriers, index objects stay symbolic as
+pairs (E, f_E); morphism-level laws are verified as exact partial-map
+identities, never by materializing one-point compactifications.  On the
+finite carrier they are explicit based endos in the Szymczak category.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import szymczak as sz
 from .carriers import carrier_for
 from .dynamics import (
-    AdmissibleTriple, CrossMap, Undecided, cross_map, compactifiability_checks,
-    dom_power, find_admissible, induced_power, invariant_part_exact, one_point,
-    preimage_n,
+    AdmissibleTriple, CrossMap, Undecided, compactifiability_checks,
+    cross_domain, cross_map, find_admissible, induced_power,
+    is_weakly_compactifiable, one_point,
 )
+from .semiflow import UndecidedError
 
 
 @dataclass(frozen=True)
@@ -72,23 +79,14 @@ class IndexNbhdCertificate:
         return True
 
 
-def _check_invariant_set(f, s):
-    ca = carrier_for(f)
-    ca.check_set(f, s)
-    if not ca.is_subset(s, ca.map_domain(f)):
-        raise ValueError("S is not invariant: S is not contained in Dom f")
-    if not ca.sets_equal(ca.image(f, s), s):
-        raise ValueError("S is not invariant: f(S) != S")
-
-
 def is_isolating(f, e, s, cap: int | None = None):
-    """IsolatingCertificate, a named Failure, or Undecided (interval only)."""
+    """IsolatingCertificate, a named Failure, or Undecided (box carriers)."""
     ca = carrier_for(f)
-    _check_invariant_set(f, s)
+    ca.check_invariant(f, s)
     ca.check_set(f, e)
 
     checks = []
-    nbhd = ca.is_subset(s, ca.interior(e))
+    nbhd = ca.is_subset(s, ca.interior(f, e))
     checks.append(Check("neighbourhood", f"S contained in interior of E={e!r}", nbhd))
     if not nbhd:
         return Failure("E is not a neighbourhood of S", tuple(checks))
@@ -104,8 +102,7 @@ def is_isolating(f, e, s, cap: int | None = None):
     if not in_dom:
         return Failure("closure(E) is not contained in Dom f", tuple(checks))
 
-    inv = invariant_part_exact(f, clo) if cap is None else \
-        invariant_part_exact(f, clo, cap)
+    inv = ca.invariant_part(f, clo, cap)
     if isinstance(inv, Undecided):
         return inv
     isolate = ca.sets_equal(inv, s)
@@ -122,8 +119,11 @@ def is_index_nbhd(f, e, s, cap: int | None = None):
     iso = is_isolating(f, e, s, cap)
     if not isinstance(iso, IsolatingCertificate):
         return iso
-    cchecks = tuple(Check(name, f"E={e!r}", ok)
-                    for name, ok in compactifiability_checks(f, e))
+    try:
+        raw = compactifiability_checks(f, e)
+    except UndecidedError as exc:
+        return Undecided(str(exc), bound=exc.bound)
+    cchecks = tuple(Check(name, f"E={e!r}", ok) for name, ok in raw)
     if not all(c.ok for c in cchecks):
         bad = ", ".join(c.name for c in cchecks if not c.ok)
         return Failure(f"E is not compactifiable: {bad}", iso.checks + cchecks)
@@ -142,24 +142,28 @@ class ConstructedNbhd:
     checks: tuple[Check, ...]
 
 
+SEED_HALVINGS = 24
+
+
 def _compact_isolating_seed(f, s, n):
-    """A compact neighbourhood of S inside N (N assumed isolating for S)."""
+    """A compact neighbourhood of S inside N (N assumed isolating for S).
+
+    N itself when closed; otherwise the closed inflation of S by 1, 1/2,
+    1/4, ... that first fits in N, or Undecided after SEED_HALVINGS tries."""
     ca = carrier_for(f)
-    if ca.name == "finite":
+    if ca.is_closed(n):
         return n
-    if n.is_closed():
-        return n
-    from .boxes import rat
-    delta = rat(1)
-    for _ in range(24):
+    delta = Fraction(1)
+    for _ in range(SEED_HALVINGS):
         cand = s.inflate(delta, closed=True)
         if ca.is_subset(cand, n):
             return cand
-        delta = delta / 2
-    return None
+        delta /= 2
+    return Undecided("no compact box neighbourhood of S inside N found",
+                     bound=SEED_HALVINGS)
 
 
-def construct_index_nbhd(f, s, n, bound: int | None = None):
+def construct_index_nbhd(f, s, n, bound=None):
     """Build a certified index neighbourhood inside N.
 
     Follows the existence proof: pick a compact isolating K <= N, set
@@ -173,9 +177,9 @@ def construct_index_nbhd(f, s, n, bound: int | None = None):
         return iso
 
     k = _compact_isolating_seed(f, s, n)
-    if k is None:
-        return Undecided("no compact box neighbourhood of S inside N found")
-    u = ca.interior(k)
+    if isinstance(k, Undecided):
+        return k
+    u = ca.interior(f, k)
 
     search = find_admissible(f, k, u, bound)
     if not search.found:
@@ -185,8 +189,7 @@ def construct_index_nbhd(f, s, n, bound: int | None = None):
         return Undecided("admissible-triple search exhausted", bound=search.bound)
     t = search.triple
 
-    e2 = ca.intersect(dom_power(f, k, t.b),
-                      preimage_n(f, dom_power(f, u, t.c - t.a), t.a))
+    e2 = cross_domain(f, k, u, t)
     cert = is_index_nbhd(f, e2, s)
     if not isinstance(cert, IndexNbhdCertificate):
         return cert
@@ -196,7 +199,7 @@ def construct_index_nbhd(f, s, n, bound: int | None = None):
     depth = t.b + t.c - t.a
     checks.append(Check("seed absorbed into E''",
                         f"D_{depth}(K) contained in E''",
-                        ca.is_subset(dom_power(f, k, depth), e2)))
+                        ca.is_subset(ca.dom(f, k, depth), e2)))
     if not all(c.ok for c in checks):
         return Failure("constructed set fails its absorption witnesses",
                        tuple(checks))
@@ -222,25 +225,44 @@ class SymbolicSzMorphism:
         return self.cross.target
 
 
-def connecting_morphism(f, e, e2, bound: int | None = None):
+def connecting_morphism(f, e, e2, bound=None):
     """The canonical morphism from f_E to f_E' in the Szymczak category.
 
-    Finite carrier: an explicit based-endo morphism class.  Interval
-    carrier: the symbolic pair (connecting map, shift)."""
+    Finite carrier: an explicit based-endo morphism class.  Box carriers:
+    the symbolic pair (connecting map, shift).  A Failure when a complete
+    search shows E and E' are not related."""
     ca = carrier_for(f)
     for which, sub in (("E", e), ("E'", e2)):
-        checks = compactifiability_checks(f, sub)[:2]
-        if not all(ok for _, ok in checks):
+        if not is_weakly_compactifiable(f, sub):
             raise ValueError(f"{which} is not weakly compactifiable")
     search = find_admissible(f, e, e2, bound)
     if not search.found:
         if search.complete:
-            raise ValueError("E and E' are not related: no admissible triple")
+            return Failure("E and E' are not related: no admissible triple")
         return Undecided("admissible-triple search exhausted", bound=search.bound)
     cm = cross_map(f, e, e2, search.triple)
-    if ca.name == "interval":
-        return SymbolicSzMorphism(cm, search.triple.c)
-    return _finite_sz_morphism(f, cm)
+    if ca.name == "finite":
+        return _finite_sz_morphism(f, cm)
+    return SymbolicSzMorphism(cm, search.triple.c)
+
+
+def same_class(f, e, e2, t: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
+    """Do the connecting maps of two admissible triples for (E, E') give one
+    Szymczak class?  Representative independence says they must."""
+    ca = carrier_for(f)
+    m1, m2 = cross_map(f, e, e2, t), cross_map(f, e, e2, t2)
+    if ca.name == "finite":
+        return sz.sz_equal(_finite_sz_morphism(f, m1), _finite_sz_morphism(f, m2))
+    return _interchange_ok(f, e, m1, m2)
+
+
+def _interchange_ok(f, e, m1: CrossMap, m2: CrossMap) -> bool:
+    """Class equality of two connecting maps from E by the interchange
+    identity m1 o f_E^{c2} = m2 o f_E^{c1} (witness n = 0), exactly."""
+    ca = carrier_for(f)
+    lhs = ca.compose(m1.realized, induced_power(f, e, m2.triple.c))
+    rhs = ca.compose(m2.realized, induced_power(f, e, m1.triple.c))
+    return ca.maps_equal(lhs, rhs)
 
 
 def _finite_sz_morphism(f, cm: CrossMap) -> sz.SzMorphism:
@@ -290,17 +312,14 @@ class ConleyIndexReport:
             all(m.invertible and all(c.ok for c in m.checks) for m in self.morphisms)
 
 
-def _report_nbhd(f, e, cert) -> NbhdReport:
-    ca = carrier_for(f)
-    endo = one_point(f, e)
-    if ca.name == "finite":
+def _report_nbhd(f, e) -> NbhdReport:
+    if carrier_for(f).name == "finite":
+        endo = one_point(f, e)
         return NbhdReport(repr(e), repr(endo), sz.canonical_invariant(endo))
-    ind = endo.induced
-    obj = f"(E={e!r}, f_E with domain {ind.domain!r})"
-    return NbhdReport(repr(e), obj, None)
+    return NbhdReport(repr(e), f"(E={e!r}, f_E)", None)
 
 
-def verify_simple_system(f, s, subsets: Sequence, bound: int | None = None):
+def verify_simple_system(f, s, subsets: Sequence, bound=None):
     """Check functor laws and invertibility over index neighbourhoods of S.
 
     Every subset must certify as an index neighbourhood of the same S.  The
@@ -309,14 +328,12 @@ def verify_simple_system(f, s, subsets: Sequence, bound: int | None = None):
     A failed law is reported (checks with ok=False), not raised.
     """
     ca = carrier_for(f)
-    certs = []
     for e in subsets:
         cert = is_index_nbhd(f, e, s)
         if not isinstance(cert, IndexNbhdCertificate):
             return cert
-        certs.append(cert)
 
-    nbhds = tuple(_report_nbhd(f, e, c) for e, c in zip(subsets, certs))
+    nbhds = tuple(_report_nbhd(f, e) for e in subsets)
     global_checks: list[Check] = []
     morphisms: list[MorphismReport] = []
 
@@ -354,10 +371,12 @@ def verify_simple_system(f, s, subsets: Sequence, bound: int | None = None):
                 inv = sz.sz_is_iso(m)
                 comp = sz.sz_compose(m, back)
                 total = m.shift + back.shift
+                power_class = sz.SzMorphism(
+                    sz.endo_shift_morphism(endos[i], total).phi, total)
                 checks = (
                     Check("composite is power class",
                           f"phi({j}->{i}) o phi({i}->{j}) ~ (f_E^{total}, {total})",
-                          sz.sz_equal(comp, sz.endo_shift_morphism(endos[i], total))),
+                          sz.sz_equal(comp, power_class)),
                     Check("composite is identity class",
                           "the power class is the identity in Sz",
                           sz.sz_equal(comp, sz.identity_morphism(endos[i]))),
@@ -406,13 +425,8 @@ def _symbolic_composition_ok(f, subsets, crosses, triples, i, j, k) -> bool:
     comp = ca.compose(crosses[(j, k)].realized, crosses[(i, j)].realized)
     t_sum = triples[(i, j)] + triples[(j, k)]
     summed = cross_map(f, subsets[i], subsets[k], t_sum)
-    if not ca.maps_equal(comp, summed.realized):
-        return False
-    t_ik = triples[(i, k)]
-    lhs = ca.compose(summed.realized, induced_power(f, subsets[i], t_ik.c))
-    direct = crosses[(i, k)].realized
-    rhs = ca.compose(direct, induced_power(f, subsets[i], t_sum.c))
-    return ca.maps_equal(lhs, rhs)
+    return ca.maps_equal(comp, summed.realized) and \
+        _interchange_ok(f, subsets[i], summed, crosses[(i, k)])
 
 
 def _symbolic_invertibility(f, subsets, crosses, triples, i, j):
@@ -435,10 +449,9 @@ def _symbolic_invertibility(f, subsets, crosses, triples, i, j):
     return checks, ok1 and ok2, witness
 
 
-def conley_index(f, s, e, bound: int | None = None):
+def conley_index(f, s, e, bound=None):
     """The Conley index datum of S read off one index neighbourhood E."""
     cert = is_index_nbhd(f, e, s)
     if not isinstance(cert, IndexNbhdCertificate):
         return cert
-    report = verify_simple_system(f, s, [e], bound)
-    return report
+    return verify_simple_system(f, s, [e], bound)

@@ -1,15 +1,17 @@
-"""Carrier-generic discrete-time dynamics.
+"""Carrier-generic dynamics in discrete and continuous time.
 
 Induced partial maps, iterated-domain sets, admissible triples and their
 connecting maps, the absorption relation between subsets, compactifiability
 predicates, invariant parts, and one-point compactification.  Everything is
 written against the carrier interface of :mod:`conley_kernel.carriers`, so
-the finite and interval carriers share one code path.
+the finite and interval carriers (times in N) and the semiflow carrier
+(times in R>=0) share one code path: a search runs over the times of the
+carrier's search context, and D_t(E), f^-t and f^t come from the carrier.
 
 On the finite carrier every negative search answer is complete: the bounds
 come from eventual periodicity of the power sequence and stabilization of
-the iterated-domain sets.  On the interval carrier exhausted searches are
-reported as undecided, never as negatives.
+the iterated-domain sets.  On the interval and semiflow carriers exhausted
+searches are reported as undecided, never as negatives.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .boxes import BoxSet
-from .carriers import carrier_for
-from .finite import FinitePartialMap, power_preperiod_period
+from .carriers import DEFAULT_INTERVAL_BOUND, carrier_for
+from .finite import power_preperiod_period
 from .szymczak import BASEPOINT, BasedEndo
-
-DEFAULT_INTERVAL_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -135,108 +135,101 @@ def induced(f, e) -> InducedMap:
     return InducedMap(f, e, ca.restrict(f, dom))
 
 
-def induced_power(f, e, n: int):
-    """Realized f_E^n with domain the n-fold iterated-domain set."""
+def induced_power(f, e, t):
+    """Realized f_E^t: the time-t map on the swept domain D_t(E)."""
     ca = carrier_for(f)
-    return ca.restrict(ca.power(f, n), dom_power(f, e, n))
+    return ca.restrict(ca.time_map(f, t), ca.dom(f, e, t))
 
 
-def dom_power(f, e, n: int):
-    """Dom f_E^n: the intersection of f^-i(E) for i = 0..n."""
-    if n < 0:
-        raise ValueError("negative power")
-    ca = carrier_for(f)
-    ca.check_set(f, e)
-    d = e
-    for _ in range(n):
-        d = ca.intersect(e, ca.preimage(f, d))
-    return d
+def dom_power(f, e, t):
+    """Dom f_E^t = D_t(E): the points whose orbit over [0, t] stays in E."""
+    return carrier_for(f).dom(f, e, t)
 
 
-def preimage_n(f, e, n: int):
-    ca = carrier_for(f)
-    out = e
-    for _ in range(n):
-        out = ca.preimage(f, out)
-    return out
+def preimage_n(f, e, t):
+    return carrier_for(f).preimage(f, e, t)
 
 
 # ---------------------------------------------------------------------------
 # admissibility
 
 class _SearchContext:
-    """Caches the iterated-domain sets and iterated preimages of a pair."""
+    """Search state over times in N: the iterated-domain sets and iterated
+    preimages of a pair and the absorption tests between them, cached.
 
-    def __init__(self, f, e, e2):
+    Without a bound (finite carrier) the search is complete: f^-a(E') is
+    eventually periodic in a and D_b(E) stabilizes in b, and the derived
+    bound covers both."""
+
+    def __init__(self, f, e, e2, bound=None):
         self.ca = carrier_for(f)
         self.f = f
-        self.e = e
-        self.e2 = e2
-        self._dom_e = [e]
-        self._dom_e2 = [e2]
-        self._pre_e = [e]
-        self._pre_e2 = [e2]
+        self._sets = {1: e, 2: e2}
+        self._dom = {1: [e], 2: [e2]}
+        self._pre = {1: [e], 2: [e2]}
         self._cond1: dict = {}
         self._cond2: dict = {}
+        self.complete = bound is None
+        if self.complete:
+            p, q = power_preperiod_period(f)
+            n = len(f.space.points)
+            self._period_end = p + q
+            self._stab = {w: self.stab(w, n + 1) for w in (1, 2)}
+            bound = 2 * (p + q) + self._stab[1] + self._stab[2] + 2
+        self.bound = bound
+        self.times = range(bound + 1)
 
-    def _extend(self, seq, step):
-        seq.append(step(seq[-1]))
+    def dom(self, which, n):
+        """D_n of E (which=1) or E' (which=2)."""
+        seq = self._dom[which]
+        while len(seq) <= n:
+            seq.append(self.ca.intersect(self._sets[which],
+                                         self.ca.preimage(self.f, seq[-1])))
+        return seq[n]
 
-    def dom_e(self, n):
-        while len(self._dom_e) <= n:
-            self._extend(self._dom_e,
-                         lambda d: self.ca.intersect(self.e, self.ca.preimage(self.f, d)))
-        return self._dom_e[n]
-
-    def dom_e2(self, n):
-        while len(self._dom_e2) <= n:
-            self._extend(self._dom_e2,
-                         lambda d: self.ca.intersect(self.e2, self.ca.preimage(self.f, d)))
-        return self._dom_e2[n]
-
-    def pre_e(self, n):
-        while len(self._pre_e) <= n:
-            self._extend(self._pre_e, lambda s: self.ca.preimage(self.f, s))
-        return self._pre_e[n]
-
-    def pre_e2(self, n):
-        while len(self._pre_e2) <= n:
-            self._extend(self._pre_e2, lambda s: self.ca.preimage(self.f, s))
-        return self._pre_e2[n]
+    def pre(self, which, n):
+        """f^-n of E (which=1) or E' (which=2)."""
+        seq = self._pre[which]
+        while len(seq) <= n:
+            seq.append(self.ca.preimage(self.f, seq[-1]))
+        return seq[n]
 
     def cond1(self, a, b) -> bool:
         # D_b(E) <= f^-a(E')
         key = (a, b)
         if key not in self._cond1:
-            self._cond1[key] = self.ca.is_subset(self.dom_e(b), self.pre_e2(a))
+            self._cond1[key] = self.ca.is_subset(self.dom(1, b), self.pre(2, a))
         return self._cond1[key]
 
     def cond2(self, delta, gamma) -> bool:
         # D_gamma(E') <= f^-delta(E)
         key = (delta, gamma)
         if key not in self._cond2:
-            self._cond2[key] = self.ca.is_subset(self.dom_e2(gamma), self.pre_e(delta))
+            self._cond2[key] = self.ca.is_subset(self.dom(2, gamma), self.pre(1, delta))
         return self._cond2[key]
 
-    def stab_e(self, cap) -> int:
-        for b in range(cap):
-            if self.ca.sets_equal(self.dom_e(b + 1), self.dom_e(b)):
-                return b
+    def stab(self, which, cap) -> int:
+        """The first n < cap with D_{n+1} = D_n, else cap."""
+        for n in range(cap):
+            if self.ca.sets_equal(self.dom(which, n + 1), self.dom(which, n)):
+                return n
         return cap
 
-    def stab_e2(self, cap) -> int:
-        for b in range(cap):
-            if self.ca.sets_equal(self.dom_e2(b + 1), self.dom_e2(b)):
-                return b
-        return cap
+    def pairs(self, which):
+        """Candidate absorption witnesses (a, b), a <= b, in lexicographic
+        order.  A complete search stops where f^-a starts to repeat and where
+        the domain sets of the tested side stabilize."""
+        if not self.complete:
+            return ((a, b) for a in self.times for b in range(a, self.bound + 1))
+        return ((a, b) for a in range(max(self._period_end - 1, 0) + 1)
+                for b in range(a, max(a, self._stab[which]) + 1))
 
 
 def is_admissible(f, e, e2, t: AdmissibleTriple) -> bool:
     """Exact check of both absorption inclusions for the triple."""
-    ctx = _SearchContext(f, e, e2)
-    if not isinstance(t.a, int):
-        raise ValueError("discrete admissibility needs natural numbers")
-    return ctx.cond1(t.a, t.b) and ctx.cond2(t.b - t.a, t.c - t.a)
+    ca = carrier_for(f)
+    return ca.is_subset(ca.dom(f, e, t.b), ca.preimage(f, e2, t.a)) and \
+        ca.is_subset(ca.dom(f, e2, t.c - t.a), ca.preimage(f, e, t.b - t.a))
 
 
 def triple_sum_law_check(f, e, e2, e3, t: AdmissibleTriple,
@@ -249,85 +242,50 @@ def triple_sum_law_check(f, e, e2, e3, t: AdmissibleTriple,
     return is_admissible(f, e, e3, t + t2)
 
 
-def _finite_pair_bounds(f: FinitePartialMap, ctx: _SearchContext):
-    p, q = power_preperiod_period(f)
-    n = len(f.space.points)
-    return p + q, ctx.stab_e(n + 1), ctx.stab_e2(n + 1)
-
-
-def _pair_search(ctx: _SearchContext, direction: int, a_max: int, b_cap) :
-    """Lex-least (a, b), a <= b, with the absorption inclusion; None if none."""
-    cond = ctx.cond1 if direction == 1 else ctx.cond2
-    for a in range(a_max + 1):
-        for b in range(a, b_cap(a) + 1):
-            if cond(a, b):
-                return (a, b)
-    return None
-
-
-def sim_f(f, e, e2, bound: int | None = None) -> SimResult:
+def sim_f(f, e, e2, bound=None) -> SimResult:
     """Decide E ~_f E' by searching absorption witnesses both ways.
 
     Finite carrier: complete decision (bounds from eventual periodicity and
-    domain stabilization).  Interval carrier: Unknown when the bounded search
-    is exhausted.
+    domain stabilization).  Interval and semiflow carriers: unknown when the
+    bounded search is exhausted.
     """
-    ctx = _SearchContext(f, e, e2)
-    if ctx.ca.name == "finite":
-        pq, s_e, s_e2 = _finite_pair_bounds(f, ctx)
-        a_max = max(pq - 1, 0)
-        fwd = _pair_search(ctx, 1, a_max, lambda a: max(a, s_e))
-        bwd = _pair_search(ctx, 2, a_max, lambda a: max(a, s_e2))
-        if fwd and bwd:
-            return SimResult("equivalent", fwd, bwd, bound=a_max)
-        return SimResult("not_equivalent", fwd, bwd, bound=a_max)
-    b = DEFAULT_INTERVAL_BOUND if bound is None else bound
-    fwd = _pair_search(ctx, 1, b, lambda a: b)
-    bwd = _pair_search(ctx, 2, b, lambda a: b)
+    ctx = carrier_for(f).search_context(f, e, e2, bound)
+    fwd = next((p for p in ctx.pairs(1) if ctx.cond1(*p)), None)
+    bwd = next((p for p in ctx.pairs(2) if ctx.cond2(*p)), None)
     if fwd and bwd:
-        return SimResult("equivalent", fwd, bwd, bound=b)
-    return SimResult("unknown", fwd, bwd, bound=b)
+        status = "equivalent"
+    else:
+        status = "not_equivalent" if ctx.complete else "unknown"
+    return SimResult(status, fwd, bwd, bound=ctx.bound)
 
 
-def find_admissible(f, e, e2, bound: int | None = None) -> TripleSearch:
+def find_admissible(f, e, e2, bound=None) -> TripleSearch:
     """Lexicographically-least admissible triple within the bound.
 
     Finite carrier with bound=None: a complete decision (NotFound means the
-    triple set is empty).  Interval carrier: NotFound means undecided within
-    the bound.
+    triple set is empty).  Otherwise NotFound means undecided within the
+    bound (on the semiflow carrier: within its candidate times).  The least
+    gamma is the first that works, since D_gamma(E') shrinks as gamma grows.
     """
-    ctx = _SearchContext(f, e, e2)
-    complete = False
-    if ctx.ca.name == "finite" and bound is None:
-        pq, s_e, s_e2 = _finite_pair_bounds(f, ctx)
-        bound = 2 * pq + s_e + s_e2 + 2
-        complete = True
-    elif bound is None:
-        bound = DEFAULT_INTERVAL_BOUND
-
-    gamma_min: dict = {}
-
-    def first_gamma(delta: int):
-        if delta not in gamma_min:
-            found = None
-            for g in range(bound + 1):
-                if ctx.cond2(delta, g):
-                    found = g
+    ctx = carrier_for(f).search_context(f, e, e2, bound)
+    for a in ctx.times:
+        for b in ctx.times:
+            if b < a or not ctx.cond1(a, b):
+                continue
+            for gamma in ctx.times:
+                if a + gamma > ctx.bound:
                     break
-            gamma_min[delta] = found
-        return gamma_min[delta]
+                if gamma >= b - a and ctx.cond2(b - a, gamma):
+                    return TripleSearch(AdmissibleTriple(a, b, a + gamma),
+                                        ctx.complete, ctx.bound)
+    return TripleSearch(None, ctx.complete, ctx.bound)
 
-    for a in range(bound + 1):
-        for b in range(a, bound + 1):
-            if not ctx.cond1(a, b):
-                continue
-            g = first_gamma(b - a)
-            if g is None:
-                continue
-            c = a + max(b - a, g)
-            if c <= bound:
-                return TripleSearch(AdmissibleTriple(a, b, c), complete, bound)
-    return TripleSearch(None, complete, bound)
+
+def cross_domain(f, e, e2, t: AdmissibleTriple):
+    """Domain of the connecting map of t: D_b(E) n f^-a(D_{c-a}(E'))."""
+    ca = carrier_for(f)
+    return ca.intersect(ca.dom(f, e, t.b),
+                        ca.preimage(f, ca.dom(f, e2, t.c - t.a), t.a))
 
 
 def cross_map(f, e, e2, t: AdmissibleTriple) -> CrossMap:
@@ -335,9 +293,7 @@ def cross_map(f, e, e2, t: AdmissibleTriple) -> CrossMap:
     ca = carrier_for(f)
     if not is_admissible(f, e, e2, t):
         raise ValueError(f"triple {t} is not admissible for (E, E')")
-    dom = ca.intersect(dom_power(f, e, t.b),
-                       preimage_n(f, dom_power(f, e2, t.c - t.a), t.a))
-    realized = ca.restrict(ca.power(f, t.c), dom)
+    realized = ca.restrict(ca.time_map(f, t.c), cross_domain(f, e, e2, t))
     return CrossMap(f, e, e2, t, realized)
 
 
@@ -345,14 +301,12 @@ def cross_map(f, e, e2, t: AdmissibleTriple) -> CrossMap:
 # compactifiability
 
 def weak_compactifiability_checks(f, e) -> list[tuple[str, bool]]:
+    """The carrier's checks that the induced system on E is proper and
+    openly defined (for a semiflow: finite-time proper; may raise
+    UndecidedError)."""
     ca = carrier_for(f)
     ca.check_set(f, e)
-    ind = induced(f, e)
-    dom = ind.domain
-    proper = ca.is_proper_on(f, dom, e)
-    open_dom = ca.is_open_in(dom, e)
-    return [("induced map proper", proper),
-            ("induced domain open in E", open_dom)]
+    return ca.weak_compactifiability_checks(f, e)
 
 
 def is_weakly_compactifiable(f, e) -> bool:
@@ -414,10 +368,10 @@ def invariant_part(f, e):
         s = s2
 
 
-def invariant_part_outer(f, e, n: int):
-    """The outer approximant f^n(D_n); decreasing in n and contains I_f(E)."""
+def invariant_part_outer(f, e, t):
+    """The outer approximant f^t(D_t(E)); decreasing in t and contains I_f(E)."""
     ca = carrier_for(f)
-    return ca.image(ca.power(f, n), dom_power(f, e, n))
+    return ca.image(ca.time_map(f, t), ca.dom(f, e, t))
 
 
 def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):

@@ -1,4 +1,4 @@
-"""Exactly-representable semiflows and the continuous-time theory.
+"""Exactly-representable semiflows: the continuous-time half of the carriers.
 
 Supported per-axis rules: translation x - v*t, floor-clamped max(x - v*t, L),
 ceiling-clamped min(x + v*t, U), and identity.  Base flows are total on their
@@ -6,10 +6,14 @@ carrier, so all partiality arises through induced restriction; every orbit
 coordinate is monotone in time, which is what makes the sweep computations
 exact.
 
-Continuous searches run over a rational candidate set derived from the
-boundary and clamp parameters (plus midpoints); exhausted searches surface
-as :class:`UndecidedError` or Undecided results, never as fabricated
-negatives.
+This module supplies what :class:`conley_kernel.carriers.SemiflowCarrier`
+needs for times in R>=0: exact time-t maps, swept domains D_t(E), the
+finite-time properness and open-definedness deciders, the rational
+candidate times a search runs over, and the rest-point invariant part.  The
+theory itself (admissible triples, cross maps, certificates, simple
+systems) is written once in :mod:`conley_kernel.dynamics` and
+:mod:`conley_kernel.conley`.  Exhausted semi-decisions surface as
+:class:`UndecidedError` or Undecided results, never as fabricated negatives.
 """
 
 from __future__ import annotations
@@ -21,11 +25,6 @@ from typing import Optional, Sequence
 from . import affine as af
 from .affine import AffineRule, Piece, PiecewiseAffineMap
 from .boxes import BoxSet, Cut, Interval, NEG_INF, POS_INF, rat, RatLike
-from .conley import (
-    Check, ConleyIndexReport, Failure, IndexNbhdCertificate,
-    IsolatingCertificate, MorphismReport, NbhdReport, SymbolicSzMorphism,
-)
-from .dynamics import AdmissibleTriple, CrossMap, SimResult, TripleSearch, Undecided
 
 DEFAULT_TIME_BOUND = 8
 
@@ -159,6 +158,11 @@ class ExactSemiflow:
             carrier = BoxSet.of(len(axes), [tuple(r.natural_range for r in axes)])
         return ExactSemiflow(len(axes), axes, carrier)
 
+    @property
+    def domain(self) -> BoxSet:
+        """Dom F: the flow is total on its carrier."""
+        return self.carrier
+
     def check_set(self, e: BoxSet):
         if e.dimension != self.dimension:
             raise ValueError("dimension mismatch")
@@ -287,11 +291,6 @@ def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet, t: Fraction,
             return outer
         m *= 2
     raise UndecidedError("swept-domain refinement did not certify", bound=cap)
-
-
-def induced_power(flow: ExactSemiflow, e: BoxSet, t) -> PiecewiseAffineMap:
-    """The realized partial map f_E^t with its exact swept domain."""
-    return time_map(flow, t).restrict(dom_interval(flow, e, t))
 
 
 # ---------------------------------------------------------------------------
@@ -474,27 +473,8 @@ def is_openly_defined_cont(flow: ExactSemiflow, e: BoxSet) -> bool:
     raise UndecidedError("open-definedness undecided for this set")
 
 
-def weak_compactifiability_checks_cont(flow, e) -> list[tuple[str, bool]]:
-    return [("induced semiflow finite-time proper", is_finite_time_proper(flow, e)),
-            ("induced semiflow openly defined", is_openly_defined_cont(flow, e))]
-
-
-def is_weakly_compactifiable_cont(flow, e) -> bool:
-    return all(ok for _, ok in weak_compactifiability_checks_cont(flow, e))
-
-
-def compactifiability_checks_cont(flow, e) -> list[tuple[str, bool]]:
-    checks = weak_compactifiability_checks_cont(flow, e)
-    checks.append(("E locally compact", e.is_locally_compact()))
-    return checks
-
-
-def is_compactifiable_cont(flow, e) -> bool:
-    return all(ok for _, ok in compactifiability_checks_cont(flow, e))
-
-
 # ---------------------------------------------------------------------------
-# admissibility over rational time
+# searches over rational time
 
 def _candidate_times(flow: ExactSemiflow, sets: list[BoxSet], bound) -> list[Fraction]:
     values: set[Fraction] = set()
@@ -526,6 +506,14 @@ def _candidate_times(flow: ExactSemiflow, sets: list[BoxSet], bound) -> list[Fra
 
 
 class _ContContext:
+    """Search state over times in R>=0: swept domains, time preimages and
+    the absorption tests between them, cached per candidate time.
+
+    The times are a finite rational candidate set, so a failed search is
+    never complete."""
+
+    complete = False
+
     def __init__(self, flow, e, e2, bound):
         self.flow = flow
         self.e = e
@@ -564,75 +552,13 @@ class _ContContext:
             self._c2[key] = self.dom(2, gamma).subset_of(self.pre(1, delta))
         return self._c2[key]
 
-
-def is_admissible_cont(flow, e, e2, t: AdmissibleTriple) -> bool:
-    a, b, c = rat(t.a), rat(t.b), rat(t.c)
-    d1 = dom_interval(flow, e, b)
-    p1 = e2 if a == 0 else time_map(flow, a).preimage(e2)
-    if not d1.subset_of(p1):
-        return False
-    d2 = dom_interval(flow, e2, c - a)
-    p2 = e if b == a else time_map(flow, b - a).preimage(e)
-    return d2.subset_of(p2)
-
-
-def find_admissible_cont(flow, e, e2, bound=DEFAULT_TIME_BOUND) -> TripleSearch:
-    """Search the rational candidate set for an admissible triple.
-
-    NotFound means undecided within the candidate set, never a negative."""
-    ctx = _ContContext(flow, e, e2, bound)
-    for a in ctx.times:
-        for b in ctx.times:
-            if b < a or not ctx.cond1(a, b):
-                continue
-            for gamma in ctx.times:
-                if gamma < b - a or a + gamma > ctx.bound:
-                    continue
-                if ctx.cond2(b - a, gamma):
-                    return TripleSearch(AdmissibleTriple(a, b, a + gamma),
-                                        False, bound)
-    return TripleSearch(None, False, bound)
-
-
-def sim_F(flow, e, e2, bound=DEFAULT_TIME_BOUND) -> SimResult:
-    ctx = _ContContext(flow, e, e2, bound)
-    fwd = bwd = None
-    for a in ctx.times:
-        for b in ctx.times:
-            if b >= a and ctx.cond1(a, b):
-                fwd = (a, b)
-                break
-        if fwd:
-            break
-    for a in ctx.times:
-        for b in ctx.times:
-            if b >= a and ctx.cond2(a, b):
-                bwd = (a, b)
-                break
-        if bwd:
-            break
-    if fwd and bwd:
-        return SimResult("equivalent", fwd, bwd, bound=bound)
-    return SimResult("unknown", fwd, bwd, bound=bound)
-
-
-def cross_map_cont(flow, e, e2, t: AdmissibleTriple) -> CrossMap:
-    if not is_admissible_cont(flow, e, e2, t):
-        raise ValueError(f"triple {t} is not admissible for (E, E')")
-    a, b, c = rat(t.a), rat(t.b), rat(t.c)
-    inner = dom_interval(flow, e2, c - a)
-    pulled = inner if a == 0 else time_map(flow, a).preimage(inner)
-    dom = dom_interval(flow, e, b).intersect(pulled)
-    realized = time_map(flow, c).restrict(dom)
-    return CrossMap(realized, e, e2, t, realized)
+    def pairs(self, which):
+        """Candidate absorption witnesses (a, b), a <= b, in lexicographic order."""
+        return ((a, b) for a in self.times for b in self.times if b >= a)
 
 
 # ---------------------------------------------------------------------------
-# invariant parts and index neighbourhoods
-
-def invariant_part_outer_F(flow, e, t) -> BoxSet:
-    return time_map(flow, t).image(dom_interval(flow, e, t))
-
+# invariant parts
 
 def invariant_part_F(flow, e: BoxSet):
     """Exact invariant part via the rest-point closed form, else Undecided.
@@ -640,6 +566,8 @@ def invariant_part_F(flow, e: BoxSet):
     For these monotone product flows every invariant set that is bounded
     along each moving axis must sit on the rest set; boundedness of E along
     the moving axes therefore gives I_F(E) = Fix(F) n E exactly."""
+    # imported at call time: dynamics imports this module through carriers
+    from .dynamics import Undecided, invariant_part_outer
     flow.check_set(e)
     for k, r in enumerate(flow.axes):
         if r.kind == "identity" or r.velocity == 0:
@@ -647,212 +575,13 @@ def invariant_part_F(flow, e: BoxSet):
         if r.kind == "translation":
             if not e.axis_bounded(k):
                 return Undecided("translation axis unbounded in E",
-                                 outer=invariant_part_outer_F(flow, e, 1))
+                                 outer=invariant_part_outer(flow, e, 1))
         elif r.kind == "floor":
             if not all(b[k].hi.is_finite for b in e.boxes):
                 return Undecided("floor axis unbounded above in E",
-                                 outer=invariant_part_outer_F(flow, e, 1))
+                                 outer=invariant_part_outer(flow, e, 1))
         elif r.kind == "ceil":
             if not all(b[k].lo.is_finite for b in e.boxes):
                 return Undecided("ceil axis unbounded below in E",
-                                 outer=invariant_part_outer_F(flow, e, 1))
+                                 outer=invariant_part_outer(flow, e, 1))
     return flow.fixed_set().intersect(e)
-
-
-def _check_invariant_cont(flow, s: BoxSet):
-    flow.check_set(s)
-    if s.is_empty:
-        return
-    bounded_needed = any(r.kind != "identity" and r.velocity != 0
-                         for r in flow.axes)
-    if bounded_needed and not s.is_bounded:
-        raise UndecidedError("invariance of an unbounded set is undecided")
-    if not s.subset_of(flow.fixed_set()):
-        raise ValueError("S is not invariant under the semiflow")
-
-
-def is_isolating_cont(flow, e, s):
-    _check_invariant_cont(flow, s)
-    flow.check_set(e)
-    checks = []
-    nbhd = s.subset_of(e.interior_in(flow.carrier))
-    checks.append(Check("neighbourhood",
-                        f"S inside the carrier-relative interior of E={e!r}", nbhd))
-    if not nbhd:
-        return Failure("E is not a neighbourhood of S", tuple(checks))
-    clo = e.closure()
-    relcpt = clo.is_compact()
-    checks.append(Check("relatively compact", f"closure(E)={clo!r} compact", relcpt))
-    if not relcpt:
-        return Failure("E is not relatively compact", tuple(checks))
-    in_dom = clo.subset_of(flow.carrier)
-    checks.append(Check("short-time window",
-                        "[0,1] x closure(E) inside Dom F (total flow)", in_dom))
-    if not in_dom:
-        return Failure("closure(E) leaves the carrier", tuple(checks))
-    inv = invariant_part_F(flow, clo)
-    if isinstance(inv, Undecided):
-        return inv
-    agree = inv.set_eq(s)
-    checks.append(Check("invariant part", f"I(closure(E))={inv!r} equals S={s!r}",
-                        agree))
-    if not agree:
-        return Failure("invariant part of closure(E) differs from S", tuple(checks))
-    checks.append(Check("S compact", f"S={s!r} compact", s.is_compact()))
-    return IsolatingCertificate(e, s, tuple(checks))
-
-
-def is_index_nbhd_cont(flow, e, s):
-    iso = is_isolating_cont(flow, e, s)
-    if not isinstance(iso, IsolatingCertificate):
-        return iso
-    try:
-        raw = compactifiability_checks_cont(flow, e)
-    except UndecidedError as exc:
-        return Undecided(str(exc))
-    cchecks = tuple(Check(name, f"E={e!r}", ok) for name, ok in raw)
-    if not all(c.ok for c in cchecks):
-        bad = ", ".join(c.name for c in cchecks if not c.ok)
-        return Failure(f"E is not compactifiable: {bad}", iso.checks + cchecks)
-    return IndexNbhdCertificate(iso, cchecks)
-
-
-@dataclass(frozen=True)
-class ConstructedNbhdCont:
-    subset: BoxSet
-    certificate: IndexNbhdCertificate
-    triple: AdmissibleTriple
-    compact_seed: BoxSet
-    checks: tuple[Check, ...]
-
-
-def construct_index_nbhd_cont(flow, s, n, bound=DEFAULT_TIME_BOUND):
-    iso = is_isolating_cont(flow, n, s)
-    if not isinstance(iso, IsolatingCertificate):
-        return iso
-    if n.is_closed():
-        k = n
-    else:
-        k = None
-        delta = Fraction(1)
-        for _ in range(24):
-            cand = s.inflate(delta, closed=True)
-            if cand.subset_of(n):
-                k = cand
-                break
-            delta /= 2
-        if k is None:
-            return Undecided("no compact box neighbourhood of S inside N found")
-    u = k.interior_in(flow.carrier)
-    search = find_admissible_cont(flow, k, u, bound)
-    if not search.found:
-        return Undecided("admissible-triple search exhausted", bound=bound)
-    t = search.triple
-    a, b, c = rat(t.a), rat(t.b), rat(t.c)
-    inner = dom_interval(flow, u, c - a)
-    pulled = inner if a == 0 else time_map(flow, a).preimage(inner)
-    e2 = dom_interval(flow, k, b).intersect(pulled)
-    cert = is_index_nbhd_cont(flow, e2, s)
-    if not isinstance(cert, IndexNbhdCertificate):
-        return cert
-    checks = (
-        Check("E'' inside seed", f"E''={e2!r} contained in K={k!r}",
-              e2.subset_of(k)),
-        Check("seed absorbed into E''",
-              f"orbit segment of length {b + c - a} of K lands in E''",
-              dom_interval(flow, k, b + c - a).subset_of(e2)),
-    )
-    if not all(ch.ok for ch in checks):
-        return Failure("constructed set fails its absorption witnesses", checks)
-    return ConstructedNbhdCont(e2, cert, t, k, checks)
-
-
-def connecting_morphism_cont(flow, e, e2, bound=DEFAULT_TIME_BOUND):
-    for which, sub in (("E", e), ("E'", e2)):
-        if not is_weakly_compactifiable_cont(flow, sub):
-            raise ValueError(f"{which} is not weakly F-compactifiable")
-    search = find_admissible_cont(flow, e, e2, bound)
-    if not search.found:
-        return Undecided("admissible-triple search exhausted", bound=bound)
-    cm = cross_map_cont(flow, e, e2, search.triple)
-    return SymbolicSzMorphism(cm, search.triple.c)
-
-
-def verify_simple_system_cont(flow, s, subsets: Sequence[BoxSet],
-                              bound=DEFAULT_TIME_BOUND):
-    """Continuous analogue of the simple-system verification, symbolically."""
-    certs = []
-    for e in subsets:
-        cert = is_index_nbhd_cont(flow, e, s)
-        if not isinstance(cert, IndexNbhdCertificate):
-            return cert
-        certs.append(cert)
-    nbhds = tuple(NbhdReport(repr(e),
-                             f"(E={e!r}, F_E induced semiflow)", None)
-                  for e in subsets)
-    triples = {}
-    for i, e in enumerate(subsets):
-        for j, e2 in enumerate(subsets):
-            search = find_admissible_cont(flow, e, e2, bound)
-            if not search.found:
-                return Undecided("connecting-triple search exhausted", bound=bound)
-            triples[(i, j)] = search.triple
-    crosses = {(i, j): cross_map_cont(flow, subsets[i], subsets[j], triples[(i, j)])
-               for i in range(len(subsets)) for j in range(len(subsets))}
-    global_checks = []
-    for i, e in enumerate(subsets):
-        ok = crosses[(i, i)].realized.maps_equal(
-            induced_power(flow, e, triples[(i, i)].c))
-        global_checks.append(Check("identity/power law",
-                                   f"phi_EE realizes f_E^c for E#{i}", ok))
-    for i in range(len(subsets)):
-        for j in range(len(subsets)):
-            for k in range(len(subsets)):
-                ok = _composition_ok_cont(flow, subsets, crosses, triples, i, j, k)
-                global_checks.append(Check(
-                    "composition law",
-                    f"phi({j}->{k}) o phi({i}->{j}) = phi({i}->{k})", ok))
-    morphisms = []
-    for i in range(len(subsets)):
-        for j in range(len(subsets)):
-            if i == j:
-                continue
-            comp = af.compose(crosses[(j, i)].realized, crosses[(i, j)].realized)
-            t_sum = triples[(i, j)] + triples[(j, i)]
-            summed = cross_map_cont(flow, subsets[i], subsets[i], t_sum)
-            ok1 = comp.maps_equal(summed.realized)
-            ok2 = summed.realized.maps_equal(
-                induced_power(flow, subsets[i], rat(t_sum.c)))
-            checks = (
-                Check("composite is power class",
-                      f"round trip realizes f_E^{t_sum.c}", ok1 and ok2),
-                Check("composite is identity class",
-                      f"(f_E^{t_sum.c}, {t_sum.c}) ~ (id, 0) with witness s=0",
-                      ok1 and ok2),
-            )
-            morphisms.append(MorphismReport(
-                nbhds[i].label, nbhds[j].label, triples[(i, j)],
-                triples[(i, j)].c, ok1 and ok2,
-                f"inverse class (phi({j}->{i}), {triples[(j, i)].c})", checks))
-    return ConleyIndexReport("semiflow", repr(s), nbhds, tuple(morphisms),
-                             tuple(global_checks))
-
-
-def _composition_ok_cont(flow, subsets, crosses, triples, i, j, k) -> bool:
-    comp = af.compose(crosses[(j, k)].realized, crosses[(i, j)].realized)
-    t_sum = triples[(i, j)] + triples[(j, k)]
-    summed = cross_map_cont(flow, subsets[i], subsets[k], t_sum)
-    if not comp.maps_equal(summed.realized):
-        return False
-    t_ik = triples[(i, k)]
-    lhs = af.compose(summed.realized, induced_power(flow, subsets[i], rat(t_ik.c)))
-    rhs = af.compose(crosses[(i, k)].realized,
-                     induced_power(flow, subsets[i], rat(t_sum.c)))
-    return lhs.maps_equal(rhs)
-
-
-def conley_index_cont(flow, s, e, bound=DEFAULT_TIME_BOUND):
-    cert = is_index_nbhd_cont(flow, e, s)
-    if not isinstance(cert, IndexNbhdCertificate):
-        return cert
-    return verify_simple_system_cont(flow, s, [e], bound)

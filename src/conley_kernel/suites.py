@@ -525,25 +525,25 @@ def suite_cont_laws(trials=None, seed=None, bound=None) -> SuiteResult:
                 if not d1.subset_of(sampled):
                     res.fail(f"swept domain not inside sampled bound: {e}")
             for e2 in subsets:
-                s1 = sf.find_admissible_cont(flow, e, e2, bound=6)
+                s1 = dyn.find_admissible(flow, e, e2, bound=6)
                 if not s1.found:
                     continue
-                cm1 = sf.cross_map_cont(flow, e, e2, s1.triple)
-                lhs = af.compose(cm1.realized, sf.induced_power(flow, e, s1.triple.c))
-                rhs = af.compose(sf.induced_power(flow, e2, s1.triple.c),
+                cm1 = dyn.cross_map(flow, e, e2, s1.triple)
+                lhs = af.compose(cm1.realized, dyn.induced_power(flow, e, s1.triple.c))
+                rhs = af.compose(dyn.induced_power(flow, e2, s1.triple.c),
                                  cm1.realized)
                 if not lhs.maps_equal(rhs):
                     res.fail(f"continuous equivariance: {e} -> {e2}")
                 for e3 in subsets:
-                    s2 = sf.find_admissible_cont(flow, e2, e3, bound=6)
+                    s2 = dyn.find_admissible(flow, e2, e3, bound=6)
                     if not s2.found:
                         continue
                     t_sum = s1.triple + s2.triple
-                    if not sf.is_admissible_cont(flow, e, e3, t_sum):
+                    if not dyn.is_admissible(flow, e, e3, t_sum):
                         res.fail(f"continuous sum triple: {s1.triple}, {s2.triple}")
                         continue
-                    cm2 = sf.cross_map_cont(flow, e2, e3, s2.triple)
-                    msum = sf.cross_map_cont(flow, e, e3, t_sum)
+                    cm2 = dyn.cross_map(flow, e2, e3, s2.triple)
+                    msum = dyn.cross_map(flow, e, e3, t_sum)
                     if not af.compose(cm2.realized, cm1.realized).maps_equal(
                             msum.realized):
                         res.fail(f"continuous composition: {s1.triple}, {s2.triple}")
@@ -558,14 +558,14 @@ def suite_cont_discriminator(trials=None, seed=None, bound=None) -> SuiteResult:
     e_good = BoxSet.interval(0, True, 1, True)
     e_bad = BoxSet.interval(0, True, 1, False)
     s0 = BoxSet.interval(0, True, 0, True)
-    cert = sf.is_index_nbhd_cont(flow, e_good, s0)
+    cert = co.is_index_nbhd(flow, e_good, s0)
     res.check(isinstance(cert, co.IndexNbhdCertificate),
               "[0,1] certified as a continuous index neighbourhood of {0}")
     res.check(sf.is_finite_time_proper(flow, e_bad) is False,
               "[0,1) fails finite-time properness")
     res.check(sf.is_openly_defined_cont(flow, e_bad) is True,
               "[0,1) is openly defined (failure is properness alone)")
-    rej = sf.is_index_nbhd_cont(flow, e_bad, s0)
+    rej = co.is_index_nbhd(flow, e_bad, s0)
     res.check(isinstance(rej, co.Failure) and "finite-time proper" in rej.reason,
               f"[0,1) rejected specifically for finite-time properness")
     inv = sf.invariant_part_F(flow, e_good)

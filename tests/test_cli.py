@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from conley_kernel.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -191,3 +193,43 @@ class TestExitCodes:
                            "--from", "origin", "--set", "unit", "--json")
         assert code == 3
         assert json.loads(out)["meta"]["bound"] == "12"
+
+
+# two distinct fixed points a, b (and c -> a): {a} and {b} are not related
+UNRELATED = {"kind": "finite_map",
+             "system": {"points": ["a", "b", "c"],
+                        "table": {"a": "a", "b": "b", "c": "a"}},
+             "sets": {"A": ["a"], "B": ["b"]}}
+
+
+class TestUnrelatedFinitePair:
+    @pytest.mark.parametrize("command, status", [
+        ("sim", "not_equivalent"), ("admissible", "none"),
+        ("szymczak-equal", "none"), ("shift-equiv", "no")])
+    def test_complete_negative_exits_1(self, tmp_path, capsys, command, status):
+        doc = tmp_path / "unrelated.json"
+        doc.write_text(json.dumps(UNRELATED))
+        # the CLI bound must not cut the finite carrier's complete search
+        code, out, _ = run(capsys, command, str(doc), "--from", "A",
+                           "--set", "B", "--bound", "2", "--json")
+        assert code == 1
+        assert json.loads(out)["status"] == status
+
+
+class TestRepeatedCalls:
+    def test_no_state_leaks_between_calls(self, capsys):
+        code, out, _ = run(capsys, "check", fx("attractor.json"),
+                           "--set", "core", "--set", "all", "--json")
+        assert code == 0
+        assert sorted(json.loads(out)["table"]) == ["all", "core"]
+        code, out, _ = run(capsys, "invariant-part", fx("attractor.json"),
+                           "--set", "all", "--json")
+        assert code == 0
+        assert json.loads(out)["invariant_part"] == ["s"]
+        code, out, _ = run(capsys, "check", fx("attractor.json"),
+                           "--set", "S", "--human")
+        assert code == 0
+        assert out.splitlines()[0] == "S:"
+        code, out, _ = run(capsys, "check", fx("attractor.json"), "--json")
+        assert code == 0
+        assert sorted(json.loads(out)["table"]) == ["S", "all", "core"]

@@ -4,8 +4,9 @@ from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
 from conley_kernel.boxes import BoxSet
+from conley_kernel.carriers import carrier_for
 from conley_kernel.dynamics import AdmissibleTriple
-from conley_kernel.suites import doubling_map
+from conley_kernel.suites import clamp_flow, doubling_map
 from conley_kernel.szymczak import sz_equal, identity_morphism
 
 
@@ -186,3 +187,51 @@ class TestInvariantsAcrossNeighbourhoods:
             assert isinstance(rep, co.ConleyIndexReport) and rep.ok
             invs.add(rep.neighbourhoods[0].canonical_invariant)
         assert len(invs) == 1
+
+
+class TestSimpleSystemPowerClass:
+    def test_period_three_invariant_set(self):
+        # S is the 3-cycle p4 -> p8 -> p5 -> p4; the round-trip shifts are
+        # not multiples of 3, so the power class must carry its own shift
+        names = [f"p{i}" for i in range(9)]
+        space = fin.FiniteSpace.of(names)
+        f = fin.FinitePartialMap.of(space, {
+            "p0": "p8", "p1": "p5", "p2": "p8", "p3": "p7", "p4": "p8",
+            "p5": "p4", "p6": "p0", "p7": "p0", "p8": "p5"})
+        s = fin.FiniteSubset.of(space, ["p4", "p5", "p8"])
+        nbhds = [fin.FiniteSubset.of(space, ["p4", "p5", "p6", "p8"]),
+                 fin.FiniteSubset.of(space, ["p0", "p1", "p4", "p5", "p6", "p8"])]
+        rep = co.verify_simple_system(f, s, nbhds)
+        assert isinstance(rep, co.ConleyIndexReport)
+        assert rep.ok
+
+
+CLAMP = clamp_flow()
+CLAMP_UNIT = BoxSet.interval(0, True, 1, True)
+CLAMP_HALF = BoxSet.interval(0, True, "1/2", True)
+
+# (system, S, E, E', seed N for construction, search bound)
+ONE_THEORY = {
+    "finite attractor": (ATTRACTOR, S_FIN, fsub("s", "a"), fsub("s"),
+                         fsub("s", "a"), None),
+    "doubling map": (DBL, S0, OPEN_HALF, OPEN_QUARTER, UNIT, 8),
+    "clamped semiflow": (CLAMP, S0, CLAMP_UNIT, CLAMP_HALF, CLAMP_UNIT, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_THEORY))
+def test_one_theory_for_every_carrier(case):
+    f, s, e, e2, n, bound = ONE_THEORY[case]
+    ca = carrier_for(f)
+    search = dyn.find_admissible(f, e, e2, bound)
+    assert search.found
+    cm = dyn.cross_map(f, e, e2, search.triple)
+    assert cm.ambient is f
+    assert ca.is_subset(cm.domain, e)
+    assert isinstance(co.is_index_nbhd(f, e, s), co.IndexNbhdCertificate)
+    built = co.construct_index_nbhd(f, s, n, bound)
+    assert isinstance(built, co.ConstructedNbhd)
+    assert isinstance(co.is_index_nbhd(f, built.subset, s),
+                      co.IndexNbhdCertificate)
+    rep = co.verify_simple_system(f, s, [e, e2], bound)
+    assert isinstance(rep, co.ConleyIndexReport) and rep.ok

@@ -271,29 +271,29 @@ class TestEscapeSolver:
 
 class TestAdmissibility:
     def test_diagonal(self):
-        assert sf.is_admissible_cont(CLAMP, UNIT, UNIT,
-                                     AdmissibleTriple(0, 0, 0))
+        assert dyn.is_admissible(CLAMP, UNIT, UNIT,
+                                 AdmissibleTriple(0, 0, 0))
 
     def test_clamp_half(self):
         t = AdmissibleTriple(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-        assert sf.is_admissible_cont(CLAMP, UNIT, HALF, t)
+        assert dyn.is_admissible(CLAMP, UNIT, HALF, t)
 
     def test_find_and_cross(self):
-        search = sf.find_admissible_cont(CLAMP, UNIT, HALF)
+        search = dyn.find_admissible(CLAMP, UNIT, HALF)
         assert search.found
-        cm = sf.cross_map_cont(CLAMP, UNIT, HALF, search.triple)
+        cm = dyn.cross_map(CLAMP, UNIT, HALF, search.triple)
         assert cm.domain.subset_of(UNIT)
         assert sf.time_map(CLAMP, search.triple.c).restrict(cm.domain).maps_equal(
             cm.realized)
 
     def test_translation_windows_equivalent(self):
-        res = sf.sim_F(TRANS, UNIT, box1(5, True, 6, True))
+        res = dyn.sim_f(TRANS, UNIT, box1(5, True, 6, True))
         assert res.is_equivalent
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
-            sf.cross_map_cont(CLAMP, HALF, UNIT,
-                              AdmissibleTriple(0, 0, Fraction(1, 2)))
+            dyn.cross_map(CLAMP, HALF, UNIT,
+                          AdmissibleTriple(0, 0, Fraction(1, 2)))
 
 
 class TestInvariantPart:
@@ -316,7 +316,7 @@ class TestInvariantPart:
         assert sf.invariant_part_F(flow, e).set_eq(want)
 
     def test_outer_contains_invariant_part(self):
-        outer = sf.invariant_part_outer_F(CLAMP, UNIT, 3)
+        outer = dyn.invariant_part_outer(CLAMP, UNIT, 3)
         assert S0.subset_of(outer)
 
     def test_sampled_time_oracle(self):
@@ -327,36 +327,36 @@ class TestInvariantPart:
 
 class TestIndexNbhdCont:
     def test_unit_certifies(self):
-        cert = sf.is_index_nbhd_cont(CLAMP, UNIT, S0)
+        cert = co.is_index_nbhd(CLAMP, UNIT, S0)
         assert isinstance(cert, co.IndexNbhdCertificate)
 
     def test_halfopen_rejected_for_properness(self):
-        res = sf.is_index_nbhd_cont(CLAMP, HALFOPEN, S0)
+        res = co.is_index_nbhd(CLAMP, HALFOPEN, S0)
         assert isinstance(res, co.Failure)
         assert "finite-time proper" in res.reason
 
     def test_invariance_precondition(self):
         with pytest.raises(ValueError):
-            sf.is_isolating_cont(CLAMP, UNIT, BoxSet.interval(1, True, 1, True))
+            co.is_isolating(CLAMP, UNIT, BoxSet.interval(1, True, 1, True))
 
     def test_construct(self):
-        built = sf.construct_index_nbhd_cont(CLAMP, S0, UNIT)
-        assert isinstance(built, sf.ConstructedNbhdCont)
-        again = sf.is_index_nbhd_cont(CLAMP, built.subset, S0)
+        built = co.construct_index_nbhd(CLAMP, S0, UNIT)
+        assert isinstance(built, co.ConstructedNbhd)
+        again = co.is_index_nbhd(CLAMP, built.subset, S0)
         assert isinstance(again, co.IndexNbhdCertificate)
-        assert sf.sim_F(CLAMP, built.subset, built.compact_seed).is_equivalent
+        assert dyn.sim_f(CLAMP, built.subset, built.compact_seed).is_equivalent
 
     def test_connecting_morphism(self):
-        m = sf.connecting_morphism_cont(CLAMP, UNIT, HALF)
+        m = co.connecting_morphism(CLAMP, UNIT, HALF)
         assert isinstance(m, co.SymbolicSzMorphism)
 
     def test_simple_system(self):
-        rep = sf.verify_simple_system_cont(CLAMP, S0, [UNIT, HALF])
+        rep = co.verify_simple_system(CLAMP, S0, [UNIT, HALF])
         assert isinstance(rep, co.ConleyIndexReport)
         assert rep.ok
 
     def test_empty_invariant_set_one_point_index(self):
-        rep = sf.conley_index_cont(TRANS, BoxSet.empty(1), BoxSet.empty(1))
+        rep = co.conley_index(TRANS, BoxSet.empty(1), BoxSet.empty(1))
         assert isinstance(rep, co.ConleyIndexReport) and rep.ok
 
     def test_two_dimensional_corner_attractor(self):
@@ -367,7 +367,7 @@ class TestIndexNbhdCont:
         small = BoxSet.of(2, [(Interval.closed(0, Fraction(1, 2)),
                                Interval.closed(0, Fraction(1, 2)))])
         assert sf.invariant_part_F(flow, square).set_eq(corner)
-        cert = sf.is_index_nbhd_cont(flow, square, corner)
+        cert = co.is_index_nbhd(flow, square, corner)
         assert isinstance(cert, co.IndexNbhdCertificate)
-        rep = sf.verify_simple_system_cont(flow, corner, [square, small])
+        rep = co.verify_simple_system(flow, corner, [square, small])
         assert isinstance(rep, co.ConleyIndexReport) and rep.ok
