@@ -152,7 +152,7 @@ def cmd_sim(args) -> int:
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
     bound = args.bound if args.bound is not None else default_bound()
     result = dyn.sim_f(doc.system, e, e2, bound=_search_bound(doc, bound))
-    payload = {"meta": meta_block(bound=bound), "status": result.status,
+    payload = {"meta": meta_block(bound=result.bound), "status": result.status,
                "forward": [str(x) for x in result.forward] if result.forward else None,
                "backward": [str(x) for x in result.backward] if result.backward else None}
     _emit(args, payload,
@@ -170,14 +170,15 @@ def cmd_admissible(args) -> int:
     bound = args.bound if args.bound is not None else default_bound()
     search = dyn.find_admissible(doc.system, e, e2,
                                  bound=_search_bound(doc, bound))
+    meta = meta_block(bound=search.bound)
     if search.found:
         t = search.triple
-        _emit(args, {"meta": meta_block(bound=bound), "status": "found",
+        _emit(args, {"meta": meta, "status": "found",
                      "triple": [str(t.a), str(t.b), str(t.c)]},
               [f"admissible triple: {t}"])
         return EXIT_OK
     status = "none" if search.complete else "unknown"
-    _emit(args, {"meta": meta_block(bound=bound), "status": status},
+    _emit(args, {"meta": meta, "status": status},
           [f"{status}: no admissible triple "
            f"{'exists' if search.complete else 'found within bound'}"])
     return EXIT_VIOLATION if search.complete else EXIT_UNDECIDED
@@ -224,19 +225,20 @@ def cmd_szymczak_equal(args) -> int:
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
     bound = args.bound if args.bound is not None else default_bound()
     search = dyn.find_admissible(doc.system, e, e2, _search_bound(doc, bound))
+    meta = meta_block(bound=search.bound)
     if not search.found:
         status = "none" if search.complete else "unknown"
-        _emit(args, {"meta": meta_block(bound=bound), "status": status},
+        _emit(args, {"meta": meta, "status": status},
               [f"{status}: no admissible triple found"])
         return EXIT_VIOLATION if search.complete else EXIT_UNDECIDED
     t1 = search.triple
     t2 = dyn.AdmissibleTriple(t1.a, t1.b, t1.c + 1)
     if not dyn.is_admissible(doc.system, e, e2, t2):
-        _emit(args, {"meta": meta_block(bound=bound), "status": "unknown"},
+        _emit(args, {"meta": meta, "status": "unknown"},
               ["unknown: no second admissible triple"])
         return EXIT_UNDECIDED
     equal = co.same_class(doc.system, e, e2, t1, t2)
-    _emit(args, {"meta": meta_block(bound=bound), "equal": equal,
+    _emit(args, {"meta": meta, "equal": equal,
                  "triples": [[str(x) for x in t.as_tuple()] for t in (t1, t2)]},
           [f"morphism classes from triples {t1} and {t2}: "
            f"{'equal' if equal else 'DIFFERENT'}"])

@@ -50,7 +50,9 @@ class AdmissibleTriple:
 
 @dataclass(frozen=True)
 class InducedMap:
-    """The induced partial self-map f_E with Dom f_E = E n f^-1(E)."""
+    """The induced partial self-map f_E with Dom f_E = D_1(E); for a map
+    D_1(E) = E n f^-1(E), for a semiflow the points whose orbit over [0, 1]
+    stays in E."""
 
     ambient: object
     subset: object
@@ -129,10 +131,9 @@ class SimResult:
 # basic constructions
 
 def induced(f, e) -> InducedMap:
-    ca = carrier_for(f)
-    ca.check_set(f, e)
-    dom = ca.intersect(e, ca.preimage(f, e))
-    return InducedMap(f, e, ca.restrict(f, dom))
+    """f_E: the time-1 map on D_1(E) (for a map, E n f^-1(E))."""
+    carrier_for(f).check_set(f, e)
+    return InducedMap(f, e, induced_power(f, e, 1))
 
 
 def induced_power(f, e, t):

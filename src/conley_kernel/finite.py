@@ -101,8 +101,10 @@ def compose(g: FinitePartialMap, f: FinitePartialMap) -> FinitePartialMap:
 def power(f: FinitePartialMap, n: int) -> FinitePartialMap:
     if n < 0:
         raise ValueError("negative power")
-    out = identity_map(f.space)
-    for _ in range(n):
+    if n == 0:
+        return identity_map(f.space)
+    out = f
+    for _ in range(n - 1):
         out = compose(f, out)
     return out
 

@@ -3,10 +3,16 @@
 Each suite is deterministic given its seed and returns a result object with
 one line per group of checks; any counterexample fails the suite.  The same
 functions back the pytest acceptance tests.
+
+The brute-force oracles live here and nowhere in the kernel: the largest
+invariant subset by subset enumeration, and the Szymczak-category decisions
+by enumerating every candidate table (`brute_shift_equivalence`,
+`brute_sz_is_iso`), which the polynomial deciders are checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,17 +172,78 @@ def brute_preperiod_period(f: fin.FinitePartialMap) -> tuple[int, int]:
 def all_partial_maps(n: int):
     space = fin.FiniteSpace.of(str(i) for i in range(1, n + 1))
     choices = list(space.points) + [None]
-    import itertools
     for combo in itertools.product(choices, repeat=n):
         table = {p: c for p, c in zip(space.points, combo) if c is not None}
         yield fin.FinitePartialMap.of(space, table)
 
 
 def all_subsets(space: fin.FiniteSpace):
-    import itertools
     for mask in range(1 << len(space.points)):
         yield fin.FiniteSubset.of(
             space, (p for i, p in enumerate(space.points) if mask >> i & 1))
+
+
+def enumerate_based_endos(n_free: int):
+    """All based endos with n_free non-basepoint points (named a1..ak)."""
+    pts = [sz.BASEPOINT] + [f"a{i+1}" for i in range(n_free)]
+    free = pts[1:]
+    for choice in itertools.product(pts, repeat=n_free):
+        table = dict(zip(free, choice))
+        table[sz.BASEPOINT] = sz.BASEPOINT
+        yield sz.BasedEndo.of(pts, table)
+
+
+def enumerate_equivariant_maps(source: sz.BasedEndo, target: sz.BasedEndo):
+    """All equivariant maps source -> target, lexicographic in the tables."""
+    free = [p for p in source.points if p != source.base]
+    for choice in itertools.product(target.points, repeat=len(free)):
+        table = dict(zip(free, choice))
+        table[source.base] = target.base
+        if all(table[source.apply(x)] == target.apply(table[x])
+               for x in source.points):
+            yield sz.EquivariantMap.of(source, target, table)
+
+
+def is_shift_witness(phi: sz.EquivariantMap, psi: sz.EquivariantMap,
+                     a: int) -> bool:
+    """psi: g -> f with psi phi = f^a and phi psi = g^a."""
+    f, g = phi.source, phi.target
+    fa, ga = f.power_table(a), g.power_table(a)
+    return psi.source == g and psi.target == f and \
+        all(psi.table[phi.table[x]] == fa[x] for x in f.points) and \
+        all(phi.table[psi.table[y]] == ga[y] for y in g.points)
+
+
+def brute_shift_equivalence(phi: sz.EquivariantMap, bound=None):
+    """The first (a, psi) in exponent-then-table order that is a witness,
+    by trying every equivariant table g -> f."""
+    f, g = phi.source, phi.target
+    if bound is None:
+        bound = sz.shift_bound(f, g)
+    partners = list(enumerate_equivariant_maps(g, f))
+    for a in range(bound + 1):
+        for psi in partners:
+            if is_shift_witness(phi, psi, a):
+                return sz.ShiftEquivalenceWitness(psi, a)
+    return None
+
+
+def brute_sz_is_iso(m: sz.SzMorphism, bound=None):
+    """An inverse class of m, by trying every (psi, l) and testing both
+    composites with sz_equal; None if there is none.  An independent
+    decision path from the shift-equivalence rule."""
+    f, g = m.source, m.target
+    if bound is None:
+        bound = sz.shift_bound(f, g)
+    id_f, id_g = sz.identity_morphism(f), sz.identity_morphism(g)
+    partners = list(enumerate_equivariant_maps(g, f))
+    for ell in range(bound + 1):
+        for psi in partners:
+            cand = sz.SzMorphism(psi, ell)
+            if sz.sz_equal(sz.sz_compose(m, cand), id_f) and \
+               sz.sz_equal(sz.sz_compose(cand, m), id_g):
+                return cand
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -422,26 +489,28 @@ def suite_thm_properness(trials=300, seed=19, bound=None) -> SuiteResult:
 def suite_szymczak_oracle(trials=None, seed=None, bound=None,
                           max_points: int = 3) -> SuiteResult:
     """Exhaustive localization oracle over based endos with <= max_points+1
-    points (basepoint included): shift equivalence iff Q-image invertible."""
+    points (basepoint included): the eventual-image decider says shift
+    equivalence iff the brute-force search finds the Q-image invertible."""
     res = SuiteResult("szymczak-oracle")
     endos = [e for k in range(max_points + 1)
-             for e in sz.enumerate_based_endos(k)]
+             for e in enumerate_based_endos(k)]
     checked = 0
-    mismatches = 0
     invariant_violations = 0
     for f in endos:
         fh = sz.EquivariantMap.endo_as_self_map(f)
-        if sz.sz_is_iso(sz.Q(fh)) is None:
+        if brute_sz_is_iso(sz.Q(fh)) is None:
             res.fail(f"Q(f-hat) not invertible for {f}")
     res.note(f"Q(f-hat) invertible for all {len(endos)} endos")
     for f in endos:
         for g in endos:
-            for phi in sz.enumerate_equivariant_maps(f, g):
+            for phi in enumerate_equivariant_maps(f, g):
                 wit = sz.is_shift_equivalence(phi)
-                inv = sz.sz_is_iso(sz.Q(phi))
+                inv = brute_sz_is_iso(sz.Q(phi))
                 if (wit is None) != (inv is None):
-                    mismatches += 1
                     res.fail(f"oracle mismatch for {phi} between {f} and {g}")
+                if wit is not None and \
+                        not is_shift_witness(phi, wit.psi, wit.exponent):
+                    res.fail(f"witness {wit} fails for {phi}")
                 if wit is not None and \
                         sz.canonical_invariant(f) != sz.canonical_invariant(g):
                     invariant_violations += 1

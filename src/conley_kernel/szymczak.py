@@ -2,9 +2,14 @@
 
 Objects are total self-maps of finite based sets fixing the basepoint.
 Morphism equality, composition, the localizing functor Q, and shift
-equivalence are all decided exactly; the search bounds come from the
-eventual periodicity of the power sequence of a finite endomorphism,
-so negative answers are complete, not timeouts.
+equivalence are all decided exactly; the bounds come from the eventual
+periodicity of the power sequence of a finite endomorphism, so negative
+answers are complete, not timeouts.
+
+Shift equivalence is decided in polynomial time by the eventual-image
+rule: phi is a shift equivalence iff it maps the eventual image of f
+bijectively onto that of g.  The brute-force searches over all candidate
+tables live in :mod:`conley_kernel.suites` as test oracles.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 BASEPOINT = "*"
 
@@ -53,31 +57,68 @@ class BasedEndo:
     def apply(self, x: str) -> str:
         return self.table[x]
 
-    def power_table(self, n: int) -> dict:
-        out = {p: p for p in self.points}
-        for _ in range(n):
-            out = {p: self.table[v] for p, v in out.items()}
-        return out
-
     @cached_property
-    def power_bounds(self) -> tuple[int, int]:
-        """(preperiod, period) of the power sequence id, f, f^2, ..."""
-        seen: dict[tuple, int] = {}
-        cur = {p: p for p in self.points}
-        n = 0
-        while True:
-            key = tuple(cur[p] for p in self.points)
-            if key in seen:
-                return seen[key], n - seen[key]
-            seen[key] = n
-            cur = {p: self.table[v] for p, v in cur.items()}
-            n += 1
+    def cycles(self) -> tuple[tuple[str, ...], ...]:
+        """The cycles of f, each from its first point in `points` order.
+        They partition the eventual image: |X| steps from any point land
+        on a cycle."""
+        periodic: set[str] = set()
+        for x in self.points:
+            for _ in range(len(self.points)):
+                x = self.table[x]
+            while x not in periodic:
+                periodic.add(x)
+                x = self.table[x]
+        seen: set[str] = set()
+        out = []
+        for x in self.points:
+            if x in periodic and x not in seen:
+                cycle = [x]
+                while self.table[cycle[-1]] != x:
+                    cycle.append(self.table[cycle[-1]])
+                seen.update(cycle)
+                out.append(tuple(cycle))
+        return tuple(out)
 
     @cached_property
     def eventual_image(self) -> tuple[str, ...]:
-        cur = self.power_table(len(self.points))
-        img = {cur[p] for p in self.points}
-        return tuple(p for p in self.points if p in img)
+        periodic = {x for c in self.cycles for x in c}
+        return tuple(p for p in self.points if p in periodic)
+
+    @cached_property
+    def power_bounds(self) -> tuple[int, int]:
+        """(preperiod, period) of the power sequence id, f, f^2, ...: the
+        least p, q >= 1 with f^p = f^(p+q), read off the orbit structure.
+        p is the longest run of a point into the eventual image, q the lcm
+        of the cycle lengths."""
+        periodic = set(self.eventual_image)
+        p = 0
+        for x in self.points:
+            n = 0
+            while x not in periodic:
+                x = self.table[x]
+                n += 1
+            p = max(p, n)
+        return p, math.lcm(*(len(c) for c in self.cycles))
+
+    @cached_property
+    def powers(self) -> tuple[dict, ...]:
+        """The tables of f^0, f^1, ..., f^(p+q), for (p, q) = power_bounds."""
+        p, q = self.power_bounds
+        seq = [{x: x for x in self.points}]
+        for _ in range(p + q):
+            seq.append({x: self.table[v] for x, v in seq[-1].items()})
+        return tuple(seq)
+
+    def _power(self, n: int) -> dict:
+        """The shared table of f^n, with n >= p reduced to p + (n - p) mod q."""
+        p, q = self.power_bounds
+        return self.powers[n if n < p else p + (n - p) % q]
+
+    def power_table(self, n: int) -> dict:
+        if n < 0:
+            raise ValueError("negative power")
+        return dict(self._power(n))
 
     def __repr__(self):
         return "Endo{" + ", ".join(f"{x}->{y}" for x, y in self.pairs) + "}"
@@ -137,25 +178,6 @@ class EquivariantMap:
         return "Equiv{" + body + "}"
 
 
-def is_equivariant_table(source: BasedEndo, target: BasedEndo,
-                         table: Mapping[str, str]) -> bool:
-    if table[source.base] != target.base:
-        return False
-    return all(table[source.apply(x)] == target.apply(table[x])
-               for x in source.points)
-
-
-def enumerate_equivariant_maps(source: BasedEndo,
-                               target: BasedEndo) -> Iterator[EquivariantMap]:
-    """All equivariant maps source -> target, lexicographic in the tables."""
-    free = [p for p in source.points if p != source.base]
-    for choice in iproduct(target.points, repeat=len(free)):
-        table = dict(zip(free, choice))
-        table[source.base] = target.base
-        if is_equivariant_table(source, target, table):
-            yield EquivariantMap.of(source, target, table)
-
-
 @dataclass(frozen=True)
 class SzMorphism:
     """A morphism of the Szymczak category: the class of (phi, k).
@@ -193,8 +215,7 @@ def identity_morphism(e: BasedEndo) -> SzMorphism:
 
 def endo_shift_morphism(e: BasedEndo, n: int = 1) -> SzMorphism:
     """The class of (f^n, 0), i.e. Q(f-hat)^n."""
-    table = e.power_table(n)
-    return Q(EquivariantMap.of(e, e, table))
+    return Q(EquivariantMap.of(e, e, e._power(n)))
 
 
 def sz_equal(m: SzMorphism, m2: SzMorphism) -> bool:
@@ -208,8 +229,8 @@ def sz_equal(m: SzMorphism, m2: SzMorphism) -> bool:
     f = m.source
     p, q = f.power_bounds
     for n in range(p + q + 1):
-        left = f.power_table(m2.shift + n)
-        right = f.power_table(m.shift + n)
+        left = f._power(m2.shift + n)
+        right = f._power(m.shift + n)
         if all(m.phi.table[left[x]] == m2.phi.table[right[x]] for x in f.points):
             return True
     return False
@@ -222,7 +243,8 @@ def sz_compose(m: SzMorphism, m2: SzMorphism) -> SzMorphism:
     return SzMorphism(m.phi.then(m2.phi), m.shift + m2.shift)
 
 
-def _shift_bound(f: BasedEndo, g: BasedEndo) -> int:
+def shift_bound(f: BasedEndo, g: BasedEndo) -> int:
+    """A complete bound on the least shift-equivalence exponent."""
     pf, qf = f.power_bounds
     pg, qg = g.power_bounds
     return max(pf, pg) + math.lcm(qf, qg)
@@ -236,77 +258,116 @@ class ShiftEquivalenceWitness:
 
 def is_shift_equivalence(phi: EquivariantMap,
                          bound: int | None = None) -> ShiftEquivalenceWitness | None:
-    """Search for psi and a with psi phi = f^a and phi psi = g^a.
+    """The least a <= bound, with the least table psi: g -> f, such that
+    psi phi = f^a and phi psi = g^a; None if there is none.
 
-    With the default bound the negative answer is complete: any witness
-    exponent reduces below max(preperiods) + lcm(periods).
+    "Least psi" is lexicographic in the values on `g.points`, each ordered
+    as in `f.points`: the first table an enumeration of all tables meets.
+
+    Rule (Franks-Richeson 2000; Szymczak 1995): phi is a shift equivalence
+    iff it maps the eventual image of f bijectively onto that of g.
+
+    Proof sketch.  Equivariance gives phi(Im f^n) <= Im g^n, so phi maps
+    Im-inf f into Im-inf g, and psi maps back likewise.  If (psi, a) is a
+    witness, f^a = psi phi is bijective on Im-inf f, so phi is injective
+    there, and g^a = phi psi is onto Im-inf g with psi(Im-inf g) <= Im-inf f,
+    so phi is onto: the "only if" is complete.  Conversely, let a be the
+    larger index at which the images of f^n and g^n stop shrinking and set
+    psi = (phi restricted to Im-inf f)^-1 g^a.  Then phi psi = g^a; psi phi
+    = f^a because f^a(x) lies in Im-inf f and phi f^a = g^a phi; psi is
+    equivariant because f maps Im-inf f into itself and phi f = g phi.
+    Images stop shrinking by the preperiod, so a <= max(p_f, p_g) <=
+    shift_bound(f, g), and the loop below always succeeds on that side.
+    It therefore runs at most max(|f|, |g|) rounds, each polynomial in the
+    point counts; nothing here walks the power sequence, whose period
+    (the lcm of the cycle lengths) can be exponential.
+
+    For each a the witness conditions are a constraint problem on psi:
+    unary lists D(y) (phi psi y = g^a y; psi(phi x) = f^a x; the basepoint
+    to the basepoint; on a g-cycle of length k only x with f^k x = x) and
+    psi(g y) = f(psi y) along every edge y -> g y.  The edges form the
+    functional graph of g, so once the lists are arc consistent and
+    non-empty any entry extends to a full psi: follow g forward from it to
+    a cycle, which the f^k x = x filter closes up, then fill the trees
+    hanging off each cycle backward.  Fixing psi greedily in `g.points`
+    order, re-pruning after each choice, gives the least table.
     """
     f, g = phi.source, phi.target
     if bound is None:
-        bound = _shift_bound(f, g)
-    fpowers = [f.power_table(a) for a in range(bound + 1)]
-    gpowers = [g.power_table(a) for a in range(bound + 1)]
+        bound = shift_bound(f, g)
+    src = f.eventual_image
+    if len(src) != len(g.eventual_image) or \
+            {phi.table[x] for x in src} != set(g.eventual_image):
+        return None
+    fa, ga = identity_endo_map(f), identity_endo_map(g)
     for a in range(bound + 1):
-        for psi in enumerate_equivariant_maps(g, f):
-            if all(psi.table[phi.table[x]] == fpowers[a][x] for x in f.points) and \
-               all(phi.table[psi.table[y]] == gpowers[a][y] for y in g.points):
-                return ShiftEquivalenceWitness(psi, a)
+        psi = _least_partner(phi, fa, ga)
+        if psi is not None:
+            return ShiftEquivalenceWitness(EquivariantMap.of(g, f, psi), a)
+        fa = {x: f.table[v] for x, v in fa.items()}
+        ga = {y: g.table[v] for y, v in ga.items()}
     return None
 
 
-def sz_is_iso(m: SzMorphism, bound: int | None = None) -> SzMorphism | None:
-    """Search directly for an inverse class of m; None if there is none.
+def _least_partner(phi: EquivariantMap, fa: dict, ga: dict) -> dict | None:
+    """The least psi table of a witness at the exponent a of the tables
+    fa = f^a and ga = g^a, or None."""
+    f, g = phi.source, phi.target
+    lists = {y: {x for x in f.points if phi.table[x] == ga[y]}
+             for y in g.points}
+    forced: dict[str, str] = {g.base: f.base}
+    for x in f.points:
+        if forced.setdefault(phi.table[x], fa[x]) != fa[x]:
+            return None
+    for y, x in forced.items():
+        lists[y] &= {x}
+    # f^k x = x iff x lies on an f-cycle whose length divides k
+    period = {x: len(c) for c in f.cycles for x in c}
+    for cycle in g.cycles:
+        for y in cycle:
+            lists[y] = {x for x in lists[y]
+                        if x in period and len(cycle) % period[x] == 0}
+    if not _prune(f, g, lists):
+        return None
+    rank = {x: i for i, x in enumerate(f.points)}
+    for y in g.points:
+        if len(lists[y]) > 1:
+            lists[y] = {min(lists[y], key=rank.__getitem__)}
+            _prune(f, g, lists)
+    return {y: next(iter(lists[y])) for y in g.points}
 
-    This is an independent decision path from :func:`is_shift_equivalence`
-    (it enumerates candidate inverse representatives and tests both
-    composites with :func:`sz_equal`); the two are cross-checked as the
-    localization oracle.
-    """
-    f, g = m.source, m.target
-    if bound is None:
-        bound = _shift_bound(f, g)
-    id_f = identity_morphism(f)
-    id_g = identity_morphism(g)
-    for ell in range(bound + 1):
-        for psi in enumerate_equivariant_maps(g, f):
-            cand = SzMorphism(psi, ell)
-            if sz_equal(sz_compose(m, cand), id_f) and \
-               sz_equal(sz_compose(cand, m), id_g):
-                return cand
-    return None
+
+def _prune(f: BasedEndo, g: BasedEndo, lists: dict) -> bool:
+    """Make the lists arc consistent for psi(g y) = f(psi y), in place:
+    every entry at y has its f-image at g y, and every entry at g y is the
+    f-image of some entry at y.  False if a list becomes empty."""
+    changed = True
+    while changed:
+        changed = False
+        for y in g.points:
+            z = g.table[y]
+            here = {x for x in lists[y] if f.table[x] in lists[z]}
+            if here != lists[y]:
+                lists[y] = here
+                changed = True
+            there = lists[z] & {f.table[x] for x in here}
+            if there != lists[z]:
+                lists[z] = there
+                changed = True
+            if not here or not there:
+                return False
+    return True
 
 
 def canonical_invariant(e: BasedEndo) -> tuple[int, tuple[int, ...]]:
     """(eventual image size, sorted cycle lengths of the induced bijection).
 
-    A fast comparator for shift-equivalence classes; its completeness is a
-    conjecture validated against the brute-force search in the test suites.
+    A complete invariant of the shift-equivalence class, hence of the
+    isomorphism class in the Szymczak category.  A shift equivalence maps
+    the eventual images bijectively and conjugates the two bijections (see
+    :func:`is_shift_equivalence`), so shift-equivalent endos agree.  If two
+    endos agree, a conjugacy h of the bijections, basepoint to basepoint,
+    gives phi = h f^p with p the preperiod of f: phi is equivariant and
+    bijective on eventual images, hence a shift equivalence.
     """
-    img = e.eventual_image
-    img_set = set(img)
-    for x in img:
-        if e.apply(x) not in img_set:
-            raise AssertionError("eventual image is not invariant")
-    seen = set()
-    cycles = []
-    for x in img:
-        if x in seen:
-            continue
-        length = 0
-        y = x
-        while y not in seen:
-            seen.add(y)
-            y = e.apply(y)
-            length += 1
-        cycles.append(length)
-    return len(img), tuple(sorted(cycles))
-
-
-def enumerate_based_endos(n_free: int) -> Iterator[BasedEndo]:
-    """All based endos with n_free non-basepoint points (named a1..ak)."""
-    pts = [BASEPOINT] + [f"a{i+1}" for i in range(n_free)]
-    free = pts[1:]
-    for choice in iproduct(pts, repeat=n_free):
-        table = dict(zip(free, choice))
-        table[BASEPOINT] = BASEPOINT
-        yield BasedEndo.of(pts, table)
+    return len(e.eventual_image), tuple(sorted(len(c) for c in e.cycles))

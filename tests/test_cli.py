@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from conley_kernel import dynamics as dyn
 from conley_kernel.cli import main
+from conley_kernel.documents import parse_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -214,6 +216,20 @@ class TestUnrelatedFinitePair:
                            "--set", "B", "--bound", "2", "--json")
         assert code == 1
         assert json.loads(out)["status"] == status
+
+
+    @pytest.mark.parametrize("command", ["sim", "admissible", "szymczak-equal"])
+    def test_meta_records_the_bound_the_search_used(self, tmp_path, capsys,
+                                                    command):
+        doc = tmp_path / "unrelated.json"
+        doc.write_text(json.dumps(UNRELATED))
+        parsed = parse_document(UNRELATED)
+        derived = dyn.find_admissible(parsed.system, parsed.resolve("A"),
+                                      parsed.resolve("B")).bound
+        code, out, _ = run(capsys, command, str(doc), "--from", "A",
+                           "--set", "B", "--json")
+        assert code == 1
+        assert json.loads(out)["meta"]["bound"] == str(derived) != "64"
 
 
 class TestRepeatedCalls:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from conley_kernel import conley as co
@@ -147,6 +149,53 @@ class TestSimpleSystem:
     def test_singleton_report(self):
         rep = co.verify_simple_system(ATTRACTOR, S_FIN, [fsub("s", "a")])
         assert rep.ok and len(rep.neighbourhoods) == 1
+
+
+class TestSymbolicInvertibilityChecks:
+    """The two invertibility checks of a box-carrier morphism each report
+    their own evidence: the composition identity, and the power identity."""
+
+    SUBSETS = [OPEN_HALF, OPEN_QUARTER]
+
+    def _system(self):
+        triples = {(i, j): dyn.find_admissible(DBL, self.SUBSETS[i],
+                                               self.SUBSETS[j], bound=8).triple
+                   for i in range(2) for j in range(2)}
+        crosses = {(i, j): dyn.cross_map(DBL, self.SUBSETS[i], self.SUBSETS[j], t)
+                   for (i, j), t in triples.items()}
+        return crosses, triples
+
+    def _oks(self, crosses, triples):
+        checks, invertible, _ = co._symbolic_invertibility(
+            DBL, self.SUBSETS, crosses, triples, 0, 1)
+        assert [c.name for c in checks] == ["composite is power class",
+                                           "composite is identity class"]
+        return [c.ok for c in checks], invertible
+
+    def test_both_hold_on_the_repeller(self):
+        assert self._oks(*self._system()) == ([True, True], True)
+
+    def test_only_the_composition_identity_fails(self):
+        crosses, triples = self._system()
+        back = crosses[(1, 0)]
+        crosses[(1, 0)] = dataclasses.replace(
+            back, realized=back.realized.restrict(S0))
+        assert self._oks(crosses, triples) == ([False, True], False)
+
+    def test_only_the_power_identity_fails(self, monkeypatch):
+        crosses, triples = self._system()
+        monkeypatch.setattr(co, "induced_power",
+                            lambda f, e, t: dyn.induced_power(f, e, t + 1))
+        assert self._oks(crosses, triples) == ([True, False], False)
+
+
+class TestFiniteInverseClass:
+    def test_inverse_composes_to_identities(self):
+        rep = co.verify_simple_system(ATTRACTOR, S_FIN,
+                                      [fsub("s"), fsub("s", "a")])
+        assert all(m.invertible and m.witness != "None" for m in rep.morphisms)
+        # the collapse {s, a} -> {s} is inverted by the inclusion, shift 0
+        assert rep.morphisms[1].witness == "[Equiv{s->s}, 0]"
 
 
 class TestConleyIndex:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,8 +8,8 @@ from conley_kernel import finite as fin
 from conley_kernel.boxes import BoxSet
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.suites import (
-    brute_invariant_part, clamp_map, doubling_map, random_finite_system,
-    random_subset, shift2d_map, step_region,
+    brute_invariant_part, clamp_flow, clamp_map, doubling_map,
+    random_finite_system, random_subset, shift2d_map, step_region,
 )
 from conley_kernel.szymczak import BasedEndo
 
@@ -43,6 +44,18 @@ class TestInduced:
     def test_doubling_on_origin(self):
         ind = dyn.induced(doubling_map(), ORIGIN)
         assert ind.domain.set_eq(ORIGIN)
+
+    def test_clamp_flow_time_one_map(self):
+        # x -> max(x - 1, 0): every orbit from [0, 2] stays in [0, 2]
+        ind = dyn.induced(clamp_flow(), box1(0, True, 2, True))
+        assert ind.domain.set_eq(box1(0, True, 2, True))
+        assert ind.realized.eval_point(["3/2"]) == (Fraction(1, 2),)
+        assert ind.realized.eval_point(["1/2"]) == (Fraction(0),)
+
+    def test_clamp_flow_swept_domain(self):
+        # from [1, 2] the orbit leaves the set unless x - 1 >= 1
+        ind = dyn.induced(clamp_flow(), box1(1, True, 2, True))
+        assert ind.domain.set_eq(box1(2, True, 2, True))
 
 
 class TestDomPower:
@@ -345,3 +358,14 @@ class TestOnePoint:
         sym = dyn.one_point(doubling_map(), ORIGIN)
         assert isinstance(sym, dyn.SymbolicBasedEndo)
         assert sym.induced.domain.set_eq(ORIGIN)
+
+    def test_symbolic_on_clamp_flow(self):
+        unit = box1(0, True, 1, True)
+        sym = dyn.one_point(clamp_flow(), unit)
+        assert isinstance(sym, dyn.SymbolicBasedEndo)
+        assert sym.subset.set_eq(unit)
+        assert sym.induced.domain.set_eq(unit)
+
+    def test_clamp_flow_rejects_noncompactifiable(self):
+        with pytest.raises(ValueError):
+            dyn.one_point(clamp_flow(), box1(0, True, 1, False))

@@ -1,8 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conley_kernel import szymczak as sz
+from conley_kernel.suites import (
+    brute_shift_equivalence, brute_sz_is_iso, enumerate_based_endos,
+    enumerate_equivariant_maps, is_shift_witness,
+)
 
 
 IDENT2 = sz.BasedEndo.of(["*", "p"], {"*": "*", "p": "p"})
@@ -32,7 +38,7 @@ class TestSzEqual:
         endos = [IDENT2, COLLAPSE]
         for f, g in itertools.product(endos, repeat=2):
             ms = [sz.SzMorphism(phi, k)
-                  for phi in sz.enumerate_equivariant_maps(f, g)
+                  for phi in enumerate_equivariant_maps(f, g)
                   for k in range(3)]
             for a in ms:
                 assert sz.sz_equal(a, a)
@@ -76,13 +82,13 @@ class TestCompose:
 
     def test_associativity_up_to_class_equality(self):
         for m1 in [sz.SzMorphism(phi, k)
-                   for phi in sz.enumerate_equivariant_maps(COLLAPSE, ONEPT)
+                   for phi in enumerate_equivariant_maps(COLLAPSE, ONEPT)
                    for k in range(2)]:
             for m2 in [sz.SzMorphism(phi, k)
-                       for phi in sz.enumerate_equivariant_maps(ONEPT, IDENT2)
+                       for phi in enumerate_equivariant_maps(ONEPT, IDENT2)
                        for k in range(2)]:
                 for m3 in [sz.SzMorphism(phi, k)
-                           for phi in sz.enumerate_equivariant_maps(IDENT2, CYCLE2)
+                           for phi in enumerate_equivariant_maps(IDENT2, CYCLE2)
                            for k in range(2)]:
                     lhs = sz.sz_compose(sz.sz_compose(m1, m2), m3)
                     rhs = sz.sz_compose(m1, sz.sz_compose(m2, m3))
@@ -106,16 +112,133 @@ class TestShiftEquivalence:
 
     def test_endo_self_map_invertible_for_every_endo(self):
         for k in range(3):
-            for e in sz.enumerate_based_endos(k):
+            for e in enumerate_based_endos(k):
                 fh = sz.EquivariantMap.endo_as_self_map(e)
-                assert sz.sz_is_iso(sz.Q(fh)) is not None
+                assert brute_sz_is_iso(sz.Q(fh)) is not None
 
     def test_iso_agrees_with_shift_equivalence(self):
         endos = [IDENT2, CYCLE2, COLLAPSE, ONEPT]
         for f, g in itertools.product(endos, repeat=2):
-            for phi in sz.enumerate_equivariant_maps(f, g):
+            for phi in enumerate_equivariant_maps(f, g):
                 assert (sz.is_shift_equivalence(phi) is None) == \
-                    (sz.sz_is_iso(sz.Q(phi)) is None)
+                    (brute_sz_is_iso(sz.Q(phi)) is None)
+
+
+@st.composite
+def based_endo_pairs(draw, max_points=6):
+    """(f, g) with at most max_points points each, basepoint anywhere in
+    the point order; g is random, or f with transient points added."""
+    def endo(pts, table):
+        order = draw(st.permutations(pts))
+        return sz.BasedEndo.of(order, table)
+
+    pts = ["*"] + [f"x{i}" for i in range(draw(st.integers(0, max_points - 1)))]
+    table = {"*": "*"} | {p: draw(st.sampled_from(pts)) for p in pts[1:]}
+    f = endo(pts, table)
+    if draw(st.booleans()):
+        qts = ["*"] + [f"y{i}" for i in range(draw(st.integers(0, max_points - 1)))]
+        g = endo(qts, {"*": "*"} | {q: draw(st.sampled_from(qts)) for q in qts[1:]})
+    else:
+        extra = draw(st.integers(0, max_points - len(pts)))
+        qts = list(pts)
+        for i in range(extra):
+            table[f"t{i}"] = draw(st.sampled_from(qts))
+            qts.append(f"t{i}")
+        g = endo(qts, table)
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+class TestEventualImageDecider:
+    """The polynomial decider returns exactly the brute force's witness:
+    the least exponent, and at it the first table in enumeration order."""
+
+    def test_exhaustive_up_to_three_points(self):
+        endos = [e for k in range(3) for e in enumerate_based_endos(k)]
+        maps = [phi for f in endos for g in endos
+                for phi in enumerate_equivariant_maps(f, g)]
+        assert len(maps) == 295
+        for phi in maps:
+            assert sz.is_shift_equivalence(phi) == brute_shift_equivalence(phi), phi
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(based_endo_pairs(), st.integers(0, 10 ** 6))
+    def test_random_up_to_six_points(self, pair, index):
+        f, g = pair
+        maps = list(enumerate_equivariant_maps(f, g))
+        phi = maps[index % len(maps)]
+        assert sz.is_shift_equivalence(phi) == brute_shift_equivalence(phi)
+
+    def test_least_table_among_several_partners(self):
+        # phi collapses a, b, c onto c'; at the least exponent 1, psi(u) may
+        # be any point over c', and the first in f's point order is b
+        f = sz.BasedEndo.of(["*", "b", "a", "c"],
+                            {"*": "*", "a": "c", "b": "c", "c": "c"})
+        g = sz.BasedEndo.of(["*", "u", "c'"], {"*": "*", "u": "c'", "c'": "c'"})
+        phi = sz.EquivariantMap.of(f, g, {"*": "*", "a": "c'", "b": "c'",
+                                          "c": "c'"})
+        partners = [psi for psi in enumerate_equivariant_maps(g, f)
+                    if is_shift_witness(phi, psi, 1)]
+        assert [psi.table["u"] for psi in partners] == ["b", "a", "c"]
+        wit = sz.is_shift_equivalence(phi)
+        assert wit.exponent == 1
+        assert wit.psi.table == {"*": "*", "u": "b", "c'": "c"}
+        assert wit == brute_shift_equivalence(phi)
+
+    def test_period_beyond_enumeration(self):
+        # disjoint cycles of the first ten primes: the power sequence has
+        # period 6,469,693,230, which the decider never walks
+        pts, table = ["*"], {"*": "*"}
+        for length in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+            cycle = [f"c{length}.{i}" for i in range(length)]
+            pts += cycle
+            table.update({x: cycle[(i + 1) % length] for i, x in enumerate(cycle)})
+        e = sz.BasedEndo.of(pts, table)
+        assert e.power_bounds == (0, 6469693230)
+        wit = sz.is_shift_equivalence(sz.EquivariantMap.identity(e))
+        assert wit.exponent == 0 and wit.psi == sz.EquivariantMap.identity(e)
+
+    def test_bound_keeps_the_least_exponent(self):
+        phi = sz.EquivariantMap.of(COLLAPSE, ONEPT, {"*": "*", "a": "c", "b": "c"})
+        assert sz.is_shift_equivalence(phi, bound=0) is None
+        assert sz.is_shift_equivalence(phi, bound=1).exponent == 1
+        assert sz.is_shift_equivalence(phi, bound=5).exponent == 1
+
+    def test_not_bijective_on_eventual_images(self):
+        # collapsing the 2-cycle onto a fixed point is onto but not
+        # injective on the eventual images, whatever the bound
+        phi = sz.EquivariantMap.of(CYCLE2, ONEPT, {"*": "*", "p": "c", "q": "c"})
+        assert sz.is_shift_equivalence(phi, bound=50) is None
+
+
+class TestPowerSequence:
+    def test_powers_cover_preperiod_and_period(self):
+        e = sz.BasedEndo.of(["*", "t", "p", "q"],
+                            {"*": "*", "t": "p", "p": "q", "q": "p"})
+        assert e.power_bounds == (1, 2)
+        assert len(e.powers) == 4 and e.powers[3] == e.powers[1]
+
+    def test_power_table_reduces_past_the_preperiod(self):
+        e = sz.BasedEndo.of(["*", "t", "p", "q"],
+                            {"*": "*", "t": "p", "p": "q", "q": "p"})
+        table = {x: x for x in e.points}
+        for n in range(12):
+            assert e.power_table(n) == table
+            table = {x: e.apply(v) for x, v in table.items()}
+
+    def test_power_bounds_are_the_first_repeat(self):
+        for k in range(4):
+            for e in enumerate_based_endos(k):
+                seq = [{x: x for x in e.points}]
+                while seq[-1] not in seq[:-1]:
+                    seq.append({x: e.apply(v) for x, v in seq[-1].items()})
+                p = seq.index(seq[-1])
+                assert e.power_bounds == (p, len(seq) - 1 - p), e
+                assert list(e.powers) == seq
+
+    def test_power_table_is_a_copy(self):
+        e = CYCLE2
+        e.power_table(1)["p"] = "*"
+        assert e.power_table(1)["p"] == "q"
 
 
 class TestCanonicalInvariant:
@@ -131,10 +254,19 @@ class TestCanonicalInvariant:
         assert sz.canonical_invariant(e) == (1, (1,))
 
     def test_separates_shift_classes_on_small_endos(self):
-        endos = [e for k in range(3) for e in sz.enumerate_based_endos(k)]
+        endos = [e for k in range(3) for e in enumerate_based_endos(k)]
         for f in endos:
             for g in endos:
                 if sz.canonical_invariant(f) == sz.canonical_invariant(g):
                     continue
-                for phi in sz.enumerate_equivariant_maps(f, g):
+                for phi in enumerate_equivariant_maps(f, g):
                     assert sz.is_shift_equivalence(phi) is None
+
+    def test_complete_on_small_endos(self):
+        # equal invariants: some equivariant map is a shift equivalence
+        endos = [e for k in range(4) for e in enumerate_based_endos(k)]
+        for f in endos:
+            for g in endos:
+                if sz.canonical_invariant(f) == sz.canonical_invariant(g):
+                    assert any(brute_shift_equivalence(phi) is not None
+                               for phi in enumerate_equivariant_maps(f, g)), (f, g)
