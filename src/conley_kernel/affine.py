@@ -70,10 +70,6 @@ def rules_preimage_box(rules: Rules, b: Box) -> Box | None:
     return tuple(out)
 
 
-def rules_image(rules: Rules, a: BoxSet) -> BoxSet:
-    return BoxSet.of(a.dimension, [rules_image_box(rules, b) for b in a.boxes])
-
-
 def rules_preimage(rules: Rules, a: BoxSet) -> BoxSet:
     boxes = []
     for b in a.boxes:
@@ -164,10 +160,7 @@ class PiecewiseAffineMap:
 
     @cached_property
     def domain(self) -> BoxSet:
-        out = BoxSet.empty(self.dimension)
-        for p in self.pieces:
-            out = out.union(p.domain)
-        return out
+        return BoxSet.union_all(self.dimension, (p.domain for p in self.pieces))
 
     def restrict(self, s: BoxSet) -> "PiecewiseAffineMap":
         return PiecewiseAffineMap._raw(
@@ -184,16 +177,13 @@ class PiecewiseAffineMap:
         return None
 
     def image(self, a: BoxSet) -> BoxSet:
-        out = BoxSet.empty(self.dimension)
-        for p in self.pieces:
-            out = out.union(rules_image(p.rules, a.intersect(p.domain)))
-        return out
+        return BoxSet.of(self.dimension, [
+            rules_image_box(p.rules, b)
+            for p in self.pieces for b in a.intersect(p.domain).boxes])
 
     def preimage(self, a: BoxSet) -> BoxSet:
-        out = BoxSet.empty(self.dimension)
-        for p in self.pieces:
-            out = out.union(rules_preimage(p.rules, a).intersect(p.domain))
-        return out
+        return BoxSet.union_all(self.dimension, (
+            rules_preimage(p.rules, a).intersect(p.domain) for p in self.pieces))
 
     # -- comparisons ---------------------------------------------------------
 
@@ -208,7 +198,7 @@ class PiecewiseAffineMap:
 
     def maps_equal(self, other: "PiecewiseAffineMap") -> bool:
         """Exact partial-map equality: same domain set, same values on it."""
-        if not self.domain.set_eq(other.domain):
+        if self.domain != other.domain:
             return False
         return self.equal_on(other, self.domain)
 

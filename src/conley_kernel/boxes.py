@@ -4,16 +4,24 @@ Sets in R^n are finite unions of axis-aligned boxes whose per-axis factors
 are intervals with exact rational (or infinite) endpoints and open/closed
 flags.  All operations are exact; no floating point is used anywhere.
 
-1-D sets are kept canonical (sorted, disjoint, non-adjacent-mergeable), so
-structural equality coincides with set equality there.  In higher dimension
-no canonical form exists; use :meth:`BoxSet.set_eq` (symmetric-difference
-emptiness) for semantic comparisons.
+Every set has one canonical form (the orthogonal-polyhedra representation
+of Bournez, Maler and Pnueli, HSCC 1999).  A set in R^n is a step function
+along axis 0: its breakpoints are "just before v" (the step includes v) and
+"just after v" (it starts past v), and between two breakpoints the value is
+a canonical set in R^(n-1); the whole space and the empty set are the
+values true and false in every dimension, and adjacent values differ.
+Structural equality (`==`) is therefore set equality in every dimension,
+the set operations are merges of two step lists, and the box list a set is
+written with does not matter: :attr:`BoxSet.boxes` is derived from the
+canonical form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
@@ -180,153 +188,239 @@ def _ekey(iv: Interval):
     return (iv.hi.sign, iv.hi.value, 0 if iv.hi_closed else -1)
 
 
-def _from_skey(k) -> tuple[Cut, bool]:
-    return Cut(k[0], k[1]), k[2] == 0
-
-
-def _from_ekey(k) -> tuple[Cut, bool]:
-    return Cut(k[0], k[1]), k[2] == 0
-
-
 def isect_iv(a: Interval, b: Interval) -> Interval | None:
     sk = max(_skey(a), _skey(b))
     ek = min(_ekey(a), _ekey(b))
     if sk > ek:
         return None
-    lo, lc = _from_skey(sk)
-    hi, hc = _from_ekey(ek)
-    return Interval(lo, hi, lc, hc)
-
-
-def _connects(a: Interval, b: Interval) -> bool:
-    """True if a and b overlap or are adjacent-mergeable (b sorted after a)."""
-    ek = _ekey(a)
-    return _skey(b) <= (ek[0], ek[1], ek[2] + 1)
+    return Interval(Cut(sk[0], sk[1]), Cut(ek[0], ek[1]), sk[2] == 0, ek[2] == 0)
 
 
 def union_canonical(ivs: Iterable[Interval]) -> tuple[Interval, ...]:
-    items = sorted(ivs, key=_skey)
-    out: list[Interval] = []
-    for iv in items:
-        if out and _connects(out[-1], iv):
-            prev = out.pop()
-            ek = max(_ekey(prev), _ekey(iv))
-            hi, hc = _from_ekey(ek)
-            out.append(Interval(prev.lo, hi, prev.lo_closed, hc))
-        else:
-            out.append(iv)
-    return tuple(out)
-
-
-def complement_1d(ivs: Sequence[Interval]) -> tuple[Interval, ...]:
-    """Complement in R of a canonical interval list."""
-    out: list[Interval] = []
-    prev_hi, prev_hc = NEG_INF, False
-    first = True
-    for iv in ivs:
-        try:
-            lo_closed = False if first else not prev_hc
-            out.append(Interval(prev_hi, iv.lo, lo_closed, not iv.lo_closed))
-        except ValueError:
-            pass
-        prev_hi, prev_hc = iv.hi, iv.hi_closed
-        first = False
-    try:
-        out.append(Interval(prev_hi, POS_INF, False if first else not prev_hc, False))
-    except ValueError:
-        pass
-    return tuple(out)
-
-
-def diff_iv(a: Interval, b: Interval) -> tuple[Interval, ...]:
-    """a minus b as at most two intervals."""
-    ib = isect_iv(a, b)
-    if ib is None:
-        return (a,)
-    parts = []
-    try:
-        parts.append(Interval(a.lo, ib.lo, a.lo_closed, not ib.lo_closed))
-    except ValueError:
-        pass
-    try:
-        parts.append(Interval(ib.hi, a.hi, not ib.hi_closed, a.hi_closed))
-    except ValueError:
-        pass
-    return tuple(parts)
+    """The sorted maximal intervals of a union of intervals."""
+    return tuple(b[0] for b in BoxSet.of(1, [(iv,) for iv in ivs]).boxes)
 
 
 Box = tuple[Interval, ...]
 
 
-def box_isect(a: Box, b: Box) -> Box | None:
+# ---------------------------------------------------------------------------
+# canonical form
+#
+# A node is True (the whole space), False (the empty set) or a pair
+# (keys, vals) stepping along the first of its axes: keys is a strictly
+# increasing tuple of breakpoints (v, 0) "just before v" and (v, 1) "just
+# after v", vals holds len(keys) + 1 nodes over the remaining axes, vals[i]
+# being the value from keys[i - 1] (or -inf) up to keys[i] (or +inf).
+# Adjacent values differ and a pair never stands for a constant set, so
+# each set has exactly one node.  A point x lies past the breakpoint k iff
+# k <= (x, 0).
+
+def _is_const(a) -> bool:
+    return a is True or a is False
+
+
+def _node(keys: list, vals: list):
+    """The node of a step list whose adjacent values differ."""
+    if keys:
+        return (tuple(keys), tuple(vals))
+    return vals[0] if _is_const(vals[0]) else ((), (vals[0],))
+
+
+# pointwise boolean operations as truth tables op[x][y]; op[0][0] is false
+# for all three, so equal operands need no merge
+_OR = ((False, True), (True, True))
+_AND = ((False, False), (False, True))
+_DIFF = ((False, False), (True, False))
+
+
+def _with_const(on_false: bool, on_true: bool, a):
+    """The pointwise map 0 -> on_false, 1 -> on_true applied to node a."""
+    if on_false == on_true:
+        return on_false
+    return a if on_true else _complement(a)
+
+
+def _steps(ka: tuple, kb: tuple):
+    """Walk the union of two breakpoint tuples in order: yield each
+    breakpoint k with the indices i, j of the values of both step lists
+    just past k."""
+    na, nb = len(ka), len(kb)
+    i = j = 0
+    while i < na or j < nb:
+        if j == nb:
+            k = ka[i]
+            i += 1
+        elif i == na:
+            k = kb[j]
+            j += 1
+        else:
+            k = ka[i]
+            kj = kb[j]
+            if k is kj:
+                i += 1
+                j += 1
+            elif k < kj:
+                i += 1
+            elif kj < k:
+                k = kj
+                j += 1
+            else:
+                i += 1
+                j += 1
+        yield k, i, j
+
+
+def _merge(a, b, op):
+    """The pointwise `op` of two nodes: one sweep over the union of their
+    breakpoints."""
+    if a is True or a is False:
+        return _with_const(op[a][0], op[a][1], b)
+    if b is True or b is False:
+        return _with_const(op[0][b], op[1][b], a)
+    if a == b:
+        return a if op[1][1] else False
+    (ka, va), (kb, vb) = a, b
+    prev = _merge(va[0], vb[0], op)
+    keys, vals = [], [prev]
+    for k, i, j in _steps(ka, kb):
+        x, y = va[i], vb[j]
+        if (x is True or x is False) and (y is True or y is False):
+            v = op[x][y]
+        else:
+            v = _merge(x, y, op)
+        if v != prev:
+            keys.append(k)
+            vals.append(v)
+            prev = v
+    return _node(keys, vals)
+
+
+def _union_all(nodes: list):
+    """The union of many nodes, merged pairwise in a balanced tree."""
+    if not nodes:
+        return False
+    while len(nodes) > 1:
+        nodes = [_merge(nodes[i], nodes[i + 1], _OR) if i + 1 < len(nodes)
+                 else nodes[i] for i in range(0, len(nodes), 2)]
+    return nodes[0]
+
+
+def _subset(a, b) -> bool:
+    if a is False or b is True or a == b:
+        return True
+    if a is True or b is False:
+        return False
+    (ka, va), (kb, vb) = a, b
+    return _subset(va[0], vb[0]) and \
+        all(_subset(va[i], vb[j]) for _, i, j in _steps(ka, kb))
+
+
+def _complement(a):
+    if _is_const(a):
+        return not a
+    keys, vals = a
+    return (keys, tuple(_complement(v) for v in vals))
+
+
+def _closure_or_interior(a, closure: bool):
+    """One sweep over the atoms of a along its first axis.
+
+    The atoms are the breakpoint values v and the open intervals between
+    them.  An open atom keeps the closure (interior) of its value; a point
+    atom takes the closure of the union (the interior of the intersection)
+    of its value and its two neighbours' values."""
+    if _is_const(a):
+        return a
+    keys, vals = a
+    op = _OR if closure else _AND
+    cur = vals[0]
+    out_keys, out_vals = [], [_closure_or_interior(cur, closure)]
+    i, n = 0, len(keys)
+    while i < n:
+        v = keys[i][0]
+        left = cur
+        if keys[i][1] == 0:
+            i += 1
+            cur = vals[i]
+        point = cur
+        if i < n and keys[i] == (v, 1):
+            i += 1
+            cur = vals[i]
+        at_point = _closure_or_interior(
+            _merge(_merge(left, point, op), cur, op), closure)
+        for k, x in (((v, 0), at_point), ((v, 1), _closure_or_interior(cur, closure))):
+            if x != out_vals[-1]:
+                out_keys.append(k)
+                out_vals.append(x)
+    return _node(out_keys, out_vals)
+
+
+def _box_node(box: Sequence[Interval]):
+    node = True
+    for iv in reversed(box):
+        keys, vals = [], []
+        if iv.lo.sign:
+            vals.append(node)
+        else:
+            keys.append((iv.lo.value, 0 if iv.lo_closed else 1))
+            vals += [False, node]
+        if not iv.hi.sign:
+            keys.append((iv.hi.value, 1 if iv.hi_closed else 0))
+            vals.append(False)
+        node = _node(keys, vals)
+    return node
+
+
+def _node_boxes(a, d: int) -> list[Box]:
+    """The disjoint boxes of a node over d axes: one slab per nonempty step
+    along the first axis, times the boxes of its value."""
+    if _is_const(a):
+        return [tuple(Interval.line() for _ in range(d))] if a else []
+    keys, vals = a
     out = []
-    for ia, ib in zip(a, b):
-        iv = isect_iv(ia, ib)
-        if iv is None:
-            return None
-        out.append(iv)
-    return tuple(out)
-
-
-def box_subset(a: Box, b: Box) -> bool:
-    return all(_skey(ib) <= _skey(ia) and _ekey(ia) <= _ekey(ib)
-               for ia, ib in zip(a, b))
-
-
-def box_minus_box(a: Box, b: Box) -> list[Box]:
-    ib = box_isect(a, b)
-    if ib is None:
-        return [a]
-    out: list[Box] = []
-    cur = list(a)
-    for k in range(len(a)):
-        for part in diff_iv(cur[k], ib[k]):
-            out.append(tuple(cur[:k]) + (part,) + tuple(a[k + 1:]))
-        cur[k] = ib[k]
+    for i, v in enumerate(vals):
+        if v is False:
+            continue
+        lo, lc = (NEG_INF, False) if i == 0 else \
+            (Cut(0, keys[i - 1][0]), keys[i - 1][1] == 0)
+        hi, hc = (POS_INF, False) if i == len(keys) else \
+            (Cut(0, keys[i][0]), keys[i][1] == 1)
+        iv = Interval(lo, hi, lc, hc)
+        out.extend((iv,) + rest for rest in _node_boxes(v, d - 1))
     return out
-
-
-def box_closure(b: Box) -> Box:
-    return tuple(iv.closure() for iv in b)
-
-
-def box_is_bounded(b: Box) -> bool:
-    return all(iv.is_bounded for iv in b)
 
 
 @dataclass(frozen=True)
 class BoxSet:
-    """A finite union of boxes in R^n.
+    """A finite union of boxes in R^n, held in its canonical form.
 
-    Structural equality (`==`) compares representations; use :meth:`set_eq`
-    for set-theoretic equality in dimension >= 2.
+    `==` is set equality.  :attr:`boxes` is a derived decomposition into
+    disjoint boxes: slabs along axis 0, each split by the boxes of its
+    cross-section, in increasing order.
     """
 
     dimension: int
-    boxes: tuple[Box, ...]
-
-    def __post_init__(self):
-        for b in self.boxes:
-            if len(b) != self.dimension:
-                raise ValueError("box dimension mismatch")
+    node: object
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(dimension: int, boxes: Iterable[Sequence[Interval]]) -> "BoxSet":
-        bs = tuple(tuple(b) for b in boxes)
-        if dimension == 1:
-            ivs = union_canonical(b[0] for b in bs)
-            return BoxSet(1, tuple((iv,) for iv in ivs))
-        return BoxSet(dimension, _reduce(bs))
+        nodes = []
+        for b in boxes:
+            if len(b) != dimension:
+                raise ValueError("box dimension mismatch")
+            nodes.append(_box_node(b))
+        return BoxSet(dimension, _union_all(nodes))
 
     @staticmethod
     def empty(dimension: int) -> "BoxSet":
-        return BoxSet(dimension, ())
+        return BoxSet(dimension, False)
 
     @staticmethod
     def full(dimension: int) -> "BoxSet":
-        return BoxSet(dimension, (tuple(Interval.line() for _ in range(dimension)),))
+        return BoxSet(dimension, True)
 
     @staticmethod
     def from_intervals(ivs: Iterable[Interval]) -> "BoxSet":
@@ -341,53 +435,65 @@ class BoxSet:
         boxes = [tuple(Interval.point(c) for c in pt) for pt in coords]
         return BoxSet.of(dimension, boxes)
 
+    @staticmethod
+    def union_all(dimension: int, sets: Iterable["BoxSet"]) -> "BoxSet":
+        """The union of many sets, merged pairwise in a balanced tree."""
+        nodes = []
+        for s in sets:
+            if s.dimension != dimension:
+                raise ValueError("dimension mismatch")
+            nodes.append(s.node)
+        return BoxSet(dimension, _union_all(nodes))
+
+    @cached_property
+    def boxes(self) -> tuple[Box, ...]:
+        return tuple(_node_boxes(self.node, self.dimension))
+
     # -- set algebra -------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.boxes
+        return self.node is False
+
+    def _merged(self, other: "BoxSet", op) -> "BoxSet":
+        self._check(other)
+        return BoxSet(self.dimension,
+                      _merge(self.node, other.node, op))
 
     def union(self, other: "BoxSet") -> "BoxSet":
-        self._check(other)
-        return BoxSet.of(self.dimension, self.boxes + other.boxes)
+        return self._merged(other, _OR)
 
     def intersect(self, other: "BoxSet") -> "BoxSet":
-        self._check(other)
-        out = []
-        for a in self.boxes:
-            for b in other.boxes:
-                ib = box_isect(a, b)
-                if ib is not None:
-                    out.append(ib)
-        return BoxSet.of(self.dimension, out)
+        return self._merged(other, _AND)
 
     def difference(self, other: "BoxSet") -> "BoxSet":
-        self._check(other)
-        pieces = list(self.boxes)
-        for b in other.boxes:
-            pieces = [p for a in pieces for p in box_minus_box(a, b)]
-        return BoxSet.of(self.dimension, pieces)
+        return self._merged(other, _DIFF)
 
     def complement(self) -> "BoxSet":
-        return BoxSet.full(self.dimension).difference(self)
+        return BoxSet(self.dimension, _complement(self.node))
 
     def subset_of(self, other: "BoxSet") -> bool:
-        return self.difference(other).is_empty
-
-    def set_eq(self, other: "BoxSet") -> bool:
-        return self.subset_of(other) and other.subset_of(self)
+        self._check(other)
+        return _subset(self.node, other.node)
 
     def contains_point(self, pt: Sequence[RatLike]) -> bool:
-        qs = [rat(x) for x in pt]
-        return any(all(iv.contains(q) for iv, q in zip(b, qs)) for b in self.boxes)
+        a = self.node
+        for x in pt:
+            if _is_const(a):
+                break
+            keys, vals = a
+            a = vals[bisect_right(keys, (rat(x), 0))]
+        return a
 
     # -- topology ----------------------------------------------------------
 
     def closure(self) -> "BoxSet":
-        return BoxSet.of(self.dimension, [box_closure(b) for b in self.boxes])
+        return BoxSet(self.dimension,
+                      _closure_or_interior(self.node, True))
 
     def interior(self) -> "BoxSet":
-        return self.complement().closure().complement()
+        return BoxSet(self.dimension,
+                      _closure_or_interior(self.node, False))
 
     def interior_in(self, ambient: "BoxSet") -> "BoxSet":
         """Relative interior of self inside the subspace ambient."""
@@ -400,13 +506,13 @@ class BoxSet:
 
     @property
     def is_bounded(self) -> bool:
-        return all(box_is_bounded(b) for b in self.boxes)
+        return all(iv.is_bounded for b in self.boxes for iv in b)
 
     def is_closed(self) -> bool:
-        return self.closure().subset_of(self)
+        return self.closure() == self
 
     def is_open(self) -> bool:
-        return self.set_eq(self.interior())
+        return self.interior() == self
 
     def is_compact(self) -> bool:
         return self.is_bounded and self.is_closed()
@@ -421,7 +527,7 @@ class BoxSet:
     def is_closed_in(self, ambient: "BoxSet") -> bool:
         if not self.subset_of(ambient):
             raise ValueError("is_closed_in requires a subset of the ambient set")
-        return self.closure().intersect(ambient).set_eq(self)
+        return self.closure().intersect(ambient) == self
 
     def is_locally_compact(self) -> bool:
         """True iff locally closed, i.e. closure(A) minus A is closed in R^n."""
@@ -465,58 +571,3 @@ class BoxSet:
         if self.is_empty:
             return "{}"
         return " u ".join("x".join(repr(iv) for iv in b) for b in self.boxes)
-
-
-def _reduce(boxes: tuple[Box, ...]) -> tuple[Box, ...]:
-    """Cheap n-D compaction: absorb contained boxes, merge axis-adjacent twins."""
-    items = [b for b in boxes]
-    changed = True
-    while changed:
-        changed = False
-        pruned: list[Box] = []
-        for i, b in enumerate(items):
-            contained = False
-            for j, o in enumerate(items):
-                if i == j or not box_subset(b, o):
-                    continue
-                # drop duplicates once, keep the earlier copy
-                if box_subset(o, b) and j > i:
-                    continue
-                contained = True
-                break
-            if not contained:
-                pruned.append(b)
-        if len(pruned) < len(items):
-            items = pruned
-            changed = True
-            continue
-        # pairwise merge along one axis
-        merged = None
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                m = _try_merge(items[i], items[j])
-                if m is not None:
-                    merged = (i, j, m)
-                    break
-            if merged:
-                break
-        if merged:
-            i, j, m = merged
-            items = [b for k, b in enumerate(items) if k not in (i, j)] + [m]
-            changed = True
-    return tuple(items)
-
-
-def _try_merge(a: Box, b: Box) -> Box | None:
-    diff_axis = None
-    for k in range(len(a)):
-        if a[k] != b[k]:
-            if diff_axis is not None:
-                return None
-            diff_axis = k
-    if diff_axis is None:
-        return a
-    u = union_canonical([a[diff_axis], b[diff_axis]])
-    if len(u) != 1:
-        return None
-    return a[:diff_axis] + (u[0],) + a[diff_axis + 1:]

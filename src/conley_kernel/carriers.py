@@ -161,7 +161,7 @@ class IntervalCarrier(_DiscreteTime):
         return a.subset_of(b)
 
     def sets_equal(self, a, b) -> bool:
-        return a.set_eq(b)
+        return a == b
 
     def closure(self, a):
         return a.closure()

@@ -55,9 +55,11 @@ def _emit(args, payload: dict, human_lines: list[str]):
             print(line)
 
 
-def _search_bound(doc, bound):
-    """The bound a search on doc runs with: none on the finite carrier,
-    whose searches derive their own complete bound."""
+def _search_bound(doc, args):
+    """The bound the work on doc runs with and reports: --bound or the
+    default, and none on the finite carrier, whose searches derive their
+    own complete bound and whose other work takes none."""
+    bound = args.bound if args.bound is not None else default_bound()
     return None if carrier_for(doc.system).default_bound is None else bound
 
 
@@ -76,7 +78,7 @@ def _predicates_for(doc, subset):
 def cmd_check(args) -> int:
     doc = _load(args.doc)
     labels = args.set or sorted(doc.sets)
-    bound = args.bound if args.bound is not None else default_bound()
+    bound = _search_bound(doc, args)
     table = {}
     any_unknown = False
     for label in labels:
@@ -97,7 +99,7 @@ def cmd_check(args) -> int:
 def cmd_invariant_part(args) -> int:
     doc = _load(args.doc)
     e = doc.resolve(args.set)
-    bound = args.bound if args.bound is not None else default_bound()
+    bound = _search_bound(doc, args)
     result = carrier_for(doc.system).invariant_part(doc.system, e, bound)
     if isinstance(result, dyn.Undecided):
         _emit(args, {"meta": meta_block(bound=bound), "status": "unknown",
@@ -134,7 +136,7 @@ def _certificate_exit(args, result, bound) -> int:
 def cmd_isolating(args) -> int:
     doc = _load(args.doc)
     s, e = doc.resolve(args.set), doc.resolve(args.nbhd)
-    bound = args.bound if args.bound is not None else default_bound()
+    bound = _search_bound(doc, args)
     result = co.is_isolating(doc.system, e, s, cap=bound)
     return _certificate_exit(args, result, bound)
 
@@ -142,7 +144,7 @@ def cmd_isolating(args) -> int:
 def cmd_index_nbhd(args) -> int:
     doc = _load(args.doc)
     s, e = doc.resolve(args.set), doc.resolve(args.nbhd)
-    bound = args.bound if args.bound is not None else default_bound()
+    bound = _search_bound(doc, args)
     result = co.is_index_nbhd(doc.system, e, s, cap=bound)
     return _certificate_exit(args, result, bound)
 
@@ -150,8 +152,8 @@ def cmd_index_nbhd(args) -> int:
 def cmd_sim(args) -> int:
     doc = _load(args.doc)
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
-    bound = args.bound if args.bound is not None else default_bound()
-    result = dyn.sim_f(doc.system, e, e2, bound=_search_bound(doc, bound))
+    bound = _search_bound(doc, args)
+    result = dyn.sim_f(doc.system, e, e2, bound=bound)
     payload = {"meta": meta_block(bound=result.bound), "status": result.status,
                "forward": [str(x) for x in result.forward] if result.forward else None,
                "backward": [str(x) for x in result.backward] if result.backward else None}
@@ -167,9 +169,9 @@ def cmd_sim(args) -> int:
 def cmd_admissible(args) -> int:
     doc = _load(args.doc)
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
-    bound = args.bound if args.bound is not None else default_bound()
+    bound = _search_bound(doc, args)
     search = dyn.find_admissible(doc.system, e, e2,
-                                 bound=_search_bound(doc, bound))
+                                 bound=bound)
     meta = meta_block(bound=search.bound)
     if search.found:
         t = search.triple
@@ -188,10 +190,11 @@ def cmd_index(args) -> int:
     doc = _load(args.doc)
     s = doc.resolve(args.set)
     e = doc.resolve(args.nbhd)
-    bound = args.bound if args.bound is not None else default_bound()
+    bound = _search_bound(doc, args)
     constructed = None
     if args.search is not None:
-        built = co.construct_index_nbhd(doc.system, s, e, args.search)
+        built = co.construct_index_nbhd(
+            doc.system, s, e, None if bound is None else args.search)
         if isinstance(built, (dyn.Undecided, co.Failure)):
             return _certificate_exit(args, built, bound)
         constructed = built
@@ -223,8 +226,8 @@ def cmd_szymczak_equal(args) -> int:
     triples; representative independence demands they agree."""
     doc = _load(args.doc)
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
-    bound = args.bound if args.bound is not None else default_bound()
-    search = dyn.find_admissible(doc.system, e, e2, _search_bound(doc, bound))
+    bound = _search_bound(doc, args)
+    search = dyn.find_admissible(doc.system, e, e2, bound)
     meta = meta_block(bound=search.bound)
     if not search.found:
         status = "none" if search.complete else "unknown"
@@ -248,7 +251,7 @@ def cmd_szymczak_equal(args) -> int:
 def cmd_shift_equiv(args) -> int:
     doc = _load(args.doc)
     e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
-    bound = args.bound if args.bound is not None else default_bound()
+    bound = _search_bound(doc, args)
     if carrier_for(doc.system).name == "finite":
         # explicit based endos: decide shift equivalence directly
         m = co.connecting_morphism(doc.system, e, e2)
@@ -372,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index neighbourhood (or seed when --search is given)")
     p.add_argument("--search", type=int, default=None, metavar="N",
                    help="construct an index neighbourhood inside --nbhd "
-                        "with search bound N")
+                        "with search bound N (finite documents derive a "
+                        "complete bound)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("szymczak-equal",

@@ -8,6 +8,7 @@ closure and interior are the identity and every subset is compact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -137,16 +138,35 @@ def restrict(f: FinitePartialMap, s: FiniteSubset) -> FinitePartialMap:
 
 
 def power_preperiod_period(f: FinitePartialMap) -> tuple[int, int]:
-    """Least (p, q) with f^p = f^(p+q), q >= 1, for the power sequence."""
-    seen: dict[FinitePartialMap, int] = {}
-    cur = identity_map(f.space)
-    n = 0
-    while cur not in seen:
-        seen[cur] = n
-        cur = compose(f, cur)
-        n += 1
-    p = seen[cur]
-    return p, n - p
+    """Least (p, q) with f^p = f^(p+q), q >= 1, for the power sequence,
+    read off the orbit structure.
+
+    f^n(x) = f^(n+q)(x) holds iff the orbit of x has left Dom f by step n
+    (it does so after k steps: f^k(x) is undefined) or has run into a cycle
+    of length c dividing q.  So p is the largest such k or run-in length t
+    over all points, and q the lcm of the cycle lengths."""
+    table = dict(f.pairs)
+    steps: dict[str, int] = {}     # x -> its k, or its t (0 on a cycle)
+    lengths = []
+    for x in f.space.points:
+        path, at = [], {}
+        while x not in steps:
+            if x in at:            # the path closed a new cycle
+                cycle = path[at[x]:]
+                lengths.append(len(cycle))
+                steps.update((y, 0) for y in cycle)
+                del path[at[x]:]
+            elif x not in table:
+                steps[x] = 1
+            else:
+                at[x] = len(path)
+                path.append(x)
+                x = table[x]
+        n = steps[x]
+        for y in reversed(path):
+            n += 1
+            steps[y] = n
+    return max(steps.values(), default=0), math.lcm(*lengths)
 
 
 def _check(f: FinitePartialMap, e: FiniteSubset):

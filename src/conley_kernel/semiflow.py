@@ -115,17 +115,6 @@ class AxisRule:
              AffineRule(Fraction(0), self.clamp)),
         ]
 
-    def forward_invariant(self, iv: Interval) -> bool:
-        """Do all orbits started in iv stay in iv forever?"""
-        d = self.direction
-        if d == 0:
-            return True
-        if self.kind == "floor":
-            return iv.contains(self.clamp)
-        if self.kind == "ceil":
-            return iv.contains(self.clamp)
-        return iv.lo == NEG_INF if d < 0 else iv.hi == POS_INF
-
     def boundary_values(self) -> list[Fraction]:
         return [] if self.clamp is None else [self.clamp]
 
@@ -144,11 +133,9 @@ class ExactSemiflow:
         if not self.carrier.subset_of(natural):
             raise ValueError("carrier leaves the natural domain of the rules "
                              "(time-0 map would not be the identity)")
-        for b in self.carrier.boxes:
-            for r, iv in zip(self.axes, b):
-                if not r.forward_invariant(iv):
-                    raise ValueError("carrier is not forward invariant; "
-                                     "the rules do not define a semiflow on it")
+        if not _forward_invariant(self.axes, self.carrier):
+            raise ValueError("carrier is not forward invariant; "
+                             "the rules do not define a semiflow on it")
         _check_semiflow_laws(self)
 
     @staticmethod
@@ -192,7 +179,7 @@ def _check_semiflow_laws(flow: ExactSemiflow):
                  (Fraction(2), Fraction(3, 4))):
         lhs = af.compose(time_map(flow, t), time_map(flow, u))
         if not lhs.maps_equal(time_map(flow, t + u).restrict(lhs.domain)) or \
-           not lhs.domain.set_eq(flow.carrier):
+           lhs.domain != flow.carrier:
             raise AssertionError("semigroup law failed for the constructed flow")
 
 
@@ -222,8 +209,8 @@ def dom_interval(flow: ExactSemiflow, e: BoxSet, t, cap: int = 64) -> BoxSet:
 
     Exact.  Single boxes use endpoint membership (per-axis monotonicity plus
     convexity); general 1-D sets use hit sets of the complement components;
-    multi-box sets in higher dimension are certified by refining a sampled
-    outer bound against a per-cell single-box inner bound until they agree.
+    multi-box sets in higher dimension refine a sampled outer bound until no
+    box of it reaches E's complement within [0, t], which certifies it.
     """
     t = rat(t)
     if t < 0:
@@ -253,41 +240,33 @@ def _ray_down(c: Cut, closed: bool) -> BoxSet:
 def _dom_interval_1d(flow: ExactSemiflow, e: BoxSet, t: Fraction) -> BoxSet:
     rule = flow.axes[0]
     fmap = time_map(flow, t)
-    hits = BoxSet.empty(1)
+    d = rule.direction
+    hits = []
     for (iv,) in e.complement().boxes:
-        d = rule.direction
         if d == 0:
-            hit = BoxSet.of(1, [(iv,)])
+            hits.append(BoxSet.of(1, [(iv,)]))
         elif d < 0:
             # orbit range is [f^t(x), x]
-            hit = _ray_up(iv.lo, iv.lo_closed).intersect(
-                fmap.preimage(_ray_down(iv.hi, iv.hi_closed)))
+            hits.append(_ray_up(iv.lo, iv.lo_closed).intersect(
+                fmap.preimage(_ray_down(iv.hi, iv.hi_closed))))
         else:
-            hit = _ray_down(iv.hi, iv.hi_closed).intersect(
-                fmap.preimage(_ray_up(iv.lo, iv.lo_closed)))
-        hits = hits.union(hit)
-    return hits.complement().intersect(flow.carrier)
+            hits.append(_ray_down(iv.hi, iv.hi_closed).intersect(
+                fmap.preimage(_ray_up(iv.lo, iv.lo_closed))))
+    return BoxSet.union_all(1, hits).complement().intersect(flow.carrier)
 
 
 def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet, t: Fraction,
                            cap: int) -> BoxSet:
-    m = 1
+    """D_t(E) lies in the outer bound E n f^-s(E) over s = t*k/m; the bound is
+    D_t(E) once none of its boxes reaches E's complement within [0, t]."""
+    outside = e.complement()
+    window = Interval(Cut.finite(0), Cut.finite(t), True, True)
+    outer, m = e, 1
     while m <= cap:
-        times = [t * k / m for k in range(m + 1)]
-        pres = [time_map(flow, s).preimage(e) if s != 0 else e for s in times]
-        outer = e
-        for p in pres[1:]:
-            outer = outer.intersect(p)
-        boxes_pre = [[time_map(flow, s).preimage(BoxSet.of(e.dimension, [b]))
-                      if s != 0 else BoxSet.of(e.dimension, [b])
-                      for b in e.boxes] for s in times]
-        inner = None
-        for k in range(m):
-            cell = BoxSet.empty(e.dimension)
-            for bi in range(len(e.boxes)):
-                cell = cell.union(boxes_pre[k][bi].intersect(boxes_pre[k + 1][bi]))
-            inner = cell if inner is None else inner.intersect(cell)
-        if outer.subset_of(inner):
+        # the times t*k/m with k odd; the even ones were taken at m/2
+        for k in range(1, m + 1, 2):
+            outer = outer.intersect(time_map(flow, t * k / m).preimage(e))
+        if not _reaches(flow.axes, outer, outside, window):
             return outer
         m *= 2
     raise UndecidedError("swept-domain refinement did not certify", bound=cap)
@@ -296,10 +275,29 @@ def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet, t: Fraction,
 # ---------------------------------------------------------------------------
 # finite-time properness and open definedness
 
-def _domain_full(flow: ExactSemiflow, e: BoxSet) -> bool:
-    """Sufficient (boxwise) check that Dom F_E is all of R>=0 x E."""
-    return all(all(r.forward_invariant(iv) for r, iv in zip(flow.axes, b))
-               for b in e.boxes)
+def _forward_invariant(axes, e: BoxSet) -> bool:
+    """Does no orbit leave E, i.e. is Dom F_E all of R>=0 x E?"""
+    return not _reaches(axes, e, e.complement(), _tau_all())
+
+
+def _reaches(axes, src: BoxSet, dst: BoxSet, horizon: Interval) -> bool:
+    """Does the orbit of some point of src meet dst at a time in horizon?
+
+    Exact: the time-tau image of a box is the box of its per-axis images,
+    and per axis the tau at which the image of one interval meets another
+    form one interval, so a pair of boxes meets at some tau iff the per-axis
+    intervals and the horizon have a common point."""
+    for g in src.boxes:
+        for c in dst.boxes:
+            taus = horizon
+            for rule, gi, ci in zip(axes, g, c):
+                axis_taus = _axis_escape_tau(rule, gi, ci)
+                taus = None if axis_taus is None else _isect(taus, axis_taus)
+                if taus is None:
+                    break
+            if taus is not None:
+                return True
+    return False
 
 
 def _axis_escape_tau(rule: AxisRule, g: Interval, e: Interval) -> Interval | None:
@@ -415,24 +413,8 @@ def _solve_key_le_rev(aff_key, slope: Fraction, const_key) -> Interval | None:
 
 def _escape_exists(flow: ExactSemiflow, e: BoxSet, window=Fraction(1)) -> bool:
     """Does some boundary point of E flow back into E within (0, window]?"""
-    g_set = e.closure().difference(e)
-    horizon = Interval(Cut.finite(0), Cut.finite(window), False, True)
-    for g in g_set.boxes:
-        for eb in e.boxes:
-            taus = horizon
-            ok = True
-            for rule, gi, ei in zip(flow.axes, g, eb):
-                axis_taus = _axis_escape_tau(rule, gi, ei)
-                if axis_taus is None:
-                    ok = False
-                    break
-                taus = _isect(taus, axis_taus)
-                if taus is None:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
+    return _reaches(flow.axes, e.closure().difference(e), e,
+                    Interval(Cut.finite(0), Cut.finite(window), False, True))
 
 
 _PROBE_TIMES = (Fraction(1, 2), Fraction(1), Fraction(2))
@@ -450,7 +432,7 @@ def is_finite_time_proper(flow: ExactSemiflow, e: BoxSet) -> bool:
     flow.check_set(e)
     if e.is_compact() or e.is_closed():
         return True
-    if _domain_full(flow, e):
+    if _forward_invariant(flow.axes, e):
         return not _escape_exists(flow, e)
     for t in _PROBE_TIMES:
         dom = dom_interval(flow, e, t)
@@ -462,7 +444,7 @@ def is_finite_time_proper(flow: ExactSemiflow, e: BoxSet) -> bool:
 def is_openly_defined_cont(flow: ExactSemiflow, e: BoxSet) -> bool:
     """Exactly decide whether Dom F_E is open in R>=0 x E where possible."""
     flow.check_set(e)
-    if _domain_full(flow, e):
+    if _forward_invariant(flow.axes, e):
         return True
     if e.is_open():
         return True

@@ -7,7 +7,9 @@ functions back the pytest acceptance tests.
 The brute-force oracles live here and nowhere in the kernel: the largest
 invariant subset by subset enumeration, and the Szymczak-category decisions
 by enumerating every candidate table (`brute_shift_equivalence`,
-`brute_sz_is_iso`), which the polynomial deciders are checked against.
+`brute_sz_is_iso`), which the polynomial deciders are checked against;
+and the pairwise box-list algebra (`PairwiseBoxSet`), which the canonical
+box sets of `boxes` are checked against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from . import finite as fin
 from . import semiflow as sf
 from . import szymczak as sz
 from .affine import AffineRule, Piece, PiecewiseAffineMap
-from .boxes import BoxSet, Cut, Interval, NEG_INF, POS_INF
+from .boxes import (
+    BoxSet, Cut, Interval, NEG_INF, POS_INF, _ekey, _skey, isect_iv,
+)
 
 
 @dataclass
@@ -247,6 +251,192 @@ def brute_sz_is_iso(m: sz.SzMorphism, bound=None):
 
 
 # ---------------------------------------------------------------------------
+# the pairwise box-list algebra, kept as the differential oracle of the
+# canonical form in `boxes`
+
+def _oracle_union_1d(ivs) -> tuple:
+    out = []
+    for iv in sorted(ivs, key=_skey):
+        ek = _ekey(out[-1]) if out else None
+        if out and _skey(iv) <= (ek[0], ek[1], ek[2] + 1):
+            prev = out.pop()
+            hk = max(ek, _ekey(iv))
+            out.append(Interval(prev.lo, Cut(hk[0], hk[1]), prev.lo_closed, hk[2] == 0))
+        else:
+            out.append(iv)
+    return tuple(out)
+
+
+def _diff_iv(a: Interval, b: Interval) -> tuple:
+    """a minus b as at most two intervals."""
+    ib = isect_iv(a, b)
+    if ib is None:
+        return (a,)
+    parts = []
+    for lo, lc, hi, hc in ((a.lo, a.lo_closed, ib.lo, not ib.lo_closed),
+                           (ib.hi, not ib.hi_closed, a.hi, a.hi_closed)):
+        try:
+            parts.append(Interval(lo, hi, lc, hc))
+        except ValueError:
+            pass
+    return tuple(parts)
+
+
+def _box_isect(a, b):
+    out = []
+    for ia, ib in zip(a, b):
+        iv = isect_iv(ia, ib)
+        if iv is None:
+            return None
+        out.append(iv)
+    return tuple(out)
+
+
+def _box_subset(a, b) -> bool:
+    return all(_skey(ib) <= _skey(ia) and _ekey(ia) <= _ekey(ib)
+               for ia, ib in zip(a, b))
+
+
+def box_minus_box(a, b) -> list:
+    ib = _box_isect(a, b)
+    if ib is None:
+        return [a]
+    out = []
+    cur = list(a)
+    for k in range(len(a)):
+        for part in _diff_iv(cur[k], ib[k]):
+            out.append(tuple(cur[:k]) + (part,) + tuple(a[k + 1:]))
+        cur[k] = ib[k]
+    return out
+
+
+def _reduce(boxes: tuple) -> tuple:
+    """Absorb contained boxes and merge axis-adjacent twins, restarting after
+    every merge."""
+    items = list(boxes)
+    changed = True
+    while changed:
+        changed = False
+        pruned = []
+        for i, b in enumerate(items):
+            contained = False
+            for j, o in enumerate(items):
+                if i == j or not _box_subset(b, o):
+                    continue
+                # drop duplicates once, keep the earlier copy
+                if _box_subset(o, b) and j > i:
+                    continue
+                contained = True
+                break
+            if not contained:
+                pruned.append(b)
+        if len(pruned) < len(items):
+            items = pruned
+            changed = True
+            continue
+        merged = None
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                m = _try_merge(items[i], items[j])
+                if m is not None:
+                    merged = (i, j, m)
+                    break
+            if merged:
+                break
+        if merged:
+            i, j, m = merged
+            items = [b for k, b in enumerate(items) if k not in (i, j)] + [m]
+            changed = True
+    return tuple(items)
+
+
+def _try_merge(a, b):
+    diff_axis = None
+    for k in range(len(a)):
+        if a[k] != b[k]:
+            if diff_axis is not None:
+                return None
+            diff_axis = k
+    if diff_axis is None:
+        return a
+    u = _oracle_union_1d([a[diff_axis], b[diff_axis]])
+    if len(u) != 1:
+        return None
+    return a[:diff_axis] + (u[0],) + a[diff_axis + 1:]
+
+
+class PairwiseBoxSet:
+    """A box set as a free list of boxes: union concatenates and reduces,
+    intersection and difference work box by box, set equality is two
+    differences and the interior is complement, closure, complement."""
+
+    def __init__(self, dimension: int, boxes):
+        bs = tuple(tuple(b) for b in boxes)
+        self.dimension = dimension
+        if dimension == 1:
+            self.boxes = tuple((iv,) for iv in _oracle_union_1d(b[0] for b in bs))
+        else:
+            self.boxes = _reduce(bs)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.boxes
+
+    @property
+    def is_bounded(self) -> bool:
+        return all(iv.is_bounded for b in self.boxes for iv in b)
+
+    def union(self, other):
+        return PairwiseBoxSet(self.dimension, self.boxes + other.boxes)
+
+    def intersect(self, other):
+        return PairwiseBoxSet(self.dimension, [
+            ib for a in self.boxes for b in other.boxes
+            if (ib := _box_isect(a, b)) is not None])
+
+    def difference(self, other):
+        pieces = list(self.boxes)
+        for b in other.boxes:
+            pieces = [p for a in pieces for p in box_minus_box(a, b)]
+        return PairwiseBoxSet(self.dimension, pieces)
+
+    def complement(self):
+        full = tuple(Interval.line() for _ in range(self.dimension))
+        return PairwiseBoxSet(self.dimension, [full]).difference(self)
+
+    def subset_of(self, other) -> bool:
+        return self.difference(other).is_empty
+
+    def set_eq(self, other) -> bool:
+        return self.subset_of(other) and other.subset_of(self)
+
+    def closure(self):
+        return PairwiseBoxSet(self.dimension, [tuple(iv.closure() for iv in b)
+                                               for b in self.boxes])
+
+    def interior(self):
+        return self.complement().closure().complement()
+
+    def interior_in(self, ambient):
+        return ambient.difference(ambient.difference(self).closure())
+
+    def is_closed(self) -> bool:
+        return self.closure().subset_of(self)
+
+    def is_open(self) -> bool:
+        return self.set_eq(self.interior())
+
+    def is_compact(self) -> bool:
+        return self.is_bounded and self.is_closed()
+
+    def is_open_in(self, ambient) -> bool:
+        return self.intersect(ambient.difference(self).closure()).is_empty
+
+    def is_locally_compact(self) -> bool:
+        return self.closure().difference(self).is_closed()
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 def suite_finite_algebra(trials=200, seed=7, bound=None) -> SuiteResult:
@@ -283,6 +473,93 @@ def _grid_points(step=Fraction(1, 64), lo=-2, hi=2):
     return [Fraction(lo) + step * k for k in range(n + 1)]
 
 
+def random_box_list(rng: random.Random, dimension: int, max_boxes: int = 3) -> list:
+    """Up to max_boxes boxes with half-integer endpoints in [-1, 2]; about one
+    endpoint in eight is infinite."""
+    boxes = []
+    for _ in range(rng.randint(0, max_boxes)):
+        box = []
+        for _ in range(dimension):
+            a = Fraction(rng.randint(-2, 2), 2)
+            b = a + Fraction(rng.randint(0, 2), 2)
+            lo = NEG_INF if rng.randint(1, 8) == 1 else Cut.finite(a)
+            hi = POS_INF if rng.randint(1, 8) == 1 else Cut.finite(b)
+            if lo.is_finite and hi.is_finite and a == b:
+                box.append(Interval.point(a))
+            else:
+                box.append(Interval(lo, hi, lo.is_finite and rng.randint(0, 1) == 0,
+                                    hi.is_finite and rng.randint(0, 1) == 0))
+        boxes.append(tuple(box))
+    return boxes
+
+
+def _raster_mismatch(a: BoxSet, b: BoxSet):
+    """The first operation whose result disagrees with membership on the
+    quarter grid over [-5/4, 9/4]^n, or None.
+
+    Endpoints are half-integers in [-1, 2], so every grid point stands for
+    one cell (a half-integer point or an open half-unit interval per axis);
+    a point is in the closure (interior) of A iff some (every) grid point of
+    its cell's closure star is in A."""
+    coord = [Fraction(k - 6, 4) for k in range(17)]     # -3/2 .. 5/2
+    memo = {}
+
+    def member(s, p):
+        key = (id(s), p)
+        if key not in memo:
+            memo[key] = s.contains_point([coord[k] for k in p])
+        return memo[key]
+
+    def star(p):
+        return itertools.product(*[(k - 1, k, k + 1) if k % 2 == 0 else (k,)
+                                   for k in p])
+
+    results = {"union": a.union(b), "intersect": a.intersect(b),
+               "difference": a.difference(b), "complement": a.complement(),
+               "closure": a.closure(), "interior": a.interior()}
+    for p in itertools.product(range(1, 16), repeat=a.dimension):
+        ina, inb = member(a, p), member(b, p)
+        want = {"union": ina or inb, "intersect": ina and inb,
+                "difference": ina and not inb, "complement": not ina,
+                "closure": any(member(a, q) for q in star(p)),
+                "interior": all(member(a, q) for q in star(p))}
+        for name, got in results.items():
+            if member(got, p) != want[name]:
+                return f"{name} at {[coord[k] for k in p]}"
+    return None
+
+
+def _oracle_mismatch(ra: list, rb: list, dimension: int):
+    """The first operation or predicate on which the canonical form and the
+    pairwise oracle disagree, or None."""
+    a, b = BoxSet.of(dimension, ra), BoxSet.of(dimension, rb)
+    oa, ob = PairwiseBoxSet(dimension, ra), PairwiseBoxSet(dimension, rb)
+    sets = [("union", a.union(b), oa.union(ob)),
+            ("intersect", a.intersect(b), oa.intersect(ob)),
+            ("difference", a.difference(b), oa.difference(ob)),
+            ("complement", a.complement(), oa.complement()),
+            ("closure", a.closure(), oa.closure()),
+            ("interior", a.interior(), oa.interior()),
+            ("interior_in", a.intersect(b).interior_in(b),
+             oa.intersect(ob).interior_in(ob))]
+    for name, got, want in sets:
+        if BoxSet.of(dimension, want.boxes) != got or \
+                not want.set_eq(PairwiseBoxSet(dimension, got.boxes)):
+            return name
+    ab, oab = a.intersect(b), oa.intersect(ob)
+    preds = [("is_closed", a.is_closed(), oa.is_closed()),
+             ("is_open", a.is_open(), oa.is_open()),
+             ("is_compact", a.is_compact(), oa.is_compact()),
+             ("is_locally_compact", a.is_locally_compact(), oa.is_locally_compact()),
+             ("is_open_in", ab.is_open_in(b), oab.is_open_in(ob)),
+             ("subset_of", a.subset_of(b), oa.subset_of(ob)),
+             ("==", a == b, oa.set_eq(ob))]
+    for name, got, want in preds:
+        if got != want:
+            return name
+    return None
+
+
 def suite_box_algebra(trials=120, seed=11, bound=None) -> SuiteResult:
     res = SuiteResult("box-algebra")
     rng = random.Random(seed)
@@ -292,21 +569,21 @@ def suite_box_algebra(trials=120, seed=11, bound=None) -> SuiteResult:
         c = random_interval_set(rng)
         lhs = a.intersect(b.union(c))
         rhs = a.intersect(b).union(a.intersect(c))
-        if not lhs.set_eq(rhs):
+        if lhs != rhs:
             res.fail(f"distributivity: {a}, {b}, {c}")
-        if not a.difference(b).set_eq(a.intersect(b.complement())):
+        if a.difference(b) != a.intersect(b.complement()):
             res.fail(f"difference law: {a}, {b}")
-        if not a.union(b).difference(b).set_eq(a.difference(b)):
+        if a.union(b).difference(b) != a.difference(b):
             res.fail(f"union/difference: {a}, {b}")
-        if not a.closure().closure().set_eq(a.closure()):
+        if a.closure().closure() != a.closure():
             res.fail(f"closure idempotent: {a}")
-        if not a.interior().interior().set_eq(a.interior()):
+        if a.interior().interior() != a.interior():
             res.fail(f"interior idempotent: {a}")
         if not a.interior().subset_of(a) or not a.subset_of(a.closure()):
             res.fail(f"interior <= A <= closure: {a}")
         if a.is_bounded and a.is_closed() != a.is_compact():
             res.fail(f"compact <=> closed and bounded: {a}")
-        if a.interior().set_eq(a) and not a.is_locally_compact():
+        if a.interior() == a and not a.is_locally_compact():
             res.fail(f"open set not locally compact: {a}")
         if a.is_compact() and not a.is_locally_compact():
             res.fail(f"compact set not locally compact: {a}")
@@ -327,6 +604,17 @@ def suite_box_algebra(trials=120, seed=11, bound=None) -> SuiteResult:
                 res.fail(f"raster oracle at {x}: {a}, {b}")
                 break
     res.note("rasterized membership oracle at resolution 1/64 (30 pairs)")
+    for dimension, pairs in ((2, 40), (3, 12)):
+        for _ in range(pairs):
+            ra = random_box_list(rng, dimension)
+            rb = random_box_list(rng, dimension)
+            bad = _raster_mismatch(BoxSet.of(dimension, ra),
+                                   BoxSet.of(dimension, rb)) or \
+                _oracle_mismatch(ra, rb, dimension)
+            if bad:
+                res.fail(f"{dimension}-D {bad}: {ra}, {rb}")
+        res.note(f"raster membership at resolution 1/4 and the pairwise oracle "
+                 f"on {pairs} pairs of random {dimension}-D sets")
     return res
 
 
@@ -342,7 +630,7 @@ def suite_pam_laws(trials=80, seed=13, bound=None) -> SuiteResult:
         a = random_interval_set(rng)
         lhs = af.compose(g, f).preimage(a)
         rhs = f.preimage(g.preimage(a))
-        if not lhs.set_eq(rhs):
+        if lhs != rhs:
             res.fail(f"preimage of composite: {a}")
         d = random_interval_set(rng).intersect(
             BoxSet.interval(-4, True, 4, True)).closure()
@@ -639,9 +927,9 @@ def suite_cont_discriminator(trials=None, seed=None, bound=None) -> SuiteResult:
               f"[0,1) rejected specifically for finite-time properness")
     inv = sf.invariant_part_F(flow, e_good)
     res.check(not isinstance(inv, dyn.Undecided) and
-              inv.set_eq(s0), f"invariant part of [0,1] is {{0}}: {inv!r}")
+              inv == s0, f"invariant part of [0,1] is {{0}}: {inv!r}")
     sampled = dyn.invariant_part_exact(sf.time_map(flow, Fraction(1, 2)), e_good)
-    res.check(not isinstance(sampled, dyn.Undecided) and sampled.set_eq(inv),
+    res.check(not isinstance(sampled, dyn.Undecided) and sampled == inv,
               "sampled-time oracle agrees with the closed form")
     return res
 
@@ -657,7 +945,7 @@ def suite_worked_models(trials=None, seed=None, bound=None) -> SuiteResult:
               "doubling: [-1,1] rejected (induced domain not open)")
     built = co.construct_index_nbhd(dbl, s0, e1, bound=8)
     ok = isinstance(built, co.ConstructedNbhd) and \
-        built.subset.set_eq(BoxSet.interval("-1/2", False, "1/2", False)) and \
+        built.subset == BoxSet.interval("-1/2", False, "1/2", False) and \
         built.triple == dyn.AdmissibleTriple(0, 1, 1)
     res.check(ok, f"doubling: constructed index nbhd "
                   f"{getattr(built, 'subset', built)!r} with triple "

@@ -72,7 +72,7 @@ def test_criterion_05_doubling_model():
     passed &= ok
     built = co.construct_index_nbhd(dbl, origin, unit, bound=8)
     ok = isinstance(built, co.ConstructedNbhd) and \
-        built.subset.set_eq(BoxSet.interval("-1/2", False, "1/2", False)) and \
+        built.subset == BoxSet.interval("-1/2", False, "1/2", False) and \
         built.triple == AdmissibleTriple(0, 1, 1)
     details.append(f"constructed (-1/2,1/2) with triple (0,1,1): {ok}")
     passed &= ok

@@ -66,22 +66,22 @@ class TestSetAlgebra:
     def test_difference_keeps_boundary(self):
         # [-1,1] \ (-1,1) = {-1} u {1}
         got = onedim(iv(-1, True, 1, True)).difference(onedim(iv(-1, False, 1, False)))
-        assert got.set_eq(BoxSet.from_intervals(
+        assert got == (BoxSet.from_intervals(
             [Interval.point(-1), Interval.point(1)]))
 
     def test_componentwise_2d(self):
         a = BoxSet.of(2, [(iv(0, True, 1, True), iv(0, True, 1, True))])
         b = BoxSet.of(2, [(iv("1/2", False, 2, True), iv(0, True, 1, True))])
         want = BoxSet.of(2, [(iv("1/2", False, 1, True), iv(0, True, 1, True))])
-        assert a.intersect(b).set_eq(want)
+        assert a.intersect(b) == want
 
     @settings(max_examples=60, deadline=None)
     @given(interval_sets(), interval_sets(), interval_sets())
     def test_boolean_laws(self, a, b, c):
-        assert a.intersect(b.union(c)).set_eq(
+        assert a.intersect(b.union(c)) == (
             a.intersect(b).union(a.intersect(c)))
-        assert a.difference(b).set_eq(a.intersect(b.complement()))
-        assert a.difference(b.union(c)).set_eq(a.difference(b).difference(c))
+        assert a.difference(b) == a.intersect(b.complement())
+        assert a.difference(b.union(c)) == a.difference(b).difference(c)
 
     @settings(max_examples=60, deadline=None)
     @given(interval_sets(), interval_sets())
@@ -89,21 +89,21 @@ class TestSetAlgebra:
         assert a.subset_of(a.union(b))
         assert a.intersect(b).subset_of(a)
         sym_empty = a.difference(b).is_empty and b.difference(a).is_empty
-        assert a.set_eq(b) == sym_empty
+        assert (a == b) == sym_empty
 
 
 class TestTopology:
     def test_closure_interior_1d(self):
-        assert onedim(iv("-1/2", False, "1/2", False)).closure().set_eq(
+        assert onedim(iv("-1/2", False, "1/2", False)).closure() == (
             onedim(iv("-1/2", True, "1/2", True)))
-        assert onedim(iv(-1, True, 1, True)).interior().set_eq(
+        assert onedim(iv(-1, True, 1, True)).interior() == (
             onedim(iv(-1, False, 1, False)))
 
     def test_closure_2d_with_corner_point(self):
         g = BoxSet.of(2, [(Interval.point(0), Interval.point(0)),
                           (iv(0, False, 1, False), iv(0, False, 1, False))])
         square = BoxSet.of(2, [(iv(0, True, 1, True), iv(0, True, 1, True))])
-        assert g.closure().set_eq(square)
+        assert g.closure() == square
         assert not g.is_locally_compact()
 
     def test_interior_not_componentwise(self):
@@ -111,7 +111,7 @@ class TestTopology:
         a = BoxSet.of(2, [(iv(0, True, 1, True), iv(0, True, 1, True)),
                           (iv(1, True, 2, True), iv(0, True, 1, True))])
         want = BoxSet.of(2, [(iv(0, False, 2, False), iv(0, False, 1, False))])
-        assert a.interior().set_eq(want)
+        assert a.interior() == want
 
     def test_compactness(self):
         assert onedim(iv("-1/2", True, "1/2", True)).is_compact()
@@ -140,8 +140,8 @@ class TestTopology:
     @settings(max_examples=60, deadline=None)
     @given(interval_sets())
     def test_closure_interior_idempotent(self, a):
-        assert a.closure().closure().set_eq(a.closure())
-        assert a.interior().interior().set_eq(a.interior())
+        assert a.closure().closure() == a.closure()
+        assert a.interior().interior() == a.interior()
         assert a.interior().subset_of(a)
         assert a.subset_of(a.closure())
 
@@ -154,7 +154,7 @@ class TestTopology:
     def test_interior_in_subspace(self):
         x = onedim(Interval(Cut.finite(0), POS_INF, True, False))
         e = onedim(iv(0, True, 1, True))
-        assert e.interior_in(x).set_eq(onedim(iv(0, True, 1, False)))
+        assert e.interior_in(x) == onedim(iv(0, True, 1, False))
 
 
 class TestRasterOracle2D:
@@ -198,13 +198,75 @@ class TestRasterOracle2D:
                     assert closure.contains_point(p)
 
 
+class TestCanonicalForm:
+    """One set, written as different box lists, is one value."""
+
+    @staticmethod
+    def _split(rng, box):
+        """Cut a box in two along one axis at an interior rational."""
+        k = rng.randrange(len(box))
+        iv = box[k]
+        if iv.is_point or not iv.is_bounded:
+            return [box]
+        c = iv.lo.value + (iv.hi.value - iv.lo.value) * Fraction(rng.randint(1, 3), 4)
+        left_closed = rng.randint(0, 1) == 0
+        return [box[:k] + (Interval.make(iv.lo.value, iv.lo_closed, c, left_closed),)
+                + box[k + 1:],
+                box[:k] + (Interval.make(c, not left_closed, iv.hi.value, iv.hi_closed),)
+                + box[k + 1:]]
+
+    def test_rewritten_box_lists_give_equal_sets(self):
+        import random
+        from conley_kernel.suites import random_box_list
+        rng = random.Random(17)
+        for dimension in (1, 2, 3):
+            for _ in range(30):
+                boxes = random_box_list(rng, dimension, 4)
+                want = BoxSet.of(dimension, boxes)
+                shuffled = boxes[:]
+                rng.shuffle(shuffled)
+                resplit = [p for b in boxes for p in self._split(rng, b)]
+                overlapping = boxes + [p for b in boxes for p in self._split(rng, b)] \
+                    + [b for b in want.boxes if rng.randint(0, 1)]
+                for other in (shuffled, resplit, overlapping, list(want.boxes)):
+                    got = BoxSet.of(dimension, other)
+                    assert got == want, (boxes, other)
+                    assert hash(got) == hash(want)
+                    assert got.boxes == want.boxes and repr(got) == repr(want)
+
+    def test_boxes_are_disjoint(self):
+        import random
+        from conley_kernel.suites import random_box_list
+        from conley_kernel.boxes import isect_iv
+        rng = random.Random(19)
+        for dimension in (2, 3):
+            for _ in range(30):
+                bs = BoxSet.of(dimension, random_box_list(rng, dimension, 4)).boxes
+                for i, a in enumerate(bs):
+                    for b in bs[i + 1:]:
+                        assert any(isect_iv(x, y) is None for x, y in zip(a, b))
+
+    def test_overlap_and_disjoint_forms_are_equal(self):
+        overlapping = BoxSet.of(2, [(iv(0, True, 1, True), iv(0, True, 1, True)),
+                                    (iv(0, True, 2, True), iv(0, True, "1/2", True))])
+        disjoint = BoxSet.of(2, [(iv(0, True, 1, True), iv(0, True, 1, True)),
+                                 (iv(1, False, 2, True), iv(0, True, "1/2", True))])
+        assert overlapping == disjoint
+        assert overlapping.boxes == disjoint.boxes
+
+    def test_box_algebra_suite(self):
+        from conley_kernel.suites import suite_box_algebra
+        res = suite_box_algebra()
+        assert res.passed, res.lines
+
+
 class TestGeometry:
     def test_hull_and_inflate(self):
         a = BoxSet.from_intervals([iv(0, True, 1, True), Interval.point(3)])
         hull = a.hull_box()
         assert hull[0] == iv(0, True, 3, True)
         blown = a.inflate(Fraction(1, 2))
-        assert blown.set_eq(onedim(iv("-1/2", True, "7/2", True)))
+        assert blown == onedim(iv("-1/2", True, "7/2", True))
 
     def test_contains_point(self):
         a = BoxSet.of(2, [(iv(0, True, 1, False), iv(0, True, 1, True))])

@@ -232,6 +232,26 @@ class TestUnrelatedFinitePair:
         assert json.loads(out)["meta"]["bound"] == str(derived) != "64"
 
 
+class TestFiniteWorkReportsNoBound:
+    """Finite work other than a search takes no bound, so `meta` has none,
+    with or without --bound."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["invariant-part", "--set", "all"], 0),
+        (["check"], 0),
+        (["isolating", "--set", "S", "--nbhd", "all"], 0),
+        (["index-nbhd", "--set", "S", "--nbhd", "all"], 0),
+        (["index", "--set", "S", "--nbhd", "all"], 0),
+        (["index", "--set", "S", "--nbhd", "all", "--search", "4"], 0),
+        (["shift-equiv", "--from", "core", "--set", "all"], 0)])
+    @pytest.mark.parametrize("bound", [[], ["--bound", "5"]])
+    def test_meta_has_no_bound(self, capsys, argv, code, bound):
+        got, out, _ = run(capsys, argv[0], fx("attractor.json"), *argv[1:],
+                          *bound, "--json")
+        assert got == code
+        assert "bound" not in json.loads(out)["meta"]
+
+
 class TestRepeatedCalls:
     def test_no_state_leaks_between_calls(self, capsys):
         code, out, _ = run(capsys, "check", fx("attractor.json"),

@@ -80,7 +80,7 @@ class TestConstruct:
     def test_doubling_from_unit(self):
         built = co.construct_index_nbhd(DBL, S0, UNIT, bound=8)
         assert isinstance(built, co.ConstructedNbhd)
-        assert built.subset.set_eq(OPEN_HALF)
+        assert built.subset == OPEN_HALF
         assert built.triple == AdmissibleTriple(0, 1, 1)
         assert dyn.sim_f(DBL, built.subset, built.compact_seed, bound=8).is_equivalent
 
@@ -88,7 +88,7 @@ class TestConstruct:
         built = co.construct_index_nbhd(
             DBL, S0, BoxSet.interval("-1/4", True, "1/4", True), bound=8)
         assert isinstance(built, co.ConstructedNbhd)
-        assert built.subset.set_eq(BoxSet.interval("-1/8", False, "1/8", False))
+        assert built.subset == BoxSet.interval("-1/8", False, "1/8", False)
         assert built.triple == AdmissibleTriple(0, 1, 1)
 
     def test_finite_trivial(self):

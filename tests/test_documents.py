@@ -57,7 +57,7 @@ def test_interval_shape_errors():
 
 def test_boxset_round_trip():
     bs = BoxSet.of(2, [(Interval.closed(0, 1), Interval.open(-1, 1))])
-    assert docs.boxset_from_json(docs.boxset_to_json(bs), 2).set_eq(bs)
+    assert docs.boxset_from_json(docs.boxset_to_json(bs), 2) == bs
 
 
 def test_unknown_kind():

@@ -39,28 +39,28 @@ class TestInduced:
 
     def test_doubling_on_unit(self):
         ind = dyn.induced(doubling_map(), UNIT)
-        assert ind.domain.set_eq(box1("-1/2", True, "1/2", True))
+        assert ind.domain == box1("-1/2", True, "1/2", True)
 
     def test_doubling_on_origin(self):
         ind = dyn.induced(doubling_map(), ORIGIN)
-        assert ind.domain.set_eq(ORIGIN)
+        assert ind.domain == ORIGIN
 
     def test_clamp_flow_time_one_map(self):
         # x -> max(x - 1, 0): every orbit from [0, 2] stays in [0, 2]
         ind = dyn.induced(clamp_flow(), box1(0, True, 2, True))
-        assert ind.domain.set_eq(box1(0, True, 2, True))
+        assert ind.domain == box1(0, True, 2, True)
         assert ind.realized.eval_point(["3/2"]) == (Fraction(1, 2),)
         assert ind.realized.eval_point(["1/2"]) == (Fraction(0),)
 
     def test_clamp_flow_swept_domain(self):
         # from [1, 2] the orbit leaves the set unless x - 1 >= 1
         ind = dyn.induced(clamp_flow(), box1(1, True, 2, True))
-        assert ind.domain.set_eq(box1(2, True, 2, True))
+        assert ind.domain == box1(2, True, 2, True)
 
 
 class TestDomPower:
     def test_halving(self):
-        assert dyn.dom_power(doubling_map(), UNIT, 3).set_eq(
+        assert dyn.dom_power(doubling_map(), UNIT, 3) == (
             box1("-1/8", True, "1/8", True))
 
     def test_zero(self):
@@ -218,7 +218,7 @@ class TestCrossMap:
     def test_doubling_domain(self):
         cm = dyn.cross_map(doubling_map(), UNIT, box1(-1, False, 1, False),
                            AdmissibleTriple(0, 1, 1))
-        assert cm.domain.set_eq(box1("-1/2", False, "1/2", False))
+        assert cm.domain == box1("-1/2", False, "1/2", False)
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
@@ -305,17 +305,17 @@ class TestInvariantPart:
     def test_doubling_closed_form(self):
         got = dyn.invariant_part_exact(doubling_map(), UNIT)
         assert not isinstance(got, dyn.Undecided)
-        assert got.set_eq(ORIGIN)
+        assert got == ORIGIN
 
     def test_contraction_closed_form(self):
         from conley_kernel.suites import contraction_map
         got = dyn.invariant_part_exact(contraction_map(), UNIT)
-        assert got.set_eq(ORIGIN)
+        assert got == ORIGIN
 
     def test_identity_interval(self):
         from conley_kernel.affine import PiecewiseAffineMap
         ident = PiecewiseAffineMap.identity(1)
-        assert dyn.invariant_part_exact(ident, UNIT).set_eq(UNIT)
+        assert dyn.invariant_part_exact(ident, UNIT) == UNIT
 
     def test_translation_kills_bounded(self):
         from conley_kernel.affine import PiecewiseAffineMap
@@ -324,7 +324,7 @@ class TestInvariantPart:
 
     def test_clamp_fixed_point(self):
         got = dyn.invariant_part_exact(clamp_map(), box1(0, True, 2, True))
-        assert got.set_eq(ORIGIN)
+        assert got == ORIGIN
 
     def test_outer_contains_exact(self):
         f = doubling_map()
@@ -357,14 +357,14 @@ class TestOnePoint:
     def test_symbolic_on_interval(self):
         sym = dyn.one_point(doubling_map(), ORIGIN)
         assert isinstance(sym, dyn.SymbolicBasedEndo)
-        assert sym.induced.domain.set_eq(ORIGIN)
+        assert sym.induced.domain == ORIGIN
 
     def test_symbolic_on_clamp_flow(self):
         unit = box1(0, True, 1, True)
         sym = dyn.one_point(clamp_flow(), unit)
         assert isinstance(sym, dyn.SymbolicBasedEndo)
-        assert sym.subset.set_eq(unit)
-        assert sym.induced.domain.set_eq(unit)
+        assert sym.subset == unit
+        assert sym.induced.domain == unit
 
     def test_clamp_flow_rejects_noncompactifiable(self):
         with pytest.raises(ValueError):

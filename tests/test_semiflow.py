@@ -35,8 +35,8 @@ class TestConstruction:
                                 carrier=box1(1, True, 2, True))
 
     def test_natural_carriers(self):
-        assert CLAMP.carrier.set_eq(box1(0, True, "inf", False))
-        assert TRANS.carrier.set_eq(BoxSet.full(1))
+        assert CLAMP.carrier == box1(0, True, "inf", False)
+        assert TRANS.carrier == BoxSet.full(1)
 
     def test_clamped_velocity_positive(self):
         with pytest.raises(ValueError):
@@ -92,27 +92,27 @@ class TestTimeMap:
 class TestDomInterval:
     def test_clamp_absorbs(self):
         for t in (Fraction(1, 2), Fraction(5), Fraction(100)):
-            assert sf.dom_interval(CLAMP, UNIT, t).set_eq(UNIT)
+            assert sf.dom_interval(CLAMP, UNIT, t) == UNIT
 
     def test_translation_window(self):
         got = sf.dom_interval(TRANS, UNIT, Fraction(1, 2))
-        assert got.set_eq(box1("1/2", True, 1, True))
+        assert got == box1("1/2", True, 1, True)
 
     def test_time_zero(self):
-        assert sf.dom_interval(TRANS, UNIT, 0).set_eq(UNIT)
+        assert sf.dom_interval(TRANS, UNIT, 0) == UNIT
 
     def test_multibox_gap_blocks_transit(self):
         e = BoxSet.from_intervals([Interval.closed(0, 1), Interval.closed(2, 3)])
         got = sf.dom_interval(TRANS, e, 2)
         # points of [2,3] would have to cross the gap (1,2)
-        assert got.set_eq(BoxSet.empty(1))
+        assert got == BoxSet.empty(1)
 
     def test_multibox_short_time(self):
         e = BoxSet.from_intervals([Interval.closed(0, 1), Interval.closed(2, 3)])
         got = sf.dom_interval(TRANS, e, Fraction(1, 2))
         want = BoxSet.from_intervals([Interval.closed(Fraction(1, 2), 1),
                                       Interval.closed(Fraction(5, 2), 3)])
-        assert got.set_eq(want)
+        assert got == want
 
     def test_punctured_interval(self):
         e = BoxSet.from_intervals([Interval.make(0, True, 1, False),
@@ -122,7 +122,7 @@ class TestDomInterval:
         want = BoxSet.from_intervals([
             Interval.make(Fraction(1, 4), True, 1, False),
             Interval.make(Fraction(5, 4), False, 2, True)])
-        assert got.set_eq(want)
+        assert got == want
 
     def test_decreasing_in_t(self):
         for t in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
@@ -161,7 +161,7 @@ class TestDomInterval:
                         sf.time_map(flow, t * k / 8).preimage(e))
                 assert exact.subset_of(sampled)
                 continue
-            assert exact.set_eq(sandwich), (flow.axes, e, t)
+            assert exact == sandwich, (flow.axes, e, t)
             agreements += 1
         assert agreements >= 20
 
@@ -169,7 +169,7 @@ class TestDomInterval:
         flow = sf.ExactSemiflow.of([sf.AxisRule.floor(1, 0),
                                     sf.AxisRule.identity()])
         e = BoxSet.of(2, [(Interval.closed(0, 1), Interval.closed(-1, 1))])
-        assert sf.dom_interval(flow, e, 7).set_eq(e)
+        assert sf.dom_interval(flow, e, 7) == e
 
     def test_two_dimensional_multibox_transit_blocked(self):
         flow = sf.ExactSemiflow.of([sf.AxisRule.translation(1),
@@ -185,7 +185,7 @@ class TestDomInterval:
             (Interval.closed(Fraction(1, 2), 1), Interval.closed(0, 1)),
             (Interval.closed(Fraction(5, 2), 3), Interval.closed(0, 1)),
         ])
-        assert got.set_eq(want)
+        assert got == want
 
 
 class TestProperness:
@@ -298,7 +298,7 @@ class TestAdmissibility:
 
 class TestInvariantPart:
     def test_clamp_fixed_point(self):
-        assert sf.invariant_part_F(CLAMP, UNIT).set_eq(S0)
+        assert sf.invariant_part_F(CLAMP, UNIT) == S0
 
     def test_translation_empty(self):
         got = sf.invariant_part_F(TRANS, UNIT)
@@ -313,7 +313,7 @@ class TestInvariantPart:
                                     sf.AxisRule.identity()])
         e = BoxSet.of(2, [(Interval.closed(0, 2), Interval.closed(-1, 1))])
         want = BoxSet.of(2, [(Interval.point(0), Interval.closed(-1, 1))])
-        assert sf.invariant_part_F(flow, e).set_eq(want)
+        assert sf.invariant_part_F(flow, e) == want
 
     def test_outer_contains_invariant_part(self):
         outer = dyn.invariant_part_outer(CLAMP, UNIT, 3)
@@ -322,7 +322,7 @@ class TestInvariantPart:
     def test_sampled_time_oracle(self):
         sampled = dyn.invariant_part_exact(sf.time_map(CLAMP, Fraction(1, 4)), UNIT)
         assert not isinstance(sampled, dyn.Undecided)
-        assert sampled.set_eq(sf.invariant_part_F(CLAMP, UNIT))
+        assert sampled == sf.invariant_part_F(CLAMP, UNIT)
 
 
 class TestIndexNbhdCont:
@@ -366,8 +366,76 @@ class TestIndexNbhdCont:
         square = BoxSet.of(2, [(Interval.closed(0, 1), Interval.closed(0, 1))])
         small = BoxSet.of(2, [(Interval.closed(0, Fraction(1, 2)),
                                Interval.closed(0, Fraction(1, 2)))])
-        assert sf.invariant_part_F(flow, square).set_eq(corner)
+        assert sf.invariant_part_F(flow, square) == corner
         cert = co.is_index_nbhd(flow, square, corner)
         assert isinstance(cert, co.IndexNbhdCertificate)
         rep = co.verify_simple_system(flow, corner, [square, small])
         assert isinstance(rep, co.ConleyIndexReport) and rep.ok
+
+
+class TestRepresentationIndependence:
+    """Verdicts on a box set depend on the set, not on the boxes it is
+    written with: N = [0,1]^2 u [0,2]x[0,1/2] as two overlapping boxes and as
+    the disjoint [0,1]^2 u (1,2]x[0,1/2], under floors toward (0, 0)."""
+
+    RULES = [sf.AxisRule.floor(1, 0), sf.AxisRule.floor(2, 0)]
+    S = BoxSet.points([(0, 0)], 2)
+    FORMS = {
+        "overlapping": [(Interval.closed(0, 1), Interval.closed(0, 1)),
+                        (Interval.closed(0, 2), Interval.closed(0, Fraction(1, 2)))],
+        "disjoint": [(Interval.closed(0, 1), Interval.closed(0, 1)),
+                     (Interval.make(1, False, 2, True),
+                      Interval.closed(0, Fraction(1, 2)))],
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_is_index_nbhd_certifies(self, form):
+        flow = sf.ExactSemiflow.of(self.RULES)
+        cert = co.is_index_nbhd(flow, BoxSet.of(2, self.FORMS[form]), self.S)
+        assert isinstance(cert, co.IndexNbhdCertificate)
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_carrier_accepted(self, form):
+        n = BoxSet.of(2, self.FORMS[form])
+        assert sf.ExactSemiflow.of(self.RULES, carrier=n).carrier == n
+
+    def test_construct_certifies(self):
+        flow = sf.ExactSemiflow.of(self.RULES)
+        n = BoxSet.of(2, self.FORMS["disjoint"])
+        built = co.construct_index_nbhd(flow, self.S, n)
+        assert isinstance(built, co.ConstructedNbhd)
+        assert isinstance(co.is_index_nbhd(flow, built.subset, self.S),
+                          co.IndexNbhdCertificate)
+
+
+class TestForwardInvariance:
+    """The exact forward-invariance test against time sampling, on multi-box
+    2-D sets."""
+
+    def test_against_sampling(self):
+        import random
+        from conley_kernel.suites import random_box_list
+        rng = random.Random(53)
+        flows = [sf.ExactSemiflow.of([sf.AxisRule.floor(1, 0),
+                                      sf.AxisRule.floor(2, 0)]),
+                 sf.ExactSemiflow.of([sf.AxisRule.ceil(1, 1),
+                                      sf.AxisRule.translation(Fraction(1, 2))]),
+                 sf.ExactSemiflow.of([sf.AxisRule.identity(),
+                                      sf.AxisRule.floor(Fraction(1, 2), -1)])]
+        verdicts = set()
+        for _ in range(60):
+            flow = rng.choice(flows)
+            e = BoxSet.of(2, random_box_list(rng, 2, 4)).intersect(flow.carrier)
+            if e.is_empty:
+                continue
+            full = sf._forward_invariant(flow.axes, e)
+            verdicts.add(full)
+            leaves = any(not sf.time_map(flow, Fraction(k, 8)).image(e).subset_of(e)
+                         for k in range(1, 33))
+            if leaves:
+                assert not full, (flow.axes, e)
+            elif not full:
+                assert any(
+                    not sf.time_map(flow, Fraction(k, 64)).image(e).subset_of(e)
+                    for k in range(1, 513)), (flow.axes, e)
+        assert verdicts == {True, False}
