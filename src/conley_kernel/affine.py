@@ -5,11 +5,15 @@ rule).  Piece domains are pairwise disjoint and the map is continuous on its
 domain; both facts are checked exactly at construction.  Composites are built
 with shrunken domains, so they stay continuous by construction and skip the
 re-check.
+
+Each map memoizes its set images and preimages by argument set (box sets
+hash and compare as sets) in fields of the map object, so a memo lives as
+long as its map and no two maps or parsed documents share one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -116,6 +120,10 @@ class Piece:
 class PiecewiseAffineMap:
     dimension: int
     pieces: tuple[Piece, ...]
+    _images: dict = field(default_factory=dict, init=False, compare=False,
+                          hash=False, repr=False)
+    _preimages: dict = field(default_factory=dict, init=False, compare=False,
+                             hash=False, repr=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -177,13 +185,18 @@ class PiecewiseAffineMap:
         return None
 
     def image(self, a: BoxSet) -> BoxSet:
-        return BoxSet.of(self.dimension, [
-            rules_image_box(p.rules, b)
-            for p in self.pieces for b in a.intersect(p.domain).boxes])
+        if a not in self._images:
+            self._images[a] = BoxSet.of(self.dimension, [
+                rules_image_box(p.rules, b)
+                for p in self.pieces for b in a.intersect(p.domain).boxes])
+        return self._images[a]
 
     def preimage(self, a: BoxSet) -> BoxSet:
-        return BoxSet.union_all(self.dimension, (
-            rules_preimage(p.rules, a).intersect(p.domain) for p in self.pieces))
+        if a not in self._preimages:
+            self._preimages[a] = BoxSet.union_all(self.dimension, (
+                rules_preimage(p.rules, a).intersect(p.domain)
+                for p in self.pieces))
+        return self._preimages[a]
 
     # -- comparisons ---------------------------------------------------------
 

@@ -100,9 +100,20 @@ class SystemDocument:
         return self.sets[label]
 
 
+def _dimension(data: dict) -> int:
+    dim = data["dimension"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise DocumentError(f"dimension must be an integer >= 1, got {dim!r}")
+    return dim
+
+
 def _parse_finite(data: dict) -> tuple[FinitePartialMap, dict]:
     try:
-        space = FiniteSpace.of(data["points"])
+        points = data["points"]
+        if not isinstance(points, list) or \
+                not all(isinstance(p, str) for p in points):
+            raise DocumentError("points must be a list of strings")
+        space = FiniteSpace.of(points)
         fmap = FinitePartialMap.of(space, data.get("table", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad finite system: {exc}") from exc
@@ -119,7 +130,7 @@ def _parse_finite(data: dict) -> tuple[FinitePartialMap, dict]:
 
 def _parse_interval(data: dict) -> tuple[PiecewiseAffineMap, dict]:
     try:
-        dim = int(data["dimension"])
+        dim = _dimension(data)
         pieces = []
         for p in data["pieces"]:
             dom = boxset_from_json(p["domain"], dim)
@@ -137,7 +148,7 @@ def _parse_interval(data: dict) -> tuple[PiecewiseAffineMap, dict]:
 
 def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, dict]:
     try:
-        dim = int(data["dimension"])
+        dim = _dimension(data)
         axes = []
         for a in data["axes"]:
             kind = a["kind"]
@@ -172,11 +183,13 @@ def parse_document(data: dict) -> SystemDocument:
     kind = data.get("kind")
     if kind not in _PARSERS:
         raise DocumentError(f"unknown document kind {kind!r}")
-    system, helpers = _PARSERS[kind](data.get("system", {}))
-    sets = {}
-    for label, val in data.get("sets", {}).items():
-        sets[str(label)] = helpers["parse_set"](val)
-    return SystemDocument(kind, system, sets)
+    system, sets = data.get("system", {}), data.get("sets", {})
+    for key, val in (("system", system), ("sets", sets)):
+        if not isinstance(val, dict):
+            raise DocumentError(f"{key!r} must be a JSON object")
+    system, helpers = _PARSERS[kind](system)
+    return SystemDocument(kind, system, {
+        str(label): helpers["parse_set"](val) for label, val in sets.items()})
 
 
 def set_to_json(doc_kind: str, value) -> Any:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .boxes import BoxSet
+from .boxes import BoxSet, Interval
 from .carriers import DEFAULT_INTERVAL_BOUND, carrier_for
 from .finite import power_preperiod_period
 from .szymczak import BASEPOINT, BasedEndo
@@ -378,62 +378,61 @@ def invariant_part_outer(f, e, t):
 def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     """Interval carrier: exact invariant part, or Undecided with an outer bound.
 
-    Exact when (i) the iterated-domain sets stabilize and the forward images
-    then stabilize too, or (ii) the remaining outer bound is bounded and lies
-    in a single affine piece with no axis of slope -1, where the fixed-set
-    closed form applies.
+    Iterates D_n(E) for up to cap steps and, once they stabilize, the
+    forward images f^k(D) for up to cap more.  Exact when the images
+    stabilize too, or as soon as an iterate is bounded and lies in one
+    affine piece with no axis of slope -1: then the fixed-set closed form
+    is I_f(E).  Proof sketch: I_f(E) lies in every iterate and the iterates
+    decrease, so every full orbit in I_f(E) stays in that piece and in a
+    bounded set; under a componentwise affine rule that forces each axis
+    with |slope| != 1 onto the rule's fixed point.  Later iterates lie in
+    the same piece, so stopping early gives the answer the whole cap would.
     """
     ca = carrier_for(f)
     ca.check_set(f, e)
     if ca.name == "finite":
         return invariant_part(f, e)
 
-    d = e
-    stabilized = False
-    for _ in range(cap):
-        d2 = ca.intersect(e, ca.preimage(f, d))
-        if ca.sets_equal(d2, d):
-            stabilized = True
-            break
-        d = d2
-    current = d
-
-    if stabilized:
-        s = d
+    current = e
+    for step in (lambda d: ca.intersect(e, ca.preimage(f, d)),
+                 lambda s: ca.image(f, s)):
         for _ in range(cap):
-            s2 = ca.image(f, s)
-            if ca.sets_equal(s2, s):
-                return s
-            s = s2
-        current = s
+            exact = _fixed_set_closed_form(f, e, current, cap)
+            if isinstance(exact, BoxSet):
+                return exact
+            following = step(current)
+            if ca.sets_equal(following, current):
+                break
+            current = following
+        else:
+            break               # the cap ran out before stabilization
+    else:
+        return current          # the images stabilized: current is invariant
+    last = _fixed_set_closed_form(f, e, current, cap)
+    return last if last is not None else Undecided(
+        "invariant part did not stabilize", bound=cap, outer=current)
 
-    piece = None
-    for p in f.pieces:
-        if current.subset_of(p.domain):
-            piece = p
-            break
-    if piece is not None and current.is_bounded:
-        return _fixed_set_closed_form(f, e, piece, current)
-    return Undecided("invariant part did not stabilize", bound=cap, outer=current)
 
-
-def _fixed_set_closed_form(f, e, piece, outer):
-    """I_f(E) for a bounded outer region inside one affine piece.
+def _fixed_set_closed_form(f, e, outer, bound):
+    """I_f(E) from a bounded outer region inside one affine piece, else None.
 
     Invariance forces each axis with |slope| != 1 onto the rule's fixed
     point, axes that translate (slope 1, intercept != 0) kill everything,
     and slope 1 with intercept 0 leaves the axis free.  Slope -1 admits
-    2-cycles and is left undecided.
+    2-cycles and is left undecided, with the search bound.
     """
-    from .boxes import BoxSet, Interval
-
+    if not outer.is_bounded:
+        return None
+    piece = next((p for p in f.pieces if outer.subset_of(p.domain)), None)
+    if piece is None:
+        return None
     axes = []
     for r in piece.rules:
         if r.slope == 1 and r.intercept != 0:
             return BoxSet.empty(f.dimension)
         if r.slope == -1:
             return Undecided("reflection axis admits non-fixed invariant sets",
-                             outer=outer)
+                             bound=bound, outer=outer)
         if r.slope == 1:
             axes.append(Interval.line())
         else:

@@ -14,11 +14,15 @@ theory itself (admissible triples, cross maps, certificates, simple
 systems) is written once in :mod:`conley_kernel.dynamics` and
 :mod:`conley_kernel.conley`.  Exhausted semi-decisions surface as
 :class:`UndecidedError` or Undecided results, never as fabricated negatives.
+
+Each flow memoizes its time-t maps by t in a field of the flow object, so
+those maps and their set-map memos (:mod:`conley_kernel.affine`) are shared
+by every caller holding the flow and live as long as it does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -124,6 +128,8 @@ class ExactSemiflow:
     dimension: int
     axes: tuple[AxisRule, ...]
     carrier: BoxSet
+    _time_maps: dict = field(default_factory=dict, init=False, compare=False,
+                             hash=False, repr=False)
 
     def __post_init__(self):
         if len(self.axes) != self.dimension:
@@ -184,10 +190,13 @@ def _check_semiflow_laws(flow: ExactSemiflow):
 
 
 def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:
-    """The exact time-t piecewise-affine map, total on the carrier."""
+    """The exact time-t piecewise-affine map, total on the carrier; built
+    once per flow and t."""
     t = rat(t)
     if t < 0:
         raise ValueError("negative time")
+    if t in flow._time_maps:
+        return flow._time_maps[t]
     pieces = [(tuple(), tuple())]
     for r in flow.axes:
         axis_parts = r.time_pieces(t)
@@ -198,7 +207,8 @@ def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:
         dom = BoxSet.of(flow.dimension, [ivs]).intersect(flow.carrier)
         if not dom.is_empty:
             out.append(Piece(dom, rules))
-    return PiecewiseAffineMap._raw(flow.dimension, out)
+    flow._time_maps[t] = tm = PiecewiseAffineMap._raw(flow.dimension, out)
+    return tm
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ The brute-force oracles live here and nowhere in the kernel: the largest
 invariant subset by subset enumeration, and the Szymczak-category decisions
 by enumerating every candidate table (`brute_shift_equivalence`,
 `brute_sz_is_iso`), which the polynomial deciders are checked against;
-and the pairwise box-list algebra (`PairwiseBoxSet`), which the canonical
-box sets of `boxes` are checked against.
+the pairwise box-list algebra (`PairwiseBoxSet`), which the canonical
+box sets of `boxes` are checked against; and the fixed-cap invariant-part
+loop (`fixed_cap_invariant_part`), which the early exit of
+`dynamics.invariant_part_exact` is checked against.
 """
 
 from __future__ import annotations
@@ -161,6 +163,45 @@ def brute_invariant_part(f: fin.FinitePartialMap,
         if {f.table[x] for x in cand} == cand:
             best |= cand
     return fin.FiniteSubset.of(f.space, best)
+
+
+def fixed_cap_invariant_part(f: PiecewiseAffineMap, e: BoxSet, cap: int = 64):
+    """The invariant part on the interval carrier by the full fixed-cap loop:
+    up to cap preimage steps, up to cap image steps once the domains
+    stabilize, and the single-piece fixed-set closed form (written out here
+    again) only on the last set."""
+    d = e
+    stabilized = False
+    for _ in range(cap):
+        d2 = e.intersect(f.preimage(d))
+        if d2 == d:
+            stabilized = True
+            break
+        d = d2
+    current = d
+    if stabilized:
+        s = d
+        for _ in range(cap):
+            s2 = f.image(s)
+            if s2 == s:
+                return s
+            s = s2
+        current = s
+    piece = next((p for p in f.pieces if current.subset_of(p.domain)), None)
+    if piece is None or not current.is_bounded:
+        return dyn.Undecided("invariant part did not stabilize", bound=cap,
+                             outer=current)
+    axes = []
+    for r in piece.rules:
+        if r.slope == 1 and r.intercept != 0:
+            return BoxSet.empty(f.dimension)
+        if r.slope == -1:
+            return dyn.Undecided("reflection axis admits non-fixed invariant "
+                                 "sets", bound=cap, outer=current)
+        axes.append(Interval.line() if r.slope == 1
+                    else Interval.point(r.intercept / (1 - r.slope)))
+    fix = BoxSet.of(f.dimension, [tuple(axes)])
+    return fix.intersect(piece.domain).intersect(e)
 
 
 def brute_preperiod_period(f: fin.FinitePartialMap) -> tuple[int, int]:
@@ -618,6 +659,47 @@ def suite_box_algebra(trials=120, seed=11, bound=None) -> SuiteResult:
     return res
 
 
+def random_product_map(rng: random.Random, dimension: int) -> PiecewiseAffineMap:
+    """A product of continuous monotone 1-D maps.  Each axis fixes a
+    half-integer c with slope 3, 1/3, -2, -1/3 or -1 on [c - 1, c + 1] and,
+    half the time, has steep pieces of slope 3 or -3 (the core slope's sign)
+    beyond it instead of the same rule.  Monotone axes keep the iterated
+    domains to a few boxes; a fold would multiply them at every step."""
+    axes = []
+    for _ in range(dimension):
+        c = Fraction(rng.randint(-2, 2), 2)
+        s = rng.choice((Fraction(3), Fraction(1, 3), Fraction(-2),
+                        Fraction(-1, 3), Fraction(-1)))
+        core = AffineRule(s, c * (1 - s))
+        if rng.randint(0, 1):
+            axes.append([(Interval.line(), core)])
+            continue
+        m = 3 if s > 0 else -3
+        lo, hi = Cut.finite(c - 1), Cut.finite(c + 1)
+        axes.append([
+            (Interval(NEG_INF, lo, False, False),
+             AffineRule(Fraction(m), c - s - m * (c - 1))),
+            (Interval(lo, hi, True, True), core),
+            (Interval(hi, POS_INF, False, False),
+             AffineRule(Fraction(m), c + s - m * (c + 1))),
+        ])
+    return PiecewiseAffineMap.of(dimension, [
+        Piece(BoxSet.of(dimension, [tuple(iv for iv, _ in parts)]),
+              tuple(rule for _, rule in parts))
+        for parts in itertools.product(*axes)])
+
+
+def random_core_set(rng: random.Random, dimension: int) -> BoxSet:
+    """random_box_list's boxes and one box from -1, -3/2 or -2 to 1, 3/2 or
+    2 on each axis, which mostly holds the fixed point of a
+    random_product_map and often crosses its pieces."""
+    box = tuple(Interval(Cut.finite(Fraction(-rng.randint(2, 4), 2)),
+                         Cut.finite(Fraction(rng.randint(2, 4), 2)),
+                         rng.randint(0, 1) == 0, rng.randint(0, 1) == 0)
+                for _ in range(dimension))
+    return BoxSet.of(dimension, random_box_list(rng, dimension) + [box])
+
+
 def suite_pam_laws(trials=80, seed=13, bound=None) -> SuiteResult:
     res = SuiteResult("pam-laws")
     rng = random.Random(seed)
@@ -638,6 +720,23 @@ def suite_pam_laws(trials=80, seed=13, bound=None) -> SuiteResult:
         if not d.is_empty and not af.is_proper_on(f, d, f.image(d)):
             res.fail(f"compact domain not proper: {d}")
     res.note(f"composite-preimage and compact-properness laws ({trials} trials)")
+    exact = nonempty = 0
+    for k in range(trials // 2):
+        dimension = 1 + k % 2
+        f = random_product_map(rng, dimension)
+        e = random_core_set(rng, dimension) if k % 4 < 2 else \
+            BoxSet.of(dimension, random_box_list(rng, dimension))
+        got = dyn.invariant_part_exact(f, e)
+        # a fresh copy of f, so that no set-map memo is shared
+        fresh = PiecewiseAffineMap.of(dimension, f.pieces)
+        if got != fixed_cap_invariant_part(fresh, e):
+            res.fail(f"invariant part differs from the fixed-cap loop: "
+                     f"{f}, E={e}")
+        exact += isinstance(got, BoxSet)
+        nonempty += isinstance(got, BoxSet) and not got.is_empty
+    res.note(f"early-exit invariant part equals the fixed-cap loop on "
+             f"{trials // 2} 1-D and 2-D product maps ({exact} exact, "
+             f"{nonempty} of them nonempty)")
     return res
 
 

@@ -158,3 +158,36 @@ class TestEquality:
         f = PiecewiseAffineMap.affine_1d(1, 0, box1(0, True, 1, True))
         g = PiecewiseAffineMap.affine_1d(1, 0, box1(0, True, 1, False))
         assert not f.maps_equal(g)
+
+
+class TestSetMapMemo:
+    """Each map memoizes its images and preimages by argument set."""
+
+    def test_memoized_results_equal_a_fresh_parse(self):
+        from conley_kernel.documents import (
+            SystemDocument, document_to_json, parse_document)
+        from conley_kernel.suites import random_box_list, random_product_map
+        rng = random.Random(43)
+        for dimension in (1, 2):
+            f = random_product_map(rng, dimension)
+            raw = document_to_json(SystemDocument("interval_map", f, {}))
+            sets = [BoxSet.of(dimension, random_box_list(rng, dimension))
+                    for _ in range(8)]
+            calls = [(op, a) for op in ("image", "preimage") for a in sets] * 2
+            rng.shuffle(calls)
+            for op, a in calls:
+                fresh = parse_document(raw).system
+                assert getattr(f, op)(a) == getattr(fresh, op)(a)
+            assert len(f._images) == len(set(sets)) == len(f._preimages)
+
+    def test_parsed_documents_share_no_memo(self):
+        from conley_kernel.documents import parse_document
+        raw = {"kind": "interval_map", "system": {"dimension": 1, "pieces": [
+            {"domain": [[["-inf", False, "inf", False]]],
+             "rules": [{"slope": "2", "intercept": "0"}]}]}}
+        first, second = parse_document(raw).system, parse_document(raw).system
+        first.preimage(box1(-1, True, 1, True))
+        first.image(box1(-1, True, 1, True))
+        assert first == second
+        assert len(first._preimages) == len(first._images) == 1
+        assert second._preimages == {} and second._images == {}

@@ -189,6 +189,15 @@ class TestExitCodes:
         code, _, _ = run(capsys, "check", str(bad))
         assert code == 2
 
+    def test_sets_not_an_object(self, tmp_path, capsys):
+        raw = json.loads(Path(fx("doubling.json")).read_text())
+        raw["sets"] = [raw["sets"]["unit"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert "'sets' must be a JSON object" in err
+
     def test_default_bound_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CONLEY_DEFAULT_BOUND", "12")
         code, out, _ = run(capsys, "sim", fx("doubling.json"),

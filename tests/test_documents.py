@@ -86,3 +86,42 @@ def test_discontinuous_interval_system_rejected():
     })
     with pytest.raises(DocumentError):
         docs.parse_document(raw)
+
+
+EMPTY_INTERVAL_MAP = {"kind": "interval_map",
+                      "system": {"dimension": 1, "pieces": []}}
+CLAMP_AXIS = {"kind": "floor", "velocity": "1", "clamp": "0"}
+
+
+def _with(raw, **changes):
+    raw = json.loads(json.dumps(raw))
+    for key, value in changes.items():
+        (raw if key in ("sets", "system") else raw["system"])[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("raw", [
+    _with(load("doubling.json"), sets=[["0", True, "0", True]]),
+    _with(load("attractor.json"), sets="E"),
+    _with(load("doubling.json"), system=[]),
+    _with(load("clamp_flow.json"), system="x"),
+    *[_with(EMPTY_INTERVAL_MAP, dimension=dim)
+      for dim in (1.7, -1, 0, True, "2", None)],
+    {"kind": "semiflow", "system": {"dimension": 1.0, "axes": [CLAMP_AXIS]}},
+    {"kind": "finite_map", "system": {"points": "abc"}},
+    {"kind": "finite_map", "system": {"points": ["s", 1]}},
+], ids=["sets-list", "sets-string", "system-list", "system-string",
+        "dimension-1.7", "dimension--1", "dimension-0", "dimension-true",
+        "dimension-string", "dimension-null", "flow-dimension-float",
+        "points-string", "points-not-strings"])
+def test_malformed_structure_rejected(raw):
+    with pytest.raises(DocumentError):
+        docs.parse_document(raw)
+
+
+def test_minimal_documents_accepted():
+    assert docs.parse_document(EMPTY_INTERVAL_MAP).system.dimension == 1
+    flow = {"kind": "semiflow", "system": {"dimension": 1, "axes": [CLAMP_AXIS]}}
+    assert docs.parse_document(flow).system.dimension == 1
+    finite = {"kind": "finite_map", "system": {"points": ["a", "b"]}}
+    assert docs.parse_document(finite).system.space.points == ("a", "b")

@@ -5,7 +5,7 @@ import pytest
 
 from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
-from conley_kernel.boxes import BoxSet
+from conley_kernel.boxes import BoxSet, Interval
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.suites import (
     brute_invariant_part, clamp_flow, clamp_map, doubling_map,
@@ -335,6 +335,77 @@ class TestInvariantPart:
         got = dyn.invariant_part_exact(shift2d_map(), step_region(1, 1), cap=8)
         assert isinstance(got, dyn.Undecided)
         assert got.outer is not None
+
+
+def _piecewise_1d(core_slope, outer):
+    """x -> core_slope * x on [-1, 1], the rules `outer` (slope, intercept)
+    on (1, inf) and, mirrored, on (-inf, -1)."""
+    from conley_kernel.affine import AffineRule, Piece, PiecewiseAffineMap
+    m, q = outer
+    return PiecewiseAffineMap.of(1, [
+        Piece(box1("-inf", False, -1, False), (AffineRule.of(m, -q),)),
+        Piece(UNIT, (AffineRule.of(core_slope, 0),)),
+        Piece(box1(1, False, "inf", False), (AffineRule.of(m, q),)),
+    ])
+
+
+class TestInvariantPartEarlyExit:
+    """invariant_part_exact stops at the first iterate that is bounded and
+    lies in one piece without a slope -1 axis; the fixed-cap loop it
+    replaced (suites.fixed_cap_invariant_part) ran every step to the cap."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        from conley_kernel.carriers import IntervalCarrier
+        counts = {"preimage": 0, "image": 0}
+        preimage_step, image = IntervalCarrier.preimage_step, IntervalCarrier.image
+
+        def counted_preimage(self, f, a):
+            counts["preimage"] += 1
+            return preimage_step(self, f, a)
+
+        def counted_image(self, f, a):
+            counts["image"] += 1
+            return image(self, f, a)
+
+        monkeypatch.setattr(IntervalCarrier, "preimage_step", counted_preimage)
+        monkeypatch.setattr(IntervalCarrier, "image", counted_image)
+        return counts
+
+    def test_doubling_takes_no_step(self, steps):
+        assert dyn.invariant_part_exact(doubling_map(), UNIT) == ORIGIN
+        assert steps == {"preimage": 0, "image": 0}
+
+    def test_exits_when_the_domain_fits_the_core(self, steps):
+        # D_1 = [-2, 2] still meets the translating outer pieces,
+        # D_2 = [-2/3, 2/3] lies in the expanding core
+        f = _piecewise_1d(3, (1, 2))
+        assert dyn.invariant_part_exact(f, box1(-4, True, 4, True)) == ORIGIN
+        assert steps == {"preimage": 2, "image": 0}
+
+    def test_contracting_core_exits_in_the_image_loop(self, steps):
+        # D_1 = E, so the domains stabilize at once; f(E) = [-1/2, 1/2]
+        f = _piecewise_1d(Fraction(1, 3), (Fraction(1, 6), Fraction(1, 6)))
+        assert dyn.invariant_part_exact(f, box1(-2, True, 2, True)) == ORIGIN
+        assert steps == {"preimage": 1, "image": 1}
+
+    def test_reflection_axis_is_undecided_with_its_bound(self, steps):
+        from conley_kernel.affine import AffineRule, PiecewiseAffineMap
+        f = PiecewiseAffineMap.single((AffineRule.of(-1, 0),
+                                       AffineRule.of(Fraction(1, 2), 0)))
+        e = BoxSet.of(2, [(Interval.closed(-1, 1), Interval.closed(0, 1))])
+        got = dyn.invariant_part_exact(f, e, cap=8)
+        assert isinstance(got, dyn.Undecided)
+        assert "reflection" in got.reason
+        assert got.bound == 8
+        assert got.outer == BoxSet.of(2, [(Interval.closed(-1, 1),
+                                           Interval.closed(0, Fraction(1, 256)))])
+        assert steps == {"preimage": 1, "image": 8}
+
+    def test_pam_laws_suite(self):
+        from conley_kernel.suites import suite_pam_laws
+        res = suite_pam_laws()
+        assert res.passed, res.lines
 
 
 class TestOnePoint:

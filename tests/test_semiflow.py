@@ -54,6 +54,12 @@ class TestTimeMap:
         assert tm.eval_point([3]) == (Fraction(2),)
         assert tm.eval_point(["1/2"]) == (Fraction(0),)
 
+    def test_built_once_per_flow_and_time(self):
+        tm = sf.time_map(CLAMP, Fraction(1, 2))
+        assert sf.time_map(CLAMP, "1/2") is tm
+        assert sf.time_map(CLAMP, 1) is not tm
+        assert sf.time_map(clamp_flow(), Fraction(1, 2)) is not tm
+
     def test_time_zero_identity(self):
         tm = sf.time_map(CLAMP, 0)
         ident = af.PiecewiseAffineMap.identity(1).restrict(CLAMP.carrier)
