@@ -244,7 +244,7 @@ class SemiflowCarrier(IntervalCarrier):
             return
         if not s.is_bounded and any(r.kind != "identity" and r.velocity != 0
                                     for r in f.axes):
-            raise sf.UndecidedError("invariance of an unbounded set is undecided")
+            raise sf.Undecided("invariance of an unbounded set is undecided")
         if not s.subset_of(f.fixed_set()):
             raise ValueError("S is not invariant under the semiflow")
 

@@ -1,8 +1,10 @@
 """Batch front-end: parse system documents, dispatch operations, emit reports.
 
 Exit codes are a stable contract: 0 success, 1 property or expectation
-violation, 2 input error, 3 undecided within the configured bounds.  The
-default search bound is 64, overridable via CONLEY_DEFAULT_BOUND.
+violation, 2 input error, 3 undecided.  An ``Undecided`` raised by any layer
+reaches :func:`main`, which alone turns it into exit 3 and the ``unknown``
+payload; ``check`` catches it per set.  The default search bound is 64,
+overridable via CONLEY_DEFAULT_BOUND.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from . import conley as co
 from . import dynamics as dyn
 from .carriers import carrier_for
 from .documents import (
-    DocumentError, checks_to_json, meta_block, parse_document,
-    report_to_json, set_to_json,
+    DocumentError, boxset_to_json, checks_to_json, meta_block,
+    parse_document, report_to_json, set_to_json,
 )
-from .semiflow import UndecidedError
+from .semiflow import Undecided
 from .suites import SUITES, run_suite
 
 EXIT_OK = 0
@@ -67,8 +69,8 @@ def _predicates_for(doc, subset):
     """Predicate table for one subset; values True/False/'unknown'."""
     try:
         checks = dyn.compactifiability_checks(doc.system, subset)
-    except UndecidedError as exc:
-        return {"compactifiable": "unknown", "reason": str(exc)}
+    except Undecided as exc:
+        return {"compactifiable": "unknown", "reason": exc.reason}
     out = dict(checks)
     out["weakly compactifiable"] = all(ok for _, ok in checks[:2])
     out["compactifiable"] = all(ok for _, ok in checks)
@@ -101,14 +103,6 @@ def cmd_invariant_part(args) -> int:
     e = doc.resolve(args.set)
     bound = _search_bound(doc, args)
     result = carrier_for(doc.system).invariant_part(doc.system, e, bound)
-    if isinstance(result, dyn.Undecided):
-        _emit(args, {"meta": meta_block(bound=bound), "status": "unknown",
-                     "reason": result.reason,
-                     "outer": set_to_json(doc.kind, result.outer)
-                     if result.outer is not None else None},
-              [f"unknown: {result.reason}",
-               f"outer approximant: {result.outer!r}"])
-        return EXIT_UNDECIDED
     _emit(args, {"meta": meta_block(bound=bound), "status": "exact",
                  "invariant_part": set_to_json(doc.kind, result)},
           [f"invariant part: {result!r}"])
@@ -117,10 +111,6 @@ def cmd_invariant_part(args) -> int:
 
 def _certificate_exit(args, result, bound) -> int:
     meta = meta_block(bound=bound)
-    if isinstance(result, dyn.Undecided):
-        _emit(args, {"meta": meta, "status": "unknown", "reason": result.reason},
-              [f"unknown: {result.reason}"])
-        return EXIT_UNDECIDED
     if isinstance(result, co.Failure):
         _emit(args, {"meta": meta, "status": "failure", "reason": result.reason,
                      "checks": checks_to_json(result.checks)},
@@ -195,12 +185,12 @@ def cmd_index(args) -> int:
     if args.search is not None:
         built = co.construct_index_nbhd(
             doc.system, s, e, None if bound is None else args.search)
-        if isinstance(built, (dyn.Undecided, co.Failure)):
+        if isinstance(built, co.Failure):
             return _certificate_exit(args, built, bound)
         constructed = built
         e = built.subset
     report = co.verify_simple_system(doc.system, s, [e], bound=bound)
-    if isinstance(report, (dyn.Undecided, co.Failure)):
+    if isinstance(report, co.Failure):
         return _certificate_exit(args, report, bound)
     payload = {"meta": meta_block(bound=bound), "report": report_to_json(report)}
     if constructed is not None:
@@ -255,10 +245,6 @@ def cmd_shift_equiv(args) -> int:
     if carrier_for(doc.system).name == "finite":
         # explicit based endos: decide shift equivalence directly
         m = co.connecting_morphism(doc.system, e, e2)
-        if isinstance(m, dyn.Undecided):
-            _emit(args, {"meta": meta_block(bound=bound), "status": "unknown"},
-                  ["unknown"])
-            return EXIT_UNDECIDED
         if isinstance(m, co.Failure):
             _emit(args, {"meta": meta_block(bound=bound), "status": "no",
                          "reason": m.reason}, [f"no: {m.reason}"])
@@ -274,14 +260,10 @@ def cmd_shift_equiv(args) -> int:
               [f"yes: partner {wit.psi!r} with exponent {wit.exponent}"])
         return EXIT_OK
     # box carriers: verify invertibility through the functor laws
-    try:
-        s = _invariant_for(doc, e)
-        rep = co.verify_simple_system(doc.system, s, [e, e2], bound=bound)
-    except (ValueError, UndecidedError) as exc:
-        _emit(args, {"meta": meta_block(bound=bound), "status": "unknown",
-                     "reason": str(exc)}, [f"unknown: {exc}"])
-        return EXIT_UNDECIDED
-    if not isinstance(rep, co.ConleyIndexReport):
+    ca = carrier_for(doc.system)
+    s = ca.invariant_part(doc.system, ca.closure(e))
+    rep = co.verify_simple_system(doc.system, s, [e, e2], bound=bound)
+    if isinstance(rep, co.Failure):
         return _certificate_exit(args, rep, bound)
     ok = rep.ok
     _emit(args, {"meta": meta_block(bound=bound),
@@ -290,14 +272,6 @@ def cmd_shift_equiv(args) -> int:
           ["yes: connecting morphisms verified invertible" if ok
            else "VIOLATION in invertibility checks"])
     return EXIT_OK if ok else EXIT_VIOLATION
-
-
-def _invariant_for(doc, e):
-    ca = carrier_for(doc.system)
-    result = ca.invariant_part(doc.system, ca.closure(e))
-    if isinstance(result, dyn.Undecided):
-        raise UndecidedError(result.reason)
-    return result
 
 
 def cmd_verify(args) -> int:
@@ -414,15 +388,18 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except ValueError as exc:            # DocumentError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except UndecidedError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
+    except Undecided as exc:
+        payload = {"meta": meta_block(bound=exc.bound), "status": "unknown",
+                   "reason": exc.reason}
+        lines = [f"unknown: {exc.reason}"]
+        if exc.outer is not None:        # outer approximants are box sets
+            payload["outer"] = boxset_to_json(exc.outer)
+            lines.append(f"outer approximant: {exc.outer!r}")
+        _emit(args, payload, lines)
         return EXIT_UNDECIDED
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 from . import szymczak as sz
 from .carriers import carrier_for
 from .dynamics import (
-    AdmissibleTriple, CrossMap, Undecided, compactifiability_checks,
-    cross_domain, cross_map, find_admissible, induced_power,
-    is_weakly_compactifiable, one_point,
+    AdmissibleTriple, CrossMap, compactifiability_checks, cross_domain,
+    cross_map, find_admissible, induced_power, is_weakly_compactifiable,
+    one_point,
 )
-from .semiflow import UndecidedError
+from .semiflow import Undecided
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,8 @@ class IndexNbhdCertificate:
 
 
 def is_isolating(f, e, s, cap: int | None = None):
-    """IsolatingCertificate, a named Failure, or Undecided (box carriers)."""
+    """IsolatingCertificate or a named Failure; on box carriers raises
+    Undecided when S's invariance or the invariant part is undecided."""
     ca = carrier_for(f)
     ca.check_invariant(f, s)
     ca.check_set(f, e)
@@ -104,8 +105,6 @@ def is_isolating(f, e, s, cap: int | None = None):
         return Failure("closure(E) is not contained in Dom f", tuple(checks))
 
     inv = ca.invariant_part(f, clo, cap)
-    if isinstance(inv, Undecided):
-        return inv
     isolate = ca.sets_equal(inv, s)
     checks.append(Check("invariant part", f"I(closure(E))={inv!r} equals S={s!r}",
                         isolate))
@@ -120,10 +119,7 @@ def is_index_nbhd(f, e, s, cap: int | None = None):
     iso = is_isolating(f, e, s, cap)
     if not isinstance(iso, IsolatingCertificate):
         return iso
-    try:
-        raw = compactifiability_checks(f, e)
-    except UndecidedError as exc:
-        return Undecided(str(exc), bound=exc.bound)
+    raw = compactifiability_checks(f, e)
     cchecks = tuple(Check(name, f"E={e!r}", ok) for name, ok in raw)
     if not all(c.ok for c in cchecks):
         bad = ", ".join(c.name for c in cchecks if not c.ok)
@@ -150,7 +146,8 @@ def _compact_isolating_seed(f, s, n):
     """A compact neighbourhood of S inside N (N assumed isolating for S).
 
     N itself when closed; otherwise the closed inflation of S by 1, 1/2,
-    1/4, ... that first fits in N, or Undecided after SEED_HALVINGS tries."""
+    1/4, ... that first fits in N; raises Undecided after SEED_HALVINGS
+    tries."""
     ca = carrier_for(f)
     if ca.is_closed(n):
         return n
@@ -160,8 +157,8 @@ def _compact_isolating_seed(f, s, n):
         if ca.is_subset(cand, n):
             return cand
         delta /= 2
-    return Undecided("no compact box neighbourhood of S inside N found",
-                     bound=SEED_HALVINGS)
+    raise Undecided("no compact box neighbourhood of S inside N found",
+                    bound=SEED_HALVINGS)
 
 
 def construct_index_nbhd(f, s, n, bound=None):
@@ -178,8 +175,6 @@ def construct_index_nbhd(f, s, n, bound=None):
         return iso
 
     k = _compact_isolating_seed(f, s, n)
-    if isinstance(k, Undecided):
-        return k
     u = ca.interior(f, k)
 
     search = find_admissible(f, k, u, bound)
@@ -187,7 +182,7 @@ def construct_index_nbhd(f, s, n, bound=None):
         if search.complete:
             return Failure("no admissible triple for (K, interior K); "
                            "N cannot be isolating")
-        return Undecided("admissible-triple search exhausted", bound=search.bound)
+        raise Undecided("admissible-triple search exhausted", bound=search.bound)
     t = search.triple
 
     e2 = cross_domain(f, k, u, t)
@@ -230,17 +225,19 @@ def connecting_morphism(f, e, e2, bound=None):
     """The canonical morphism from f_E to f_E' in the Szymczak category.
 
     Finite carrier: an explicit based-endo morphism class.  Box carriers:
-    the symbolic pair (connecting map, shift).  A Failure when a complete
-    search shows E and E' are not related."""
+    the symbolic pair (connecting map, shift).  A Failure, a complete
+    negative, when E or E' is not weakly compactifiable (decided exactly)
+    or when a complete search shows E and E' are not related; raises
+    Undecided when a bounded search is exhausted."""
     ca = carrier_for(f)
     for which, sub in (("E", e), ("E'", e2)):
         if not is_weakly_compactifiable(f, sub):
-            raise ValueError(f"{which} is not weakly compactifiable")
+            return Failure(f"{which} is not weakly compactifiable")
     search = find_admissible(f, e, e2, bound)
     if not search.found:
         if search.complete:
             return Failure("E and E' are not related: no admissible triple")
-        return Undecided("admissible-triple search exhausted", bound=search.bound)
+        raise Undecided("admissible-triple search exhausted", bound=search.bound)
     cm = cross_map(f, e, e2, search.triple)
     if ca.name == "finite":
         return _finite_sz_morphism(f, cm)
@@ -326,7 +323,8 @@ def verify_simple_system(f, s, subsets: Sequence, bound=None):
     Every subset must certify as an index neighbourhood of the same S.  The
     report carries, for each ordered pair, the connecting morphism with an
     invertibility witness and the composite-equals-power-class evidence.
-    A failed law is reported (checks with ok=False), not raised.
+    A failed law is reported (checks with ok=False), not raised; an
+    exhausted triple search raises Undecided with its bound.
     """
     ca = carrier_for(f)
     for e in subsets:
@@ -343,8 +341,8 @@ def verify_simple_system(f, s, subsets: Sequence, bound=None):
         for j, e2 in enumerate(subsets):
             search = find_admissible(f, e, e2, bound)
             if not search.found:
-                return Undecided("connecting-triple search exhausted",
-                                 bound=search.bound)
+                raise Undecided("connecting-triple search exhausted",
+                                bound=search.bound)
             triples[(i, j)] = search.triple
 
     if ca.name == "finite":
@@ -472,7 +470,4 @@ def _symbolic_invertibility(f, subsets, crosses, triples, i, j):
 
 def conley_index(f, s, e, bound=None):
     """The Conley index datum of S read off one index neighbourhood E."""
-    cert = is_index_nbhd(f, e, s)
-    if not isinstance(cert, IndexNbhdCertificate):
-        return cert
     return verify_simple_system(f, s, [e], bound)

@@ -22,6 +22,7 @@ from typing import Optional
 from .boxes import BoxSet, Interval
 from .carriers import DEFAULT_INTERVAL_BOUND, carrier_for
 from .finite import power_preperiod_period
+from .semiflow import Undecided
 from .szymczak import BASEPOINT, BasedEndo
 
 
@@ -90,18 +91,6 @@ class SymbolicBasedEndo:
 
     subset: BoxSet
     induced: InducedMap
-
-
-@dataclass(frozen=True)
-class Undecided:
-    """A search or semi-decision that ran out of budget; not a negative."""
-
-    reason: str
-    bound: object = None
-    outer: object = None
-
-    def __bool__(self):
-        return False
 
 
 @dataclass(frozen=True)
@@ -304,7 +293,7 @@ def cross_map(f, e, e2, t: AdmissibleTriple) -> CrossMap:
 def weak_compactifiability_checks(f, e) -> list[tuple[str, bool]]:
     """The carrier's checks that the induced system on E is proper and
     openly defined (for a semiflow: finite-time proper; may raise
-    UndecidedError)."""
+    Undecided)."""
     ca = carrier_for(f)
     ca.check_set(f, e)
     return ca.weak_compactifiability_checks(f, e)
@@ -376,7 +365,8 @@ def invariant_part_outer(f, e, t):
 
 
 def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
-    """Interval carrier: exact invariant part, or Undecided with an outer bound.
+    """Interval carrier: exact invariant part, else raise Undecided with the
+    cap and the last iterate as outer bound.
 
     Iterates D_n(E) for up to cap steps and, once they stabilize, the
     forward images f^k(D) for up to cap more.  Exact when the images
@@ -397,7 +387,7 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     for step in (lambda d: ca.intersect(e, ca.preimage(f, d)),
                  lambda s: ca.image(f, s)):
         for _ in range(cap):
-            exact = _fixed_set_closed_form(f, e, current, cap)
+            exact = _fixed_set_closed_form(f, e, current)
             if isinstance(exact, BoxSet):
                 return exact
             following = step(current)
@@ -408,18 +398,24 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
             break               # the cap ran out before stabilization
     else:
         return current          # the images stabilized: current is invariant
-    last = _fixed_set_closed_form(f, e, current, cap)
-    return last if last is not None else Undecided(
-        "invariant part did not stabilize", bound=cap, outer=current)
+    last = _fixed_set_closed_form(f, e, current)
+    if isinstance(last, BoxSet):
+        return last
+    raise Undecided(last or "invariant part did not stabilize", bound=cap,
+                    outer=current)
 
 
-def _fixed_set_closed_form(f, e, outer, bound):
+_REFLECTION = "reflection axis admits non-fixed invariant sets"
+
+
+def _fixed_set_closed_form(f, e, outer):
     """I_f(E) from a bounded outer region inside one affine piece, else None.
 
     Invariance forces each axis with |slope| != 1 onto the rule's fixed
     point, axes that translate (slope 1, intercept != 0) kill everything,
     and slope 1 with intercept 0 leaves the axis free.  Slope -1 admits
-    2-cycles and is left undecided, with the search bound.
+    2-cycles and is left undecided: the result is then the reason
+    _REFLECTION, which the caller raises only on its last iterate.
     """
     if not outer.is_bounded:
         return None
@@ -431,8 +427,7 @@ def _fixed_set_closed_form(f, e, outer, bound):
         if r.slope == 1 and r.intercept != 0:
             return BoxSet.empty(f.dimension)
         if r.slope == -1:
-            return Undecided("reflection axis admits non-fixed invariant sets",
-                             bound=bound, outer=outer)
+            return _REFLECTION
         if r.slope == 1:
             axes.append(Interval.line())
         else:

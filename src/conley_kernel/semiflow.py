@@ -12,8 +12,8 @@ finite-time properness and open-definedness deciders, the rational
 candidate times a search runs over, and the rest-point invariant part.  The
 theory itself (admissible triples, cross maps, certificates, simple
 systems) is written once in :mod:`conley_kernel.dynamics` and
-:mod:`conley_kernel.conley`.  Exhausted semi-decisions surface as
-:class:`UndecidedError` or Undecided results, never as fabricated negatives.
+:mod:`conley_kernel.conley`.  Exhausted semi-decisions raise
+:class:`Undecided`, never a fabricated negative.
 
 Each flow memoizes its time-t maps by t in a field of the flow object, so
 those maps and their set-map memos (:mod:`conley_kernel.affine`) are shared
@@ -33,12 +33,14 @@ from .boxes import BoxSet, Cut, Interval, NEG_INF, POS_INF, rat, RatLike
 DEFAULT_TIME_BOUND = 8
 
 
-class UndecidedError(Exception):
-    """An exact answer was not reached within the configured bounds."""
+class Undecided(Exception):
+    """No exact answer within ``bound``, the bound the work actually used
+    (None where it used none); never a negative.  ``outer``, where known,
+    is an outer approximant of an invariant part."""
 
-    def __init__(self, message: str, bound=None):
-        super().__init__(message)
-        self.bound = bound
+    def __init__(self, reason: str, bound=None, outer=None):
+        super().__init__(reason)
+        self.reason, self.bound, self.outer = reason, bound, outer
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,7 @@ def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet, t: Fraction,
         if not _reaches(flow.axes, outer, outside, window):
             return outer
         m *= 2
-    raise UndecidedError("swept-domain refinement did not certify", bound=cap)
+    raise Undecided("swept-domain refinement did not certify", bound=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +450,8 @@ def is_finite_time_proper(flow: ExactSemiflow, e: BoxSet) -> bool:
         dom = dom_interval(flow, e, t)
         if not af.is_proper_on(time_map(flow, t), dom, e):
             return False
-    raise UndecidedError("finite-time properness undecided for this set")
+    raise Undecided("finite-time properness undecided for this set",
+                    bound=max(_PROBE_TIMES))
 
 
 def is_openly_defined_cont(flow: ExactSemiflow, e: BoxSet) -> bool:
@@ -462,7 +465,8 @@ def is_openly_defined_cont(flow: ExactSemiflow, e: BoxSet) -> bool:
         dom = dom_interval(flow, e, t)
         if not dom.is_open_in(e):
             return False
-    raise UndecidedError("open-definedness undecided for this set")
+    raise Undecided("open-definedness undecided for this set",
+                    bound=max(_PROBE_TIMES))
 
 
 # ---------------------------------------------------------------------------
@@ -557,23 +561,21 @@ def invariant_part_F(flow, e: BoxSet):
 
     For these monotone product flows every invariant set that is bounded
     along each moving axis must sit on the rest set; boundedness of E along
-    the moving axes therefore gives I_F(E) = Fix(F) n E exactly."""
-    # imported at call time: dynamics imports this module through carriers
-    from .dynamics import Undecided, invariant_part_outer
+    the moving axes therefore gives I_F(E) = Fix(F) n E exactly; an
+    unbounded moving axis raises Undecided with no bound."""
     flow.check_set(e)
     for k, r in enumerate(flow.axes):
         if r.kind == "identity" or r.velocity == 0:
             continue
-        if r.kind == "translation":
-            if not e.axis_bounded(k):
-                return Undecided("translation axis unbounded in E",
-                                 outer=invariant_part_outer(flow, e, 1))
-        elif r.kind == "floor":
-            if not all(b[k].hi.is_finite for b in e.boxes):
-                return Undecided("floor axis unbounded above in E",
-                                 outer=invariant_part_outer(flow, e, 1))
-        elif r.kind == "ceil":
-            if not all(b[k].lo.is_finite for b in e.boxes):
-                return Undecided("ceil axis unbounded below in E",
-                                 outer=invariant_part_outer(flow, e, 1))
+        if r.kind == "translation" and not e.axis_bounded(k):
+            reason = "translation axis unbounded in E"
+        elif r.kind == "floor" and not all(b[k].hi.is_finite for b in e.boxes):
+            reason = "floor axis unbounded above in E"
+        elif r.kind == "ceil" and not all(b[k].lo.is_finite for b in e.boxes):
+            reason = "ceil axis unbounded below in E"
+        else:
+            continue
+        # imported at call time: dynamics imports this module through carriers
+        from .dynamics import invariant_part_outer
+        raise Undecided(reason, outer=invariant_part_outer(flow, e, 1))
     return flow.fixed_set().intersect(e)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel.cli import main
 from conley_kernel.documents import parse_document
@@ -278,3 +279,64 @@ class TestRepeatedCalls:
         code, out, _ = run(capsys, "check", fx("attractor.json"), "--json")
         assert code == 0
         assert sorted(json.loads(out)["table"]) == ["S", "all", "core"]
+
+
+UNBOUNDED_S = "invariance of an unbounded set is undecided"
+
+
+def clamp_with_ray(tmp_path):
+    """clamp_flow.json plus the unbounded set ray = [0, inf)."""
+    raw = json.loads(Path(fx("clamp_flow.json")).read_text())
+    raw["sets"]["ray"] = [[["0", True, "inf", False]]]
+    doc = tmp_path / "clamp_ray.json"
+    doc.write_text(json.dumps(raw))
+    return str(doc)
+
+
+class TestUndecidedPayload:
+    """Every exit 3 prints the `unknown` payload on standard output, with
+    the bound the work actually used."""
+
+    @pytest.mark.parametrize("command", ["isolating", "index-nbhd", "index"])
+    def test_unbounded_set_prints_unknown(self, tmp_path, capsys, command):
+        doc = clamp_with_ray(tmp_path)
+        code, out, _ = run(capsys, command, doc, "--set", "ray",
+                           "--nbhd", "ray", "--json")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["status"] == "unknown"
+        assert payload["reason"] == UNBOUNDED_S
+        assert "bound" not in payload["meta"]
+        code, out, _ = run(capsys, command, doc, "--set", "ray",
+                           "--nbhd", "ray", "--human")
+        assert code == 3
+        assert out == f"unknown: {UNBOUNDED_S}\n"
+
+    def test_shift_equiv_reports_the_invariant_part_cap(self, capsys):
+        code, out, _ = run(capsys, "shift-equiv", fx("shift2d.json"),
+                           "--from", "step_pm3", "--set", "step_pm3",
+                           "--bound", "8", "--json")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["reason"] == "invariant part did not stabilize"
+        assert payload["meta"]["bound"] == "64"
+        assert payload["outer"]
+
+    def test_index_search_reports_the_seed_halvings(self, capsys):
+        code, out, _ = run(capsys, "index", fx("clamp_flow.json"),
+                           "--set", "S", "--nbhd", "halfopen",
+                           "--search", "8", "--json")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["reason"] == \
+            "no compact box neighbourhood of S inside N found"
+        assert payload["meta"]["bound"] == str(co.SEED_HALVINGS) == "24"
+
+    def test_flow_invariant_part_reports_no_bound(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "invariant-part", clamp_with_ray(tmp_path),
+                           "--set", "ray", "--json")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["reason"] == "floor axis unbounded above in E"
+        assert "bound" not in payload["meta"]
+        assert payload["outer"] == [[["0", True, "inf", False]]]

@@ -1,14 +1,20 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
-from conley_kernel.boxes import BoxSet
+from conley_kernel import semiflow as sf
+from conley_kernel.affine import AffineRule, PiecewiseAffineMap
+from conley_kernel.boxes import BoxSet, Interval
 from conley_kernel.carriers import carrier_for
 from conley_kernel.dynamics import AdmissibleTriple
-from conley_kernel.suites import clamp_flow, doubling_map
+from conley_kernel.semiflow import Undecided
+from conley_kernel.suites import (
+    clamp_flow, doubling_map, shift2d_map, step_region, translation_flow,
+)
 from conley_kernel.szymczak import sz_equal, identity_morphism
 
 
@@ -125,8 +131,9 @@ class TestConnectingMorphism:
         assert m.shift == m.cross.triple.c
 
     def test_requires_weak_compactifiability(self):
-        with pytest.raises(ValueError):
-            co.connecting_morphism(DBL, UNIT, OPEN_HALF, bound=4)
+        got = co.connecting_morphism(DBL, UNIT, OPEN_HALF, bound=4)
+        assert isinstance(got, co.Failure)
+        assert got.reason == "E is not weakly compactifiable"
 
 
 class TestSimpleSystem:
@@ -284,3 +291,69 @@ def test_one_theory_for_every_carrier(case):
                       co.IndexNbhdCertificate)
     rep = co.verify_simple_system(f, s, [e, e2], bound)
     assert isinstance(rep, co.ConleyIndexReport) and rep.ok
+
+
+RAY = BoxSet.interval(0, True, "inf", False)
+LEFT_OPEN = BoxSet.interval(1, False, 2, True)
+CORNER = sf.ExactSemiflow.of([sf.AxisRule.floor(1, 0), sf.AxisRule.floor(2, 0)])
+PUNCTURED = BoxSet.of(2, [(Interval.closed(0, 2), Interval.closed(0, 2))]) \
+    .difference(BoxSet.of(2, [(Interval.point(1), Interval.point(1))]))
+CEIL = sf.ExactSemiflow.of([sf.AxisRule.ceil(1, 0)])
+REFLECTION = PiecewiseAffineMap.single((AffineRule.of(-1, 0),
+                                        AffineRule.of(Fraction(1, 2), 0)))
+FLAT = BoxSet.of(2, [(Interval.closed(-1, 1), Interval.closed(0, 1))])
+
+# every place that raises Undecided, as (call, reason, bound): bounded work
+# reports the bound it used, structural gaps report none
+UNDECIDED_PRODUCERS = {
+    "unbounded S under a moving flow": (
+        lambda: co.is_isolating(CLAMP, RAY, RAY),
+        "invariance of an unbounded set is undecided", None),
+    "swept domain": (
+        lambda: sf.dom_interval(CORNER, PUNCTURED, 1, cap=4),
+        "swept-domain refinement did not certify", 4),
+    "finite-time properness": (
+        lambda: sf.is_finite_time_proper(CLAMP, LEFT_OPEN),
+        "finite-time properness undecided for this set", 2),
+    "open definedness": (
+        lambda: sf.is_openly_defined_cont(CLAMP, LEFT_OPEN),
+        "open-definedness undecided for this set", 2),
+    "translation axis": (
+        lambda: sf.invariant_part_F(translation_flow(), BoxSet.full(1)),
+        "translation axis unbounded in E", None),
+    "floor axis": (
+        lambda: sf.invariant_part_F(CLAMP, RAY),
+        "floor axis unbounded above in E", None),
+    "ceil axis": (
+        lambda: sf.invariant_part_F(CEIL, CEIL.carrier),
+        "ceil axis unbounded below in E", None),
+    "invariant part cap": (
+        lambda: dyn.invariant_part_exact(shift2d_map(), step_region(1, 1), cap=8),
+        "invariant part did not stabilize", 8),
+    "reflection axis": (
+        lambda: dyn.invariant_part_exact(REFLECTION, FLAT, cap=8),
+        "reflection axis admits non-fixed invariant sets", 8),
+    "compact seed": (
+        lambda: co.construct_index_nbhd(
+            CLAMP, S0, BoxSet.interval(0, True, 1, False), 8),
+        "no compact box neighbourhood of S inside N found", co.SEED_HALVINGS),
+    "construction triple": (
+        lambda: co.construct_index_nbhd(DBL, S0, UNIT, 0),
+        "admissible-triple search exhausted", 0),
+    "connecting morphism": (
+        lambda: co.connecting_morphism(DBL, S0, OPEN_HALF, bound=4),
+        "admissible-triple search exhausted", 4),
+    "simple system": (
+        lambda: co.verify_simple_system(DBL, S0, [OPEN_HALF, OPEN_QUARTER],
+                                        bound=0),
+        "connecting-triple search exhausted", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECIDED_PRODUCERS))
+def test_undecided_carries_reason_and_bound(case):
+    call, reason, bound = UNDECIDED_PRODUCERS[case]
+    with pytest.raises(Undecided) as info:
+        call()
+    assert (info.value.reason, info.value.bound) == (reason, bound)
+    assert str(info.value) == reason
