@@ -170,6 +170,10 @@ class PiecewiseAffineMap:
     def domain(self) -> BoxSet:
         return BoxSet.union_all(self.dimension, (p.domain for p in self.pieces))
 
+    def check_set(self, e: BoxSet):
+        if e.dimension != self.dimension:
+            raise ValueError("carrier mismatch: dimension differs")
+
     def restrict(self, s: BoxSet) -> "PiecewiseAffineMap":
         return PiecewiseAffineMap._raw(
             self.dimension,
@@ -197,6 +201,41 @@ class PiecewiseAffineMap:
                 rules_preimage(p.rules, a).intersect(p.domain)
                 for p in self.pieces))
         return self._preimages[a]
+
+    def is_proper_on(self, d: BoxSet, y: BoxSet) -> bool:
+        """Exactly decide properness of self restricted to d, as a map into y.
+
+        The restriction fails to be proper iff some sequence in d escaping d
+        has images converging in y.  Escapes are classified per affine piece:
+        either to a finite boundary point (the piece-closure minus d meets the
+        rule preimage of y) or to infinity along a slope-zero axis with the
+        remaining coordinates converging (detected on each unbounded box via
+        the closed per-axis image hull against y).
+        """
+        if not d.subset_of(self.domain):
+            raise ValueError("d must be contained in Dom f")
+        if not self.image(d).subset_of(y):
+            raise ValueError("f(d) must be contained in y")
+        for p in self.pieces:
+            part = d.intersect(p.domain)
+            if part.is_empty:
+                continue
+            escape = part.closure().difference(d)
+            if not escape.intersect(rules_preimage(p.rules, y)).is_empty:
+                return False
+            zero_axes = [k for k, r in enumerate(p.rules) if r.slope == 0]
+            if not zero_axes:
+                continue
+            for b in part.boxes:
+                if all(b[k].is_bounded for k in zero_axes):
+                    continue
+                limit_box = tuple(
+                    Interval.point(p.rules[k].intercept) if k in zero_axes
+                    else p.rules[k].image_interval(b[k].closure())
+                    for k in range(self.dimension))
+                if not y.intersect(BoxSet.of(self.dimension, [limit_box])).is_empty:
+                    return False
+        return True
 
     # -- comparisons ---------------------------------------------------------
 
@@ -238,42 +277,6 @@ def power(f: PiecewiseAffineMap, n: int) -> PiecewiseAffineMap:
     for _ in range(n):
         out = compose(f, out)
     return out
-
-
-def is_proper_on(f: PiecewiseAffineMap, d: BoxSet, y: BoxSet) -> bool:
-    """Exactly decide properness of f restricted to d, as a map into y.
-
-    The restriction fails to be proper iff some sequence in d escaping d has
-    images converging in y.  Escapes are classified per affine piece: either
-    to a finite boundary point (the piece-closure minus d meets the rule
-    preimage of y) or to infinity along a slope-zero axis with the remaining
-    coordinates converging (detected on each unbounded box via the closed
-    per-axis image hull against y).
-    """
-    if not d.subset_of(f.domain):
-        raise ValueError("d must be contained in Dom f")
-    if not f.image(d).subset_of(y):
-        raise ValueError("f(d) must be contained in y")
-    for p in f.pieces:
-        part = d.intersect(p.domain)
-        if part.is_empty:
-            continue
-        escape = part.closure().difference(d)
-        if not escape.intersect(rules_preimage(p.rules, y)).is_empty:
-            return False
-        zero_axes = [k for k, r in enumerate(p.rules) if r.slope == 0]
-        if not zero_axes:
-            continue
-        for b in part.boxes:
-            if all(b[k].is_bounded for k in zero_axes):
-                continue
-            limit_box = tuple(
-                Interval.point(p.rules[k].intercept) if k in zero_axes
-                else p.rules[k].image_interval(b[k].closure())
-                for k in range(f.dimension))
-            if not y.intersect(BoxSet.of(f.dimension, [limit_box])).is_empty:
-                return False
-    return True
 
 
 def _check_disjoint(pieces: tuple[Piece, ...]):

@@ -261,7 +261,7 @@ def cmd_shift_equiv(args) -> int:
         return EXIT_OK
     # box carriers: verify invertibility through the functor laws
     ca = carrier_for(doc.system)
-    s = ca.invariant_part(doc.system, ca.closure(e))
+    s = ca.invariant_part(doc.system, e.closure())
     rep = co.verify_simple_system(doc.system, s, [e, e2], bound=bound)
     if isinstance(rep, co.Failure):
         return _certificate_exit(args, rep, bound)

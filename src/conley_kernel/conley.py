@@ -2,7 +2,8 @@
 
 Written once for every carrier and both time domains: the finite and
 interval carriers (times in N) and the semiflow carrier (times in R>=0)
-differ only through the operations of :mod:`conley_kernel.carriers`.
+differ only through their set and map types and the time domain of
+:mod:`conley_kernel.carriers`.
 
 Certificates are replayable: each records the named checks with their inputs
 in printable form, so a third party can re-run every condition without
@@ -85,33 +86,33 @@ def is_isolating(f, e, s, cap: int | None = None):
     Undecided when S's invariance or the invariant part is undecided."""
     ca = carrier_for(f)
     ca.check_invariant(f, s)
-    ca.check_set(f, e)
+    f.check_set(e)
 
     checks = []
-    nbhd = ca.is_subset(s, ca.interior(f, e))
+    nbhd = s.subset_of(ca.interior(f, e))
     checks.append(Check("neighbourhood", f"S contained in interior of E={e!r}", nbhd))
     if not nbhd:
         return Failure("E is not a neighbourhood of S", tuple(checks))
 
-    clo = ca.closure(e)
-    relcpt = ca.is_compact(clo)
+    clo = e.closure()
+    relcpt = clo.is_compact()
     checks.append(Check("relatively compact", f"closure(E)={clo!r} compact", relcpt))
     if not relcpt:
         return Failure("E is not relatively compact", tuple(checks))
 
-    in_dom = ca.is_subset(clo, ca.map_domain(f))
+    in_dom = clo.subset_of(f.domain)
     checks.append(Check("closure in domain", "closure(E) contained in Dom f", in_dom))
     if not in_dom:
         return Failure("closure(E) is not contained in Dom f", tuple(checks))
 
     inv = ca.invariant_part(f, clo, cap)
-    isolate = ca.sets_equal(inv, s)
+    isolate = inv == s
     checks.append(Check("invariant part", f"I(closure(E))={inv!r} equals S={s!r}",
                         isolate))
     if not isolate:
         return Failure("invariant part of closure(E) differs from S", tuple(checks))
 
-    checks.append(Check("S compact", f"S={s!r} compact", ca.is_compact(s)))
+    checks.append(Check("S compact", f"S={s!r} compact", s.is_compact()))
     return IsolatingCertificate(e, s, tuple(checks))
 
 
@@ -146,15 +147,17 @@ def _compact_isolating_seed(f, s, n):
     """A compact neighbourhood of S inside N (N assumed isolating for S).
 
     N itself when closed; otherwise the closed inflation of S by 1, 1/2,
-    1/4, ... that first fits in N; raises Undecided after SEED_HALVINGS
-    tries."""
-    ca = carrier_for(f)
-    if ca.is_closed(n):
+    1/4, ... that first fits in N, clipped to the flow's carrier for a
+    semiflow; raises Undecided after SEED_HALVINGS tries."""
+    if n.is_closed():
         return n
+    clip = carrier_for(f).name == "semiflow"
     delta = Fraction(1)
     for _ in range(SEED_HALVINGS):
         cand = s.inflate(delta, closed=True)
-        if ca.is_subset(cand, n):
+        if clip:
+            cand = cand.intersect(f.carrier)
+        if cand.is_compact() and cand.subset_of(n):
             return cand
         delta /= 2
     raise Undecided("no compact box neighbourhood of S inside N found",
@@ -191,11 +194,11 @@ def construct_index_nbhd(f, s, n, bound=None):
         return cert
 
     checks = [Check("E'' inside seed", f"E''={e2!r} contained in K={k!r}",
-                    ca.is_subset(e2, k))]
+                    e2.subset_of(k))]
     depth = t.b + t.c - t.a
     checks.append(Check("seed absorbed into E''",
                         f"D_{depth}(K) contained in E''",
-                        ca.is_subset(ca.dom(f, k, depth), e2)))
+                        ca.dom(f, k, depth).subset_of(e2)))
     if not all(c.ok for c in checks):
         return Failure("constructed set fails its absorption witnesses",
                        tuple(checks))
@@ -240,17 +243,18 @@ def connecting_morphism(f, e, e2, bound=None):
         raise Undecided("admissible-triple search exhausted", bound=search.bound)
     cm = cross_map(f, e, e2, search.triple)
     if ca.name == "finite":
-        return _finite_sz_morphism(f, cm)
+        return _finite_sz_morphism(cm, one_point(f, e), one_point(f, e2))
     return SymbolicSzMorphism(cm, search.triple.c)
 
 
 def same_class(f, e, e2, t: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
     """Do the connecting maps of two admissible triples for (E, E') give one
     Szymczak class?  Representative independence says they must."""
-    ca = carrier_for(f)
     m1, m2 = cross_map(f, e, e2, t), cross_map(f, e, e2, t2)
-    if ca.name == "finite":
-        return sz.sz_equal(_finite_sz_morphism(f, m1), _finite_sz_morphism(f, m2))
+    if carrier_for(f).name == "finite":
+        src, tgt = one_point(f, e), one_point(f, e2)
+        return sz.sz_equal(_finite_sz_morphism(m1, src, tgt),
+                           _finite_sz_morphism(m2, src, tgt))
     return _interchange_ok(f, e, m1, m2)
 
 
@@ -260,12 +264,12 @@ def _interchange_ok(f, e, m1: CrossMap, m2: CrossMap) -> bool:
     ca = carrier_for(f)
     lhs = ca.compose(m1.realized, induced_power(f, e, m2.triple.c))
     rhs = ca.compose(m2.realized, induced_power(f, e, m1.triple.c))
-    return ca.maps_equal(lhs, rhs)
+    return lhs.maps_equal(rhs)
 
 
-def _finite_sz_morphism(f, cm: CrossMap) -> sz.SzMorphism:
-    src = one_point(f, cm.source)
-    tgt = one_point(f, cm.target)
+def _finite_sz_morphism(cm: CrossMap, src: sz.BasedEndo,
+                        tgt: sz.BasedEndo) -> sz.SzMorphism:
+    """The class of cm between the one-point endos of its source and target."""
     table = {}
     for x in cm.source.ordered():
         y = cm.realized.table.get(x)
@@ -310,9 +314,9 @@ class ConleyIndexReport:
             all(m.invertible and all(c.ok for c in m.checks) for m in self.morphisms)
 
 
-def _report_nbhd(f, e) -> NbhdReport:
-    if carrier_for(f).name == "finite":
-        endo = one_point(f, e)
+def _report_nbhd(e, endo: sz.BasedEndo | None) -> NbhdReport:
+    """The report of E, with its one-point endo on the finite carrier."""
+    if endo is not None:
         return NbhdReport(repr(e), repr(endo), sz.canonical_invariant(endo))
     return NbhdReport(repr(e), f"(E={e!r}, f_E)", None)
 
@@ -332,7 +336,9 @@ def verify_simple_system(f, s, subsets: Sequence, bound=None):
         if not isinstance(cert, IndexNbhdCertificate):
             return cert
 
-    nbhds = tuple(_report_nbhd(f, e) for e in subsets)
+    finite = ca.name == "finite"
+    endos = [one_point(f, e) if finite else None for e in subsets]
+    nbhds = tuple(_report_nbhd(e, endo) for e, endo in zip(subsets, endos))
     global_checks: list[Check] = []
     morphisms: list[MorphismReport] = []
 
@@ -345,10 +351,10 @@ def verify_simple_system(f, s, subsets: Sequence, bound=None):
                                 bound=search.bound)
             triples[(i, j)] = search.triple
 
-    if ca.name == "finite":
-        endos = [one_point(f, e) for e in subsets]
-        ms = {(i, j): _finite_sz_morphism(f, cross_map(f, subsets[i], subsets[j],
-                                                       triples[(i, j)]))
+    if finite:
+        ms = {(i, j): _finite_sz_morphism(
+                  cross_map(f, subsets[i], subsets[j], triples[(i, j)]),
+                  endos[i], endos[j])
               for i in range(len(subsets)) for j in range(len(subsets))}
         for i in range(len(subsets)):
             ok = sz.sz_equal(ms[(i, i)], sz.identity_morphism(endos[i]))
@@ -387,8 +393,8 @@ def verify_simple_system(f, s, subsets: Sequence, bound=None):
         crosses = {(i, j): cross_map(f, subsets[i], subsets[j], triples[(i, j)])
                    for i in range(len(subsets)) for j in range(len(subsets))}
         for i, e in enumerate(subsets):
-            ok = ca.maps_equal(crosses[(i, i)].realized,
-                               induced_power(f, e, triples[(i, i)].c))
+            ok = crosses[(i, i)].realized.maps_equal(
+                induced_power(f, e, triples[(i, i)].c))
             global_checks.append(Check("identity/power law",
                                        f"phi_EE realizes f_E^c for E#{i}", ok))
         for i in range(len(subsets)):
@@ -440,7 +446,7 @@ def _symbolic_composition_ok(f, subsets, crosses, triples, i, j, k) -> bool:
     comp = ca.compose(crosses[(j, k)].realized, crosses[(i, j)].realized)
     t_sum = triples[(i, j)] + triples[(j, k)]
     summed = cross_map(f, subsets[i], subsets[k], t_sum)
-    return ca.maps_equal(comp, summed.realized) and \
+    return comp.maps_equal(summed.realized) and \
         _interchange_ok(f, subsets[i], summed, crosses[(i, k)])
 
 
@@ -455,9 +461,9 @@ def _symbolic_invertibility(f, subsets, crosses, triples, i, j):
     comp = ca.compose(crosses[(j, i)].realized, crosses[(i, j)].realized)
     t_sum = triples[(i, j)] + triples[(j, i)]
     summed = cross_map(f, subsets[i], subsets[i], t_sum)
-    ok1 = ca.maps_equal(comp, summed.realized)
+    ok1 = comp.maps_equal(summed.realized)
     power_map = induced_power(f, subsets[i], t_sum.c)
-    ok2 = ca.maps_equal(summed.realized, power_map)
+    ok2 = summed.realized.maps_equal(power_map)
     checks = (
         Check("composite is power class",
               f"phi({j}->{i}) o phi({i}->{j}) realizes f_E^{t_sum.c}", ok1),

@@ -2,11 +2,12 @@
 
 Induced partial maps, iterated-domain sets, admissible triples and their
 connecting maps, the absorption relation between subsets, compactifiability
-predicates, invariant parts, and one-point compactification.  Everything is
-written against the carrier interface of :mod:`conley_kernel.carriers`, so
-the finite and interval carriers (times in N) and the semiflow carrier
-(times in R>=0) share one code path: a search runs over the times of the
-carrier's search context, and D_t(E), f^-t and f^t come from the carrier.
+predicates, invariant parts, and one-point compactification.  Sets and maps
+carry their own algebra, and the time domain comes from
+:mod:`conley_kernel.carriers`, so the finite and interval carriers (times in
+N) and the semiflow carrier (times in R>=0) share one code path: a search
+runs over the times of the carrier's search context, and D_t(E), f^-t and
+f^t come from the carrier.
 
 On the finite carrier every negative search answer is complete: the bounds
 come from eventual periodicity of the power sequence and stabilization of
@@ -61,7 +62,7 @@ class InducedMap:
 
     @property
     def domain(self):
-        return carrier_for(self.ambient).map_domain(self.realized)
+        return self.realized.domain
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class CrossMap:
 
     @property
     def domain(self):
-        return carrier_for(self.ambient).map_domain(self.realized)
+        return self.realized.domain
 
 
 @dataclass(frozen=True)
@@ -121,14 +122,14 @@ class SimResult:
 
 def induced(f, e) -> InducedMap:
     """f_E: the time-1 map on D_1(E) (for a map, E n f^-1(E))."""
-    carrier_for(f).check_set(f, e)
+    f.check_set(e)
     return InducedMap(f, e, induced_power(f, e, 1))
 
 
 def induced_power(f, e, t):
     """Realized f_E^t: the time-t map on the swept domain D_t(E)."""
     ca = carrier_for(f)
-    return ca.restrict(ca.time_map(f, t), ca.dom(f, e, t))
+    return ca.time_map(f, t).restrict(ca.dom(f, e, t))
 
 
 def dom_power(f, e, t):
@@ -152,7 +153,6 @@ class _SearchContext:
     bound covers both."""
 
     def __init__(self, f, e, e2, bound=None):
-        self.ca = carrier_for(f)
         self.f = f
         self._sets = {1: e, 2: e2}
         self._dom = {1: [e], 2: [e2]}
@@ -173,35 +173,34 @@ class _SearchContext:
         """D_n of E (which=1) or E' (which=2)."""
         seq = self._dom[which]
         while len(seq) <= n:
-            seq.append(self.ca.intersect(self._sets[which],
-                                         self.ca.preimage(self.f, seq[-1])))
+            seq.append(self._sets[which].intersect(self.f.preimage(seq[-1])))
         return seq[n]
 
     def pre(self, which, n):
         """f^-n of E (which=1) or E' (which=2)."""
         seq = self._pre[which]
         while len(seq) <= n:
-            seq.append(self.ca.preimage(self.f, seq[-1]))
+            seq.append(self.f.preimage(seq[-1]))
         return seq[n]
 
     def cond1(self, a, b) -> bool:
         # D_b(E) <= f^-a(E')
         key = (a, b)
         if key not in self._cond1:
-            self._cond1[key] = self.ca.is_subset(self.dom(1, b), self.pre(2, a))
+            self._cond1[key] = self.dom(1, b).subset_of(self.pre(2, a))
         return self._cond1[key]
 
     def cond2(self, delta, gamma) -> bool:
         # D_gamma(E') <= f^-delta(E)
         key = (delta, gamma)
         if key not in self._cond2:
-            self._cond2[key] = self.ca.is_subset(self.dom(2, gamma), self.pre(1, delta))
+            self._cond2[key] = self.dom(2, gamma).subset_of(self.pre(1, delta))
         return self._cond2[key]
 
     def stab(self, which, cap) -> int:
         """The first n < cap with D_{n+1} = D_n, else cap."""
         for n in range(cap):
-            if self.ca.sets_equal(self.dom(which, n + 1), self.dom(which, n)):
+            if self.dom(which, n + 1) == self.dom(which, n):
                 return n
         return cap
 
@@ -218,8 +217,8 @@ class _SearchContext:
 def is_admissible(f, e, e2, t: AdmissibleTriple) -> bool:
     """Exact check of both absorption inclusions for the triple."""
     ca = carrier_for(f)
-    return ca.is_subset(ca.dom(f, e, t.b), ca.preimage(f, e2, t.a)) and \
-        ca.is_subset(ca.dom(f, e2, t.c - t.a), ca.preimage(f, e, t.b - t.a))
+    return ca.dom(f, e, t.b).subset_of(ca.preimage(f, e2, t.a)) and \
+        ca.dom(f, e2, t.c - t.a).subset_of(ca.preimage(f, e, t.b - t.a))
 
 
 def triple_sum_law_check(f, e, e2, e3, t: AdmissibleTriple,
@@ -274,8 +273,8 @@ def find_admissible(f, e, e2, bound=None) -> TripleSearch:
 def cross_domain(f, e, e2, t: AdmissibleTriple):
     """Domain of the connecting map of t: D_b(E) n f^-a(D_{c-a}(E'))."""
     ca = carrier_for(f)
-    return ca.intersect(ca.dom(f, e, t.b),
-                        ca.preimage(f, ca.dom(f, e2, t.c - t.a), t.a))
+    return ca.dom(f, e, t.b).intersect(
+        ca.preimage(f, ca.dom(f, e2, t.c - t.a), t.a))
 
 
 def cross_map(f, e, e2, t: AdmissibleTriple) -> CrossMap:
@@ -283,7 +282,7 @@ def cross_map(f, e, e2, t: AdmissibleTriple) -> CrossMap:
     ca = carrier_for(f)
     if not is_admissible(f, e, e2, t):
         raise ValueError(f"triple {t} is not admissible for (E, E')")
-    realized = ca.restrict(ca.time_map(f, t.c), cross_domain(f, e, e2, t))
+    realized = ca.time_map(f, t.c).restrict(cross_domain(f, e, e2, t))
     return CrossMap(f, e, e2, t, realized)
 
 
@@ -294,9 +293,8 @@ def weak_compactifiability_checks(f, e) -> list[tuple[str, bool]]:
     """The carrier's checks that the induced system on E is proper and
     openly defined (for a semiflow: finite-time proper; may raise
     Undecided)."""
-    ca = carrier_for(f)
-    ca.check_set(f, e)
-    return ca.weak_compactifiability_checks(f, e)
+    f.check_set(e)
+    return carrier_for(f).weak_compactifiability_checks(f, e)
 
 
 def is_weakly_compactifiable(f, e) -> bool:
@@ -304,9 +302,8 @@ def is_weakly_compactifiable(f, e) -> bool:
 
 
 def compactifiability_checks(f, e) -> list[tuple[str, bool]]:
-    ca = carrier_for(f)
     checks = weak_compactifiability_checks(f, e)
-    checks.append(("E locally compact", ca.is_locally_compact(e)))
+    checks.append(("E locally compact", e.is_locally_compact()))
     return checks
 
 
@@ -339,21 +336,20 @@ def one_point(f, e):
 
 def invariant_part(f, e):
     """Exact invariant part on the finite carrier, by double stabilization."""
-    ca = carrier_for(f)
-    if ca.name != "finite":
+    if carrier_for(f).name != "finite":
         raise TypeError("invariant_part is the finite-carrier operation; "
                         "use invariant_part_exact on the interval carrier")
-    ca.check_set(f, e)
+    f.check_set(e)
     d = e
     while True:
-        d2 = ca.intersect(e, ca.preimage(f, d))
-        if ca.sets_equal(d2, d):
+        d2 = e.intersect(f.preimage(d))
+        if d2 == d:
             break
         d = d2
     s = d
     while True:
-        s2 = ca.image(f, s)
-        if ca.sets_equal(s2, s):
+        s2 = f.image(s)
+        if s2 == s:
             return s
         s = s2
 
@@ -361,7 +357,7 @@ def invariant_part(f, e):
 def invariant_part_outer(f, e, t):
     """The outer approximant f^t(D_t(E)); decreasing in t and contains I_f(E)."""
     ca = carrier_for(f)
-    return ca.image(ca.time_map(f, t), ca.dom(f, e, t))
+    return ca.time_map(f, t).image(ca.dom(f, e, t))
 
 
 def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
@@ -378,20 +374,18 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     with |slope| != 1 onto the rule's fixed point.  Later iterates lie in
     the same piece, so stopping early gives the answer the whole cap would.
     """
-    ca = carrier_for(f)
-    ca.check_set(f, e)
-    if ca.name == "finite":
+    f.check_set(e)
+    if carrier_for(f).name == "finite":
         return invariant_part(f, e)
 
     current = e
-    for step in (lambda d: ca.intersect(e, ca.preimage(f, d)),
-                 lambda s: ca.image(f, s)):
+    for step in (lambda d: e.intersect(f.preimage(d)), f.image):
         for _ in range(cap):
             exact = _fixed_set_closed_form(f, e, current)
             if isinstance(exact, BoxSet):
                 return exact
             following = step(current)
-            if ca.sets_equal(following, current):
+            if following == current:
                 break
             current = following
         else:

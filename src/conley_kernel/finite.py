@@ -47,6 +47,33 @@ class FiniteSubset:
     def ordered(self) -> tuple[str, ...]:
         return tuple(p for p in self.space.points if p in self.members)
 
+    def intersect(self, other: "FiniteSubset") -> "FiniteSubset":
+        return FiniteSubset(self.space, self.members & other.members)
+
+    def subset_of(self, other: "FiniteSubset") -> bool:
+        return self.members <= other.members
+
+    # topology (discrete, hence trivial)
+    def closure(self) -> "FiniteSubset":
+        return self
+
+    def interior(self) -> "FiniteSubset":
+        return self
+
+    def is_closed(self) -> bool:
+        return True
+
+    def is_compact(self) -> bool:
+        return True
+
+    def is_open_in(self, ambient: "FiniteSubset") -> bool:
+        if not self.subset_of(ambient):
+            raise ValueError("is_open_in requires a subset")
+        return True
+
+    def is_locally_compact(self) -> bool:
+        return True
+
     def __repr__(self):
         return "{" + ", ".join(self.ordered()) + "}"
 
@@ -82,6 +109,37 @@ class FinitePartialMap:
     def apply(self, x: str) -> str | None:
         return self.table.get(x)
 
+    def check_set(self, e: FiniteSubset):
+        if e.space != self.space:
+            raise ValueError("carrier mismatch: subset lives on another space")
+
+    def image(self, e: FiniteSubset) -> FiniteSubset:
+        self.check_set(e)
+        return FiniteSubset.of(self.space,
+                               (fx for x, fx in self.pairs if x in e.members))
+
+    def preimage(self, e: FiniteSubset) -> FiniteSubset:
+        """One step: f^-1(e)."""
+        self.check_set(e)
+        return FiniteSubset.of(self.space,
+                               (x for x, fx in self.pairs if fx in e.members))
+
+    def restrict(self, s: FiniteSubset) -> "FinitePartialMap":
+        self.check_set(s)
+        return FinitePartialMap.of(
+            self.space, {x: fx for x, fx in self.pairs if x in s.members})
+
+    def maps_equal(self, other: "FinitePartialMap") -> bool:
+        return self == other
+
+    def is_proper_on(self, d: FiniteSubset, y: FiniteSubset) -> bool:
+        """Every partial map of a discrete space is proper."""
+        if not d.subset_of(self.domain):
+            raise ValueError("d must be contained in Dom f")
+        if not self.image(d).subset_of(y):
+            raise ValueError("f(d) must be contained in y")
+        return True
+
     def __repr__(self):
         body = ", ".join(f"{x}->{y}" for x, y in self.pairs)
         return "{" + body + "}"
@@ -108,33 +166,6 @@ def power(f: FinitePartialMap, n: int) -> FinitePartialMap:
     for _ in range(n - 1):
         out = compose(f, out)
     return out
-
-
-def image(f: FinitePartialMap, e: FiniteSubset) -> FiniteSubset:
-    _check(f, e)
-    return FiniteSubset.of(f.space, (fx for x, fx in f.pairs if x in e.members))
-
-
-def preimage_step(f: FinitePartialMap, e: FiniteSubset) -> FiniteSubset:
-    _check(f, e)
-    return FiniteSubset.of(f.space, (x for x, fx in f.pairs if fx in e.members))
-
-
-def preimage(f: FinitePartialMap, e: FiniteSubset, n: int) -> FiniteSubset:
-    """f^{-n}(e) = (f^n)^{-1}(e)."""
-    if n < 0:
-        raise ValueError("negative power")
-    _check(f, e)
-    out = e
-    for _ in range(n):
-        out = preimage_step(f, out)
-    return out
-
-
-def restrict(f: FinitePartialMap, s: FiniteSubset) -> FinitePartialMap:
-    _check(f, s)
-    return FinitePartialMap.of(
-        f.space, {x: fx for x, fx in f.pairs if x in s.members})
 
 
 def power_preperiod_period(f: FinitePartialMap) -> tuple[int, int]:
@@ -168,7 +199,3 @@ def power_preperiod_period(f: FinitePartialMap) -> tuple[int, int]:
             steps[y] = n
     return max(steps.values(), default=0), math.lcm(*lengths)
 
-
-def _check(f: FinitePartialMap, e: FiniteSubset):
-    if f.space != e.space:
-        raise ValueError("space mismatch")

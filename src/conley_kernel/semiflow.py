@@ -28,7 +28,9 @@ from typing import Optional, Sequence
 
 from . import affine as af
 from .affine import AffineRule, Piece, PiecewiseAffineMap
-from .boxes import BoxSet, Cut, Interval, NEG_INF, POS_INF, rat, RatLike
+from .boxes import (
+    BoxSet, Cut, Interval, NEG_INF, POS_INF, isect_iv, rat, RatLike,
+)
 
 DEFAULT_TIME_BOUND = 8
 
@@ -304,7 +306,7 @@ def _reaches(axes, src: BoxSet, dst: BoxSet, horizon: Interval) -> bool:
             taus = horizon
             for rule, gi, ci in zip(axes, g, c):
                 axis_taus = _axis_escape_tau(rule, gi, ci)
-                taus = None if axis_taus is None else _isect(taus, axis_taus)
+                taus = None if axis_taus is None else isect_iv(taus, axis_taus)
                 if taus is None:
                     break
             if taus is not None:
@@ -318,14 +320,14 @@ def _axis_escape_tau(rule: AxisRule, g: Interval, e: Interval) -> Interval | Non
     Uses the fact that the time-tau preimage of an interval under these rules
     is a single interval whose endpoints are affine in tau with a formula
     independent of tau."""
-    e = _isect(e, rule.natural_range)
+    e = isect_iv(e, rule.natural_range)
     if e is None:
         return None
     # The time-tau preimage of e is one interval whose endpoints are affine
     # in tau with a tau-independent formula; overlap with g reduces to two
     # one-variable affine key inequalities.
     if rule.kind == "identity" or rule.velocity == 0:
-        return _tau_all() if _isect(g, e) is not None else None
+        return _tau_all() if isect_iv(g, e) is not None else None
     if rule.kind == "translation":
         return _solve_overlap(g, e.lo, e.lo_closed, rule.velocity,
                               e.hi, e.hi_closed, rule.velocity)
@@ -342,23 +344,22 @@ def _axis_escape_tau(rule: AxisRule, g: Interval, e: Interval) -> Interval | Non
                           e.hi, e.hi_closed, -rule.velocity)
 
 
-def _isect(a: Interval, b: Interval) -> Interval | None:
-    from .boxes import isect_iv
-    return isect_iv(a, b)
-
-
 def _solve_overlap(g: Interval, plo: Cut, plo_closed: bool, slope_lo: Fraction,
                    phi: Cut, phi_closed: bool, slope_hi: Fraction) -> Interval | None:
-    """tau-interval where g meets [plo + slope_lo*tau, phi + slope_hi*tau]."""
+    """tau-interval where g meets [plo + slope_lo*tau, phi + slope_hi*tau].
+
+    The two conditions are g.lo <= phi + slope_hi*tau and
+    plo + slope_lo*tau <= g.hi; the second, with both sides negated, is
+    -g.hi <= -plo - slope_lo*tau."""
     c1 = _solve_key_le((g.lo, 0 if g.lo_closed else 1),
                        (phi, 0 if phi_closed else -1), slope_hi)
-    c2 = _solve_key_le_rev((plo, 0 if plo_closed else 1), slope_lo,
-                           (g.hi, 0 if g.hi_closed else -1))
+    c2 = _solve_key_le((g.hi.scaled(-1), 0 if g.hi_closed else 1),
+                       (plo.scaled(-1), 0 if plo_closed else -1), -slope_lo)
     out = _tau_all()
     for c in (c1, c2):
         if c is None:
             return None
-        out = _isect(out, c)
+        out = isect_iv(out, c)
         if out is None:
             return None
     return out
@@ -396,33 +397,6 @@ def _solve_key_le(const_key, aff_key, slope: Fraction) -> Interval | None:
     return Interval(Cut.finite(0), Cut.finite(hi), True, at_star_ok)
 
 
-def _solve_key_le_rev(aff_key, slope: Fraction, const_key) -> Interval | None:
-    """{tau >= 0 : aff + slope*tau + eps_a <= const + eps_c}."""
-    a, eps_a = aff_key
-    c, eps_c = const_key
-    if a.sign < 0:
-        return _tau_all()
-    if a.sign > 0:
-        return None
-    if c.sign > 0:
-        return _tau_all()
-    if c.sign < 0:
-        return None
-    if slope == 0:
-        return _tau_all() if (a.value, eps_a) <= (c.value, eps_c) else None
-    star = (c.value - a.value) / slope
-    at_star_ok = eps_a <= eps_c
-    if slope < 0:
-        lo = max(star, Fraction(0))
-        closed = at_star_ok if lo == star else True
-        return Interval(Cut.finite(lo), POS_INF, closed, False)
-    if star < 0:
-        return None
-    if star == 0 and not at_star_ok:
-        return None
-    return Interval(Cut.finite(0), Cut.finite(star), True, at_star_ok)
-
-
 def _escape_exists(flow: ExactSemiflow, e: BoxSet, window=Fraction(1)) -> bool:
     """Does some boundary point of E flow back into E within (0, window]?"""
     return _reaches(flow.axes, e.closure().difference(e), e,
@@ -448,7 +422,7 @@ def is_finite_time_proper(flow: ExactSemiflow, e: BoxSet) -> bool:
         return not _escape_exists(flow, e)
     for t in _PROBE_TIMES:
         dom = dom_interval(flow, e, t)
-        if not af.is_proper_on(time_map(flow, t), dom, e):
+        if not time_map(flow, t).is_proper_on(dom, e):
             return False
     raise Undecided("finite-time properness undecided for this set",
                     bound=max(_PROBE_TIMES))

@@ -498,7 +498,8 @@ def suite_finite_algebra(trials=200, seed=7, bound=None) -> SuiteResult:
         if fin.power(f, m + n) != fin.compose(fin.power(f, m), fin.power(f, n)):
             res.fail(f"power law: {f}, m={m}, n={n}")
         e = random_subset(rng, f.space)
-        if fin.preimage(f, e, m + n) != fin.preimage(f, fin.preimage(f, e, n), m):
+        if dyn.preimage_n(f, e, m + n) != \
+                dyn.preimage_n(f, dyn.preimage_n(f, e, n), m):
             res.fail(f"preimage law: {f}, m={m}, n={n}")
     res.note(f"associativity, power and preimage laws on {trials} random systems")
     for _ in range(60):
@@ -717,7 +718,7 @@ def suite_pam_laws(trials=80, seed=13, bound=None) -> SuiteResult:
         d = random_interval_set(rng).intersect(
             BoxSet.interval(-4, True, 4, True)).closure()
         d = d.intersect(f.domain)
-        if not d.is_empty and not af.is_proper_on(f, d, f.image(d)):
+        if not d.is_empty and not f.is_proper_on(d, f.image(d)):
             res.fail(f"compact domain not proper: {d}")
     res.note(f"composite-preimage and compact-properness laws ({trials} trials)")
     exact = nonempty = 0
@@ -747,13 +748,13 @@ def _laws_for_pair(res, f, e, e2, t):
     ca = dyn.carrier_for(f)
     cm = dyn.cross_map(f, e, e2, t)
     # identity/power form on the diagonal
-    if ca.sets_equal(e, e2):
-        if not ca.maps_equal(cm.realized, dyn.induced_power(f, e, t.c)):
+    if e == e2:
+        if not cm.realized.maps_equal(dyn.induced_power(f, e, t.c)):
             res.fail(f"diagonal cross map is not the induced power: {t}")
     # equivariance
     lhs = ca.compose(cm.realized, dyn.induced(f, e).realized)
     rhs = ca.compose(dyn.induced(f, e2).realized, cm.realized)
-    if not ca.maps_equal(lhs, rhs):
+    if not lhs.maps_equal(rhs):
         res.fail(f"equivariance fails for {t}")
 
 
@@ -765,7 +766,7 @@ def _composition_laws(res, f, e, e2, e3, t, t2):
     m1 = dyn.cross_map(f, e, e2, t)
     m2 = dyn.cross_map(f, e2, e3, t2)
     msum = dyn.cross_map(f, e, e3, t + t2)
-    if not ca.maps_equal(ca.compose(m2.realized, m1.realized), msum.realized):
+    if not ca.compose(m2.realized, m1.realized).maps_equal(msum.realized):
         res.fail(f"composition identity fails: {t}, {t2}")
 
 
@@ -780,7 +781,7 @@ def _interchange_law(res, f, e, e2, t, t2):
     m2 = dyn.cross_map(f, e, e2, t2)
     lhs = ca.compose(m1.realized, dyn.induced_power(f, e, t2.c))
     rhs = ca.compose(m2.realized, dyn.induced_power(f, e, t.c))
-    if not ca.maps_equal(lhs, rhs):
+    if not lhs.maps_equal(rhs):
         res.fail(f"interchange fails: {t}, {t2}")
 
 
@@ -848,10 +849,9 @@ def suite_thm_properness(trials=300, seed=19, bound=None) -> SuiteResult:
         if not s.found:
             continue
         cm = dyn.cross_map(f, e, e2, s.triple)
-        ca = dyn.carrier_for(f)
-        if not ca.is_proper_on(ca.power(f, s.triple.c), cm.domain, e2):
+        if not fin.power(f, s.triple.c).is_proper_on(cm.domain, e2):
             res.fail(f"cross map not proper: {f}, {s.triple}")
-        if not ca.is_open_in(cm.domain, e):
+        if not cm.domain.is_open_in(e):
             res.fail(f"cross map not openly defined: {f}, {s.triple}")
         count += 1
     res.note(f"finite carrier: {count} weakly compactifiable pairs checked")
@@ -867,7 +867,7 @@ def suite_thm_properness(trials=300, seed=19, bound=None) -> SuiteResult:
                 if not s.found:
                     continue
                 cm = dyn.cross_map(f, e, e2, s.triple)
-                if not af.is_proper_on(af.power(f, s.triple.c), cm.domain, e2):
+                if not af.power(f, s.triple.c).is_proper_on(cm.domain, e2):
                     res.fail(f"interval cross map not proper: {e}, {e2}")
                 if not cm.domain.is_open_in(e):
                     res.fail(f"interval cross map not openly defined: {e}, {e2}")
@@ -922,8 +922,7 @@ def suite_invariant_part_oracle(trials=60, seed=23, bound=None) -> SuiteResult:
                 want = brute_invariant_part(f, e)
                 if got.members != want.members:
                     res.fail(f"invariant part mismatch: {f}, E={e}")
-                ca = dyn.carrier_for(f)
-                if not ca.sets_equal(ca.image(f, got), got):
+                if f.image(got) != got:
                     res.fail(f"invariant part not invariant: {f}, E={e}")
                 checked += 1
     res.note(f"exhaustive agreement on {checked} instances with |X| <= 4")

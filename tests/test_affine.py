@@ -107,13 +107,13 @@ class TestComposition:
 class TestProperness:
     def test_homeomorphic_restriction_is_proper(self):
         f = doubling_map()
-        assert af.is_proper_on(f, box1("-1/4", False, "1/4", False),
-                               box1("-1/2", False, "1/2", False))
+        assert f.is_proper_on(box1("-1/4", False, "1/4", False),
+                              box1("-1/2", False, "1/2", False))
 
     def test_clamped_piece_is_not_proper(self):
         f = clamp_map()
-        assert not af.is_proper_on(f, box1(0, True, 1, False),
-                                   box1(0, True, "1/2", True))
+        assert not f.is_proper_on(box1(0, True, 1, False),
+                                  box1(0, True, "1/2", True))
 
     def test_compact_domain_always_proper(self):
         rng = random.Random(11)
@@ -124,20 +124,20 @@ class TestProperness:
                 d = d.intersect(box1(-4, True, 4, True)).intersect(f.domain)
                 if d.is_empty:
                     continue
-                assert af.is_proper_on(f, d, f.image(d))
+                assert f.is_proper_on(d, f.image(d))
 
     def test_escape_to_infinity_with_constant_axis(self):
         # constant map on an unbounded domain: value stays in Y
         const = PiecewiseAffineMap.affine_1d(0, 0)
         d = box1(0, True, "inf", False)
-        assert not af.is_proper_on(const, d, box1(0, True, 0, True))
+        assert not const.is_proper_on(d, box1(0, True, 0, True))
 
     def test_precondition_violations(self):
         f = doubling_map().restrict(box1(0, True, 1, True))
         with pytest.raises(ValueError):
-            af.is_proper_on(f, box1(0, True, 2, True), BoxSet.full(1))
+            f.is_proper_on(box1(0, True, 2, True), BoxSet.full(1))
         with pytest.raises(ValueError):
-            af.is_proper_on(f, box1(0, True, 1, True), box1(0, True, 1, True))
+            f.is_proper_on(box1(0, True, 1, True), box1(0, True, 1, True))
 
 
 class TestEquality:

@@ -322,15 +322,34 @@ class TestUndecidedPayload:
         assert payload["meta"]["bound"] == "64"
         assert payload["outer"]
 
-    def test_index_search_reports_the_seed_halvings(self, capsys):
-        code, out, _ = run(capsys, "index", fx("clamp_flow.json"),
-                           "--set", "S", "--nbhd", "halfopen",
+    def test_index_search_reports_the_seed_halvings(self, tmp_path, capsys):
+        # no closed inflation of S by 2^-k, k < 24, fits in N = (-2^-30, 2^-30)
+        raw = json.loads(Path(fx("doubling.json")).read_text())
+        raw["sets"]["tiny"] = [[["-1/1073741824", False,
+                                 "1/1073741824", False]]]
+        doc = tmp_path / "doubling_tiny.json"
+        doc.write_text(json.dumps(raw))
+        code, out, _ = run(capsys, "index", str(doc),
+                           "--set", "S", "--nbhd", "tiny",
                            "--search", "8", "--json")
         assert code == 3
         payload = json.loads(out)
         assert payload["reason"] == \
             "no compact box neighbourhood of S inside N found"
         assert payload["meta"]["bound"] == str(co.SEED_HALVINGS) == "24"
+
+    def test_index_search_clips_the_seed_to_the_flow_carrier(self, capsys):
+        # N = [0, 1) at the edge of the carrier [0, inf): the inflation
+        # [-1/2, 1/2] clipped to the carrier is the compact seed [0, 1/2]
+        code, out, _ = run(capsys, "index", fx("clamp_flow.json"),
+                           "--set", "S", "--nbhd", "halfopen",
+                           "--search", "8", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["constructed"] == {
+            "subset": [[["0", True, "1/2", True]]],
+            "triple": ["1/4", "1/4", "1/4"]}
+        assert payload["report"]["ok"] is True
 
     def test_flow_invariant_part_reports_no_bound(self, tmp_path, capsys):
         code, out, _ = run(capsys, "invariant-part", clamp_with_ray(tmp_path),

@@ -194,21 +194,19 @@ class TestSearchCompleteness:
             e = random_subset(rng, f.space)
             e2 = random_subset(rng, f.space)
             res = dyn.sim_f(f, e, e2)
-            ca = dyn.carrier_for(f)
             brute = any(
-                ca.is_subset(dyn.dom_power(f, e, b), dyn.preimage_n(f, e2, a))
+                dyn.dom_power(f, e, b).subset_of(dyn.preimage_n(f, e2, a))
                 for a in range(10) for b in range(a, 10)) and any(
-                ca.is_subset(dyn.dom_power(f, e2, b), dyn.preimage_n(f, e, a))
+                dyn.dom_power(f, e2, b).subset_of(dyn.preimage_n(f, e, a))
                 for a in range(10) for b in range(a, 10))
             assert res.is_equivalent == brute
 
 
 class TestCrossMap:
     def test_diagonal_power(self):
-        ca = dyn.carrier_for(CHAIN)
         e = subset("2", "3")
         cm = dyn.cross_map(CHAIN, e, e, AdmissibleTriple(0, 1, 2))
-        assert ca.maps_equal(cm.realized, dyn.induced_power(CHAIN, e, 2))
+        assert cm.realized.maps_equal(dyn.induced_power(CHAIN, e, 2))
 
     def test_finite_collapse(self):
         cm = dyn.cross_map(CHAIN, subset("1", "2", "3"), subset("3"),
@@ -301,7 +299,7 @@ class TestInvariantPart:
         for _ in range(80):
             f = random_finite_system(rng, 6)
             i = dyn.invariant_part(f, random_subset(rng, f.space))
-            assert fin.image(f, i).members == i.members
+            assert f.image(i).members == i.members
 
     def test_doubling_closed_form(self):
         got = dyn.invariant_part_exact(doubling_map(), UNIT)
@@ -357,20 +355,20 @@ class TestInvariantPartEarlyExit:
 
     @pytest.fixture
     def steps(self, monkeypatch):
-        from conley_kernel.carriers import IntervalCarrier
+        from conley_kernel.affine import PiecewiseAffineMap
         counts = {"preimage": 0, "image": 0}
-        preimage_step, image = IntervalCarrier.preimage_step, IntervalCarrier.image
+        preimage, image = PiecewiseAffineMap.preimage, PiecewiseAffineMap.image
 
-        def counted_preimage(self, f, a):
+        def counted_preimage(f, a):
             counts["preimage"] += 1
-            return preimage_step(self, f, a)
+            return preimage(f, a)
 
-        def counted_image(self, f, a):
+        def counted_image(f, a):
             counts["image"] += 1
-            return image(self, f, a)
+            return image(f, a)
 
-        monkeypatch.setattr(IntervalCarrier, "preimage_step", counted_preimage)
-        monkeypatch.setattr(IntervalCarrier, "image", counted_image)
+        monkeypatch.setattr(PiecewiseAffineMap, "preimage", counted_preimage)
+        monkeypatch.setattr(PiecewiseAffineMap, "image", counted_image)
         return counts
 
     def test_doubling_takes_no_step(self, steps):

@@ -2,11 +2,12 @@ import importlib.util
 import json
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -18,7 +19,7 @@ def test_demo_models_runs(capsys):
 
 
 def test_sweep_outputs_covers_every_command(capsys):
-    doc = str(SCRIPTS.parent / "fixtures" / "attractor.json")
+    doc = str(ROOT / "fixtures" / "attractor.json")
     assert load("sweep_outputs").main([doc]) == 0
     calls = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     labels = 3                  # S, all and core
@@ -32,3 +33,17 @@ def test_sweep_outputs_covers_every_command(capsys):
     check = next(c for c in calls if c["argv"][:1] == ["check"]
                  and c["argv"][-1] == "--json")
     assert check["exit"] == 0 and json.loads(check["stdout"])["table"]
+
+
+def test_bench_tracer_counts_the_search_tests(capsys):
+    """The per-layer tracer of the benchmark (``--trace 1``) still finds the
+    search context whose cached subset tests it counts."""
+    from conley_kernel import cli
+    tracer = load("tracer", ROOT / "bench").Tracer()
+    doc = str(ROOT / "fixtures" / "attractor.json")
+    with tracer.installed():
+        code = cli.main(["admissible", doc, "--from", "all", "--set", "core",
+                         "--json"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "found"
+    assert tracer.counts["dynamics.searches"] == 1
+    assert tracer.counts["dynamics.subset_tests"] > 0

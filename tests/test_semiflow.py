@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from conley_kernel import affine as af
 from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel import semiflow as sf
-from conley_kernel.boxes import BoxSet, Interval
+from conley_kernel.boxes import BoxSet, Interval, isect_iv
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import clamp_flow, translation_flow
@@ -217,7 +218,7 @@ class TestProperness:
     def test_time_maps_inherit_properness(self):
         for t in (Fraction(1, 2), Fraction(1), Fraction(3)):
             dom = sf.dom_interval(CLAMP, UNIT, t)
-            assert af.is_proper_on(sf.time_map(CLAMP, t), dom, UNIT)
+            assert sf.time_map(CLAMP, t).is_proper_on(dom, UNIT)
 
     def test_orbit_sets_compact(self):
         # compact E inside a total flow: swept domains and their images stay compact
@@ -446,3 +447,55 @@ class TestForwardInvariance:
                     not sf.time_map(flow, Fraction(k, 64)).image(e).subset_of(e)
                     for k in range(1, 513)), (flow.axes, e)
         assert verdicts == {True, False}
+
+
+def _random_interval(rng):
+    """An interval with endpoints on the grid k/2, -2 <= k/2 <= 2, or
+    infinite, and random flags."""
+    grid = [Fraction(k, 2) for k in range(-4, 5)]
+    if rng.random() < 0.2:
+        return Interval.point(rng.choice(grid))
+    lo, hi = sorted(rng.sample(grid, 2))
+    lo = "-inf" if rng.random() < 0.15 else lo
+    hi = "inf" if rng.random() < 0.15 else hi
+    return Interval.make(lo, lo != "-inf" and rng.random() < 0.5,
+                         hi, hi != "inf" and rng.random() < 0.5)
+
+
+ESCAPE_RULES = {
+    "translation down": sf.AxisRule.translation(1),
+    "translation up": sf.AxisRule.translation(Fraction(-1, 2)),
+    "still translation": sf.AxisRule.translation(0),
+    "floor": sf.AxisRule.floor(1, 0),
+    "slow floor": sf.AxisRule.floor(Fraction(3, 2), -1),
+    "ceil": sf.AxisRule.ceil(1, 1),
+    "fast ceil": sf.AxisRule.ceil(2, 0),
+    "identity": sf.AxisRule.identity(),
+}
+# every crossing time of two grid points under these speeds is a multiple
+# of 1/12 below 9, so the samples, spaced 1/24, hit each endpoint of the
+# result exactly and each gap between two endpoints inside
+ESCAPE_TAUS = [Fraction(k, 24) for k in range(217)] + [Fraction(25, 2)]
+
+
+@pytest.mark.parametrize("kind", sorted(ESCAPE_RULES))
+def test_axis_escape_tau_matches_the_time_maps(kind):
+    """tau is in _axis_escape_tau(rule, g, e) iff the time-tau image of g
+    meets e, at every sampled rational tau."""
+    rule = ESCAPE_RULES[kind]
+    flow = sf.ExactSemiflow.of([rule])
+    rng = random.Random(kind)
+    checked = 0
+    while checked < 16:
+        g = isect_iv(_random_interval(rng), rule.natural_range)
+        if g is None:
+            continue
+        e = _random_interval(rng)
+        got = sf._axis_escape_tau(rule, g, e)
+        target = BoxSet.of(1, [(e,)])
+        for tau in ESCAPE_TAUS:
+            image = sf.time_map(flow, tau).image(BoxSet.of(1, [(g,)]))
+            meets = not image.intersect(target).is_empty
+            assert (got is not None and got.contains(tau)) == meets, \
+                (g, e, tau, got)
+        checked += 1
