@@ -4,7 +4,7 @@ Exit codes are a stable contract: 0 success, 1 property or expectation
 violation, 2 input error, 3 undecided.  An ``Undecided`` raised by any layer
 reaches :func:`main`, which alone turns it into exit 3 and the ``unknown``
 payload; ``check`` catches it per set.  The default search bound is 64,
-overridable via CONLEY_DEFAULT_BOUND.
+overridable via CONLEY_DEFAULT_BOUND; negative bounds are input errors.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ EXIT_UNDECIDED = 3
 def default_bound() -> int:
     raw = os.environ.get("CONLEY_DEFAULT_BOUND", "64")
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
         raise DocumentError(f"CONLEY_DEFAULT_BOUND must be an integer, got {raw!r}")
+    if bound < 0:
+        raise DocumentError(f"CONLEY_DEFAULT_BOUND must not be negative, got {raw!r}")
+    return bound
 
 
 def _load(path: str):
@@ -387,6 +390,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for flag in ("bound", "search", "trials"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise DocumentError(f"--{flag} must not be negative")
         return args.func(args)
     except ValueError as exc:            # DocumentError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)

@@ -7,10 +7,10 @@ differ only through their set and map types and the time domain of
 
 Certificates are replayable: each records the named checks with their inputs
 in printable form, so a third party can re-run every condition without
-trusting the tool.  On the box carriers, index objects stay symbolic as
-pairs (E, f_E); morphism-level laws are verified as exact partial-map
-identities, never by materializing one-point compactifications.  On the
-finite carrier they are explicit based endos in the Szymczak category.
+trusting the tool.  The functor laws are written once and decided by the
+carrier's law set: Szymczak classes between explicit one-point endos on the
+finite carrier; on the box carriers the cross maps themselves, with the
+index object kept as (E, f_E) and each law an exact partial-map identity.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .carriers import carrier_for
 from .dynamics import (
     AdmissibleTriple, CrossMap, compactifiability_checks, cross_domain,
     cross_map, find_admissible, induced_power, is_weakly_compactifiable,
-    one_point,
+    one_point_endo,
 )
 from .semiflow import Undecided
 
@@ -56,9 +56,6 @@ class IsolatingCertificate:
     invariant_set: object
     checks: tuple[Check, ...]
 
-    def __bool__(self):
-        return True
-
 
 @dataclass(frozen=True)
 class IndexNbhdCertificate:
@@ -76,9 +73,6 @@ class IndexNbhdCertificate:
     @property
     def checks(self) -> tuple[Check, ...]:
         return self.isolating.checks + self.compactifiability
-
-    def __bool__(self):
-        return True
 
 
 def is_isolating(f, e, s, cap: int | None = None):
@@ -206,80 +200,6 @@ def construct_index_nbhd(f, s, n, bound=None):
 
 
 # ---------------------------------------------------------------------------
-# connecting morphisms
-
-@dataclass(frozen=True)
-class SymbolicSzMorphism:
-    """Interval-carrier morphism datum: a connecting map plus its shift."""
-
-    cross: CrossMap
-    shift: object
-
-    @property
-    def source(self):
-        return self.cross.source
-
-    @property
-    def target(self):
-        return self.cross.target
-
-
-def connecting_morphism(f, e, e2, bound=None):
-    """The canonical morphism from f_E to f_E' in the Szymczak category.
-
-    Finite carrier: an explicit based-endo morphism class.  Box carriers:
-    the symbolic pair (connecting map, shift).  A Failure, a complete
-    negative, when E or E' is not weakly compactifiable (decided exactly)
-    or when a complete search shows E and E' are not related; raises
-    Undecided when a bounded search is exhausted."""
-    ca = carrier_for(f)
-    for which, sub in (("E", e), ("E'", e2)):
-        if not is_weakly_compactifiable(f, sub):
-            return Failure(f"{which} is not weakly compactifiable")
-    search = find_admissible(f, e, e2, bound)
-    if not search.found:
-        if search.complete:
-            return Failure("E and E' are not related: no admissible triple")
-        raise Undecided("admissible-triple search exhausted", bound=search.bound)
-    cm = cross_map(f, e, e2, search.triple)
-    if ca.name == "finite":
-        return _finite_sz_morphism(cm, one_point(f, e), one_point(f, e2))
-    return SymbolicSzMorphism(cm, search.triple.c)
-
-
-def same_class(f, e, e2, t: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
-    """Do the connecting maps of two admissible triples for (E, E') give one
-    Szymczak class?  Representative independence says they must."""
-    m1, m2 = cross_map(f, e, e2, t), cross_map(f, e, e2, t2)
-    if carrier_for(f).name == "finite":
-        src, tgt = one_point(f, e), one_point(f, e2)
-        return sz.sz_equal(_finite_sz_morphism(m1, src, tgt),
-                           _finite_sz_morphism(m2, src, tgt))
-    return _interchange_ok(f, e, m1, m2)
-
-
-def _interchange_ok(f, e, m1: CrossMap, m2: CrossMap) -> bool:
-    """Class equality of two connecting maps from E by the interchange
-    identity m1 o f_E^{c2} = m2 o f_E^{c1} (witness n = 0), exactly."""
-    ca = carrier_for(f)
-    lhs = ca.compose(m1.realized, induced_power(f, e, m2.triple.c))
-    rhs = ca.compose(m2.realized, induced_power(f, e, m1.triple.c))
-    return lhs.maps_equal(rhs)
-
-
-def _finite_sz_morphism(cm: CrossMap, src: sz.BasedEndo,
-                        tgt: sz.BasedEndo) -> sz.SzMorphism:
-    """The class of cm between the one-point endos of its source and target."""
-    table = {}
-    for x in cm.source.ordered():
-        y = cm.realized.table.get(x)
-        table[x] = y if y is not None else tgt.base
-    table[src.base] = tgt.base
-    phi = sz.EquivariantMap.of(src, tgt, table)
-    return sz.SzMorphism(phi, cm.triple.c)
-
-
-# ---------------------------------------------------------------------------
 # simple-system verification and index reports
 
 @dataclass(frozen=True)
@@ -314,11 +234,155 @@ class ConleyIndexReport:
             all(m.invertible and all(c.ok for c in m.checks) for m in self.morphisms)
 
 
-def _report_nbhd(e, endo: sz.BasedEndo | None) -> NbhdReport:
-    """The report of E, with its one-point endo on the finite carrier."""
-    if endo is not None:
+# ---------------------------------------------------------------------------
+# the functor laws of each carrier
+
+def _laws(f, subsets):
+    """The law set of f's carrier over the neighbourhoods.  It answers: the
+    report of a neighbourhood, the morphism of a cross map, whether two
+    parallel morphisms are one class, the identity check, whether m2 o m
+    equals m3, and the invertibility evidence of m given the morphism back:
+    invertible, witness and checks."""
+    if carrier_for(f).name == "finite":
+        return _SzClassLaws(f, subsets)
+    return _PartialMapLaws(f)
+
+
+class _SzClassLaws:
+    """Finite carrier: Szymczak classes between the one-point endos of the
+    neighbourhoods, decided exactly.  Every subset of a discrete space is
+    compactifiable, so the endos are built without the check."""
+
+    def __init__(self, f, subsets):
+        self.endos = {e: one_point_endo(f, e) for e in subsets}
+
+    def report(self, e) -> NbhdReport:
+        endo = self.endos[e]
         return NbhdReport(repr(e), repr(endo), sz.canonical_invariant(endo))
-    return NbhdReport(repr(e), f"(E={e!r}, f_E)", None)
+
+    def morphism(self, cm: CrossMap) -> sz.SzMorphism:
+        src, tgt = self.endos[cm.source], self.endos[cm.target]
+        table = {x: cm.realized.table.get(x, tgt.base)
+                 for x in cm.source.ordered()} | {src.base: tgt.base}
+        return sz.SzMorphism(sz.EquivariantMap.of(src, tgt, table), cm.triple.c)
+
+    same = staticmethod(sz.sz_equal)
+
+    def identity(self, m: sz.SzMorphism, i) -> Check:
+        return Check("identity law", f"phi_EE = id for E#{i}",
+                     sz.sz_equal(m, sz.identity_morphism(m.source)))
+
+    def composes(self, m, m2, m3) -> bool:
+        return sz.sz_equal(sz.sz_compose(m, m2), m3)
+
+    def invertibility(self, m: sz.SzMorphism, back: sz.SzMorphism, i, j):
+        """The witness is the inverse [psi, (a - k) mod lcm(q_f, q_g)] of
+        m = [phi, k] from a shift equivalence (psi, a) of phi, kept only once
+        sz_equal shows that both composites are identity classes."""
+        f, g = m.source, m.target
+        inv, wit = None, sz.is_shift_equivalence(m.phi)
+        if wit is not None:
+            period = math.lcm(f.power_bounds[1], g.power_bounds[1])
+            inv = sz.SzMorphism(wit.psi, (wit.exponent - m.shift) % period)
+            if not (sz.sz_equal(sz.sz_compose(m, inv), sz.identity_morphism(f))
+                    and sz.sz_equal(sz.sz_compose(inv, m), sz.identity_morphism(g))):
+                inv = None
+        comp = sz.sz_compose(m, back)
+        total = m.shift + back.shift
+        power_class = sz.SzMorphism(sz.endo_shift_morphism(f, total).phi, total)
+        checks = (
+            Check("composite is power class",
+                  f"phi({j}->{i}) o phi({i}->{j}) ~ (f_E^{total}, {total})",
+                  sz.sz_equal(comp, power_class)),
+            Check("composite is identity class",
+                  "the power class is the identity in Sz",
+                  sz.sz_equal(comp, sz.identity_morphism(f))),
+        )
+        return inv is not None, repr(inv), checks
+
+
+class _PartialMapLaws:
+    """Box carriers: a morphism is the cross map itself, standing for the
+    class (phi, c) with c its shift, and each law is an exact partial-map
+    identity; no one-point compactification is built."""
+
+    def __init__(self, f):
+        self.f, self.ca = f, carrier_for(f)
+
+    def report(self, e) -> NbhdReport:
+        return NbhdReport(repr(e), f"(E={e!r}, f_E)", None)
+
+    def morphism(self, cm: CrossMap) -> CrossMap:
+        return cm
+
+    def same(self, m: CrossMap, m2: CrossMap) -> bool:
+        """The interchange identity m o f_E^{c2} = m2 o f_E^{c}, witness n = 0."""
+        e = m.source
+        lhs = self.ca.compose(m.realized, induced_power(self.f, e, m2.shift))
+        rhs = self.ca.compose(m2.realized, induced_power(self.f, e, m.shift))
+        return lhs.maps_equal(rhs)
+
+    def identity(self, m: CrossMap, i) -> Check:
+        return Check("identity/power law", f"phi_EE realizes f_E^c for E#{i}",
+                     m.realized.maps_equal(induced_power(self.f, m.source, m.shift)))
+
+    def _composite(self, m: CrossMap, m2: CrossMap):
+        """m2 o m, and the cross map of the sum triple: the composition
+        identity says that they are equal."""
+        comp = self.ca.compose(m2.realized, m.realized)
+        return comp, cross_map(self.f, m.source, m2.target, m.triple + m2.triple)
+
+    def composes(self, m, m2, m3) -> bool:
+        """The composition identity, then class equality of the sum-triple
+        map with m3 by the interchange identity."""
+        comp, summed = self._composite(m, m2)
+        return comp.maps_equal(summed.realized) and self.same(summed, m3)
+
+    def invertibility(self, m: CrossMap, back: CrossMap, i, j):
+        """"composite is power class" is the composition identity, and
+        "composite is identity class" that the sum-triple map realizes
+        f_E^c, whose class (f_E^c, c) is the identity."""
+        comp, summed = self._composite(m, back)
+        c = summed.shift
+        ok1 = comp.maps_equal(summed.realized)
+        ok2 = summed.realized.maps_equal(induced_power(self.f, m.source, c))
+        checks = (
+            Check("composite is power class",
+                  f"phi({j}->{i}) o phi({i}->{j}) realizes f_E^{c}", ok1),
+            Check("composite is identity class",
+                  f"(f_E^{c}, {c}) ~ (id, 0) with witness n=0", ok2),
+        )
+        return ok1 and ok2, f"inverse class (phi({j}->{i}), {back.shift})", checks
+
+
+# ---------------------------------------------------------------------------
+# connecting morphisms and simple systems
+
+def connecting_morphism(f, e, e2, bound=None):
+    """The canonical morphism from f_E to f_E' in the Szymczak category.
+
+    Finite carrier: an explicit based-endo morphism class.  Box carriers:
+    the cross map, whose shift is the triple's c.  A Failure, a complete
+    negative, when E or E' is not weakly compactifiable (decided exactly)
+    or when a complete search shows E and E' are not related; raises
+    Undecided when a bounded search is exhausted."""
+    for which, sub in (("E", e), ("E'", e2)):
+        if not is_weakly_compactifiable(f, sub):
+            return Failure(f"{which} is not weakly compactifiable")
+    search = find_admissible(f, e, e2, bound)
+    if not search.found:
+        if search.complete:
+            return Failure("E and E' are not related: no admissible triple")
+        raise Undecided("admissible-triple search exhausted", bound=search.bound)
+    return _laws(f, (e, e2)).morphism(cross_map(f, e, e2, search.triple))
+
+
+def same_class(f, e, e2, t: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
+    """Do the connecting maps of two admissible triples for (E, E') give one
+    Szymczak class?  Representative independence says they must."""
+    m1, m2 = cross_map(f, e, e2, t), cross_map(f, e, e2, t2)
+    laws = _laws(f, (e, e2))
+    return laws.same(laws.morphism(m1), laws.morphism(m2))
 
 
 def verify_simple_system(f, s, subsets: Sequence, bound=None):
@@ -330,148 +394,36 @@ def verify_simple_system(f, s, subsets: Sequence, bound=None):
     A failed law is reported (checks with ok=False), not raised; an
     exhausted triple search raises Undecided with its bound.
     """
-    ca = carrier_for(f)
     for e in subsets:
         cert = is_index_nbhd(f, e, s)
         if not isinstance(cert, IndexNbhdCertificate):
             return cert
 
-    finite = ca.name == "finite"
-    endos = [one_point(f, e) if finite else None for e in subsets]
-    nbhds = tuple(_report_nbhd(e, endo) for e, endo in zip(subsets, endos))
-    global_checks: list[Check] = []
-    morphisms: list[MorphismReport] = []
-
+    laws = _laws(f, subsets)
+    nbhds = tuple(laws.report(e) for e in subsets)
+    n = range(len(subsets))
     triples: dict[tuple[int, int], AdmissibleTriple] = {}
-    for i, e in enumerate(subsets):
-        for j, e2 in enumerate(subsets):
-            search = find_admissible(f, e, e2, bound)
+    for i in n:
+        for j in n:
+            search = find_admissible(f, subsets[i], subsets[j], bound)
             if not search.found:
                 raise Undecided("connecting-triple search exhausted",
                                 bound=search.bound)
             triples[(i, j)] = search.triple
+    ms = {(i, j): laws.morphism(cross_map(f, subsets[i], subsets[j], t))
+          for (i, j), t in triples.items()}
 
-    if finite:
-        ms = {(i, j): _finite_sz_morphism(
-                  cross_map(f, subsets[i], subsets[j], triples[(i, j)]),
-                  endos[i], endos[j])
-              for i in range(len(subsets)) for j in range(len(subsets))}
-        for i in range(len(subsets)):
-            ok = sz.sz_equal(ms[(i, i)], sz.identity_morphism(endos[i]))
-            global_checks.append(Check("identity law",
-                                       f"phi_EE = id for E#{i}", ok))
-        for i in range(len(subsets)):
-            for j in range(len(subsets)):
-                for k in range(len(subsets)):
-                    ok = sz.sz_equal(sz.sz_compose(ms[(i, j)], ms[(j, k)]),
-                                     ms[(i, k)])
-                    global_checks.append(Check(
-                        "composition law", f"phi({j}->{k}) o phi({i}->{j}) "
-                        f"= phi({i}->{k})", ok))
-        for i in range(len(subsets)):
-            for j in range(len(subsets)):
-                if i == j:
-                    continue
-                m, back = ms[(i, j)], ms[(j, i)]
-                inv = _inverse_class(m)
-                comp = sz.sz_compose(m, back)
-                total = m.shift + back.shift
-                power_class = sz.SzMorphism(
-                    sz.endo_shift_morphism(endos[i], total).phi, total)
-                checks = (
-                    Check("composite is power class",
-                          f"phi({j}->{i}) o phi({i}->{j}) ~ (f_E^{total}, {total})",
-                          sz.sz_equal(comp, power_class)),
-                    Check("composite is identity class",
-                          "the power class is the identity in Sz",
-                          sz.sz_equal(comp, sz.identity_morphism(endos[i]))),
-                )
-                morphisms.append(MorphismReport(
-                    nbhds[i].label, nbhds[j].label, triples[(i, j)], m.shift,
-                    inv is not None, repr(inv), checks))
-    else:
-        crosses = {(i, j): cross_map(f, subsets[i], subsets[j], triples[(i, j)])
-                   for i in range(len(subsets)) for j in range(len(subsets))}
-        for i, e in enumerate(subsets):
-            ok = crosses[(i, i)].realized.maps_equal(
-                induced_power(f, e, triples[(i, i)].c))
-            global_checks.append(Check("identity/power law",
-                                       f"phi_EE realizes f_E^c for E#{i}", ok))
-        for i in range(len(subsets)):
-            for j in range(len(subsets)):
-                for k in range(len(subsets)):
-                    ok = _symbolic_composition_ok(
-                        f, subsets, crosses, triples, i, j, k)
-                    global_checks.append(Check(
-                        "composition law", f"phi({j}->{k}) o phi({i}->{j}) "
-                        f"= phi({i}->{k})", ok))
-        for i in range(len(subsets)):
-            for j in range(len(subsets)):
-                if i == j:
-                    continue
-                checks, invertible, witness = _symbolic_invertibility(
-                    f, subsets, crosses, triples, i, j)
-                morphisms.append(MorphismReport(
-                    nbhds[i].label, nbhds[j].label, triples[(i, j)],
-                    triples[(i, j)].c, invertible, witness, checks))
-
-    return ConleyIndexReport(ca.name, repr(s), nbhds, tuple(morphisms),
-                             tuple(global_checks))
-
-
-def _inverse_class(m: sz.SzMorphism) -> sz.SzMorphism | None:
-    """The inverse of m = [phi, k] from a shift equivalence (psi, a) of phi:
-    [psi, l] with l = (a - k) mod lcm(q_f, q_g), kept only after sz_equal
-    confirms that both composites are identity classes."""
-    wit = sz.is_shift_equivalence(m.phi)
-    if wit is None:
-        return None
-    f, g = m.source, m.target
-    period = math.lcm(f.power_bounds[1], g.power_bounds[1])
-    inv = sz.SzMorphism(wit.psi, (wit.exponent - m.shift) % period)
-    if sz.sz_equal(sz.sz_compose(m, inv), sz.identity_morphism(f)) and \
-            sz.sz_equal(sz.sz_compose(inv, m), sz.identity_morphism(g)):
-        return inv
-    return None
-
-
-def _symbolic_composition_ok(f, subsets, crosses, triples, i, j, k) -> bool:
-    """phi(j->k) o phi(i->j) = phi(i->k) as Szymczak classes, exactly.
-
-    First the composite is identified with the sum-triple connecting map
-    (the composition identity), then the class equality against the found
-    (i->k) triple is certified by the interchange identity with witness
-    n = 0; both are exact partial-map comparisons."""
-    ca = carrier_for(f)
-    comp = ca.compose(crosses[(j, k)].realized, crosses[(i, j)].realized)
-    t_sum = triples[(i, j)] + triples[(j, k)]
-    summed = cross_map(f, subsets[i], subsets[k], t_sum)
-    return comp.maps_equal(summed.realized) and \
-        _interchange_ok(f, subsets[i], summed, crosses[(i, k)])
-
-
-def _symbolic_invertibility(f, subsets, crosses, triples, i, j):
-    """Invertibility of phi(i->j) via the power-class composite identity.
-
-    Each check reports its own evidence: "composite is power class" the
-    composition identity (the composite equals the connecting map of the
-    sum triple), "composite is identity class" that this map realizes
-    f_E^c, whose class (f_E^c, c) is the identity."""
-    ca = carrier_for(f)
-    comp = ca.compose(crosses[(j, i)].realized, crosses[(i, j)].realized)
-    t_sum = triples[(i, j)] + triples[(j, i)]
-    summed = cross_map(f, subsets[i], subsets[i], t_sum)
-    ok1 = comp.maps_equal(summed.realized)
-    power_map = induced_power(f, subsets[i], t_sum.c)
-    ok2 = summed.realized.maps_equal(power_map)
-    checks = (
-        Check("composite is power class",
-              f"phi({j}->{i}) o phi({i}->{j}) realizes f_E^{t_sum.c}", ok1),
-        Check("composite is identity class",
-              f"(f_E^{t_sum.c}, {t_sum.c}) ~ (id, 0) with witness n=0", ok2),
-    )
-    witness = f"inverse class (phi({j}->{i}), {triples[(j, i)].c})"
-    return checks, ok1 and ok2, witness
+    checks = [laws.identity(ms[(i, i)], i) for i in n]
+    checks += [Check("composition law",
+                     f"phi({j}->{k}) o phi({i}->{j}) = phi({i}->{k})",
+                     laws.composes(ms[(i, j)], ms[(j, k)], ms[(i, k)]))
+               for i in n for j in n for k in n]
+    morphisms = tuple(
+        MorphismReport(nbhds[i].label, nbhds[j].label, triples[(i, j)], m.shift,
+                       *laws.invertibility(m, ms[(j, i)], i, j))
+        for (i, j), m in ms.items() if i != j)
+    return ConleyIndexReport(carrier_for(f).name, repr(s), nbhds, morphisms,
+                             tuple(checks))
 
 
 def conley_index(f, s, e, bound=None):

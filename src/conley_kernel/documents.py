@@ -165,7 +165,7 @@ def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, dict]:
         if "carrier" in data:
             carrier = boxset_from_json(data["carrier"], dim)
         flow = ExactSemiflow.of(axes, carrier)
-    except (KeyError, TypeError, ValueError, AssertionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad semiflow system: {exc}") from exc
     return flow, {"parse_set": lambda v: boxset_from_json(v, dim)}
 

@@ -87,14 +87,6 @@ class CrossMap:
 
 
 @dataclass(frozen=True)
-class SymbolicBasedEndo:
-    """One-point endo of an interval-carrier subset, kept symbolic as (E, f_E)."""
-
-    subset: BoxSet
-    induced: InducedMap
-
-
-@dataclass(frozen=True)
 class TripleSearch:
     triple: Optional[AdmissibleTriple]
     complete: bool
@@ -312,23 +304,27 @@ def is_compactifiable(f, e) -> bool:
 
 
 def one_point(f, e):
-    """One-point compactification of f_E.
+    """One-point compactification of f_E; E must be compactifiable.
 
-    Finite carrier: an explicit based endo sending undefined points to the
-    basepoint.  Interval carrier: the symbolic pair (E, f_E)."""
-    ca = carrier_for(f)
+    Finite carrier: the based endo of :func:`one_point_endo`.  Box carriers:
+    the induced map f_E itself, which stands for the pair (E, f_E)."""
     if not is_compactifiable(f, e):
         raise ValueError("E is not compactifiable; the based map would be discontinuous")
-    ind = induced(f, e)
-    if ca.name == "finite":
-        base = BASEPOINT
-        while base in e.members:
-            base += BASEPOINT
-        pts = e.ordered() + (base,)
-        table = {x: ind.realized.table.get(x, base) for x in e.ordered()}
-        table[base] = base
-        return BasedEndo.of(pts, table, base=base)
-    return SymbolicBasedEndo(e, ind)
+    if carrier_for(f).name == "finite":
+        return one_point_endo(f, e)
+    return induced(f, e)
+
+
+def one_point_endo(f, e) -> BasedEndo:
+    """The based endo of f_E on the finite carrier, undefined points sent
+    to the basepoint.  No check is needed: in a discrete space every
+    partial map is proper and every subset is open and locally compact."""
+    realized = induced(f, e).realized
+    base = BASEPOINT
+    while base in e.members:
+        base += BASEPOINT
+    table = {x: realized.table.get(x, base) for x in e.ordered()} | {base: base}
+    return BasedEndo.of(e.ordered() + (base,), table, base=base)
 
 
 # ---------------------------------------------------------------------------

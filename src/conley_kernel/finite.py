@@ -26,9 +26,13 @@ class FiniteSpace:
     def of(points: Iterable[str]) -> "FiniteSpace":
         return FiniteSpace(tuple(str(p) for p in points))
 
-    @property
+    @cached_property
     def index(self) -> dict:
         return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def point_set(self) -> frozenset:
+        return frozenset(self.points)
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class FiniteSubset:
     members: frozenset
 
     def __post_init__(self):
-        if not self.members <= set(self.space.points):
+        if not self.members <= self.space.point_set:
             raise ValueError("subset contains unknown points")
 
     @staticmethod
@@ -84,7 +88,7 @@ class FinitePartialMap:
     pairs: tuple[tuple[str, str], ...]   # (x, f(x)) sorted in space order
 
     def __post_init__(self):
-        pts = set(self.space.points)
+        pts = self.space.point_set
         for x, fx in self.pairs:
             if x not in pts or fx not in pts:
                 raise ValueError(f"table entry {x}->{fx} leaves the space")
@@ -104,7 +108,7 @@ class FinitePartialMap:
 
     @property
     def domain(self) -> FiniteSubset:
-        return FiniteSubset.of(self.space, (x for x, _ in self.pairs))
+        return FiniteSubset(self.space, frozenset(x for x, _ in self.pairs))
 
     def apply(self, x: str) -> str | None:
         return self.table.get(x)
@@ -115,14 +119,14 @@ class FinitePartialMap:
 
     def image(self, e: FiniteSubset) -> FiniteSubset:
         self.check_set(e)
-        return FiniteSubset.of(self.space,
-                               (fx for x, fx in self.pairs if x in e.members))
+        return FiniteSubset(self.space, frozenset(
+            fx for x, fx in self.pairs if x in e.members))
 
     def preimage(self, e: FiniteSubset) -> FiniteSubset:
         """One step: f^-1(e)."""
         self.check_set(e)
-        return FiniteSubset.of(self.space,
-                               (x for x, fx in self.pairs if fx in e.members))
+        return FiniteSubset(self.space, frozenset(
+            x for x, fx in self.pairs if fx in e.members))
 
     def restrict(self, s: FiniteSubset) -> "FinitePartialMap":
         self.check_set(s)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import affine as af
 from .affine import AffineRule, Piece, PiecewiseAffineMap
 from .boxes import (
     BoxSet, Cut, Interval, NEG_INF, POS_INF, isect_iv, rat, RatLike,
@@ -129,6 +128,17 @@ class AxisRule:
 
 @dataclass(frozen=True)
 class ExactSemiflow:
+    """One rule per axis, on a carrier box set where the flow is total.
+
+    The construction checks make f^0 = id and f^t f^u = f^(t+u) hold on the
+    carrier, so neither is tested at run time.  Each rule kind is a
+    semiflow on its natural range: identity and translation are groups,
+    and for the floor rule max(max(x - v*u, L) - v*t, L) = max(x - v*(t+u),
+    L) as v*t >= 0 (the ceiling rule is its mirror).  A product of
+    semiflows is one, and so is its restriction to a forward-invariant set.
+    The carrier lies in the product of the natural ranges (the first check)
+    and is forward invariant (the second)."""
+
     dimension: int
     axes: tuple[AxisRule, ...]
     carrier: BoxSet
@@ -146,7 +156,6 @@ class ExactSemiflow:
         if not _forward_invariant(self.axes, self.carrier):
             raise ValueError("carrier is not forward invariant; "
                              "the rules do not define a semiflow on it")
-        _check_semiflow_laws(self)
 
     @staticmethod
     def of(axes: Sequence[AxisRule], carrier: BoxSet | None = None) -> "ExactSemiflow":
@@ -177,20 +186,6 @@ class ExactSemiflow:
             else:
                 return BoxSet.empty(self.dimension)
         return BoxSet.of(self.dimension, [tuple(axes)]).intersect(self.carrier)
-
-
-def _check_semiflow_laws(flow: ExactSemiflow):
-    """Exact check of f^0 = id and sampled exact checks of f^t f^u = f^{t+u}."""
-    ident = PiecewiseAffineMap.identity(flow.dimension).restrict(flow.carrier)
-    if not time_map(flow, Fraction(0)).maps_equal(ident):
-        raise AssertionError("time-0 map is not the identity on the carrier")
-    for t, u in ((Fraction(1), Fraction(1)),
-                 (Fraction(1, 2), Fraction(1, 3)),
-                 (Fraction(2), Fraction(3, 4))):
-        lhs = af.compose(time_map(flow, t), time_map(flow, u))
-        if not lhs.maps_equal(time_map(flow, t + u).restrict(lhs.domain)) or \
-           lhs.domain != flow.carrier:
-            raise AssertionError("semigroup law failed for the constructed flow")
 
 
 def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:
@@ -272,7 +267,12 @@ def _dom_interval_1d(flow: ExactSemiflow, e: BoxSet, t: Fraction) -> BoxSet:
 def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet, t: Fraction,
                            cap: int) -> BoxSet:
     """D_t(E) lies in the outer bound E n f^-s(E) over s = t*k/m; the bound is
-    D_t(E) once none of its boxes reaches E's complement within [0, t]."""
+    D_t(E) once none of its boxes reaches E's complement within [0, t].
+
+    D_t(E) need not be a box set, and then Undecided is the exact answer:
+    under floors (1, 0), (2, 0), the points of E = [0, 2]^2 minus (1, 1)
+    whose orbit meets (1, 1) by time 1 form the segment (1 + s, 1 + 2s),
+    s in [0, 1/2], and no finite union of boxes is E minus a segment."""
     outside = e.complement()
     window = Interval(Cut.finite(0), Cut.finite(t), True, True)
     outer, m = e, 1

@@ -207,6 +207,46 @@ class TestExitCodes:
         assert json.loads(out)["meta"]["bound"] == "12"
 
 
+NEGATIVE_BOUNDS = {
+    "admissible --bound": ({}, "admissible", "doubling.json", "--from", "unit",
+                           "--set", "open_half", "--bound", "-1"),
+    "invariant-part --bound": ({}, "invariant-part", "doubling.json",
+                               "--set", "unit", "--bound", "-2"),
+    "index --search": ({}, "index", "doubling.json", "--set", "S",
+                       "--nbhd", "unit", "--search", "-3"),
+    "finite index --search": ({}, "index", "attractor.json", "--set", "core",
+                              "--nbhd", "all", "--search", "-3"),
+    "finite sim --bound": ({}, "sim", "attractor.json", "--from", "all",
+                           "--set", "core", "--bound", "-1"),
+    "flow check --bound": ({}, "check", "clamp_flow.json", "--bound", "-1"),
+    "env on a map": ({"CONLEY_DEFAULT_BOUND": "-4"}, "sim", "doubling.json",
+                     "--from", "origin", "--set", "unit"),
+    "env on a finite map": ({"CONLEY_DEFAULT_BOUND": "-4"}, "admissible",
+                            "attractor.json", "--from", "all", "--set", "core"),
+    "verify --trials": ({}, "verify", "--suite", "thm-4-composition",
+                        "--trials", "-1"),
+    "verify --bound": ({}, "verify", "--suite", "simple-system",
+                       "--bound", "-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_BOUNDS))
+def test_negative_bounds_are_input_errors(case, capsys, monkeypatch):
+    env, command, *argv = NEGATIVE_BOUNDS[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [fx(a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, command, *argv, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "negative" in err
+
+
+def test_zero_bound_stays_valid(capsys):
+    code, out, _ = run(capsys, "admissible", fx("doubling.json"), "--from",
+                       "origin", "--set", "origin", "--bound", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["meta"]["bound"] == "0"
+
 # two distinct fixed points a, b (and c -> a): {a} and {b} are not related
 UNRELATED = {"kind": "finite_map",
              "system": {"points": ["a", "b", "c"],

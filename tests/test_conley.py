@@ -126,8 +126,8 @@ class TestConnectingMorphism:
 
     def test_symbolic_on_interval(self):
         m = co.connecting_morphism(DBL, OPEN_HALF, OPEN_QUARTER, bound=8)
-        assert isinstance(m, co.SymbolicSzMorphism)
-        assert m.shift == m.cross.triple.c
+        assert isinstance(m, dyn.CrossMap)
+        assert m.shift == m.triple.c
 
     def test_requires_weak_compactifiability(self):
         got = co.connecting_morphism(DBL, UNIT, OPEN_HALF, bound=4)
@@ -172,8 +172,8 @@ class TestSymbolicInvertibilityChecks:
         return crosses, triples
 
     def _oks(self, crosses, triples):
-        checks, invertible, _ = co._symbolic_invertibility(
-            DBL, self.SUBSETS, crosses, triples, 0, 1)
+        invertible, _, checks = co._PartialMapLaws(DBL).invertibility(
+            crosses[(0, 1)], crosses[(1, 0)], 0, 1)
         assert [c.name for c in checks] == ["composite is power class",
                                            "composite is identity class"]
         return [c.ok for c in checks], invertible
@@ -193,6 +193,33 @@ class TestSymbolicInvertibilityChecks:
         monkeypatch.setattr(co, "induced_power",
                             lambda f, e, t: dyn.induced_power(f, e, t + 1))
         assert self._oks(crosses, triples) == ([True, False], False)
+
+
+class TestFiniteCompactifiabilityDecidedOnce:
+    """Every subset of a finite space is compactifiable, so the one-point
+    endos are built without deciding it again: weak compactifiability is
+    decided once per index neighbourhood and once per connecting-morphism
+    operand."""
+
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        seen = []
+        real = dyn.weak_compactifiability_checks
+
+        def counting(f, e):
+            seen.append(e)
+            return real(f, e)
+        monkeypatch.setattr(dyn, "weak_compactifiability_checks", counting)
+        return seen
+
+    def test_simple_system(self, decided):
+        nbhds = [fsub("s"), fsub("s", "a"), fsub("s", "a")]
+        rep = co.verify_simple_system(ATTRACTOR, S_FIN, nbhds)
+        assert rep.ok and decided == nbhds
+
+    def test_connecting_morphism(self, decided):
+        m = co.connecting_morphism(ATTRACTOR, fsub("s", "a"), fsub("s"))
+        assert m.shift == 1 and decided == [fsub("s", "a"), fsub("s")]
 
 
 class TestFiniteInverseClass:

@@ -427,15 +427,15 @@ class TestOnePoint:
 
     def test_symbolic_on_interval(self):
         sym = dyn.one_point(doubling_map(), ORIGIN)
-        assert isinstance(sym, dyn.SymbolicBasedEndo)
-        assert sym.induced.domain == ORIGIN
+        assert isinstance(sym, dyn.InducedMap)
+        assert sym.domain == ORIGIN
 
     def test_symbolic_on_clamp_flow(self):
         unit = box1(0, True, 1, True)
         sym = dyn.one_point(clamp_flow(), unit)
-        assert isinstance(sym, dyn.SymbolicBasedEndo)
+        assert isinstance(sym, dyn.InducedMap)
         assert sym.subset == unit
-        assert sym.induced.domain == unit
+        assert sym.domain == unit
 
     def test_clamp_flow_rejects_noncompactifiable(self):
         with pytest.raises(ValueError):

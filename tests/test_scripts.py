@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -35,15 +37,19 @@ def test_sweep_outputs_covers_every_command(capsys):
     assert check["exit"] == 0 and json.loads(check["stdout"])["table"]
 
 
-def test_bench_tracer_counts_the_search_tests(capsys):
+@pytest.mark.parametrize("doc, source, target", [
+    ("attractor.json", "all", "core"),      # dynamics._SearchContext
+    ("clamp_flow.json", "unit", "half"),    # semiflow._ContContext
+], ids=["finite", "semiflow"])
+def test_bench_tracer_counts_the_search_tests(capsys, doc, source, target):
     """The per-layer tracer of the benchmark (``--trace 1``) still finds the
-    search context whose cached subset tests it counts."""
+    search context whose cached subset tests it counts, in discrete and in
+    continuous time."""
     from conley_kernel import cli
     tracer = load("tracer", ROOT / "bench").Tracer()
-    doc = str(ROOT / "fixtures" / "attractor.json")
     with tracer.installed():
-        code = cli.main(["admissible", doc, "--from", "all", "--set", "core",
-                         "--json"])
+        code = cli.main(["admissible", str(ROOT / "fixtures" / doc), "--from",
+                         source, "--set", target, "--json"])
     assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "found"
     assert tracer.counts["dynamics.searches"] == 1
     assert tracer.counts["dynamics.subset_tests"] > 0
