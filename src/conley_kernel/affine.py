@@ -6,6 +6,10 @@ domain; both facts are checked exactly at construction.  Composites are built
 with shrunken domains, so they stay continuous by construction and skip the
 re-check.
 
+Set maps relabel the canonical form of :mod:`conley_kernel.boxes` in one
+node walk (`_map_node`): a nonzero slope moves the breakpoints of its axis
+and keeps their values, a zero slope evaluates or projects its axis.
+
 Each map memoizes its set images and preimages by argument set (box sets
 hash and compare as sets) in fields of the map object, so a memo lives as
 long as its map and no two maps or parsed documents share one.
@@ -13,12 +17,14 @@ long as its map and no two maps or parsed documents share one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .boxes import Box, BoxSet, Interval, rat, RatLike
+from .boxes import BoxSet, _node, _union_all, rat, RatLike
 
 
 @dataclass(frozen=True)
@@ -35,23 +41,6 @@ class AffineRule:
     def apply(self, x: Fraction) -> Fraction:
         return self.slope * x + self.intercept
 
-    def image_interval(self, iv: Interval) -> Interval:
-        if self.slope == 0:
-            return Interval.point(self.intercept)
-        lo = iv.lo.scaled(self.slope).shifted(self.intercept)
-        hi = iv.hi.scaled(self.slope).shifted(self.intercept)
-        if self.slope > 0:
-            return Interval(lo, hi, iv.lo_closed, iv.hi_closed)
-        return Interval(hi, lo, iv.hi_closed, iv.lo_closed)
-
-    def preimage_interval(self, iv: Interval) -> Interval | None:
-        """Preimage as an interval; full line when constant rule hits iv,
-        None when it misses."""
-        if self.slope == 0:
-            return Interval.line() if iv.contains(self.intercept) else None
-        inv = AffineRule(1 / self.slope, -self.intercept / self.slope)
-        return inv.image_interval(iv)
-
     def compose(self, inner: "AffineRule") -> "AffineRule":
         return AffineRule(self.slope * inner.slope,
                           self.slope * inner.intercept + self.intercept)
@@ -60,47 +49,67 @@ class AffineRule:
 Rules = tuple[AffineRule, ...]
 
 
-def rules_image_box(rules: Rules, b: Box) -> Box:
-    return tuple(r.image_interval(iv) for r, iv in zip(rules, b))
+def _map_node(rules: Rules, node, depth: int, pre: bool):
+    """The node of the preimage (pre) or image of node, a set over the axes
+    from depth on, under rules.
 
-
-def rules_preimage_box(rules: Rules, b: Box) -> Box | None:
-    out = []
-    for r, iv in zip(rules, b):
-        pre = r.preimage_interval(iv)
-        if pre is None:
-            return None
-        out.append(pre)
-    return tuple(out)
+    Before: along axis depth, node steps through breakpoints (v, e) with
+    values over the deeper axes.  After: x -> m*x + q with m != 0 is a
+    monotone bijection of the axis, so it carries the step past (v, e) to
+    the step past (m*v + q, e) if m > 0 (its inverse to the step past
+    ((v - q)/m, e)); if m < 0 the steps run backwards and "just before"
+    swaps with "just after" (e -> 1 - e).  With m = 0
+    every point goes to q: the preimage is the value at q on a free axis,
+    the image the union of all values on the point q.  Breakpoints stay
+    distinct, so the result is canonical once each breakpoint whose mapped
+    value equals the one before it is dropped (a deeper zero slope can
+    merge values)."""
+    if node is True:
+        if pre or depth == len(rules):
+            return True
+        node = ((), (True,))      # the image of the free axis at depth
+    if node is False:
+        return False
+    keys, vals = node
+    r = rules[depth]
+    m, q = r.slope, r.intercept
+    if m == 0:
+        if pre:
+            child = vals[bisect_right(keys, (q, 0))]
+            return _node([], [_map_node(rules, child, depth + 1, pre)])
+        child = _map_node(rules, _union_all(list(vals)), depth + 1, pre)
+        return _node([(q, 0), (q, 1)], [False, child, False])
+    mapped = [_map_node(rules, v, depth + 1, pre) for v in vals]
+    move = (lambda v: (v - q) / m) if pre else (lambda v: m * v + q)
+    if m > 0:
+        steps = [(move(v), e) for v, e in keys]
+    else:
+        steps = [(move(v), 1 - e) for v, e in reversed(keys)]
+        mapped.reverse()
+    out_keys, out_vals = [], [mapped[0]]
+    for k, v in zip(steps, mapped[1:]):
+        if v != out_vals[-1]:
+            out_keys.append(k)
+            out_vals.append(v)
+    return _node(out_keys, out_vals)
 
 
 def rules_preimage(rules: Rules, a: BoxSet) -> BoxSet:
-    boxes = []
-    for b in a.boxes:
-        pre = rules_preimage_box(rules, b)
-        if pre is not None:
-            boxes.append(pre)
-    return BoxSet.of(a.dimension, boxes)
+    return BoxSet(a.dimension, _map_node(rules, a.node, 0, True))
+
+
+def rules_image(rules: Rules, a: BoxSet) -> BoxSet:
+    return BoxSet(a.dimension, _map_node(rules, a.node, 0, False))
 
 
 def rules_agree_on(r1: Rules, r2: Rules, region: BoxSet) -> bool:
-    """Exactly decide whether two componentwise rules coincide on a box set."""
-    if region.is_empty:
-        return True
-    for k, (a, b) in enumerate(zip(r1, r2)):
-        dm = a.slope - b.slope
-        dq = a.intercept - b.intercept
-        if dm == 0 and dq == 0:
-            continue
-        if dm == 0:
-            return False
-        c = -dq / dm
-        slab = BoxSet.of(region.dimension, [tuple(
-            Interval.point(c) if i == k else Interval.line()
-            for i in range(region.dimension))])
-        if not region.subset_of(slab):
-            return False
-    return True
+    """Exactly decide whether two componentwise rules coincide on a box set:
+    whether region lies in the zero set of their difference."""
+    d = region.dimension
+    diff = tuple(AffineRule(a.slope - b.slope, a.intercept - b.intercept)
+                 for a, b in zip(r1, r2))
+    return region.is_empty or region.subset_of(
+        rules_preimage(diff, BoxSet.points([(0,) * d], d)))
 
 
 @dataclass(frozen=True)
@@ -130,10 +139,13 @@ class PiecewiseAffineMap:
     @staticmethod
     def of(dimension: int, pieces: Iterable[Piece]) -> "PiecewiseAffineMap":
         ps = tuple(p for p in pieces if not p.domain.is_empty)
+        seen = BoxSet.empty(dimension)
         for p in ps:
             if p.domain.dimension != dimension:
                 raise ValueError("piece dimension mismatch")
-        _check_disjoint(ps)
+            if not seen.intersect(p.domain).is_empty:
+                raise ValueError("piece domains overlap")
+            seen = seen.union(p.domain)
         _check_continuity(ps)
         return PiecewiseAffineMap(dimension, ps)
 
@@ -190,9 +202,9 @@ class PiecewiseAffineMap:
 
     def image(self, a: BoxSet) -> BoxSet:
         if a not in self._images:
-            self._images[a] = BoxSet.of(self.dimension, [
-                rules_image_box(p.rules, b)
-                for p in self.pieces for b in a.intersect(p.domain).boxes])
+            self._images[a] = BoxSet.union_all(self.dimension, (
+                rules_image(p.rules, a.intersect(p.domain))
+                for p in self.pieces))
         return self._images[a]
 
     def preimage(self, a: BoxSet) -> BoxSet:
@@ -209,8 +221,8 @@ class PiecewiseAffineMap:
         has images converging in y.  Escapes are classified per affine piece:
         either to a finite boundary point (the piece-closure minus d meets the
         rule preimage of y) or to infinity along a slope-zero axis with the
-        remaining coordinates converging (detected on each unbounded box via
-        the closed per-axis image hull against y).
+        remaining coordinates converging (the rule image of the closed boxes
+        unbounded along such an axis meets y).
         """
         if not d.subset_of(self.domain):
             raise ValueError("d must be contained in Dom f")
@@ -224,17 +236,11 @@ class PiecewiseAffineMap:
             if not escape.intersect(rules_preimage(p.rules, y)).is_empty:
                 return False
             zero_axes = [k for k, r in enumerate(p.rules) if r.slope == 0]
-            if not zero_axes:
-                continue
-            for b in part.boxes:
-                if all(b[k].is_bounded for k in zero_axes):
-                    continue
-                limit_box = tuple(
-                    Interval.point(p.rules[k].intercept) if k in zero_axes
-                    else p.rules[k].image_interval(b[k].closure())
-                    for k in range(self.dimension))
-                if not y.intersect(BoxSet.of(self.dimension, [limit_box])).is_empty:
-                    return False
+            escaping = BoxSet.of(self.dimension, [
+                b for b in (part.boxes if zero_axes else ())
+                if not all(b[k].is_bounded for k in zero_axes)])
+            if not y.intersect(rules_image(p.rules, escaping.closure())).is_empty:
+                return False
         return True
 
     # -- comparisons ---------------------------------------------------------
@@ -279,17 +285,10 @@ def power(f: PiecewiseAffineMap, n: int) -> PiecewiseAffineMap:
     return out
 
 
-def _check_disjoint(pieces: tuple[Piece, ...]):
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if not pieces[i].domain.intersect(pieces[j].domain).is_empty:
-                raise ValueError("piece domains overlap")
-
-
 def _check_continuity(pieces: tuple[Piece, ...]):
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            di, dj = pieces[i].domain, pieces[j].domain
-            meet = di.intersect(dj.closure()).union(dj.intersect(di.closure()))
-            if not rules_agree_on(pieces[i].rules, pieces[j].rules, meet):
-                raise ValueError("map is discontinuous across piece boundary")
+    closures = [p.domain.closure() for p in pieces]
+    for (p, cp), (q, cq) in combinations(zip(pieces, closures), 2):
+        touch = cp.intersect(cq)
+        if not touch.is_empty and not rules_agree_on(
+                p.rules, q.rules, touch.intersect(p.domain.union(q.domain))):
+            raise ValueError("map is discontinuous across piece boundary")

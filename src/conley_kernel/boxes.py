@@ -71,18 +71,8 @@ class Cut:
     def __le__(self, other):
         return self.key() <= other.key()
 
-    def shifted(self, d: Fraction) -> "Cut":
-        if self.sign:
-            return self
-        return Cut(0, self.value + d)
-
-    def scaled(self, m: Fraction) -> "Cut":
-        """Multiply by a nonzero rational; infinities flip with sign(m)."""
-        if m == 0:
-            raise ValueError("scaled by zero is handled at the rule level")
-        if self.sign:
-            return Cut(self.sign if m > 0 else -self.sign, Fraction(0))
-        return Cut(0, self.value * m)
+    def __neg__(self) -> "Cut":
+        return Cut(-self.sign, -self.value)
 
     def __repr__(self):
         if self.sign < 0:

@@ -107,6 +107,13 @@ def _dimension(data: dict) -> int:
     return dim
 
 
+def _expect(val, kind: type, what: str):
+    if not isinstance(val, kind):
+        kind_name = "object" if kind is dict else "list"
+        raise DocumentError(f"{what} must be a JSON {kind_name}")
+    return val
+
+
 def _parse_finite(data: dict) -> tuple[FinitePartialMap, dict]:
     try:
         points = data["points"]
@@ -114,7 +121,8 @@ def _parse_finite(data: dict) -> tuple[FinitePartialMap, dict]:
                 not all(isinstance(p, str) for p in points):
             raise DocumentError("points must be a list of strings")
         space = FiniteSpace.of(points)
-        fmap = FinitePartialMap.of(space, data.get("table", {}))
+        fmap = FinitePartialMap.of(
+            space, _expect(data.get("table", {}), dict, "table"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad finite system: {exc}") from exc
 
@@ -132,7 +140,7 @@ def _parse_interval(data: dict) -> tuple[PiecewiseAffineMap, dict]:
     try:
         dim = _dimension(data)
         pieces = []
-        for p in data["pieces"]:
+        for p in _expect(data["pieces"], list, "pieces"):
             dom = boxset_from_json(p["domain"], dim)
             rules = tuple(AffineRule.of(parse_rat(r["slope"]),
                                         parse_rat(r["intercept"]))
@@ -150,7 +158,7 @@ def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, dict]:
     try:
         dim = _dimension(data)
         axes = []
-        for a in data["axes"]:
+        for a in _expect(data["axes"], list, "axes"):
             kind = a["kind"]
             if kind == "identity":
                 axes.append(AxisRule.identity())
@@ -183,10 +191,8 @@ def parse_document(data: dict) -> SystemDocument:
     kind = data.get("kind")
     if kind not in _PARSERS:
         raise DocumentError(f"unknown document kind {kind!r}")
-    system, sets = data.get("system", {}), data.get("sets", {})
-    for key, val in (("system", system), ("sets", sets)):
-        if not isinstance(val, dict):
-            raise DocumentError(f"{key!r} must be a JSON object")
+    system = _expect(data.get("system", {}), dict, "'system'")
+    sets = _expect(data.get("sets", {}), dict, "'sets'")
     system, helpers = _PARSERS[kind](system)
     return SystemDocument(kind, system, {
         str(label): helpers["parse_set"](val) for label, val in sets.items()})

@@ -353,8 +353,8 @@ def _solve_overlap(g: Interval, plo: Cut, plo_closed: bool, slope_lo: Fraction,
     -g.hi <= -plo - slope_lo*tau."""
     c1 = _solve_key_le((g.lo, 0 if g.lo_closed else 1),
                        (phi, 0 if phi_closed else -1), slope_hi)
-    c2 = _solve_key_le((g.hi.scaled(-1), 0 if g.hi_closed else 1),
-                       (plo.scaled(-1), 0 if plo_closed else -1), -slope_lo)
+    c2 = _solve_key_le((-g.hi, 0 if g.hi_closed else 1),
+                       (-plo, 0 if plo_closed else -1), -slope_lo)
     out = _tau_all()
     for c in (c1, c2):
         if c is None:

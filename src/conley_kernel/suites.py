@@ -9,7 +9,10 @@ invariant subset by subset enumeration, and the Szymczak-category decisions
 by enumerating every candidate table (`brute_shift_equivalence`,
 `brute_sz_is_iso`), which the polynomial deciders are checked against;
 the pairwise box-list algebra (`PairwiseBoxSet`), which the canonical
-box sets of `boxes` are checked against; and the fixed-cap invariant-part
+box sets of `boxes` are checked against; the box-by-box affine images,
+preimages and rule agreement (`oracle_rules_image`,
+`oracle_rules_preimage`, `oracle_rules_agree_on`), which the node walk of
+`affine` is checked against; and the fixed-cap invariant-part
 loop (`fixed_cap_invariant_part`), which the early exit of
 `dynamics.invariant_part_exact` is checked against.
 """
@@ -478,6 +481,127 @@ class PairwiseBoxSet:
 
 
 # ---------------------------------------------------------------------------
+# box-by-box affine set maps, kept as the differential oracle of the node
+# walk in `affine`
+
+def _oracle_image_interval(r: AffineRule, iv: Interval) -> Interval:
+    if r.slope == 0:
+        return Interval.point(r.intercept)
+
+    def moved(c: Cut) -> Cut:
+        if c.sign:
+            return c if r.slope > 0 else -c
+        return Cut(0, r.slope * c.value + r.intercept)
+
+    lo, hi = moved(iv.lo), moved(iv.hi)
+    if r.slope > 0:
+        return Interval(lo, hi, iv.lo_closed, iv.hi_closed)
+    return Interval(hi, lo, iv.hi_closed, iv.lo_closed)
+
+
+def _oracle_preimage_interval(r: AffineRule, iv: Interval) -> Interval | None:
+    """The full line when a constant rule hits iv, None when it misses."""
+    if r.slope == 0:
+        return Interval.line() if iv.contains(r.intercept) else None
+    inverse = AffineRule(1 / r.slope, -r.intercept / r.slope)
+    return _oracle_image_interval(inverse, iv)
+
+
+def oracle_rules_image(rules, a: BoxSet) -> BoxSet:
+    return BoxSet.of(a.dimension, [
+        tuple(_oracle_image_interval(r, iv) for r, iv in zip(rules, b))
+        for b in a.boxes])
+
+
+def oracle_rules_preimage(rules, a: BoxSet) -> BoxSet:
+    boxes = []
+    for b in a.boxes:
+        pre = [_oracle_preimage_interval(r, iv) for r, iv in zip(rules, b)]
+        if None not in pre:
+            boxes.append(tuple(pre))
+    return BoxSet.of(a.dimension, boxes)
+
+
+def oracle_rules_agree_on(r1, r2, region: BoxSet) -> bool:
+    """Axis by axis: equal rules, or the region lies in the slab where two
+    rules of different slopes cross."""
+    if region.is_empty:
+        return True
+    for k, (a, b) in enumerate(zip(r1, r2)):
+        dm = a.slope - b.slope
+        dq = a.intercept - b.intercept
+        if dm == 0 and dq == 0:
+            continue
+        if dm == 0:
+            return False
+        slab = BoxSet.of(region.dimension, [tuple(
+            Interval.point(-dq / dm) if i == k else Interval.line()
+            for i in range(region.dimension))])
+        if not region.subset_of(slab):
+            return False
+    return True
+
+
+ORACLE_SLOPES = tuple(Fraction(m) for m in
+                      (0, 1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3),
+                       Fraction(-1, 2)))
+
+
+def random_rules(rng: random.Random, dimension: int) -> tuple:
+    """One rule per axis: a slope from ORACLE_SLOPES and a half-integer
+    intercept in [-1, 1]."""
+    return tuple(AffineRule(rng.choice(ORACLE_SLOPES),
+                            Fraction(rng.randint(-2, 2), 2))
+                 for _ in range(dimension))
+
+
+def _affine_mismatch(rng: random.Random, dimension: int):
+    """The first set map on which the node walk and the box-by-box oracle
+    disagree for random rules and a random_box_list set, or None.  The
+    preimage is also checked by membership, x in f^-1(A) iff f(x) in A, at
+    every breakpoint of either result and between and beyond them."""
+    rules = random_rules(rng, dimension)
+    a = BoxSet.of(dimension, random_box_list(rng, dimension))
+    pre = af.rules_preimage(rules, a)
+    if pre != oracle_rules_preimage(rules, a):
+        return f"preimage under {rules} of {a}"
+    if af.rules_image(rules, a) != oracle_rules_image(rules, a):
+        return f"image under {rules} of {a}"
+    if dimension < 3:
+        axes = []
+        for k in range(dimension):
+            ends = sorted({c.value for b in pre.boxes + a.boxes
+                           for c in (b[k].lo, b[k].hi) if c.is_finite})
+            ends = [ends[0] - 1] + ends + [ends[-1] + 1] if ends else [0]
+            axes.append(ends + [(x + y) / 2 for x, y in zip(ends, ends[1:])])
+        for x in itertools.product(*axes):
+            if pre.contains_point(x) != a.contains_point(
+                    [r.apply(v) for r, v in zip(rules, x)]):
+                return f"preimage membership at {list(x)} under {rules} of {a}"
+    # a second rule equal to the first, shifted in the intercept, or
+    # crossing it at a half-integer c, on each axis; the region is pinned
+    # to c on some crossing axes, so both answers occur
+    r2, boxes = [], random_box_list(rng, dimension, 2)
+    for k, r in enumerate(rules):
+        kind = rng.choice(("same", "same", "shift", "cross"))
+        c = Fraction(rng.randint(-2, 4), 2)
+        if kind == "same":
+            r2.append(r)
+        elif kind == "shift":
+            r2.append(AffineRule(r.slope, r.intercept + Fraction(1, 2)))
+        else:
+            m = rng.choice([s for s in ORACLE_SLOPES if s != r.slope])
+            r2.append(AffineRule(m, r.apply(c) - m * c))
+            if rng.randint(0, 2):
+                boxes = [b[:k] + (Interval.point(c),) + b[k + 1:] for b in boxes]
+    region = BoxSet.of(dimension, boxes)
+    if af.rules_agree_on(rules, tuple(r2), region) != \
+            oracle_rules_agree_on(rules, r2, region):
+        return f"rules_agree_on {rules}, {tuple(r2)} on {region}"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 def suite_finite_algebra(trials=200, seed=7, bound=None) -> SuiteResult:
@@ -657,6 +781,13 @@ def suite_box_algebra(trials=120, seed=11, bound=None) -> SuiteResult:
                 res.fail(f"{dimension}-D {bad}: {ra}, {rb}")
         res.note(f"raster membership at resolution 1/4 and the pairwise oracle "
                  f"on {pairs} pairs of random {dimension}-D sets")
+    for dimension, count in ((1, 80), (2, 60), (3, 30)):
+        for _ in range(count):
+            bad = _affine_mismatch(rng, dimension)
+            if bad:
+                res.fail(f"{dimension}-D {bad}")
+        res.note(f"affine image, preimage and rule agreement equal the "
+                 f"box-by-box oracle on {count} random {dimension}-D sets")
     return res
 
 
@@ -741,6 +872,28 @@ def suite_pam_laws(trials=80, seed=13, bound=None) -> SuiteResult:
     res.note(f"early-exit invariant part equals the fixed-cap loop on "
              f"{trials // 2} 1-D and 2-D product maps ({exact} exact, "
              f"{nonempty} of them nonempty)")
+    for k in range(trials):
+        f = random_product_map(rng, 1 + k % 3) if k % 4 else clamp_map()
+        dimension = f.dimension
+        a = BoxSet.of(dimension, random_box_list(rng, dimension))
+        if f.preimage(a) != BoxSet.union_all(dimension, (
+                oracle_rules_preimage(p.rules, a).intersect(p.domain)
+                for p in f.pieces)):
+            res.fail(f"preimage differs from the box-by-box oracle: {f}, {a}")
+        if f.image(a) != BoxSet.union_all(dimension, (
+                oracle_rules_image(p.rules, a.intersect(p.domain))
+                for p in f.pieces)):
+            res.fail(f"image differs from the box-by-box oracle: {f}, {a}")
+        for p in f.pieces:
+            for q in f.pieces:
+                meet = p.domain.closure().intersect(q.domain.closure())
+                if af.rules_agree_on(p.rules, q.rules, meet) != \
+                        oracle_rules_agree_on(p.rules, q.rules, meet):
+                    res.fail(f"rules_agree_on differs from the oracle: "
+                             f"{p.rules}, {q.rules} on {meet}")
+    res.note(f"piecewise image, preimage and rule agreement on piece "
+             f"boundaries equal the box-by-box oracle ({trials} 1-D to 3-D "
+             f"maps)")
     return res
 
 

@@ -79,6 +79,73 @@ class TestSetMaps:
             af.compose(af.power(f, m), af.power(f, n)))
 
 
+class TestNodeWalk:
+    """Images and preimages relabel the canonical node of a set."""
+
+    def test_negative_slope_swaps_open_and_closed_ends(self):
+        neg = (AffineRule.of(-1, 0),)
+        assert af.rules_image(neg, box1(0, False, 1, True)) == \
+            box1(-1, True, 0, False)
+        assert af.rules_preimage(neg, box1(0, False, 1, True)) == \
+            box1(-1, True, 0, False)
+        assert af.rules_image((AffineRule.of(-2, 1),), box1(0, True, 1, False)) \
+            == box1(-1, False, 1, True)
+
+    def test_zero_slope_preimage_is_the_axis_or_empty(self):
+        rules = (AffineRule.of(1, 0), AffineRule.of(0, 2))
+        a = BoxSet.of(2, [(Interval.closed(0, 1), Interval.closed(1, 3))])
+        assert af.rules_preimage(rules, a) == BoxSet.of(
+            2, [(Interval.closed(0, 1), Interval.line())])
+        b = BoxSet.of(2, [(Interval.closed(0, 1), Interval.open(2, 3))])
+        assert af.rules_preimage(rules, b).is_empty
+
+    def test_zero_slope_image_projects_onto_the_intercept(self):
+        rules = (AffineRule.of(0, 5), AffineRule.of(2, 0))
+        a = BoxSet.of(2, [(Interval.closed(0, 1), Interval.closed(0, 1)),
+                          (Interval.closed(3, 4), Interval.open(1, 2))])
+        assert af.rules_image(rules, a) == BoxSet.of(
+            2, [(Interval.point(5), Interval.make(0, True, 4, False))])
+        assert af.rules_image(rules, BoxSet.full(2)) == BoxSet.of(
+            2, [(Interval.point(5), Interval.line())])
+
+    def test_slabs_equal_after_a_zero_slope_axis_merge(self):
+        a = BoxSet.of(2, [(Interval.closed(0, 1), Interval.closed(0, 1)),
+                          (Interval.make(1, False, 2, True), Interval.closed(5, 6))])
+        assert len(a.boxes) == 2
+        got = af.rules_image((AffineRule.of(1, 0), AffineRule.of(0, 3)), a)
+        assert got.boxes == ((Interval.closed(0, 2), Interval.point(3)),)
+
+    def test_rules_agree_on_the_crossing_point_only(self):
+        r1, r2 = (AffineRule.of(1, 0),), (AffineRule.of(-1, 2),)
+        assert af.rules_agree_on(r1, r2, box1(1, True, 1, True))
+        assert not af.rules_agree_on(r1, r2, box1(1, True, 2, False))
+        assert af.rules_agree_on(r1, r2, BoxSet.empty(1))
+        shifted = (AffineRule.of(1, 1),)
+        assert not af.rules_agree_on(r1, shifted, box1(1, True, 1, True))
+
+    def test_results_are_canonical(self):
+        from conley_kernel.suites import random_box_list, random_rules
+
+        def canonical(node):
+            if node is True or node is False:
+                return True
+            keys, vals = node
+            return len(vals) == len(keys) + 1 and \
+                list(keys) == sorted(set(keys)) and \
+                (keys or not isinstance(vals[0], bool)) and \
+                all(x != y for x, y in zip(vals, vals[1:])) and \
+                all(canonical(v) for v in vals)
+
+        rng = random.Random(29)
+        for dimension in (1, 2, 3):
+            for _ in range(60):
+                rules = random_rules(rng, dimension)
+                a = BoxSet.of(dimension, random_box_list(rng, dimension, 4))
+                for got in (af.rules_image(rules, a), af.rules_preimage(rules, a)):
+                    assert canonical(got.node), (rules, a)
+                    assert got.node == BoxSet.of(dimension, got.boxes).node
+
+
 class TestComposition:
     def test_preimage_of_composite(self):
         rng = random.Random(3)

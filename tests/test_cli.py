@@ -199,6 +199,28 @@ class TestExitCodes:
         assert code == 2
         assert "'sets' must be a JSON object" in err
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("finite_map", "table", []),
+        ("finite_map", "table", ""),
+        ("finite_map", "table", 0),
+        ("interval_map", "pieces", {}),
+        ("interval_map", "pieces", ""),
+        ("semiflow", "axes", {}),
+        ("semiflow", "axes", ""),
+    ], ids=["table-list", "table-string", "table-number", "pieces-object",
+            "pieces-string", "axes-object", "axes-string"])
+    def test_malformed_system_shapes(self, tmp_path, capsys, kind, key, value):
+        system = {"finite_map": {"points": ["a", "b"]},
+                  "interval_map": {"dimension": 1},
+                  "semiflow": {"dimension": 1}}[kind]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": kind,
+                                   "system": {**system, key: value}}))
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and key in err
+        assert "Traceback" not in err
+
     def test_default_bound_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CONLEY_DEFAULT_BOUND", "12")
         code, out, _ = run(capsys, "sim", fx("doubling.json"),
