@@ -522,9 +522,10 @@ class _ContContext:
             self._c2[key] = self.dom(2, gamma).subset_of(self.pre(1, delta))
         return self._c2[key]
 
-    def pairs(self, which):
-        """Candidate absorption witnesses (a, b), a <= b, in lexicographic order."""
-        return ((a, b) for a in self.times for b in self.times if b >= a)
+    def b_ranges(self, which):
+        """For each candidate a, in increasing order, the index range
+        [lo, hi) of the candidate b >= a in ``times``."""
+        return ((a, i, len(self.times)) for i, a in enumerate(self.times))
 
 
 # ---------------------------------------------------------------------------

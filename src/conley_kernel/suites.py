@@ -12,9 +12,12 @@ the pairwise box-list algebra (`PairwiseBoxSet`), which the canonical
 box sets of `boxes` are checked against; the box-by-box affine images,
 preimages and rule agreement (`oracle_rules_image`,
 `oracle_rules_preimage`, `oracle_rules_agree_on`), which the node walk of
-`affine` is checked against; and the fixed-cap invariant-part
+`affine` is checked against; the fixed-cap invariant-part
 loop (`fixed_cap_invariant_part`), which the early exit of
-`dynamics.invariant_part_exact` is checked against.
+`dynamics.invariant_part_exact` is checked against; and the lexicographic
+scans of the admissibility searches (`oracle_find_admissible`,
+`oracle_sim_f`), which the galloping searches of `dynamics` are checked
+against.
 """
 
 from __future__ import annotations
@@ -140,6 +143,50 @@ def translation_flow() -> sf.ExactSemiflow:
     return sf.ExactSemiflow.of([sf.AxisRule.translation(1)])
 
 
+_FLOW_VALUES = [Fraction(k, 2) for k in range(-6, 7)]
+
+
+def random_flow(rng: random.Random, max_dimension: int = 3):
+    """A flow of 1 to max_dimension random axis rules on a carrier of 1 to 3
+    boxes, or None when the construction checks reject it.  Each interval
+    is mostly forward invariant for its rule: its limit side is the clamp
+    or infinity."""
+
+    def rule():
+        kind = rng.choice(["translation", "floor", "ceil", "identity"])
+        if kind == "identity":
+            return sf.AxisRule.identity()
+        if kind == "translation":
+            return sf.AxisRule.translation(rng.choice(_FLOW_VALUES))
+        v = rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)])
+        return getattr(sf.AxisRule, kind)(v, rng.choice(_FLOW_VALUES))
+
+    def interval(r):
+        lo, hi = sorted(rng.sample(_FLOW_VALUES, 2))
+        lo = "-inf" if rng.random() < Fraction(1, 5) else lo
+        hi = "inf" if rng.random() < Fraction(1, 5) else hi
+        if rng.random() < Fraction(9, 10):
+            if r.kind == "floor":
+                lo = r.clamp if hi == "inf" or hi > r.clamp else "-inf"
+            elif r.kind == "ceil":
+                hi = r.clamp if lo == "-inf" or lo < r.clamp else "inf"
+            elif r.direction < 0:
+                lo = "-inf"
+            elif r.direction > 0:
+                hi = "inf"
+        lo_closed = lo != "-inf" and rng.random() < Fraction(4, 5)
+        return Interval.make(lo, lo_closed,
+                             hi, hi != "inf" and rng.random() < Fraction(7, 10))
+
+    axes = [rule() for _ in range(rng.randint(1, max_dimension))]
+    carrier = BoxSet.of(len(axes), [
+        tuple(interval(r) for r in axes) for _ in range(rng.randint(1, 3))])
+    try:
+        return sf.ExactSemiflow.of(axes, carrier)
+    except ValueError:
+        return None
+
+
 def flow_law_instances():
     fl = clamp_flow()
     yield fl, [BoxSet.interval(0, True, 1, True),
@@ -205,6 +252,42 @@ def fixed_cap_invariant_part(f: PiecewiseAffineMap, e: BoxSet, cap: int = 64):
                     else Interval.point(r.intercept / (1 - r.slope)))
     fix = BoxSet.of(f.dimension, [tuple(axes)])
     return fix.intersect(piece.domain).intersect(e)
+
+
+def oracle_find_admissible(f, e, e2, bound=None) -> dyn.TripleSearch:
+    """The lexicographic scan over the search times that
+    dynamics.find_admissible replaces: every b >= a in turn, and for each b
+    that passes the first test every gamma in [b - a, bound - a] in turn."""
+    ctx = dyn.carrier_for(f).search_context(f, e, e2, bound)
+    for a in ctx.times:
+        for b in ctx.times:
+            if b < a or not ctx.cond1(a, b):
+                continue
+            for gamma in ctx.times:
+                if a + gamma > ctx.bound:
+                    break
+                if gamma >= b - a and ctx.cond2(b - a, gamma):
+                    return dyn.TripleSearch(
+                        dyn.AdmissibleTriple(a, b, a + gamma),
+                        ctx.complete, ctx.bound)
+    return dyn.TripleSearch(None, ctx.complete, ctx.bound)
+
+
+def oracle_sim_f(f, e, e2, bound=None) -> dyn.SimResult:
+    """The lexicographic scan over the candidate pairs that dynamics.sim_f
+    replaces: the first (a, b) that passes, both ways."""
+    ctx = dyn.carrier_for(f).search_context(f, e, e2, bound)
+
+    def first(test, which):
+        return next(((a, b) for a, lo, hi in ctx.b_ranges(which)
+                     for b in ctx.times[lo:hi] if test(a, b)), None)
+
+    fwd, bwd = first(ctx.cond1, 1), first(ctx.cond2, 2)
+    if fwd and bwd:
+        status = "equivalent"
+    else:
+        status = "not_equivalent" if ctx.complete else "unknown"
+    return dyn.SimResult(status, fwd, bwd, bound=ctx.bound)
 
 
 def brute_preperiod_period(f: fin.FinitePartialMap) -> tuple[int, int]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,7 @@ from conley_kernel.cli import main
 from conley_kernel.documents import parse_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def fx(name):
@@ -168,6 +173,16 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "unknown-name")
         assert code == 2
+
+    def test_only_verify_loads_the_suites(self):
+        # the suites and their oracles are test code, which the other
+        # commands do not import
+        probe = ("import sys, conley_kernel.cli; "
+                 "print('conley_kernel.suites' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert done.stdout.strip() == "False"
 
 
 class TestExitCodes:
@@ -412,6 +427,34 @@ class TestUndecidedPayload:
             "subset": [[["0", True, "1/2", True]]],
             "triple": ["1/4", "1/4", "1/4"]}
         assert payload["report"]["ok"] is True
+
+    def test_folding_map_stops_at_the_iterate_box_budget(self, tmp_path,
+                                                        capsys):
+        # x -> -2x on [-1, 1], 3x - 5 beyond 1, 3x + 5 below -1: the
+        # invariant part of [-1, 4] is a Cantor set, and D_16 is the first
+        # iterate of more than dyn.ITERATE_BOX_BUDGET = 4096 intervals
+        def rule(slope, intercept):
+            return [{"slope": slope, "intercept": intercept}]
+        doc = tmp_path / "fold.json"
+        doc.write_text(json.dumps({
+            "kind": "interval_map",
+            "system": {"dimension": 1, "pieces": [
+                {"domain": [[["-inf", False, "-1", False]]],
+                 "rules": rule("3", "5")},
+                {"domain": [[["-1", True, "1", True]]],
+                 "rules": rule("-2", "0")},
+                {"domain": [[["1", False, "inf", False]]],
+                 "rules": rule("3", "-5")}]},
+            "sets": {"E": [[["-1", True, "4", True]]]}}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "invariant-part", str(doc), "--set", "E",
+                           "--json")
+        assert time.perf_counter() - start < 20
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["reason"] == "an iterate exceeded 4096 boxes"
+        assert payload["meta"]["bound"] == "16"
+        assert "outer" not in payload
 
     def test_flow_invariant_part_reports_no_bound(self, tmp_path, capsys):
         code, out, _ = run(capsys, "invariant-part", clamp_with_ray(tmp_path),

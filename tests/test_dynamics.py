@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,12 +6,14 @@ import pytest
 
 from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
+from conley_kernel import semiflow as sf
 from conley_kernel.boxes import BoxSet, Interval
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import (
     brute_invariant_part, clamp_flow, clamp_map, doubling_map,
-    random_finite_system, random_subset, shift2d_map, step_region,
+    oracle_find_admissible, oracle_sim_f, random_finite_system, random_flow,
+    random_product_map, random_subset, shift2d_map, step_region,
 )
 from conley_kernel.szymczak import BasedEndo
 
@@ -200,6 +203,133 @@ class TestSearchCompleteness:
                 dyn.dom_power(f, e2, b).subset_of(dyn.preimage_n(f, e, a))
                 for a in range(10) for b in range(a, 10))
             assert res.is_equivalent == brute
+
+
+def _outcome(search, *args, **kwargs):
+    """A search result, or what its Undecided says."""
+    try:
+        return search(*args, **kwargs)
+    except Undecided as exc:
+        return ("undecided", exc.reason, exc.bound)
+
+
+def _assert_same_searches(f, e, e2, bound=None):
+    assert _outcome(dyn.find_admissible, f, e, e2, bound) == \
+        _outcome(oracle_find_admissible, f, e, e2, bound)
+    assert _outcome(dyn.sim_f, f, e, e2, bound) == \
+        _outcome(oracle_sim_f, f, e, e2, bound)
+
+
+def _flow_box(rng, flow):
+    """A random box, mostly two, cut to the flow's carrier."""
+    values = [Fraction(k, 2) for k in range(-6, 7)]
+    boxes = []
+    for _ in range(rng.choice((1, 1, 2))):
+        box = []
+        for _ in range(flow.dimension):
+            lo, hi = sorted(rng.sample(values, 2))
+            box.append(Interval.make(lo, rng.random() < 0.7,
+                                     hi, rng.random() < 0.7))
+        boxes.append(tuple(box))
+    return BoxSet.of(flow.dimension, boxes).intersect(flow.carrier)
+
+
+class TestGallopingSearch:
+    """find_admissible and sim_f gallop over the monotone tests; the
+    lexicographic scans they replaced (suites.oracle_find_admissible,
+    suites.oracle_sim_f) must give the same triple, pairs, completeness
+    and bound."""
+
+    def test_finite_maps_agree_with_the_linear_scan(self):
+        rng = random.Random(43)
+        for k in range(200):
+            f = random_finite_system(rng, 4 if k < 120 else 9)
+            e = random_subset(rng, f.space)
+            e2 = random_subset(rng, f.space)
+            _assert_same_searches(f, e, e2)
+            _assert_same_searches(f, e, e2, bound=k % 7)
+
+    def test_product_maps_agree_with_the_linear_scan(self):
+        # maps shaped like the benchmark's box slots, related on single
+        # boxes around and beside their fixed point
+        rng = random.Random(61)
+        for k in range(40):
+            dimension = 1 + k % 2
+            f = random_product_map(rng, dimension)
+            boxes = []
+            for _ in range(2):
+                box = []
+                for _ in range(dimension):
+                    lo = Fraction(rng.randint(-6, 2), 2)
+                    box.append(Interval.make(lo, rng.random() < 0.7,
+                                             lo + Fraction(rng.randint(1, 5), 2),
+                                             rng.random() < 0.7))
+                boxes.append(BoxSet.of(dimension, [tuple(box)]))
+            _assert_same_searches(f, boxes[0], boxes[1], bound=8)
+
+    def test_semiflows_agree_with_the_linear_scan(self):
+        rng = random.Random(20261018)
+        tried = 0
+        while tried < 40:
+            flow = random_flow(rng, max_dimension=2)
+            if flow is None:
+                continue
+            e, e2 = _flow_box(rng, flow), _flow_box(rng, flow)
+            if e.is_empty or e2.is_empty:
+                continue
+            tried += 1
+            _assert_same_searches(flow, e, e2, bound=3)
+
+    def test_undecided_falls_back_to_the_linear_scan(self, monkeypatch):
+        # under x -> x + 1, D_b([0, 3]) = [0, 3 - b]: the least b for a = 0
+        # is 2, and the gallop tests b = 3, which now raises
+        from conley_kernel.affine import PiecewiseAffineMap
+        f = PiecewiseAffineMap.affine_1d(1, 1)
+        e, e2 = box1(0, True, 3, True), box1(0, True, 1, True)
+        dom = dyn._SearchContext.dom
+
+        def undecided_past_two(ctx, which, n):
+            if n > 2:
+                raise Undecided("no swept domain past time 2", bound=n)
+            return dom(ctx, which, n)
+
+        monkeypatch.setattr(dyn._SearchContext, "dom", undecided_past_two)
+        want = oracle_find_admissible(f, e, e2, bound=8)
+        assert want.triple == AdmissibleTriple(0, 2, 2)
+        assert dyn.find_admissible(f, e, e2, bound=8) == want
+        sim = oracle_sim_f(f, e, e2, bound=8)
+        assert (sim.forward, sim.backward) == ((0, 2), (0, 0))
+        assert dyn.sim_f(f, e, e2, bound=8) == sim
+
+    def test_tests_grow_with_the_log_of_the_candidate_count(self, monkeypatch):
+        # x -> x + t keeps E = [0, inf) whole, and E <= F^-a(E') needs
+        # a >= 48, so the least triple is (48, 48, 48); the points of E'
+        # make about a hundred candidate times
+        flow = sf.ExactSemiflow.of([sf.AxisRule.translation(-1)])
+        e = BoxSet.interval(0, True, "inf", False)
+        e2 = BoxSet.from_intervals(
+            [Interval.make(48, True, "inf", False)] +
+            [Interval.point(Fraction(k, 2)) for k in range(1, 25)])
+        made = []
+        init = sf._ContContext.__init__
+
+        def kept(ctx, *args):
+            init(ctx, *args)
+            made.append(ctx)
+
+        monkeypatch.setattr(sf._ContContext, "__init__", kept)
+        got = dyn.find_admissible(flow, e, e2, bound=64)
+        assert got.triple == AdmissibleTriple(48, 48, 48)
+        assert got == oracle_find_admissible(flow, e, e2, bound=64)
+        ctx, scan = made
+        n = len(ctx.times)
+        depth = ctx.times.index(got.triple.a)
+        assert n >= 100 and depth >= 90
+        log_n = math.ceil(math.log2(n))
+        assert len(ctx._dom) <= 2 * log_n + 2
+        assert len(ctx._c1) <= 3 * (depth + 1) + log_n
+        # the scan tested every pair (a, b) with a below the least a
+        assert len(scan._c1) == sum(n - i for i in range(depth)) + 1
 
 
 class TestCrossMap:
@@ -401,6 +531,18 @@ class TestInvariantPartEarlyExit:
         assert got.outer == BoxSet.of(2, [(Interval.closed(-1, 1),
                                            Interval.closed(0, Fraction(1, 256)))])
         assert steps == {"preimage": 1, "image": 8}
+
+    def test_folding_map_stops_at_the_box_budget(self, monkeypatch):
+        # D_n of the folding map doubles its intervals about every step
+        monkeypatch.setattr(dyn, "ITERATE_BOX_BUDGET", 50)
+        f, e = _piecewise_1d(-2, (3, -5)), box1(-1, True, 4, True)
+        first_over = next(n for n in range(1, 64)
+                          if len(dyn.dom_power(f, e, n).boxes) > 50)
+        with pytest.raises(Undecided) as info:
+            dyn.invariant_part_exact(f, e)
+        assert info.value.bound == first_over
+        assert "50 boxes" in info.value.reason
+        assert info.value.outer is None
 
     def test_pam_laws_suite(self):
         from conley_kernel.suites import suite_pam_laws

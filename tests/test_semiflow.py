@@ -10,7 +10,7 @@ from conley_kernel import semiflow as sf
 from conley_kernel.boxes import BoxSet, Interval, isect_iv
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
-from conley_kernel.suites import clamp_flow, translation_flow
+from conley_kernel.suites import clamp_flow, random_flow, translation_flow
 
 
 CLAMP = clamp_flow()
@@ -82,44 +82,10 @@ class TestTimeMap:
         the carrier (the ExactSemiflow docstring proves it); replay both on
         seeded random flows that pass them."""
         rng = random.Random(20261018)
-        values = [Fraction(k, 2) for k in range(-6, 7)]
-
-        def rule():
-            kind = rng.choice(["translation", "floor", "ceil", "identity"])
-            if kind == "identity":
-                return sf.AxisRule.identity()
-            if kind == "translation":
-                return sf.AxisRule.translation(rng.choice(values))
-            v = rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)])
-            return getattr(sf.AxisRule, kind)(v, rng.choice(values))
-
-        def interval(r):
-            """Mostly a forward-invariant interval of r: the orbit's limit
-            side is the clamp or infinity; sometimes any interval."""
-            lo, hi = sorted(rng.sample(values, 2))
-            lo = "-inf" if rng.random() < 0.2 else lo
-            hi = "inf" if rng.random() < 0.2 else hi
-            if rng.random() < 0.9:
-                if r.kind == "floor":
-                    lo = r.clamp if hi == "inf" or hi > r.clamp else "-inf"
-                elif r.kind == "ceil":
-                    hi = r.clamp if lo == "-inf" or lo < r.clamp else "inf"
-                elif r.direction < 0:
-                    lo = "-inf"
-                elif r.direction > 0:
-                    hi = "inf"
-            return Interval.make(lo, lo != "-inf" and rng.random() < 0.8,
-                                 hi, hi != "inf" and rng.random() < 0.7)
-
         accepted = 0
         for _ in range(500):
-            axes = [rule() for _ in range(rng.randint(1, 3))]
-            carrier = BoxSet.of(len(axes), [
-                tuple(interval(r) for r in axes)
-                for _ in range(rng.randint(1, 3))])
-            try:
-                flow = sf.ExactSemiflow.of(axes, carrier)
-            except ValueError:
+            flow = random_flow(rng)
+            if flow is None:
                 continue
             accepted += 1
             ident = af.PiecewiseAffineMap.identity(flow.dimension) \
