@@ -1,10 +1,20 @@
 """Batch front-end: parse system documents, dispatch operations, emit reports.
 
+The commands come from one table, :data:`COMMANDS` (name, help, handler,
+options), from which :func:`build_parser` builds the sub-parsers.  Every
+document command takes one request path, :func:`main`: it checks the
+negative flags, loads the document, derives the search bound, and builds
+the ``meta`` block and the JSON or human output.  A handler maps (args,
+document, bound) to (exit code, payload, human lines[, the bound its search
+used]) and does no I/O; it looks kernel functions up through their modules
+at call time, so a function swapped on its module is the one called.
+``verify``, which takes no document, keeps its own short path.
+
 Exit codes are a stable contract: 0 success, 1 property or expectation
-violation, 2 input error, 3 undecided.  An ``Undecided`` raised by any layer
-reaches :func:`main`, which alone turns it into exit 3 and the ``unknown``
-payload; ``check`` catches it per set.  The default search bound is 64,
-overridable via CONLEY_DEFAULT_BOUND; negative bounds are input errors.
+violation, 2 input error (any ``ValueError``), 3 undecided (an
+``Undecided`` from any layer; ``check`` catches it per set).  The default
+search bound is 64, overridable via CONLEY_DEFAULT_BOUND; negative bounds
+are input errors.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import sys
 
 from . import conley as co
 from . import dynamics as dyn
+from . import szymczak as sz
 from .carriers import carrier_for
 from .documents import (
     DocumentError, boxset_to_json, checks_to_json, meta_block,
@@ -28,17 +39,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
-
-
-def default_bound() -> int:
-    raw = os.environ.get("CONLEY_DEFAULT_BOUND", "64")
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise DocumentError(f"CONLEY_DEFAULT_BOUND must be an integer, got {raw!r}")
-    if bound < 0:
-        raise DocumentError(f"CONLEY_DEFAULT_BOUND must not be negative, got {raw!r}")
-    return bound
 
 
 def _load(path: str):
@@ -63,8 +63,37 @@ def _search_bound(doc, args):
     """The bound the work on doc runs with and reports: --bound or the
     default, and none on the finite carrier, whose searches derive their
     own complete bound and whose other work takes none."""
-    bound = args.bound if args.bound is not None else default_bound()
+    bound = args.bound
+    if bound is None:
+        raw = os.environ.get("CONLEY_DEFAULT_BOUND", "64")
+        try:
+            bound = int(raw)
+        except ValueError:
+            raise DocumentError(f"CONLEY_DEFAULT_BOUND must be an integer, got {raw!r}")
+        if bound < 0:
+            raise DocumentError(f"CONLEY_DEFAULT_BOUND must not be negative, got {raw!r}")
     return None if carrier_for(doc.system).default_bound is None else bound
+
+
+def _pair(args, doc):
+    return doc.resolve(args.from_), doc.resolve(args.set)
+
+
+def _certificate(result):
+    """Reply for a certificate or a Failure."""
+    payload = {"status": "certified", "checks": checks_to_json(result.checks)}
+    lines = [f"  {c!r}" for c in result.checks]
+    if isinstance(result, co.Failure):
+        payload.update(status="failure", reason=result.reason)
+        return EXIT_VIOLATION, payload, [f"failure: {result.reason}"] + lines
+    return EXIT_OK, payload, ["certified"] + lines
+
+
+def _no_triple(search, line):
+    """Reply for an admissible-triple search that found none."""
+    status = "none" if search.complete else "unknown"
+    return (EXIT_VIOLATION if search.complete else EXIT_UNDECIDED,
+            {"status": status}, [f"{status}: {line}"], search.bound)
 
 
 def _predicates_for(doc, subset):
@@ -79,129 +108,75 @@ def _predicates_for(doc, subset):
     return out
 
 
-def cmd_check(args) -> int:
-    doc = _load(args.doc)
-    labels = args.set or sorted(doc.sets)
-    bound = _search_bound(doc, args)
-    table = {}
-    any_unknown = False
-    for label in labels:
-        subset = doc.resolve(label)
-        preds = _predicates_for(doc, subset)
-        table[label] = preds
-        if any(v == "unknown" for v in preds.values()):
-            any_unknown = True
-    lines = []
-    for label, preds in table.items():
-        lines.append(f"{label}:")
-        for name, val in preds.items():
-            lines.append(f"  {name}: {val}")
-    _emit(args, {"meta": meta_block(bound=bound), "table": table}, lines)
-    return EXIT_UNDECIDED if any_unknown else EXIT_OK
+# ---------------------------------------------------------------------------
+# handlers: (args, doc, bound) -> (exit code, payload, lines[, bound used])
+
+def check(args, doc, bound):
+    table = {label: _predicates_for(doc, doc.resolve(label))
+             for label in args.set or sorted(doc.sets)}
+    lines = [line for label, preds in table.items() for line in
+             [f"{label}:"] + [f"  {name}: {val}" for name, val in preds.items()]]
+    unknown = any("unknown" in preds.values() for preds in table.values())
+    return (EXIT_UNDECIDED if unknown else EXIT_OK), {"table": table}, lines
 
 
-def cmd_invariant_part(args) -> int:
-    doc = _load(args.doc)
+def invariant_part(args, doc, bound):
     e = doc.resolve(args.set)
-    bound = _search_bound(doc, args)
     result = carrier_for(doc.system).invariant_part(doc.system, e, bound)
-    _emit(args, {"meta": meta_block(bound=bound), "status": "exact",
-                 "invariant_part": set_to_json(doc.kind, result)},
-          [f"invariant part: {result!r}"])
-    return EXIT_OK
+    return (EXIT_OK, {"status": "exact", "invariant_part": set_to_json(doc.kind, result)},
+            [f"invariant part: {result!r}"])
 
 
-def _certificate_exit(args, result, bound) -> int:
-    meta = meta_block(bound=bound)
-    if isinstance(result, co.Failure):
-        _emit(args, {"meta": meta, "status": "failure", "reason": result.reason,
-                     "checks": checks_to_json(result.checks)},
-              [f"failure: {result.reason}"] +
-              [f"  {c!r}" for c in result.checks])
-        return EXIT_VIOLATION
-    _emit(args, {"meta": meta, "status": "certified",
-                 "checks": checks_to_json(result.checks)},
-          ["certified"] + [f"  {c!r}" for c in result.checks])
-    return EXIT_OK
+def certify(predicate: str):
+    """Handler: certify E = --nbhd for S = --set by ``co.<predicate>``."""
+    def handler(args, doc, bound):
+        s, e = doc.resolve(args.set), doc.resolve(args.nbhd)
+        return _certificate(getattr(co, predicate)(doc.system, e, s, cap=bound))
+    return handler
 
 
-def cmd_isolating(args) -> int:
-    doc = _load(args.doc)
+def sim(args, doc, bound):
+    result = dyn.sim_f(doc.system, *_pair(args, doc), bound=bound)
+    code = {"equivalent": EXIT_OK,
+            "not_equivalent": EXIT_VIOLATION}.get(result.status, EXIT_UNDECIDED)
+    return (code,
+            {"status": result.status,
+             "forward": [str(x) for x in result.forward] if result.forward else None,
+             "backward": [str(x) for x in result.backward] if result.backward else None},
+            [f"{result.status}",
+             f"  forward witness (a, b): {result.forward}",
+             f"  backward witness (a', b'): {result.backward}"],
+            result.bound)
+
+
+def admissible(args, doc, bound):
+    search = dyn.find_admissible(doc.system, *_pair(args, doc), bound=bound)
+    if not search.found:
+        return _no_triple(search, "no admissible triple " + (
+            "exists" if search.complete else "found within bound"))
+    t = search.triple
+    return (EXIT_OK, {"status": "found", "triple": [str(t.a), str(t.b), str(t.c)]},
+            [f"admissible triple: {t}"], search.bound)
+
+
+def index(args, doc, bound):
     s, e = doc.resolve(args.set), doc.resolve(args.nbhd)
-    bound = _search_bound(doc, args)
-    result = co.is_isolating(doc.system, e, s, cap=bound)
-    return _certificate_exit(args, result, bound)
-
-
-def cmd_index_nbhd(args) -> int:
-    doc = _load(args.doc)
-    s, e = doc.resolve(args.set), doc.resolve(args.nbhd)
-    bound = _search_bound(doc, args)
-    result = co.is_index_nbhd(doc.system, e, s, cap=bound)
-    return _certificate_exit(args, result, bound)
-
-
-def cmd_sim(args) -> int:
-    doc = _load(args.doc)
-    e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
-    bound = _search_bound(doc, args)
-    result = dyn.sim_f(doc.system, e, e2, bound=bound)
-    payload = {"meta": meta_block(bound=result.bound), "status": result.status,
-               "forward": [str(x) for x in result.forward] if result.forward else None,
-               "backward": [str(x) for x in result.backward] if result.backward else None}
-    _emit(args, payload,
-          [f"{result.status}",
-           f"  forward witness (a, b): {result.forward}",
-           f"  backward witness (a', b'): {result.backward}"])
-    if result.status == "equivalent":
-        return EXIT_OK
-    return EXIT_VIOLATION if result.status == "not_equivalent" else EXIT_UNDECIDED
-
-
-def cmd_admissible(args) -> int:
-    doc = _load(args.doc)
-    e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
-    bound = _search_bound(doc, args)
-    search = dyn.find_admissible(doc.system, e, e2,
-                                 bound=bound)
-    meta = meta_block(bound=search.bound)
-    if search.found:
-        t = search.triple
-        _emit(args, {"meta": meta, "status": "found",
-                     "triple": [str(t.a), str(t.b), str(t.c)]},
-              [f"admissible triple: {t}"])
-        return EXIT_OK
-    status = "none" if search.complete else "unknown"
-    _emit(args, {"meta": meta, "status": status},
-          [f"{status}: no admissible triple "
-           f"{'exists' if search.complete else 'found within bound'}"])
-    return EXIT_VIOLATION if search.complete else EXIT_UNDECIDED
-
-
-def cmd_index(args) -> int:
-    doc = _load(args.doc)
-    s = doc.resolve(args.set)
-    e = doc.resolve(args.nbhd)
-    bound = _search_bound(doc, args)
     constructed = None
     if args.search is not None:
-        built = co.construct_index_nbhd(
+        constructed = co.construct_index_nbhd(
             doc.system, s, e, None if bound is None else args.search)
-        if isinstance(built, co.Failure):
-            return _certificate_exit(args, built, bound)
-        constructed = built
-        e = built.subset
+        if isinstance(constructed, co.Failure):
+            return _certificate(constructed)
+        e = constructed.subset
     report = co.verify_simple_system(doc.system, s, [e], bound=bound)
     if isinstance(report, co.Failure):
-        return _certificate_exit(args, report, bound)
-    payload = {"meta": meta_block(bound=bound), "report": report_to_json(report)}
+        return _certificate(report)
+    payload = {"report": report_to_json(report)}
+    lines = [f"carrier: {report.carrier}", f"invariant set: {report.invariant_set}"]
     if constructed is not None:
         payload["constructed"] = {
             "subset": set_to_json(doc.kind, constructed.subset),
-            "triple": [str(x) for x in constructed.triple.as_tuple()],
-        }
-    lines = [f"carrier: {report.carrier}", f"invariant set: {report.invariant_set}"]
-    if constructed is not None:
+            "triple": [str(x) for x in constructed.triple.as_tuple()]}
         lines.insert(0, f"constructed neighbourhood: {constructed.subset!r} "
                         f"via triple {constructed.triple}")
     for n in report.neighbourhoods:
@@ -209,74 +184,58 @@ def cmd_index(args) -> int:
                      + (f"  invariant {n.canonical_invariant}"
                         if n.canonical_invariant else ""))
     lines.append("certified" if report.ok else "VIOLATION in functor laws")
-    _emit(args, payload, lines)
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return (EXIT_OK if report.ok else EXIT_VIOLATION), payload, lines
 
 
-def cmd_szymczak_equal(args) -> int:
+def szymczak_equal(args, doc, bound):
     """Compare the connecting morphisms built from two different admissible
     triples; representative independence demands they agree."""
-    doc = _load(args.doc)
-    e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
-    bound = _search_bound(doc, args)
+    e, e2 = _pair(args, doc)
     search = dyn.find_admissible(doc.system, e, e2, bound)
-    meta = meta_block(bound=search.bound)
     if not search.found:
-        status = "none" if search.complete else "unknown"
-        _emit(args, {"meta": meta, "status": status},
-              [f"{status}: no admissible triple found"])
-        return EXIT_VIOLATION if search.complete else EXIT_UNDECIDED
+        return _no_triple(search, "no admissible triple found")
+    # (a, b, c + 1) is admissible with (a, b, c): the first condition does
+    # not involve c, and D_{c+1-a}(E') <= D_{c-a}(E') <= f^-(b-a)(E), since
+    # the swept domains shrink (see dynamics.find_admissible)
     t1 = search.triple
     t2 = dyn.AdmissibleTriple(t1.a, t1.b, t1.c + 1)
-    if not dyn.is_admissible(doc.system, e, e2, t2):
-        _emit(args, {"meta": meta, "status": "unknown"},
-              ["unknown: no second admissible triple"])
-        return EXIT_UNDECIDED
     equal = co.same_class(doc.system, e, e2, t1, t2)
-    _emit(args, {"meta": meta, "equal": equal,
-                 "triples": [[str(x) for x in t.as_tuple()] for t in (t1, t2)]},
-          [f"morphism classes from triples {t1} and {t2}: "
-           f"{'equal' if equal else 'DIFFERENT'}"])
-    return EXIT_OK if equal else EXIT_VIOLATION
+    return ((EXIT_OK if equal else EXIT_VIOLATION),
+            {"equal": equal,
+             "triples": [[str(x) for x in t.as_tuple()] for t in (t1, t2)]},
+            [f"morphism classes from triples {t1} and {t2}: "
+             f"{'equal' if equal else 'DIFFERENT'}"],
+            search.bound)
 
 
-def cmd_shift_equiv(args) -> int:
-    doc = _load(args.doc)
-    e, e2 = doc.resolve(args.from_), doc.resolve(args.set)
-    bound = _search_bound(doc, args)
+def shift_equiv(args, doc, bound):
+    e, e2 = _pair(args, doc)
     if carrier_for(doc.system).name == "finite":
         # explicit based endos: decide shift equivalence directly
         m = co.connecting_morphism(doc.system, e, e2)
         if isinstance(m, co.Failure):
-            _emit(args, {"meta": meta_block(bound=bound), "status": "no",
-                         "reason": m.reason}, [f"no: {m.reason}"])
-            return EXIT_VIOLATION
-        from .szymczak import is_shift_equivalence
-        wit = is_shift_equivalence(m.phi)
+            return EXIT_VIOLATION, {"status": "no", "reason": m.reason}, \
+                [f"no: {m.reason}"]
+        wit = sz.is_shift_equivalence(m.phi)
         if wit is None:
-            _emit(args, {"meta": meta_block(bound=bound), "status": "no"},
-                  ["no: the connecting map is not a shift equivalence"])
-            return EXIT_VIOLATION
-        _emit(args, {"meta": meta_block(bound=bound), "status": "yes",
-                     "exponent": wit.exponent, "partner": repr(wit.psi)},
-              [f"yes: partner {wit.psi!r} with exponent {wit.exponent}"])
-        return EXIT_OK
+            return EXIT_VIOLATION, {"status": "no"}, \
+                ["no: the connecting map is not a shift equivalence"]
+        return (EXIT_OK, {"status": "yes", "exponent": wit.exponent,
+                          "partner": repr(wit.psi)},
+                [f"yes: partner {wit.psi!r} with exponent {wit.exponent}"])
     # box carriers: verify invertibility through the functor laws
-    ca = carrier_for(doc.system)
-    s = ca.invariant_part(doc.system, e.closure())
+    s = carrier_for(doc.system).invariant_part(doc.system, e.closure())
     rep = co.verify_simple_system(doc.system, s, [e, e2], bound=bound)
     if isinstance(rep, co.Failure):
-        return _certificate_exit(args, rep, bound)
-    ok = rep.ok
-    _emit(args, {"meta": meta_block(bound=bound),
-                 "status": "yes" if ok else "violated",
-                 "report": report_to_json(rep)},
-          ["yes: connecting morphisms verified invertible" if ok
-           else "VIOLATION in invertibility checks"])
-    return EXIT_OK if ok else EXIT_VIOLATION
+        return _certificate(rep)
+    return ((EXIT_OK if rep.ok else EXIT_VIOLATION),
+            {"status": "yes" if rep.ok else "violated",
+             "report": report_to_json(rep)},
+            ["yes: connecting morphisms verified invertible" if rep.ok
+             else "VIOLATION in invertibility checks"])
 
 
-def cmd_verify(args) -> int:
+def verify(args) -> int:
     # the suites and their oracles are test code: only this command loads them
     from .suites import SUITES, run_suite
     if args.suite not in SUITES:
@@ -294,15 +253,53 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
+def _set_nbhd(set_help=None, nbhd_help=None):
+    return (("--set", {"required": True, "help": set_help}),
+            ("--nbhd", {"required": True, "help": nbhd_help}))
+
+
+_FROM_SET = (("--from", {"dest": "from_", "required": True}),
+             ("--set", {"required": True}))
+
+# name, help, handler (None: no document), options
+COMMANDS = (
+    ("check", "predicate table for named subsets", check,
+     (("--set", {"action": "append", "help": "subset label (repeatable)"}),)),
+    ("invariant-part", "invariant part of a subset", invariant_part,
+     (("--set", {"required": True}),)),
+    ("isolating", "certify an isolating neighbourhood", certify("is_isolating"),
+     _set_nbhd("the invariant set S", "the candidate neighbourhood E")),
+    ("index-nbhd", "certify an index neighbourhood", certify("is_index_nbhd"),
+     _set_nbhd()),
+    ("sim", "decide the absorption equivalence E ~ E'", sim, _FROM_SET),
+    ("admissible", "find an admissible triple", admissible, _FROM_SET),
+    ("index", "compute and certify a Conley index", index,
+     _set_nbhd("the invariant set S",
+               "index neighbourhood (or seed when --search is given)") +
+     (("--search", {"type": int, "default": None, "metavar": "N",
+                    "help": "construct an index neighbourhood inside --nbhd "
+                            "with search bound N (finite documents derive a "
+                            "complete bound)"}),)),
+    ("szymczak-equal", "representative independence of connecting morphisms",
+     szymczak_equal, _FROM_SET),
+    ("shift-equiv", "decide shift equivalence of the connecting map",
+     shift_equiv, _FROM_SET),
+    ("verify", "run a named verification suite", None,
+     (("--suite", {"required": True}),
+      ("--trials", {"type": int, "default": None}),
+      ("--seed", {"type": int, "default": None}))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conley-kernel",
         description="Exact Conley index kernel over finite and rational box "
                     "carriers")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, doc=True):
-        if doc:
+    for name, help_text, handler, options in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if handler is not None:
             p.add_argument("doc", help="path to a JSON system document")
         p.add_argument("--bound", type=int, default=None,
                        help="search bound (default CONLEY_DEFAULT_BOUND or 64)")
@@ -310,74 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--json", action="store_true", help="JSON output")
         group.add_argument("--human", dest="json", action="store_false",
                            help="human-readable output (default)")
-        p.set_defaults(json=False)
-
-    p = sub.add_parser("check", help="predicate table for named subsets")
-    add_common(p)
-    p.add_argument("--set", action="append", help="subset label (repeatable)")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("invariant-part", help="invariant part of a subset")
-    add_common(p)
-    p.add_argument("--set", required=True)
-    p.set_defaults(func=cmd_invariant_part)
-
-    p = sub.add_parser("isolating", help="certify an isolating neighbourhood")
-    add_common(p)
-    p.add_argument("--set", required=True, help="the invariant set S")
-    p.add_argument("--nbhd", required=True, help="the candidate neighbourhood E")
-    p.set_defaults(func=cmd_isolating)
-
-    p = sub.add_parser("index-nbhd", help="certify an index neighbourhood")
-    add_common(p)
-    p.add_argument("--set", required=True)
-    p.add_argument("--nbhd", required=True)
-    p.set_defaults(func=cmd_index_nbhd)
-
-    p = sub.add_parser("sim", help="decide the absorption equivalence E ~ E'")
-    add_common(p)
-    p.add_argument("--from", dest="from_", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(func=cmd_sim)
-
-    p = sub.add_parser("admissible", help="find an admissible triple")
-    add_common(p)
-    p.add_argument("--from", dest="from_", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(func=cmd_admissible)
-
-    p = sub.add_parser("index", help="compute and certify a Conley index")
-    add_common(p)
-    p.add_argument("--set", required=True, help="the invariant set S")
-    p.add_argument("--nbhd", required=True,
-                   help="index neighbourhood (or seed when --search is given)")
-    p.add_argument("--search", type=int, default=None, metavar="N",
-                   help="construct an index neighbourhood inside --nbhd "
-                        "with search bound N (finite documents derive a "
-                        "complete bound)")
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("szymczak-equal",
-                       help="representative independence of connecting morphisms")
-    add_common(p)
-    p.add_argument("--from", dest="from_", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(func=cmd_szymczak_equal)
-
-    p = sub.add_parser("shift-equiv",
-                       help="decide shift equivalence of the connecting map")
-    add_common(p)
-    p.add_argument("--from", dest="from_", required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(func=cmd_shift_equiv)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    add_common(p, doc=False)
-    p.add_argument("--suite", required=True)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(json=False, handler=handler)
     return parser
 
 
@@ -394,19 +326,25 @@ def main(argv=None) -> int:
         for flag in ("bound", "search", "trials"):
             if (getattr(args, flag, None) or 0) < 0:
                 raise DocumentError(f"--{flag} must not be negative")
-        return args.func(args)
+        if args.handler is None:
+            return verify(args)
+        doc = _load(args.doc)
+        bound = _search_bound(doc, args)
+        code, payload, lines, *used = args.handler(args, doc, bound)
+        payload["meta"] = meta_block(bound=used[0] if used else bound)
     except ValueError as exc:            # DocumentError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Undecided as exc:
+        code = EXIT_UNDECIDED
         payload = {"meta": meta_block(bound=exc.bound), "status": "unknown",
                    "reason": exc.reason}
         lines = [f"unknown: {exc.reason}"]
         if exc.outer is not None:        # outer approximants are box sets
             payload["outer"] = boxset_to_json(exc.outer)
             lines.append(f"outer approximant: {exc.outer!r}")
-        _emit(args, payload, lines)
-        return EXIT_UNDECIDED
+    _emit(args, payload, lines)
+    return code
 
 
 if __name__ == "__main__":

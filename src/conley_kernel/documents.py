@@ -158,7 +158,10 @@ def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, dict]:
     try:
         dim = _dimension(data)
         axes = []
-        for a in _expect(data["axes"], list, "axes"):
+        if len(_expect(data["axes"], list, "axes")) != dim:
+            raise DocumentError(f"dimension {dim} does not match the "
+                                f"{len(data['axes'])} axes")
+        for a in data["axes"]:
             kind = a["kind"]
             if kind == "identity":
                 axes.append(AxisRule.identity())

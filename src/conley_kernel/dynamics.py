@@ -150,6 +150,7 @@ class _SearchContext:
         self._sets = {1: e, 2: e2}
         self._dom = {1: [e], 2: [e2]}
         self._pre = {1: [e], 2: [e2]}
+        self._stable = set()         # which: its D_n sequence has repeated
         self._cond1: dict = {}
         self._cond2: dict = {}
         self.complete = bound is None
@@ -163,11 +164,16 @@ class _SearchContext:
         self.times = range(bound + 1)
 
     def dom(self, which, n):
-        """D_n of E (which=1) or E' (which=2)."""
+        """D_n of E (which=1) or E' (which=2).  Once D_{k+1} = D_k, every
+        later D_n is D_k, which is the last set stored."""
         seq = self._dom[which]
-        while len(seq) <= n:
-            seq.append(self._sets[which].intersect(self.f.preimage(seq[-1])))
-        return seq[n]
+        while len(seq) <= n and which not in self._stable:
+            nxt = self._sets[which].intersect(self.f.preimage(seq[-1]))
+            if nxt == seq[-1]:
+                self._stable.add(which)
+            else:
+                seq.append(nxt)
+        return seq[min(n, len(seq) - 1)]
 
     def pre(self, which, n):
         """f^-n of E (which=1) or E' (which=2)."""
@@ -192,10 +198,8 @@ class _SearchContext:
 
     def stab(self, which, cap) -> int:
         """The first n < cap with D_{n+1} = D_n, else cap."""
-        for n in range(cap):
-            if self.dom(which, n + 1) == self.dom(which, n):
-                return n
-        return cap
+        self.dom(which, cap)
+        return min(len(self._dom[which]) - 1, cap) if which in self._stable else cap
 
     def b_ranges(self, which):
         """For each candidate a, in increasing order, the index range

@@ -216,10 +216,14 @@ def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:
 def dom_interval(flow: ExactSemiflow, e: BoxSet, t, cap: int = 64) -> BoxSet:
     """The set of x whose whole orbit segment over [0, t] stays in E.
 
-    Exact.  Single boxes use endpoint membership (per-axis monotonicity plus
-    convexity); general 1-D sets use hit sets of the complement components;
-    multi-box sets in higher dimension refine a sampled outer bound until no
-    box of it reaches E's complement within [0, t], which certifies it.
+    Exact.  When E is convex per component (a 1-D set, whose canonical
+    boxes are its connected components, or a single box) it is the union
+    over the boxes B of E of B n F_t^-1(B): an orbit segment is connected,
+    so it stays in E exactly when it stays in the box it starts in, and it
+    is monotone on each axis, so it stays in that convex box exactly when
+    its end does.  Multi-box sets in higher dimension refine a sampled
+    outer bound until no box of it reaches E's complement within [0, t],
+    which certifies it.
     """
     t = rat(t)
     if t < 0:
@@ -227,41 +231,12 @@ def dom_interval(flow: ExactSemiflow, e: BoxSet, t, cap: int = 64) -> BoxSet:
     flow.check_set(e)
     if t == 0:
         return e
-    if len(e.boxes) <= 1:
-        return e.intersect(time_map(flow, t).preimage(e))
-    if flow.dimension == 1:
-        return _dom_interval_1d(flow, e, t)
+    if flow.dimension == 1 or len(e.boxes) <= 1:
+        fmap = time_map(flow, t)
+        parts = (BoxSet.of(flow.dimension, [box]) for box in e.boxes)
+        return BoxSet.union_all(flow.dimension,
+                                (b.intersect(fmap.preimage(b)) for b in parts))
     return _dom_interval_sandwich(flow, e, t, cap)
-
-
-def _ray_up(c: Cut, closed: bool) -> BoxSet:
-    if c == NEG_INF:
-        return BoxSet.full(1)
-    return BoxSet.of(1, [(Interval(c, POS_INF, closed, False),)])
-
-
-def _ray_down(c: Cut, closed: bool) -> BoxSet:
-    if c == POS_INF:
-        return BoxSet.full(1)
-    return BoxSet.of(1, [(Interval(NEG_INF, c, False, closed),)])
-
-
-def _dom_interval_1d(flow: ExactSemiflow, e: BoxSet, t: Fraction) -> BoxSet:
-    rule = flow.axes[0]
-    fmap = time_map(flow, t)
-    d = rule.direction
-    hits = []
-    for (iv,) in e.complement().boxes:
-        if d == 0:
-            hits.append(BoxSet.of(1, [(iv,)]))
-        elif d < 0:
-            # orbit range is [f^t(x), x]
-            hits.append(_ray_up(iv.lo, iv.lo_closed).intersect(
-                fmap.preimage(_ray_down(iv.hi, iv.hi_closed))))
-        else:
-            hits.append(_ray_down(iv.hi, iv.hi_closed).intersect(
-                fmap.preimage(_ray_up(iv.lo, iv.lo_closed))))
-    return BoxSet.union_all(1, hits).complement().intersect(flow.carrier)
 
 
 def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet, t: Fraction,

@@ -14,10 +14,11 @@ preimages and rule agreement (`oracle_rules_image`,
 `oracle_rules_preimage`, `oracle_rules_agree_on`), which the node walk of
 `affine` is checked against; the fixed-cap invariant-part
 loop (`fixed_cap_invariant_part`), which the early exit of
-`dynamics.invariant_part_exact` is checked against; and the lexicographic
+`dynamics.invariant_part_exact` is checked against; the lexicographic
 scans of the admissibility searches (`oracle_find_admissible`,
 `oracle_sim_f`), which the galloping searches of `dynamics` are checked
-against.
+against; and the 1-D swept domain by hit sets (`oracle_dom_interval_1d`),
+which the component rule of `semiflow.dom_interval` is checked against.
 """
 
 from __future__ import annotations
@@ -288,6 +289,39 @@ def oracle_sim_f(f, e, e2, bound=None) -> dyn.SimResult:
     else:
         status = "not_equivalent" if ctx.complete else "unknown"
     return dyn.SimResult(status, fwd, bwd, bound=ctx.bound)
+
+
+def _ray_up(c: Cut, closed: bool) -> BoxSet:
+    if c == NEG_INF:
+        return BoxSet.full(1)
+    return BoxSet.of(1, [(Interval(c, POS_INF, closed, False),)])
+
+
+def _ray_down(c: Cut, closed: bool) -> BoxSet:
+    if c == POS_INF:
+        return BoxSet.full(1)
+    return BoxSet.of(1, [(Interval(NEG_INF, c, False, closed),)])
+
+
+def oracle_dom_interval_1d(flow: sf.ExactSemiflow, e: BoxSet, t) -> BoxSet:
+    """The 1-D swept domain D_t(E) by hit sets, which the component rule of
+    semiflow.dom_interval replaced: the points whose orbit range over
+    [0, t] meets no component of E's complement."""
+    rule = flow.axes[0]
+    fmap = sf.time_map(flow, t)
+    d = rule.direction
+    hits = []
+    for (iv,) in e.complement().boxes:
+        if d == 0:
+            hits.append(BoxSet.of(1, [(iv,)]))
+        elif d < 0:
+            # orbit range is [f^t(x), x]
+            hits.append(_ray_up(iv.lo, iv.lo_closed).intersect(
+                fmap.preimage(_ray_down(iv.hi, iv.hi_closed))))
+        else:
+            hits.append(_ray_down(iv.hi, iv.hi_closed).intersect(
+                fmap.preimage(_ray_up(iv.lo, iv.lo_closed))))
+    return BoxSet.union_all(1, hits).complement().intersect(flow.carrier)
 
 
 def brute_preperiod_period(f: fin.FinitePartialMap) -> tuple[int, int]:

@@ -222,8 +222,10 @@ class TestExitCodes:
         ("interval_map", "pieces", ""),
         ("semiflow", "axes", {}),
         ("semiflow", "axes", ""),
+        ("semiflow", "axes", [{"kind": "floor", "velocity": "1", "clamp": "0"},
+                              {"kind": "identity"}]),
     ], ids=["table-list", "table-string", "table-number", "pieces-object",
-            "pieces-string", "axes-object", "axes-string"])
+            "pieces-string", "axes-object", "axes-string", "axes-count"])
     def test_malformed_system_shapes(self, tmp_path, capsys, kind, key, value):
         system = {"finite_map": {"points": ["a", "b"]},
                   "interval_map": {"dimension": 1},

@@ -11,9 +11,10 @@ from conley_kernel.boxes import BoxSet, Interval
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import (
-    brute_invariant_part, clamp_flow, clamp_map, doubling_map,
+    brute_invariant_part, clamp_flow, clamp_map, contraction_map, doubling_map,
     oracle_find_admissible, oracle_sim_f, random_finite_system, random_flow,
-    random_product_map, random_subset, shift2d_map, step_region,
+    random_interval_set, random_product_map, random_subset, shift2d_map,
+    step_region,
 )
 from conley_kernel.szymczak import BasedEndo
 
@@ -232,6 +233,76 @@ def _flow_box(rng, flow):
                                      hi, rng.random() < 0.7))
         boxes.append(tuple(box))
     return BoxSet.of(flow.dimension, boxes).intersect(flow.carrier)
+
+
+class TestDomSequence:
+    def test_stable_sequence_is_not_extended(self):
+        # D_1 = D_0 when E is forward invariant: [-1, 1] under x -> x/2,
+        # and {2, 3} under the chain 1 -> 2 -> 3 -> 3
+        half = BoxSet.interval(-1, True, 1, True)
+        for f, e in ((contraction_map(), half), (CHAIN, subset("2", "3"))):
+            ctx = dyn._SearchContext(f, e, e, bound=64)
+            assert ctx.dom(1, 64) == e and ctx.dom(1, 1) == e
+            assert len(ctx._dom[1]) <= 2
+            assert ctx.stab(1, 64) == 0
+
+    def test_unstable_sequence_is_exact(self):
+        # under doubling D_n([-1, 1]) = [-2^-n, 2^-n] never repeats
+        ctx = dyn._SearchContext(doubling_map(), UNIT, UNIT, bound=8)
+        assert ctx.dom(1, 5) == box1(Fraction(-1, 32), True, Fraction(1, 32), True)
+        assert ctx.dom(1, 2) == box1(Fraction(-1, 4), True, Fraction(1, 4), True)
+        assert len(ctx._dom[1]) == 6
+
+
+class TestSecondTriple:
+    """szymczak-equal compares the classes of (a, b, c) and (a, b, c + 1)
+    without testing the second triple, which is admissible whenever the
+    first is: the first condition does not involve c, and
+    D_{c+1-a}(E') <= D_{c-a}(E') <= f^-(b-a)(E)."""
+
+    @staticmethod
+    def _c_plus_one_admissible(f, e, e2, bound=None) -> bool:
+        """Whether a triple was found; asserts its successor in c."""
+        t = dyn.find_admissible(f, e, e2, bound).triple
+        if t is not None:
+            assert dyn.is_admissible(f, e, e2, AdmissibleTriple(t.a, t.b, t.c + 1)), \
+                (f, e, e2, t)
+        return t is not None
+
+    def test_finite_maps(self):
+        rng = random.Random(71)
+        found = 0
+        for _ in range(200):
+            f = random_finite_system(rng, 6)
+            found += self._c_plus_one_admissible(
+                f, random_subset(rng, f.space), random_subset(rng, f.space))
+        assert found >= 50
+
+    def test_interval_maps(self):
+        rng = random.Random(73)
+        found = 0
+        for _ in range(60):
+            f = random_product_map(rng, 1)
+            sets = [random_interval_set(rng, 3) for _ in range(2)]
+            found += self._c_plus_one_admissible(f, *sets, bound=8)
+        assert found >= 15
+
+    def test_semiflows(self):
+        rng = random.Random(79)
+        found = tried = 0
+        while tried < 40:
+            flow = random_flow(rng, max_dimension=2)
+            if flow is None:
+                continue
+            e, e2 = _flow_box(rng, flow), _flow_box(rng, flow)
+            if e.is_empty or e2.is_empty:
+                continue
+            tried += 1
+            try:
+                found += self._c_plus_one_admissible(flow, e, e2, bound=3)
+            except Undecided:
+                continue
+        assert found >= 10
 
 
 class TestGallopingSearch:

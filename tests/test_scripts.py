@@ -53,3 +53,15 @@ def test_bench_tracer_counts_the_search_tests(capsys, doc, source, target):
     assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "found"
     assert tracer.counts["dynamics.searches"] == 1
     assert tracer.counts["dynamics.subset_tests"] > 0
+
+
+def test_sweep_bench_requests_prints_one_line_per_request(capsys, tmp_path):
+    script = load("sweep_bench_requests")
+    assert script.main(["finite-index", "1"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    workload, _ = script.set_up(script.bench.builders()["finite-index"], 1,
+                                str(tmp_path))
+    assert [line["name"] for line in lines] == [r.name for r in workload.requests]
+    assert all(set(line) == {"name", "exit", "stdout"} for line in lines)
+    assert all(line["exit"] in (0, 1, 2, 3) for line in lines)
+    assert script.main(["no-such-workload", "1"]) == 2

@@ -10,7 +10,9 @@ from conley_kernel import semiflow as sf
 from conley_kernel.boxes import BoxSet, Interval, isect_iv
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
-from conley_kernel.suites import clamp_flow, random_flow, translation_flow
+from conley_kernel.suites import (
+    clamp_flow, oracle_dom_interval_1d, random_flow, translation_flow,
+)
 
 
 CLAMP = clamp_flow()
@@ -163,7 +165,8 @@ class TestDomInterval:
             assert d2.subset_of(d1)
 
     def test_hit_method_against_sandwich(self):
-        # two independent exact routes must agree whenever both conclude
+        # the component rule, the hit-set oracle and the sandwich are
+        # independent exact routes: they must agree whenever they conclude
         import random
         rng = random.Random(59)
         flows = [CLAMP, TRANS, sf.ExactSemiflow.of([sf.AxisRule.ceil(1, 3)]),
@@ -181,7 +184,8 @@ class TestDomInterval:
             if e.is_empty:
                 continue
             t = Fraction(rng.randint(1, 8), 4)
-            exact = sf._dom_interval_1d(flow, e, t)
+            exact = sf.dom_interval(flow, e, t)
+            assert exact == oracle_dom_interval_1d(flow, e, t), (flow.axes, e, t)
             try:
                 sandwich = sf._dom_interval_sandwich(flow, e, t, 64)
             except Undecided:
