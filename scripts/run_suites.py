@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification suite and print a summary table.
 
-Usage: python scripts/run_suites.py [--seed K] [--trials N]
+Usage: python scripts/run_suites.py [--seed K] [--trials N] [--only NAME ...]
+
+Exits 0 when every suite passes, 1 when one fails, and 2 on an unknown
+suite name or a negative trial count, as ``conley-kernel verify`` does.
 """
 
 import argparse
@@ -11,14 +14,22 @@ import time
 from conley_kernel.suites import SUITES, run_suite
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--only", action="append", help="suite name (repeatable)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     names = args.only or sorted(SUITES)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        print(f"unknown suite {unknown[0]!r}; known: {', '.join(sorted(SUITES))}",
+              file=sys.stderr)
+        return 2
+    if (args.trials or 0) < 0:
+        print("input error: --trials must not be negative", file=sys.stderr)
+        return 2
     failures = 0
     for name in names:
         started = time.time()

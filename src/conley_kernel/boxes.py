@@ -439,6 +439,14 @@ class BoxSet:
     def boxes(self) -> tuple[Box, ...]:
         return tuple(_node_boxes(self.node, self.dimension))
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dimension, self.node))
+
+    def __hash__(self):
+        # sets key the memos of maps and flows: hash each node once
+        return self._hash
+
     # -- set algebra -------------------------------------------------------
 
     @property

@@ -22,9 +22,12 @@ what depends on time:
 
 Time in N: :class:`DiscreteTime`, with one instance for finite maps (searches
 derive a complete bound) and one for piecewise-affine maps on rational box
-sets.  Time in R>=0: :class:`SemiflowCarrier`, which takes its time maps,
-swept domains and candidate times from :mod:`conley_kernel.semiflow`; its
-realized maps are piecewise affine.
+sets.  It is the one place where D_n(E) and f^-n(A) are built: step by step,
+and memoized in a field of the map, so a memo lives as long as its map and
+no two maps or parsed documents share one.  Time in R>=0:
+:class:`SemiflowCarrier`, which takes its time maps, swept domains and
+candidate times from :mod:`conley_kernel.semiflow`, where both are memoized
+on the flow; its realized maps are piecewise affine.
 """
 
 from __future__ import annotations
@@ -54,20 +57,41 @@ class DiscreteTime:
     def time_map(self, f, t):
         return self.maps.power(f, t)
 
-    def preimage(self, f, a, t=1):
-        for _ in range(t):
-            a = f.preimage(a)
-        return a
-
-    def dom(self, f, e, t):
-        """D_t(E): the intersection of f^-i(E) for i = 0..t."""
+    def _sequence(self, f, a, kind, t):
         if t < 0:
             raise ValueError("negative power")
-        f.check_set(e)
-        d = e
-        for _ in range(t):
-            d = e.intersect(f.preimage(d))
-        return d
+        seq = f._iterates.get((a, kind))
+        if seq is None:         # a set equal to a key has passed the check
+            f.check_set(a)
+            seq = f._iterates[a, kind] = [a]
+        return seq
+
+    def preimage(self, f, a, t=1):
+        """f^-t(A), built as f^-1(f^-(t-1)(A)) and memoized on f."""
+        seq = self._sequence(f, a, "preimage", t)
+        while len(seq) <= t:
+            seq.append(f.preimage(seq[-1]))
+        return seq[t]
+
+    def dom(self, f, e, t):
+        """D_t(E): the intersection of f^-i(E) for i = 0..t, built as
+        D_{n+1} = E n f^-1(D_n) and memoized on f.  Once D_{k+1} = D_k,
+        every later D_n is D_k: the sequence becomes a tuple ending at D_k
+        and is never extended again."""
+        seq = self._sequence(f, e, "dom", t)
+        while len(seq) <= t and isinstance(seq, list):
+            nxt = e.intersect(f.preimage(seq[-1]))
+            if nxt == seq[-1]:
+                seq = f._iterates[e, "dom"] = tuple(seq)
+            else:
+                seq.append(nxt)
+        return seq[min(t, len(seq) - 1)]
+
+    def stab(self, f, e, cap) -> int:
+        """The first n < cap with D_{n+1}(E) = D_n(E), else cap."""
+        self.dom(f, e, cap)
+        seq = f._iterates[e, "dom"]
+        return min(len(seq) - 1, cap) if isinstance(seq, tuple) else cap
 
     def interior(self, f, a):
         return a.interior()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__
 from .affine import AffineRule, Piece, PiecewiseAffineMap
@@ -114,7 +114,7 @@ def _expect(val, kind: type, what: str):
     return val
 
 
-def _parse_finite(data: dict) -> tuple[FinitePartialMap, dict]:
+def _parse_finite(data: dict) -> tuple[FinitePartialMap, Callable]:
     try:
         points = data["points"]
         if not isinstance(points, list) or \
@@ -133,10 +133,10 @@ def _parse_finite(data: dict) -> tuple[FinitePartialMap, dict]:
             return FiniteSubset.of(space, val)
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
-    return fmap, {"parse_set": parse_set}
+    return fmap, parse_set
 
 
-def _parse_interval(data: dict) -> tuple[PiecewiseAffineMap, dict]:
+def _parse_interval(data: dict) -> tuple[PiecewiseAffineMap, Callable]:
     try:
         dim = _dimension(data)
         pieces = []
@@ -151,10 +151,10 @@ def _parse_interval(data: dict) -> tuple[PiecewiseAffineMap, dict]:
         pam = PiecewiseAffineMap.of(dim, pieces)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad interval system: {exc}") from exc
-    return pam, {"parse_set": lambda v: boxset_from_json(v, dim)}
+    return pam, lambda v: boxset_from_json(v, dim)
 
 
-def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, dict]:
+def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, Callable]:
     try:
         dim = _dimension(data)
         axes = []
@@ -178,7 +178,7 @@ def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, dict]:
         flow = ExactSemiflow.of(axes, carrier)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad semiflow system: {exc}") from exc
-    return flow, {"parse_set": lambda v: boxset_from_json(v, dim)}
+    return flow, lambda v: boxset_from_json(v, dim)
 
 
 _PARSERS = {
@@ -196,9 +196,9 @@ def parse_document(data: dict) -> SystemDocument:
         raise DocumentError(f"unknown document kind {kind!r}")
     system = _expect(data.get("system", {}), dict, "'system'")
     sets = _expect(data.get("sets", {}), dict, "'sets'")
-    system, helpers = _PARSERS[kind](system)
+    system, parse_set = _PARSERS[kind](system)
     return SystemDocument(kind, system, {
-        str(label): helpers["parse_set"](val) for label, val in sets.items()})
+        str(label): parse_set(val) for label, val in sets.items()})
 
 
 def set_to_json(doc_kind: str, value) -> Any:

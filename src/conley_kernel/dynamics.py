@@ -7,7 +7,7 @@ carry their own algebra, and the time domain comes from
 :mod:`conley_kernel.carriers`, so the finite and interval carriers (times in
 N) and the semiflow carrier (times in R>=0) share one code path: a search
 runs over the times of the carrier's search context, and D_t(E), f^-t and
-f^t come from the carrier.
+f^t come from the carrier, which memoizes the sets on the system.
 
 On the finite carrier every negative search answer is complete: the bounds
 come from eventual periodicity of the power sequence and stabilization of
@@ -138,19 +138,16 @@ def preimage_n(f, e, t):
 # admissibility
 
 class _SearchContext:
-    """Search state over times in N: the iterated-domain sets and iterated
-    preimages of a pair and the absorption tests between them, cached.
+    """Search state over times in N: the absorption tests of a pair,
+    cached.  D_n and f^-n come from the carrier, which memoizes them on f.
 
     Without a bound (finite carrier) the search is complete: f^-a(E') is
     eventually periodic in a and D_b(E) stabilizes in b, and the derived
     bound covers both."""
 
     def __init__(self, f, e, e2, bound=None):
-        self.f = f
-        self._sets = {1: e, 2: e2}
-        self._dom = {1: [e], 2: [e2]}
-        self._pre = {1: [e], 2: [e2]}
-        self._stable = set()         # which: its D_n sequence has repeated
+        self.f, self.e, self.e2 = f, e, e2
+        self.ca = ca = carrier_for(f)
         self._cond1: dict = {}
         self._cond2: dict = {}
         self.complete = bound is None
@@ -158,48 +155,23 @@ class _SearchContext:
             p, q = power_preperiod_period(f)
             n = len(f.space.points)
             self._period_end = p + q
-            self._stab = {w: self.stab(w, n + 1) for w in (1, 2)}
+            self._stab = {1: ca.stab(f, e, n + 1), 2: ca.stab(f, e2, n + 1)}
             bound = 2 * (p + q) + self._stab[1] + self._stab[2] + 2
         self.bound = bound
         self.times = range(bound + 1)
 
-    def dom(self, which, n):
-        """D_n of E (which=1) or E' (which=2).  Once D_{k+1} = D_k, every
-        later D_n is D_k, which is the last set stored."""
-        seq = self._dom[which]
-        while len(seq) <= n and which not in self._stable:
-            nxt = self._sets[which].intersect(self.f.preimage(seq[-1]))
-            if nxt == seq[-1]:
-                self._stable.add(which)
-            else:
-                seq.append(nxt)
-        return seq[min(n, len(seq) - 1)]
-
-    def pre(self, which, n):
-        """f^-n of E (which=1) or E' (which=2)."""
-        seq = self._pre[which]
-        while len(seq) <= n:
-            seq.append(self.f.preimage(seq[-1]))
-        return seq[n]
+    def _absorbed(self, tests, e, e2, a, b) -> bool:
+        """D_b(e) <= f^-a(e2), cached in ``tests`` by (a, b)."""
+        if (a, b) not in tests:
+            ca, f = self.ca, self.f
+            tests[a, b] = ca.dom(f, e, b).subset_of(ca.preimage(f, e2, a))
+        return tests[a, b]
 
     def cond1(self, a, b) -> bool:
-        # D_b(E) <= f^-a(E')
-        key = (a, b)
-        if key not in self._cond1:
-            self._cond1[key] = self.dom(1, b).subset_of(self.pre(2, a))
-        return self._cond1[key]
+        return self._absorbed(self._cond1, self.e, self.e2, a, b)
 
     def cond2(self, delta, gamma) -> bool:
-        # D_gamma(E') <= f^-delta(E)
-        key = (delta, gamma)
-        if key not in self._cond2:
-            self._cond2[key] = self.dom(2, gamma).subset_of(self.pre(1, delta))
-        return self._cond2[key]
-
-    def stab(self, which, cap) -> int:
-        """The first n < cap with D_{n+1} = D_n, else cap."""
-        self.dom(which, cap)
-        return min(len(self._dom[which]) - 1, cap) if which in self._stable else cap
+        return self._absorbed(self._cond2, self.e2, self.e, delta, gamma)
 
     def b_ranges(self, which):
         """For each candidate a, in increasing order, the index range
@@ -246,7 +218,7 @@ def _least(test, times, lo, hi):
     Gallops over :func:`_checkpoints`, then bisects between the last false
     checkpoint and the first true one.  The checkpoints are absolute
     indices, so searches that start at different lo test the same times
-    and share the sets their context caches for them.  Galloping can test a
+    and share the sets the carrier memoizes for them.  Galloping can test a
     time that a linear scan never reaches; if that raises Undecided, the
     linear scan over [lo, hi) decides instead, so the search raises only
     where the scan itself raises."""
@@ -405,17 +377,12 @@ def one_point_endo(f, e) -> BasedEndo:
 
 def invariant_part(f, e):
     """Exact invariant part on the finite carrier, by double stabilization."""
-    if carrier_for(f).name != "finite":
+    ca = carrier_for(f)
+    if ca.name != "finite":
         raise TypeError("invariant_part is the finite-carrier operation; "
                         "use invariant_part_exact on the interval carrier")
-    f.check_set(e)
-    d = e
-    while True:
-        d2 = e.intersect(f.preimage(d))
-        if d2 == d:
-            break
-        d = d2
-    s = d
+    # D_n(E) shrinks until it repeats, so it is constant from n = |E| on
+    s = ca.dom(f, e, len(e.members))
     while True:
         s2 = f.image(s)
         if s2 == s:

@@ -3,13 +3,15 @@
 Point identifiers are opaque text tokens; the space orders them by input
 order so every derived object serializes deterministically.  Finite weak
 Hausdorff spaces are discrete, so the topology on this carrier is trivial:
-closure and interior are the identity and every subset is compact.
+closure and interior are the identity and every subset is compact.  A map
+holds the memo of the D_n(E) and f^-n(A) that
+:class:`conley_kernel.carriers.DiscreteTime` builds, in a field of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -47,6 +49,10 @@ class FiniteSubset:
     @staticmethod
     def of(space: FiniteSpace, members: Iterable[str]) -> "FiniteSubset":
         return FiniteSubset(space, frozenset(str(m) for m in members))
+
+    def __hash__(self):
+        # sets key the memos of maps; frozensets cache their hash
+        return hash(self.members)
 
     def ordered(self) -> tuple[str, ...]:
         return tuple(p for p in self.space.points if p in self.members)
@@ -86,6 +92,8 @@ class FiniteSubset:
 class FinitePartialMap:
     space: FiniteSpace
     pairs: tuple[tuple[str, str], ...]   # (x, f(x)) sorted in space order
+    _iterates: dict = field(default_factory=dict, init=False, compare=False,
+                            hash=False, repr=False)
 
     def __post_init__(self):
         pts = self.space.point_set
@@ -173,17 +181,20 @@ def power(f: FinitePartialMap, n: int) -> FinitePartialMap:
 
 
 def power_preperiod_period(f: FinitePartialMap) -> tuple[int, int]:
-    """Least (p, q) with f^p = f^(p+q), q >= 1, for the power sequence,
-    read off the orbit structure.
+    return preperiod_period(f.space.points, f.table)
+
+
+def preperiod_period(points, table) -> tuple[int, int]:
+    """Least (p, q) with f^p = f^(p+q), q >= 1, for the partial map
+    ``table`` on ``points``, read off the orbit structure.
 
     f^n(x) = f^(n+q)(x) holds iff the orbit of x has left Dom f by step n
     (it does so after k steps: f^k(x) is undefined) or has run into a cycle
     of length c dividing q.  So p is the largest such k or run-in length t
     over all points, and q the lcm of the cycle lengths."""
-    table = dict(f.pairs)
     steps: dict[str, int] = {}     # x -> its k, or its t (0 on a cycle)
     lengths = []
-    for x in f.space.points:
+    for x in points:
         path, at = [], {}
         while x not in steps:
             if x in at:            # the path closed a new cycle

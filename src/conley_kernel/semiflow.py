@@ -15,9 +15,10 @@ systems) is written once in :mod:`conley_kernel.dynamics` and
 :mod:`conley_kernel.conley`.  Exhausted semi-decisions raise
 :class:`Undecided`, never a fabricated negative.
 
-Each flow memoizes its time-t maps by t in a field of the flow object, so
-those maps and their set-map memos (:mod:`conley_kernel.affine`) are shared
-by every caller holding the flow and live as long as it does.
+Each flow memoizes its time-t maps by t and its swept domains by (E, t,
+cap) in fields of the flow object, so those sets and maps, with the maps'
+set-map memos (:mod:`conley_kernel.affine`), are shared by every caller
+holding the flow and live as long as it does.
 """
 
 from __future__ import annotations
@@ -144,6 +145,8 @@ class ExactSemiflow:
     carrier: BoxSet
     _time_maps: dict = field(default_factory=dict, init=False, compare=False,
                              hash=False, repr=False)
+    _swept: dict = field(default_factory=dict, init=False, compare=False,
+                         hash=False, repr=False)
 
     def __post_init__(self):
         if len(self.axes) != self.dimension:
@@ -226,17 +229,23 @@ def dom_interval(flow: ExactSemiflow, e: BoxSet, t, cap: int = 64) -> BoxSet:
     which certifies it.
     """
     t = rat(t)
+    key = (e, t, cap)
+    if key in flow._swept:
+        return flow._swept[key]
     if t < 0:
         raise ValueError("negative time")
     flow.check_set(e)
     if t == 0:
-        return e
-    if flow.dimension == 1 or len(e.boxes) <= 1:
+        d = e
+    elif flow.dimension == 1 or len(e.boxes) <= 1:
         fmap = time_map(flow, t)
         parts = (BoxSet.of(flow.dimension, [box]) for box in e.boxes)
-        return BoxSet.union_all(flow.dimension,
-                                (b.intersect(fmap.preimage(b)) for b in parts))
-    return _dom_interval_sandwich(flow, e, t, cap)
+        d = BoxSet.union_all(flow.dimension,
+                             (b.intersect(fmap.preimage(b)) for b in parts))
+    else:
+        d = _dom_interval_sandwich(flow, e, t, cap)
+    flow._swept[key] = d
+    return d
 
 
 def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet, t: Fraction,
@@ -451,8 +460,9 @@ def _candidate_times(flow: ExactSemiflow, sets: list[BoxSet], bound) -> list[Fra
 
 
 class _ContContext:
-    """Search state over times in R>=0: swept domains, time preimages and
-    the absorption tests between them, cached per candidate time.
+    """Search state over times in R>=0: the absorption tests of a pair,
+    cached per candidate time.  Swept domains and time maps, with their
+    preimages, are memoized on the flow.
 
     The times are a finite rational candidate set, so a failed search is
     never complete."""
@@ -460,42 +470,24 @@ class _ContContext:
     complete = False
 
     def __init__(self, flow, e, e2, bound):
-        self.flow = flow
-        self.e = e
-        self.e2 = e2
+        self.flow, self.e, self.e2 = flow, e, e2
         self.bound = rat(bound)
         self.times = _candidate_times(flow, [e, e2], self.bound)
-        self._dom: dict = {}
-        self._pre: dict = {}
         self._c1: dict = {}
         self._c2: dict = {}
 
-    def dom(self, which, t):
-        key = (which, t)
-        if key not in self._dom:
-            base = self.e if which == 1 else self.e2
-            self._dom[key] = dom_interval(self.flow, base, t)
-        return self._dom[key]
-
-    def pre(self, which, t):
-        key = (which, t)
-        if key not in self._pre:
-            base = self.e if which == 1 else self.e2
-            self._pre[key] = base if t == 0 else \
-                time_map(self.flow, t).preimage(base)
-        return self._pre[key]
+    def _absorbed(self, tests, e, e2, a, b) -> bool:
+        """D_b(e) <= F_a^-1(e2), cached in ``tests`` by (a, b)."""
+        if (a, b) not in tests:
+            tests[a, b] = dom_interval(self.flow, e, b).subset_of(
+                time_map(self.flow, a).preimage(e2))
+        return tests[a, b]
 
     def cond1(self, a, b) -> bool:
-        key = (a, b)
-        if key not in self._c1:
-            self._c1[key] = self.dom(1, b).subset_of(self.pre(2, a))
-        return self._c1[key]
+        return self._absorbed(self._c1, self.e, self.e2, a, b)
 
     def cond2(self, delta, gamma) -> bool:
-        key = (delta, gamma)
-        if key not in self._c2:
-            self._c2[key] = self.dom(2, gamma).subset_of(self.pre(1, delta))
-        return self._c2[key]
+        return self._absorbed(self._c2, self.e2, self.e, delta, gamma)
 
     def b_ranges(self, which):
         """For each candidate a, in increasing order, the index range

@@ -17,8 +17,11 @@ loop (`fixed_cap_invariant_part`), which the early exit of
 `dynamics.invariant_part_exact` is checked against; the lexicographic
 scans of the admissibility searches (`oracle_find_admissible`,
 `oracle_sim_f`), which the galloping searches of `dynamics` are checked
-against; and the 1-D swept domain by hit sets (`oracle_dom_interval_1d`),
-which the component rule of `semiflow.dom_interval` is checked against.
+against; the 1-D swept domain by hit sets (`oracle_dom_interval_1d`),
+which the component rule of `semiflow.dom_interval` is checked against; and
+the from-scratch loops for D_n(E) and f^-n(A) (`oracle_dom`,
+`oracle_preimage`), which the memoized sequences of
+`carriers.DiscreteTime` are checked against.
 """
 
 from __future__ import annotations
@@ -322,6 +325,22 @@ def oracle_dom_interval_1d(flow: sf.ExactSemiflow, e: BoxSet, t) -> BoxSet:
             hits.append(_ray_down(iv.hi, iv.hi_closed).intersect(
                 fmap.preimage(_ray_up(iv.lo, iv.lo_closed))))
     return BoxSet.union_all(1, hits).complement().intersect(flow.carrier)
+
+
+def oracle_dom(f, e, t):
+    """D_t(E) from scratch, the intersection of f^-i(E) for i = 0..t: the
+    loop that the memoized sequence of carriers.DiscreteTime.dom replaced."""
+    d = e
+    for _ in range(t):
+        d = e.intersect(f.preimage(d))
+    return d
+
+
+def oracle_preimage(f, a, t):
+    """f^-t(A) from scratch, t one-step preimages in turn."""
+    for _ in range(t):
+        a = f.preimage(a)
+    return a
 
 
 def brute_preperiod_period(f: fin.FinitePartialMap) -> tuple[int, int]:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from .finite import preperiod_period
+
 BASEPOINT = "*"
 
 
@@ -88,18 +90,9 @@ class BasedEndo:
     @cached_property
     def power_bounds(self) -> tuple[int, int]:
         """(preperiod, period) of the power sequence id, f, f^2, ...: the
-        least p, q >= 1 with f^p = f^(p+q), read off the orbit structure.
-        p is the longest run of a point into the eventual image, q the lcm
-        of the cycle lengths."""
-        periodic = set(self.eventual_image)
-        p = 0
-        for x in self.points:
-            n = 0
-            while x not in periodic:
-                x = self.table[x]
-                n += 1
-            p = max(p, n)
-        return p, math.lcm(*(len(c) for c in self.cycles))
+        least p and q >= 1 with f^p = f^(p+q), by the orbit walk of
+        :func:`conley_kernel.finite.preperiod_period`."""
+        return preperiod_period(self.points, self.table)
 
     @cached_property
     def powers(self) -> tuple[dict, ...]:

@@ -1,6 +1,9 @@
+import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,19 +11,22 @@ from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
 from conley_kernel import semiflow as sf
 from conley_kernel.boxes import BoxSet, Interval
+from conley_kernel.carriers import DiscreteTime
+from conley_kernel.documents import parse_document
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import (
     brute_invariant_part, clamp_flow, clamp_map, contraction_map, doubling_map,
-    oracle_find_admissible, oracle_sim_f, random_finite_system, random_flow,
-    random_interval_set, random_product_map, random_subset, shift2d_map,
-    step_region,
+    oracle_dom, oracle_find_admissible, oracle_preimage, oracle_sim_f,
+    random_finite_system, random_flow, random_interval_set, random_product_map,
+    random_subset, shift2d_map, step_region,
 )
 from conley_kernel.szymczak import BasedEndo
 
 
 SPACE = fin.FiniteSpace.of(["1", "2", "3"])
 CHAIN = fin.FinitePartialMap.of(SPACE, {"1": "2", "2": "3", "3": "3"})
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def subset(*pts):
@@ -240,18 +246,114 @@ class TestDomSequence:
         # D_1 = D_0 when E is forward invariant: [-1, 1] under x -> x/2,
         # and {2, 3} under the chain 1 -> 2 -> 3 -> 3
         half = BoxSet.interval(-1, True, 1, True)
-        for f, e in ((contraction_map(), half), (CHAIN, subset("2", "3"))):
-            ctx = dyn._SearchContext(f, e, e, bound=64)
-            assert ctx.dom(1, 64) == e and ctx.dom(1, 1) == e
-            assert len(ctx._dom[1]) <= 2
-            assert ctx.stab(1, 64) == 0
+        chain = fin.FinitePartialMap.of(SPACE, CHAIN.table)
+        for f, e in ((contraction_map(), half), (chain, subset("2", "3"))):
+            ca = dyn.carrier_for(f)
+            assert ca.dom(f, e, 64) == e and ca.dom(f, e, 1) == e
+            assert len(f._iterates[e, "dom"]) <= 2
+            assert ca.stab(f, e, 64) == 0
 
     def test_unstable_sequence_is_exact(self):
         # under doubling D_n([-1, 1]) = [-2^-n, 2^-n] never repeats
-        ctx = dyn._SearchContext(doubling_map(), UNIT, UNIT, bound=8)
-        assert ctx.dom(1, 5) == box1(Fraction(-1, 32), True, Fraction(1, 32), True)
-        assert ctx.dom(1, 2) == box1(Fraction(-1, 4), True, Fraction(1, 4), True)
-        assert len(ctx._dom[1]) == 6
+        f = doubling_map()
+        ca = dyn.carrier_for(f)
+        assert ca.dom(f, UNIT, 5) == box1(Fraction(-1, 32), True, Fraction(1, 32), True)
+        assert ca.dom(f, UNIT, 2) == box1(Fraction(-1, 4), True, Fraction(1, 4), True)
+        assert len(f._iterates[UNIT, "dom"]) == 6
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the bound of the Undecided it raises."""
+    try:
+        return fn(*args)
+    except Undecided as exc:
+        return ("undecided", exc.bound)
+
+
+def _shuffled_times(rng, times):
+    """Every time twice, in random order."""
+    times = list(times) * 2
+    rng.shuffle(times)
+    return times
+
+
+class TestCarrierMemo:
+    """D_t(E) and f^-t(A) from the carrier, which memoizes them on the
+    system, against the from-scratch loops (suites.oracle_dom,
+    suites.oracle_preimage) on a copy of the system with empty memos, with
+    times asked out of order and past stabilization."""
+
+    def test_finite_maps(self):
+        rng = random.Random(83)
+        for _ in range(60):
+            f = random_finite_system(rng, 7)
+            fresh, ca = replace(f), dyn.carrier_for(f)
+            sets = [random_subset(rng, f.space) for _ in range(2)]
+            # D_t stabilizes by t = |X| <= 7
+            for t in _shuffled_times(rng, range(13)):
+                e = rng.choice(sets)
+                assert ca.dom(f, e, t) == oracle_dom(fresh, e, t)
+                assert ca.preimage(f, e, t) == oracle_preimage(fresh, e, t)
+            for e in sets:
+                assert ca.stab(f, e, 12) == next(
+                    (n for n in range(12)
+                     if oracle_dom(fresh, e, n + 1) == oracle_dom(fresh, e, n)), 12)
+
+    def test_interval_maps(self):
+        rng = random.Random(89)
+        for _ in range(30):
+            f = random_product_map(rng, 1)
+            fresh, ca = replace(f), dyn.carrier_for(f)
+            sets = [random_interval_set(rng, 3) for _ in range(2)]
+            for t in _shuffled_times(rng, range(9)):
+                e = rng.choice(sets)
+                assert ca.dom(f, e, t) == oracle_dom(fresh, e, t)
+                assert ca.preimage(f, e, t) == oracle_preimage(fresh, e, t)
+
+    def test_semiflows(self):
+        rng = random.Random(97)
+        tried = 0
+        while tried < 30:
+            flow = random_flow(rng, max_dimension=2)
+            if flow is None:
+                continue
+            sets = [_flow_box(rng, flow) for _ in range(2)]
+            tried += 1
+            ca = dyn.carrier_for(flow)
+            for t in _shuffled_times(rng, (Fraction(k, 2) for k in range(9))):
+                e, fresh = rng.choice(sets), replace(flow)
+                assert _outcome(ca.dom, flow, e, t) == \
+                    _outcome(sf.dom_interval, fresh, e, t)
+                assert ca.preimage(flow, e, t) == \
+                    sf.time_map(fresh, t).preimage(e)
+
+    def test_negative_times_raise(self):
+        # preimage_n(f, {3}, -2) used to return {3} unchanged
+        chain = fin.FinitePartialMap.of(SPACE, CHAIN.table)
+        for f, e in ((chain, subset("3")), (doubling_map(), UNIT)):
+            for ask in (dyn.dom_power, dyn.preimage_n):
+                with pytest.raises(ValueError, match="negative power"):
+                    ask(f, e, -2)
+            assert not f._iterates
+
+    def test_two_parses_of_one_document_share_no_memo(self):
+        for name, label in (("attractor.json", "all"), ("doubling.json", "unit"),
+                            ("clamp_flow.json", "unit")):
+            data = json.loads((FIXTURES / name).read_text())
+            one, two = parse_document(data), parse_document(data)
+            assert one.system == two.system
+            f, e = one.system, one.sets[label]
+            ca = dyn.carrier_for(f)
+            assert ca.dom(f, e, 3) == ca.dom(two.system, two.sets[label], 3)
+            assert ca.preimage(f, e, 2) == \
+                ca.preimage(two.system, two.sets[label], 2)
+            memos = [m for m in ("_iterates", "_swept") if hasattr(f, m)]
+            for m in memos:
+                assert getattr(f, m) is not getattr(two.system, m)
+            before = {m: dict(getattr(two.system, m)) for m in memos}
+            ca.dom(f, e, 5)
+            ca.preimage(f, e, 4)
+            assert {m: dict(getattr(two.system, m)) for m in memos} == before
 
 
 class TestSecondTriple:
@@ -357,14 +459,14 @@ class TestGallopingSearch:
         from conley_kernel.affine import PiecewiseAffineMap
         f = PiecewiseAffineMap.affine_1d(1, 1)
         e, e2 = box1(0, True, 3, True), box1(0, True, 1, True)
-        dom = dyn._SearchContext.dom
+        dom = DiscreteTime.dom
 
-        def undecided_past_two(ctx, which, n):
+        def undecided_past_two(ca, f, e, n):
             if n > 2:
                 raise Undecided("no swept domain past time 2", bound=n)
-            return dom(ctx, which, n)
+            return dom(ca, f, e, n)
 
-        monkeypatch.setattr(dyn._SearchContext, "dom", undecided_past_two)
+        monkeypatch.setattr(DiscreteTime, "dom", undecided_past_two)
         want = oracle_find_admissible(f, e, e2, bound=8)
         assert want.triple == AdmissibleTriple(0, 2, 2)
         assert dyn.find_admissible(f, e, e2, bound=8) == want
@@ -390,6 +492,7 @@ class TestGallopingSearch:
 
         monkeypatch.setattr(sf._ContContext, "__init__", kept)
         got = dyn.find_admissible(flow, e, e2, bound=64)
+        swept = len(flow._swept)     # the oracle's scan shares the flow's memo
         assert got.triple == AdmissibleTriple(48, 48, 48)
         assert got == oracle_find_admissible(flow, e, e2, bound=64)
         ctx, scan = made
@@ -397,7 +500,7 @@ class TestGallopingSearch:
         depth = ctx.times.index(got.triple.a)
         assert n >= 100 and depth >= 90
         log_n = math.ceil(math.log2(n))
-        assert len(ctx._dom) <= 2 * log_n + 2
+        assert swept <= 2 * log_n + 2
         assert len(ctx._c1) <= 3 * (depth + 1) + log_n
         # the scan tested every pair (a, b) with a below the least a
         assert len(scan._c1) == sum(n - i for i in range(depth)) + 1

@@ -65,3 +65,20 @@ def test_sweep_bench_requests_prints_one_line_per_request(capsys, tmp_path):
     assert all(set(line) == {"name", "exit", "stdout"} for line in lines)
     assert all(line["exit"] in (0, 1, 2, 3) for line in lines)
     assert script.main(["no-such-workload", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--only", "no-such-suite"], "unknown suite 'no-such-suite'"),
+    (["--only", "box-algebra", "--trials", "-1"],
+     "--trials must not be negative"),
+])
+def test_run_suites_rejects_bad_input(capsys, argv, message):
+    assert load("run_suites").main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_run_suites_runs_the_named_suites(capsys):
+    assert load("run_suites").main(["--only", "worked-models", "--trials", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("worked-models") and " pass " in out
