@@ -4,14 +4,15 @@
 Usage: python scripts/run_suites.py [--seed K] [--trials N] [--only NAME ...]
 
 Exits 0 when every suite passes, 1 when one fails, and 2 on an unknown
-suite name or a negative trial count, as ``conley-kernel verify`` does.
+suite name or a trial count below 1 (``suites.check_trials``), as
+``conley-kernel verify`` does.
 """
 
 import argparse
 import sys
 import time
 
-from conley_kernel.suites import SUITES, run_suite
+from conley_kernel.suites import SUITES, check_trials, run_suite
 
 
 def main(argv=None) -> int:
@@ -27,8 +28,10 @@ def main(argv=None) -> int:
         print(f"unknown suite {unknown[0]!r}; known: {', '.join(sorted(SUITES))}",
               file=sys.stderr)
         return 2
-    if (args.trials or 0) < 0:
-        print("input error: --trials must not be negative", file=sys.stderr)
+    try:
+        check_trials(args.trials)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     failures = 0
     for name in names:

@@ -11,10 +11,10 @@ node walk (`_map_node`): a nonzero slope moves the breakpoints of its axis
 and keeps their values, a zero slope evaluates or projects its axis.
 
 Each map memoizes its set images and preimages by argument set (box sets
-hash and compare as sets), and the D_n(E) and f^-n(A) that
+hash and compare as sets), and the powers f^t, D_n(E) and f^-n(A) that
 :class:`conley_kernel.carriers.DiscreteTime` builds, in fields of the map
 object, so a memo lives as long as its map and no two maps or parsed
-documents share one.
+documents share one.  :func:`power` stays the from-scratch reference.
 """
 
 from __future__ import annotations

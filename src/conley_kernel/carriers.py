@@ -13,18 +13,18 @@ and ``check_set``).  :mod:`conley_kernel.dynamics` and
 what depends on time:
 
 - its name, default search bound and the search context over its times;
-- composition of realized maps and the time-t map, the swept domain D_t(E)
-  (the points whose orbit segment over [0, t] stays in E) and the time-t
-  preimage;
+- composition of realized maps and the time-t map f^t, the swept domain
+  D_t(E) (the points whose orbit segment over [0, t] stays in E) and the
+  time-t preimage, each memoized on the system;
 - the invariant-part strategy and the invariance precondition on S;
 - interior relative to the carrier;
 - the weak-compactifiability checks of the induced system.
 
 Time in N: :class:`DiscreteTime`, with one instance for finite maps (searches
 derive a complete bound) and one for piecewise-affine maps on rational box
-sets.  It is the one place where D_n(E) and f^-n(A) are built: step by step,
-and memoized in a field of the map, so a memo lives as long as its map and
-no two maps or parsed documents share one.  Time in R>=0:
+sets.  It is the one place where f^t, D_n(E) and f^-n(A) are built: step by
+step, and memoized in a field of the map, so a memo lives as long as its map
+and no two maps or parsed documents share one.  Time in R>=0:
 :class:`SemiflowCarrier`, which takes its time maps, swept domains and
 candidate times from :mod:`conley_kernel.semiflow`, where both are memoized
 on the flow; its realized maps are piecewise affine.
@@ -44,6 +44,10 @@ DEFAULT_INTERVAL_BOUND = 64
 class DiscreteTime:
     """Time in N: f^t is the t-th power and D_t(E) the t-fold iterated domain.
 
+    The powers f^0, f^1, ..., the D_n(E) and the f^-n(A) are built step by
+    step and kept in the map's ``_iterates``, so a smaller time costs a
+    lookup and a larger one a step per missing time.
+
     ``maps`` is the module of the realized maps; its ``compose`` and
     ``power`` are looked up at call time, so wrappers installed on the
     module take effect."""
@@ -55,7 +59,22 @@ class DiscreteTime:
         return self.maps.compose(g, f)
 
     def time_map(self, f, t):
-        return self.maps.power(f, t)
+        """f^t: f^0 and f^1 as ``power`` builds them, then f^(n+1) = f o f^n,
+        one ``compose`` per step, all memoized on f except f itself (f^1 of
+        a finite map): f in its own memo would keep its parsed document
+        alive until a cyclic garbage collection."""
+        if t < 0:
+            raise ValueError("negative power")
+        seq = f._iterates.setdefault("power", [None, None])  # built when asked
+        if t < 2 and seq[t] is None:
+            p = self.maps.power(f, t)
+            if p is f:
+                return f
+            seq[t] = p
+        while len(seq) <= t:
+            seq.append(self.maps.compose(
+                f, self.time_map(f, 1) if len(seq) == 2 else seq[-1]))
+        return seq[t]
 
     def _sequence(self, f, a, kind, t):
         if t < 0:

@@ -323,7 +323,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        for flag in ("bound", "search", "trials"):
+        for flag in ("bound", "search"):   # verify checks --trials itself
             if (getattr(args, flag, None) or 0) < 0:
                 raise DocumentError(f"--{flag} must not be negative")
         if args.handler is None:

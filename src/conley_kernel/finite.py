@@ -4,7 +4,7 @@ Point identifiers are opaque text tokens; the space orders them by input
 order so every derived object serializes deterministically.  Finite weak
 Hausdorff spaces are discrete, so the topology on this carrier is trivial:
 closure and interior are the identity and every subset is compact.  A map
-holds the memo of the D_n(E) and f^-n(A) that
+holds the memo of the powers f^t, D_n(E) and f^-n(A) that
 :class:`conley_kernel.carriers.DiscreteTime` builds, in a field of its own.
 """
 

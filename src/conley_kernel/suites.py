@@ -1374,9 +1374,19 @@ SUITES = {
 }
 
 
+def check_trials(trials) -> None:
+    """The trial counts that ``verify`` and ``scripts/run_suites.py`` take:
+    None (each suite's default) or at least 1.  A group run on 0 trials
+    checks nothing, so it is an input error, not a pass."""
+    if trials is not None and trials < 1:
+        raise ValueError("--trials must not be negative" if trials < 0 else
+                         "--trials must be at least 1: 0 trials check nothing")
+
+
 def run_suite(name: str, trials=None, seed=None, bound=None) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(name)
+    check_trials(trials)
     kwargs = {}
     if trials is not None:
         kwargs["trials"] = trials

@@ -174,6 +174,13 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "unknown-name")
         assert code == 2
 
+    def test_zero_trials_are_an_input_error(self, capsys):
+        # a suite run on 0 trials used to report pass
+        code, out, err = run(capsys, "verify", "--suite", "box-algebra",
+                             "--trials", "0", "--json")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: --trials must be at least 1")
+
     def test_only_verify_loads_the_suites(self):
         # the suites and their oracles are test code, which the other
         # commands do not import

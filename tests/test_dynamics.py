@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conley_kernel import affine as af
 from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
 from conley_kernel import semiflow as sf
@@ -278,8 +279,8 @@ def _shuffled_times(rng, times):
 
 
 class TestCarrierMemo:
-    """D_t(E) and f^-t(A) from the carrier, which memoizes them on the
-    system, against the from-scratch loops (suites.oracle_dom,
+    """f^t, D_t(E) and f^-t(A) from the carrier, which memoizes them on the
+    system, against the from-scratch loops (power, suites.oracle_dom,
     suites.oracle_preimage) on a copy of the system with empty memos, with
     times asked out of order and past stabilization."""
 
@@ -331,10 +332,57 @@ class TestCarrierMemo:
         # preimage_n(f, {3}, -2) used to return {3} unchanged
         chain = fin.FinitePartialMap.of(SPACE, CHAIN.table)
         for f, e in ((chain, subset("3")), (doubling_map(), UNIT)):
-            for ask in (dyn.dom_power, dyn.preimage_n):
+            ca = dyn.carrier_for(f)
+            for ask in (dyn.dom_power, dyn.preimage_n,
+                        lambda f, e, t: ca.time_map(f, t)):
                 with pytest.raises(ValueError, match="negative power"):
                     ask(f, e, -2)
             assert not f._iterates
+            ca.time_map(f, 2)       # and once f^0..f^2 are memoized
+            with pytest.raises(ValueError, match="negative power"):
+                ca.time_map(f, -1)
+            assert len(f._iterates["power"]) == 3
+
+    def test_powers(self):
+        """f^t from the carrier, asked in random order and twice each,
+        against affine.power / finite.power on a copy with empty memos:
+        affine maps piece for piece, not only as the same map."""
+        rng = random.Random(101)
+        systems = [(random_finite_system(rng, 7), 9) for _ in range(30)]
+        systems += [(random_product_map(rng, 1), 7) for _ in range(15)]
+        systems += [(random_product_map(rng, 2), 5) for _ in range(10)]
+        systems += [(doubling_map(), 7), (clamp_map(), 7)]
+        for f, top in systems:
+            fresh, ca = replace(f), dyn.carrier_for(f)
+            power = fin.power if isinstance(f, fin.FinitePartialMap) else af.power
+            for t in _shuffled_times(rng, range(top)):
+                got, want = ca.time_map(f, t), power(fresh, t)
+                assert got == want, (f, t)
+                if isinstance(f, af.PiecewiseAffineMap):
+                    assert got.pieces == want.pieces, (f, t)
+
+    @pytest.mark.parametrize("module", [af, fin], ids=["affine", "finite"])
+    def test_powers_cost_one_compose_per_missing_step(self, module, monkeypatch):
+        calls = []
+        compose = module.compose
+
+        def counted(g, f):
+            calls.append(1)
+            return compose(g, f)
+
+        monkeypatch.setattr(module, "compose", counted)
+        f = clamp_map() if module is af else \
+            fin.FinitePartialMap.of(SPACE, CHAIN.table)
+        ca = dyn.carrier_for(f)
+        ca.time_map(f, 5)
+        calls.clear()
+        for k in (5, 0, 3, 1, 4, 2, 5):
+            ca.time_map(f, k)
+        assert not calls
+        ca.time_map(f, 6)
+        assert len(calls) == 1
+        # f^1 of a finite map is f, which its own memo does not hold
+        assert all(p is not f for p in f._iterates["power"])
 
     def test_two_parses_of_one_document_share_no_memo(self):
         for name, label in (("attractor.json", "all"), ("doubling.json", "unit"),
@@ -347,13 +395,23 @@ class TestCarrierMemo:
             assert ca.dom(f, e, 3) == ca.dom(two.system, two.sets[label], 3)
             assert ca.preimage(f, e, 2) == \
                 ca.preimage(two.system, two.sets[label], 2)
-            memos = [m for m in ("_iterates", "_swept") if hasattr(f, m)]
+            assert ca.time_map(f, 2) == ca.time_map(two.system, 2)
+            assert ca.time_map(f, 2) is not ca.time_map(two.system, 2)
+            memos = [m for m in ("_iterates", "_swept", "_time_maps")
+                     if hasattr(f, m)]
             for m in memos:
                 assert getattr(f, m) is not getattr(two.system, m)
-            before = {m: dict(getattr(two.system, m)) for m in memos}
+
+            def snapshot():     # copies the memoized sequences, too
+                return {m: {k: tuple(v) if isinstance(v, list) else v
+                            for k, v in getattr(two.system, m).items()}
+                        for m in memos}
+
+            before = snapshot()
             ca.dom(f, e, 5)
             ca.preimage(f, e, 4)
-            assert {m: dict(getattr(two.system, m)) for m in memos} == before
+            ca.time_map(f, 4)
+            assert snapshot() == before
 
 
 class TestSecondTriple:

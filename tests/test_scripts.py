@@ -71,6 +71,8 @@ def test_sweep_bench_requests_prints_one_line_per_request(capsys, tmp_path):
     (["--only", "no-such-suite"], "unknown suite 'no-such-suite'"),
     (["--only", "box-algebra", "--trials", "-1"],
      "--trials must not be negative"),
+    (["--only", "box-algebra", "--trials", "0"],
+     "input error: --trials must be at least 1"),
 ])
 def test_run_suites_rejects_bad_input(capsys, argv, message):
     assert load("run_suites").main(argv) == 2
