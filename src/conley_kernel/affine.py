@@ -1,10 +1,58 @@
 """Piecewise-affine partial self-maps of R^n with exact rational arithmetic.
 
-A map consists of finitely many pieces (box-set domain, componentwise affine
-rule).  Piece domains are pairwise disjoint and the map is continuous on its
-domain; both facts are checked exactly at construction.  Composites are built
-with shrunken domains, so they stay continuous by construction and skip the
-re-check.
+A map is continuous on its domain and componentwise affine on each of
+finitely many box-set pieces: x_j -> m_j*x_j + q_j on every axis j.  Any
+list of pieces with pairwise disjoint domains on which the map is
+continuous is accepted (both facts are checked exactly), and the map is
+held in one canonical form, so `==` is map equality whichever list wrote
+it, and :attr:`PiecewiseAffineMap.pieces` is derived from the form.
+
+The form is the step-function node of :mod:`conley_kernel.boxes` with rule
+tuples in place of true and False for "undefined", as multi-terminal and
+algebraic decision diagrams put values at their leaves (Bahar et al.,
+ICCAD 1993).  A node over the axes d..n-1 is False, a leaf (one tuple of n
+rules, the map on all of R^(n-d)) or a step list along axis d whose values
+are nodes over the axes after d.  Its cells are the products of one atom
+per axis, an atom being a breakpoint value v or an open interval between
+two.  On a cell, output j depends on x_j alone, so there a rule holds only
+its value m_j*v + q_j on a point atom of axis j and all of (m_j, q_j) on
+an open one (an affine function is fixed by its values on an open
+interval).  Reducing rule j at v replaces it by (0, m_j*v + q_j); two
+leaves give the same map on a cell iff they are equal once reduced on the
+cell's point axes.  A node is canonical when, along each axis:
+
+1. adjacent steps hold different values;
+2. a step over a single point v holds the slice x_d = v with the axis-d
+   rules reduced at v, and a step over an interval holds the map on that
+   strip, axis-d rules as they are;
+3. at each value v, with L and R the maps on the open strips just left and
+   right of v and P the slice at v: if L reduced at v is P the point joins
+   L's step (only the breakpoint "just after v"), else if R reduced at v
+   is P it joins R's step (only "just before v"), else it keeps a step of
+   its own; and v is no breakpoint at all iff L = R and L reduced at v is P.
+
+Canonicity, by induction on the number of axes, for leaves of any kind
+that can be reduced axis by axis: L, R and P above are maps over fewer
+axes, so each has one canonical node; the breakpoint values of the node
+of F are exactly the v at which not (L = R and L reduced at v is P),
+finitely many; rule 3 fixes the breakpoints at v from L, R and P alone;
+and each step's value is the map on its strip (constant between
+breakpoints) or P.  So the node is a function of the map, and two maps are
+equal iff their nodes are.  :func:`_canon` enforces the three rules on one
+step list whose values are canonical, comparing steps reduced at v with
+:func:`_agrees` and storing a point step reduced by :func:`_reduce`, and
+every node operation is a merge of two step lists (:func:`_apply`)
+canonicalized bottom-up.
+
+Continuity on the domain holds iff at each point x of it, every cell whose
+closure holds x has a rule whose value at x is the map's: there are
+finitely many cells and each rule is continuous.  Cells of one step meet
+only across the later axes, so :func:`_continuous` checks each step on its
+own and then, at each breakpoint value v, the slice at v against the
+limits of the open steps on either side, walking the pairs of cells whose
+closures meet axis by axis (:func:`_agrees`).  :meth:`PiecewiseAffineMap.of`
+runs it once on the node it builds.  Restriction, composition and
+:func:`product` (which builds the time maps of semiflows) keep continuity.
 
 Set maps relabel the canonical form of :mod:`conley_kernel.boxes` in one
 node walk (`_map_node`): a nonzero slope moves the breakpoints of its axis
@@ -19,14 +67,13 @@ documents share one.  :func:`power` stays the from-scratch reference.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .boxes import BoxSet, _node, _union_all, rat, RatLike
+from .boxes import BoxSet, _node, _steps, _union_all, rat, RatLike
 
 
 @dataclass(frozen=True)
@@ -104,14 +151,176 @@ def rules_image(rules: Rules, a: BoxSet) -> BoxSet:
     return BoxSet(a.dimension, _map_node(rules, a.node, 0, False))
 
 
-def rules_agree_on(r1: Rules, r2: Rules, region: BoxSet) -> bool:
-    """Exactly decide whether two componentwise rules coincide on a box set:
-    whether region lies in the zero set of their difference."""
-    d = region.dimension
-    diff = tuple(AffineRule(a.slope - b.slope, a.intercept - b.intercept)
-                 for a, b in zip(r1, r2))
-    return region.is_empty or region.subset_of(
-        rules_preimage(diff, BoxSet.points([(0,) * d], d)))
+# ---------------------------------------------------------------------------
+# map nodes: False, a rule tuple, or a step list (keys, vals) as in boxes
+
+def _leaf(a) -> bool:
+    """Whether node a is constant over its axes: False, a rule tuple, or
+    True (a set node)."""
+    return a is False or a is True or type(a[0]) is AffineRule
+
+
+def _pair(a):
+    """The step list of node a; a constant is one step."""
+    return ((), (a,)) if _leaf(a) else a
+
+
+def _reduce(a, k: int, v: Fraction, depth: int):
+    """Node a, over the axes from depth on, on the hyperplane x_k = v
+    (k < depth): every axis-k rule reduced to its value at v."""
+    if a is False:
+        return a
+    if type(a[0]) is AffineRule:
+        r = a[k]
+        if r.slope == 0:
+            return a
+        return a[:k] + (AffineRule(Fraction(0), r.apply(v)),) + a[k + 1:]
+    keys, vals = a
+    reduced = [_reduce(x, k, v, depth + 1) for x in vals]
+    if all(x is y for x, y in zip(reduced, vals)):
+        return a
+    return _canon(keys, reduced, depth)
+
+
+def _canon(keys: Sequence, vals: list, depth: int):
+    """The canonical node of a step list along axis depth whose values are
+    canonical nodes, adjacent ones possibly equal and point steps possibly
+    unreduced: rules 1-3 of the module docstring, one breakpoint value at a
+    time."""
+    out_keys, out_vals = [], [vals[0]]
+    i, n = 0, len(keys)
+    while i < n:
+        v, e = keys[i]
+        left = vals[i]
+
+        def same(x, y):
+            return _agrees(x, y, {depth: v}, depth + 1, False)
+        if e == 0 and i + 1 < n and keys[i + 1][0] == v:     # a point step
+            point, right = vals[i + 1], vals[i + 2]
+            i += 2
+            joins = 1 if same(left, point) else 0 if same(right, point) \
+                else None
+            point = _reduce(point, depth, v, depth + 1)
+        else:                     # the point belongs to one of its neighbours
+            right = vals[i + 1]
+            i += 1
+            joins = 1 if e or same(left, right) else 0
+        if joins is None:
+            out_keys += [(v, 0), (v, 1)]
+            out_vals += [point, right]
+        elif joins == 0 or right != out_vals[-1]:
+            out_keys.append((v, joins))
+            out_vals.append(right)
+    if out_keys:
+        return (tuple(out_keys), tuple(out_vals))
+    return out_vals[0] if _leaf(out_vals[0]) else ((), (out_vals[0],))
+
+
+def _apply(a, b, op, depth: int):
+    """The pointwise op of nodes a and b over the axes from depth on: op(a,
+    b) is the result where it is decided (at two leaves at the latest),
+    else None, and then the step lists merge."""
+    out = op(a, b)
+    if out is not None:
+        return out
+    (ka, va), (kb, vb) = _pair(a), _pair(b)
+    keys, vals = [], [_apply(va[0], vb[0], op, depth + 1)]
+    for k, i, j in _steps(ka, kb):
+        keys.append(k)
+        vals.append(_apply(va[i], vb[j], op, depth + 1))
+    return _canon(keys, vals, depth)
+
+
+def _disjoint_union(a, b):
+    if a is False:
+        return b
+    if b is False:
+        return a
+    if _leaf(a) and _leaf(b):
+        raise ValueError("piece domains overlap")
+    return None
+
+
+def _restricted(a, s):
+    """Map node a on set node s."""
+    if a is False or s is False:
+        return False
+    return a if s is True else None
+
+
+def _where(a, test):
+    """The set node of the points at which the leaf of node a passes test."""
+    if _leaf(a):
+        return test(a)
+    keys, vals = a
+    out_keys, out_vals = [], [_where(vals[0], test)]
+    for k, x in zip(keys, vals[1:]):
+        x = _where(x, test)
+        if x != out_vals[-1]:
+            out_keys.append(k)
+            out_vals.append(x)
+    return _node(out_keys, out_vals)
+
+
+def _leaves(a, out: dict) -> dict:
+    """The distinct rule tuples of node a, in walk order, as keys of out."""
+    if a is False:
+        return out
+    if _leaf(a):
+        out[a] = None
+    else:
+        for x in a[1]:
+            _leaves(x, out)
+    return out
+
+
+def _agrees(a, b, fixed: dict, depth: int, limits: bool) -> bool:
+    """Whether nodes a and b over the axes from depth on, their rules
+    reduced at the axis values in fixed, agree.  Without limits: whether
+    they are the same map.  With limits, for continuous a and b: whether
+    the rule of each cell of a, extended to the cell's closure, takes b's
+    value at each point of b's domain in that closure.
+
+    Along axis depth, a point v lies in a's step over v and, with limits,
+    in the closures of a's open steps on either side; a point of an open
+    interval lies only in a's step over it.  A node is the same map as
+    itself and, if continuous, agrees with itself."""
+    if a is b:
+        return True
+    if a is False or b is False:
+        return limits
+    if _leaf(a) and _leaf(b):
+        return all(r == s or j in fixed and r.apply(fixed[j]) == s.apply(fixed[j])
+                   for j, (r, s) in enumerate(zip(a, b)))
+    (ka, va), (kb, vb) = _pair(a), _pair(b)
+    if not _agrees(va[0], vb[0], fixed, depth + 1, limits):
+        return False
+    for v in sorted({k[0] for k in ka + kb}):
+        at_v = {**fixed, depth: v}
+        near = {bisect_right(ka, (v, 0))}
+        if limits:
+            near |= {bisect_left(ka, (v, 0)), bisect_right(ka, (v, 1))}
+        point = vb[bisect_right(kb, (v, 0))]
+        if not all(_agrees(va[i], point, at_v, depth + 1, limits) for i in near) \
+                or not _agrees(va[bisect_right(ka, (v, 1))],
+                               vb[bisect_right(kb, (v, 1))], fixed, depth + 1,
+                               limits):
+            return False
+    return True
+
+
+def _continuous(a, depth: int) -> bool:
+    """Whether node a is continuous on its domain: each step on its own,
+    and at each breakpoint value v the slice at v with the limits of the
+    open steps on either side (:func:`_agrees`)."""
+    if _leaf(a):
+        return True
+    keys, vals = a
+    return all(_continuous(x, depth + 1) for x in vals) and all(
+        _agrees(vals[i], vals[bisect_right(keys, (v, 0))], {depth: v},
+                depth + 1, True)
+        for v in {k[0] for k in keys}
+        for i in (bisect_left(keys, (v, 0)), bisect_right(keys, (v, 1))))
 
 
 @dataclass(frozen=True)
@@ -119,18 +328,15 @@ class Piece:
     domain: BoxSet
     rules: Rules
 
-    @staticmethod
-    def of(domain: BoxSet, rules: Sequence[AffineRule]) -> "Piece":
-        rules = tuple(rules)
-        if len(rules) != domain.dimension:
-            raise ValueError("rule count must match dimension")
-        return Piece(domain, rules)
-
 
 @dataclass(frozen=True)
 class PiecewiseAffineMap:
+    """A continuous piecewise-affine partial map, held in its canonical
+    node: `==` is map equality, and :attr:`pieces` is derived, one piece
+    per distinct rule tuple."""
+
     dimension: int
-    pieces: tuple[Piece, ...]
+    node: object
     _images: dict = field(default_factory=dict, init=False, compare=False,
                           hash=False, repr=False)
     _preimages: dict = field(default_factory=dict, init=False, compare=False,
@@ -142,22 +348,19 @@ class PiecewiseAffineMap:
 
     @staticmethod
     def of(dimension: int, pieces: Iterable[Piece]) -> "PiecewiseAffineMap":
-        ps = tuple(p for p in pieces if not p.domain.is_empty)
-        seen = BoxSet.empty(dimension)
-        for p in ps:
-            if p.domain.dimension != dimension:
+        nodes = []
+        for p in pieces:
+            if p.domain.dimension != dimension or len(p.rules) != dimension:
                 raise ValueError("piece dimension mismatch")
-            if not seen.intersect(p.domain).is_empty:
-                raise ValueError("piece domains overlap")
-            seen = seen.union(p.domain)
-        _check_continuity(ps)
-        return PiecewiseAffineMap(dimension, ps)
-
-    @staticmethod
-    def _raw(dimension: int, pieces: Iterable[Piece]) -> "PiecewiseAffineMap":
-        # for composites/restrictions, whose continuity is inherited
-        return PiecewiseAffineMap(
-            dimension, tuple(p for p in pieces if not p.domain.is_empty))
+            nodes.append(_apply(p.rules, p.domain.node, _restricted, 0))
+        while len(nodes) > 1:
+            nodes = [_apply(nodes[i], nodes[i + 1], _disjoint_union, 0)
+                     if i + 1 < len(nodes) else nodes[i]
+                     for i in range(0, len(nodes), 2)]
+        node = nodes[0] if nodes else False
+        if not _continuous(node, 0):
+            raise ValueError("map is discontinuous across piece boundary")
+        return PiecewiseAffineMap(dimension, node)
 
     @staticmethod
     def single(rules: Sequence[AffineRule], domain: BoxSet | None = None,
@@ -167,7 +370,7 @@ class PiecewiseAffineMap:
                 dimension = len(rules)
             domain = BoxSet.full(dimension)
         return PiecewiseAffineMap.of(domain.dimension,
-                                     [Piece.of(domain, rules)])
+                                     [Piece(domain, tuple(rules))])
 
     @staticmethod
     def identity(dimension: int) -> "PiecewiseAffineMap":
@@ -183,26 +386,40 @@ class PiecewiseAffineMap:
     # -- structure ---------------------------------------------------------
 
     @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        return tuple(
+            Piece(BoxSet(self.dimension, _where(self.node, lambda x: x == r)), r)
+            for r in _leaves(self.node, {}))
+
+    @cached_property
     def domain(self) -> BoxSet:
-        return BoxSet.union_all(self.dimension, (p.domain for p in self.pieces))
+        return BoxSet(self.dimension, _where(self.node, lambda x: x is not False))
 
     def check_set(self, e: BoxSet):
         if e.dimension != self.dimension:
             raise ValueError("carrier mismatch: dimension differs")
 
     def restrict(self, s: BoxSet) -> "PiecewiseAffineMap":
-        return PiecewiseAffineMap._raw(
-            self.dimension,
-            [Piece(p.domain.intersect(s), p.rules) for p in self.pieces])
+        return PiecewiseAffineMap(self.dimension,
+                                  _apply(self.node, s.node, _restricted, 0))
+
+    def __repr__(self):
+        return f"PiecewiseAffineMap(dimension={self.dimension}, " \
+               f"pieces={self.pieces!r})"
 
     # -- evaluation and set maps --------------------------------------------
 
     def eval_point(self, pt: Sequence[RatLike]) -> tuple[Fraction, ...] | None:
         qs = [rat(x) for x in pt]
-        for p in self.pieces:
-            if p.domain.contains_point(qs):
-                return tuple(r.apply(q) for r, q in zip(p.rules, qs))
-        return None
+        a = self.node
+        for x in qs:
+            if _leaf(a):
+                break
+            keys, vals = a
+            a = vals[bisect_right(keys, (x, 0))]
+        if a is False:
+            return None
+        return tuple(r.apply(q) for r, q in zip(a, qs))
 
     def image(self, a: BoxSet) -> BoxSet:
         if a not in self._images:
@@ -247,22 +464,9 @@ class PiecewiseAffineMap:
                 return False
         return True
 
-    # -- comparisons ---------------------------------------------------------
-
-    def equal_on(self, other: "PiecewiseAffineMap", region: BoxSet) -> bool:
-        """Exact value equality on a region contained in both domains."""
-        for p in self.pieces:
-            for q in other.pieces:
-                r = region.intersect(p.domain).intersect(q.domain)
-                if not rules_agree_on(p.rules, q.rules, r):
-                    return False
-        return True
-
     def maps_equal(self, other: "PiecewiseAffineMap") -> bool:
-        """Exact partial-map equality: same domain set, same values on it."""
-        if self.domain != other.domain:
-            return False
-        return self.equal_on(other, self.domain)
+        """Exact partial-map equality: the canonical nodes are equal."""
+        return self == other
 
 
 def compose(g: PiecewiseAffineMap, f: PiecewiseAffineMap) -> PiecewiseAffineMap:
@@ -277,7 +481,25 @@ def compose(g: PiecewiseAffineMap, f: PiecewiseAffineMap) -> PiecewiseAffineMap:
                 continue
             rules = tuple(rg.compose(rf) for rg, rf in zip(pg.rules, pf.rules))
             pieces.append(Piece(dom, rules))
-    return PiecewiseAffineMap._raw(f.dimension, pieces)
+    return PiecewiseAffineMap.of(f.dimension, pieces)
+
+
+def product(factors: Sequence[PiecewiseAffineMap]) -> PiecewiseAffineMap:
+    """The map acting on axis k as the 1-D map factors[k], with the product
+    of their domains.  A step along axis k changes only the axis-k rule, so
+    canonical factors nest into the canonical form, and continuous ones
+    into a continuous map."""
+    def axis(k: int, prefix: tuple):
+        """The node over the axes from k on, after the rules in prefix."""
+        if k == len(factors):
+            return prefix
+        a = factors[k].node
+        if _leaf(a):
+            rest = a and axis(k + 1, prefix + a)
+            return rest if _leaf(rest) else ((), (rest,))
+        keys, vals = a
+        return (keys, tuple(x and axis(k + 1, prefix + x) for x in vals))
+    return PiecewiseAffineMap(len(factors), axis(0, ()))
 
 
 def power(f: PiecewiseAffineMap, n: int) -> PiecewiseAffineMap:
@@ -287,12 +509,3 @@ def power(f: PiecewiseAffineMap, n: int) -> PiecewiseAffineMap:
     for _ in range(n):
         out = compose(f, out)
     return out
-
-
-def _check_continuity(pieces: tuple[Piece, ...]):
-    closures = [p.domain.closure() for p in pieces]
-    for (p, cp), (q, cq) in combinations(zip(pieces, closures), 2):
-        touch = cp.intersect(cq)
-        if not touch.is_empty and not rules_agree_on(
-                p.rules, q.rules, touch.intersect(p.domain.union(q.domain))):
-            raise ValueError("map is discontinuous across piece boundary")

@@ -6,9 +6,10 @@ live on the set types (:class:`~conley_kernel.finite.FiniteSubset`,
 ``closure``, ``is_compact``, ``is_open_in``, ...) and the partial-map
 operations on the map types (:class:`~conley_kernel.finite.FinitePartialMap`,
 :class:`~conley_kernel.affine.PiecewiseAffineMap`: ``domain``, ``image``,
-one-step ``preimage``, ``restrict``, ``maps_equal``, ``is_proper_on``,
-``check_set``; :class:`~conley_kernel.semiflow.ExactSemiflow` has ``domain``
-and ``check_set``).  :mod:`conley_kernel.dynamics` and
+one-step ``preimage``, ``restrict``, ``is_proper_on``, ``check_set`` and
+``maps_equal``, which is ``==`` on both, as each is held in a canonical
+form; :class:`~conley_kernel.semiflow.ExactSemiflow` has ``domain`` and
+``check_set``).  :mod:`conley_kernel.dynamics` and
 :mod:`conley_kernel.conley` call those directly and ask the carrier only for
 what depends on time:
 

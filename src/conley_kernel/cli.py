@@ -12,7 +12,10 @@ at call time, so a function swapped on its module is the one called.
 
 Exit codes are a stable contract: 0 success, 1 property or expectation
 violation, 2 input error (any ``ValueError``), 3 undecided (an
-``Undecided`` from any layer; ``check`` catches it per set).  The default
+``Undecided`` from any layer, which ``check`` catches per set, or a
+``MemoryError`` or ``RecursionError``: resource exhausted), 4 internal
+error (any other exception, so that a crash never reads as a complete
+negative).  The default
 search bound is 64, overridable via CONLEY_DEFAULT_BOUND; negative bounds
 are input errors.
 """
@@ -39,6 +42,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str):
@@ -343,6 +347,15 @@ def main(argv=None) -> int:
         if exc.outer is not None:        # outer approximants are box sets
             payload["outer"] = boxset_to_json(exc.outer)
             lines.append(f"outer approximant: {exc.outer!r}")
+    except (MemoryError, RecursionError):
+        code = EXIT_UNDECIDED
+        payload = {"meta": meta_block(), "status": "unknown",
+                   "reason": "resource exhausted"}
+        lines = ["unknown: resource exhausted"]
+    except Exception as exc:             # exit 1 would claim a complete "no"
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(args, payload, lines)
     return code
 

@@ -413,13 +413,15 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
 
     Iterates D_n(E) for up to cap steps and, once they stabilize, the
     forward images f^k(D) for up to cap more.  Exact when the images
-    stabilize too, or as soon as an iterate is bounded and lies in one
-    affine piece with no axis of slope -1: then the fixed-set closed form
-    is I_f(E).  Proof sketch: I_f(E) lies in every iterate and the iterates
-    decrease, so every full orbit in I_f(E) stays in that piece and in a
-    bounded set; under a componentwise affine rule that forces each axis
-    with |slope| != 1 onto the rule's fixed point.  Later iterates lie in
-    the same piece, so stopping early gives the answer the whole cap would.
+    stabilize too, or as soon as an iterate is bounded and lies in the
+    closure of one affine piece with no axis of slope -1: then the
+    fixed-set closed form is I_f(E).  Proof sketch: I_f(E) lies in Dom f
+    and in every iterate, and the iterates decrease, so every full orbit in
+    I_f(E) stays in a bounded set on which that piece's rule holds (on Dom
+    f the rule of a piece extends continuously to its closure); under a
+    componentwise affine rule that forces each axis with |slope| != 1 onto
+    the rule's fixed point.  Later iterates lie in the same closure, so
+    stopping early gives the answer the whole cap would.
     """
     f.check_set(e)
     if carrier_for(f).name == "finite":
@@ -453,7 +455,9 @@ _REFLECTION = "reflection axis admits non-fixed invariant sets"
 
 
 def _fixed_set_closed_form(f, e, outer):
-    """I_f(E) from a bounded outer region inside one affine piece, else None.
+    """I_f(E) from a bounded outer region inside the closure of one affine
+    piece, else None.  By continuity the piece's rule holds on all of its
+    closure that lies in Dom f, so on every iterate and on I_f(E).
 
     Invariance forces each axis with |slope| != 1 onto the rule's fixed
     point, axes that translate (slope 1, intercept != 0) kill everything,
@@ -463,7 +467,8 @@ def _fixed_set_closed_form(f, e, outer):
     """
     if not outer.is_bounded:
         return None
-    piece = next((p for p in f.pieces if outer.subset_of(p.domain)), None)
+    piece = next((p for p in f.pieces if outer.subset_of(p.domain.closure())),
+                 None)
     if piece is None:
         return None
     axes = []
@@ -477,4 +482,4 @@ def _fixed_set_closed_form(f, e, outer):
         else:
             axes.append(Interval.point(r.intercept / (1 - r.slope)))
     fix = BoxSet.of(f.dimension, [tuple(axes)])
-    return fix.intersect(piece.domain).intersect(e)
+    return fix.intersect(piece.domain.closure()).intersect(f.domain).intersect(e)

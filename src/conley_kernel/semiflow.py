@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import AffineRule, Piece, PiecewiseAffineMap
+from .affine import AffineRule, Piece, PiecewiseAffineMap, product
 from .boxes import (
     BoxSet, Cut, Interval, NEG_INF, POS_INF, isect_iv, rat, RatLike,
 )
@@ -192,24 +192,18 @@ class ExactSemiflow:
 
 
 def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:
-    """The exact time-t piecewise-affine map, total on the carrier; built
-    once per flow and t."""
+    """The exact time-t piecewise-affine map, total on the carrier: the
+    product of the axes' time-t maps, restricted to the carrier; built once
+    per flow and t."""
     t = rat(t)
     if t < 0:
         raise ValueError("negative time")
     if t in flow._time_maps:
         return flow._time_maps[t]
-    pieces = [(tuple(), tuple())]
-    for r in flow.axes:
-        axis_parts = r.time_pieces(t)
-        pieces = [(ivs + (iv,), rules + (rule,))
-                  for ivs, rules in pieces for iv, rule in axis_parts]
-    out = []
-    for ivs, rules in pieces:
-        dom = BoxSet.of(flow.dimension, [ivs]).intersect(flow.carrier)
-        if not dom.is_empty:
-            out.append(Piece(dom, rules))
-    flow._time_maps[t] = tm = PiecewiseAffineMap._raw(flow.dimension, out)
+    factors = [PiecewiseAffineMap.of(1, [
+        Piece(BoxSet.from_intervals([iv]), (rule,))
+        for iv, rule in r.time_pieces(t)]) for r in flow.axes]
+    flow._time_maps[t] = tm = product(factors).restrict(flow.carrier)
     return tm
 
 

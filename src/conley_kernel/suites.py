@@ -12,7 +12,9 @@ the pairwise box-list algebra (`PairwiseBoxSet`), which the canonical
 box sets of `boxes` are checked against; the box-by-box affine images,
 preimages and rule agreement (`oracle_rules_image`,
 `oracle_rules_preimage`, `oracle_rules_agree_on`), which the node walk of
-`affine` is checked against; the fixed-cap invariant-part
+`affine` is checked against; the piece-list map (`PieceListMap`, with
+pairwise overlap, continuity and equality by `rules_agree_on`), which the
+canonical maps of `affine` are checked against; the fixed-cap invariant-part
 loop (`fixed_cap_invariant_part`), which the early exit of
 `dynamics.invariant_part_exact` is checked against; the lexicographic
 scans of the admissibility searches (`oracle_find_admissible`,
@@ -242,7 +244,8 @@ def fixed_cap_invariant_part(f: PiecewiseAffineMap, e: BoxSet, cap: int = 64):
                 return s
             s = s2
         current = s
-    piece = next((p for p in f.pieces if current.subset_of(p.domain)), None)
+    piece = next((p for p in f.pieces
+                  if current.subset_of(p.domain.closure())), None)
     if piece is None or not current.is_bounded:
         return ("invariant part did not stabilize", cap, current)
     axes = []
@@ -255,7 +258,7 @@ def fixed_cap_invariant_part(f: PiecewiseAffineMap, e: BoxSet, cap: int = 64):
         axes.append(Interval.line() if r.slope == 1
                     else Interval.point(r.intercept / (1 - r.slope)))
     fix = BoxSet.of(f.dimension, [tuple(axes)])
-    return fix.intersect(piece.domain).intersect(e)
+    return fix.intersect(piece.domain.closure()).intersect(f.domain).intersect(e)
 
 
 def oracle_find_admissible(f, e, e2, bound=None) -> dyn.TripleSearch:
@@ -378,14 +381,66 @@ def enumerate_based_endos(n_free: int):
 
 
 def enumerate_equivariant_maps(source: sz.BasedEndo, target: sz.BasedEndo):
-    """All equivariant maps source -> target, lexicographic in the tables."""
+    """All equivariant maps source -> target, lexicographic in the tables
+    (target points in their order, on the non-base points in theirs).
+
+    phi f = g phi fixes phi along f once it is chosen on one point of each
+    cycle of f, where it must take a value t with g^L(t) = t for a cycle of
+    length L, and on each point outside f's image.  Only those values are
+    chosen; each is carried along f until it meets a point already set,
+    and a choice that meets a different value there is dropped."""
+    f, g = source.apply, target.apply
+    n = len(source.points)
+    gens, on_cycle = [], {source.base}
+    for x in source.points:
+        c = x
+        for _ in range(n):
+            c = f(c)              # c lies on the cycle that x runs into
+        if c not in on_cycle:
+            cycle = [c]
+            while f(cycle[-1]) != c:
+                cycle.append(f(cycle[-1]))
+            on_cycle.update(cycle)
+            values = []
+            for t in target.points:
+                u = t
+                for _ in cycle:
+                    u = g(u)
+                if u == t:
+                    values.append(t)
+            gens.append((c, values))
+    image = {f(x) for x in source.points}
+    gens += [(x, target.points) for x in source.points if x not in image]
+    table = {source.base: target.base}
+
+    def carry(x, t) -> list | None:
+        path = []
+        while x not in table:
+            table[x] = t
+            path.append(x)
+            x, t = f(x), g(t)
+        if table[x] == t:
+            return path
+        for p in path:
+            del table[p]
+        return None
+
+    def extend(i: int):
+        if i == len(gens):
+            yield dict(table)
+            return
+        x, values = gens[i]
+        for t in values:
+            path = carry(x, t)
+            if path is not None:
+                yield from extend(i + 1)
+                for p in path:
+                    del table[p]
+
+    rank = {p: i for i, p in enumerate(target.points)}
     free = [p for p in source.points if p != source.base]
-    for choice in itertools.product(target.points, repeat=len(free)):
-        table = dict(zip(free, choice))
-        table[source.base] = target.base
-        if all(table[source.apply(x)] == target.apply(table[x])
-               for x in source.points):
-            yield sz.EquivariantMap.of(source, target, table)
+    for t in sorted(extend(0), key=lambda t: [rank[t[x]] for x in free]):
+        yield sz.EquivariantMap.of(source, target, t)
 
 
 def is_shift_witness(phi: sz.EquivariantMap, psi: sz.EquivariantMap,
@@ -678,6 +733,194 @@ def oracle_rules_agree_on(r1, r2, region: BoxSet) -> bool:
     return True
 
 
+def rules_agree_on(r1, r2, region: BoxSet) -> bool:
+    """Whether two componentwise rules coincide on a box set: whether the
+    region lies in the zero set of their difference, one preimage under
+    the node walk of `affine`."""
+    d = region.dimension
+    diff = tuple(AffineRule(a.slope - b.slope, a.intercept - b.intercept)
+                 for a, b in zip(r1, r2))
+    return region.is_empty or region.subset_of(
+        af.rules_preimage(diff, BoxSet.points([(0,) * d], d)))
+
+
+class PieceListMap:
+    """The piece-list map that the canonical form of `affine` replaced, kept
+    as its oracle: the pieces as written, overlap checked against a running
+    union, continuity and equality decided on every pair of pieces, set
+    maps box by box, and composites that pair the pieces of both maps."""
+
+    def __init__(self, dimension: int, pieces):
+        self.dimension = dimension
+        self.pieces = tuple(p for p in pieces if not p.domain.is_empty)
+
+    @staticmethod
+    def of(dimension: int, pieces) -> "PieceListMap":
+        out = PieceListMap(dimension, pieces)
+        seen = BoxSet.empty(dimension)
+        for p in out.pieces:
+            if p.domain.dimension != dimension:
+                raise ValueError("piece dimension mismatch")
+            if not seen.intersect(p.domain).is_empty:
+                raise ValueError("piece domains overlap")
+            seen = seen.union(p.domain)
+        closures = [p.domain.closure() for p in out.pieces]
+        for (p, cp), (q, cq) in itertools.combinations(
+                zip(out.pieces, closures), 2):
+            touch = cp.intersect(cq)
+            if not touch.is_empty and not rules_agree_on(
+                    p.rules, q.rules, touch.intersect(p.domain.union(q.domain))):
+                raise ValueError("map is discontinuous across piece boundary")
+        return out
+
+    @property
+    def domain(self) -> BoxSet:
+        return BoxSet.union_all(self.dimension, (p.domain for p in self.pieces))
+
+    def restrict(self, s: BoxSet) -> "PieceListMap":
+        return PieceListMap(self.dimension, [
+            Piece(p.domain.intersect(s), p.rules) for p in self.pieces])
+
+    def image(self, a: BoxSet) -> BoxSet:
+        return BoxSet.union_all(self.dimension, (
+            oracle_rules_image(p.rules, a.intersect(p.domain))
+            for p in self.pieces))
+
+    def preimage(self, a: BoxSet) -> BoxSet:
+        return BoxSet.union_all(self.dimension, (
+            oracle_rules_preimage(p.rules, a).intersect(p.domain)
+            for p in self.pieces))
+
+    def maps_equal(self, other: "PieceListMap") -> bool:
+        """Same domain, and the rules of every two pieces agree where their
+        domains meet."""
+        if self.domain != other.domain:
+            return False
+        return all(rules_agree_on(p.rules, q.rules, p.domain.intersect(q.domain))
+                   for p in self.pieces for q in other.pieces)
+
+    def compose(self, f: "PieceListMap") -> "PieceListMap":
+        """self after f."""
+        return PieceListMap(self.dimension, [
+            Piece(pf.domain.intersect(oracle_rules_preimage(pf.rules, pg.domain)),
+                  tuple(rg.compose(rf) for rg, rf in zip(pg.rules, pf.rules)))
+            for pf in f.pieces for pg in self.pieces])
+
+
+def rewritten_pieces(rng: random.Random, f: PiecewiseAffineMap) -> list:
+    """The pieces of f written another way, and half the time spoiled.
+
+    Up to three times a piece list is cut at a half-integer slab x_k = c:
+    each piece splits into its parts below and above the slab, and its
+    part on the slab goes to a random entry whose rule agrees there (often
+    its own part on either side, or a neighbour's) or stays a piece of its
+    own.  The list is then shuffled.  A spoiled list has one rule moved by
+    1/2 on one axis, or one domain widened by a random box, which the
+    constructor may or may not have to reject."""
+    d = f.dimension
+    entries = [[p.domain, p.rules] for p in f.pieces]
+    for _ in range(rng.randint(1, 3)):
+        k, c = rng.randrange(d), Fraction(rng.randint(-4, 4), 2)
+
+        def slab(iv):
+            return BoxSet.of(d, [tuple(iv if i == k else Interval.line()
+                                       for i in range(d))])
+        below = slab(Interval(NEG_INF, Cut.finite(c), False, False))
+        above = slab(Interval(Cut.finite(c), POS_INF, False, False))
+        cut = []
+        for dom, rules in entries:
+            cut += [[dom.intersect(below), rules], [dom.intersect(above), rules]]
+        for dom, rules in entries:
+            on = dom.difference(below).difference(above)
+            if on.is_empty:
+                continue
+            hosts = [e for e in cut if rules_agree_on(e[1], rules, on)]
+            host = rng.choice(hosts + [None])
+            if host is None:
+                cut.append([on, rules])
+            else:
+                host[0] = host[0].union(on)
+        entries = [e for e in cut if not e[0].is_empty]
+    rng.shuffle(entries)
+    spoil = rng.randint(0, 3)
+    if spoil == 1:
+        e = rng.choice(entries)
+        j = rng.randrange(d)
+        r = e[1][j]
+        e[1] = e[1][:j] + (AffineRule(r.slope, r.intercept + Fraction(1, 2)),) + \
+            e[1][j + 1:]
+    elif spoil == 2:
+        e = rng.choice(entries)
+        e[0] = e[0].union(BoxSet.of(d, random_box_list(rng, d, 1)))
+    return [Piece(dom, rules) for dom, rules in entries]
+
+
+def random_piece_list(rng: random.Random, dimension: int) -> list:
+    """Up to three pieces with random_rules on random_box_list domains, each
+    written with or without the part the earlier ones cover; one rule for
+    all of them half the time.  Overlaps and jumps are frequent."""
+    shared = random_rules(rng, dimension)
+    same = rng.randint(0, 1)
+    pieces, seen = [], BoxSet.empty(dimension)
+    for _ in range(rng.randint(1, 3)):
+        dom = BoxSet.of(dimension, random_box_list(rng, dimension, 2))
+        if rng.randint(0, 2):
+            dom = dom.difference(seen)
+        seen = seen.union(dom)
+        pieces.append(Piece(dom, shared if same else random_rules(rng, dimension)))
+    return pieces
+
+
+def _built(build, dimension: int, pieces):
+    """The map build(dimension, pieces), or the message it raised."""
+    try:
+        return build(dimension, pieces)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _piece_list_mismatch(written: list, other: PiecewiseAffineMap,
+                         sets: list, dimension: int):
+    """(accepted, the first operation on which the map written as the piece
+    list `written` disagrees with its piece-list oracle, or None): the
+    accept or reject verdict of `of`, its images and preimages of `sets`,
+    its restrictions to them, its composites with `other` both ways, and
+    equality with `other` and with each restriction."""
+    f = _built(PiecewiseAffineMap.of, dimension, written)
+    fo = _built(PieceListMap.of, dimension, written)
+    if isinstance(f, str) or isinstance(fo, str):
+        return False, None if f == fo else f"verdict {f!r}, oracle {fo!r}"
+    return True, _accepted_mismatch(f, fo, other, sets, dimension)
+
+
+def _accepted_mismatch(f, fo, other, sets, dimension):
+    """The first operation on which the accepted map f and its oracle fo
+    disagree, or None; results compare as piece lists by the oracle."""
+    go = PieceListMap(dimension, other.pieces)
+
+    def same(got: PiecewiseAffineMap, want: PieceListMap) -> bool:
+        return PieceListMap(dimension, got.pieces).maps_equal(want)
+
+    if f.domain != fo.domain or not same(f, fo):
+        return "the canonical pieces"
+    if (f == other) != fo.maps_equal(go):
+        return "maps_equal with the other map"
+    if not same(af.compose(other, f), go.compose(fo)) or \
+            not same(af.compose(f, other), fo.compose(go)):
+        return "compose"
+    for a in sets:
+        if f.image(a) != fo.image(a):
+            return f"image of {a}"
+        if f.preimage(a) != fo.preimage(a):
+            return f"preimage of {a}"
+        r, ro = f.restrict(a), fo.restrict(a)
+        if not same(r, ro):
+            return f"restrict to {a}"
+        if (r == f) != ro.maps_equal(fo):
+            return f"maps_equal with the restriction to {a}"
+    return None
+
+
 ORACLE_SLOPES = tuple(Fraction(m) for m in
                       (0, 1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3),
                        Fraction(-1, 2)))
@@ -731,7 +974,7 @@ def _affine_mismatch(rng: random.Random, dimension: int):
             if rng.randint(0, 2):
                 boxes = [b[:k] + (Interval.point(c),) + b[k + 1:] for b in boxes]
     region = BoxSet.of(dimension, boxes)
-    if af.rules_agree_on(rules, tuple(r2), region) != \
+    if rules_agree_on(rules, tuple(r2), region) != \
             oracle_rules_agree_on(rules, r2, region):
         return f"rules_agree_on {rules}, {tuple(r2)} on {region}"
     return None
@@ -924,6 +1167,22 @@ def suite_box_algebra(trials=120, seed=11, bound=None) -> SuiteResult:
                 res.fail(f"{dimension}-D {bad}")
         res.note(f"affine image, preimage and rule agreement equal the "
                  f"box-by-box oracle on {count} random {dimension}-D sets")
+    for dimension, count in ((1, 40), (2, 30), (3, 10)):
+        accepted = 0
+        for _ in range(count):
+            written = random_piece_list(rng, dimension)
+            other = PiecewiseAffineMap.single(
+                random_rules(rng, dimension),
+                BoxSet.of(dimension, random_box_list(rng, dimension)))
+            sets = [BoxSet.of(dimension, random_box_list(rng, dimension))]
+            ok, bad = _piece_list_mismatch(written, other, sets, dimension)
+            accepted += ok
+            if bad:
+                res.fail(f"{dimension}-D {bad} differs from the piece-list "
+                         f"oracle: {written}")
+        res.note(f"the verdict of of, image, preimage, restrict, compose and "
+                 f"maps_equal equal the piece-list oracle on {count} random "
+                 f"{dimension}-D piece lists ({accepted} accepted)")
     return res
 
 
@@ -1023,13 +1282,29 @@ def suite_pam_laws(trials=80, seed=13, bound=None) -> SuiteResult:
         for p in f.pieces:
             for q in f.pieces:
                 meet = p.domain.closure().intersect(q.domain.closure())
-                if af.rules_agree_on(p.rules, q.rules, meet) != \
+                if rules_agree_on(p.rules, q.rules, meet) != \
                         oracle_rules_agree_on(p.rules, q.rules, meet):
                     res.fail(f"rules_agree_on differs from the oracle: "
                              f"{p.rules}, {q.rules} on {meet}")
     res.note(f"piecewise image, preimage and rule agreement on piece "
              f"boundaries equal the box-by-box oracle ({trials} 1-D to 3-D "
              f"maps)")
+    accepted = 0
+    for k in range(trials // 2):
+        dimension = 1 + k % 2
+        f = random_product_map(rng, dimension) if k % 4 else clamp_map()
+        other = f if rng.randint(0, 1) else random_product_map(rng, dimension)
+        sets = [BoxSet.of(dimension, random_box_list(rng, dimension))
+                for _ in range(2)]
+        ok, bad = _piece_list_mismatch(rewritten_pieces(rng, f), other, sets,
+                                       dimension)
+        accepted += ok
+        if bad:
+            res.fail(f"{bad} differs from the piece-list oracle: {f}")
+    res.note(f"rewritten piece lists of {trials // 2} 1-D and 2-D product "
+             f"maps ({accepted} accepted): the verdict of of, the canonical "
+             f"pieces, image, preimage, restrict, compose and maps_equal "
+             f"equal the piece-list oracle")
     return res
 
 

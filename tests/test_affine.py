@@ -116,12 +116,13 @@ class TestNodeWalk:
         assert got.boxes == ((Interval.closed(0, 2), Interval.point(3)),)
 
     def test_rules_agree_on_the_crossing_point_only(self):
+        from conley_kernel.suites import rules_agree_on
         r1, r2 = (AffineRule.of(1, 0),), (AffineRule.of(-1, 2),)
-        assert af.rules_agree_on(r1, r2, box1(1, True, 1, True))
-        assert not af.rules_agree_on(r1, r2, box1(1, True, 2, False))
-        assert af.rules_agree_on(r1, r2, BoxSet.empty(1))
+        assert rules_agree_on(r1, r2, box1(1, True, 1, True))
+        assert not rules_agree_on(r1, r2, box1(1, True, 2, False))
+        assert rules_agree_on(r1, r2, BoxSet.empty(1))
         shifted = (AffineRule.of(1, 1),)
-        assert not af.rules_agree_on(r1, shifted, box1(1, True, 1, True))
+        assert not rules_agree_on(r1, shifted, box1(1, True, 1, True))
 
     def test_results_are_canonical(self):
         from conley_kernel.suites import random_box_list, random_rules
@@ -225,6 +226,92 @@ class TestEquality:
         f = PiecewiseAffineMap.affine_1d(1, 0, box1(0, True, 1, True))
         g = PiecewiseAffineMap.affine_1d(1, 0, box1(0, True, 1, False))
         assert not f.maps_equal(g)
+
+
+def pieces_1d(*parts):
+    """1-D pieces from (lo, lo_closed, hi, hi_closed, slope, intercept)."""
+    return [Piece(box1(lo, lc, hi, hc), (AffineRule.of(m, q),))
+            for lo, lc, hi, hc, m, q in parts]
+
+
+class TestCanonicalForm:
+    """One map has one form, whichever piece list writes it."""
+
+    # x -> -x up to 0, x on [0, 1], 2x - 1 beyond: kinks at 0 and 1
+    KINKED = pieces_1d(("-inf", False, 0, True, -1, 0), (0, False, 1, True, 1, 0),
+                       (1, False, "inf", False, 2, -1))
+
+    def test_one_map_written_four_ways(self):
+        f = PiecewiseAffineMap.of(1, self.KINKED)
+        shuffled = [self.KINKED[2], self.KINKED[0], self.KINKED[1]]
+        split = pieces_1d(("-inf", False, -3, False, -1, 0),
+                          (-3, True, 0, True, -1, 0),
+                          (0, False, "1/2", False, 1, 0),
+                          ("1/2", True, 1, True, 1, 0),
+                          (1, False, 4, True, 2, -1),
+                          (4, False, "inf", False, 2, -1))
+        moved = pieces_1d(("-inf", False, 0, False, -1, 0),
+                          (0, True, 1, False, 1, 0),
+                          (1, True, "inf", False, 2, -1))
+        with_points = pieces_1d(("-inf", False, 0, False, -1, 0),
+                                (0, True, 0, True, 0, 0),
+                                (0, False, 1, False, 1, 0),
+                                (1, True, 1, True, 1, 0),
+                                (1, False, "inf", False, 2, -1))
+        for written in (shuffled, split, moved, with_points):
+            g = PiecewiseAffineMap.of(1, written)
+            assert g == f and g.maps_equal(f)
+            assert g.pieces == f.pieces
+        assert [p.domain for p in f.pieces] == [
+            box1("-inf", False, 0, True), box1(0, False, 1, True),
+            box1(1, False, "inf", False)]
+
+    def test_a_2d_map_split_along_either_axis(self):
+        # (x, y) -> (|x|, y), kinked along the line x = 0
+        left = (AffineRule.of(-1, 0), AffineRule.of(1, 0))
+        right = (AffineRule.of(1, 0), AffineRule.of(1, 0))
+        line = Interval.line()
+
+        def piece(x, y, rules):
+            return Piece(BoxSet.of(2, [(x, y)]), rules)
+        written = [
+            [piece(Interval.make("-inf", False, 0, True), line, left),
+             piece(Interval.make(0, False, "inf", False), line, right)],
+            [piece(Interval.make("-inf", False, 0, True),
+                   Interval.make("-inf", False, 1, False), left),
+             piece(Interval.make("-inf", False, 0, True),
+                   Interval.make(1, True, "inf", False), left),
+             piece(Interval.make(0, False, "inf", False),
+                   Interval.make("-inf", False, 1, True), right),
+             piece(Interval.make(0, False, "inf", False),
+                   Interval.make(1, False, "inf", False), right)],
+            [piece(Interval.make("-inf", False, 0, False), line, left),
+             piece(Interval.make(0, True, 2, True), line, right),
+             piece(Interval.make(2, False, "inf", False), line, right)],
+        ]
+        f, *others = [PiecewiseAffineMap.of(2, w) for w in written]
+        assert all(g == f and g.pieces == f.pieces for g in others)
+        assert [p.rules for p in f.pieces] == [left, right]
+
+    def test_maps_that_differ_at_one_point(self):
+        base = [Piece(box1(0, True, 1, True), (AffineRule.of(1, 0),))]
+        f = PiecewiseAffineMap.of(1, base + [
+            Piece(box1(2, True, 2, True), (AffineRule.of(1, 0),))])
+        g = PiecewiseAffineMap.of(1, base + [
+            Piece(box1(2, True, 2, True), (AffineRule.of(0, 3),))])
+        h = PiecewiseAffineMap.of(1, base + [
+            Piece(box1(2, True, 2, True), (AffineRule.of(0, 2),))])
+        assert f != g and not f.maps_equal(g)
+        assert f == h           # x -> x and x -> 2 agree at the point 2
+        assert PiecewiseAffineMap.of(1, base) != PiecewiseAffineMap.of(1, [
+            Piece(box1(0, True, 1, False), (AffineRule.of(1, 0),))])
+
+    def test_powers_of_the_clamp_keep_two_pieces(self):
+        for k in range(1, 6):
+            fk = af.power(clamp_map(), k)
+            assert len(fk.pieces) == 2, k
+            assert fk.eval_point([k]) == (Fraction(0),)
+            assert fk.eval_point([k + 3]) == (Fraction(3),)
 
 
 class TestSetMapMemo:

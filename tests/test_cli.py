@@ -473,3 +473,54 @@ class TestUndecidedPayload:
         assert payload["reason"] == "floor axis unbounded above in E"
         assert "bound" not in payload["meta"]
         assert payload["outer"] == [[["0", True, "inf", False]]]
+
+
+class TestCrashesAreNotNegatives:
+    """Exit 1 is a complete negative, so no exception may end in it: running
+    out of memory or stack is undecided (exit 3), anything else is an
+    internal error (exit 4)."""
+
+    @staticmethod
+    def raising(exc):
+        def handler(*args, **kwargs):
+            raise exc
+        return handler
+
+    @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("deep")],
+                             ids=["memory", "recursion"])
+    @pytest.mark.parametrize("flag", ["--json", "--human"])
+    def test_resource_exhaustion_is_undecided(self, capsys, monkeypatch, exc,
+                                              flag):
+        monkeypatch.setattr(dyn, "sim_f", self.raising(exc))
+        code, out, err = run(capsys, "sim", fx("doubling.json"), "--from",
+                             "unit", "--set", "unit", flag)
+        assert code == 3 and err == ""
+        if flag == "--json":
+            payload = json.loads(out)
+            assert payload["status"] == "unknown"
+            assert payload["reason"] == "resource exhausted"
+            assert "bound" not in payload["meta"]
+        else:
+            assert out == "unknown: resource exhausted\n"
+
+    def test_other_exceptions_are_internal_errors(self, capsys, monkeypatch):
+        monkeypatch.setattr(dyn, "sim_f",
+                            self.raising(RuntimeError("two\nlines")))
+        code, out, err = run(capsys, "sim", fx("doubling.json"), "--from",
+                             "unit", "--set", "unit", "--json")
+        assert code == 4 and out == ""
+        assert err == "internal error: RuntimeError: two lines\n"
+
+    @pytest.mark.parametrize("exc, code", [(MemoryError(), 3),
+                                           (ZeroDivisionError("x"), 4)],
+                             ids=["memory", "internal"])
+    def test_verify_keeps_the_contract(self, capsys, monkeypatch, exc, code):
+        from conley_kernel import suites
+        monkeypatch.setattr(suites, "run_suite", self.raising(exc))
+        got, out, err = run(capsys, "verify", "--suite", "box-algebra",
+                            "--json")
+        assert got == code
+        if code == 3:
+            assert json.loads(out)["reason"] == "resource exhausted"
+        else:
+            assert out == "" and err.startswith("internal error: ZeroDivisionError")

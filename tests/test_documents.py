@@ -17,7 +17,8 @@ def load(name):
 
 @pytest.mark.parametrize("name", ["attractor.json", "doubling.json",
                                   "clamp_flow.json", "shift2d.json",
-                                  "corner_flow.json"])
+                                  "corner_flow.json", "kinked.json",
+                                  "kinked_corner.json"])
 def test_round_trip_is_identity(name):
     raw = load(name)
     doc = docs.parse_document(raw)
@@ -25,6 +26,27 @@ def test_round_trip_is_identity(name):
     again = docs.parse_document(dumped)
     assert docs.document_to_json(again) == dumped
     assert set(again.sets) == set(doc.sets)
+
+
+def test_kinked_fixture_keeps_its_canonical_pieces():
+    # six written pieces: a redundant split at 1 and the point -1 with the
+    # value its neighbours give it; three rules remain, each point joining
+    # the piece on its left
+    f = docs.parse_document(load("kinked.json")).system
+    assert [(docs.boxset_to_json(p.domain), [str(r.slope) for r in p.rules])
+            for p in f.pieces] == [
+        ([[["-inf", False, "0", True]]], ["-1/3"]),
+        ([[["0", False, "4", True]]], ["1/2"]),
+        ([[["4", False, "inf", False]]], ["2"])]
+    # two squares that meet at the origin: on the segment of x = 0 that
+    # each holds, its axis-0 rule keeps only the value 0 there, and the
+    # two segments keep different axis-1 rules
+    corner = docs.parse_document(load("kinked_corner.json")).system
+    assert [docs.boxset_to_json(p.domain) for p in corner.pieces] == [
+        [[["-1", True, "0", False], ["-1", True, "0", True]]],
+        [[["0", True, "0", True], ["-1", True, "0", True]]],
+        [[["0", True, "0", True], ["0", False, "1", True]]],
+        [[["0", False, "1", True], ["0", True, "1", True]]]]
 
 
 def test_rationals_serialize_exactly():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -102,6 +103,26 @@ class TestTimeMap:
                 assert lhs.domain == flow.carrier
                 assert lhs.maps_equal(sf.time_map(flow, t + u))
         assert accepted >= 200
+
+    def test_products_equal_the_map_of_their_product_pieces(self):
+        """A time map is the product of the axes' time maps on the carrier:
+        the same canonical map as `of` builds, and checks, from the product
+        pieces cut to the carrier."""
+        rng = random.Random(20261019)
+        checked = 0
+        while checked < 60:
+            flow = random_flow(rng)
+            if flow is None:
+                continue
+            checked += 1
+            for t in (Fraction(0), Fraction(1, 2), Fraction(rng.randint(1, 12), 4)):
+                pieces = [af.Piece(BoxSet.of(flow.dimension, [
+                    tuple(iv for iv, _ in parts)]).intersect(flow.carrier),
+                    tuple(rule for _, rule in parts))
+                    for parts in itertools.product(
+                        *(r.time_pieces(t) for r in flow.axes))]
+                assert sf.time_map(flow, t) == \
+                    af.PiecewiseAffineMap.of(flow.dimension, pieces)
 
     def test_ceiling_rule(self):
         flow = sf.ExactSemiflow.of([sf.AxisRule.ceil(2, 10)])

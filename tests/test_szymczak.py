@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,45 @@ class TestCompose:
                     lhs = sz.sz_compose(sz.sz_compose(m1, m2), m3)
                     rhs = sz.sz_compose(m1, sz.sz_compose(m2, m3))
                     assert sz.sz_equal(lhs, rhs)
+
+
+def filtered_equivariant_maps(source, target):
+    """The reference enumeration: every table on the non-base points, in
+    lexicographic order, kept when it is equivariant."""
+    free = [p for p in source.points if p != source.base]
+    for choice in itertools.product(target.points, repeat=len(free)):
+        table = dict(zip(free, choice))
+        table[source.base] = target.base
+        if all(table[source.apply(x)] == target.apply(table[x])
+               for x in source.points):
+            yield sz.EquivariantMap.of(source, target, table)
+
+
+def random_based_endo(rng, n_free):
+    pts = [sz.BASEPOINT] + [f"a{i + 1}" for i in range(n_free)]
+    table = {p: rng.choice(pts) for p in pts[1:]}
+    table[sz.BASEPOINT] = sz.BASEPOINT
+    return sz.BasedEndo.of(pts, table)
+
+
+class TestEquivariantEnumeration:
+    """Only the equivariant tables are built, in the order of the filter
+    over all tables, which brute_shift_equivalence relies on: it takes the
+    first witness."""
+
+    def test_every_pair_up_to_three_points(self):
+        endos = [e for k in range(3) for e in enumerate_based_endos(k)]
+        for f, g in itertools.product(endos, repeat=2):
+            assert list(enumerate_equivariant_maps(f, g)) == \
+                list(filtered_equivariant_maps(f, g)), (f, g)
+
+    def test_seeded_pairs_of_four_and_five_points(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            f = random_based_endo(rng, rng.randint(3, 4))
+            g = random_based_endo(rng, rng.randint(3, 4))
+            assert list(enumerate_equivariant_maps(f, g)) == \
+                list(filtered_equivariant_maps(f, g)), (f, g)
 
 
 class TestShiftEquivalence:
