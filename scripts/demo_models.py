@@ -6,12 +6,16 @@ clamped semiflow, exercising certification, construction, and the
 simple-system verification for each.
 """
 
+import os
 import sys
 
-from conley_kernel import conley as co
-from conley_kernel import finite as fin
-from conley_kernel.boxes import BoxSet
-from conley_kernel.suites import clamp_flow, doubling_map
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))   # this checkout's kernel first
+
+from conley_kernel import conley as co  # noqa: E402
+from conley_kernel import finite as fin  # noqa: E402
+from conley_kernel.boxes import BoxSet  # noqa: E402
+from conley_kernel.suites import clamp_flow, doubling_map  # noqa: E402
 
 
 def show_report(title, rep):

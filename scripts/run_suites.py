@@ -9,10 +9,14 @@ suite name or a trial count below 1 (``suites.check_trials``), as
 """
 
 import argparse
+import os
 import sys
 import time
 
-from conley_kernel.suites import SUITES, check_trials, run_suite
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))   # this checkout's kernel first
+
+from conley_kernel.suites import SUITES, check_trials, run_suite  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -17,9 +17,13 @@ output that a change to the kernel or the CLI moves.
 import contextlib
 import io
 import json
+import os
 import sys
 
-from conley_kernel.cli import main as cli_main
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))   # this checkout's kernel first
+
+from conley_kernel.cli import main as cli_main  # noqa: E402
 
 SINGLE = (("check", "--set"), ("invariant-part", "--set"))
 PAIRS = (("isolating", "--set", "--nbhd"),

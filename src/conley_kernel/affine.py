@@ -41,8 +41,8 @@ breakpoints) or P.  So the node is a function of the map, and two maps are
 equal iff their nodes are.  :func:`_canon` enforces the three rules on one
 step list whose values are canonical, comparing steps reduced at v with
 :func:`_agrees` and storing a point step reduced by :func:`_reduce`, and
-every node operation is a merge of two step lists (:func:`_apply`)
-canonicalized bottom-up.
+every node operation is a merge of two step lists (:func:`_apply`) or a
+pull-back (below), canonicalized bottom-up.
 
 Continuity on the domain holds iff at each point x of it, every cell whose
 closure holds x has a rule whose value at x is the map's: there are
@@ -54,9 +54,43 @@ closures meet axis by axis (:func:`_agrees`).  :meth:`PiecewiseAffineMap.of`
 runs it once on the node it builds.  Restriction, composition and
 :func:`product` (which builds the time maps of semiflows) keep continuity.
 
-Set maps relabel the canonical form of :mod:`conley_kernel.boxes` in one
+Set images relabel the canonical form of :mod:`conley_kernel.boxes` in one
 node walk (`_map_node`): a nonzero slope moves the breakpoints of its axis
-and keeps their values, a zero slope evaluates or projects its axis.
+and keeps their values, a zero slope projects its axis.
+
+Pull-backs.  A preimage f^-1(A) and a composite g after f are one walk of
+the node of f together with the node of A or of g (:func:`_pull`), as the
+compose operation of algebraic decision diagrams walks two diagrams.  Along
+axis d, take a step of f whose leaves all hold the axis-d rule
+x -> k*x + q (on a point step it is reduced: k = 0).  For x in the step,
+output d is k*x_d + q and the later outputs depend on the later coordinates
+alone, so x lies in f^-1(A) iff its later coordinates lie in the pull-back
+of A's value at k*x_d + q.  If k = 0 that is one value, A's at q; else the
+breakpoints (w, e) of A inside the image of the step come back as
+((w - q)/k, e), in reverse order with e -> 1 - e if k < 0, and each value
+between them is pulled back over the later axes.  The breakpoints inside
+are found by bisecting A's breakpoints at the images of the step's own two
+breakpoints, not their values, so a step that starts at (v, 0) keeps a
+breakpoint (v, 1).  A step whose leaves hold several axis-d rules (pieces
+that share its range on axis d and part on a later axis) is split by rule;
+the parts have disjoint domains, so their pull-backs merge as a disjoint
+union, which is cut back to the step.  At two leaves the result is true, or
+for g the rule tuple whose rule j is g_j after f_j.
+
+The result is canonical.  A set's step lists join by dropping each
+breakpoint whose value equals the one before it, over canonical values,
+which is the form of :mod:`conley_kernel.boxes`.  A map's step lists go
+through :func:`_canon`, which makes a step list of canonical values
+canonical, so by induction on the axes the node is canonical once its
+leaves hold the map with point rules reduced (rule 2).  They do: on an
+open step the composite rules hold as they are; a point step of the result
+comes from a point step of f, where f_j is a constant c and so is g_j
+after it (g_j(c)), or from a point step of g carried back by a nonzero
+slope, where g_j is already constant; and :func:`_canon` reduces every point
+step it keeps.  The composite is also continuous on its domain
+f^-1(Dom g), as a composite of continuous maps, and the walk's cells
+partition that domain with one rule each, so :func:`compose` builds the
+map directly, without the overlap and continuity checks of `of`.
 
 Each map memoizes its set images and preimages by argument set (box sets
 hash and compare as sets), and the powers f^t, D_n(E) and f^-n(A) that
@@ -98,23 +132,33 @@ class AffineRule:
 Rules = tuple[AffineRule, ...]
 
 
-def _map_node(rules: Rules, node, depth: int, pre: bool):
-    """The node of the preimage (pre) or image of node, a set over the axes
-    from depth on, under rules.
+def _set_node(keys: list, vals: list, depth: int = 0):
+    """The canonical set node of a step list of canonical set nodes: each
+    breakpoint whose value equals the one before it is dropped (depth is
+    unused; it matches the signature of :func:`_canon`)."""
+    out_keys, out_vals = [], [vals[0]]
+    for k, x in zip(keys, vals[1:]):
+        if x != out_vals[-1]:
+            out_keys.append(k)
+            out_vals.append(x)
+    return _node(out_keys, out_vals)
+
+
+def _map_node(rules: Rules, node, depth: int):
+    """The node of the image of node, a set over the axes from depth on,
+    under rules.
 
     Before: along axis depth, node steps through breakpoints (v, e) with
     values over the deeper axes.  After: x -> m*x + q with m != 0 is a
     monotone bijection of the axis, so it carries the step past (v, e) to
-    the step past (m*v + q, e) if m > 0 (its inverse to the step past
-    ((v - q)/m, e)); if m < 0 the steps run backwards and "just before"
-    swaps with "just after" (e -> 1 - e).  With m = 0
-    every point goes to q: the preimage is the value at q on a free axis,
-    the image the union of all values on the point q.  Breakpoints stay
+    the step past (m*v + q, e) if m > 0; if m < 0 the steps run backwards
+    and "just before" swaps with "just after" (e -> 1 - e).  With m = 0
+    the image is the union of all values on the point q.  Breakpoints stay
     distinct, so the result is canonical once each breakpoint whose mapped
     value equals the one before it is dropped (a deeper zero slope can
     merge values)."""
     if node is True:
-        if pre or depth == len(rules):
+        if depth == len(rules):
             return True
         node = ((), (True,))      # the image of the free axis at depth
     if node is False:
@@ -123,32 +167,23 @@ def _map_node(rules: Rules, node, depth: int, pre: bool):
     r = rules[depth]
     m, q = r.slope, r.intercept
     if m == 0:
-        if pre:
-            child = vals[bisect_right(keys, (q, 0))]
-            return _node([], [_map_node(rules, child, depth + 1, pre)])
-        child = _map_node(rules, _union_all(list(vals)), depth + 1, pre)
+        child = _map_node(rules, _union_all(list(vals)), depth + 1)
         return _node([(q, 0), (q, 1)], [False, child, False])
-    mapped = [_map_node(rules, v, depth + 1, pre) for v in vals]
-    move = (lambda v: (v - q) / m) if pre else (lambda v: m * v + q)
+    mapped = [_map_node(rules, v, depth + 1) for v in vals]
     if m > 0:
-        steps = [(move(v), e) for v, e in keys]
+        steps = [(m * v + q, e) for v, e in keys]
     else:
-        steps = [(move(v), 1 - e) for v, e in reversed(keys)]
+        steps = [(m * v + q, 1 - e) for v, e in reversed(keys)]
         mapped.reverse()
-    out_keys, out_vals = [], [mapped[0]]
-    for k, v in zip(steps, mapped[1:]):
-        if v != out_vals[-1]:
-            out_keys.append(k)
-            out_vals.append(v)
-    return _node(out_keys, out_vals)
+    return _set_node(steps, mapped)
 
 
 def rules_preimage(rules: Rules, a: BoxSet) -> BoxSet:
-    return BoxSet(a.dimension, _map_node(rules, a.node, 0, True))
+    return BoxSet(a.dimension, _pull(tuple(rules), a.node, 0, _set_node))
 
 
 def rules_image(rules: Rules, a: BoxSet) -> BoxSet:
-    return BoxSet(a.dimension, _map_node(rules, a.node, 0, False))
+    return BoxSet(a.dimension, _map_node(rules, a.node, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +251,20 @@ def _canon(keys: Sequence, vals: list, depth: int):
     return out_vals[0] if _leaf(out_vals[0]) else ((), (out_vals[0],))
 
 
-def _apply(a, b, op, depth: int):
+def _apply(a, b, op, depth: int, join=_canon):
     """The pointwise op of nodes a and b over the axes from depth on: op(a,
     b) is the result where it is decided (at two leaves at the latest),
-    else None, and then the step lists merge."""
+    else None, and then the step lists merge and join (:func:`_canon` for
+    maps, :func:`_set_node` for sets) makes the result canonical."""
     out = op(a, b)
     if out is not None:
         return out
     (ka, va), (kb, vb) = _pair(a), _pair(b)
-    keys, vals = [], [_apply(va[0], vb[0], op, depth + 1)]
+    keys, vals = [], [_apply(va[0], vb[0], op, depth + 1, join)]
     for k, i, j in _steps(ka, kb):
         keys.append(k)
-        vals.append(_apply(va[i], vb[j], op, depth + 1))
-    return _canon(keys, vals, depth)
+        vals.append(_apply(va[i], vb[j], op, depth + 1, join))
+    return join(keys, vals, depth)
 
 
 def _disjoint_union(a, b):
@@ -253,13 +289,7 @@ def _where(a, test):
     if _leaf(a):
         return test(a)
     keys, vals = a
-    out_keys, out_vals = [], [_where(vals[0], test)]
-    for k, x in zip(keys, vals[1:]):
-        x = _where(x, test)
-        if x != out_vals[-1]:
-            out_keys.append(k)
-            out_vals.append(x)
-    return _node(out_keys, out_vals)
+    return _set_node(keys, [_where(x, test) for x in vals])
 
 
 def _leaves(a, out: dict) -> dict:
@@ -271,6 +301,22 @@ def _leaves(a, out: dict) -> dict:
     else:
         for x in a[1]:
             _leaves(x, out)
+    return out
+
+
+def _axis_rules(a, k: int, out: list) -> list:
+    """The distinct axis-k rules of the leaves of map node a, in walk order,
+    appended to out.  Leaves built together share their rule objects, so
+    the test is mostly `is`; no rule is hashed."""
+    if a is False:
+        return out
+    if type(a[0]) is AffineRule:
+        r = a[k]
+        if not any(r is x or r == x for x in out):
+            out.append(r)
+        return out
+    for x in a[1]:
+        _axis_rules(x, k, out)
     return out
 
 
@@ -321,6 +367,70 @@ def _continuous(a, depth: int) -> bool:
                 depth + 1, True)
         for v in {k[0] for k in keys}
         for i in (bisect_left(keys, (v, 0)), bisect_right(keys, (v, 1))))
+
+
+def _pull(m, s, depth: int, join):
+    """The node of f^-1(A) (s a set node, join :func:`_set_node`) or of g
+    after f (s a map node, join :func:`_canon`), m being the node of f,
+    both over the axes from depth on: one walk of m and s together (see
+    Pull-backs in the module docstring)."""
+    if m is False or s is False:
+        return False
+    if _leaf(m) and _leaf(s):
+        return s if s is True else tuple(g.compose(r) for g, r in zip(s, m))
+    (mk, mv), (sk, sv) = _pair(m), _pair(s)
+    keys, vals = [], []
+    for i, x in enumerate(mv):
+        lo = mk[i - 1] if i else None
+        hi = mk[i] if i < len(mk) else None
+        if lo is not None:
+            keys.append(lo)
+        if x is False or not sk:          # s is constant along this axis
+            vals.append(_pull(x, sv[0], depth + 1, join))
+            continue
+        rules = _axis_rules(x, depth, [])
+        if len(rules) == 1:
+            step_keys, step_vals = _pull_step(x, rules[0], sk, sv, lo, hi,
+                                              depth, join)
+            keys += step_keys
+            vals += step_vals
+            continue
+        # pieces that share this step but differ on a later axis: pull back
+        # the part of each axis-depth rule, merge the disjoint parts and
+        # keep the merged breakpoints inside the step
+        merged = False
+        for r in rules:
+            part = _apply(x, _where(x, lambda y: y and y[depth] == r),
+                          _restricted, depth + 1)
+            merged = _apply(merged, join(*_pull_step(part, r, sk, sv, lo, hi,
+                                                     depth, join), depth),
+                            _disjoint_union, depth, join)
+        ck, cv = _pair(merged)
+        a = 0 if lo is None else bisect_right(ck, lo)
+        b = len(ck) if hi is None else bisect_left(ck, hi)
+        keys += ck[a:b]
+        vals += cv[a:b + 1]
+    return join(keys, vals, depth)
+
+
+def _pull_step(x, r: AffineRule, sk, sv, lo, hi, depth: int, join):
+    """The breakpoints strictly between lo and hi (None: unbounded) and the
+    values of the pull-back of the step list (sk, sv) along axis depth
+    under r, each value pulled back under x over the later axes."""
+    m, q = r.slope, r.intercept
+    if m == 0:
+        return [], [_pull(x, sv[bisect_right(sk, (q, 0))], depth + 1, join)]
+    if m > 0:       # the steps of s that the step (lo, hi) maps onto
+        a = 0 if lo is None else bisect_right(sk, (m * lo[0] + q, lo[1]))
+        b = len(sk) if hi is None else bisect_left(sk, (m * hi[0] + q, hi[1]))
+        keys = [((v - q) / m, e) for v, e in sk[a:b]]
+        ys = sv[a:b + 1]
+    else:
+        a = 0 if hi is None else bisect_right(sk, (m * hi[0] + q, 1 - hi[1]))
+        b = len(sk) if lo is None else bisect_left(sk, (m * lo[0] + q, 1 - lo[1]))
+        keys = [((v - q) / m, 1 - e) for v, e in reversed(sk[a:b])]
+        ys = sv[a:b + 1][::-1]
+    return keys, [_pull(x, y, depth + 1, join) for y in ys]
 
 
 @dataclass(frozen=True)
@@ -430,9 +540,8 @@ class PiecewiseAffineMap:
 
     def preimage(self, a: BoxSet) -> BoxSet:
         if a not in self._preimages:
-            self._preimages[a] = BoxSet.union_all(self.dimension, (
-                rules_preimage(p.rules, a).intersect(p.domain)
-                for p in self.pieces))
+            self._preimages[a] = BoxSet(
+                self.dimension, _pull(self.node, a.node, 0, _set_node))
         return self._preimages[a]
 
     def is_proper_on(self, d: BoxSet, y: BoxSet) -> bool:
@@ -470,18 +579,11 @@ class PiecewiseAffineMap:
 
 
 def compose(g: PiecewiseAffineMap, f: PiecewiseAffineMap) -> PiecewiseAffineMap:
-    """g after f; Dom(gf) = f^{-1}(Dom g) piecewise."""
+    """g after f, on Dom(gf) = f^-1(Dom g): one pull-back walk, canonical
+    and continuous as the module docstring shows."""
     if g.dimension != f.dimension:
         raise ValueError("dimension mismatch")
-    pieces = []
-    for pf in f.pieces:
-        for pg in g.pieces:
-            dom = pf.domain.intersect(rules_preimage(pf.rules, pg.domain))
-            if dom.is_empty:
-                continue
-            rules = tuple(rg.compose(rf) for rg, rf in zip(pg.rules, pf.rules))
-            pieces.append(Piece(dom, rules))
-    return PiecewiseAffineMap.of(f.dimension, pieces)
+    return PiecewiseAffineMap(f.dimension, _pull(f.node, g.node, 0, _canon))
 
 
 def product(factors: Sequence[PiecewiseAffineMap]) -> PiecewiseAffineMap:

@@ -15,9 +15,9 @@ violation, 2 input error (any ``ValueError``), 3 undecided (an
 ``Undecided`` from any layer, which ``check`` catches per set, or a
 ``MemoryError`` or ``RecursionError``: resource exhausted), 4 internal
 error (any other exception, so that a crash never reads as a complete
-negative).  The default
-search bound is 64, overridable via CONLEY_DEFAULT_BOUND; negative bounds
-are input errors.
+negative; a standard output closed before the reply is written, too).
+The default search bound is 64, overridable via CONLEY_DEFAULT_BOUND;
+negative bounds are input errors.
 """
 
 from __future__ import annotations
@@ -55,12 +55,27 @@ def _load(path: str):
 
 
 def _emit(args, payload: dict, human_lines: list[str]):
+    """Print the reply and flush it, so that a closed standard output
+    raises here, inside :func:`main`'s handlers."""
     if args.json:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:
         for line in human_lines:
             print(line)
+    sys.stdout.flush()
+
+
+def _silence_stdout():
+    """Point standard output at the null device: after a broken pipe the
+    interpreter's flush at exit would otherwise fail again and print."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return                          # not a file descriptor: nothing flushes
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _search_bound(doc, args):
@@ -327,18 +342,32 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        for flag in ("bound", "search"):   # verify checks --trials itself
-            if (getattr(args, flag, None) or 0) < 0:
-                raise DocumentError(f"--{flag} must not be negative")
+        return _run(args)
+    except ValueError as exc:            # DocumentError is a ValueError
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:             # exit 1 would claim a complete "no"
+        if isinstance(exc, BrokenPipeError):
+            _silence_stdout()
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _run(args) -> int:
+    """One request: its reply emitted, its exit code returned.  Undecided
+    work and exhausted resources reply "unknown"; any other exception,
+    one from emitting the reply included, goes to :func:`main`."""
+    for flag in ("bound", "search"):     # verify checks --trials itself
+        if (getattr(args, flag, None) or 0) < 0:
+            raise DocumentError(f"--{flag} must not be negative")
+    try:
         if args.handler is None:
             return verify(args)
         doc = _load(args.doc)
         bound = _search_bound(doc, args)
         code, payload, lines, *used = args.handler(args, doc, bound)
         payload["meta"] = meta_block(bound=used[0] if used else bound)
-    except ValueError as exc:            # DocumentError is a ValueError
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Undecided as exc:
         code = EXIT_UNDECIDED
         payload = {"meta": meta_block(bound=exc.bound), "status": "unknown",
@@ -352,10 +381,6 @@ def main(argv=None) -> int:
         payload = {"meta": meta_block(), "status": "unknown",
                    "reason": "resource exhausted"}
         lines = ["unknown: resource exhausted"]
-    except Exception as exc:             # exit 1 would claim a complete "no"
-        message = str(exc).replace("\n", " ")
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
     _emit(args, payload, lines)
     return code
 

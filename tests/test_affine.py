@@ -345,3 +345,175 @@ class TestSetMapMemo:
         assert first == second
         assert len(first._preimages) == len(first._images) == 1
         assert second._preimages == {} and second._images == {}
+
+
+# separated cells per axis: no two touch, so any rules on any of their
+# products make a continuous map; {0} gives point pieces, the gaps
+# undefined steps
+CELLS = (Interval.make("-inf", False, "-3/2", True),
+         Interval.make(-1, True, "-1/2", False),
+         Interval.point(0),
+         Interval.make("1/4", False, 1, True),
+         Interval.make("3/2", True, "inf", False))
+
+
+def separated_map(rng, dimension):
+    """Up to six pieces on products of CELLS with random rules, so pieces
+    often share their range on one axis and differ on a later one."""
+    from itertools import product
+    from conley_kernel.suites import random_rules
+    cells = rng.sample(list(product(CELLS, repeat=dimension)),
+                       min(rng.randint(1, 6), len(CELLS) ** dimension))
+    return PiecewiseAffineMap.of(dimension, [
+        Piece(BoxSet.of(dimension, [c]), random_rules(rng, dimension))
+        for c in cells])
+
+
+def clamp_product_map(rng, dimension):
+    """A product of 1-D clamps, doublings and x -> 1 - x, restricted to a
+    set of up to four boxes."""
+    from conley_kernel.suites import random_box_list
+    factors = (clamp_map, doubling_map,
+               lambda: PiecewiseAffineMap.affine_1d(-1, 1))
+    f = af.product([rng.choice(factors)() for _ in range(dimension)])
+    return f.restrict(BoxSet.of(dimension, random_box_list(rng, dimension, 4)))
+
+
+def walk_maps(rng, dimension):
+    from conley_kernel.suites import (
+        random_piece_list, random_product_map, rewritten_pieces)
+    while True:
+        kind = rng.randrange(4)
+        try:
+            if kind == 0:
+                return separated_map(rng, dimension)
+            if kind == 1:
+                return clamp_product_map(rng, dimension)
+            if kind == 2:
+                return PiecewiseAffineMap.of(
+                    dimension, random_piece_list(rng, dimension))
+            return PiecewiseAffineMap.of(dimension, rewritten_pieces(
+                rng, random_product_map(rng, dimension)))
+        except ValueError:      # a rejected random piece list: draw again
+            continue
+
+
+def node_features(node, depth=0, out=None):
+    """Which of the cases of the pull-back walk node shows: a step whose
+    leaves hold two axis-depth rules, a point step, an undefined step, and
+    zero and negative slopes."""
+    out = set() if out is None else out
+    if node is False:
+        out.add("undefined")
+    elif af._leaf(node):
+        out |= {"zero slope" for r in node if r.slope == 0}
+        out |= {"negative slope" for r in node if r.slope < 0}
+    else:
+        keys, vals = node
+        if any(a[0] == b[0] for a, b in zip(keys, keys[1:])):
+            out.add("point step")
+        for x in vals:
+            if len({r[depth] for r in af._leaves(x, {})}) > 1:
+                out.add("shared step")
+            node_features(x, depth + 1, out)
+    return out
+
+
+class TestPullBack:
+    """Preimages and composites are one walk of the canonical nodes; the
+    piece-list oracle handles one piece, or pair of pieces, at a time."""
+
+    def test_against_the_piece_list_oracle(self):
+        from conley_kernel.suites import PieceListMap, random_box_list
+        rng = random.Random(61)
+        seen = set()
+        for dimension in (1, 2, 3):
+            for _ in range(70):
+                f, g = walk_maps(rng, dimension), walk_maps(rng, dimension)
+                seen |= node_features(f.node) | node_features(g.node)
+                fo = PieceListMap(dimension, f.pieces)
+                go = PieceListMap(dimension, g.pieces)
+                for _ in range(3):
+                    a = BoxSet.of(dimension, random_box_list(rng, dimension, 4))
+                    assert f.preimage(a) == fo.preimage(a), (f, a)
+                got = af.compose(g, f)
+                assert got == PiecewiseAffineMap.of(
+                    dimension, go.compose(fo).pieces), (g, f)
+                assert af._continuous(got.node, 0)
+        assert seen == {"shared step", "point step", "undefined",
+                        "zero slope", "negative slope"}
+
+    def test_composites_on_separated_pieces(self):
+        from conley_kernel.suites import PieceListMap
+        rng = random.Random(67)
+        for dimension in (2, 3):
+            for _ in range(40):
+                f = separated_map(rng, dimension)
+                g = rng.choice((separated_map, clamp_product_map))(rng, dimension)
+                want = PiecewiseAffineMap.of(dimension, PieceListMap(
+                    dimension, g.pieces).compose(PieceListMap(
+                        dimension, f.pieces)).pieces)
+                got = af.compose(g, f)
+                assert got == want and af._continuous(got.node, 0), (g, f)
+
+    def test_pieces_separated_on_the_second_axis(self):
+        # f and g share their first-axis ranges between pieces; g after f
+        # is the one piece [1, 2] x {-6} -> (2x - 2, -3)
+        def pieces(*parts):
+            return [Piece(BoxSet.of(2, [box]), (AffineRule.of(*r0),
+                                                AffineRule.of(*r1)))
+                    for box, r0, r1 in parts]
+        f = PiecewiseAffineMap.of(2, pieces(
+            ((Interval.closed(1, 3), Interval.point(-6)), (-2, 1), (0, -2)),
+            ((Interval.closed(2, 4), Interval.make(-5, True, -4, False)),
+             ("1/2", 0), (-2, 0))))
+        g = PiecewiseAffineMap.of(2, pieces(
+            ((Interval.make(-3, True, 0, False), Interval.closed(-2, 2)),
+             (-1, -1), (0, -3)),
+            ((Interval.point(1), Interval.make(-4, True, -3, False)),
+             (0, 1), (3, -2))))
+        want = PiecewiseAffineMap.of(2, pieces(
+            ((Interval.closed(1, 2), Interval.point(-6)), (2, -2), (0, -3))))
+        assert af.compose(g, f) == want
+        assert af.compose(g, f).eval_point([2, -6]) == (Fraction(2), Fraction(-3))
+
+    def test_a_step_that_holds_its_left_end(self):
+        # on D = [-1, 1] x [0, 1] u [0, 1] x [2, 3] the step of axis 0 past
+        # (0, 0) is [0, 1]: it holds 0, and a breakpoint pulled back to
+        # (0, 1) splits it
+        d = BoxSet.of(2, [(Interval.closed(-1, 1), Interval.closed(0, 1)),
+                          (Interval.closed(0, 1), Interval.closed(2, 3))])
+        f = PiecewiseAffineMap.identity(2).restrict(d)
+        left = BoxSet.of(2, [(Interval.make("-inf", False, 0, True),
+                              Interval.line())])
+        assert f.preimage(left) == BoxSet.of(2, [
+            (Interval.closed(-1, 0), Interval.closed(0, 1)),
+            (Interval.point(0), Interval.closed(2, 3))])
+        ramp = af.product([PiecewiseAffineMap.of(1, pieces_1d(
+            ("-inf", False, 0, True, 0, 0), (0, False, "inf", False, 1, 0))),
+            PiecewiseAffineMap.identity(1)])
+        assert af.compose(ramp, f) == ramp.restrict(d)
+
+    def test_a_shared_step_whose_end_point_joins_its_left(self):
+        # f's step [0, 1] of axis 0 holds two axis-0 rules (pieces apart on
+        # axis 1).  g steps at (1, 0): its point 1 holds more of axis 1 than
+        # the strip left of it.  Pulled back under the first piece, where g's
+        # two sides agree at 1, that breakpoint moves to (1, 1), f's own
+        # step end, and the merged step must stop before it.
+        def rules(*pairs):
+            return tuple(AffineRule.of(m, q) for m, q in pairs)
+        a = (Interval.closed(0, 1), Interval.closed(0, 1))
+        b = (Interval.closed(0, 1), Interval.closed(2, 3))
+        f = PiecewiseAffineMap.of(2, [
+            Piece(BoxSet.of(2, [a]), rules((1, 0), (1, 0))),
+            Piece(BoxSet.of(2, [b]), rules((-1, 5), (1, 3)))])
+        g = PiecewiseAffineMap.of(2, [
+            Piece(BoxSet.of(2, [(Interval.make("-inf", False, 1, False),
+                                 Interval.closed(0, 1))]), rules((1, 0), (1, 0))),
+            Piece(BoxSet.of(2, [(Interval.make(1, True, "inf", False), iv)
+                                for iv in (Interval.closed(0, 1),
+                                           Interval.closed(5, 6))]),
+                  rules((2, -1), (1, 0)))])
+        assert af.compose(g, f) == PiecewiseAffineMap.of(2, [
+            Piece(BoxSet.of(2, [a]), rules((1, 0), (1, 0))),
+            Piece(BoxSet.of(2, [b]), rules((-2, 9), (1, 3)))])

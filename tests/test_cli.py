@@ -511,6 +511,26 @@ class TestCrashesAreNotNegatives:
         assert code == 4 and out == ""
         assert err == "internal error: RuntimeError: two lines\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["index", fx("kinked.json"), "--set", "S", "--nbhd", "N", "--json"],
+        ["index", fx("kinked.json"), "--set", "S", "--nbhd", "N", "--human"],
+        ["verify", "--suite", "worked-models", "--json"],
+    ], ids=["json", "human", "verify"])
+    def test_closed_stdout_is_an_internal_error(self, argv):
+        # a pipe whose read end is closed: every write to it fails
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "conley_kernel.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": SRC})
+        finally:
+            os.close(write)
+        assert done.returncode == 4
+        assert done.stderr.startswith("internal error: BrokenPipeError")
+        assert done.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("exc, code", [(MemoryError(), 3),
                                            (ZeroDivisionError("x"), 4)],
                              ids=["memory", "internal"])

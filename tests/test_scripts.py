@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,28 @@ def test_run_suites_runs_the_named_suites(capsys):
     assert load("run_suites").main(["--only", "worked-models", "--trials", "1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("worked-models") and " pass " in out
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("demo_models", []),
+    ("run_suites", ["--only", "worked-models", "--trials", "1"]),
+    ("sweep_outputs", [str(ROOT / "fixtures" / "shift2d.json")]),
+    ("sweep_bench_requests", ["szymczak", "1"]),
+])
+@pytest.mark.parametrize("decoy", [False, True], ids=["unset", "decoy"])
+def test_scripts_run_on_their_own_checkout(tmp_path, name, argv, decoy):
+    """Each script runs as the README gives it, from any directory and
+    without PYTHONPATH, on the kernel under src/ of its own checkout even
+    when another kernel is importable (here a decoy that fails to load),
+    so two checkouts compare their own outputs."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if decoy:
+        (tmp_path / "conley_kernel").mkdir()
+        (tmp_path / "conley_kernel" / "__init__.py").write_text(
+            "raise ImportError('decoy kernel')\n")
+        env["PYTHONPATH"] = str(tmp_path)
+    done = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout and done.stderr == ""
