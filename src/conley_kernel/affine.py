@@ -7,7 +7,8 @@ continuous is accepted (both facts are checked exactly), and the map is
 held in one canonical form, so `==` is map equality whichever list wrote
 it, and :attr:`PiecewiseAffineMap.pieces` is derived from the form.
 
-The form is the step-function node of :mod:`conley_kernel.boxes` with rule
+The form is the step-function node of :mod:`conley_kernel.boxes`, with
+its filtered breakpoint keys (h, v, e) built by `boxes._key`, and with rule
 tuples in place of true and False for "undefined", as multi-terminal and
 algebraic decision diagrams put values at their leaves (Bahar et al.,
 ICCAD 1993).  A node over the axes d..n-1 is False, a leaf (one tuple of n
@@ -65,17 +66,18 @@ axis d, take a step of f whose leaves all hold the axis-d rule
 x -> k*x + q (on a point step it is reduced: k = 0).  For x in the step,
 output d is k*x_d + q and the later outputs depend on the later coordinates
 alone, so x lies in f^-1(A) iff its later coordinates lie in the pull-back
-of A's value at k*x_d + q.  If k = 0 that is one value, A's at q; else the
-breakpoints (w, e) of A inside the image of the step come back as
-((w - q)/k, e), in reverse order with e -> 1 - e if k < 0, and each value
-between them is pulled back over the later axes.  The breakpoints inside
-are found by bisecting A's breakpoints at the images of the step's own two
-breakpoints, not their values, so a step that starts at (v, 0) keeps a
-breakpoint (v, 1).  A step whose leaves hold several axis-d rules (pieces
-that share its range on axis d and part on a later axis) is split by rule;
-the parts have disjoint domains, so their pull-backs merge as a disjoint
-union, which is cut back to the step.  At two leaves the result is true, or
-for g the rule tuple whose rule j is g_j after f_j.
+of A's value at k*x_d + q.  If k = 0 that is one value, A's at q; else
+each breakpoint of A inside the image of the step, at value w on side e,
+comes back at (w - q)/k on side e, in reverse order with e -> 1 - e if
+k < 0, and each value between them is pulled back over the later axes.
+The breakpoints inside are found by bisecting A's keys at the keys of the
+images of the step's own two breakpoints, not at their values, so a step
+that starts just before v keeps a breakpoint just after v.  A step whose
+leaves hold several axis-d rules (pieces that share its range on axis d
+and part on a later axis) is split by rule; the parts have disjoint
+domains, so their pull-backs merge as a disjoint union, which is cut back
+to the step.  At two leaves the result is true, or for g the rule tuple
+whose rule j is g_j after f_j.
 
 The result is canonical.  A set's step lists join by dropping each
 breakpoint whose value equals the one before it, over canonical values,
@@ -107,7 +109,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .boxes import BoxSet, _node, _steps, _union_all, rat, RatLike
+from .boxes import BoxSet, _key, _node, _steps, _union_all, rat, RatLike
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,15 @@ def _map_node(rules: Rules, node, depth: int):
     """The node of the image of node, a set over the axes from depth on,
     under rules.
 
-    Before: along axis depth, node steps through breakpoints (v, e) with
-    values over the deeper axes.  After: x -> m*x + q with m != 0 is a
-    monotone bijection of the axis, so it carries the step past (v, e) to
-    the step past (m*v + q, e) if m > 0; if m < 0 the steps run backwards
-    and "just before" swaps with "just after" (e -> 1 - e).  With m = 0
-    the image is the union of all values on the point q.  Breakpoints stay
-    distinct, so the result is canonical once each breakpoint whose mapped
-    value equals the one before it is dropped (a deeper zero slope can
-    merge values)."""
+    Before: along axis depth, node steps through breakpoints of values v
+    and sides e with values over the deeper axes.  After: x -> m*x + q with
+    m != 0 is a monotone bijection of the axis, so it carries the step past
+    (v, e) to the step past (m*v + q, e) if m > 0; if m < 0 the steps run
+    backwards and "just before" swaps with "just after" (e -> 1 - e).  With
+    m = 0 the image is the union of all values on the point q.  Breakpoints
+    stay distinct, so the result is canonical once each breakpoint whose
+    mapped value equals the one before it is dropped (a deeper zero slope
+    can merge values)."""
     if node is True:
         if depth == len(rules):
             return True
@@ -168,12 +170,12 @@ def _map_node(rules: Rules, node, depth: int):
     m, q = r.slope, r.intercept
     if m == 0:
         child = _map_node(rules, _union_all(list(vals)), depth + 1)
-        return _node([(q, 0), (q, 1)], [False, child, False])
+        return _node([_key(q, 0), _key(q, 1)], [False, child, False])
     mapped = [_map_node(rules, v, depth + 1) for v in vals]
     if m > 0:
-        steps = [(m * v + q, e) for v, e in keys]
+        steps = [_key(m * v + q, e) for _, v, e in keys]
     else:
-        steps = [(m * v + q, 1 - e) for v, e in reversed(keys)]
+        steps = [_key(m * v + q, 1 - e) for _, v, e in reversed(keys)]
         mapped.reverse()
     return _set_node(steps, mapped)
 
@@ -225,12 +227,12 @@ def _canon(keys: Sequence, vals: list, depth: int):
     out_keys, out_vals = [], [vals[0]]
     i, n = 0, len(keys)
     while i < n:
-        v, e = keys[i]
+        h, v, e = keys[i]
         left = vals[i]
 
         def same(x, y):
             return _agrees(x, y, {depth: v}, depth + 1, False)
-        if e == 0 and i + 1 < n and keys[i + 1][0] == v:     # a point step
+        if e == 0 and i + 1 < n and keys[i + 1] == (h, v, 1):  # a point step
             point, right = vals[i + 1], vals[i + 2]
             i += 2
             joins = 1 if same(left, point) else 0 if same(right, point) \
@@ -241,10 +243,10 @@ def _canon(keys: Sequence, vals: list, depth: int):
             i += 1
             joins = 1 if e or same(left, right) else 0
         if joins is None:
-            out_keys += [(v, 0), (v, 1)]
+            out_keys += [(h, v, 0), (h, v, 1)]
             out_vals += [point, right]
         elif joins == 0 or right != out_vals[-1]:
-            out_keys.append((v, joins))
+            out_keys.append((h, v, joins))
             out_vals.append(right)
     if out_keys:
         return (tuple(out_keys), tuple(out_vals))
@@ -320,6 +322,16 @@ def _axis_rules(a, k: int, out: list) -> list:
     return out
 
 
+def _values(keys) -> list:
+    """The distinct breakpoint values (h, v) of sorted keys, in order: keys
+    of one value are adjacent, so a scan finds them without hashing v."""
+    out = []
+    for h, v, _ in keys:
+        if not out or out[-1][0] != h or out[-1][1] != v:
+            out.append((h, v))
+    return out
+
+
 def _agrees(a, b, fixed: dict, depth: int, limits: bool) -> bool:
     """Whether nodes a and b over the axes from depth on, their rules
     reduced at the axis values in fixed, agree.  Without limits: whether
@@ -341,16 +353,16 @@ def _agrees(a, b, fixed: dict, depth: int, limits: bool) -> bool:
     (ka, va), (kb, vb) = _pair(a), _pair(b)
     if not _agrees(va[0], vb[0], fixed, depth + 1, limits):
         return False
-    for v in sorted({k[0] for k in ka + kb}):
+    for h, v in _values(sorted(ka + kb)):
         at_v = {**fixed, depth: v}
-        near = {bisect_right(ka, (v, 0))}
+        near = {bisect_right(ka, (h, v, 0))}
         if limits:
-            near |= {bisect_left(ka, (v, 0)), bisect_right(ka, (v, 1))}
-        point = vb[bisect_right(kb, (v, 0))]
+            near |= {bisect_left(ka, (h, v, 0)), bisect_right(ka, (h, v, 1))}
+        point = vb[bisect_right(kb, (h, v, 0))]
         if not all(_agrees(va[i], point, at_v, depth + 1, limits) for i in near) \
-                or not _agrees(va[bisect_right(ka, (v, 1))],
-                               vb[bisect_right(kb, (v, 1))], fixed, depth + 1,
-                               limits):
+                or not _agrees(va[bisect_right(ka, (h, v, 1))],
+                               vb[bisect_right(kb, (h, v, 1))], fixed,
+                               depth + 1, limits):
             return False
     return True
 
@@ -363,10 +375,10 @@ def _continuous(a, depth: int) -> bool:
         return True
     keys, vals = a
     return all(_continuous(x, depth + 1) for x in vals) and all(
-        _agrees(vals[i], vals[bisect_right(keys, (v, 0))], {depth: v},
+        _agrees(vals[i], vals[bisect_right(keys, (h, v, 0))], {depth: v},
                 depth + 1, True)
-        for v in {k[0] for k in keys}
-        for i in (bisect_left(keys, (v, 0)), bisect_right(keys, (v, 1))))
+        for h, v in _values(keys)
+        for i in (bisect_left(keys, (h, v, 0)), bisect_right(keys, (h, v, 1))))
 
 
 def _pull(m, s, depth: int, join):
@@ -419,16 +431,20 @@ def _pull_step(x, r: AffineRule, sk, sv, lo, hi, depth: int, join):
     under r, each value pulled back under x over the later axes."""
     m, q = r.slope, r.intercept
     if m == 0:
-        return [], [_pull(x, sv[bisect_right(sk, (q, 0))], depth + 1, join)]
+        y = sv[bisect_right(sk, _key(q, 0))]
+        return [], [_pull(x, y, depth + 1, join)]
     if m > 0:       # the steps of s that the step (lo, hi) maps onto
-        a = 0 if lo is None else bisect_right(sk, (m * lo[0] + q, lo[1]))
-        b = len(sk) if hi is None else bisect_left(sk, (m * hi[0] + q, hi[1]))
-        keys = [((v - q) / m, e) for v, e in sk[a:b]]
+        a = 0 if lo is None else bisect_right(sk, _key(m * lo[1] + q, lo[2]))
+        b = len(sk) if hi is None else \
+            bisect_left(sk, _key(m * hi[1] + q, hi[2]))
+        keys = [_key((v - q) / m, e) for _, v, e in sk[a:b]]
         ys = sv[a:b + 1]
     else:
-        a = 0 if hi is None else bisect_right(sk, (m * hi[0] + q, 1 - hi[1]))
-        b = len(sk) if lo is None else bisect_left(sk, (m * lo[0] + q, 1 - lo[1]))
-        keys = [((v - q) / m, 1 - e) for v, e in reversed(sk[a:b])]
+        a = 0 if hi is None else \
+            bisect_right(sk, _key(m * hi[1] + q, 1 - hi[2]))
+        b = len(sk) if lo is None else \
+            bisect_left(sk, _key(m * lo[1] + q, 1 - lo[2]))
+        keys = [_key((v - q) / m, 1 - e) for _, v, e in reversed(sk[a:b])]
         ys = sv[a:b + 1][::-1]
     return keys, [_pull(x, y, depth + 1, join) for y in ys]
 
@@ -526,7 +542,7 @@ class PiecewiseAffineMap:
             if _leaf(a):
                 break
             keys, vals = a
-            a = vals[bisect_right(keys, (x, 0))]
+            a = vals[bisect_right(keys, _key(x, 0))]
         if a is False:
             return None
         return tuple(r.apply(q) for r, q in zip(a, qs))

@@ -13,7 +13,9 @@ values true and false in every dimension, and adjacent values differ.
 Structural equality (`==`) is therefore set equality in every dimension,
 the set operations are merges of two step lists, and the box list a set is
 written with does not matter: :attr:`BoxSet.boxes` is derived from the
-canonical form.
+canonical form.  Each breakpoint key carries an exact integer prefix that
+orders most pairs of keys without comparing their rational values (see the
+canonical-form comment below).
 """
 
 from __future__ import annotations
@@ -199,12 +201,29 @@ Box = tuple[Interval, ...]
 #
 # A node is True (the whole space), False (the empty set) or a pair
 # (keys, vals) stepping along the first of its axes: keys is a strictly
-# increasing tuple of breakpoints (v, 0) "just before v" and (v, 1) "just
-# after v", vals holds len(keys) + 1 nodes over the remaining axes, vals[i]
+# increasing tuple of breakpoints "just before v" (e = 0) and "just after v"
+# (e = 1), vals holds len(keys) + 1 nodes over the remaining axes, vals[i]
 # being the value from keys[i - 1] (or -inf) up to keys[i] (or +inf).
 # Adjacent values differ and a pair never stands for a constant set, so
 # each set has exactly one node.  A point x lies past the breakpoint k iff
-# k <= (x, 0).
+# k <= _key(x, 0).
+#
+# The key of a breakpoint is (h, v, e) with h = floor(v * 2^64), an exact
+# integer filter (built only by _key).  Tuple order on (h, v, e) is the
+# order on (v, e): floor is monotone, so h < h' implies v < v', and when
+# h = h' the comparison falls through to (v, e).  Equal values have equal
+# h, so key equality, and with it node equality and hashing, is equality
+# of (v, e).  Most comparisons in a merge end at h, as integer comparisons;
+# only values within 2^-64 of each other compare as rationals.
+
+_FILTER_BITS = 64
+
+
+def _key(v, e: int) -> tuple:
+    """The breakpoint key of value v (a Fraction or int) and side e."""
+    n, d = v.as_integer_ratio()
+    return ((n << _FILTER_BITS) // d, v, e)
+
 
 def _is_const(a) -> bool:
     return a is True or a is False
@@ -328,18 +347,19 @@ def _closure_or_interior(a, closure: bool):
     out_keys, out_vals = [], [_closure_or_interior(cur, closure)]
     i, n = 0, len(keys)
     while i < n:
-        v = keys[i][0]
+        h, v, e = keys[i]
         left = cur
-        if keys[i][1] == 0:
+        if e == 0:
             i += 1
             cur = vals[i]
         point = cur
-        if i < n and keys[i] == (v, 1):
+        if i < n and keys[i] == (h, v, 1):
             i += 1
             cur = vals[i]
         at_point = _closure_or_interior(
             _merge(_merge(left, point, op), cur, op), closure)
-        for k, x in (((v, 0), at_point), ((v, 1), _closure_or_interior(cur, closure))):
+        for k, x in (((h, v, 0), at_point),
+                     ((h, v, 1), _closure_or_interior(cur, closure))):
             if x != out_vals[-1]:
                 out_keys.append(k)
                 out_vals.append(x)
@@ -353,10 +373,10 @@ def _box_node(box: Sequence[Interval]):
         if iv.lo.sign:
             vals.append(node)
         else:
-            keys.append((iv.lo.value, 0 if iv.lo_closed else 1))
+            keys.append(_key(iv.lo.value, 0 if iv.lo_closed else 1))
             vals += [False, node]
         if not iv.hi.sign:
-            keys.append((iv.hi.value, 1 if iv.hi_closed else 0))
+            keys.append(_key(iv.hi.value, 1 if iv.hi_closed else 0))
             vals.append(False)
         node = _node(keys, vals)
     return node
@@ -373,9 +393,9 @@ def _node_boxes(a, d: int) -> list[Box]:
         if v is False:
             continue
         lo, lc = (NEG_INF, False) if i == 0 else \
-            (Cut(0, keys[i - 1][0]), keys[i - 1][1] == 0)
+            (Cut(0, keys[i - 1][1]), keys[i - 1][2] == 0)
         hi, hc = (POS_INF, False) if i == len(keys) else \
-            (Cut(0, keys[i][0]), keys[i][1] == 1)
+            (Cut(0, keys[i][1]), keys[i][2] == 1)
         iv = Interval(lo, hi, lc, hc)
         out.extend((iv,) + rest for rest in _node_boxes(v, d - 1))
     return out
@@ -480,7 +500,7 @@ class BoxSet:
             if _is_const(a):
                 break
             keys, vals = a
-            a = vals[bisect_right(keys, (rat(x), 0))]
+            a = vals[bisect_right(keys, _key(rat(x), 0))]
         return a
 
     # -- topology ----------------------------------------------------------

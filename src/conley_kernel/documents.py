@@ -192,7 +192,7 @@ def parse_document(data: dict) -> SystemDocument:
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     kind = data.get("kind")
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise DocumentError(f"unknown document kind {kind!r}")
     system = _expect(data.get("system", {}), dict, "'system'")
     sets = _expect(data.get("sets", {}), dict, "'sets'")

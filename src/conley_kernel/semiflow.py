@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import AffineRule, Piece, PiecewiseAffineMap, product
+from .affine import AffineRule, PiecewiseAffineMap, product
 from .boxes import (
-    BoxSet, Cut, Interval, NEG_INF, POS_INF, isect_iv, rat, RatLike,
+    BoxSet, Cut, Interval, NEG_INF, POS_INF, _key, isect_iv, rat, RatLike,
 )
 
 DEFAULT_TIME_BOUND = 8
@@ -123,6 +123,24 @@ class AxisRule:
              AffineRule(Fraction(0), self.clamp)),
         ]
 
+    def time_factor(self, t: Fraction) -> PiecewiseAffineMap:
+        """The time-t map of this axis, built in the canonical form that
+        `PiecewiseAffineMap.of` gives for :meth:`time_pieces`: the pieces
+        are disjoint and continuous by construction, so neither is checked.
+        A clamped axis has one breakpoint, just after its split, as both of
+        its rules take the clamp value there."""
+        shift = self.velocity * t
+        if self.kind in ("identity", "translation") or t == 0:
+            return PiecewiseAffineMap(1, (AffineRule(Fraction(1), -shift),))
+        clamped = (AffineRule(Fraction(0), self.clamp),)
+        if self.kind == "floor":
+            node = ((_key(self.clamp + shift, 1),),
+                    (clamped, (AffineRule(Fraction(1), -shift),)))
+        else:
+            node = ((_key(self.clamp - shift, 1),),
+                    ((AffineRule(Fraction(1), shift),), clamped))
+        return PiecewiseAffineMap(1, node)
+
     def boundary_values(self) -> list[Fraction]:
         return [] if self.clamp is None else [self.clamp]
 
@@ -200,9 +218,7 @@ def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:
         raise ValueError("negative time")
     if t in flow._time_maps:
         return flow._time_maps[t]
-    factors = [PiecewiseAffineMap.of(1, [
-        Piece(BoxSet.from_intervals([iv]), (rule,))
-        for iv, rule in r.time_pieces(t)]) for r in flow.axes]
+    factors = [r.time_factor(t) for r in flow.axes]
     flow._time_maps[t] = tm = product(factors).restrict(flow.carrier)
     return tm
 

@@ -475,13 +475,19 @@ def brute_sz_is_iso(m: sz.SzMorphism, bound=None):
     if bound is None:
         bound = sz.shift_bound(f, g)
     id_f, id_g = sz.identity_morphism(f), sz.identity_morphism(g)
-    partners = list(enumerate_equivariant_maps(g, f))
+    # the composites (psi phi, k + l) and (phi psi, l + k) depend on l only
+    # through the shift: psi phi is built once per psi, and phi psi once,
+    # when psi phi first passes
+    partners = [(psi, m.phi.then(psi))
+                for psi in enumerate_equivariant_maps(g, f)]
+    phi_psi = {}
     for ell in range(bound + 1):
-        for psi in partners:
-            cand = sz.SzMorphism(psi, ell)
-            if sz.sz_equal(sz.sz_compose(m, cand), id_f) and \
-               sz.sz_equal(sz.sz_compose(cand, m), id_g):
-                return cand
+        for i, (psi, psi_phi) in enumerate(partners):
+            if sz.sz_equal(sz.SzMorphism(psi_phi, m.shift + ell), id_f):
+                if i not in phi_psi:
+                    phi_psi[i] = psi.then(m.phi)
+                if sz.sz_equal(sz.SzMorphism(phi_psi[i], ell + m.shift), id_g):
+                    return sz.SzMorphism(psi, ell)
     return None
 
 

@@ -410,7 +410,7 @@ def node_features(node, depth=0, out=None):
         out |= {"negative slope" for r in node if r.slope < 0}
     else:
         keys, vals = node
-        if any(a[0] == b[0] for a, b in zip(keys, keys[1:])):
+        if any(a[1] == b[1] for a, b in zip(keys, keys[1:])):
             out.add("point step")
         for x in vals:
             if len({r[depth] for r in af._leaves(x, {})}) > 1:

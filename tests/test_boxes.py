@@ -272,3 +272,127 @@ class TestGeometry:
         a = BoxSet.of(2, [(iv(0, True, 1, False), iv(0, True, 1, True))])
         assert a.contains_point([0, 1])
         assert not a.contains_point([1, 0])
+
+
+class TestFilteredKeys:
+    """Breakpoint keys (h, v, e) order and compare exactly as (v, e), also
+    where values share the integer filter h = floor(v * 2^64)."""
+
+    TINY = Fraction(1, 2 ** 70)
+
+    @classmethod
+    def cluster(cls, c):
+        """Nine values within 2^-68 of c; they share h when c * 2^64 is
+        more than 1/16 away from an integer."""
+        return [c + k * cls.TINY for k in range(-4, 5)]
+
+    def test_filter_is_the_floor(self):
+        import math
+        from conley_kernel.boxes import _key
+        for v in (Fraction(1, 3), Fraction(-1, 3), Fraction(7), Fraction(-7),
+                  Fraction(0), Fraction(-1, 2 ** 80), Fraction(3 ** 90, 2 ** 99)):
+            assert _key(v, 0)[0] == math.floor(v * 2 ** 64)
+            assert _key(v, 1)[1:] == (v, 1)
+
+    def test_key_order_is_value_order(self):
+        import random
+        from conley_kernel.boxes import _key
+        rng = random.Random(101)
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(40)]
+        values += [Fraction(rng.randint(-9, 9)) for _ in range(10)]
+        values += [Fraction(rng.randint(-2 ** 200, 2 ** 200), rng.randint(1, 2 ** 150))
+                   for _ in range(20)]
+        values += self.cluster(Fraction(1, 3)) + self.cluster(Fraction(-5, 3))
+        values += [Fraction(1, 2 ** 64) + k * self.TINY for k in (-1, 0, 1)]
+        assert _key(Fraction(1, 3), 0)[0] == _key(Fraction(1, 3) + self.TINY, 0)[0]
+        plain = [(v, e) for v in values for e in (0, 1)]
+        rng.shuffle(plain)
+        keyed = {p: _key(*p) for p in plain}
+        assert [keyed[p] for p in sorted(plain)] == sorted(keyed[p] for p in plain)
+        for _ in range(4000):
+            p, q = rng.choice(plain), rng.choice(plain)
+            assert (keyed[p] < keyed[q]) == (p < q)
+            assert (keyed[p] == keyed[q]) == (p == q)
+            if p == q:
+                assert hash(keyed[p]) == hash(keyed[q])
+
+    def _colliding_boxes(self, rng, dimension, pool, count):
+        """Up to count boxes with ends drawn from pool; one end in eight is
+        infinite."""
+        boxes = []
+        for _ in range(rng.randint(0, count)):
+            box = []
+            for _ in range(dimension):
+                a, b = sorted(rng.sample(pool, 2)) if rng.randint(0, 3) \
+                    else [rng.choice(pool)] * 2
+                lo = NEG_INF if rng.randint(1, 8) == 1 else Cut.finite(a)
+                hi = POS_INF if rng.randint(1, 8) == 1 else Cut.finite(b)
+                if lo.is_finite and hi.is_finite and a == b:
+                    box.append(Interval.point(a))
+                else:
+                    box.append(Interval(lo, hi, lo.is_finite and rng.randint(0, 1) == 0,
+                                        hi.is_finite and rng.randint(0, 1) == 0))
+            boxes.append(tuple(box))
+        return boxes
+
+    def pool(self):
+        from conley_kernel.boxes import _key
+        pool = self.cluster(Fraction(1, 3)) + self.cluster(Fraction(-1, 3)) + \
+            [Fraction(0), Fraction(1)]
+        for c in pool[:9], pool[9:18]:
+            assert len({_key(v, 0)[0] for v in c}) == 1
+        return pool
+
+    def test_box_algebra_against_the_pairwise_oracle(self):
+        import random
+        from conley_kernel.suites import _oracle_mismatch
+        rng, pool = random.Random(103), self.pool()
+        for dimension, pairs in ((1, 120), (2, 60), (3, 15)):
+            for _ in range(pairs):
+                ra = self._colliding_boxes(rng, dimension, pool, 4)
+                rb = self._colliding_boxes(rng, dimension, pool, 4)
+                assert _oracle_mismatch(ra, rb, dimension) is None, (ra, rb)
+                a = BoxSet.of(dimension, ra)
+                for v in pool:
+                    assert a.contains_point([v] * dimension) == any(
+                        all(x.contains(v) for x in b) for b in ra), (ra, v)
+
+    def test_preimages_against_the_piece_list_oracle(self):
+        import random
+        from conley_kernel.affine import AffineRule, Piece, PiecewiseAffineMap
+        from conley_kernel.suites import PieceListMap
+        rng, pool = random.Random(107), self.pool()
+
+        def rules(dimension):
+            """Slopes 1 and -1 with intercepts within 2^-69 of 0, which keep
+            the two clusters of the pool on each other, or a constant from
+            the pool."""
+            out = []
+            for _ in range(dimension):
+                m = rng.choice((1, 1, -1, 0))
+                q = rng.choice(pool) if m == 0 else rng.randint(-2, 2) * self.TINY
+                out.append(AffineRule(Fraction(m), q))
+            return tuple(out)
+        accepted = 0
+        for dimension, count in ((1, 120), (2, 50)):
+            for _ in range(count):
+                shared = rules(dimension)
+                pieces, seen = [], BoxSet.empty(dimension)
+                for _ in range(rng.randint(1, 3)):
+                    dom = BoxSet.of(dimension,
+                                    self._colliding_boxes(rng, dimension, pool, 2))
+                    dom = dom.difference(seen)
+                    seen = seen.union(dom)
+                    pieces.append(Piece(dom, shared if rng.randint(0, 2)
+                                        else rules(dimension)))
+                try:
+                    f = PiecewiseAffineMap.of(dimension, pieces)
+                except ValueError:
+                    continue
+                accepted += 1
+                oracle = PieceListMap.of(dimension, pieces)
+                for _ in range(3):
+                    a = BoxSet.of(dimension,
+                                  self._colliding_boxes(rng, dimension, pool, 3))
+                    assert f.preimage(a) == oracle.preimage(a), (pieces, a)
+        assert accepted >= 100

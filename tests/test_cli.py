@@ -231,15 +231,22 @@ class TestExitCodes:
         ("semiflow", "axes", ""),
         ("semiflow", "axes", [{"kind": "floor", "velocity": "1", "clamp": "0"},
                               {"kind": "identity"}]),
+        ("finite_map", "kind", ["x"]),
+        ("finite_map", "kind", {"x": "y"}),
     ], ids=["table-list", "table-string", "table-number", "pieces-object",
-            "pieces-string", "axes-object", "axes-string", "axes-count"])
+            "pieces-string", "axes-object", "axes-string", "axes-count",
+            "kind-list", "kind-object"])
     def test_malformed_system_shapes(self, tmp_path, capsys, kind, key, value):
         system = {"finite_map": {"points": ["a", "b"]},
                   "interval_map": {"dimension": 1},
                   "semiflow": {"dimension": 1}}[kind]
+        doc = {"kind": kind, "system": system}
+        if key == "kind":         # the document's own kind
+            doc["kind"] = value
+        else:
+            doc["system"] = {**system, key: value}
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"kind": kind,
-                                   "system": {**system, key: value}}))
+        bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, "check", str(bad))
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and key in err

@@ -124,6 +124,21 @@ class TestTimeMap:
                 assert sf.time_map(flow, t) == \
                     af.PiecewiseAffineMap.of(flow.dimension, pieces)
 
+    def test_time_factors_are_the_nodes_of_their_pieces(self):
+        """Each axis's time map, built directly in canonical form, is the
+        map `of` builds, and checks, from the axis's time pieces."""
+        rules = [sf.AxisRule.identity()]
+        for v in (0, 1, "1/3", -2, "-3/4"):
+            rules.append(sf.AxisRule.translation(v))
+        for v, c in ((1, 0), ("1/3", -2), (3, "5/7")):
+            rules += [sf.AxisRule.floor(v, c), sf.AxisRule.ceil(v, c)]
+        for r in rules:
+            for t in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)):
+                pieces = [af.Piece(BoxSet.from_intervals([iv]), (rule,))
+                          for iv, rule in r.time_pieces(t)]
+                assert r.time_factor(t) == \
+                    af.PiecewiseAffineMap.of(1, pieces), (r, t)
+
     def test_ceiling_rule(self):
         flow = sf.ExactSemiflow.of([sf.AxisRule.ceil(2, 10)])
         tm = sf.time_map(flow, 1)
