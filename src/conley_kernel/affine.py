@@ -77,7 +77,11 @@ leaves hold several axis-d rules (pieces that share its range on axis d
 and part on a later axis) is split by rule; the parts have disjoint
 domains, so their pull-backs merge as a disjoint union, which is cut back
 to the step.  At two leaves the result is true, or for g the rule tuple
-whose rule j is g_j after f_j.
+whose rule j is g_j after f_j.  The images k*v + q of the step's keys, the
+carried breakpoints (w - q)/k and the composed rules are computed on the
+integer ratios of their operands (`boxes._mul_add`, `boxes._sub_div`), one
+gcd reduction per result; values stay normalized Fractions, equal to the
+plain Fraction expressions.
 
 The result is canonical.  A set's step lists join by dropping each
 breakpoint whose value equals the one before it, over canonical values,
@@ -109,7 +113,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .boxes import BoxSet, _key, _node, _steps, _union_all, rat, RatLike
+from .boxes import (
+    BoxSet, _key, _mul_add, _node, _steps, _sub_div, _union_all, rat, RatLike,
+)
 
 
 @dataclass(frozen=True)
@@ -124,14 +130,15 @@ class AffineRule:
         return AffineRule(rat(slope), rat(intercept))
 
     def apply(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.intercept
+        return _mul_add(self.slope, x, self.intercept)
 
     def compose(self, inner: "AffineRule") -> "AffineRule":
-        return AffineRule(self.slope * inner.slope,
-                          self.slope * inner.intercept + self.intercept)
+        return AffineRule(_mul_add(self.slope, inner.slope, 0),
+                          _mul_add(self.slope, inner.intercept, self.intercept))
 
 
 Rules = tuple[AffineRule, ...]
+_ZERO = Fraction(0)
 
 
 def _set_node(keys: list, vals: list, depth: int = 0):
@@ -172,10 +179,10 @@ def _map_node(rules: Rules, node, depth: int):
         child = _map_node(rules, _union_all(list(vals)), depth + 1)
         return _node([_key(q, 0), _key(q, 1)], [False, child, False])
     mapped = [_map_node(rules, v, depth + 1) for v in vals]
-    if m > 0:
-        steps = [_key(m * v + q, e) for _, v, e in keys]
+    if m.numerator > 0:
+        steps = [_key(_mul_add(m, v, q), e) for _, v, e in keys]
     else:
-        steps = [_key(m * v + q, 1 - e) for _, v, e in reversed(keys)]
+        steps = [_key(_mul_add(m, v, q), 1 - e) for _, v, e in reversed(keys)]
         mapped.reverse()
     return _set_node(steps, mapped)
 
@@ -211,7 +218,7 @@ def _reduce(a, k: int, v: Fraction, depth: int):
         r = a[k]
         if r.slope == 0:
             return a
-        return a[:k] + (AffineRule(Fraction(0), r.apply(v)),) + a[k + 1:]
+        return a[:k] + (AffineRule(_ZERO, r.apply(v)),) + a[k + 1:]
     keys, vals = a
     reduced = [_reduce(x, k, v, depth + 1) for x in vals]
     if all(x is y for x, y in zip(reduced, vals)):
@@ -433,18 +440,19 @@ def _pull_step(x, r: AffineRule, sk, sv, lo, hi, depth: int, join):
     if m == 0:
         y = sv[bisect_right(sk, _key(q, 0))]
         return [], [_pull(x, y, depth + 1, join)]
-    if m > 0:       # the steps of s that the step (lo, hi) maps onto
-        a = 0 if lo is None else bisect_right(sk, _key(m * lo[1] + q, lo[2]))
+    if m.numerator > 0:       # the steps of s that (lo, hi) maps onto
+        a = 0 if lo is None else \
+            bisect_right(sk, _key(_mul_add(m, lo[1], q), lo[2]))
         b = len(sk) if hi is None else \
-            bisect_left(sk, _key(m * hi[1] + q, hi[2]))
-        keys = [_key((v - q) / m, e) for _, v, e in sk[a:b]]
+            bisect_left(sk, _key(_mul_add(m, hi[1], q), hi[2]))
+        keys = [_key(_sub_div(v, q, m), e) for _, v, e in sk[a:b]]
         ys = sv[a:b + 1]
     else:
         a = 0 if hi is None else \
-            bisect_right(sk, _key(m * hi[1] + q, 1 - hi[2]))
+            bisect_right(sk, _key(_mul_add(m, hi[1], q), 1 - hi[2]))
         b = len(sk) if lo is None else \
-            bisect_left(sk, _key(m * lo[1] + q, 1 - lo[2]))
-        keys = [_key((v - q) / m, 1 - e) for _, v, e in reversed(sk[a:b])]
+            bisect_left(sk, _key(_mul_add(m, lo[1], q), 1 - lo[2]))
+        keys = [_key(_sub_div(v, q, m), 1 - e) for _, v, e in reversed(sk[a:b])]
         ys = sv[a:b + 1][::-1]
     return keys, [_pull(x, y, depth + 1, join) for y in ys]
 
@@ -548,17 +556,19 @@ class PiecewiseAffineMap:
         return tuple(r.apply(q) for r, q in zip(a, qs))
 
     def image(self, a: BoxSet) -> BoxSet:
-        if a not in self._images:
-            self._images[a] = BoxSet.union_all(self.dimension, (
+        out = self._images.get(a)
+        if out is None:
+            out = self._images[a] = BoxSet.union_all(self.dimension, (
                 rules_image(p.rules, a.intersect(p.domain))
                 for p in self.pieces))
-        return self._images[a]
+        return out
 
     def preimage(self, a: BoxSet) -> BoxSet:
-        if a not in self._preimages:
-            self._preimages[a] = BoxSet(
+        out = self._preimages.get(a)
+        if out is None:
+            out = self._preimages[a] = BoxSet(
                 self.dimension, _pull(self.node, a.node, 0, _set_node))
-        return self._preimages[a]
+        return out
 
     def is_proper_on(self, d: BoxSet, y: BoxSet) -> bool:
         """Exactly decide properness of self restricted to d, as a map into y.

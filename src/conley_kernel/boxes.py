@@ -108,11 +108,22 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        if self.lo.sign != 0 and self.lo_closed:
+        lo, hi = self.lo, self.hi
+        if lo.sign != 0 and self.lo_closed:
             raise ValueError("infinite endpoints must be open")
-        if self.hi.sign != 0 and self.hi_closed:
+        if hi.sign != 0 and self.hi_closed:
             raise ValueError("infinite endpoints must be open")
-        if _skey(self) > _ekey(self):
+        # _skey(self) > _ekey(self), with the values compared on integer
+        # ratios; at equal endpoints only a closed pair is nonempty
+        if lo.sign != hi.sign:
+            inverted = lo.sign > hi.sign
+        else:
+            ln, ld = lo.value.as_integer_ratio()
+            hn, hd = hi.value.as_integer_ratio()
+            x, y = ln * hd, hn * ld
+            inverted = x > y or x == y and not (self.lo_closed and
+                                                self.hi_closed)
+        if inverted:
             raise ValueError(f"empty or inverted interval: {self}")
 
     # -- constructors ------------------------------------------------------
@@ -215,6 +226,14 @@ Box = tuple[Interval, ...]
 # h, so key equality, and with it node equality and hashing, is equality
 # of (v, e).  Most comparisons in a merge end at h, as integer comparisons;
 # only values within 2^-64 of each other compare as rationals.
+#
+# Every value v is a normalized Fraction.  The arithmetic that makes new
+# values (affine images and pull-backs, time maps and crossing times of
+# semiflows) runs on integer ratios in _mul_add and _sub_div (Knuth, TAOCP
+# Vol. 2, 4.5.1): the operands' numerators and denominators, read with
+# as_integer_ratio(), combine as integers, and Fraction(n, d) reduces the
+# result by one gcd.  That equals the plain Fraction expression, so the
+# keys, and every node and output, are those of Fraction arithmetic.
 
 _FILTER_BITS = 64
 
@@ -223,6 +242,24 @@ def _key(v, e: int) -> tuple:
     """The breakpoint key of value v (a Fraction or int) and side e."""
     n, d = v.as_integer_ratio()
     return ((n << _FILTER_BITS) // d, v, e)
+
+
+def _mul_add(m, x, q) -> Fraction:
+    """m*x + q, for Fractions or ints, as a normalized Fraction."""
+    mn, md = m.as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    qn, qd = q.as_integer_ratio()
+    d = md * xd
+    return Fraction(mn * xn * qd + qn * d, d * qd)
+
+
+def _sub_div(v, q, m) -> Fraction:
+    """(v - q)/m, for Fractions or ints with m != 0, as a normalized
+    Fraction."""
+    vn, vd = v.as_integer_ratio()
+    qn, qd = q.as_integer_ratio()
+    mn, md = m.as_integer_ratio()
+    return Fraction((vn * qd - qn * vd) * md, vd * qd * mn)
 
 
 def _is_const(a) -> bool:

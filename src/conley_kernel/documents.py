@@ -28,15 +28,21 @@ def format_rat(q: Fraction) -> str:
     return str(q)
 
 
-_RAT_RE = re.compile(r"^\s*[+-]?\d+(\s*/\s*[1-9]\d*)?\s*$")
+# 'p' or 'p/q' with optional surrounding whitespace and a sign, no spaces
+# around the slash and a denominator without a leading zero (so nonzero);
+# \d and \s are the Unicode classes, and int() reads every digit \d matches
+_RAT_RE = re.compile(r"\s*([+-]?\d+)(?:/([1-9]\d*))?\s*")
 
 
 def parse_rat(tok) -> Fraction:
     """Accept integers and 'p/q' strings only; no decimal or inexact forms."""
     if isinstance(tok, int) and not isinstance(tok, bool):
         return Fraction(tok)
-    if isinstance(tok, str) and _RAT_RE.match(tok):
-        return Fraction(tok)
+    if isinstance(tok, str):
+        m = _RAT_RE.fullmatch(tok)
+        if m is not None:
+            n, d = m.groups()
+            return Fraction(int(n), int(d)) if d else Fraction(int(n))
     raise DocumentError(f"bad rational {tok!r} (use 'p' or 'p/q')")
 
 

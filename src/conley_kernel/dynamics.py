@@ -162,10 +162,12 @@ class _SearchContext:
 
     def _absorbed(self, tests, e, e2, a, b) -> bool:
         """D_b(e) <= f^-a(e2), cached in ``tests`` by (a, b)."""
-        if (a, b) not in tests:
+        hit = tests.get((a, b))
+        if hit is None:
             ca, f = self.ca, self.f
-            tests[a, b] = ca.dom(f, e, b).subset_of(ca.preimage(f, e2, a))
-        return tests[a, b]
+            hit = tests[a, b] = ca.dom(f, e, b).subset_of(
+                ca.preimage(f, e2, a))
+        return hit
 
     def cond1(self, a, b) -> bool:
         return self._absorbed(self._cond1, self.e, self.e2, a, b)

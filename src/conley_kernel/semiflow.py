@@ -18,18 +18,22 @@ systems) is written once in :mod:`conley_kernel.dynamics` and
 Each flow memoizes its time-t maps by t and its swept domains by (E, t,
 cap) in fields of the flow object, so those sets and maps, with the maps'
 set-map memos (:mod:`conley_kernel.affine`), are shared by every caller
-holding the flow and live as long as it does.
+holding the flow and live as long as it does.  These memos and the search
+tests key each time by its integer ratio, a pair of ints, which hashes far
+faster than a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .affine import AffineRule, PiecewiseAffineMap, product
 from .boxes import (
-    BoxSet, Cut, Interval, NEG_INF, POS_INF, _key, isect_iv, rat, RatLike,
+    BoxSet, Cut, Interval, NEG_INF, POS_INF, _key, _mul_add, _sub_div,
+    isect_iv, rat, RatLike,
 )
 
 DEFAULT_TIME_BOUND = 8
@@ -96,49 +100,29 @@ class AxisRule:
         if self.kind == "identity":
             return x
         if self.kind == "translation":
-            return x - self.velocity * t
+            return _mul_add(-self.velocity, t, x)
         if self.kind == "floor":
-            return max(x - self.velocity * t, self.clamp)
-        return min(x + self.velocity * t, self.clamp)
-
-    def time_pieces(self, t: Fraction) -> list[tuple[Interval, AffineRule]]:
-        """The time-t map of this axis as interval pieces covering the line."""
-        if self.kind == "identity" or t == 0:
-            return [(Interval.line(), AffineRule.of(1, 0))]
-        if self.kind == "translation":
-            return [(Interval.line(), AffineRule(Fraction(1), -self.velocity * t))]
-        if self.kind == "floor":
-            split = self.clamp + self.velocity * t
-            return [
-                (Interval(NEG_INF, Cut.finite(split), False, False),
-                 AffineRule(Fraction(0), self.clamp)),
-                (Interval(Cut.finite(split), POS_INF, True, False),
-                 AffineRule(Fraction(1), -self.velocity * t)),
-            ]
-        split = self.clamp - self.velocity * t
-        return [
-            (Interval(NEG_INF, Cut.finite(split), False, True),
-             AffineRule(Fraction(1), self.velocity * t)),
-            (Interval(Cut.finite(split), POS_INF, False, False),
-             AffineRule(Fraction(0), self.clamp)),
-        ]
+            return max(_mul_add(-self.velocity, t, x), self.clamp)
+        return min(_mul_add(self.velocity, t, x), self.clamp)
 
     def time_factor(self, t: Fraction) -> PiecewiseAffineMap:
         """The time-t map of this axis, built in the canonical form that
-        `PiecewiseAffineMap.of` gives for :meth:`time_pieces`: the pieces
-        are disjoint and continuous by construction, so neither is checked.
+        `PiecewiseAffineMap.of` gives for its interval pieces (the test
+        oracle ``suites.oracle_time_pieces``): the pieces are disjoint and
+        continuous by construction, so neither is checked.
         A clamped axis has one breakpoint, just after its split, as both of
         its rules take the clamp value there."""
-        shift = self.velocity * t
+        v = self.velocity
         if self.kind in ("identity", "translation") or t == 0:
-            return PiecewiseAffineMap(1, (AffineRule(Fraction(1), -shift),))
+            return PiecewiseAffineMap(
+                1, (AffineRule(Fraction(1), _mul_add(-v, t, 0)),))
         clamped = (AffineRule(Fraction(0), self.clamp),)
         if self.kind == "floor":
-            node = ((_key(self.clamp + shift, 1),),
-                    (clamped, (AffineRule(Fraction(1), -shift),)))
+            node = ((_key(_mul_add(v, t, self.clamp), 1),),
+                    (clamped, (AffineRule(Fraction(1), _mul_add(-v, t, 0)),)))
         else:
-            node = ((_key(self.clamp - shift, 1),),
-                    ((AffineRule(Fraction(1), shift),), clamped))
+            node = ((_key(_mul_add(-v, t, self.clamp), 1),),
+                    ((AffineRule(Fraction(1), _mul_add(v, t, 0)),), clamped))
         return PiecewiseAffineMap(1, node)
 
     def boundary_values(self) -> list[Fraction]:
@@ -214,12 +198,14 @@ def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:
     product of the axes' time-t maps, restricted to the carrier; built once
     per flow and t."""
     t = rat(t)
+    key = t.as_integer_ratio()
+    tm = flow._time_maps.get(key)
+    if tm is not None:
+        return tm
     if t < 0:
         raise ValueError("negative time")
-    if t in flow._time_maps:
-        return flow._time_maps[t]
     factors = [r.time_factor(t) for r in flow.axes]
-    flow._time_maps[t] = tm = product(factors).restrict(flow.carrier)
+    flow._time_maps[key] = tm = product(factors).restrict(flow.carrier)
     return tm
 
 
@@ -239,9 +225,10 @@ def dom_interval(flow: ExactSemiflow, e: BoxSet, t, cap: int = 64) -> BoxSet:
     which certifies it.
     """
     t = rat(t)
-    key = (e, t, cap)
-    if key in flow._swept:
-        return flow._swept[key]
+    key = (e, t.as_integer_ratio(), cap)
+    d = flow._swept.get(key)
+    if d is not None:
+        return d
     if t < 0:
         raise ValueError("negative time")
     flow.check_set(e)
@@ -377,18 +364,16 @@ def _solve_key_le(const_key, aff_key, slope: Fraction) -> Interval | None:
         return None
     if slope == 0:
         return _tau_all() if (c.value, eps_c) <= (a.value, eps_a) else None
-    star = (c.value - a.value) / slope
+    star = _sub_div(c.value, a.value, slope)
     at_star_ok = eps_c <= eps_a
-    if slope > 0:
-        lo = max(star, Fraction(0))
-        closed = at_star_ok if lo == star else True
-        return Interval(Cut.finite(lo), POS_INF, closed, False)
-    hi = star
-    if hi < 0:
+    sign = star.numerator
+    if slope.numerator > 0:       # tau >= star
+        if sign < 0:
+            return _tau_all()
+        return Interval(Cut(0, star), POS_INF, at_star_ok, False)
+    if sign < 0 or sign == 0 and not at_star_ok:    # tau <= star
         return None
-    if hi == 0 and not at_star_ok:
-        return None
-    return Interval(Cut.finite(0), Cut.finite(hi), True, at_star_ok)
+    return Interval(Cut.finite(0), Cut(0, star), True, at_star_ok)
 
 
 def _escape_exists(flow: ExactSemiflow, e: BoxSet, window=Fraction(1)) -> bool:
@@ -440,33 +425,53 @@ def is_openly_defined_cont(flow: ExactSemiflow, e: BoxSet) -> bool:
 # ---------------------------------------------------------------------------
 # searches over rational time
 
-def _candidate_times(flow: ExactSemiflow, sets: list[BoxSet], bound) -> list[Fraction]:
-    values: set[Fraction] = set()
-    for s in sets:
-        for b in s.boxes:
-            for iv in b:
-                for c in (iv.lo, iv.hi):
-                    if c.is_finite:
-                        values.add(c.value)
-    for r in flow.axes:
-        values.update(r.boundary_values())
-    times: set[Fraction] = {Fraction(0)}
-    speeds = {abs(r.velocity) for r in flow.axes if r.velocity != 0}
-    for v in speeds:
-        for b1 in values:
-            for b2 in values:
-                d = abs(b1 - b2) / v
-                if 0 < d <= bound:
-                    times.add(d)
-    times.update(Fraction(k) for k in range(1, min(int(bound), 4) + 1))
-    ordered = sorted(times)
-    with_mids = set(ordered)
-    for x, y in zip(ordered, ordered[1:]):
-        with_mids.add((x + y) / 2)
-    top = max(ordered) if ordered else Fraction(0)
-    if top + 1 <= bound:
-        with_mids.add(top + 1)
-    return sorted(v for v in with_mids if v <= bound)
+def _candidate_times(flow: ExactSemiflow, sets: list[BoxSet],
+                     bound) -> list[Fraction]:
+    """The sorted candidate times in [0, bound]: 0, each gap |b1 - b2|/v
+    between boundary values of the sets and clamps, over each speed v, the
+    integers 1..4, the midpoint of each two consecutive ones, and the
+    largest one plus 1.
+
+    It runs on integer numerators over common denominators: the values
+    over L, the lcm of their denominators, and the times over Q = 2*L*M,
+    with M the lcm of the speeds' numerators, so that every gap over a
+    speed and every midpoint is an integer over Q.  A Fraction is built
+    only for each time kept (``suites.oracle_candidate_times`` is the
+    Fraction version)."""
+    ratios = {c.value.as_integer_ratio() for s in sets for b in s.boxes
+              for iv in b for c in (iv.lo, iv.hi) if c.sign == 0}
+    ratios.update(x.as_integer_ratio() for r in flow.axes
+                  for x in r.boundary_values())
+    speeds = {abs(r.velocity).as_integer_ratio() for r in flow.axes
+              if r.velocity != 0}
+    bn, bd = bound.as_integer_ratio()
+    big_l = lcm(*(d for _, d in ratios))
+    big_d = big_l * lcm(*(n for n, _ in speeds))
+    big_q = 2 * big_d
+    times = {0}
+    if speeds:
+        # the largest gap over L that a speed (n, d) turns into a time
+        # <= bound is bn*L*n // (d*bd)
+        limits = {(n, d): bn * big_l * n // (d * bd) for n, d in speeds}
+        most = max(limits.values())
+        nums = sorted({n * (big_l // d) for n, d in ratios})
+        gaps = set()
+        for i, x in enumerate(nums):
+            for y in nums[i + 1:]:
+                if y - x > most:
+                    break
+                gaps.add(y - x)
+        for (n, d), limit in limits.items():
+            scale = 2 * d * (big_d // (big_l * n))     # a gap over L -> Q
+            times.update(g * scale for g in gaps if g <= limit)
+    times.update(k * big_q for k in range(1, min(int(bound), 4) + 1))
+    ordered = sorted(times)           # all even, so midpoints are integers
+    kept = set(ordered)
+    kept.update((x + y) // 2 for x, y in zip(ordered, ordered[1:]))
+    top = ordered[-1] + big_q
+    if top * bd <= bn * big_q:
+        kept.add(top)
+    return [Fraction(t, big_q) for t in sorted(kept) if t * bd <= bn * big_q]
 
 
 class _ContContext:
@@ -487,11 +492,14 @@ class _ContContext:
         self._c2: dict = {}
 
     def _absorbed(self, tests, e, e2, a, b) -> bool:
-        """D_b(e) <= F_a^-1(e2), cached in ``tests`` by (a, b)."""
-        if (a, b) not in tests:
-            tests[a, b] = dom_interval(self.flow, e, b).subset_of(
+        """D_b(e) <= F_a^-1(e2), cached in ``tests`` by the integer
+        ratios of (a, b)."""
+        key = (a.as_integer_ratio(), b.as_integer_ratio())
+        hit = tests.get(key)
+        if hit is None:
+            hit = tests[key] = dom_interval(self.flow, e, b).subset_of(
                 time_map(self.flow, a).preimage(e2))
-        return tests[a, b]
+        return hit
 
     def cond1(self, a, b) -> bool:
         return self._absorbed(self._c1, self.e, self.e2, a, b)

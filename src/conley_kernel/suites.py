@@ -20,10 +20,14 @@ loop (`fixed_cap_invariant_part`), which the early exit of
 scans of the admissibility searches (`oracle_find_admissible`,
 `oracle_sim_f`), which the galloping searches of `dynamics` are checked
 against; the 1-D swept domain by hit sets (`oracle_dom_interval_1d`),
-which the component rule of `semiflow.dom_interval` is checked against; and
+which the component rule of `semiflow.dom_interval` is checked against;
 the from-scratch loops for D_n(E) and f^-n(A) (`oracle_dom`,
 `oracle_preimage`), which the memoized sequences of
-`carriers.DiscreteTime` are checked against.
+`carriers.DiscreteTime` are checked against; the interval pieces of an
+axis's time map (`oracle_time_pieces`), which `AxisRule.time_factor` is
+checked against; and the Fraction loop over all pairs of boundary values
+(`oracle_candidate_times`), which the integer candidate times of
+`semiflow._candidate_times` are checked against.
 """
 
 from __future__ import annotations
@@ -328,6 +332,65 @@ def oracle_dom_interval_1d(flow: sf.ExactSemiflow, e: BoxSet, t) -> BoxSet:
             hits.append(_ray_down(iv.hi, iv.hi_closed).intersect(
                 fmap.preimage(_ray_up(iv.lo, iv.lo_closed))))
     return BoxSet.union_all(1, hits).complement().intersect(flow.carrier)
+
+
+def oracle_time_pieces(rule: sf.AxisRule, t) -> list:
+    """The time-t map of one axis as (interval, rule) pieces covering the
+    line: the pieces that `AxisRule.time_factor` builds in canonical form
+    without `PiecewiseAffineMap.of`."""
+    t = Fraction(t)
+    if rule.kind == "identity" or t == 0:
+        return [(Interval.line(), AffineRule.of(1, 0))]
+    if rule.kind == "translation":
+        return [(Interval.line(), AffineRule(Fraction(1), -rule.velocity * t))]
+    if rule.kind == "floor":
+        split = rule.clamp + rule.velocity * t
+        return [
+            (Interval(NEG_INF, Cut.finite(split), False, False),
+             AffineRule(Fraction(0), rule.clamp)),
+            (Interval(Cut.finite(split), POS_INF, True, False),
+             AffineRule(Fraction(1), -rule.velocity * t)),
+        ]
+    split = rule.clamp - rule.velocity * t
+    return [
+        (Interval(NEG_INF, Cut.finite(split), False, True),
+         AffineRule(Fraction(1), rule.velocity * t)),
+        (Interval(Cut.finite(split), POS_INF, False, False),
+         AffineRule(Fraction(0), rule.clamp)),
+    ]
+
+
+def oracle_candidate_times(flow: sf.ExactSemiflow, sets: list, bound) -> list:
+    """The candidate times of a semiflow search in plain Fraction
+    arithmetic, over every ordered pair of boundary values: the loop that
+    the common-denominator integer version `semiflow._candidate_times`
+    replaced."""
+    values = set()
+    for s in sets:
+        for b in s.boxes:
+            for iv in b:
+                for c in (iv.lo, iv.hi):
+                    if c.is_finite:
+                        values.add(c.value)
+    for r in flow.axes:
+        values.update(r.boundary_values())
+    times = {Fraction(0)}
+    speeds = {abs(r.velocity) for r in flow.axes if r.velocity != 0}
+    for v in speeds:
+        for b1 in values:
+            for b2 in values:
+                d = abs(b1 - b2) / v
+                if 0 < d <= bound:
+                    times.add(d)
+    times.update(Fraction(k) for k in range(1, min(int(bound), 4) + 1))
+    ordered = sorted(times)
+    with_mids = set(ordered)
+    for x, y in zip(ordered, ordered[1:]):
+        with_mids.add((x + y) / 2)
+    top = max(ordered) if ordered else Fraction(0)
+    if top + 1 <= bound:
+        with_mids.add(top + 1)
+    return sorted(v for v in with_mids if v <= bound)
 
 
 def oracle_dom(f, e, t):

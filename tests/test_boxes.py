@@ -396,3 +396,95 @@ class TestFilteredKeys:
                                   self._colliding_boxes(rng, dimension, pool, 3))
                     assert f.preimage(a) == oracle.preimage(a), (pieces, a)
         assert accepted >= 100
+
+
+# rationals for the integer-ratio helpers: small, zero, slopes +-1 and
+# 200-bit numerators and denominators, of either sign
+big = st.integers(-2 ** 200, 2 ** 200)
+helper_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, big, st.integers(1, 2 ** 200)),
+    st.builds(Fraction, big),
+)
+helper_operands = st.one_of(helper_rationals, st.integers(-9, 9), big)
+
+
+def _normalized(x) -> bool:
+    import math
+    n, d = x.as_integer_ratio()
+    return type(x) is Fraction and d > 0 and math.gcd(n, d) == 1
+
+
+class TestIntegerRatioHelpers:
+    """`_mul_add` and `_sub_div` equal the plain Fraction expressions and
+    return normalized Fractions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(helper_operands, helper_operands, helper_operands)
+    def test_mul_add_is_the_fraction_expression(self, m, x, q):
+        from conley_kernel.boxes import _mul_add
+        got = _mul_add(m, x, q)
+        assert got == Fraction(m) * x + q and _normalized(got)
+
+    @settings(max_examples=400, deadline=None)
+    @given(helper_operands, helper_operands, helper_operands)
+    def test_sub_div_is_the_fraction_expression(self, v, q, m):
+        from conley_kernel.boxes import _sub_div
+        if m == 0:
+            with pytest.raises(ZeroDivisionError):
+                _sub_div(v, q, m)
+            return
+        got = _sub_div(v, q, m)
+        assert got == (Fraction(v) - q) / m and _normalized(got)
+
+    def test_slopes_one_and_minus_one(self):
+        from conley_kernel.boxes import _mul_add, _sub_div
+        for x in (Fraction(3, 7), Fraction(-2 ** 200, 3), Fraction(0)):
+            for q in (Fraction(-5, 11), Fraction(0), Fraction(1, 2 ** 200)):
+                for m in (Fraction(1), Fraction(-1)):
+                    assert _mul_add(m, x, q) == m * x + q
+                    assert _sub_div(x, q, m) == (x - q) / m
+
+
+class TestIntervalOrderCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(helper_rationals, helper_rationals, st.booleans(), st.booleans(),
+           st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
+    def test_empty_iff_start_key_exceeds_end_key(self, a, b, lc, hc, ls, hs):
+        """Interval rejects exactly the endpoint pairs whose boundary keys
+        are inverted, as the Fraction tuple comparison decides."""
+        from conley_kernel.boxes import _ekey, _skey
+        lo = Cut(ls, a if ls == 0 else Fraction(0))
+        hi = Cut(hs, b if hs == 0 else Fraction(0))
+        lc, hc = lc and ls == 0, hc and hs == 0
+        inverted = (lo.sign, lo.value, 0 if lc else 1) > \
+            (hi.sign, hi.value, 0 if hc else -1)
+        if inverted:
+            with pytest.raises(ValueError, match="empty or inverted"):
+                Interval(lo, hi, lc, hc)
+        else:
+            made = Interval(lo, hi, lc, hc)
+            assert _skey(made) <= _ekey(made)
+
+
+def test_equal_sets_from_different_box_lists_hash_equal():
+    """Hashing is by the canonical node, so two box lists of one set give
+    one hash, in every dimension."""
+    pairs = [
+        ([(iv(0, True, 2, True),)],
+         [(iv(0, True, 1, False),), (iv(1, True, 2, True),)]),
+        ([(iv(0, True, 1, True), iv(0, True, 2, False))],
+         [(iv(0, True, 1, True), iv(0, True, 1, True)),
+          (iv(0, True, 1, True), iv("1/2", True, 2, False))]),
+        ([(iv(0, False, 1, True), iv(0, True, 1, True), iv(-1, True, 0, True))],
+         [(iv("1/2", True, 1, True), iv(0, True, 1, True), iv(-1, True, 0, True)),
+          (iv(0, False, "1/2", True), iv(0, True, 1, True), iv(-1, True, 0, True)),
+          (iv("1/3", True, "2/3", True), iv(0, True, "1/2", True),
+           iv(-1, True, 0, True))]),
+    ]
+    for one, two in pairs:
+        d = len(one[0])
+        a, b = BoxSet.of(d, one), BoxSet.of(d, two[::-1])
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conley_kernel import documents as docs
 from conley_kernel.boxes import BoxSet, Interval
@@ -147,3 +149,52 @@ def test_minimal_documents_accepted():
     assert docs.parse_document(flow).system.dimension == 1
     finite = {"kind": "finite_map", "system": {"points": ["a", "b"]}}
     assert docs.parse_document(finite).system.space.points == ("a", "b")
+
+
+def _old_parse_rat(tok):
+    """The earlier parse_rat, the reference for the token set: a regex
+    check, then Fraction(str) (which raises ValueError on what it rejects)."""
+    import re
+    from fractions import Fraction
+    if isinstance(tok, int) and not isinstance(tok, bool):
+        return Fraction(tok)
+    if isinstance(tok, str) and \
+            re.match(r"^\s*[+-]?\d+(\s*/\s*[1-9]\d*)?\s*$", tok):
+        return Fraction(tok)
+    raise DocumentError(f"bad rational {tok!r}")
+
+
+def _outcome(parse, tok):
+    try:
+        value = parse(tok)
+    except ValueError:
+        return "rejected"
+    assert type(value).__name__ == "Fraction"
+    return value
+
+
+@pytest.mark.parametrize("tok", [
+    " -4 / 6 ", "+3", "3/05", "3/0", "1_000", "0.5", "３", "3\n", "",
+    True, 2 ** 70, "-4/6", " 7 ", "3 /4", "3/ 4", "1e3", "-0", "+-1",
+    "1/2/3", "٣/4", "4/٣", " 1/2 ", "3\n\n", "3\n4",
+    None, 0.5, [1, 2]])
+def test_parse_rat_accepts_what_the_regex_and_fraction_str_did(tok):
+    assert _outcome(docs.parse_rat, tok) == _outcome(_old_parse_rat, tok)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.text(alphabet=st.sampled_from(
+    list("0123456789+-/ _.eE\n\t") + ["３", "٣", " ", " "]),
+    max_size=9))
+def test_parse_rat_differential(tok):
+    assert _outcome(docs.parse_rat, tok) == _outcome(_old_parse_rat, tok)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200),
+       st.sampled_from(["", " ", "\t"]))
+def test_parse_rat_values(n, d, pad):
+    from fractions import Fraction
+    for tok in (f"{pad}{n}/{d}{pad}", f"{pad}{n}{pad}"):
+        assert docs.parse_rat(tok) == _old_parse_rat(tok)
+    assert docs.parse_rat(f"{n}/{d}") == Fraction(n, d)

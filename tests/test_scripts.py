@@ -112,3 +112,118 @@ def test_scripts_run_on_their_own_checkout(tmp_path, name, argv, decoy):
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout and done.stderr == ""
+
+
+def test_bench_pairs_dry_run_alternates_the_sides(capsys, tmp_path):
+    """The parent runs first on even pairs and the change on odd ones, seed
+    by seed; a dry run runs nothing and writes no file."""
+    other = tmp_path / "parent"
+    (other / "bench").mkdir(parents=True)
+    (other / "bench" / "run.py").write_text("raise SystemExit(1)\n")
+    argv = [str(other), str(ROOT), "--workload", "box-nd", "--seeds", "7,3",
+            "--pairs", "3", "--label", "t", "--dry-run"]
+    assert load("bench_pairs").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    order = [line.split(":")[0] for line in lines]
+    assert order == [f"seed {s} pair {i} {side}" for s in (7, 3)
+                     for i, sides in enumerate((("parent", "change"),
+                                                ("change", "parent"),
+                                                ("parent", "change")))
+                     for side in sides]
+    for line in lines:
+        folder = str(other) if line.split(":")[0].endswith("parent") \
+            else str(ROOT)
+        seed = line.split()[1]
+        assert f"(cd {folder} && python3 bench/run.py --workload box-nd " \
+               f"--seed {seed} --seconds {seconds} --trace 0)" in line
+    assert not list(tmp_path.glob("BENCH_*.json"))
+    assert not (ROOT / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    (["--workload", "nope"], "unknown workload 'nope'"),
+    (["--seeds", "7,x"], "--seeds must be a comma list of integers"),
+    (["--seeds", ""], "--seeds must be a comma list of integers"),
+    (["--pairs", "0"], "--pairs must be at least 1"),
+    (["--label", "a/b"], "--label may hold letters"),
+    (["--claim", "speed"], "unknown metric 'speed'"),
+    (["--pairs", "two"], "invalid int value: 'two'"),
+])
+def test_bench_pairs_rejects_bad_arguments(capsys, change, message):
+    argv = {"--workload": "box-nd", "--seeds": "7,3", "--pairs": "2",
+            "--label": "t"}
+    argv.update(dict(zip(change[::2], change[1::2])))
+    with pytest.raises(SystemExit) as exc:
+        load("bench_pairs").main([str(ROOT), str(ROOT), "--dry-run",
+                                  *(x for kv in argv.items() for x in kv)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_bench_pairs_needs_two_checkouts(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        load("bench_pairs").main([str(tmp_path), str(ROOT), "--workload",
+                                  "box-nd", "--seeds", "7", "--pairs", "1",
+                                  "--label", "t", "--dry-run"])
+    assert exc.value.code == 2
+    assert "is not a checkout with bench/run.py" in capsys.readouterr().err
+
+
+def test_bench_pairs_summary_counts_wins_by_direction():
+    script = load("bench_pairs")
+    spec = {"end_to_end": [{"name": "verdicts_per_s", "better": "higher"},
+                           {"name": "latency_p50_ms", "better": "lower"}]}
+
+    def run(v, lat, failed=0):
+        return {"correct": True, "failed": failed, "metrics": {
+            "verdicts_per_s": {"value": v}, "latency_p50_ms": {"value": lat}}}
+    parent = [run(10, 3), run(12, 2), run(11, 4)]
+    change = [run(13, 3), run(12, 1), run(14, 2, failed=1)]
+    got = script.summarize(spec, parent, change)
+    assert got["verdicts_per_s"] == {
+        "parent_median": 11, "parent_q1": 10.5, "parent_q3": 11.5,
+        "change_median": 13, "change_q1": 12.5, "change_q3": 13.5,
+        "change_wins": "2/3"}
+    assert got["latency_p50_ms"]["change_wins"] == "2/3"
+    assert got["correct"] is True and got["failed"] == [0, 1]
+
+
+def test_bench_pairs_writes_and_extends_the_record(tmp_path, monkeypatch):
+    """With stand-in checkouts whose bench/run.py prints a fixed result
+    (the parent's slower), the record holds every run per side, and a
+    second invocation adds its workload and keeps the claim."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    folders = []
+    for side, rate in (("parent", 100.0), ("change", 125.0)):
+        folder = tmp_path / side
+        (folder / "bench").mkdir(parents=True)
+        (folder / "BENCHMARK.json").write_text(json.dumps(spec))
+        result = {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+            m["name"]: {"value": rate if m["better"] == "higher" else 1 / rate,
+                        "unit": m["unit"]} for m in spec["end_to_end"]}}
+        (folder / "bench" / "run.py").write_text(
+            f"print('bench: log line')\nprint({json.dumps(json.dumps(result))})\n")
+        folders.append(str(folder))
+    monkeypatch.chdir(tmp_path)
+    script = load("bench_pairs")
+    assert script.main([*folders, "--workload", "box-nd", "--seeds", "7,3",
+                        "--pairs", "2", "--label", "t",
+                        "--claim", "verdicts_per_s"]) == 0
+    assert script.main([*folders, "--workload", "szymczak", "--seeds", "7",
+                        "--pairs", "1", "--label", "t"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(record)[:6] == ["label", "what", "machine", "claimed", "runs",
+                                "summary"]
+    assert record["claimed"] == {"workload": "box-nd",
+                                 "metric": "verdicts_per_s", "seeds": [7, 3]}
+    assert list(record["runs"]) == ["box-nd seed 7", "box-nd seed 3",
+                                    "szymczak seed 7"]
+    assert [len(record["runs"][k]["change"]) for k in record["runs"]] == \
+        [2, 2, 1]
+    row = record["summary"]["box-nd seed 3"]
+    assert row["verdicts_per_s"]["change_median"] == 125.0
+    assert row["latency_tail_ms"]["change_wins"] == "2/2"
+    assert row["correct"] is True and row["failed"] == [0]
+    assert f"--seconds {spec['run_seconds']}" in record["what"]

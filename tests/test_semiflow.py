@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,14 @@ from conley_kernel import affine as af
 from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel import semiflow as sf
-from conley_kernel.boxes import BoxSet, Interval, isect_iv
+from conley_kernel.boxes import (
+    BoxSet, Cut, Interval, NEG_INF, POS_INF, isect_iv,
+)
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import (
-    clamp_flow, oracle_dom_interval_1d, random_flow, translation_flow,
+    clamp_flow, oracle_candidate_times, oracle_dom_interval_1d,
+    oracle_time_pieces, random_flow, translation_flow,
 )
 
 
@@ -120,7 +125,7 @@ class TestTimeMap:
                     tuple(iv for iv, _ in parts)]).intersect(flow.carrier),
                     tuple(rule for _, rule in parts))
                     for parts in itertools.product(
-                        *(r.time_pieces(t) for r in flow.axes))]
+                        *(oracle_time_pieces(r, t) for r in flow.axes))]
                 assert sf.time_map(flow, t) == \
                     af.PiecewiseAffineMap.of(flow.dimension, pieces)
 
@@ -135,7 +140,7 @@ class TestTimeMap:
         for r in rules:
             for t in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)):
                 pieces = [af.Piece(BoxSet.from_intervals([iv]), (rule,))
-                          for iv, rule in r.time_pieces(t)]
+                          for iv, rule in oracle_time_pieces(r, t)]
                 assert r.time_factor(t) == \
                     af.PiecewiseAffineMap.of(1, pieces), (r, t)
 
@@ -563,3 +568,64 @@ def test_axis_escape_tau_matches_the_time_maps(kind):
             assert (got is not None and got.contains(tau)) == meets, \
                 (g, e, tau, got)
         checked += 1
+
+
+def _random_box_set(rng, dimension):
+    """Up to three boxes with endpoints over denominators 1, 2, 3, 5 and 7;
+    one end in eight is infinite."""
+    boxes = []
+    for _ in range(rng.randint(0, 3)):
+        box = []
+        for _ in range(dimension):
+            a = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7)))
+            b = a + Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 5, 7)))
+            lo = NEG_INF if rng.randint(1, 8) == 1 else Cut.finite(a)
+            hi = POS_INF if rng.randint(1, 8) == 1 else Cut.finite(b)
+            closed = lo.is_finite and hi.is_finite
+            box.append(Interval(lo, hi, closed or (lo.is_finite and a < b),
+                                closed))
+        boxes.append(tuple(box))
+    return BoxSet.of(dimension, boxes)
+
+
+CANDIDATE_BOUNDS = (Fraction(0), Fraction(-1), Fraction(1, 3), Fraction(7, 2),
+                    Fraction(8), Fraction(64))
+
+
+class TestCandidateTimes:
+    """The integer candidate times equal the Fraction loop over all pairs
+    of boundary values that they replaced (suites.oracle_candidate_times)."""
+
+    def test_fixture_flows(self):
+        from conley_kernel.documents import parse_document
+        root = Path(__file__).resolve().parent.parent / "fixtures"
+        for name in ("clamp_flow.json", "corner_flow.json"):
+            doc = parse_document(json.loads((root / name).read_text()))
+            flow, sets = doc.system, list(doc.sets.values())
+            for e, e2 in itertools.product(sets, repeat=2):
+                for bound in CANDIDATE_BOUNDS:
+                    assert sf._candidate_times(flow, [e, e2], bound) == \
+                        oracle_candidate_times(flow, [e, e2], bound)
+
+    def test_random_flows_and_sets(self):
+        rng = random.Random(20261019)
+        checked = 0
+        while checked < 150:
+            flow = random_flow(rng)
+            if flow is None:
+                continue
+            checked += 1
+            sets = [_random_box_set(rng, flow.dimension) for _ in range(2)]
+            for bound in CANDIDATE_BOUNDS:
+                got = sf._candidate_times(flow, sets, bound)
+                assert got == oracle_candidate_times(flow, sets, bound)
+                assert all(type(t) is Fraction for t in got)
+
+    def test_times_are_sorted_fractions_within_the_bound(self):
+        flow = sf.ExactSemiflow.of([sf.AxisRule.translation(Fraction(3, 7)),
+                                    sf.AxisRule.floor(Fraction(5, 2), -1)])
+        e = BoxSet.of(2, [(Interval.closed(Fraction(1, 3), 2),
+                           Interval.closed(0, Fraction(9, 4)))])
+        got = sf._candidate_times(flow, [e, e], Fraction(64))
+        assert got == sorted(set(got)) and got[0] == 0 and got[-1] <= 64
+        assert got == oracle_candidate_times(flow, [e, e], Fraction(64))
