@@ -225,7 +225,8 @@ Box = tuple[Interval, ...]
 # h = h' the comparison falls through to (v, e).  Equal values have equal
 # h, so key equality, and with it node equality and hashing, is equality
 # of (v, e).  Most comparisons in a merge end at h, as integer comparisons;
-# only values within 2^-64 of each other compare as rationals.
+# only values within 2^-64 of each other compare as rationals (in _steps,
+# as integer cross products of their ratios).
 #
 # Every value v is a normalized Fraction.  The arithmetic that makes new
 # values (affine images and pull-backs, time maps and crossing times of
@@ -303,12 +304,16 @@ def _steps(ka: tuple, kb: tuple):
         else:
             k = ka[i]
             kj = kb[j]
-            if k is kj:
+            h, hj = k[0], kj[0]
+            if h == hj and k is not kj:
+                # the filters tie: order (v, e) on the values' integer
+                # ratios (positive denominators), with no Fraction compare
+                n, d = k[1].as_integer_ratio()
+                nj, dj = kj[1].as_integer_ratio()
+                h, hj = (n * dj, k[2]), (nj * d, kj[2])
+            if h < hj:
                 i += 1
-                j += 1
-            elif k < kj:
-                i += 1
-            elif kj < k:
+            elif hj < h:
                 k = kj
                 j += 1
             else:

@@ -3,17 +3,34 @@
 Point identifiers are opaque text tokens; the space orders them by input
 order so every derived object serializes deterministically.  Finite weak
 Hausdorff spaces are discrete, so the topology on this carrier is trivial:
-closure and interior are the identity and every subset is compact.  A map
-holds the memo of the powers f^t, D_n(E) and f^-n(A) that
-:class:`conley_kernel.carriers.DiscreteTime` builds, in a field of its own.
+closure and interior are the identity and every subset is compact.
+
+Everything is held on point indices, the positions in ``space.points``: a
+subset is an int mask (bit i for point i), a partial map the tuple of its
+target indices (-1 where undefined).  Images and one-step preimages OR
+per-point masks over the set bits of a mask at C level (``_flags`` spells
+the mask as 0/1 bytes for ``itertools.compress``), with no Python loop per
+point.  Names (``members``, ``ordered()``, ``pairs``, ``table``) are views
+derived for output and oracles.  A map holds the memo of the powers f^t,
+D_n(E) and f^-n(A) that :class:`conley_kernel.carriers.DiscreteTime`
+builds, in a field of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Mapping
+
+_BYTE_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte i is bit i of mask: the selectors of ``compress``."""
+    return bin(mask)[:1:-1].encode().translate(_BYTE_BITS)
 
 
 @dataclass(frozen=True)
@@ -21,47 +38,49 @@ class FiniteSpace:
     points: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+        if len(self.index) != len(self.points):
             raise ValueError("point identifiers must be unique")
 
     @staticmethod
     def of(points: Iterable[str]) -> "FiniteSpace":
-        return FiniteSpace(tuple(str(p) for p in points))
+        return FiniteSpace(tuple(points))
 
     @cached_property
     def index(self) -> dict:
         return {p: i for i, p in enumerate(self.points)}
 
-    @cached_property
-    def point_set(self) -> frozenset:
-        return frozenset(self.points)
-
 
 @dataclass(frozen=True)
 class FiniteSubset:
     space: FiniteSpace
-    members: frozenset
-
-    def __post_init__(self):
-        if not self.members <= self.space.point_set:
-            raise ValueError("subset contains unknown points")
+    mask: int
 
     @staticmethod
     def of(space: FiniteSpace, members: Iterable[str]) -> "FiniteSubset":
-        return FiniteSubset(space, frozenset(str(m) for m in members))
+        index, mask = space.index, 0
+        try:
+            for m in members:
+                mask |= 1 << index[m]
+        except (KeyError, TypeError):      # unknown or unhashable
+            raise ValueError("subset contains unknown points") from None
+        return FiniteSubset(space, mask)
 
     def __hash__(self):
-        # sets key the memos of maps; frozensets cache their hash
-        return hash(self.members)
+        # sets key the memos of maps
+        return hash(self.mask)
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(self.ordered())
 
     def ordered(self) -> tuple[str, ...]:
-        return tuple(p for p in self.space.points if p in self.members)
+        return tuple(compress(self.space.points, _flags(self.mask)))
 
     def intersect(self, other: "FiniteSubset") -> "FiniteSubset":
-        return FiniteSubset(self.space, self.members & other.members)
+        return FiniteSubset(self.space, self.mask & other.mask)
 
     def subset_of(self, other: "FiniteSubset") -> bool:
-        return self.members <= other.members
+        return not self.mask & ~other.mask
 
     # topology (discrete, hence trivial)
     def closure(self) -> "FiniteSubset":
@@ -91,55 +110,79 @@ class FiniteSubset:
 @dataclass(frozen=True)
 class FinitePartialMap:
     space: FiniteSpace
-    pairs: tuple[tuple[str, str], ...]   # (x, f(x)) sorted in space order
+    targets: tuple[int, ...]   # index of f(x) per point index x, -1 undefined
     _iterates: dict = field(default_factory=dict, init=False, compare=False,
                             hash=False, repr=False)
 
-    def __post_init__(self):
-        pts = self.space.point_set
-        for x, fx in self.pairs:
-            if x not in pts or fx not in pts:
-                raise ValueError(f"table entry {x}->{fx} leaves the space")
-        if len({x for x, _ in self.pairs}) != len(self.pairs):
-            raise ValueError("duplicate domain point")
-
     @staticmethod
     def of(space: FiniteSpace, table: Mapping[str, str]) -> "FinitePartialMap":
-        order = space.index
-        pairs = tuple(sorted(((str(x), str(y)) for x, y in table.items()),
-                             key=lambda p: order[p[0]]))
-        return FinitePartialMap(space, pairs)
+        index, targets = space.index, [-1] * len(space.points)
+        try:
+            for x, fx in table.items():
+                targets[index[x]] = index[fx]
+        except (KeyError, TypeError):      # unknown or unhashable
+            raise ValueError(
+                f"table entry {x}->{fx} leaves the space") from None
+        return FinitePartialMap(space, tuple(targets))
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """(x, f(x)) in space order."""
+        pts = self.space.points
+        return tuple((pts[x], pts[t])
+                     for x, t in enumerate(self.targets) if t >= 0)
 
     @cached_property
     def table(self) -> dict:
         return dict(self.pairs)
 
-    @property
+    @cached_property
     def domain(self) -> FiniteSubset:
-        return FiniteSubset(self.space, frozenset(x for x, _ in self.pairs))
+        return FiniteSubset(self.space, sum(
+            1 << x for x, t in enumerate(self.targets) if t >= 0))
+
+    @cached_property
+    def _target_bits(self) -> tuple[int, ...]:
+        """The mask of {f(x)} per point x, 0 where f is undefined."""
+        return tuple(1 << t if t >= 0 else 0 for t in self.targets)
+
+    @cached_property
+    def _preimage_bits(self) -> list[int]:
+        """The mask of f^-1({y}) per point y."""
+        pre = [0] * len(self.targets)
+        for x, t in enumerate(self.targets):
+            if t >= 0:
+                pre[t] |= 1 << x
+        return pre
+
+    @cached_property
+    def power_bounds(self) -> tuple[int, int]:
+        """(preperiod, period) of f^0, f^1, ...; see preperiod_period."""
+        return preperiod_period(self.targets)
 
     def apply(self, x: str) -> str | None:
         return self.table.get(x)
 
     def check_set(self, e: FiniteSubset):
-        if e.space != self.space:
+        if e.space is not self.space and e.space != self.space:
             raise ValueError("carrier mismatch: subset lives on another space")
 
     def image(self, e: FiniteSubset) -> FiniteSubset:
         self.check_set(e)
-        return FiniteSubset(self.space, frozenset(
-            fx for x, fx in self.pairs if x in e.members))
+        return FiniteSubset(self.space, reduce(
+            or_, compress(self._target_bits, _flags(e.mask)), 0))
 
     def preimage(self, e: FiniteSubset) -> FiniteSubset:
         """One step: f^-1(e)."""
         self.check_set(e)
-        return FiniteSubset(self.space, frozenset(
-            x for x, fx in self.pairs if fx in e.members))
+        return FiniteSubset(self.space, reduce(
+            or_, compress(self._preimage_bits, _flags(e.mask)), 0))
 
     def restrict(self, s: FiniteSubset) -> "FinitePartialMap":
         self.check_set(s)
-        return FinitePartialMap.of(
-            self.space, {x: fx for x, fx in self.pairs if x in s.members})
+        keep = _flags(s.mask).ljust(len(self.targets), b"\0")
+        return FinitePartialMap(self.space, tuple(
+            t if k else -1 for t, k in zip(self.targets, keep)))
 
     def maps_equal(self, other: "FinitePartialMap") -> bool:
         return self == other
@@ -158,15 +201,16 @@ class FinitePartialMap:
 
 
 def identity_map(space: FiniteSpace) -> FinitePartialMap:
-    return FinitePartialMap.of(space, {p: p for p in space.points})
+    return FinitePartialMap(space, tuple(range(len(space.points))))
 
 
 def compose(g: FinitePartialMap, f: FinitePartialMap) -> FinitePartialMap:
     """g after f; Dom(gf) = f^{-1}(Dom g)."""
     if f.space != g.space:
         raise ValueError("space mismatch")
-    table = {x: g.table[fx] for x, fx in f.pairs if fx in g.table}
-    return FinitePartialMap.of(f.space, table)
+    # index -1 of the extended tuple keeps an undefined f(x) undefined
+    return FinitePartialMap(
+        f.space, tuple(map((g.targets + (-1,)).__getitem__, f.targets)))
 
 
 def power(f: FinitePartialMap, n: int) -> FinitePartialMap:
@@ -181,36 +225,40 @@ def power(f: FinitePartialMap, n: int) -> FinitePartialMap:
 
 
 def power_preperiod_period(f: FinitePartialMap) -> tuple[int, int]:
-    return preperiod_period(f.space.points, f.table)
+    return f.power_bounds
 
 
-def preperiod_period(points, table) -> tuple[int, int]:
-    """Least (p, q) with f^p = f^(p+q), q >= 1, for the partial map
-    ``table`` on ``points``, read off the orbit structure.
+def preperiod_period(targets) -> tuple[int, int]:
+    """Least (p, q) with f^p = f^(p+q), q >= 1, for the partial map on
+    points 0..n-1 sending x to ``targets[x]`` (-1: undefined), read off the
+    orbit structure.
 
     f^n(x) = f^(n+q)(x) holds iff the orbit of x has left Dom f by step n
     (it does so after k steps: f^k(x) is undefined) or has run into a cycle
     of length c dividing q.  So p is the largest such k or run-in length t
     over all points, and q the lcm of the cycle lengths."""
-    steps: dict[str, int] = {}     # x -> its k, or its t (0 on a cycle)
+    n = len(targets)
+    steps = [-1] * n      # x -> its k, or its t (0 on a cycle); -1 unknown
+    walk = [-1] * n       # x -> the start of the walk that passed x
     lengths = []
-    for x in points:
-        path, at = [], {}
-        while x not in steps:
-            if x in at:            # the path closed a new cycle
-                cycle = path[at[x]:]
-                lengths.append(len(cycle))
-                steps.update((y, 0) for y in cycle)
-                del path[at[x]:]
-            elif x not in table:
-                steps[x] = 1
-            else:
-                at[x] = len(path)
-                path.append(x)
-                x = table[x]
-        n = steps[x]
+    for s in range(n):
+        path, x = [], s
+        while x >= 0 and steps[x] < 0 and walk[x] != s:
+            walk[x] = s
+            path.append(x)
+            x = targets[x]
+        if x < 0:             # f(path[-1]) is undefined
+            k = 0
+        elif steps[x] >= 0:
+            k = steps[x]
+        else:                 # the path closed a new cycle at x
+            i = path.index(x)
+            lengths.append(len(path) - i)
+            for y in path[i:]:
+                steps[y] = 0
+            del path[i:]
+            k = 0
         for y in reversed(path):
-            n += 1
-            steps[y] = n
-    return max(steps.values(), default=0), math.lcm(*lengths)
-
+            k += 1
+            steps[y] = k
+    return max(steps, default=0), math.lcm(*lengths)

@@ -91,8 +91,9 @@ class BasedEndo:
     def power_bounds(self) -> tuple[int, int]:
         """(preperiod, period) of the power sequence id, f, f^2, ...: the
         least p and q >= 1 with f^p = f^(p+q), by the orbit walk of
-        :func:`conley_kernel.finite.preperiod_period`."""
-        return preperiod_period(self.points, self.table)
+        :func:`conley_kernel.finite.preperiod_period`, on point indices."""
+        index = {p: i for i, p in enumerate(self.points)}
+        return preperiod_period([index[self.table[x]] for x in self.points])
 
     @cached_property
     def powers(self) -> tuple[dict, ...]:

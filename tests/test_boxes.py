@@ -316,6 +316,44 @@ class TestFilteredKeys:
             if p == q:
                 assert hash(keyed[p]) == hash(keyed[q])
 
+    def test_steps_walks_the_key_union_without_rational_compares(self):
+        """_steps against a sorted merge, on keys whose filters tie (values
+        within 2^-68, and equal values held by distinct Fractions); a tie
+        is decided on integer ratios, so no Fraction comparison runs."""
+        import random
+        from conley_kernel.boxes import _key, _steps
+        compares = []
+
+        class Counted(Fraction):
+            def __eq__(self, other):
+                compares.append("==")
+                return Fraction.__eq__(self, other)
+
+            def __lt__(self, other):
+                compares.append("<")
+                return Fraction.__lt__(self, other)
+
+            __hash__ = Fraction.__hash__
+
+        rng = random.Random(107)
+        values = self.cluster(Fraction(1, 3)) + [Fraction(0), Fraction(-2, 7)]
+        plain = sorted((v, e) for v in values for e in (0, 1))
+
+        def keys():
+            chosen = [p for p in plain if rng.randint(0, 2)]
+            return tuple((_key(v, e)[0], Counted(v), e) for v, e in chosen)
+
+        for _ in range(300):
+            ka, kb = keys(), keys()
+            got = [((k[1], k[2]), i, j) for k, i, j in _steps(ka, kb)]
+            union = sorted({(k[1], k[2]) for k in ka + kb})
+            want = [(p, sum((k[1], k[2]) <= p for k in ka),
+                     sum((k[1], k[2]) <= p for k in kb)) for p in union]
+            compares.clear()
+            list(_steps(ka, kb))
+            assert compares == []
+            assert got == want
+
     def _colliding_boxes(self, rng, dimension, pool, count):
         """Up to count boxes with ends drawn from pool; one end in eight is
         infinite."""

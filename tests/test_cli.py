@@ -233,23 +233,31 @@ class TestExitCodes:
                               {"kind": "identity"}]),
         ("finite_map", "kind", ["x"]),
         ("finite_map", "kind", {"x": "y"}),
+        ("finite_map", "table", {"1": 2}),
+        ("finite_map", "table", {"1": ["2"]}),
+        ("finite_map", "sets", {"A": [1, "2"]}),
+        ("finite_map", "sets", {"A": [["1"]]}),
     ], ids=["table-list", "table-string", "table-number", "pieces-object",
             "pieces-string", "axes-object", "axes-string", "axes-count",
-            "kind-list", "kind-object"])
+            "kind-list", "kind-object", "target-number", "target-list",
+            "member-number", "member-list"])
     def test_malformed_system_shapes(self, tmp_path, capsys, kind, key, value):
-        system = {"finite_map": {"points": ["a", "b"]},
+        """Point names are strings: a number naming a point is not
+        converted, and an unhashable one raises no traceback."""
+        system = {"finite_map": {"points": ["1", "2"]},
                   "interval_map": {"dimension": 1},
                   "semiflow": {"dimension": 1}}[kind]
         doc = {"kind": kind, "system": system}
-        if key == "kind":         # the document's own kind
-            doc["kind"] = value
+        if key in ("kind", "sets"):   # the document's own kind or sets
+            doc[key] = value
         else:
             doc["system"] = {**system, key: value}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, "check", str(bad))
         assert code == 2 and out == ""
-        assert err.startswith("input error: ") and key in err
+        mention = "unknown points" if key == "sets" else key
+        assert err.startswith("input error: ") and mention in err
         assert "Traceback" not in err
 
     def test_default_bound_env(self, capsys, monkeypatch):

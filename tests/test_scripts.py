@@ -70,6 +70,23 @@ def test_sweep_bench_requests_prints_one_line_per_request(capsys, tmp_path):
     assert script.main(["no-such-workload", "1"]) == 2
 
 
+def test_sweep_bench_requests_prints_seeds_in_one_stream(capsys):
+    """Several seeds print the outputs of the single seeds one after
+    another; a seed that is not a number is a usage error."""
+    script = load("sweep_bench_requests")
+    single = []
+    for seed in ("3", "1"):
+        assert script.main(["szymczak", seed]) == 0
+        single.append(capsys.readouterr().out)
+    assert single[0] != single[1]
+    assert script.main(["szymczak", "3", "1"]) == 0
+    assert capsys.readouterr().out == "".join(single)
+    for argv in (["szymczak"], ["szymczak", "3", "x"]):
+        assert script.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage:")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--only", "no-such-suite"], "unknown suite 'no-such-suite'"),
     (["--only", "box-algebra", "--trials", "-1"],
