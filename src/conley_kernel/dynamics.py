@@ -367,8 +367,8 @@ def one_point_endo(f, e) -> BasedEndo:
     to the basepoint.  No check is needed: in a discrete space every
     partial map is proper and every subset is open and locally compact."""
     realized = induced(f, e).realized
-    base = BASEPOINT
-    while base in e.members:
+    base, index = BASEPOINT, e.space.index
+    while base in index and e.mask >> index[base] & 1:
         base += BASEPOINT
     table = {x: realized.table.get(x, base) for x in e.ordered()} | {base: base}
     return BasedEndo.of(e.ordered() + (base,), table, base=base)
@@ -384,7 +384,7 @@ def invariant_part(f, e):
         raise TypeError("invariant_part is the finite-carrier operation; "
                         "use invariant_part_exact on the interval carrier")
     # D_n(E) shrinks until it repeats, so it is constant from n = |E| on
-    s = ca.dom(f, e, len(e.members))
+    s = ca.dom(f, e, e.mask.bit_count())
     while True:
         s2 = f.image(s)
         if s2 == s:

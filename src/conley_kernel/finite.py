@@ -158,7 +158,7 @@ class FinitePartialMap:
     @cached_property
     def power_bounds(self) -> tuple[int, int]:
         """(preperiod, period) of f^0, f^1, ...; see preperiod_period."""
-        return preperiod_period(self.targets)
+        return preperiod_period(*orbits(self.targets))
 
     def apply(self, x: str) -> str | None:
         return self.table.get(x)
@@ -228,19 +228,16 @@ def power_preperiod_period(f: FinitePartialMap) -> tuple[int, int]:
     return f.power_bounds
 
 
-def preperiod_period(targets) -> tuple[int, int]:
-    """Least (p, q) with f^p = f^(p+q), q >= 1, for the partial map on
-    points 0..n-1 sending x to ``targets[x]`` (-1: undefined), read off the
-    orbit structure.
-
-    f^n(x) = f^(n+q)(x) holds iff the orbit of x has left Dom f by step n
-    (it does so after k steps: f^k(x) is undefined) or has run into a cycle
-    of length c dividing q.  So p is the largest such k or run-in length t
-    over all points, and q the lcm of the cycle lengths."""
+def orbits(targets) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The orbit structure (steps, cycles) of the partial map on points
+    0..n-1 sending x to ``targets[x]`` (-1: undefined), from one walk of
+    every orbit: steps[x] is the number of steps after which the orbit of x
+    leaves Dom f (f^k(x) is undefined) or runs into a cycle (0 on a cycle),
+    and cycles lists each cycle once, in f order from where a walk closed it."""
     n = len(targets)
-    steps = [-1] * n      # x -> its k, or its t (0 on a cycle); -1 unknown
+    steps = [-1] * n      # -1 unknown
     walk = [-1] * n       # x -> the start of the walk that passed x
-    lengths = []
+    cycles = []
     for s in range(n):
         path, x = [], s
         while x >= 0 and steps[x] < 0 and walk[x] != s:
@@ -253,7 +250,7 @@ def preperiod_period(targets) -> tuple[int, int]:
             k = steps[x]
         else:                 # the path closed a new cycle at x
             i = path.index(x)
-            lengths.append(len(path) - i)
+            cycles.append(tuple(path[i:]))
             for y in path[i:]:
                 steps[y] = 0
             del path[i:]
@@ -261,4 +258,13 @@ def preperiod_period(targets) -> tuple[int, int]:
         for y in reversed(path):
             k += 1
             steps[y] = k
-    return max(steps, default=0), math.lcm(*lengths)
+    return steps, cycles
+
+
+def preperiod_period(steps, cycles) -> tuple[int, int]:
+    """Least (p, q) with f^p = f^(p+q), q >= 1, from the :func:`orbits` of f.
+
+    f^n(x) = f^(n+q)(x) holds iff the orbit of x has left Dom f by step n
+    or has run into a cycle of length c dividing q.  So p is the largest
+    step count, and q the lcm of the cycle lengths."""
+    return max(steps, default=0), math.lcm(*map(len, cycles))

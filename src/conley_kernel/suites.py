@@ -7,7 +7,9 @@ functions back the pytest acceptance tests.
 The brute-force oracles live here and nowhere in the kernel: the largest
 invariant subset by subset enumeration, and the Szymczak-category decisions
 by enumerating every candidate table (`brute_shift_equivalence`,
-`brute_sz_is_iso`), which the polynomial deciders are checked against;
+`brute_sz_is_iso`) and class equality by trying every exponent up to
+preperiod plus period of the stepped power sequence (`oracle_sz_equal`),
+which the polynomial deciders are checked against;
 the pairwise box-list algebra (`PairwiseBoxSet`), which the canonical
 box sets of `boxes` are checked against; the box-by-box affine images,
 preimages and rule agreement (`oracle_rules_image`,
@@ -32,7 +34,9 @@ checked against; and the Fraction loop over all pairs of boundary values
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -506,37 +510,82 @@ def enumerate_equivariant_maps(source: sz.BasedEndo, target: sz.BasedEndo):
         yield sz.EquivariantMap.of(source, target, t)
 
 
+@functools.lru_cache(maxsize=1024)
+def brute_power_sequence(f: sz.BasedEndo) -> tuple[tuple[dict, ...], int, int]:
+    """(tables, p, q): the tables of f^0, f^1, ..., f^(p+q-1), stepped from
+    f's table until the first repeat f^(p+q) = f^p.  Cached: the tables are
+    shared, and read only."""
+    seq, seen = [{x: x for x in f.points}], {}
+    while tuple(seq[-1].values()) not in seen:
+        seen[tuple(seq[-1].values())] = len(seq) - 1
+        seq.append({x: f.apply(v) for x, v in seq[-1].items()})
+    p = seen[tuple(seq.pop().values())]
+    return tuple(seq), p, len(seq) - p
+
+
+def _reduced(n: int, p: int, q: int) -> int:
+    """The least m with f^m = f^n, for f of preperiod p and period q."""
+    return n if n < p else p + (n - p) % q
+
+
+def brute_power(f: sz.BasedEndo, n: int) -> dict:
+    """The table of f^n, read off :func:`brute_power_sequence`."""
+    seq, p, q = brute_power_sequence(f)
+    return seq[_reduced(n, p, q)]
+
+
+def brute_shift_bound(f: sz.BasedEndo, g: sz.BasedEndo) -> int:
+    """max(p_f, p_g) + lcm(q_f, q_g): a complete bound on the least
+    shift-equivalence exponent and on the shift of an inverse class."""
+    _, pf, qf = brute_power_sequence(f)
+    _, pg, qg = brute_power_sequence(g)
+    return max(pf, pg) + math.lcm(qf, qg)
+
+
+def oracle_sz_equal(m: sz.SzMorphism, m2: sz.SzMorphism) -> bool:
+    """(phi, k) ~ (phi', k') by trying every n <= p + q for a witness
+    phi f^(k'+n) = phi' f^(k+n).  Witnesses propagate upward and reduce
+    modulo the period q, so the bound is complete."""
+    if m.source != m2.source or m.target != m2.target:
+        raise ValueError("morphisms must be parallel")
+    f = m.source
+    seq, p, q = brute_power_sequence(f)
+    phi, phi2 = m.phi.table, m2.phi.table
+    for n in range(p + q + 1):
+        left = seq[_reduced(m2.shift + n, p, q)]
+        right = seq[_reduced(m.shift + n, p, q)]
+        if all(phi[left[x]] == phi2[right[x]] for x in f.points):
+            return True
+    return False
+
+
 def is_shift_witness(phi: sz.EquivariantMap, psi: sz.EquivariantMap,
                      a: int) -> bool:
     """psi: g -> f with psi phi = f^a and phi psi = g^a."""
     f, g = phi.source, phi.target
-    fa, ga = f.power_table(a), g.power_table(a)
+    fa, ga = brute_power(f, a), brute_power(g, a)
     return psi.source == g and psi.target == f and \
         all(psi.table[phi.table[x]] == fa[x] for x in f.points) and \
         all(phi.table[psi.table[y]] == ga[y] for y in g.points)
 
 
-def brute_shift_equivalence(phi: sz.EquivariantMap, bound=None):
+def brute_shift_equivalence(phi: sz.EquivariantMap):
     """The first (a, psi) in exponent-then-table order that is a witness,
     by trying every equivariant table g -> f."""
     f, g = phi.source, phi.target
-    if bound is None:
-        bound = sz.shift_bound(f, g)
     partners = list(enumerate_equivariant_maps(g, f))
-    for a in range(bound + 1):
+    for a in range(brute_shift_bound(f, g) + 1):
         for psi in partners:
             if is_shift_witness(phi, psi, a):
                 return sz.ShiftEquivalenceWitness(psi, a)
     return None
 
 
-def brute_sz_is_iso(m: sz.SzMorphism, bound=None):
+def brute_sz_is_iso(m: sz.SzMorphism):
     """An inverse class of m, by trying every (psi, l) and testing both
-    composites with sz_equal; None if there is none.  An independent
-    decision path from the shift-equivalence rule."""
+    composites with oracle_sz_equal; None if there is none.  An
+    independent decision path from the shift-equivalence rule."""
     f, g = m.source, m.target
-    if bound is None:
-        bound = sz.shift_bound(f, g)
     id_f, id_g = sz.identity_morphism(f), sz.identity_morphism(g)
     # the composites (psi phi, k + l) and (phi psi, l + k) depend on l only
     # through the shift: psi phi is built once per psi, and phi psi once,
@@ -544,12 +593,12 @@ def brute_sz_is_iso(m: sz.SzMorphism, bound=None):
     partners = [(psi, m.phi.then(psi))
                 for psi in enumerate_equivariant_maps(g, f)]
     phi_psi = {}
-    for ell in range(bound + 1):
+    for ell in range(brute_shift_bound(f, g) + 1):
         for i, (psi, psi_phi) in enumerate(partners):
-            if sz.sz_equal(sz.SzMorphism(psi_phi, m.shift + ell), id_f):
+            if oracle_sz_equal(sz.SzMorphism(psi_phi, m.shift + ell), id_f):
                 if i not in phi_psi:
                     phi_psi[i] = psi.then(m.phi)
-                if sz.sz_equal(sz.SzMorphism(phi_psi[i], ell + m.shift), id_g):
+                if oracle_sz_equal(sz.SzMorphism(phi_psi[i], ell + m.shift), id_g):
                     return sz.SzMorphism(psi, ell)
     return None
 

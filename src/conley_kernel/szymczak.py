@@ -2,9 +2,12 @@
 
 Objects are total self-maps of finite based sets fixing the basepoint.
 Morphism equality, composition, the localizing functor Q, and shift
-equivalence are all decided exactly; the bounds come from the eventual
-periodicity of the power sequence of a finite endomorphism, so negative
-answers are complete, not timeouts.
+equivalence are all decided exactly, from the orbit structure of each endo
+(its tails and cycles, found in one walk), so negative answers are
+complete, not timeouts.  The bounds come from the preperiod p, at most the
+number of points: class equality is one comparison at n = p, and f^n for
+n > p is f^p moved along the cycles.  The period (the lcm of the cycle
+lengths, which can be exponential) bounds no loop and sizes no table.
 
 Shift equivalence is decided in polynomial time by the eventual-image
 rule: phi is a shift equivalence iff it maps the eventual image of f
@@ -14,12 +17,11 @@ tables live in :mod:`conley_kernel.suites` as test oracles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .finite import preperiod_period
+from .finite import orbits, preperiod_period
 
 BASEPOINT = "*"
 
@@ -60,54 +62,54 @@ class BasedEndo:
         return self.table[x]
 
     @cached_property
+    def _orbits(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """:func:`conley_kernel.finite.orbits` of f on point indices."""
+        index = {p: i for i, p in enumerate(self.points)}
+        return orbits([index[self.table[x]] for x in self.points])
+
+    @cached_property
     def cycles(self) -> tuple[tuple[str, ...], ...]:
-        """The cycles of f, each from its first point in `points` order.
-        They partition the eventual image: |X| steps from any point land
-        on a cycle."""
-        periodic: set[str] = set()
-        for x in self.points:
-            for _ in range(len(self.points)):
-                x = self.table[x]
-            while x not in periodic:
-                periodic.add(x)
-                x = self.table[x]
-        seen: set[str] = set()
-        out = []
-        for x in self.points:
-            if x in periodic and x not in seen:
-                cycle = [x]
-                while self.table[cycle[-1]] != x:
-                    cycle.append(self.table[cycle[-1]])
-                seen.update(cycle)
-                out.append(tuple(cycle))
-        return tuple(out)
+        """The cycles of f, each in f order; they partition the eventual image.
+        The order of the cycles and the first point of each are left free."""
+        return tuple(tuple(self.points[i] for i in c) for c in self._orbits[1])
 
     @cached_property
     def eventual_image(self) -> tuple[str, ...]:
-        periodic = {x for c in self.cycles for x in c}
-        return tuple(p for p in self.points if p in periodic)
+        """The points on cycles (step count 0; f is total), in `points` order."""
+        return tuple(p for p, k in zip(self.points, self._orbits[0]) if k == 0)
 
     @cached_property
     def power_bounds(self) -> tuple[int, int]:
         """(preperiod, period) of the power sequence id, f, f^2, ...: the
-        least p and q >= 1 with f^p = f^(p+q), by the orbit walk of
-        :func:`conley_kernel.finite.preperiod_period`, on point indices."""
-        index = {p: i for i, p in enumerate(self.points)}
-        return preperiod_period([index[self.table[x]] for x in self.points])
+        least p and q >= 1 with f^p = f^(p+q), read off the orbit walk by
+        :func:`conley_kernel.finite.preperiod_period`."""
+        return preperiod_period(*self._orbits)
 
     @cached_property
-    def powers(self) -> tuple[dict, ...]:
-        """The tables of f^0, f^1, ..., f^(p+q), for (p, q) = power_bounds."""
-        p, q = self.power_bounds
-        seq = [{x: x for x in self.points}]
-        for _ in range(p + q):
-            seq.append({x: self.table[v] for x, v in seq[-1].items()})
-        return tuple(seq)
+    def _tables(self) -> dict:
+        """The memo of :meth:`_power`, keyed by the reduced exponent, with
+        f^0..f^p built by steps: p is at most |X|."""
+        tables = {0: {x: x for x in self.points}}
+        for k in range(1, self.power_bounds[0] + 1):
+            tables[k] = {x: self.table[v] for x, v in tables[k - 1].items()}
+        return tables
 
     def _power(self, n: int) -> dict:
-        """The shared table of f^n, with n >= p reduced to p + (n - p) mod q."""
+        """The shared table of f^n, with n > p reduced to p + (n - p) mod q.
+
+        f^p maps X onto the eventual image, whose cycles f turns, so f^n is
+        f^p moved n - p places along the cycle each point lands on: no
+        table is built per unit of the period q."""
         p, q = self.power_bounds
-        return self.powers[n if n < p else p + (n - p) % q]
+        if n > p:
+            n = p + (n - p) % q
+        tables = self._tables
+        if n not in tables:
+            d = n - p
+            moved = {y: c[(i + d) % len(c)]
+                     for c in self.cycles for i, y in enumerate(c)}
+            tables[n] = {x: moved[v] for x, v in tables[p].items()}
+        return tables[n]
 
     def power_table(self, n: int) -> dict:
         if n < 0:
@@ -116,10 +118,6 @@ class BasedEndo:
 
     def __repr__(self):
         return "Endo{" + ", ".join(f"{x}->{y}" for x, y in self.pairs) + "}"
-
-
-def identity_endo_map(e: BasedEndo) -> dict:
-    return {p: p for p in e.points}
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ class EquivariantMap:
 
     @staticmethod
     def identity(e: BasedEndo) -> "EquivariantMap":
-        return EquivariantMap.of(e, e, identity_endo_map(e))
+        return EquivariantMap.of(e, e, e._power(0))
 
     @staticmethod
     def endo_as_self_map(e: BasedEndo) -> "EquivariantMap":
@@ -213,21 +211,23 @@ def endo_shift_morphism(e: BasedEndo, n: int = 1) -> SzMorphism:
 
 
 def sz_equal(m: SzMorphism, m2: SzMorphism) -> bool:
-    """Decide (phi, k) ~ (phi', k'): some n with phi f^{k'+n} = phi' f^{k+n}.
+    """Decide (phi, k) ~ (phi', k'): some n with phi f^(k'+n) = phi' f^(k+n).
 
-    Witnesses propagate upward and reduce modulo the period of the source
-    power sequence, so n <= preperiod + period is a complete bound.
+    One comparison, at n = p, the preperiod of f, decides.  A witness n is
+    a witness for n + 1 (compose both sides with f on the right), so a
+    witness exists iff one exists at some n >= p.  From p on the test does
+    not depend on n: f^p maps X onto the eventual image Y, on which f is a
+    bijection s, so f^(k+n) = s^(k+n-p) f^p, and the test reads
+    phi s^(k'+n-p) = phi' s^(k+n-p) on Y; as s^(n-p) is onto Y, that is
+    phi s^k' = phi' s^k on Y, whatever n >= p.
     """
     if m.source != m2.source or m.target != m2.target:
         raise ValueError("morphisms must be parallel")
     f = m.source
-    p, q = f.power_bounds
-    for n in range(p + q + 1):
-        left = f._power(m2.shift + n)
-        right = f._power(m.shift + n)
-        if all(m.phi.table[left[x]] == m2.phi.table[right[x]] for x in f.points):
-            return True
-    return False
+    p = f.power_bounds[0]
+    left, right = f._power(m2.shift + p), f._power(m.shift + p)
+    phi, phi2 = m.phi.table, m2.phi.table
+    return all(phi[left[x]] == phi2[right[x]] for x in f.points)
 
 
 def sz_compose(m: SzMorphism, m2: SzMorphism) -> SzMorphism:
@@ -237,22 +237,14 @@ def sz_compose(m: SzMorphism, m2: SzMorphism) -> SzMorphism:
     return SzMorphism(m.phi.then(m2.phi), m.shift + m2.shift)
 
 
-def shift_bound(f: BasedEndo, g: BasedEndo) -> int:
-    """A complete bound on the least shift-equivalence exponent."""
-    pf, qf = f.power_bounds
-    pg, qg = g.power_bounds
-    return max(pf, pg) + math.lcm(qf, qg)
-
-
 @dataclass(frozen=True)
 class ShiftEquivalenceWitness:
     psi: EquivariantMap
     exponent: int
 
 
-def is_shift_equivalence(phi: EquivariantMap,
-                         bound: int | None = None) -> ShiftEquivalenceWitness | None:
-    """The least a <= bound, with the least table psi: g -> f, such that
+def is_shift_equivalence(phi: EquivariantMap) -> ShiftEquivalenceWitness | None:
+    """The least exponent a, with the least table psi: g -> f, such that
     psi phi = f^a and phi psi = g^a; None if there is none.
 
     "Least psi" is lexicographic in the values on `g.points`, each ordered
@@ -270,11 +262,11 @@ def is_shift_equivalence(phi: EquivariantMap,
     psi = (phi restricted to Im-inf f)^-1 g^a.  Then phi psi = g^a; psi phi
     = f^a because f^a(x) lies in Im-inf f and phi f^a = g^a phi; psi is
     equivariant because f maps Im-inf f into itself and phi f = g phi.
-    Images stop shrinking by the preperiod, so a <= max(p_f, p_g) <=
-    shift_bound(f, g), and the loop below always succeeds on that side.
-    It therefore runs at most max(|f|, |g|) rounds, each polynomial in the
-    point counts; nothing here walks the power sequence, whose period
-    (the lcm of the cycle lengths) can be exponential.
+    Images stop shrinking by the preperiod, so a <= max(p_f, p_g), and the
+    loop below always succeeds by then.  It therefore runs at most
+    max(|f|, |g|) rounds, each polynomial in the point counts; nothing
+    here walks the power sequence, whose period (the lcm of the cycle
+    lengths) can be exponential.
 
     For each a the witness conditions are a constraint problem on psi:
     unary lists D(y) (phi psi y = g^a y; psi(phi x) = f^a x; the basepoint
@@ -287,19 +279,14 @@ def is_shift_equivalence(phi: EquivariantMap,
     order, re-pruning after each choice, gives the least table.
     """
     f, g = phi.source, phi.target
-    if bound is None:
-        bound = shift_bound(f, g)
     src = f.eventual_image
     if len(src) != len(g.eventual_image) or \
             {phi.table[x] for x in src} != set(g.eventual_image):
         return None
-    fa, ga = identity_endo_map(f), identity_endo_map(g)
-    for a in range(bound + 1):
-        psi = _least_partner(phi, fa, ga)
+    for a in range(max(f.power_bounds[0], g.power_bounds[0]) + 1):
+        psi = _least_partner(phi, f._power(a), g._power(a))
         if psi is not None:
             return ShiftEquivalenceWitness(EquivariantMap.of(g, f, psi), a)
-        fa = {x: f.table[v] for x, v in fa.items()}
-        ga = {y: g.table[v] for y, v in ga.items()}
     return None
 
 

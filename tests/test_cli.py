@@ -559,3 +559,37 @@ class TestCrashesAreNotNegatives:
             assert json.loads(out)["reason"] == "resource exhausted"
         else:
             assert out == "" and err.startswith("internal error: ZeroDivisionError")
+
+
+class TestLargePeriod:
+    """Disjoint cycles of the primes 2..19: 77 points whose power sequence
+    has period 9,699,690.  No Szymczak table or loop is sized by the
+    period, so both commands answer under a 1 GB address-space limit set
+    on the child alone."""
+
+    @pytest.mark.parametrize("argv, answer", [
+        (["index", "--set", "S", "--nbhd", "N"], "carrier: finite"),
+        (["szymczak-equal", "--from", "N", "--set", "N"], ": equal"),
+    ], ids=["index", "szymczak-equal"])
+    def test_answers_within_one_gigabyte(self, tmp_path, argv, answer):
+        resource = pytest.importorskip("resource")
+        pts, table = [], {}
+        for length in (2, 3, 5, 7, 11, 13, 17, 19):
+            cycle = [f"c{length}.{i}" for i in range(length)]
+            pts += cycle
+            table.update({x: cycle[(i + 1) % length] for i, x in enumerate(cycle)})
+        doc = tmp_path / "prime_cycles.json"
+        doc.write_text(json.dumps({
+            "kind": "finite_map", "system": {"points": pts, "table": table},
+            "sets": {"S": pts, "N": pts}}))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "conley_kernel.cli", argv[0], str(doc),
+             *argv[1:]],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert answer in done.stdout

@@ -2,14 +2,32 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conley_kernel import szymczak as sz
 from conley_kernel.suites import (
     brute_shift_equivalence, brute_sz_is_iso, enumerate_based_endos,
-    enumerate_equivariant_maps, is_shift_witness,
+    enumerate_equivariant_maps, is_shift_witness, oracle_sz_equal,
 )
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+PRIME_PERIOD = 6469693230      # the product of PRIMES
+
+
+def prime_cycles(tail=False) -> sz.BasedEndo:
+    """Disjoint cycles of the first ten primes, with a point t running
+    into the 29-cycle when tail is set."""
+    pts, table = ["*"], {"*": "*"}
+    for length in PRIMES:
+        cycle = [f"c{length}.{i}" for i in range(length)]
+        pts += cycle
+        table.update({x: cycle[(i + 1) % length] for i, x in enumerate(cycle)})
+    if tail:
+        pts.append("t")
+        table["t"] = "c29.0"
+    return sz.BasedEndo.of(pts, table)
 
 
 IDENT2 = sz.BasedEndo.of(["*", "p"], {"*": "*", "p": "p"})
@@ -225,29 +243,18 @@ class TestEventualImageDecider:
         assert wit == brute_shift_equivalence(phi)
 
     def test_period_beyond_enumeration(self):
-        # disjoint cycles of the first ten primes: the power sequence has
-        # period 6,469,693,230, which the decider never walks
-        pts, table = ["*"], {"*": "*"}
-        for length in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
-            cycle = [f"c{length}.{i}" for i in range(length)]
-            pts += cycle
-            table.update({x: cycle[(i + 1) % length] for i, x in enumerate(cycle)})
-        e = sz.BasedEndo.of(pts, table)
-        assert e.power_bounds == (0, 6469693230)
+        # the power sequence has period 6,469,693,230, which the decider
+        # never walks
+        e = prime_cycles()
+        assert e.power_bounds == (0, PRIME_PERIOD)
         wit = sz.is_shift_equivalence(sz.EquivariantMap.identity(e))
         assert wit.exponent == 0 and wit.psi == sz.EquivariantMap.identity(e)
 
-    def test_bound_keeps_the_least_exponent(self):
-        phi = sz.EquivariantMap.of(COLLAPSE, ONEPT, {"*": "*", "a": "c", "b": "c"})
-        assert sz.is_shift_equivalence(phi, bound=0) is None
-        assert sz.is_shift_equivalence(phi, bound=1).exponent == 1
-        assert sz.is_shift_equivalence(phi, bound=5).exponent == 1
-
     def test_not_bijective_on_eventual_images(self):
         # collapsing the 2-cycle onto a fixed point is onto but not
-        # injective on the eventual images, whatever the bound
+        # injective on the eventual images
         phi = sz.EquivariantMap.of(CYCLE2, ONEPT, {"*": "*", "p": "c", "q": "c"})
-        assert sz.is_shift_equivalence(phi, bound=50) is None
+        assert sz.is_shift_equivalence(phi) is None
 
 
 class TestPowerSequence:
@@ -255,7 +262,7 @@ class TestPowerSequence:
         e = sz.BasedEndo.of(["*", "t", "p", "q"],
                             {"*": "*", "t": "p", "p": "q", "q": "p"})
         assert e.power_bounds == (1, 2)
-        assert len(e.powers) == 4 and e.powers[3] == e.powers[1]
+        assert e.power_table(3) == e.power_table(1) != e.power_table(2)
 
     def test_power_table_reduces_past_the_preperiod(self):
         e = sz.BasedEndo.of(["*", "t", "p", "q"],
@@ -273,12 +280,141 @@ class TestPowerSequence:
                     seq.append({x: e.apply(v) for x, v in seq[-1].items()})
                 p = seq.index(seq[-1])
                 assert e.power_bounds == (p, len(seq) - 1 - p), e
-                assert list(e.powers) == seq
+                assert [e.power_table(n) for n in range(len(seq))] == seq
 
     def test_power_table_is_a_copy(self):
         e = CYCLE2
         e.power_table(1)["p"] = "*"
         assert e.power_table(1)["p"] == "q"
+
+
+@st.composite
+def based_endos(draw, max_points=8):
+    """A based endo of at most max_points points, in a drawn point order."""
+    pts = ["*"] + [f"x{i}" for i in range(draw(st.integers(0, max_points - 1)))]
+    table = {"*": "*"} | {p: draw(st.sampled_from(pts)) for p in pts[1:]}
+    return sz.BasedEndo.of(draw(st.permutations(pts)), table)
+
+
+def _carried(f, g, table, x, t) -> dict | None:
+    """A copy of the partial table of a map phi: f -> g with phi(x) = t
+    set and carried along f by phi f = g phi; None if it meets a value
+    set before that disagrees."""
+    table = dict(table)
+    while x not in table:
+        table[x] = t
+        x, t = f.apply(x), g.apply(t)
+    return table if table[x] == t else None
+
+
+@st.composite
+def equivariant_maps(draw, f, g):
+    """An equivariant map f -> g, its values drawn point by point in a
+    drawn order and carried along f."""
+    table = {f.base: g.base}
+    for x in draw(st.permutations(f.points)):
+        if x not in table:
+            options = [c for c in (_carried(f, g, table, x, t) for t in g.points)
+                       if c is not None]
+            assume(options)
+            table = draw(st.sampled_from(options))
+    return sz.EquivariantMap.of(f, g, table)
+
+
+@st.composite
+def parallel_morphisms(draw, max_points=8, max_shift=8):
+    f, g = draw(based_endos(max_points)), draw(based_endos(max_points))
+    shift = st.integers(0, max_shift)
+    return (sz.SzMorphism(draw(equivariant_maps(f, g)), draw(shift)),
+            sz.SzMorphism(draw(equivariant_maps(f, g)), draw(shift)))
+
+
+def iterated_tables(e, count):
+    """The tables of f^0..f^(count-1), each stepped from the last."""
+    seq = [{x: x for x in e.points}]
+    while len(seq) < count:
+        seq.append({x: e.apply(v) for x, v in seq[-1].items()})
+    return seq
+
+
+class TestOrbitStructure:
+    """cycles, eventual_image and the power tables all come from one orbit
+    walk; each is checked against the endo's own table."""
+
+    SMALL = [e for k in range(4) for e in enumerate_based_endos(k)]
+
+    @staticmethod
+    def assert_cycles_partition_the_eventual_image(e):
+        on_cycles = [x for c in e.cycles for x in c]
+        assert sorted(on_cycles) == sorted(e.eventual_image), e
+        for c in e.cycles:
+            assert [e.apply(x) for x in c] == list(c[1:] + c[:1]), e
+        # eventual_image keeps points order, and is what |X| steps reach
+        ahead = iterated_tables(e, len(e.points) + 1)[-1]
+        assert e.eventual_image == tuple(
+            x for x in e.points if x in set(ahead.values())), e
+
+    @staticmethod
+    def assert_power_tables_iterate(e):
+        p, q = e.power_bounds
+        count = 3 * (p + q) + 3
+        assert [e.power_table(n) for n in range(count)] == \
+            iterated_tables(e, count), e
+
+    def test_cycles_partition_the_eventual_image(self):
+        for e in self.SMALL:
+            self.assert_cycles_partition_the_eventual_image(e)
+
+    def test_power_tables_iterate(self):
+        for e in self.SMALL:
+            self.assert_power_tables_iterate(e)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(based_endos())
+    def test_random_up_to_eight_points(self, e):
+        self.assert_cycles_partition_the_eventual_image(e)
+        self.assert_power_tables_iterate(e)
+
+    @pytest.mark.parametrize("tail", [False, True], ids=["cycles", "tail"])
+    def test_tables_and_classes_past_a_large_period(self, tail):
+        # no table or loop is sized by the period, 6,469,693,230
+        e = prime_cycles(tail)
+        p = 1 if tail else 0
+        assert e.power_bounds == (p, PRIME_PERIOD)
+        assert e.power_table(PRIME_PERIOD + 1) == e.power_table(1)
+        assert e.power_table(PRIME_PERIOD + p) == e.power_table(p)
+        idm = sz.EquivariantMap.identity(e)
+        assert sz.sz_equal(sz.SzMorphism(idm, 0), sz.SzMorphism(idm, PRIME_PERIOD))
+        assert not sz.sz_equal(sz.SzMorphism(idm, 0), sz.SzMorphism(idm, 1))
+        back = sz.endo_shift_morphism(e, PRIME_PERIOD)
+        assert sz.sz_equal(back, sz.identity_morphism(e))
+        assert (back.phi == idm) == (not tail)
+
+
+class TestSzEqualOracle:
+    """The one comparison of sz_equal agrees with the oracle, which tries
+    every n up to preperiod plus period of the stepped power sequence."""
+
+    def test_exhaustive_up_to_three_points(self):
+        # sources with up to 3 free points, targets with up to 2, both
+        # shifts 0..3
+        sources = [e for k in range(4) for e in enumerate_based_endos(k)]
+        targets = [e for k in range(3) for e in enumerate_based_endos(k)]
+        checked = 0
+        for f, g in itertools.product(sources, targets):
+            ms = [sz.SzMorphism(phi, k)
+                  for phi in enumerate_equivariant_maps(f, g) for k in range(4)]
+            for a, b in itertools.product(ms, repeat=2):
+                assert sz.sz_equal(a, b) == oracle_sz_equal(a, b), (a, b)
+                checked += 1
+        assert checked == 204112
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(parallel_morphisms())
+    def test_random_up_to_eight_points(self, pair):
+        a, b = pair
+        assert sz.sz_equal(a, b) == oracle_sz_equal(a, b)
+        assert sz.sz_equal(b, a) == oracle_sz_equal(b, a)
 
 
 class TestCanonicalInvariant:
