@@ -23,7 +23,6 @@ from typing import Optional
 
 from .boxes import BoxSet, Interval
 from .carriers import DEFAULT_INTERVAL_BOUND, carrier_for
-from .finite import power_preperiod_period
 from .semiflow import Undecided
 from .szymczak import BASEPOINT, BasedEndo
 
@@ -152,7 +151,7 @@ class _SearchContext:
         self._cond2: dict = {}
         self.complete = bound is None
         if self.complete:
-            p, q = power_preperiod_period(f)
+            p, q = f.power_bounds
             n = len(f.space.points)
             self._period_end = p + q
             self._stab = {1: ca.stab(f, e, n + 1), 2: ca.stab(f, e2, n + 1)}
@@ -364,8 +363,10 @@ def one_point(f, e):
 
 def one_point_endo(f, e) -> BasedEndo:
     """The based endo of f_E on the finite carrier, undefined points sent
-    to the basepoint.  No check is needed: in a discrete space every
-    partial map is proper and every subset is open and locally compact."""
+    to the basepoint: f_E made total on E plus one added point, held like
+    every finite map on point indices (E's order, the basepoint last).  No
+    check is needed: in a discrete space every partial map is proper and
+    every subset is open and locally compact."""
     realized = induced(f, e).realized
     base, index = BASEPOINT, e.space.index
     while base in index and e.mask >> index[base] & 1:

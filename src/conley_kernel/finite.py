@@ -11,9 +11,11 @@ target indices (-1 where undefined).  Images and one-step preimages OR
 per-point masks over the set bits of a mask at C level (``_flags`` spells
 the mask as 0/1 bytes for ``itertools.compress``), with no Python loop per
 point.  Names (``members``, ``ordered()``, ``pairs``, ``table``) are views
-derived for output and oracles.  A map holds the memo of the powers f^t,
-D_n(E) and f^-n(A) that :class:`conley_kernel.carriers.DiscreteTime`
-builds, in a field of its own.
+derived for output and oracles.  This is the one finite-map
+representation: the based endos of :mod:`conley_kernel.szymczak` are total
+maps with a basepoint index, and read the orbit walk a map caches.  A map
+holds the memo of the powers f^t, D_n(E) and f^-n(A) that
+:class:`conley_kernel.carriers.DiscreteTime` builds, in a field of its own.
 """
 
 from __future__ import annotations
@@ -156,9 +158,47 @@ class FinitePartialMap:
         return pre
 
     @cached_property
+    def _orbits(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The orbit structure (steps, cycles) of f, from one walk of every
+        orbit: steps[x] is the number of steps after which the orbit of x
+        leaves Dom f (f^k(x) is undefined) or runs into a cycle (0 on a
+        cycle), and cycles lists each cycle once, in f order from where a
+        walk closed it."""
+        targets, n = self.targets, len(self.targets)
+        steps = [-1] * n      # -1 unknown
+        walk = [-1] * n       # x -> the start of the walk that passed x
+        cycles = []
+        for s in range(n):
+            path, x = [], s
+            while x >= 0 and steps[x] < 0 and walk[x] != s:
+                walk[x] = s
+                path.append(x)
+                x = targets[x]
+            if x < 0:             # f(path[-1]) is undefined
+                k = 0
+            elif steps[x] >= 0:
+                k = steps[x]
+            else:                 # the path closed a new cycle at x
+                i = path.index(x)
+                cycles.append(tuple(path[i:]))
+                for y in path[i:]:
+                    steps[y] = 0
+                del path[i:]
+                k = 0
+            for y in reversed(path):
+                k += 1
+                steps[y] = k
+        return steps, cycles
+
+    @cached_property
     def power_bounds(self) -> tuple[int, int]:
-        """(preperiod, period) of f^0, f^1, ...; see preperiod_period."""
-        return preperiod_period(*orbits(self.targets))
+        """Least (p, q) with f^p = f^(p+q), q >= 1, from the orbit structure.
+
+        f^n(x) = f^(n+q)(x) holds iff the orbit of x has left Dom f by step
+        n or has run into a cycle of length c dividing q.  So p is the
+        largest step count, and q the lcm of the cycle lengths."""
+        steps, cycles = self._orbits
+        return max(steps, default=0), math.lcm(*map(len, cycles))
 
     def apply(self, x: str) -> str | None:
         return self.table.get(x)
@@ -222,49 +262,3 @@ def power(f: FinitePartialMap, n: int) -> FinitePartialMap:
     for _ in range(n - 1):
         out = compose(f, out)
     return out
-
-
-def power_preperiod_period(f: FinitePartialMap) -> tuple[int, int]:
-    return f.power_bounds
-
-
-def orbits(targets) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The orbit structure (steps, cycles) of the partial map on points
-    0..n-1 sending x to ``targets[x]`` (-1: undefined), from one walk of
-    every orbit: steps[x] is the number of steps after which the orbit of x
-    leaves Dom f (f^k(x) is undefined) or runs into a cycle (0 on a cycle),
-    and cycles lists each cycle once, in f order from where a walk closed it."""
-    n = len(targets)
-    steps = [-1] * n      # -1 unknown
-    walk = [-1] * n       # x -> the start of the walk that passed x
-    cycles = []
-    for s in range(n):
-        path, x = [], s
-        while x >= 0 and steps[x] < 0 and walk[x] != s:
-            walk[x] = s
-            path.append(x)
-            x = targets[x]
-        if x < 0:             # f(path[-1]) is undefined
-            k = 0
-        elif steps[x] >= 0:
-            k = steps[x]
-        else:                 # the path closed a new cycle at x
-            i = path.index(x)
-            cycles.append(tuple(path[i:]))
-            for y in path[i:]:
-                steps[y] = 0
-            del path[i:]
-            k = 0
-        for y in reversed(path):
-            k += 1
-            steps[y] = k
-    return steps, cycles
-
-
-def preperiod_period(steps, cycles) -> tuple[int, int]:
-    """Least (p, q) with f^p = f^(p+q), q >= 1, from the :func:`orbits` of f.
-
-    f^n(x) = f^(n+q)(x) holds iff the orbit of x has left Dom f by step n
-    or has run into a cycle of length c dividing q.  So p is the largest
-    step count, and q the lcm of the cycle lengths."""
-    return max(steps, default=0), math.lcm(*map(len, cycles))

@@ -1,13 +1,18 @@
 """The endomorphism category and Szymczak category over finite based endos.
 
-Objects are total self-maps of finite based sets fixing the basepoint.
-Morphism equality, composition, the localizing functor Q, and shift
-equivalence are all decided exactly, from the orbit structure of each endo
-(its tails and cycles, found in one walk), so negative answers are
-complete, not timeouts.  The bounds come from the preperiod p, at most the
-number of points: class equality is one comparison at n = p, and f^n for
-n > p is f^p moved along the cycles.  The period (the lcm of the cycle
-lengths, which can be exponential) bounds no loop and sizes no table.
+Objects are total self-maps of finite based sets fixing the basepoint, held
+as the one finite map of :mod:`conley_kernel.finite`: a based endo is a
+total FinitePartialMap with the index of its basepoint, an equivariant map
+the tuple of its target indices per source point.  Morphism equality,
+composition, the localizing functor Q, and shift equivalence are decided
+exactly on these index tuples and the map's cached orbit walk (tails and
+cycles), so negative answers are complete, not timeouts; names
+(``points``, ``base``, ``table``, ``cycles``, ``power_table``, the reprs)
+are views for output and the oracles.  The bounds come from the preperiod
+p, at most the number of points: class equality is one comparison at
+n = p, and f^n for n > p is f^p moved along the cycles.  The period (the
+lcm of the cycle lengths, which can be exponential) bounds no loop and
+sizes no table.
 
 Shift equivalence is decided in polynomial time by the eventual-image
 rule: phi is a shift equivalence iff it maps the eventual image of f
@@ -21,57 +26,50 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .finite import orbits, preperiod_period
+from .finite import FinitePartialMap, FiniteSpace
 
 BASEPOINT = "*"
 
 
 @dataclass(frozen=True)
-class BasedEndo:
-    """A total self-map on a finite based set, fixing the basepoint."""
+class BasedEndo(FinitePartialMap):
+    """A total self-map on a finite based set, fixing the basepoint: a total
+    :class:`~conley_kernel.finite.FinitePartialMap` and the index of its
+    basepoint.  It never equals a plain map with the same targets."""
 
-    points: tuple[str, ...]
-    base: str
-    pairs: tuple[tuple[str, str], ...]
+    base_index: int
 
     def __post_init__(self):
-        pts = set(self.points)
-        if len(pts) != len(self.points):
-            raise ValueError("duplicate points")
-        if self.base not in pts:
+        n = len(self.space.points)
+        if not 0 <= self.base_index < n:
             raise ValueError("basepoint missing")
-        if {x for x, _ in self.pairs} != pts:
-            raise ValueError("map must be total")
-        if any(y not in pts for _, y in self.pairs):
-            raise ValueError("value outside the space")
-        if dict(self.pairs)[self.base] != self.base:
+        if len(self.targets) != n or not 0 <= min(self.targets) <= \
+                max(self.targets) < n:
+            raise ValueError("map must be total, with values in the space")
+        if self.targets[self.base_index] != self.base_index:
             raise ValueError("basepoint must be fixed")
 
     @staticmethod
     def of(points: Iterable[str], table: Mapping[str, str],
            base: str = BASEPOINT) -> "BasedEndo":
-        pts = tuple(str(p) for p in points)
-        pairs = tuple((p, str(table[p])) for p in pts)
-        return BasedEndo(pts, base, pairs)
+        space = FiniteSpace.of(points)
+        return BasedEndo(space, FinitePartialMap.of(space, table).targets,
+                         space.index.get(base, -1))
 
-    @cached_property
-    def table(self) -> dict:
-        return dict(self.pairs)
+    @property
+    def points(self) -> tuple[str, ...]:
+        return self.space.points
 
-    def apply(self, x: str) -> str:
-        return self.table[x]
-
-    @cached_property
-    def _orbits(self) -> tuple[list[int], list[tuple[int, ...]]]:
-        """:func:`conley_kernel.finite.orbits` of f on point indices."""
-        index = {p: i for i, p in enumerate(self.points)}
-        return orbits([index[self.table[x]] for x in self.points])
+    @property
+    def base(self) -> str:
+        return self.space.points[self.base_index]
 
     @cached_property
     def cycles(self) -> tuple[tuple[str, ...], ...]:
         """The cycles of f, each in f order; they partition the eventual image.
         The order of the cycles and the first point of each are left free."""
-        return tuple(tuple(self.points[i] for i in c) for c in self._orbits[1])
+        pts = self.points
+        return tuple(tuple(pts[i] for i in c) for c in self._orbits[1])
 
     @cached_property
     def eventual_image(self) -> tuple[str, ...]:
@@ -79,23 +77,16 @@ class BasedEndo:
         return tuple(p for p, k in zip(self.points, self._orbits[0]) if k == 0)
 
     @cached_property
-    def power_bounds(self) -> tuple[int, int]:
-        """(preperiod, period) of the power sequence id, f, f^2, ...: the
-        least p and q >= 1 with f^p = f^(p+q), read off the orbit walk by
-        :func:`conley_kernel.finite.preperiod_period`."""
-        return preperiod_period(*self._orbits)
-
-    @cached_property
     def _tables(self) -> dict:
         """The memo of :meth:`_power`, keyed by the reduced exponent, with
         f^0..f^p built by steps: p is at most |X|."""
-        tables = {0: {x: x for x in self.points}}
+        tables = {0: tuple(range(len(self.targets)))}
         for k in range(1, self.power_bounds[0] + 1):
-            tables[k] = {x: self.table[v] for x, v in tables[k - 1].items()}
+            tables[k] = tuple(map(self.targets.__getitem__, tables[k - 1]))
         return tables
 
-    def _power(self, n: int) -> dict:
-        """The shared table of f^n, with n > p reduced to p + (n - p) mod q.
+    def _power(self, n: int) -> tuple[int, ...]:
+        """The shared targets of f^n, with n > p reduced to p + (n - p) mod q.
 
         f^p maps X onto the eventual image, whose cycles f turns, so f^n is
         f^p moved n - p places along the cycle each point lands on: no
@@ -105,69 +96,77 @@ class BasedEndo:
             n = p + (n - p) % q
         tables = self._tables
         if n not in tables:
-            d = n - p
-            moved = {y: c[(i + d) % len(c)]
-                     for c in self.cycles for i, y in enumerate(c)}
-            tables[n] = {x: moved[v] for x, v in tables[p].items()}
+            d, moved = n - p, list(self.targets)
+            for c in self._orbits[1]:
+                for i, y in enumerate(c):
+                    moved[y] = c[(i + d) % len(c)]
+            tables[n] = tuple(map(moved.__getitem__, tables[p]))
         return tables[n]
 
     def power_table(self, n: int) -> dict:
         if n < 0:
             raise ValueError("negative power")
-        return dict(self._power(n))
+        pts = self.points
+        return dict(zip(pts, map(pts.__getitem__, self._power(n))))
 
     def __repr__(self):
-        return "Endo{" + ", ".join(f"{x}->{y}" for x, y in self.pairs) + "}"
+        return "Endo" + super().__repr__()
 
 
 @dataclass(frozen=True)
 class EquivariantMap:
-    """A based map phi with phi f = g phi, as a morphism f -> g."""
+    """A based map phi with phi f = g phi, as a morphism f -> g: the index
+    in ``target.points`` of phi(x), per point index x of the source."""
 
     source: BasedEndo
     target: BasedEndo
-    pairs: tuple[tuple[str, str], ...]
+    values: tuple[int, ...]
 
     def __post_init__(self):
-        t = dict(self.pairs)
-        if set(t) != set(self.source.points):
-            raise ValueError("map must be total on the source")
-        if any(v not in set(self.target.points) for v in t.values()):
-            raise ValueError("value outside the target")
-        if t[self.source.base] != self.target.base:
+        phi, f, g = self.values, self.source, self.target
+        if len(phi) != len(f.targets) or min(phi) < 0 or \
+                max(phi) >= len(g.targets):
+            raise ValueError("map must send every source point into the target")
+        if phi[f.base_index] != g.base_index:
             raise ValueError("basepoint must map to basepoint")
-        for x in self.source.points:
-            if t[self.source.apply(x)] != self.target.apply(t[x]):
-                raise ValueError("map is not equivariant")
+        if tuple(map(phi.__getitem__, f.targets)) != \
+                tuple(map(g.targets.__getitem__, phi)):
+            raise ValueError("map is not equivariant")
 
     @staticmethod
     def of(source: BasedEndo, target: BasedEndo,
            table: Mapping[str, str]) -> "EquivariantMap":
-        pairs = tuple((p, str(table[p])) for p in source.points)
-        return EquivariantMap(source, target, pairs)
+        index = target.space.index
+        try:
+            values = tuple(index[table[p]] for p in source.points)
+        except (KeyError, TypeError):      # missing, unknown or unhashable
+            raise ValueError(
+                "map must send every source point into the target") from None
+        return EquivariantMap(source, target, values)
 
     @staticmethod
     def identity(e: BasedEndo) -> "EquivariantMap":
-        return EquivariantMap.of(e, e, e._power(0))
+        return EquivariantMap(e, e, e._power(0))
 
     @staticmethod
     def endo_as_self_map(e: BasedEndo) -> "EquivariantMap":
-        return EquivariantMap.of(e, e, e.table)
+        return EquivariantMap(e, e, e.targets)
 
     @cached_property
     def table(self) -> dict:
-        return dict(self.pairs)
+        return dict(zip(self.source.points,
+                        map(self.target.points.__getitem__, self.values)))
 
     def then(self, other: "EquivariantMap") -> "EquivariantMap":
         if self.target != other.source:
             raise ValueError("maps are not composable")
-        return EquivariantMap.of(
-            self.source, other.target,
-            {x: other.table[self.table[x]] for x in self.source.points})
+        return EquivariantMap(self.source, other.target,
+                              tuple(map(other.values.__getitem__, self.values)))
 
     def __repr__(self):
-        body = ", ".join(f"{x}->{y}" for x, y in self.pairs if x != self.source.base)
-        return "Equiv{" + body + "}"
+        base = self.source.base
+        return "Equiv{" + ", ".join(
+            f"{x}->{y}" for x, y in self.table.items() if x != base) + "}"
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def identity_morphism(e: BasedEndo) -> SzMorphism:
 
 def endo_shift_morphism(e: BasedEndo, n: int = 1) -> SzMorphism:
     """The class of (f^n, 0), i.e. Q(f-hat)^n."""
-    return Q(EquivariantMap.of(e, e, e._power(n)))
+    return Q(EquivariantMap(e, e, e._power(n)))
 
 
 def sz_equal(m: SzMorphism, m2: SzMorphism) -> bool:
@@ -226,8 +225,8 @@ def sz_equal(m: SzMorphism, m2: SzMorphism) -> bool:
     f = m.source
     p = f.power_bounds[0]
     left, right = f._power(m2.shift + p), f._power(m.shift + p)
-    phi, phi2 = m.phi.table, m2.phi.table
-    return all(phi[left[x]] == phi2[right[x]] for x in f.points)
+    return tuple(map(m.phi.values.__getitem__, left)) == \
+        tuple(map(m2.phi.values.__getitem__, right))
 
 
 def sz_compose(m: SzMorphism, m2: SzMorphism) -> SzMorphism:
@@ -248,7 +247,8 @@ def is_shift_equivalence(phi: EquivariantMap) -> ShiftEquivalenceWitness | None:
     psi phi = f^a and phi psi = g^a; None if there is none.
 
     "Least psi" is lexicographic in the values on `g.points`, each ordered
-    as in `f.points`: the first table an enumeration of all tables meets.
+    as in `f.points` (by index): the first table an enumeration of all
+    tables meets.
 
     Rule (Franks-Richeson 2000; Szymczak 1995): phi is a shift equivalence
     iff it maps the eventual image of f bijectively onto that of g.
@@ -279,59 +279,57 @@ def is_shift_equivalence(phi: EquivariantMap) -> ShiftEquivalenceWitness | None:
     order, re-pruning after each choice, gives the least table.
     """
     f, g = phi.source, phi.target
-    src = f.eventual_image
-    if len(src) != len(g.eventual_image) or \
-            {phi.table[x] for x in src} != set(g.eventual_image):
+    src = [x for c in f._orbits[1] for x in c]
+    dst = {y for c in g._orbits[1] for y in c}
+    if len(src) != len(dst) or {phi.values[x] for x in src} != dst:
         return None
     for a in range(max(f.power_bounds[0], g.power_bounds[0]) + 1):
         psi = _least_partner(phi, f._power(a), g._power(a))
         if psi is not None:
-            return ShiftEquivalenceWitness(EquivariantMap.of(g, f, psi), a)
+            return ShiftEquivalenceWitness(EquivariantMap(g, f, psi), a)
     return None
 
 
-def _least_partner(phi: EquivariantMap, fa: dict, ga: dict) -> dict | None:
-    """The least psi table of a witness at the exponent a of the tables
-    fa = f^a and ga = g^a, or None."""
+def _least_partner(phi: EquivariantMap, fa: tuple, ga: tuple) -> tuple | None:
+    """The least psi (its values) of a witness at the exponent a of the
+    targets fa of f^a and ga of g^a, or None."""
     f, g = phi.source, phi.target
-    lists = {y: {x for x in f.points if phi.table[x] == ga[y]}
-             for y in g.points}
-    forced: dict[str, str] = {g.base: f.base}
-    for x in f.points:
-        if forced.setdefault(phi.table[x], fa[x]) != fa[x]:
+    lists = [{x for x, v in enumerate(phi.values) if v == t} for t in ga]
+    forced = {g.base_index: f.base_index}
+    for v, t in zip(phi.values, fa):
+        if forced.setdefault(v, t) != t:
             return None
     for y, x in forced.items():
         lists[y] &= {x}
     # f^k x = x iff x lies on an f-cycle whose length divides k
-    period = {x: len(c) for c in f.cycles for x in c}
-    for cycle in g.cycles:
+    period = {x: len(c) for c in f._orbits[1] for x in c}
+    for cycle in g._orbits[1]:
         for y in cycle:
             lists[y] = {x for x in lists[y]
                         if x in period and len(cycle) % period[x] == 0}
-    if not _prune(f, g, lists):
+    if not _prune(f.targets, g.targets, lists):
         return None
-    rank = {x: i for i, x in enumerate(f.points)}
-    for y in g.points:
+    for y in range(len(lists)):
         if len(lists[y]) > 1:
-            lists[y] = {min(lists[y], key=rank.__getitem__)}
-            _prune(f, g, lists)
-    return {y: next(iter(lists[y])) for y in g.points}
+            lists[y] = {min(lists[y])}
+            _prune(f.targets, g.targets, lists)
+    return tuple(next(iter(xs)) for xs in lists)
 
 
-def _prune(f: BasedEndo, g: BasedEndo, lists: dict) -> bool:
-    """Make the lists arc consistent for psi(g y) = f(psi y), in place:
-    every entry at y has its f-image at g y, and every entry at g y is the
-    f-image of some entry at y.  False if a list becomes empty."""
+def _prune(f: tuple, g: tuple, lists: list) -> bool:
+    """Make the lists arc consistent for psi(g y) = f(psi y), in place, f
+    and g given by their targets: every entry at y has its f-image at g y,
+    and every entry at g y is the f-image of some entry at y.  False if a
+    list becomes empty."""
     changed = True
     while changed:
         changed = False
-        for y in g.points:
-            z = g.table[y]
-            here = {x for x in lists[y] if f.table[x] in lists[z]}
+        for y, z in enumerate(g):
+            here = {x for x in lists[y] if f[x] in lists[z]}
             if here != lists[y]:
                 lists[y] = here
                 changed = True
-            there = lists[z] & {f.table[x] for x in here}
+            there = lists[z] & {f[x] for x in here}
             if there != lists[z]:
                 lists[z] = there
                 changed = True
@@ -351,4 +349,5 @@ def canonical_invariant(e: BasedEndo) -> tuple[int, tuple[int, ...]]:
     gives phi = h f^p with p the preperiod of f: phi is equivariant and
     bijective on eventual images, hence a shift equivalence.
     """
-    return len(e.eventual_image), tuple(sorted(len(c) for c in e.cycles))
+    steps, cycles = e._orbits
+    return steps.count(0), tuple(sorted(map(len, cycles)))

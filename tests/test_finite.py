@@ -110,10 +110,10 @@ class TestEventualPeriodicity:
         rng = random.Random(5)
         for _ in range(80):
             f = random_finite_system(rng, 6)
-            assert fin.power_preperiod_period(f) == brute_preperiod_period(f)
+            assert f.power_bounds == brute_preperiod_period(f)
 
     def test_identity_has_period_one(self):
-        assert fin.power_preperiod_period(fin.identity_map(SPACE)) == (0, 1)
+        assert fin.identity_map(SPACE).power_bounds == (0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +188,9 @@ class TestIndexRepresentation:
                 for k in range(4):
                     assert fin.power(f, k).table == power
                     power = oracle_compose(table, power)
-                assert fin.power_preperiod_period(f) == oracle_powers(pts, table)
+                assert f.power_bounds == oracle_powers(pts, table)
                 if n <= 65:
-                    assert fin.power_preperiod_period(f) == brute_preperiod_period(f)
+                    assert f.power_bounds == brute_preperiod_period(f)
 
     def test_equal_spaces_give_equal_sets_and_maps(self):
         for n in self.SIZES:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conley_kernel import finite as fin
 from conley_kernel import szymczak as sz
 from conley_kernel.suites import (
-    brute_shift_equivalence, brute_sz_is_iso, enumerate_based_endos,
-    enumerate_equivariant_maps, is_shift_witness, oracle_sz_equal,
+    brute_power_sequence, brute_shift_equivalence, brute_sz_is_iso,
+    enumerate_based_endos, enumerate_equivariant_maps, is_shift_witness,
+    oracle_sz_equal,
 )
 
 
@@ -34,6 +36,81 @@ IDENT2 = sz.BasedEndo.of(["*", "p"], {"*": "*", "p": "p"})
 CYCLE2 = sz.BasedEndo.of(["*", "p", "q"], {"*": "*", "p": "q", "q": "p"})
 COLLAPSE = sz.BasedEndo.of(["*", "a", "b"], {"*": "*", "a": "b", "b": "b"})
 ONEPT = sz.BasedEndo.of(["*", "c"], {"*": "*", "c": "c"})
+
+
+class TestConstructors:
+    """Every rejection of the two constructors is a ValueError, and endos
+    compare by space, targets and basepoint."""
+
+    @pytest.mark.parametrize("points, table", [
+        (["a", "b"], {"a": "a", "b": "a"}),
+        (["*", "a", "a"], {"*": "*", "a": "a"}),
+        (["*", "a", "b"], {"*": "*", "a": "b"}),
+        (["*", "a"], {"*": "*", "a": "z"}),
+        (["*", "a"], {"*": "a", "a": "a"}),
+        (["*", "1"], {"*": "*", "1": 1}),
+    ], ids=["basepoint-missing", "duplicate-points", "not-total",
+            "value-outside", "basepoint-not-fixed", "non-string-value"])
+    def test_based_endo_of_rejects(self, points, table):
+        with pytest.raises(ValueError):
+            sz.BasedEndo.of(points, table)
+
+    @pytest.mark.parametrize("targets, base", [
+        ((0, 1), 2), ((0,), 0), ((0, -1), 0), ((0, 2), 0), ((1, 1), 0),
+    ], ids=["basepoint-missing", "short", "undefined", "out-of-range",
+            "basepoint-not-fixed"])
+    def test_based_endo_rejects(self, targets, base):
+        with pytest.raises(ValueError):
+            sz.BasedEndo(fin.FiniteSpace.of(["*", "a"]), targets, base)
+
+    @pytest.mark.parametrize("source, target, table", [
+        (CYCLE2, IDENT2, {"*": "*", "p": "p", "q": "*"}),
+        (CYCLE2, ONEPT, {"*": "*", "p": "z", "q": "z"}),
+        (CYCLE2, ONEPT, {"*": "*", "p": "c"}),
+        (IDENT2, IDENT2, {"*": "p", "p": "p"}),
+    ], ids=["not-equivariant", "value-outside", "not-total",
+            "basepoint-not-to-basepoint"])
+    def test_equivariant_map_of_rejects(self, source, target, table):
+        with pytest.raises(ValueError):
+            sz.EquivariantMap.of(source, target, table)
+
+    @pytest.mark.parametrize("target, values", [
+        (CYCLE2, (0, 1, 1)), (ONEPT, (0, 2, 2)), (ONEPT, (0, -1, -1)),
+        (ONEPT, (0, 1)), (ONEPT, (1, 1, 1)),
+    ], ids=["not-equivariant", "out-of-range", "negative", "short",
+            "basepoint-not-to-basepoint"])
+    def test_equivariant_map_rejects(self, target, values):
+        with pytest.raises(ValueError):
+            sz.EquivariantMap(CYCLE2, target, values)
+
+    def test_endo_is_never_a_plain_map(self):
+        plain = fin.FinitePartialMap(CYCLE2.space, CYCLE2.targets)
+        assert plain.table == CYCLE2.table
+        assert CYCLE2 != plain and plain != CYCLE2
+
+    def test_equal_endos_are_equal_and_hash_equal(self):
+        table = {"*": "*", "p": "q", "q": "p"}
+        one = sz.BasedEndo.of(["*", "p", "q"], table)
+        two = sz.BasedEndo.of(["*", "p", "q"], dict(table))
+        assert one.space is not two.space
+        assert one == two and hash(one) == hash(two)
+        # the oracles' power-sequence cache is keyed by the endo
+        assert brute_power_sequence(one) is brute_power_sequence(two)
+        assert one != sz.BasedEndo.of(["*", "q", "p"], table)
+        fixed = {"a": "a", "b": "b"}
+        assert sz.BasedEndo.of(["a", "b"], fixed, base="a") != \
+            sz.BasedEndo.of(["a", "b"], fixed, base="b")
+
+    def test_names_are_views(self):
+        e = sz.BasedEndo.of(["p", "*", "q"], {"*": "*", "p": "q", "q": "p"})
+        assert (e.points, e.base, e.base_index) == (("p", "*", "q"), "*", 1)
+        assert e.targets == (2, 1, 0)
+        assert e.table == {"p": "q", "*": "*", "q": "p"} and e.apply("p") == "q"
+        assert repr(e) == "Endo{p->q, *->*, q->p}"
+        phi = sz.EquivariantMap.of(e, ONEPT, {"p": "c", "*": "*", "q": "c"})
+        assert phi.values == (1, 0, 1)
+        assert phi.table == {"p": "c", "*": "*", "q": "c"}
+        assert repr(phi) == "Equiv{p->c, q->c}"
 
 
 class TestSzEqual:
