@@ -3,9 +3,9 @@
 
 Usage: python scripts/run_suites.py [--seed K] [--trials N] [--only NAME ...]
 
-Exits 0 when every suite passes, 1 when one fails, and 2 on an unknown
-suite name or a trial count below 1 (``suites.check_trials``), as
-``conley-kernel verify`` does.
+Exits 0 when every suite passes, 1 when one fails, and 2, before any
+suite runs, on an unknown suite name or a trial count below 1
+(``suites.check_request``), as ``conley-kernel verify`` does.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))   # this checkout's kernel first
 
-from conley_kernel.suites import SUITES, check_trials, run_suite  # noqa: E402
+from conley_kernel.suites import SUITES, check_request, run_suite  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -27,13 +27,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     names = args.only or sorted(SUITES)
-    unknown = [name for name in names if name not in SUITES]
-    if unknown:
-        print(f"unknown suite {unknown[0]!r}; known: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return 2
     try:
-        check_trials(args.trials)
+        for name in names:
+            check_request(name, args.trials)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,8 @@ on the flow; its realized maps are piecewise affine.
 
 from __future__ import annotations
 
+import threading
+
 from . import affine, finite
 from . import semiflow as sf
 from .affine import PiecewiseAffineMap
@@ -51,10 +53,16 @@ class DiscreteTime:
 
     ``maps`` is the module of the realized maps; its ``compose`` and
     ``power`` are looked up at call time, so wrappers installed on the
-    module take effect."""
+    module take effect.
+
+    A sequence grows only under ``_grow``, which is taken only when the
+    memo misses, so a memo hit costs no lock.  Without it two threads
+    that both read length k would both append step k, and every later
+    index would be off by one.  It is reentrant, as f^n asks for f^1."""
 
     def __init__(self, name: str, default_bound, maps):
         self.name, self.default_bound, self.maps = name, default_bound, maps
+        self._grow = threading.RLock()
 
     def compose(self, g, f):
         return self.maps.compose(g, f)
@@ -72,9 +80,11 @@ class DiscreteTime:
             if p is f:
                 return f
             seq[t] = p
-        while len(seq) <= t:
-            seq.append(self.maps.compose(
-                f, self.time_map(f, 1) if len(seq) == 2 else seq[-1]))
+        if len(seq) <= t:
+            with self._grow:
+                while len(seq) <= t:
+                    seq.append(self.maps.compose(
+                        f, self.time_map(f, 1) if len(seq) == 2 else seq[-1]))
         return seq[t]
 
     def _sequence(self, f, a, kind, t):
@@ -83,14 +93,16 @@ class DiscreteTime:
         seq = f._iterates.get((a, kind))
         if seq is None:         # a set equal to a key has passed the check
             f.check_set(a)
-            seq = f._iterates[a, kind] = [a]
+            seq = f._iterates.setdefault((a, kind), [a])
         return seq
 
     def preimage(self, f, a, t=1):
         """f^-t(A), built as f^-1(f^-(t-1)(A)) and memoized on f."""
         seq = self._sequence(f, a, "preimage", t)
-        while len(seq) <= t:
-            seq.append(f.preimage(seq[-1]))
+        if len(seq) <= t:
+            with self._grow:
+                while len(seq) <= t:
+                    seq.append(f.preimage(seq[-1]))
         return seq[t]
 
     def dom(self, f, e, t):
@@ -99,12 +111,15 @@ class DiscreteTime:
         every later D_n is D_k: the sequence becomes a tuple ending at D_k
         and is never extended again."""
         seq = self._sequence(f, e, "dom", t)
-        while len(seq) <= t and isinstance(seq, list):
-            nxt = e.intersect(f.preimage(seq[-1]))
-            if nxt == seq[-1]:
-                seq = f._iterates[e, "dom"] = tuple(seq)
-            else:
-                seq.append(nxt)
+        if len(seq) <= t and isinstance(seq, list):
+            with self._grow:
+                seq = f._iterates[e, "dom"]     # it may have become a tuple
+                while len(seq) <= t and isinstance(seq, list):
+                    nxt = e.intersect(f.preimage(seq[-1]))
+                    if nxt == seq[-1]:
+                        seq = f._iterates[e, "dom"] = tuple(seq)
+                    else:
+                        seq.append(nxt)
         return seq[min(t, len(seq) - 1)]
 
     def stab(self, f, e, cap) -> int:

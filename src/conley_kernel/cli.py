@@ -256,14 +256,9 @@ def shift_equiv(args, doc, bound):
 
 def verify(args) -> int:
     # the suites and their oracles are test code: only this command loads them
-    from .suites import SUITES, run_suite
-    if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    result = run_suite(args.suite, trials=args.trials, seed=args.seed,
-                       bound=args.bound)
-    payload = {"meta": meta_block(seed=args.seed, bound=args.bound),
+    from .suites import run_suite
+    result = run_suite(args.suite, trials=args.trials, seed=args.seed)
+    payload = {"meta": meta_block(seed=args.seed),
                "suite": result.name, "passed": result.passed,
                "lines": result.lines}
     _emit(args, payload,
@@ -320,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if handler is not None:
             p.add_argument("doc", help="path to a JSON system document")
-        p.add_argument("--bound", type=int, default=None,
-                       help="search bound (default CONLEY_DEFAULT_BOUND or 64)")
+            p.add_argument("--bound", type=int, default=None,
+                           help="search bound (default CONLEY_DEFAULT_BOUND or 64)")
         group = p.add_mutually_exclusive_group()
         group.add_argument("--json", action="store_true", help="JSON output")
         group.add_argument("--human", dest="json", action="store_false",
@@ -358,7 +353,7 @@ def _run(args) -> int:
     """One request: its reply emitted, its exit code returned.  Undecided
     work and exhausted resources reply "unknown"; any other exception,
     one from emitting the reply included, goes to :func:`main`."""
-    for flag in ("bound", "search"):     # verify checks --trials itself
+    for flag in ("bound", "search"):     # suites.check_request checks --trials
         if (getattr(args, flag, None) or 0) < 0:
             raise DocumentError(f"--{flag} must not be negative")
     try:

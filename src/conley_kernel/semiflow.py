@@ -15,8 +15,8 @@ systems) is written once in :mod:`conley_kernel.dynamics` and
 :mod:`conley_kernel.conley`.  Exhausted semi-decisions raise
 :class:`Undecided`, never a fabricated negative.
 
-Each flow memoizes its time-t maps by t and its swept domains by (E, t,
-cap) in fields of the flow object, so those sets and maps, with the maps'
+Each flow memoizes its time-t maps by t and its swept domains by (E, t)
+in fields of the flow object, so those sets and maps, with the maps'
 set-map memos (:mod:`conley_kernel.affine`), are shared by every caller
 holding the flow and live as long as it does.  These memos and the search
 tests key each time by its integer ratio, a pair of ints, which hashes far
@@ -37,6 +37,7 @@ from .boxes import (
 )
 
 DEFAULT_TIME_BOUND = 8
+SWEEP_CAP = 64      # the swept-domain refinement samples steps down to t/64
 
 
 class Undecided(Exception):
@@ -87,15 +88,6 @@ class AxisRule:
             return Interval(NEG_INF, Cut.finite(self.clamp), False, True)
         return Interval.line()
 
-    @property
-    def direction(self) -> int:
-        """Sign of the orbit's motion: -1 decreasing, +1 increasing, 0 still."""
-        if self.kind == "identity" or self.velocity == 0:
-            return 0
-        if self.kind == "ceil":
-            return 1
-        return -1 if self.velocity > 0 else 1
-
     def value(self, t: Fraction, x: Fraction) -> Fraction:
         if self.kind == "identity":
             return x
@@ -108,8 +100,9 @@ class AxisRule:
     def time_factor(self, t: Fraction) -> PiecewiseAffineMap:
         """The time-t map of this axis, built in the canonical form that
         `PiecewiseAffineMap.of` gives for its interval pieces (the test
-        oracle ``suites.oracle_time_pieces``): the pieces are disjoint and
-        continuous by construction, so neither is checked.
+        oracle ``kernel_oracles.oracle_time_pieces`` under ``tests/``): the
+        pieces are disjoint and continuous by construction, so neither is
+        checked.
         A clamped axis has one breakpoint, just after its split, as both of
         its rules take the clamp value there."""
         v = self.velocity
@@ -212,7 +205,7 @@ def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:
 # ---------------------------------------------------------------------------
 # swept domains
 
-def dom_interval(flow: ExactSemiflow, e: BoxSet, t, cap: int = 64) -> BoxSet:
+def dom_interval(flow: ExactSemiflow, e: BoxSet, t) -> BoxSet:
     """The set of x whose whole orbit segment over [0, t] stays in E.
 
     Exact.  When E is convex per component (a 1-D set, whose canonical
@@ -222,10 +215,11 @@ def dom_interval(flow: ExactSemiflow, e: BoxSet, t, cap: int = 64) -> BoxSet:
     is monotone on each axis, so it stays in that convex box exactly when
     its end does.  Multi-box sets in higher dimension refine a sampled
     outer bound until no box of it reaches E's complement within [0, t],
-    which certifies it.
+    which certifies it, at steps down to t/SWEEP_CAP; past that they raise
+    Undecided with bound SWEEP_CAP.
     """
     t = rat(t)
-    key = (e, t.as_integer_ratio(), cap)
+    key = (e, t.as_integer_ratio())
     d = flow._swept.get(key)
     if d is not None:
         return d
@@ -240,13 +234,13 @@ def dom_interval(flow: ExactSemiflow, e: BoxSet, t, cap: int = 64) -> BoxSet:
         d = BoxSet.union_all(flow.dimension,
                              (b.intersect(fmap.preimage(b)) for b in parts))
     else:
-        d = _dom_interval_sandwich(flow, e, t, cap)
+        d = _dom_interval_sandwich(flow, e, t)
     flow._swept[key] = d
     return d
 
 
-def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet, t: Fraction,
-                           cap: int) -> BoxSet:
+def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet,
+                           t: Fraction) -> BoxSet:
     """D_t(E) lies in the outer bound E n f^-s(E) over s = t*k/m; the bound is
     D_t(E) once none of its boxes reaches E's complement within [0, t].
 
@@ -257,14 +251,15 @@ def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet, t: Fraction,
     outside = e.complement()
     window = Interval(Cut.finite(0), Cut.finite(t), True, True)
     outer, m = e, 1
-    while m <= cap:
+    while m <= SWEEP_CAP:
         # the times t*k/m with k odd; the even ones were taken at m/2
         for k in range(1, m + 1, 2):
             outer = outer.intersect(time_map(flow, t * k / m).preimage(e))
         if not _reaches(flow.axes, outer, outside, window):
             return outer
         m *= 2
-    raise Undecided("swept-domain refinement did not certify", bound=cap)
+    raise Undecided("swept-domain refinement did not certify",
+                    bound=SWEEP_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +431,8 @@ def _candidate_times(flow: ExactSemiflow, sets: list[BoxSet],
     over L, the lcm of their denominators, and the times over Q = 2*L*M,
     with M the lcm of the speeds' numerators, so that every gap over a
     speed and every midpoint is an integer over Q.  A Fraction is built
-    only for each time kept (``suites.oracle_candidate_times`` is the
-    Fraction version)."""
+    only for each time kept (``kernel_oracles.oracle_candidate_times``
+    under ``tests/`` is the Fraction version)."""
     ratios = {c.value.as_integer_ratio() for s in sets for b in s.boxes
               for iv in b for c in (iv.lo, iv.hi) if c.sign == 0}
     ratios.update(x.as_integer_ratio() for r in flow.axes

@@ -4,32 +4,23 @@ Each suite is deterministic given its seed and returns a result object with
 one line per group of checks; any counterexample fails the suite.  The same
 functions back the pytest acceptance tests.
 
-The brute-force oracles live here and nowhere in the kernel: the largest
-invariant subset by subset enumeration, and the Szymczak-category decisions
-by enumerating every candidate table (`brute_shift_equivalence`,
-`brute_sz_is_iso`) and class equality by trying every exponent up to
-preperiod plus period of the stepped power sequence (`oracle_sz_equal`),
-which the polynomial deciders are checked against;
-the pairwise box-list algebra (`PairwiseBoxSet`), which the canonical
-box sets of `boxes` are checked against; the box-by-box affine images,
-preimages and rule agreement (`oracle_rules_image`,
+The brute-force oracles that the suites run live here and nowhere in the
+kernel: the largest invariant subset by subset enumeration
+(`brute_invariant_part`); preperiod and period by stepping the powers
+(`brute_preperiod_period`); the Szymczak-category decisions by
+enumerating every candidate table (`brute_sz_is_iso`, with
+`is_shift_witness` checking the kernel's witnesses) and class equality by
+trying every exponent up to preperiod plus period of the stepped power
+sequence (`oracle_sz_equal`), which the polynomial deciders are checked
+against; the pairwise box-list algebra (`PairwiseBoxSet`), which the
+canonical box sets of `boxes` are checked against; the box-by-box affine
+images, preimages and rule agreement (`oracle_rules_image`,
 `oracle_rules_preimage`, `oracle_rules_agree_on`), which the node walk of
 `affine` is checked against; the piece-list map (`PieceListMap`, with
 pairwise overlap, continuity and equality by `rules_agree_on`), which the
-canonical maps of `affine` are checked against; the fixed-cap invariant-part
-loop (`fixed_cap_invariant_part`), which the early exit of
-`dynamics.invariant_part_exact` is checked against; the lexicographic
-scans of the admissibility searches (`oracle_find_admissible`,
-`oracle_sim_f`), which the galloping searches of `dynamics` are checked
-against; the 1-D swept domain by hit sets (`oracle_dom_interval_1d`),
-which the component rule of `semiflow.dom_interval` is checked against;
-the from-scratch loops for D_n(E) and f^-n(A) (`oracle_dom`,
-`oracle_preimage`), which the memoized sequences of
-`carriers.DiscreteTime` are checked against; the interval pieces of an
-axis's time map (`oracle_time_pieces`), which `AxisRule.time_factor` is
-checked against; and the Fraction loop over all pairs of boundary values
-(`oracle_candidate_times`), which the integer candidate times of
-`semiflow._candidate_times` are checked against.
+canonical maps of `affine` are checked against; and the fixed-cap
+invariant-part loop (`fixed_cap_invariant_part`), which the early exit of
+`dynamics.invariant_part_exact` is checked against.
 """
 
 from __future__ import annotations
@@ -157,50 +148,6 @@ def translation_flow() -> sf.ExactSemiflow:
     return sf.ExactSemiflow.of([sf.AxisRule.translation(1)])
 
 
-_FLOW_VALUES = [Fraction(k, 2) for k in range(-6, 7)]
-
-
-def random_flow(rng: random.Random, max_dimension: int = 3):
-    """A flow of 1 to max_dimension random axis rules on a carrier of 1 to 3
-    boxes, or None when the construction checks reject it.  Each interval
-    is mostly forward invariant for its rule: its limit side is the clamp
-    or infinity."""
-
-    def rule():
-        kind = rng.choice(["translation", "floor", "ceil", "identity"])
-        if kind == "identity":
-            return sf.AxisRule.identity()
-        if kind == "translation":
-            return sf.AxisRule.translation(rng.choice(_FLOW_VALUES))
-        v = rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)])
-        return getattr(sf.AxisRule, kind)(v, rng.choice(_FLOW_VALUES))
-
-    def interval(r):
-        lo, hi = sorted(rng.sample(_FLOW_VALUES, 2))
-        lo = "-inf" if rng.random() < Fraction(1, 5) else lo
-        hi = "inf" if rng.random() < Fraction(1, 5) else hi
-        if rng.random() < Fraction(9, 10):
-            if r.kind == "floor":
-                lo = r.clamp if hi == "inf" or hi > r.clamp else "-inf"
-            elif r.kind == "ceil":
-                hi = r.clamp if lo == "-inf" or lo < r.clamp else "inf"
-            elif r.direction < 0:
-                lo = "-inf"
-            elif r.direction > 0:
-                hi = "inf"
-        lo_closed = lo != "-inf" and rng.random() < Fraction(4, 5)
-        return Interval.make(lo, lo_closed,
-                             hi, hi != "inf" and rng.random() < Fraction(7, 10))
-
-    axes = [rule() for _ in range(rng.randint(1, max_dimension))]
-    carrier = BoxSet.of(len(axes), [
-        tuple(interval(r) for r in axes) for _ in range(rng.randint(1, 3))])
-    try:
-        return sf.ExactSemiflow.of(axes, carrier)
-    except ValueError:
-        return None
-
-
 def flow_law_instances():
     fl = clamp_flow()
     yield fl, [BoxSet.interval(0, True, 1, True),
@@ -267,150 +214,6 @@ def fixed_cap_invariant_part(f: PiecewiseAffineMap, e: BoxSet, cap: int = 64):
                     else Interval.point(r.intercept / (1 - r.slope)))
     fix = BoxSet.of(f.dimension, [tuple(axes)])
     return fix.intersect(piece.domain.closure()).intersect(f.domain).intersect(e)
-
-
-def oracle_find_admissible(f, e, e2, bound=None) -> dyn.TripleSearch:
-    """The lexicographic scan over the search times that
-    dynamics.find_admissible replaces: every b >= a in turn, and for each b
-    that passes the first test every gamma in [b - a, bound - a] in turn."""
-    ctx = dyn.carrier_for(f).search_context(f, e, e2, bound)
-    for a in ctx.times:
-        for b in ctx.times:
-            if b < a or not ctx.cond1(a, b):
-                continue
-            for gamma in ctx.times:
-                if a + gamma > ctx.bound:
-                    break
-                if gamma >= b - a and ctx.cond2(b - a, gamma):
-                    return dyn.TripleSearch(
-                        dyn.AdmissibleTriple(a, b, a + gamma),
-                        ctx.complete, ctx.bound)
-    return dyn.TripleSearch(None, ctx.complete, ctx.bound)
-
-
-def oracle_sim_f(f, e, e2, bound=None) -> dyn.SimResult:
-    """The lexicographic scan over the candidate pairs that dynamics.sim_f
-    replaces: the first (a, b) that passes, both ways."""
-    ctx = dyn.carrier_for(f).search_context(f, e, e2, bound)
-
-    def first(test, which):
-        return next(((a, b) for a, lo, hi in ctx.b_ranges(which)
-                     for b in ctx.times[lo:hi] if test(a, b)), None)
-
-    fwd, bwd = first(ctx.cond1, 1), first(ctx.cond2, 2)
-    if fwd and bwd:
-        status = "equivalent"
-    else:
-        status = "not_equivalent" if ctx.complete else "unknown"
-    return dyn.SimResult(status, fwd, bwd, bound=ctx.bound)
-
-
-def _ray_up(c: Cut, closed: bool) -> BoxSet:
-    if c == NEG_INF:
-        return BoxSet.full(1)
-    return BoxSet.of(1, [(Interval(c, POS_INF, closed, False),)])
-
-
-def _ray_down(c: Cut, closed: bool) -> BoxSet:
-    if c == POS_INF:
-        return BoxSet.full(1)
-    return BoxSet.of(1, [(Interval(NEG_INF, c, False, closed),)])
-
-
-def oracle_dom_interval_1d(flow: sf.ExactSemiflow, e: BoxSet, t) -> BoxSet:
-    """The 1-D swept domain D_t(E) by hit sets, which the component rule of
-    semiflow.dom_interval replaced: the points whose orbit range over
-    [0, t] meets no component of E's complement."""
-    rule = flow.axes[0]
-    fmap = sf.time_map(flow, t)
-    d = rule.direction
-    hits = []
-    for (iv,) in e.complement().boxes:
-        if d == 0:
-            hits.append(BoxSet.of(1, [(iv,)]))
-        elif d < 0:
-            # orbit range is [f^t(x), x]
-            hits.append(_ray_up(iv.lo, iv.lo_closed).intersect(
-                fmap.preimage(_ray_down(iv.hi, iv.hi_closed))))
-        else:
-            hits.append(_ray_down(iv.hi, iv.hi_closed).intersect(
-                fmap.preimage(_ray_up(iv.lo, iv.lo_closed))))
-    return BoxSet.union_all(1, hits).complement().intersect(flow.carrier)
-
-
-def oracle_time_pieces(rule: sf.AxisRule, t) -> list:
-    """The time-t map of one axis as (interval, rule) pieces covering the
-    line: the pieces that `AxisRule.time_factor` builds in canonical form
-    without `PiecewiseAffineMap.of`."""
-    t = Fraction(t)
-    if rule.kind == "identity" or t == 0:
-        return [(Interval.line(), AffineRule.of(1, 0))]
-    if rule.kind == "translation":
-        return [(Interval.line(), AffineRule(Fraction(1), -rule.velocity * t))]
-    if rule.kind == "floor":
-        split = rule.clamp + rule.velocity * t
-        return [
-            (Interval(NEG_INF, Cut.finite(split), False, False),
-             AffineRule(Fraction(0), rule.clamp)),
-            (Interval(Cut.finite(split), POS_INF, True, False),
-             AffineRule(Fraction(1), -rule.velocity * t)),
-        ]
-    split = rule.clamp - rule.velocity * t
-    return [
-        (Interval(NEG_INF, Cut.finite(split), False, True),
-         AffineRule(Fraction(1), rule.velocity * t)),
-        (Interval(Cut.finite(split), POS_INF, False, False),
-         AffineRule(Fraction(0), rule.clamp)),
-    ]
-
-
-def oracle_candidate_times(flow: sf.ExactSemiflow, sets: list, bound) -> list:
-    """The candidate times of a semiflow search in plain Fraction
-    arithmetic, over every ordered pair of boundary values: the loop that
-    the common-denominator integer version `semiflow._candidate_times`
-    replaced."""
-    values = set()
-    for s in sets:
-        for b in s.boxes:
-            for iv in b:
-                for c in (iv.lo, iv.hi):
-                    if c.is_finite:
-                        values.add(c.value)
-    for r in flow.axes:
-        values.update(r.boundary_values())
-    times = {Fraction(0)}
-    speeds = {abs(r.velocity) for r in flow.axes if r.velocity != 0}
-    for v in speeds:
-        for b1 in values:
-            for b2 in values:
-                d = abs(b1 - b2) / v
-                if 0 < d <= bound:
-                    times.add(d)
-    times.update(Fraction(k) for k in range(1, min(int(bound), 4) + 1))
-    ordered = sorted(times)
-    with_mids = set(ordered)
-    for x, y in zip(ordered, ordered[1:]):
-        with_mids.add((x + y) / 2)
-    top = max(ordered) if ordered else Fraction(0)
-    if top + 1 <= bound:
-        with_mids.add(top + 1)
-    return sorted(v for v in with_mids if v <= bound)
-
-
-def oracle_dom(f, e, t):
-    """D_t(E) from scratch, the intersection of f^-i(E) for i = 0..t: the
-    loop that the memoized sequence of carriers.DiscreteTime.dom replaced."""
-    d = e
-    for _ in range(t):
-        d = e.intersect(f.preimage(d))
-    return d
-
-
-def oracle_preimage(f, a, t):
-    """f^-t(A) from scratch, t one-step preimages in turn."""
-    for _ in range(t):
-        a = f.preimage(a)
-    return a
 
 
 def brute_preperiod_period(f: fin.FinitePartialMap) -> tuple[int, int]:
@@ -567,18 +370,6 @@ def is_shift_witness(phi: sz.EquivariantMap, psi: sz.EquivariantMap,
     return psi.source == g and psi.target == f and \
         all(psi.table[phi.table[x]] == fa[x] for x in f.points) and \
         all(phi.table[psi.table[y]] == ga[y] for y in g.points)
-
-
-def brute_shift_equivalence(phi: sz.EquivariantMap):
-    """The first (a, psi) in exponent-then-table order that is a witness,
-    by trying every equivariant table g -> f."""
-    f, g = phi.source, phi.target
-    partners = list(enumerate_equivariant_maps(g, f))
-    for a in range(brute_shift_bound(f, g) + 1):
-        for psi in partners:
-            if is_shift_witness(phi, psi, a):
-                return sz.ShiftEquivalenceWitness(psi, a)
-    return None
 
 
 def brute_sz_is_iso(m: sz.SzMorphism):
@@ -1101,7 +892,7 @@ def _affine_mismatch(rng: random.Random, dimension: int):
 # ---------------------------------------------------------------------------
 # suites
 
-def suite_finite_algebra(trials=200, seed=7, bound=None) -> SuiteResult:
+def suite_finite_algebra(trials=200, seed=7) -> SuiteResult:
     res = SuiteResult("finite-algebra")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -1223,7 +1014,7 @@ def _oracle_mismatch(ra: list, rb: list, dimension: int):
     return None
 
 
-def suite_box_algebra(trials=120, seed=11, bound=None) -> SuiteResult:
+def suite_box_algebra(trials=120, seed=11) -> SuiteResult:
     res = SuiteResult("box-algebra")
     rng = random.Random(seed)
     for _ in range(trials):
@@ -1345,7 +1136,7 @@ def random_core_set(rng: random.Random, dimension: int) -> BoxSet:
     return BoxSet.of(dimension, random_box_list(rng, dimension) + [box])
 
 
-def suite_pam_laws(trials=80, seed=13, bound=None) -> SuiteResult:
+def suite_pam_laws(trials=80, seed=13) -> SuiteResult:
     res = SuiteResult("pam-laws")
     rng = random.Random(seed)
     maps = [doubling_map(), contraction_map(), clamp_map(),
@@ -1467,7 +1258,7 @@ def _interchange_law(res, f, e, e2, t, t2):
         res.fail(f"interchange fails: {t}, {t2}")
 
 
-def suite_thm_composition(trials=500, seed=7, bound=None) -> SuiteResult:
+def suite_thm_composition(trials=500, seed=7) -> SuiteResult:
     res = SuiteResult("thm-4-composition")
     rng = random.Random(seed)
     diag = pairs = chains = 0
@@ -1516,7 +1307,7 @@ def suite_thm_composition(trials=500, seed=7, bound=None) -> SuiteResult:
     return res
 
 
-def suite_thm_properness(trials=300, seed=19, bound=None) -> SuiteResult:
+def suite_thm_properness(trials=300, seed=19) -> SuiteResult:
     res = SuiteResult("thm-4-properness")
     rng = random.Random(seed)
     count = 0
@@ -1558,7 +1349,7 @@ def suite_thm_properness(trials=300, seed=19, bound=None) -> SuiteResult:
     return res
 
 
-def suite_szymczak_oracle(trials=None, seed=None, bound=None,
+def suite_szymczak_oracle(trials=None, seed=None,
                           max_points: int = 3) -> SuiteResult:
     """Exhaustive localization oracle over based endos with <= max_points+1
     points (basepoint included): the eventual-image decider says shift
@@ -1594,7 +1385,7 @@ def suite_szymczak_oracle(trials=None, seed=None, bound=None,
     return res
 
 
-def suite_invariant_part_oracle(trials=60, seed=23, bound=None) -> SuiteResult:
+def suite_invariant_part_oracle(trials=60, seed=23) -> SuiteResult:
     res = SuiteResult("invariant-part-oracle")
     checked = 0
     for n in range(1, 5):
@@ -1622,7 +1413,7 @@ def suite_invariant_part_oracle(trials=60, seed=23, bound=None) -> SuiteResult:
     return res
 
 
-def suite_simple_system(trials=None, seed=None, bound=None) -> SuiteResult:
+def suite_simple_system(trials=None, seed=None) -> SuiteResult:
     res = SuiteResult("simple-system")
     space = fin.FiniteSpace.of(["s", "a"])
     f = fin.FinitePartialMap.of(space, {"s": "s", "a": "s"})
@@ -1645,7 +1436,7 @@ def suite_simple_system(trials=None, seed=None, bound=None) -> SuiteResult:
     return res
 
 
-def suite_cont_laws(trials=None, seed=None, bound=None) -> SuiteResult:
+def suite_cont_laws(trials=None, seed=None) -> SuiteResult:
     res = SuiteResult("cont-laws")
     for flow, subsets in flow_law_instances():
         for t, u in ((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(1, 3))):
@@ -1692,7 +1483,7 @@ def suite_cont_laws(trials=None, seed=None, bound=None) -> SuiteResult:
     return res
 
 
-def suite_cont_discriminator(trials=None, seed=None, bound=None) -> SuiteResult:
+def suite_cont_discriminator(trials=None, seed=None) -> SuiteResult:
     res = SuiteResult("cont-discriminator")
     flow = clamp_flow()
     e_good = BoxSet.interval(0, True, 1, True)
@@ -1716,7 +1507,7 @@ def suite_cont_discriminator(trials=None, seed=None, bound=None) -> SuiteResult:
     return res
 
 
-def suite_worked_models(trials=None, seed=None, bound=None) -> SuiteResult:
+def suite_worked_models(trials=None, seed=None) -> SuiteResult:
     res = SuiteResult("worked-models")
     dbl = doubling_map()
     e0 = BoxSet.interval(0, True, 0, True)
@@ -1767,24 +1558,23 @@ SUITES = {
 }
 
 
-def check_trials(trials) -> None:
-    """The trial counts that ``verify`` and ``scripts/run_suites.py`` take:
-    None (each suite's default) or at least 1.  A group run on 0 trials
-    checks nothing, so it is an input error, not a pass."""
+def check_request(name: str, trials) -> None:
+    """Raise ValueError unless ``name`` is a suite and ``trials`` is None
+    (each suite's default) or at least 1: the one check of what ``verify``
+    and ``scripts/run_suites.py`` take.  A group run on 0 trials checks
+    nothing, so it is an input error, not a pass."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     if trials is not None and trials < 1:
         raise ValueError("--trials must not be negative" if trials < 0 else
                          "--trials must be at least 1: 0 trials check nothing")
 
 
-def run_suite(name: str, trials=None, seed=None, bound=None) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(name)
-    check_trials(trials)
+def run_suite(name: str, trials=None, seed=None) -> SuiteResult:
+    check_request(name, trials)
     kwargs = {}
     if trials is not None:
         kwargs["trials"] = trials
     if seed is not None:
         kwargs["seed"] = seed
-    if bound is not None:
-        kwargs["bound"] = bound
     return SUITES[name](**kwargs)

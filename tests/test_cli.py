@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -171,8 +172,19 @@ class TestVerify:
         assert code == 0
 
     def test_unknown_suite(self, capsys):
-        code, _, _ = run(capsys, "verify", "--suite", "unknown-name")
-        assert code == 2
+        code, out, err = run(capsys, "verify", "--suite", "unknown-name")
+        assert code == 2 and out == ""
+        assert err.startswith("input error: unknown suite 'unknown-name'; "
+                              "known: box-algebra, ")
+
+    def test_bound_is_a_usage_error(self, capsys):
+        # no suite reads a bound, so verify takes none and echoes none
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--suite", "worked-models", "--bound", "3",
+                  "--json"])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert err.startswith("usage:") and "--bound" in err
 
     def test_zero_trials_are_an_input_error(self, capsys):
         # a suite run on 0 trials used to report pass
@@ -180,6 +192,31 @@ class TestVerify:
                              "--trials", "0", "--json")
         assert code == 2 and out == ""
         assert err.startswith("input error: --trials must be at least 1")
+
+    def test_suites_define_only_what_verify_runs(self):
+        """Every top-level function and class of suites.py is reached from
+        SUITES, run_suite or check_request through name references (not
+        docstrings, which name the test-only oracles too); what only tests
+        use lives under tests/."""
+        from conley_kernel import suites
+        tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
+        defs = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, ast.Assign):
+                defs.update((t.id, node) for t in node.targets
+                            if isinstance(t, ast.Name))
+        seen, todo = set(), ["SUITES", "run_suite", "check_request"]
+        while todo:
+            name = todo.pop()
+            if name in defs and name not in seen:
+                seen.add(name)
+                todo += [n.id for n in ast.walk(defs[name])
+                         if isinstance(n, ast.Name)]
+        assert sorted(name for name, node in defs.items()
+                      if name not in seen and
+                      not isinstance(node, ast.Assign)) == []
 
     def test_only_verify_loads_the_suites(self):
         # the suites and their oracles are test code, which the other
@@ -286,8 +323,6 @@ NEGATIVE_BOUNDS = {
                             "attractor.json", "--from", "all", "--set", "core"),
     "verify --trials": ({}, "verify", "--suite", "thm-4-composition",
                         "--trials", "-1"),
-    "verify --bound": ({}, "verify", "--suite", "simple-system",
-                       "--bound", "-1"),
 }
 
 

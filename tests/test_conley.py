@@ -335,8 +335,8 @@ UNDECIDED_PRODUCERS = {
         lambda: co.is_isolating(CLAMP, RAY, RAY),
         "invariance of an unbounded set is undecided", None),
     "swept domain": (
-        lambda: sf.dom_interval(CORNER, PUNCTURED, 1, cap=4),
-        "swept-domain refinement did not certify", 4),
+        lambda: sf.dom_interval(CORNER, PUNCTURED, 1),
+        "swept-domain refinement did not certify", sf.SWEEP_CAP),
     "finite-time properness": (
         lambda: sf.is_finite_time_proper(CLAMP, LEFT_OPEN),
         "finite-time properness undecided for this set", 2),

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -18,11 +20,14 @@ from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import (
     brute_invariant_part, clamp_flow, clamp_map, contraction_map, doubling_map,
-    oracle_dom, oracle_find_admissible, oracle_preimage, oracle_sim_f,
-    random_finite_system, random_flow, random_interval_set, random_product_map,
+    random_finite_system, random_interval_set, random_product_map,
     random_subset, shift2d_map, step_region,
 )
 from conley_kernel.szymczak import BasedEndo
+from kernel_oracles import (
+    oracle_dom, oracle_find_admissible, oracle_preimage, oracle_sim_f,
+    random_flow,
+)
 
 
 SPACE = fin.FiniteSpace.of(["1", "2", "3"])
@@ -280,9 +285,10 @@ def _shuffled_times(rng, times):
 
 class TestCarrierMemo:
     """f^t, D_t(E) and f^-t(A) from the carrier, which memoizes them on the
-    system, against the from-scratch loops (power, suites.oracle_dom,
-    suites.oracle_preimage) on a copy of the system with empty memos, with
-    times asked out of order and past stabilization."""
+    system, against the from-scratch loops (power,
+    kernel_oracles.oracle_dom, kernel_oracles.oracle_preimage) on a copy of
+    the system with empty memos, with times asked out of order and past
+    stabilization."""
 
     def test_finite_maps(self):
         rng = random.Random(83)
@@ -327,6 +333,44 @@ class TestCarrierMemo:
                     _outcome(sf.dom_interval, fresh, e, t)
                 assert ca.preimage(flow, e, t) == \
                     sf.time_map(fresh, t).preimage(e)
+
+    def test_threads_append_each_step_once(self):
+        """Eight threads that ask a fresh map for the same times together:
+        two that both read a sequence of length k used to append step k
+        twice, so that dom(f, E, k + 1) returned the larger D_k."""
+        n, threads, trials = 120, 8, 40
+        space = fin.FiniteSpace.of(str(i) for i in range(n))
+        table = {str(i): str(i + 1) for i in range(n - 1)}
+        e = fin.FiniteSubset.of(space, space.points)
+        last = fin.FiniteSubset.of(space, [str(n - 1)])
+        ca = dyn.carrier_for(fin.FinitePartialMap.of(space, table))
+        serial = fin.FinitePartialMap.of(space, table)
+        want = [(ca.dom(serial, e, t), ca.preimage(serial, last, t),
+                 ca.time_map(serial, t)) for t in range(n)]
+        wrong = []              # per finished thread, the times it got wrong
+
+        def ask(f, start):
+            start.wait(timeout=60)
+            got = [(ca.dom(f, e, t), ca.preimage(f, last, t), ca.time_map(f, t))
+                   for t in range(n)]
+            wrong.append([t for t in range(n) if got[t] != want[t]])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(trials):
+                f = fin.FinitePartialMap.of(space, table)
+                start = threading.Barrier(threads)
+                workers = [threading.Thread(target=ask, args=(f, start))
+                           for _ in range(threads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [[]] * (threads * trials)
 
     def test_negative_times_raise(self):
         # preimage_n(f, {3}, -2) used to return {3} unchanged
@@ -466,9 +510,9 @@ class TestSecondTriple:
 
 class TestGallopingSearch:
     """find_admissible and sim_f gallop over the monotone tests; the
-    lexicographic scans they replaced (suites.oracle_find_admissible,
-    suites.oracle_sim_f) must give the same triple, pairs, completeness
-    and bound."""
+    lexicographic scans they replaced
+    (kernel_oracles.oracle_find_admissible, kernel_oracles.oracle_sim_f)
+    must give the same triple, pairs, completeness and bound."""
 
     def test_finite_maps_agree_with_the_linear_scan(self):
         rng = random.Random(43)

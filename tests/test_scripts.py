@@ -93,11 +93,14 @@ def test_sweep_bench_requests_prints_seeds_in_one_stream(capsys):
      "--trials must not be negative"),
     (["--only", "box-algebra", "--trials", "0"],
      "input error: --trials must be at least 1"),
+    (["--only", "worked-models", "--only", "no-such-suite"],
+     "unknown suite 'no-such-suite'; known: box-algebra, "),
 ])
 def test_run_suites_rejects_bad_input(capsys, argv, message):
+    # before it runs any suite, as verify reports every input error
     assert load("run_suites").main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and message in err
+    assert out == "" and err.startswith("input error: ") and message in err
 
 
 def test_run_suites_runs_the_named_suites(capsys):

@@ -15,9 +15,10 @@ from conley_kernel.boxes import (
 )
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
-from conley_kernel.suites import (
-    clamp_flow, oracle_candidate_times, oracle_dom_interval_1d,
-    oracle_time_pieces, random_flow, translation_flow,
+from conley_kernel.suites import clamp_flow, translation_flow
+from kernel_oracles import (
+    oracle_candidate_times, oracle_dom_interval_1d, oracle_time_pieces,
+    random_flow,
 )
 
 
@@ -228,7 +229,7 @@ class TestDomInterval:
             exact = sf.dom_interval(flow, e, t)
             assert exact == oracle_dom_interval_1d(flow, e, t), (flow.axes, e, t)
             try:
-                sandwich = sf._dom_interval_sandwich(flow, e, t, 64)
+                sandwich = sf._dom_interval_sandwich(flow, e, t)
             except Undecided:
                 # refinement never certifies across measure-zero punctures;
                 # the hit method must still be an inner bound of the samples
@@ -594,7 +595,8 @@ CANDIDATE_BOUNDS = (Fraction(0), Fraction(-1), Fraction(1, 3), Fraction(7, 2),
 
 class TestCandidateTimes:
     """The integer candidate times equal the Fraction loop over all pairs
-    of boundary values that they replaced (suites.oracle_candidate_times)."""
+    of boundary values that they replaced
+    (kernel_oracles.oracle_candidate_times)."""
 
     def test_fixture_flows(self):
         from conley_kernel.documents import parse_document

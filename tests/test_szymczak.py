@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from conley_kernel import finite as fin
 from conley_kernel import szymczak as sz
 from conley_kernel.suites import (
-    brute_power_sequence, brute_shift_equivalence, brute_sz_is_iso,
-    enumerate_based_endos, enumerate_equivariant_maps, is_shift_witness,
-    oracle_sz_equal,
+    brute_power_sequence, brute_sz_is_iso, enumerate_based_endos,
+    enumerate_equivariant_maps, is_shift_witness, oracle_sz_equal,
 )
+from kernel_oracles import brute_shift_equivalence
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
