@@ -3,9 +3,10 @@
 
 Usage: python scripts/run_suites.py [--seed K] [--trials N] [--only NAME ...]
 
-Exits 0 when every suite passes, 1 when one fails, and 2, before any
-suite runs, on an unknown suite name or a trial count below 1
-(``suites.check_request``), as ``conley-kernel verify`` does.
+Each suite gets the --seed and --trials that it reads; a suite that reads
+neither runs as it is.  Exits 0 when every suite passes, 1 when one fails,
+and 2, before any suite runs, on an unknown suite name or a trial count
+below 1 (``suites.options_read``), as ``conley-kernel verify`` does.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))   # this checkout's kernel first
 
-from conley_kernel.suites import SUITES, check_request, run_suite  # noqa: E402
+from conley_kernel.suites import SUITES, options_read, run_suite  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -28,15 +29,15 @@ def main(argv=None) -> int:
 
     names = args.only or sorted(SUITES)
     try:
-        for name in names:
-            check_request(name, args.trials)
+        options = {name: options_read(name, args.trials, args.seed)
+                   for name in names}
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     failures = 0
     for name in names:
         started = time.time()
-        result = run_suite(name, trials=args.trials, seed=args.seed)
+        result = run_suite(name, **options[name])
         status = "pass" if result.passed else "FAIL"
         print(f"{name:28s} {status}  ({time.time() - started:6.1f}s)")
         for line in result.lines:

@@ -26,6 +26,7 @@ invariant-part loop (`fixed_cap_invariant_part`), which the early exit of
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 import random
@@ -1349,8 +1350,7 @@ def suite_thm_properness(trials=300, seed=19) -> SuiteResult:
     return res
 
 
-def suite_szymczak_oracle(trials=None, seed=None,
-                          max_points: int = 3) -> SuiteResult:
+def suite_szymczak_oracle(max_points: int = 3) -> SuiteResult:
     """Exhaustive localization oracle over based endos with <= max_points+1
     points (basepoint included): the eventual-image decider says shift
     equivalence iff the brute-force search finds the Q-image invertible."""
@@ -1413,7 +1413,7 @@ def suite_invariant_part_oracle(trials=60, seed=23) -> SuiteResult:
     return res
 
 
-def suite_simple_system(trials=None, seed=None) -> SuiteResult:
+def suite_simple_system() -> SuiteResult:
     res = SuiteResult("simple-system")
     space = fin.FiniteSpace.of(["s", "a"])
     f = fin.FinitePartialMap.of(space, {"s": "s", "a": "s"})
@@ -1436,7 +1436,7 @@ def suite_simple_system(trials=None, seed=None) -> SuiteResult:
     return res
 
 
-def suite_cont_laws(trials=None, seed=None) -> SuiteResult:
+def suite_cont_laws() -> SuiteResult:
     res = SuiteResult("cont-laws")
     for flow, subsets in flow_law_instances():
         for t, u in ((Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(1, 3))):
@@ -1483,7 +1483,7 @@ def suite_cont_laws(trials=None, seed=None) -> SuiteResult:
     return res
 
 
-def suite_cont_discriminator(trials=None, seed=None) -> SuiteResult:
+def suite_cont_discriminator() -> SuiteResult:
     res = SuiteResult("cont-discriminator")
     flow = clamp_flow()
     e_good = BoxSet.interval(0, True, 1, True)
@@ -1507,7 +1507,7 @@ def suite_cont_discriminator(trials=None, seed=None) -> SuiteResult:
     return res
 
 
-def suite_worked_models(trials=None, seed=None) -> SuiteResult:
+def suite_worked_models() -> SuiteResult:
     res = SuiteResult("worked-models")
     dbl = doubling_map()
     e0 = BoxSet.interval(0, True, 0, True)
@@ -1558,23 +1558,36 @@ SUITES = {
 }
 
 
-def check_request(name: str, trials) -> None:
-    """Raise ValueError unless ``name`` is a suite and ``trials`` is None
-    (each suite's default) or at least 1: the one check of what ``verify``
-    and ``scripts/run_suites.py`` take.  A group run on 0 trials checks
-    nothing, so it is an input error, not a pass."""
+def options_read(name: str, trials=None, seed=None) -> dict:
+    """The options given (not None) that suite ``name`` reads, as its
+    keyword arguments: a suite reads ``trials`` or ``seed`` when it has that
+    parameter.  Raises ValueError unless ``name`` is a suite and ``trials``
+    is None (each suite's default) or at least 1: a group run on 0 trials
+    checks nothing, so it is an input error, not a pass."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     if trials is not None and trials < 1:
         raise ValueError("--trials must not be negative" if trials < 0 else
                          "--trials must be at least 1: 0 trials check nothing")
+    params = inspect.signature(SUITES[name]).parameters
+    return {option: value for option, value in (("trials", trials), ("seed", seed))
+            if value is not None and option in params}
+
+
+def check_request(name: str, trials=None, seed=None) -> dict:
+    """:func:`options_read`, with a ValueError on an option given that the
+    suite does not read, which ``verify`` would echo as if it had been
+    used: the one check of what ``verify`` takes."""
+    read = options_read(name, trials, seed)
+    for option, value in (("trials", trials), ("seed", seed)):
+        if value is not None and option not in read:
+            raise ValueError(f"suite {name!r} reads no --{option}")
+    return read
 
 
 def run_suite(name: str, trials=None, seed=None) -> SuiteResult:
-    check_request(name, trials)
-    kwargs = {}
-    if trials is not None:
-        kwargs["trials"] = trials
-    if seed is not None:
-        kwargs["seed"] = seed
-    return SUITES[name](**kwargs)
+    """Run suite ``name`` with the options given, after
+    :func:`check_request`; a caller that runs several suites on one option
+    passes each the part that :func:`options_read` keeps."""
+    options = check_request(name, trials, seed)   # before SUITES[name]
+    return SUITES[name](**options)

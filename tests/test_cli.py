@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from conley_kernel import cli
 from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel.cli import main
@@ -186,6 +188,33 @@ class TestVerify:
         assert info.value.code == 2 and out == ""
         assert err.startswith("usage:") and "--bound" in err
 
+    @pytest.mark.parametrize("suite", ["worked-models", "simple-system",
+                                       "cont-laws", "cont-discriminator",
+                                       "szymczak-oracle"])
+    @pytest.mark.parametrize("option", ["--seed", "--trials"])
+    def test_an_option_the_suite_does_not_read_is_an_input_error(
+            self, capsys, suite, option):
+        # worked-models used to pass and echo meta.seed 99 unread
+        code, out, err = run(capsys, "verify", "--suite", suite, option,
+                             "99", "--json")
+        assert code == 2 and out == ""
+        assert err == f"input error: suite {suite!r} reads no {option}\n"
+
+    def test_meta_echoes_the_seed_the_suite_read(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "finite-algebra",
+                           "--trials", "3", "--seed", "99", "--json")
+        assert code == 0 and json.loads(out)["meta"]["seed"] == 99
+        code, out, _ = run(capsys, "verify", "--suite", "worked-models",
+                           "--json")
+        assert code == 0 and "seed" not in json.loads(out)["meta"]
+
+    def test_suites_get_only_the_options_they_read(self):
+        from conley_kernel import suites
+        assert suites.options_read("worked-models", 5, 3) == {}
+        assert suites.options_read("finite-algebra", 5, None) == {"trials": 5}
+        assert suites.options_read("box-algebra", 5, 3) == \
+            {"trials": 5, "seed": 3}
+
     def test_zero_trials_are_an_input_error(self, capsys):
         # a suite run on 0 trials used to report pass
         code, out, err = run(capsys, "verify", "--suite", "box-algebra",
@@ -227,6 +256,142 @@ class TestVerify:
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": SRC})
         assert done.stdout.strip() == "False"
+
+
+def write(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+# memo fields of the systems; the cached properties are the other
+# entries of an instance's __dict__
+MEMOS = ("_iterates", "_images", "_preimages", "_time_maps", "_swept")
+
+
+class TestParseCache:
+    """cli keeps the parse of each document text and rebuilds the system
+    and the sets of every load from it, so two loads share no memo."""
+
+    @pytest.mark.parametrize("name, label", [
+        ("attractor.json", "all"), ("doubling.json", "unit"),
+        ("clamp_flow.json", "unit")])
+    def test_two_loads_share_no_memo(self, name, label):
+        # the CLI twin of test_two_parses_of_one_document_share_no_memo
+        parsed = parse_document(json.loads(Path(fx(name)).read_text()))
+        one, two = cli._load(fx(name)), cli._load(fx(name))
+        objects = [(doc.system, *doc.sets.values()) for doc in (one, two)]
+        assert one.system == two.system and one.sets == two.sets
+        for a, b, p in zip(*objects, (parsed.system, *parsed.sets.values())):
+            assert a is not b
+            # fields and cached properties as right after a parse
+            assert vars(a).keys() == vars(b).keys() == vars(p).keys()
+            for m in MEMOS:
+                if hasattr(a, m):
+                    assert getattr(a, m) == {} == getattr(b, m)
+                    assert getattr(a, m) is not getattr(b, m)
+        if name == "attractor.json":   # finite sets hold the map's space
+            assert one.system.space is not two.system.space
+            assert all(s.space is one.system.space for s in one.sets.values())
+        if name == "clamp_flow.json":  # the carrier caches its boxes
+            assert one.system.carrier is not two.system.carrier
+            assert vars(one.system.carrier).keys() == \
+                vars(parsed.system.carrier).keys()
+        ca = dyn.carrier_for(one.system)
+        ca.dom(one.system, one.sets[label], 3)
+        ca.time_map(one.system, 2)
+        assert any(getattr(one.system, m, None) for m in MEMOS)
+        assert not any(getattr(two.system, m, None) for m in MEMOS)
+
+    def test_a_rewritten_file_answers_per_its_new_text(self, tmp_path, capsys):
+        doc = {"kind": "finite_map",
+               "system": {"points": ["a", "b"], "table": {"a": "a"}},
+               "sets": {"E": ["a", "b"]}}
+        path = write(tmp_path / "doc.json", doc)
+        answers = []
+        for table in ({"a": "a"}, {"a": "a", "b": "b"}, {"a": "a"}):
+            doc["system"]["table"] = table
+            write(tmp_path / "doc.json", doc)
+            code, out, _ = run(capsys, "invariant-part", path, "--set", "E",
+                               "--json")
+            assert code == 0
+            answers.append(json.loads(out)["invariant_part"])
+        assert answers == [["a"], ["a", "b"], ["a"]]
+
+    def test_parse_runs_once_until_evicted(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return parse_document(data)
+
+        monkeypatch.setattr(cli, "parse_document", counted)
+        cli._parsed.cache_clear()
+        kept = fx("doubling.json")
+        for _ in range(3):
+            cli._load(kept)
+        assert len(calls) == 1
+        others = [write(tmp_path / f"{i}.json",
+                        {"kind": "finite_map",
+                         "system": {"points": [f"p{i}"], "table": {}}})
+                  for i in range(cli.PARSE_CACHE_SIZE)]
+        for path in others[:-1]:
+            cli._load(path)
+        cli._load(kept)                  # the least recently used is others[0]
+        assert len(calls) == cli.PARSE_CACHE_SIZE
+        cli._load(others[-1])            # evicts others[0], keeps doubling
+        cli._load(kept)
+        assert len(calls) == cli.PARSE_CACHE_SIZE + 1
+        for path in others:              # each evicts the next one read
+            cli._load(path)
+        cli._load(kept)
+        assert len(calls) == 2 * cli.PARSE_CACHE_SIZE + 2
+
+    def test_a_failed_parse_is_never_kept(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return parse_document(data)
+
+        monkeypatch.setattr(cli, "parse_document", counted)
+        bad = write(tmp_path / "bad.json", {"kind": "nope"})
+        for _ in range(2):
+            code, out, err = run(capsys, "check", bad)
+            assert code == 2 and out == ""
+            assert err == "input error: unknown document kind 'nope'\n"
+        assert len(calls) == 2
+
+    def test_threads_get_their_own_system(self):
+        barrier, systems = threading.Barrier(8), [None] * 8
+
+        def load(i):
+            barrier.wait()
+            systems[i] = cli._load(fx("clamp_flow.json")).system
+
+        threads = [threading.Thread(target=load, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len({id(s) for s in systems}) == 8
+        assert all(s == systems[0] for s in systems)
+        assert len({id(s._time_maps) for s in systems}) == 8
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", "\ufeff{}".encode("utf-8"), None],
+    ids=["not-utf-8", "utf-8-bom", "directory"])
+def test_every_read_failure_has_one_message(tmp_path, capsys, content):
+    path = tmp_path / "doc.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    for _ in range(2):                   # a failure is never cached
+        code, out, err = run(capsys, "check", str(path), "--json")
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: cannot read document {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestExitCodes:

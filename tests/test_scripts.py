@@ -109,6 +109,18 @@ def test_run_suites_runs_the_named_suites(capsys):
     assert out.startswith("worked-models") and " pass " in out
 
 
+def test_run_suites_passes_each_suite_what_it_reads(capsys):
+    # worked-models reads no seed or trials; one --seed still runs it
+    argv = ["--only", "worked-models", "--only", "finite-algebra",
+            "--seed", "3", "--trials", "2"]
+    assert load("run_suites").main(argv) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines()
+            if not line.startswith(" ")] == [["worked-models", "pass"],
+                                            ["finite-algebra", "pass"]]
+    assert "laws on 2 random systems" in out
+
+
 @pytest.mark.parametrize("name, argv", [
     ("demo_models", []),
     ("run_suites", ["--only", "worked-models", "--trials", "1"]),
