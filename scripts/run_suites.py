@@ -3,10 +3,11 @@
 
 Usage: python scripts/run_suites.py [--seed K] [--trials N] [--only NAME ...]
 
-Each suite gets the --seed and --trials that it reads; a suite that reads
-neither runs as it is.  Exits 0 when every suite passes, 1 when one fails,
-and 2, before any suite runs, on an unknown suite name or a trial count
-below 1 (``suites.options_read``), as ``conley-kernel verify`` does.
+--seed and --trials go to the suites that read them (``suites.SEEDED``);
+the others run as they are.  Exits 0 when every suite passes, 1 when one
+fails, and 2, before any suite runs, on an unknown suite name or a trial
+count below 1 (``suites.check_request``), as ``conley-kernel verify``
+does.
 """
 
 import argparse
@@ -17,7 +18,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))   # this checkout's kernel first
 
-from conley_kernel.suites import SUITES, options_read, run_suite  # noqa: E402
+from conley_kernel.suites import (  # noqa: E402
+    SEEDED, SUITES, check_request, check_trials, run_suite)
 
 
 def main(argv=None) -> int:
@@ -28,9 +30,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     names = args.only or sorted(SUITES)
+    given = {"trials": args.trials, "seed": args.seed}
+    options = {name: given if name in SEEDED else {} for name in names}
     try:
-        options = {name: options_read(name, args.trials, args.seed)
-                   for name in names}
+        check_trials(args.trials)
+        for name in names:
+            check_request(name, **options[name])
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

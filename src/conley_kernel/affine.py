@@ -316,18 +316,13 @@ def _leaves(a, out: dict) -> dict:
 def _axis_rules(a, k: int, out: list) -> list:
     """The distinct axis-k rules of the leaves of map node a, in walk order,
     appended to out.  Leaves built together share their rule objects, so
-    the test is mostly `is`; no rule is hashed.  Other rules compare on the
-    integer ratios of their reduced Fractions, which skips the
-    numbers.Rational check of Fraction.__eq__."""
+    the test is mostly `is`; no rule is hashed."""
     if a is False:
         return out
     if type(a[0]) is AffineRule:
         r = a[k]
-        if not any(r is x for x in out):
-            m, q = r.slope.as_integer_ratio(), r.intercept.as_integer_ratio()
-            if not any(m == x.slope.as_integer_ratio() and
-                       q == x.intercept.as_integer_ratio() for x in out):
-                out.append(r)
+        if not any(r is x or r == x for x in out):
+            out.append(r)
         return out
     for x in a[1]:
         _axis_rules(x, k, out)

@@ -12,9 +12,11 @@ at call time, so a function swapped on its module is the one called.
 
 A document text is parsed once per process while it stays among the last
 32 texts read (:data:`PARSE_CACHE_SIZE`, a bounded LRU cache keyed by the
-text).  Every load still returns a new system and new sets, rebuilt from
-the kept parse with empty memos, so no two requests share a memo and all
-kernel work of a request is done in it.
+text, of :func:`documents.document_builder` results).  Every load still
+gets a system and sets of its own: the parse's on the first load, new ones
+built with empty memos after it, so no two requests share a memo and all
+kernel work of a request is done in it.  A process that loads a text once
+does the work it did without the cache.
 
 Exit codes are a stable contract: 0 success, 1 property or expectation
 violation, 2 input error (any ``ValueError``), 3 undecided (an
@@ -29,7 +31,6 @@ negative bounds are input errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -40,8 +41,8 @@ from . import dynamics as dyn
 from . import szymczak as sz
 from .carriers import carrier_for
 from .documents import (
-    DocumentError, SystemDocument, boxset_to_json, checks_to_json, meta_block,
-    parse_document, report_to_json, set_to_json,
+    DocumentError, SystemDocument, boxset_to_json, checks_to_json,
+    document_builder, meta_block, report_to_json, set_to_json,
 )
 from .semiflow import Undecided
 
@@ -56,41 +57,21 @@ PARSE_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
-def _parsed(text: str) -> SystemDocument:
-    """The parse of one document text, kept for the PARSE_CACHE_SIZE texts
-    read last.  A parse is a pure function of the text, and a failure
-    raises, so it is never kept.  Its system and sets are read only by
-    :func:`_fresh`, never handed to a request."""
-    return parse_document(json.loads(text))
-
-
-def _fresh(doc: SystemDocument) -> SystemDocument:
-    """A document equal to doc whose system and sets are new objects: their
-    memos and cached properties start empty, as after a parse, so a request
-    does all of its kernel work itself and shares no memo with another."""
-    system, sets = doc.system, doc.sets
-    if doc.kind == "finite_map":
-        space = dataclasses.replace(system.space)
-        system = dataclasses.replace(system, space=space)
-        sets = {k: dataclasses.replace(v, space=space) for k, v in sets.items()}
-    else:
-        if doc.kind == "semiflow":     # re-runs the flow's carrier checks
-            system = dataclasses.replace(
-                system, carrier=dataclasses.replace(system.carrier))
-        else:
-            system = dataclasses.replace(system)
-        sets = {k: dataclasses.replace(v) for k, v in sets.items()}
-    return SystemDocument(doc.kind, system, sets)
+def _builder(text: str):
+    """The document builder of one text, kept for the PARSE_CACHE_SIZE
+    texts read last.  A parse is a pure function of the text, and a failure
+    raises, so it is never kept."""
+    return document_builder(json.loads(text))
 
 
 def _load(path: str) -> SystemDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        doc = _parsed(text)
+        build = _builder(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DocumentError(f"cannot read document {path}: {exc}")
-    return _fresh(doc)
+    return build()
 
 
 def _emit(args, payload: dict, human_lines: list[str]):

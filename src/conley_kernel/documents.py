@@ -4,6 +4,8 @@ All rationals travel as exact strings ("p/q" or "p"), infinities as
 "inf"/"-inf", intervals as 4-tuples [lo, lo_closed, hi, hi_closed], box sets
 as lists of boxes (a box is a list of per-axis intervals).  Parsing then
 serializing then parsing is the identity on every valid document.
+:func:`document_builder` parses once and then builds new systems and sets
+equal to the parse, with empty memos, as often as asked.
 """
 
 from __future__ import annotations
@@ -187,24 +189,80 @@ def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, Callable]:
     return flow, lambda v: boxset_from_json(v, dim)
 
 
-_PARSERS = {
-    "finite_map": _parse_finite,
-    "interval_map": _parse_interval,
-    "semiflow": _parse_semiflow,
+def _finite_builder(fmap: FinitePartialMap, sets: dict) -> Callable:
+    points, targets = fmap.space.points, fmap.targets
+    masks = {label: s.mask for label, s in sets.items()}
+
+    def build():
+        space = FiniteSpace(points)
+        return (FinitePartialMap(space, targets),
+                {label: FiniteSubset(space, m) for label, m in masks.items()})
+    return build
+
+
+def _interval_builder(pam: PiecewiseAffineMap, sets: dict) -> Callable:
+    dim, node = pam.dimension, pam.node
+    nodes = {label: s.node for label, s in sets.items()}
+
+    def build():
+        return (PiecewiseAffineMap(dim, node),
+                {label: BoxSet(dim, n) for label, n in nodes.items()})
+    return build
+
+
+def _semiflow_builder(flow: ExactSemiflow, sets: dict) -> Callable:
+    dim, axes, carrier = flow.dimension, flow.axes, flow.carrier.node
+    nodes = {label: s.node for label, s in sets.items()}
+
+    def build():                       # re-runs the flow's carrier checks
+        return (ExactSemiflow(dim, axes, BoxSet(dim, carrier)),
+                {label: BoxSet(dim, n) for label, n in nodes.items()})
+    return build
+
+
+# kind: (parser of the system, builder).  The parser checks and
+# canonicalises the system and returns it with the parser of its sets.  The
+# builder takes the parsed system and sets and returns a function building
+# new ones equal to them from their canonical values (points and targets,
+# masks, nodes, axes), which are immutable and hold no memo: the objects
+# built run their constructors, so every memo and cached property of a
+# system or a set starts empty.
+_KINDS = {
+    "finite_map": (_parse_finite, _finite_builder),
+    "interval_map": (_parse_interval, _interval_builder),
+    "semiflow": (_parse_semiflow, _semiflow_builder),
 }
 
 
-def parse_document(data: dict) -> SystemDocument:
+def document_builder(data: dict) -> Callable[[], SystemDocument]:
+    """Check and canonicalise a decoded document once, and return a
+    function that gives a document equal to it on every call, whose system
+    and sets no other call gets: the parse's own on the first call, then
+    new ones from the kind's builder.  The function keeps only canonical
+    values, never a document it gave out, and threads may share it."""
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
     system = _expect(data.get("system", {}), dict, "'system'")
     sets = _expect(data.get("sets", {}), dict, "'sets'")
-    system, parse_set = _PARSERS[kind](system)
-    return SystemDocument(kind, system, {
-        str(label): parse_set(val) for label, val in sets.items()})
+    parser, builder = _KINDS[kind]
+    system, parse_set = parser(system)
+    sets = {str(label): parse_set(val) for label, val in sets.items()}
+    build = builder(system, sets)
+    first = [SystemDocument(kind, system, sets)]
+
+    def new_document() -> SystemDocument:
+        try:
+            return first.pop()         # atomic: one caller gets the parse
+        except IndexError:
+            return SystemDocument(kind, *build())
+    return new_document
+
+
+def parse_document(data: dict) -> SystemDocument:
+    return document_builder(data)()
 
 
 def set_to_json(doc_kind: str, value) -> Any:

@@ -26,7 +26,6 @@ invariant-part loop (`fixed_cap_invariant_part`), which the early exit of
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 import random
@@ -1558,36 +1557,39 @@ SUITES = {
 }
 
 
-def options_read(name: str, trials=None, seed=None) -> dict:
-    """The options given (not None) that suite ``name`` reads, as its
-    keyword arguments: a suite reads ``trials`` or ``seed`` when it has that
-    parameter.  Raises ValueError unless ``name`` is a suite and ``trials``
-    is None (each suite's default) or at least 1: a group run on 0 trials
-    checks nothing, so it is an input error, not a pass."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+# the suites that take ``trials`` and ``seed``; the others take neither
+SEEDED = frozenset({"finite-algebra", "box-algebra", "pam-laws",
+                    "thm-4-composition", "thm-4-properness",
+                    "invariant-part-oracle"})
+
+
+def check_trials(trials) -> None:
+    """Raise ValueError unless ``trials`` is None (each suite's default) or
+    at least 1: a group run on 0 trials checks nothing, so it is an input
+    error, not a pass."""
     if trials is not None and trials < 1:
         raise ValueError("--trials must not be negative" if trials < 0 else
                          "--trials must be at least 1: 0 trials check nothing")
-    params = inspect.signature(SUITES[name]).parameters
-    return {option: value for option, value in (("trials", trials), ("seed", seed))
-            if value is not None and option in params}
 
 
-def check_request(name: str, trials=None, seed=None) -> dict:
-    """:func:`options_read`, with a ValueError on an option given that the
-    suite does not read, which ``verify`` would echo as if it had been
-    used: the one check of what ``verify`` takes."""
-    read = options_read(name, trials, seed)
+def check_request(name: str, trials=None, seed=None) -> None:
+    """Raise ValueError unless ``name`` is a suite, :func:`check_trials`
+    passes, and the suite reads each option given (not None), which
+    ``verify`` would otherwise echo as if it had been used: the one check of
+    what ``verify`` takes."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    check_trials(trials)
     for option, value in (("trials", trials), ("seed", seed)):
-        if value is not None and option not in read:
+        if value is not None and name not in SEEDED:
             raise ValueError(f"suite {name!r} reads no --{option}")
-    return read
 
 
 def run_suite(name: str, trials=None, seed=None) -> SuiteResult:
-    """Run suite ``name`` with the options given, after
-    :func:`check_request`; a caller that runs several suites on one option
-    passes each the part that :func:`options_read` keeps."""
-    options = check_request(name, trials, seed)   # before SUITES[name]
-    return SUITES[name](**options)
+    check_request(name, trials, seed)
+    kwargs = {}
+    if trials is not None:
+        kwargs["trials"] = trials
+    if seed is not None:
+        kwargs["seed"] = seed
+    return SUITES[name](**kwargs)

@@ -124,17 +124,6 @@ class TestNodeWalk:
         shifted = (AffineRule.of(1, 1),)
         assert not rules_agree_on(r1, shifted, box1(1, True, 1, True))
 
-    def test_axis_rules_keep_one_of_each_value(self):
-        # equal rules held by distinct objects count once, in walk order
-        half, half2 = AffineRule.of(Fraction(1, 2), 0), AffineRule.of("2/4", 0)
-        one, minus = AffineRule.of(1, 0), AffineRule.of(-1, Fraction(-1, 2))
-        assert half == half2 and half is not half2
-        node = ((None, None), ((half, one), (half2, minus), (minus, one)))
-        assert af._axis_rules(node, 0, []) == [half, minus]
-        assert af._axis_rules(node, 0, [])[0] is half
-        assert af._axis_rules(node, 1, []) == [one, minus]
-        assert af._axis_rules(False, 0, []) == []
-
     def test_results_are_canonical(self):
         from conley_kernel.suites import random_box_list, random_rules
 

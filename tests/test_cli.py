@@ -13,7 +13,7 @@ from conley_kernel import cli
 from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel.cli import main
-from conley_kernel.documents import parse_document
+from conley_kernel.documents import document_builder, parse_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -208,12 +208,15 @@ class TestVerify:
                            "--json")
         assert code == 0 and "seed" not in json.loads(out)["meta"]
 
-    def test_suites_get_only_the_options_they_read(self):
+    def test_seeded_names_the_suites_that_take_trials_and_seed(self):
+        import inspect
         from conley_kernel import suites
-        assert suites.options_read("worked-models", 5, 3) == {}
-        assert suites.options_read("finite-algebra", 5, None) == {"trials": 5}
-        assert suites.options_read("box-algebra", 5, 3) == \
-            {"trials": 5, "seed": 3}
+        params = {name: set(inspect.signature(suite).parameters)
+                  for name, suite in suites.SUITES.items()}
+        assert suites.SEEDED == {name for name, p in params.items()
+                                 if {"trials", "seed"} <= p}
+        assert all(not {"trials", "seed"} & p for name, p in params.items()
+                   if name not in suites.SEEDED)
 
     def test_zero_trials_are_an_input_error(self, capsys):
         # a suite run on 0 trials used to report pass
@@ -322,10 +325,10 @@ class TestParseCache:
 
         def counted(data):
             calls.append(data)
-            return parse_document(data)
+            return document_builder(data)
 
-        monkeypatch.setattr(cli, "parse_document", counted)
-        cli._parsed.cache_clear()
+        monkeypatch.setattr(cli, "document_builder", counted)
+        cli._builder.cache_clear()
         kept = fx("doubling.json")
         for _ in range(3):
             cli._load(kept)
@@ -351,9 +354,9 @@ class TestParseCache:
 
         def counted(data):
             calls.append(data)
-            return parse_document(data)
+            return document_builder(data)
 
-        monkeypatch.setattr(cli, "parse_document", counted)
+        monkeypatch.setattr(cli, "document_builder", counted)
         bad = write(tmp_path / "bad.json", {"kind": "nope"})
         for _ in range(2):
             code, out, err = run(capsys, "check", bad)

@@ -1,4 +1,8 @@
+import dataclasses
+import functools
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -149,6 +153,89 @@ def test_minimal_documents_accepted():
     assert docs.parse_document(flow).system.dimension == 1
     finite = {"kind": "finite_map", "system": {"points": ["a", "b"]}}
     assert docs.parse_document(finite).system.space.points == ("a", "b")
+
+
+@pytest.mark.parametrize("name", ["attractor.json", "doubling.json",
+                                  "clamp_flow.json", "corner_flow.json",
+                                  "kinked_corner.json"])
+def test_builder_gives_the_parse_then_new_objects(name):
+    build = docs.document_builder(load(name))
+    first = build()
+    first_keys = [vars(v).keys() for v in (first.system, *first.sets.values())]
+    ref = weakref.ref(first.system)
+    dumped = docs.document_to_json(first)
+    del first
+    gc.collect()
+    assert ref() is None               # the builder keeps no document given out
+    second, third = build(), build()
+    assert docs.document_to_json(second) == dumped == \
+        docs.document_to_json(third)
+    for a, b, keys in zip((second.system, *second.sets.values()),
+                          (third.system, *third.sets.values()), first_keys):
+        assert a == b and a is not b
+        assert vars(a).keys() == vars(b).keys() == keys   # no cache filled
+    if second.kind == "finite_map":    # the sets hold the map's own space
+        assert second.system.space is not third.system.space
+        assert all(s.space is second.system.space
+                   for s in second.sets.values())
+
+
+def _caches(cls) -> list:
+    """The memo fields and cached properties of a class."""
+    memos = [f.name for f in dataclasses.fields(cls) if not f.init] \
+        if dataclasses.is_dataclass(cls) else []
+    return memos + [name for klass in cls.__mro__
+                    for name, v in vars(klass).items()
+                    if isinstance(v, functools.cached_property)]
+
+
+def _reachable(x, out: list):
+    out.append(x)
+    if isinstance(x, tuple):
+        for y in x:
+            _reachable(y, out)
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            _reachable(getattr(x, f.name), out)
+    elif hasattr(type(x), "__slots__") and type(x).__module__.startswith(
+            "conley_kernel"):
+        for name in type(x).__slots__:
+            _reachable(getattr(x, name), out)
+    return out
+
+
+def _shared(a, b, out: list):
+    """Everything that documents a and b hold in common, by identity."""
+    if a is b:
+        _reachable(a, out)
+    elif isinstance(a, (tuple, list)):
+        for x, y in zip(a, b):
+            _shared(x, y, out)
+    elif isinstance(a, dict):
+        for k in a:
+            _shared(a[k], b[k], out)
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _shared(getattr(a, f.name), getattr(b, f.name), out)
+    return out
+
+
+@pytest.mark.parametrize("name", ["attractor.json", "doubling.json",
+                                  "clamp_flow.json", "shift2d.json",
+                                  "corner_flow.json", "kinked.json",
+                                  "kinked_corner.json"])
+def test_builds_share_only_values_without_caches(name):
+    # a cache added to a class that two builds share would be shared by
+    # two requests: every object held in common is an immutable value
+    build = docs.document_builder(load(name))
+    one, two = build(), build()
+    shared = _shared(one, two, [])
+    assert shared                      # the canonical values are reused
+    for x in shared:
+        assert not isinstance(x, (list, dict, set, bytearray)), type(x)
+        assert not _caches(type(x)), type(x)
+        if hasattr(x, "__dict__"):
+            assert set(vars(x)) <= {f.name for f in dataclasses.fields(x)}
 
 
 def _old_parse_rat(tok):

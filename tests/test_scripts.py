@@ -121,6 +121,13 @@ def test_run_suites_passes_each_suite_what_it_reads(capsys):
     assert "laws on 2 random systems" in out
 
 
+def test_run_suites_rejects_a_bad_trial_count_no_suite_reads(capsys):
+    assert load("run_suites").main(["--only", "worked-models",
+                                    "--trials", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: --trials must be")
+
+
 @pytest.mark.parametrize("name, argv", [
     ("demo_models", []),
     ("run_suites", ["--only", "worked-models", "--trials", "1"]),
