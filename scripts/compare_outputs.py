@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two checkouts, sweep by sweep.
+
+Usage: python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+Each checkout runs its own ``scripts/sweep_outputs.py`` on the change's
+``fixtures/*.json``, and its own ``scripts/sweep_bench_requests.py W 1 7
+13`` for every workload W of the change's ``BENCHMARK.json``, each sweep
+in a process of its own.  Both sides get the same arguments, so the lines
+of an unchanged program are the same.  For each sweep one line is printed:
+``NAME: identical (N lines)``, the first line that differs with both
+sides' text, or the sweep that failed.  Exit status: 0 every sweep
+identical, 1 a difference or a failed sweep, 2 bad arguments.
+"""
+
+import glob
+import json
+import os
+import subprocess
+import sys
+
+SEEDS = ("1", "7", "13")
+
+
+def sweeps(change_dir: str, fixtures=None, seeds=SEEDS) -> list:
+    """(name, script, argv) of every sweep: the output sweep on the
+    change's fixtures (or on ``fixtures``), then the request sweep of each
+    workload of the change's BENCHMARK.json on ``seeds``."""
+    if fixtures is None:
+        fixtures = sorted(glob.glob(os.path.join(change_dir, "fixtures",
+                                                 "*.json")))
+    with open(os.path.join(change_dir, "BENCHMARK.json")) as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    return [("sweep_outputs", "sweep_outputs.py", list(fixtures))] + \
+        [(f"sweep_bench_requests {w}", "sweep_bench_requests.py",
+          [w, *seeds]) for w in workloads]
+
+
+def run_sweep(checkout: str, script: str, argv: list) -> list:
+    """The output lines of one checkout's sweep; raises RuntimeError with
+    the sweep's last error line when it fails."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(checkout, "scripts", script), *argv],
+        cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        last = (done.stderr.strip().splitlines() or [""])[-1]
+        raise RuntimeError(f"exit {done.returncode} in {checkout}: {last}")
+    return done.stdout.splitlines()
+
+
+def first_difference(parent: list, change: list) -> str | None:
+    """The first line where the two outputs differ, with both sides' text,
+    or None where they are identical."""
+    for i in range(max(len(parent), len(change))):
+        a = parent[i] if i < len(parent) else "<end of output>"
+        b = change[i] if i < len(change) else "<end of output>"
+        if a != b:
+            return f"differs at line {i + 1}:\n  parent: {a}\n  change: {b}"
+    return None
+
+
+def compare(parent_dir: str, change_dir: str, fixtures=None,
+            seeds=SEEDS) -> int:
+    code = 0
+    for name, script, argv in sweeps(change_dir, fixtures, seeds):
+        try:
+            parent = run_sweep(parent_dir, script, argv)
+            change = run_sweep(change_dir, script, argv)
+        except RuntimeError as exc:
+            print(f"{name}: failed ({exc})")
+            code = 1
+            continue
+        diff = first_difference(parent, change)
+        print(f"{name}: " + (diff or f"identical ({len(change)} lines)"))
+        if diff is not None:
+            code = 1
+    return code
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2 or not all(os.path.isdir(os.path.join(d, "scripts"))
+                                 for d in argv) or \
+            not os.path.isfile(os.path.join(argv[1], "BENCHMARK.json")):
+        print("usage: python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR "
+              "(two checkouts with scripts/; the change with BENCHMARK.json)",
+              file=sys.stderr)
+        return 2
+    return compare(*(os.path.abspath(d) for d in argv))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -199,11 +199,6 @@ def isect_iv(a: Interval, b: Interval) -> Interval | None:
     return Interval(Cut(sk[0], sk[1]), Cut(ek[0], ek[1]), sk[2] == 0, ek[2] == 0)
 
 
-def union_canonical(ivs: Iterable[Interval]) -> tuple[Interval, ...]:
-    """The sorted maximal intervals of a union of intervals."""
-    return tuple(b[0] for b in BoxSet.of(1, [(iv,) for iv in ivs]).boxes)
-
-
 Box = tuple[Interval, ...]
 
 

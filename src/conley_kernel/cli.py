@@ -12,9 +12,9 @@ at call time, so a function swapped on its module is the one called.
 
 A document text is parsed once per process while it stays among the last
 32 texts read (:data:`PARSE_CACHE_SIZE`, a bounded LRU cache keyed by the
-text, of :func:`documents.document_builder` results).  Every load still
-gets a system and sets of its own: the parse's on the first load, new ones
-built with empty memos after it, so no two requests share a memo and all
+text, of :func:`documents.document_builder` results).  Every load, the
+first included, gets a system and sets of its own, built with empty memos
+from the parse's canonical values, so no two requests share a memo and all
 kernel work of a request is done in it.  A process that loads a text once
 does the work it did without the cache.
 

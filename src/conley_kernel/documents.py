@@ -4,8 +4,10 @@ All rationals travel as exact strings ("p/q" or "p"), infinities as
 "inf"/"-inf", intervals as 4-tuples [lo, lo_closed, hi, hi_closed], box sets
 as lists of boxes (a box is a list of per-axis intervals).  Parsing then
 serializing then parsing is the identity on every valid document.
-:func:`document_builder` parses once and then builds new systems and sets
-equal to the parse, with empty memos, as often as asked.
+:func:`document_builder` parses once, keeping canonical values only, and
+builds a new system and new sets from them, with empty memos, on every
+load, the first included: each kind's parser returns the parser of its
+sets and the builder of its loads.
 """
 
 from __future__ import annotations
@@ -122,29 +124,35 @@ def _expect(val, kind: type, what: str):
     return val
 
 
-def _parse_finite(data: dict) -> tuple[FinitePartialMap, Callable]:
+def _parse_finite(data: dict) -> tuple[Callable, Callable]:
     try:
         points = data["points"]
         if not isinstance(points, list) or \
                 not all(isinstance(p, str) for p in points):
             raise DocumentError("points must be a list of strings")
         space = FiniteSpace.of(points)
-        fmap = FinitePartialMap.of(
-            space, _expect(data.get("table", {}), dict, "table"))
+        targets = FinitePartialMap.of(
+            space, _expect(data.get("table", {}), dict, "table")).targets
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad finite system: {exc}") from exc
+    points = space.points
 
-    def parse_set(val):
+    def parse_set(val) -> int:
         if not isinstance(val, list):
             raise DocumentError("a finite set must be a list of point names")
         try:
-            return FiniteSubset.of(space, val)
+            return FiniteSubset.of(space, val).mask
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
-    return fmap, parse_set
+
+    def build(masks: dict):
+        space = FiniteSpace(points)
+        return (FinitePartialMap(space, targets),
+                {label: FiniteSubset(space, m) for label, m in masks.items()})
+    return parse_set, build
 
 
-def _parse_interval(data: dict) -> tuple[PiecewiseAffineMap, Callable]:
+def _parse_interval(data: dict) -> tuple[Callable, Callable]:
     try:
         dim = _dimension(data)
         pieces = []
@@ -156,13 +164,17 @@ def _parse_interval(data: dict) -> tuple[PiecewiseAffineMap, Callable]:
             if len(rules) != dim:
                 raise DocumentError("one rule per axis required")
             pieces.append(Piece(dom, rules))
-        pam = PiecewiseAffineMap.of(dim, pieces)
+        node = PiecewiseAffineMap.of(dim, pieces).node
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad interval system: {exc}") from exc
-    return pam, lambda v: boxset_from_json(v, dim)
+
+    def build(nodes: dict):
+        return (PiecewiseAffineMap(dim, node),
+                {label: BoxSet(dim, n) for label, n in nodes.items()})
+    return (lambda v: boxset_from_json(v, dim).node), build
 
 
-def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, Callable]:
+def _parse_semiflow(data: dict) -> tuple[Callable, Callable]:
     try:
         dim = _dimension(data)
         axes = []
@@ -186,79 +198,44 @@ def _parse_semiflow(data: dict) -> tuple[ExactSemiflow, Callable]:
         flow = ExactSemiflow.of(axes, carrier)
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad semiflow system: {exc}") from exc
-    return flow, lambda v: boxset_from_json(v, dim)
+    axes, carrier = flow.axes, flow.carrier.node
 
-
-def _finite_builder(fmap: FinitePartialMap, sets: dict) -> Callable:
-    points, targets = fmap.space.points, fmap.targets
-    masks = {label: s.mask for label, s in sets.items()}
-
-    def build():
-        space = FiniteSpace(points)
-        return (FinitePartialMap(space, targets),
-                {label: FiniteSubset(space, m) for label, m in masks.items()})
-    return build
-
-
-def _interval_builder(pam: PiecewiseAffineMap, sets: dict) -> Callable:
-    dim, node = pam.dimension, pam.node
-    nodes = {label: s.node for label, s in sets.items()}
-
-    def build():
-        return (PiecewiseAffineMap(dim, node),
-                {label: BoxSet(dim, n) for label, n in nodes.items()})
-    return build
-
-
-def _semiflow_builder(flow: ExactSemiflow, sets: dict) -> Callable:
-    dim, axes, carrier = flow.dimension, flow.axes, flow.carrier.node
-    nodes = {label: s.node for label, s in sets.items()}
-
-    def build():                       # re-runs the flow's carrier checks
+    def build(nodes: dict):
         return (ExactSemiflow(dim, axes, BoxSet(dim, carrier)),
                 {label: BoxSet(dim, n) for label, n in nodes.items()})
-    return build
+    return (lambda v: boxset_from_json(v, dim).node), build
 
 
-# kind: (parser of the system, builder).  The parser checks and
-# canonicalises the system and returns it with the parser of its sets.  The
-# builder takes the parsed system and sets and returns a function building
-# new ones equal to them from their canonical values (points and targets,
-# masks, nodes, axes), which are immutable and hold no memo: the objects
+# kind: its parser, which checks and canonicalises the system and returns
+# (parse_set, build).  parse_set turns the JSON of a set into its canonical
+# value (a mask or a node); build(values) makes a new system and new sets
+# from the system's and the sets' canonical values (points and targets,
+# masks, nodes, axes), which are immutable and hold no memo.  The objects
 # built run their constructors, so every memo and cached property of a
-# system or a set starts empty.
-_KINDS = {
-    "finite_map": (_parse_finite, _finite_builder),
-    "interval_map": (_parse_interval, _interval_builder),
-    "semiflow": (_parse_semiflow, _semiflow_builder),
+# system or a set starts empty; no parse object escapes.
+_PARSERS = {
+    "finite_map": _parse_finite,
+    "interval_map": _parse_interval,
+    "semiflow": _parse_semiflow,
 }
 
 
 def document_builder(data: dict) -> Callable[[], SystemDocument]:
     """Check and canonicalise a decoded document once, and return a
-    function that gives a document equal to it on every call, whose system
-    and sets no other call gets: the parse's own on the first call, then
-    new ones from the kind's builder.  The function keeps only canonical
-    values, never a document it gave out, and threads may share it."""
+    function that gives a document equal to it on every call, with a
+    system and sets built anew by the kind's ``build``, which no other call
+    gets.  The function keeps only canonical values, never a document it
+    gave out, and threads may share it."""
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     kind = data.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise DocumentError(f"unknown document kind {kind!r}")
     system = _expect(data.get("system", {}), dict, "'system'")
     sets = _expect(data.get("sets", {}), dict, "'sets'")
-    parser, builder = _KINDS[kind]
-    system, parse_set = parser(system)
-    sets = {str(label): parse_set(val) for label, val in sets.items()}
-    build = builder(system, sets)
-    first = [SystemDocument(kind, system, sets)]
-
-    def new_document() -> SystemDocument:
-        try:
-            return first.pop()         # atomic: one caller gets the parse
-        except IndexError:
-            return SystemDocument(kind, *build())
-    return new_document
+    parse_set, build = _PARSERS[kind](system)
+    values = {str(label): parse_set(val) for label, val in sets.items()}
+    return lambda: SystemDocument(kind, *build(values))
 
 
 def parse_document(data: dict) -> SystemDocument:

@@ -132,8 +132,11 @@ class ExactSemiflow:
     and for the floor rule max(max(x - v*u, L) - v*t, L) = max(x - v*(t+u),
     L) as v*t >= 0 (the ceiling rule is its mirror).  A product of
     semiflows is one, and so is its restriction to a forward-invariant set.
-    The carrier lies in the product of the natural ranges (the first check)
-    and is forward invariant (the second)."""
+    :meth:`of`, the checked constructor, makes the checks: the carrier lies
+    in the product of the natural ranges (the first) and is forward
+    invariant (the second).  The plain constructor checks nothing; besides
+    :meth:`of`, only the document builder calls it, with the axes and
+    carrier of a flow that :meth:`of` made."""
 
     dimension: int
     axes: tuple[AxisRule, ...]
@@ -143,23 +146,17 @@ class ExactSemiflow:
     _swept: dict = field(default_factory=dict, init=False, compare=False,
                          hash=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.axes) != self.dimension:
-            raise ValueError("one axis rule per dimension")
-        natural = BoxSet.of(self.dimension,
-                            [tuple(r.natural_range for r in self.axes)])
-        if not self.carrier.subset_of(natural):
-            raise ValueError("carrier leaves the natural domain of the rules "
-                             "(time-0 map would not be the identity)")
-        if not _forward_invariant(self.axes, self.carrier):
-            raise ValueError("carrier is not forward invariant; "
-                             "the rules do not define a semiflow on it")
-
     @staticmethod
     def of(axes: Sequence[AxisRule], carrier: BoxSet | None = None) -> "ExactSemiflow":
         axes = tuple(axes)
-        if carrier is None:
-            carrier = BoxSet.of(len(axes), [tuple(r.natural_range for r in axes)])
+        natural = BoxSet.of(len(axes), [tuple(r.natural_range for r in axes)])
+        carrier = natural if carrier is None else carrier
+        if not carrier.subset_of(natural):
+            raise ValueError("carrier leaves the natural domain of the rules "
+                             "(time-0 map would not be the identity)")
+        if not _forward_invariant(axes, carrier):
+            raise ValueError("carrier is not forward invariant; "
+                             "the rules do not define a semiflow on it")
         return ExactSemiflow(len(axes), axes, carrier)
 
     @property

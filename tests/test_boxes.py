@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conley_kernel.boxes import (
-    BoxSet, Cut, Interval, NEG_INF, POS_INF, isect_iv, union_canonical,
+    BoxSet, Cut, Interval, NEG_INF, POS_INF, isect_iv,
 )
 
 
@@ -55,11 +55,12 @@ class TestInterval:
         assert got == iv("1/2", False, 1, True)
 
     def test_union_merges_adjacent(self):
-        assert union_canonical([iv(0, True, 1, True), iv(1, False, 2, True)]) == \
-            (iv(0, True, 2, True),)
+        assert BoxSet.from_intervals([iv(0, True, 1, True),
+                                      iv(1, False, 2, True)]).boxes == \
+            ((iv(0, True, 2, True),),)
         # (0,1) u (1,2) keeps the puncture
-        assert len(union_canonical([iv(0, False, 1, False),
-                                    iv(1, False, 2, False)])) == 2
+        assert len(BoxSet.from_intervals([iv(0, False, 1, False),
+                                          iv(1, False, 2, False)]).boxes) == 2
 
 
 class TestSetAlgebra:

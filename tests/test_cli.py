@@ -364,6 +364,22 @@ class TestParseCache:
             assert err == "input error: unknown document kind 'nope'\n"
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("carrier, message", [
+        ([[["-1", True, "inf", False]]],
+         "carrier leaves the natural domain of the rules"),
+        ([[["1", True, "2", True]]], "carrier is not forward invariant"),
+    ], ids=["off-natural-range", "not-forward-invariant"])
+    def test_a_bad_carrier_fails_every_load(self, tmp_path, capsys, carrier,
+                                             message):
+        # the flow's carrier checks run in the parse, which is never kept
+        bad = write(tmp_path / "bad.json", {"kind": "semiflow", "system": {
+            "dimension": 1, "carrier": carrier,
+            "axes": [{"kind": "floor", "velocity": "1", "clamp": "0"}]}})
+        for _ in range(2):
+            code, out, err = run(capsys, "check", bad)
+            assert code == 2 and out == ""
+            assert err.startswith(f"input error: bad semiflow system: {message}")
+
     def test_threads_get_their_own_system(self):
         barrier, systems = threading.Barrier(8), [None] * 8
 
@@ -426,34 +442,55 @@ class TestExitCodes:
         assert code == 2
         assert "'sets' must be a JSON object" in err
 
-    @pytest.mark.parametrize("kind,key,value", [
-        ("finite_map", "table", []),
-        ("finite_map", "table", ""),
-        ("finite_map", "table", 0),
-        ("interval_map", "pieces", {}),
-        ("interval_map", "pieces", ""),
-        ("semiflow", "axes", {}),
-        ("semiflow", "axes", ""),
+    @pytest.mark.parametrize("kind,key,value,message", [
+        ("finite_map", "table", [], "table must be a JSON object"),
+        ("finite_map", "table", "", "table must be a JSON object"),
+        ("finite_map", "table", 0, "table must be a JSON object"),
+        ("interval_map", "pieces", {}, "pieces must be a JSON list"),
+        ("interval_map", "pieces", "", "pieces must be a JSON list"),
+        ("semiflow", "axes", {}, "axes must be a JSON list"),
+        ("semiflow", "axes", "", "axes must be a JSON list"),
         ("semiflow", "axes", [{"kind": "floor", "velocity": "1", "clamp": "0"},
-                              {"kind": "identity"}]),
-        ("finite_map", "kind", ["x"]),
-        ("finite_map", "kind", {"x": "y"}),
-        ("finite_map", "table", {"1": 2}),
-        ("finite_map", "table", {"1": ["2"]}),
-        ("finite_map", "sets", {"A": [1, "2"]}),
-        ("finite_map", "sets", {"A": [["1"]]}),
+                              {"kind": "identity"}],
+         "dimension 1 does not match the 2 axes"),
+        ("finite_map", "kind", ["x"], "unknown document kind ['x']"),
+        ("finite_map", "kind", {"x": "y"}, "unknown document kind {'x': 'y'}"),
+        ("finite_map", "table", {"1": 2}, "table entry 1->2 leaves the space"),
+        ("finite_map", "table", {"1": ["2"]},
+         "table entry 1->['2'] leaves the space"),
+        ("finite_map", "sets", {"A": [1, "2"]}, "subset contains unknown points"),
+        ("finite_map", "sets", {"A": [["1"]]}, "subset contains unknown points"),
+        ("interval_map", "sets", {"A": "x"}, "a box set must be a list of boxes"),
+        ("interval_map", "sets", {"A": [[]]}, "each box needs 1 interval(s)"),
+        ("finite_map", "sets", {"A": "1"},
+         "a finite set must be a list of point names"),
+        ("interval_map", "pieces",
+         [{"domain": [[["0", True, "1", True]]], "rules": []}],
+         "bad interval system: one rule per axis required"),
+        ("semiflow", "axes", [{"kind": "spin"}],
+         "bad semiflow system: unknown axis kind 'spin'"),
+        ("finite_map", "document", ["x"], "document must be a JSON object"),
+        ("semiflow", "sets", {"A": [[["-1", True, "0", True]]]},
+         "set leaves the semiflow carrier"),
     ], ids=["table-list", "table-string", "table-number", "pieces-object",
             "pieces-string", "axes-object", "axes-string", "axes-count",
             "kind-list", "kind-object", "target-number", "target-list",
-            "member-number", "member-list"])
-    def test_malformed_system_shapes(self, tmp_path, capsys, kind, key, value):
+            "member-number", "member-list", "boxes-string", "box-size",
+            "finite-set-string", "rule-count", "axis-kind", "document-list",
+            "set-off-carrier"])
+    def test_malformed_system_shapes(self, tmp_path, capsys, kind, key, value,
+                                     message):
         """Point names are strings: a number naming a point is not
-        converted, and an unhashable one raises no traceback."""
+        converted, and an unhashable one raises no traceback.  Each row
+        replaces one entry of a valid document (``document`` the whole)."""
         system = {"finite_map": {"points": ["1", "2"]},
-                  "interval_map": {"dimension": 1},
-                  "semiflow": {"dimension": 1}}[kind]
+                  "interval_map": {"dimension": 1, "pieces": []},
+                  "semiflow": {"dimension": 1, "axes": [
+                      {"kind": "floor", "velocity": "1", "clamp": "0"}]}}[kind]
         doc = {"kind": kind, "system": system}
-        if key in ("kind", "sets"):   # the document's own kind or sets
+        if key == "document":
+            doc = value
+        elif key in ("kind", "sets"):   # the document's own kind or sets
             doc[key] = value
         else:
             doc["system"] = {**system, key: value}
@@ -461,8 +498,7 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         code, out, err = run(capsys, "check", str(bad))
         assert code == 2 and out == ""
-        mention = "unknown points" if key == "sets" else key
-        assert err.startswith("input error: ") and mention in err
+        assert err.startswith("input error: ") and message in err
         assert "Traceback" not in err
 
     def test_default_bound_env(self, capsys, monkeypatch):
@@ -471,6 +507,14 @@ class TestExitCodes:
                            "--from", "origin", "--set", "unit", "--json")
         assert code == 3
         assert json.loads(out)["meta"]["bound"] == "12"
+
+    def test_default_bound_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONLEY_DEFAULT_BOUND", "x")
+        code, out, err = run(capsys, "sim", fx("doubling.json"),
+                             "--from", "origin", "--set", "unit", "--json")
+        assert code == 2 and out == ""
+        assert err == "input error: CONLEY_DEFAULT_BOUND must be an " \
+            "integer, got 'x'\n"
 
 
 NEGATIVE_BOUNDS = {

@@ -10,13 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conley_kernel import documents as docs
+from conley_kernel import semiflow as sf
 from conley_kernel.boxes import BoxSet, Interval
 from conley_kernel.documents import DocumentError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+# documents written here, not as fixtures: a fixture would join the
+# output sweep of scripts/sweep_outputs.py
+INLINE = {
+    "drift_flow": {"kind": "semiflow", "system": {
+        "dimension": 2, "axes": [{"kind": "translation", "velocity": "-3/2"},
+                                 {"kind": "identity"}]},
+        "sets": {"strip": [[["0", True, "1", False], ["-inf", False, "2", True]]]}},
+}
+
+
 def load(name):
+    if name in INLINE:
+        return json.loads(json.dumps(INLINE[name]))
     with open(FIXTURES / name, encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -24,7 +37,7 @@ def load(name):
 @pytest.mark.parametrize("name", ["attractor.json", "doubling.json",
                                   "clamp_flow.json", "shift2d.json",
                                   "corner_flow.json", "kinked.json",
-                                  "kinked_corner.json"])
+                                  "kinked_corner.json", "drift_flow"])
 def test_round_trip_is_identity(name):
     raw = load(name)
     doc = docs.parse_document(raw)
@@ -158,7 +171,7 @@ def test_minimal_documents_accepted():
 @pytest.mark.parametrize("name", ["attractor.json", "doubling.json",
                                   "clamp_flow.json", "corner_flow.json",
                                   "kinked_corner.json"])
-def test_builder_gives_the_parse_then_new_objects(name):
+def test_builder_gives_new_objects_and_keeps_none(name):
     build = docs.document_builder(load(name))
     first = build()
     first_keys = [vars(v).keys() for v in (first.system, *first.sets.values())]
@@ -178,6 +191,22 @@ def test_builder_gives_the_parse_then_new_objects(name):
         assert second.system.space is not third.system.space
         assert all(s.space is second.system.space
                    for s in second.sets.values())
+
+
+@pytest.mark.parametrize("name", ["clamp_flow.json", "corner_flow.json",
+                                  "drift_flow"])
+def test_flow_builds_skip_the_carrier_checks(name, monkeypatch):
+    # ExactSemiflow.of checks the carrier in the parse; a build reuses it
+    calls = []
+    checked = sf._forward_invariant
+    monkeypatch.setattr(sf, "_forward_invariant",
+                        lambda *a: calls.append(a) or checked(*a))
+    build = docs.document_builder(load(name))
+    assert len(calls) == 1
+    flows = [build().system for _ in range(3)]
+    assert len(calls) == 1
+    assert flows[0] == flows[1] == flows[2]
+    assert flows[0].carrier is not flows[1].carrier
 
 
 def _caches(cls) -> list:

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,37 @@ def test_scripts_run_on_their_own_checkout(tmp_path, name, argv, decoy):
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout and done.stderr == ""
+
+
+COMPARED = ([str(ROOT / "fixtures" / "attractor.json")], ["1"])
+
+
+def test_compare_outputs_finds_a_checkout_identical_to_itself(capsys):
+    script = load("compare_outputs")
+    assert script.compare(str(ROOT), str(ROOT), *COMPARED) == 0
+    lines = capsys.readouterr().out.splitlines()
+    workloads = [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert [line.split(":")[0] for line in lines] == ["sweep_outputs"] + \
+        [f"sweep_bench_requests {w}" for w in workloads]
+    assert all(re.fullmatch(r"[^:]+: identical \(\d+ lines\)", line)
+               for line in lines)
+    assert script.main([str(ROOT)]) == 2
+
+
+def test_compare_outputs_shows_the_first_difference(capsys, tmp_path):
+    stub = tmp_path / "stub" / "scripts"
+    stub.mkdir(parents=True)
+    (stub / "sweep_outputs.py").write_text("print('other')\n")
+    (stub / "sweep_bench_requests.py").write_text("raise SystemExit('no')\n")
+    script = load("compare_outputs")
+    assert script.compare(str(stub.parent), str(ROOT), *COMPARED) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("sweep_outputs: differs at line 1:\n"
+                          "  parent: other\n  change: {")
+    assert f"sweep_bench_requests szymczak: failed (exit 1 in {stub.parent}: " \
+        "no)" in out
+    assert script.main([str(tmp_path), str(ROOT)]) == 2
 
 
 def test_bench_pairs_dry_run_alternates_the_sides(capsys, tmp_path):

@@ -45,6 +45,17 @@ class TestConstruction:
             sf.ExactSemiflow.of([sf.AxisRule.floor(1, 0)],
                                 carrier=box1(1, True, 2, True))
 
+    @pytest.mark.parametrize("carrier, message", [
+        (BoxSet.full(1), "carrier leaves the natural domain of the rules "
+                         "(time-0 map would not be the identity)"),
+        (box1(1, True, 2, True), "carrier is not forward invariant; "
+                                 "the rules do not define a semiflow on it"),
+    ], ids=["off-natural-range", "not-forward-invariant"])
+    def test_of_rejects_a_bad_carrier(self, carrier, message):
+        with pytest.raises(ValueError) as exc:
+            sf.ExactSemiflow.of([sf.AxisRule.floor(1, 0)], carrier=carrier)
+        assert str(exc.value) == message
+
     def test_natural_carriers(self):
         assert CLAMP.carrier == box1(0, True, "inf", False)
         assert TRANS.carrier == BoxSet.full(1)
