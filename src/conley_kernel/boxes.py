@@ -556,9 +556,6 @@ class BoxSet:
             raise ValueError("interior_in requires a subset of the ambient set")
         return ambient.difference(ambient.difference(self).closure())
 
-    def boundary(self) -> "BoxSet":
-        return self.closure().difference(self.interior())
-
     @property
     def is_bounded(self) -> bool:
         return all(iv.is_bounded for b in self.boxes for iv in b)
@@ -578,11 +575,6 @@ class BoxSet:
             raise ValueError("is_open_in requires a subset of the ambient set")
         rest = ambient.difference(self)
         return self.intersect(rest.closure()).is_empty
-
-    def is_closed_in(self, ambient: "BoxSet") -> bool:
-        if not self.subset_of(ambient):
-            raise ValueError("is_closed_in requires a subset of the ambient set")
-        return self.closure().intersect(ambient) == self
 
     def is_locally_compact(self) -> bool:
         """True iff locally closed, i.e. closure(A) minus A is closed in R^n."""

@@ -52,6 +52,10 @@ EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
 
+# exhausted resources: a module constant, so that matching them builds no
+# tuple while memory is exhausted
+EXHAUSTED = (MemoryError, RecursionError)
+
 
 PARSE_CACHE_SIZE = 32
 
@@ -372,10 +376,16 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     """One request: its reply emitted, its exit code returned.  Undecided
     work and exhausted resources reply "unknown"; any other exception,
-    one from emitting the reply included, goes to :func:`main`."""
+    one from emitting the reply included, goes to :func:`main`.
+
+    The except clauses only record (reason, bound, outer approximant); the
+    "unknown" reply is built after the ``try`` statement, once the failed
+    work's frames, and the memory they hold, are released: built inside a
+    clause, it could exhaust memory again."""
     for flag in ("bound", "search"):     # suites.check_request checks --trials
         if (getattr(args, flag, None) or 0) < 0:
             raise DocumentError(f"--{flag} must not be negative")
+    unknown = None
     try:
         if args.handler is None:
             return verify(args)
@@ -384,18 +394,18 @@ def _run(args) -> int:
         code, payload, lines, *used = args.handler(args, doc, bound)
         payload["meta"] = meta_block(bound=used[0] if used else bound)
     except Undecided as exc:
+        unknown = exc.reason, exc.bound, exc.outer
+    except EXHAUSTED:
+        unknown = "resource exhausted", None, None
+    if unknown is not None:
+        reason, bound, outer = unknown
         code = EXIT_UNDECIDED
-        payload = {"meta": meta_block(bound=exc.bound), "status": "unknown",
-                   "reason": exc.reason}
-        lines = [f"unknown: {exc.reason}"]
-        if exc.outer is not None:        # outer approximants are box sets
-            payload["outer"] = boxset_to_json(exc.outer)
-            lines.append(f"outer approximant: {exc.outer!r}")
-    except (MemoryError, RecursionError):
-        code = EXIT_UNDECIDED
-        payload = {"meta": meta_block(), "status": "unknown",
-                   "reason": "resource exhausted"}
-        lines = ["unknown: resource exhausted"]
+        payload = {"meta": meta_block(bound=bound), "status": "unknown",
+                   "reason": reason}
+        lines = [f"unknown: {reason}"]
+        if outer is not None:            # outer approximants are box sets
+            payload["outer"] = boxset_to_json(outer)
+            lines.append(f"outer approximant: {outer!r}")
     _emit(args, payload, lines)
     return code
 

@@ -1180,13 +1180,10 @@ def suite_pam_laws(trials=80, seed=13) -> SuiteResult:
         f = random_product_map(rng, 1 + k % 3) if k % 4 else clamp_map()
         dimension = f.dimension
         a = BoxSet.of(dimension, random_box_list(rng, dimension))
-        if f.preimage(a) != BoxSet.union_all(dimension, (
-                oracle_rules_preimage(p.rules, a).intersect(p.domain)
-                for p in f.pieces)):
+        fo = PieceListMap(dimension, f.pieces)
+        if f.preimage(a) != fo.preimage(a):
             res.fail(f"preimage differs from the box-by-box oracle: {f}, {a}")
-        if f.image(a) != BoxSet.union_all(dimension, (
-                oracle_rules_image(p.rules, a.intersect(p.domain))
-                for p in f.pieces)):
+        if f.image(a) != fo.image(a):
             res.fail(f"image differs from the box-by-box oracle: {f}, {a}")
         for p in f.pieces:
             for q in f.pieces:
@@ -1218,17 +1215,17 @@ def suite_pam_laws(trials=80, seed=13) -> SuiteResult:
 
 
 def _laws_for_pair(res, f, e, e2, t):
+    """The identity/power form on the diagonal, and equivariance at times 1
+    and c: the cross map intertwines f_E^s and f_E'^s."""
     ca = dyn.carrier_for(f)
     cm = dyn.cross_map(f, e, e2, t)
-    # identity/power form on the diagonal
-    if e == e2:
-        if not cm.realized.maps_equal(dyn.induced_power(f, e, t.c)):
-            res.fail(f"diagonal cross map is not the induced power: {t}")
-    # equivariance
-    lhs = ca.compose(cm.realized, dyn.induced(f, e).realized)
-    rhs = ca.compose(dyn.induced(f, e2).realized, cm.realized)
-    if not lhs.maps_equal(rhs):
-        res.fail(f"equivariance fails for {t}")
+    if e == e2 and not cm.realized.maps_equal(dyn.induced_power(f, e, t.c)):
+        res.fail(f"diagonal cross map is not the induced power: {t}")
+    for s in {1, t.c}:
+        lhs = ca.compose(cm.realized, dyn.induced_power(f, e, s))
+        rhs = ca.compose(dyn.induced_power(f, e2, s), cm.realized)
+        if not lhs.maps_equal(rhs):
+            res.fail(f"equivariance at time {s} fails for {t}")
 
 
 def _composition_laws(res, f, e, e2, e3, t, t2):
@@ -1256,6 +1253,24 @@ def _interchange_law(res, f, e, e2, t, t2):
     rhs = ca.compose(m2.realized, dyn.induced_power(f, e, t.c))
     if not lhs.maps_equal(rhs):
         res.fail(f"interchange fails: {t}, {t2}")
+
+
+def _identities_on(res, f, subsets):
+    """The four identities on every pair and chain of subsets of one system,
+    map or flow, that a search within bound 6 finds admissible."""
+    for e in subsets:
+        _laws_for_pair(res, f, e, e, dyn.AdmissibleTriple(0, 1, 2))
+        for e2 in subsets:
+            s1 = dyn.find_admissible(f, e, e2, bound=6)
+            if not s1.found:
+                continue
+            _laws_for_pair(res, f, e, e2, s1.triple)
+            _interchange_law(res, f, e, e2, s1.triple,
+                             s1.triple + dyn.AdmissibleTriple(0, 0, 1))
+            for e3 in subsets:
+                s2 = dyn.find_admissible(f, e2, e3, bound=6)
+                if s2.found:
+                    _composition_laws(res, f, e, e2, e3, s1.triple, s2.triple)
 
 
 def suite_thm_composition(trials=500, seed=7) -> SuiteResult:
@@ -1289,22 +1304,31 @@ def suite_thm_composition(trials=500, seed=7) -> SuiteResult:
     res.note(f"finite systems: {diag} diagonal, {pairs} cross, {chains} chained "
              f"instances of the four identities")
     for f, subsets in interval_law_instances():
-        for e in subsets:
-            _laws_for_pair(res, f, e, e, dyn.AdmissibleTriple(0, 1, 2))
-            for e2 in subsets:
-                s1 = dyn.find_admissible(f, e, e2, bound=6)
-                if not s1.found:
-                    continue
-                _laws_for_pair(res, f, e, e2, s1.triple)
-                _interchange_law(res, f, e, e2, s1.triple,
-                                 s1.triple + dyn.AdmissibleTriple(0, 0, 1))
-                for e3 in subsets:
-                    s2 = dyn.find_admissible(f, e2, e3, bound=6)
-                    if s2.found:
-                        _composition_laws(res, f, e, e2, e3,
-                                          s1.triple, s2.triple)
+        _identities_on(res, f, subsets)
     res.note("curated interval families (doubling, shift, clamped)")
     return res
+
+
+def _properness_for_pair(res, f, e, e2, bound=None) -> bool:
+    """Whether E and E' are weakly compactifiable with an admissible triple
+    found within bound; if so, check that f^c maps the cross map's domain
+    into E' properly and that the domain is open in E."""
+    if not (dyn.is_weakly_compactifiable(f, e)
+            and dyn.is_weakly_compactifiable(f, e2)):
+        return False
+    s = dyn.find_admissible(f, e, e2, bound=bound)
+    if not s.found:
+        return False
+    ca = dyn.carrier_for(f)
+    cm = dyn.cross_map(f, e, e2, s.triple)
+    fc, d = ca.time_map(f, s.triple.c), cm.domain
+    if not (d.subset_of(fc.domain) and fc.image(d).subset_of(e2)
+            and fc.is_proper_on(d, e2)):
+        res.fail(f"{ca.name} cross map not proper: {f}, {e}, {e2}, {s.triple}")
+    if not d.is_open_in(e):
+        res.fail(f"{ca.name} cross map not openly defined: {f}, {e}, {e2}, "
+                 f"{s.triple}")
+    return True
 
 
 def suite_thm_properness(trials=300, seed=19) -> SuiteResult:
@@ -1315,37 +1339,15 @@ def suite_thm_properness(trials=300, seed=19) -> SuiteResult:
         f = random_finite_system(rng, 8)
         e = random_subset(rng, f.space)
         e2 = random_subset(rng, f.space)
-        if not (dyn.is_weakly_compactifiable(f, e)
-                and dyn.is_weakly_compactifiable(f, e2)):
-            continue
-        s = dyn.find_admissible(f, e, e2)
-        if not s.found:
-            continue
-        cm = dyn.cross_map(f, e, e2, s.triple)
-        if not fin.power(f, s.triple.c).is_proper_on(cm.domain, e2):
-            res.fail(f"cross map not proper: {f}, {s.triple}")
-        if not cm.domain.is_open_in(e):
-            res.fail(f"cross map not openly defined: {f}, {s.triple}")
-        count += 1
+        count += _properness_for_pair(res, f, e, e2)
     res.note(f"finite carrier: {count} weakly compactifiable pairs checked")
-    count = 0
-    for f, subsets in interval_law_instances():
-        for e in subsets:
-            if not dyn.is_weakly_compactifiable(f, e):
-                continue
-            for e2 in subsets:
-                if not dyn.is_weakly_compactifiable(f, e2):
-                    continue
-                s = dyn.find_admissible(f, e, e2, bound=6)
-                if not s.found:
-                    continue
-                cm = dyn.cross_map(f, e, e2, s.triple)
-                if not af.power(f, s.triple.c).is_proper_on(cm.domain, e2):
-                    res.fail(f"interval cross map not proper: {e}, {e2}")
-                if not cm.domain.is_open_in(e):
-                    res.fail(f"interval cross map not openly defined: {e}, {e2}")
-                count += 1
-    res.note(f"interval carrier: {count} weakly compactifiable pairs checked")
+    for instances in (interval_law_instances, flow_law_instances):
+        count = 0
+        for f, subsets in instances():
+            count += sum(_properness_for_pair(res, f, e, e2, bound=6)
+                         for e in subsets for e2 in subsets)
+        res.note(f"{dyn.carrier_for(f).name} carrier: {count} weakly "
+                 f"compactifiable pairs checked")
     return res
 
 
@@ -1454,29 +1456,7 @@ def suite_cont_laws() -> SuiteResult:
                         sf.time_map(flow, tt * k / 64).preimage(e))
                 if not d1.subset_of(sampled):
                     res.fail(f"swept domain not inside sampled bound: {e}")
-            for e2 in subsets:
-                s1 = dyn.find_admissible(flow, e, e2, bound=6)
-                if not s1.found:
-                    continue
-                cm1 = dyn.cross_map(flow, e, e2, s1.triple)
-                lhs = af.compose(cm1.realized, dyn.induced_power(flow, e, s1.triple.c))
-                rhs = af.compose(dyn.induced_power(flow, e2, s1.triple.c),
-                                 cm1.realized)
-                if not lhs.maps_equal(rhs):
-                    res.fail(f"continuous equivariance: {e} -> {e2}")
-                for e3 in subsets:
-                    s2 = dyn.find_admissible(flow, e2, e3, bound=6)
-                    if not s2.found:
-                        continue
-                    t_sum = s1.triple + s2.triple
-                    if not dyn.is_admissible(flow, e, e3, t_sum):
-                        res.fail(f"continuous sum triple: {s1.triple}, {s2.triple}")
-                        continue
-                    cm2 = dyn.cross_map(flow, e2, e3, s2.triple)
-                    msum = dyn.cross_map(flow, e, e3, t_sum)
-                    if not af.compose(cm2.realized, cm1.realized).maps_equal(
-                            msum.realized):
-                        res.fail(f"continuous composition: {s1.triple}, {s2.triple}")
+        _identities_on(res, flow, subsets)
     res.note("semigroup, swept-domain, equivariance and composition identities "
              "on the clamped and translation fixtures")
     return res
@@ -1523,10 +1503,16 @@ def suite_worked_models() -> SuiteResult:
                   f"{getattr(built, 'subset', built)!r} with triple "
                   f"{getattr(built, 'triple', None)}")
     if ok:
+        res.check(isinstance(co.is_index_nbhd(dbl, built.subset, s0),
+                             co.IndexNbhdCertificate),
+                  "doubling: constructed set certified as an index nbhd of {0}")
         sim = dyn.sim_f(dbl, built.subset, built.compact_seed, bound=8)
         res.check(sim.is_equivalent,
                   f"doubling: constructed set equivalent to seed "
                   f"(witnesses {sim.forward}, {sim.backward})")
+    search = dyn.find_admissible(dbl, e0, e1, bound=16)
+    res.check(not search.found and not search.complete,
+              "doubling: {0} to [-1,1] search exhausts its bound 16 undecided")
     shift = shift2d_map()
     e_phi = step_region(3, -3)
     e_psi = step_region(0, 0)
@@ -1537,7 +1523,8 @@ def suite_worked_models() -> SuiteResult:
               f"{sim.backward} (bounded difference 3)")
     res.check(dyn.is_compactifiable(shift, e_phi),
               "shift: step region compactifiable")
-    res.check(not e_phi.closure().is_compact(),
+    res.check(not e_phi.closure().is_compact()
+              and not e_psi.closure().is_compact(),
               "shift: no step region is relatively compact")
     return res
 

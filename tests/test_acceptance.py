@@ -11,10 +11,7 @@ import tokenize
 from pathlib import Path
 
 from conley_kernel import conley as co
-from conley_kernel import dynamics as dyn
 from conley_kernel import suites
-from conley_kernel.boxes import BoxSet
-from conley_kernel.dynamics import AdmissibleTriple
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "conley_kernel"
 
@@ -58,61 +55,22 @@ def test_criterion_04_invariant_part_oracle():
                "subset", started, 120, res.passed, res.lines)
 
 
-def test_criterion_05_doubling_model():
+def _worked_model(number, model, label):
+    """One model's lines of the worked-models suite, as one criterion."""
     started = time.time()
-    details = []
-    dbl = suites.doubling_map()
-    origin = BoxSet.interval(0, True, 0, True)
-    unit = BoxSet.interval(-1, True, 1, True)
-    ok = dyn.is_compactifiable(dbl, origin)
-    details.append(f"{{0}} compactifiable: {ok}")
-    passed = ok
-    ok = not dyn.is_weakly_compactifiable(dbl, unit)
-    details.append(f"[-1,1] rejected: {ok}")
-    passed &= ok
-    built = co.construct_index_nbhd(dbl, origin, unit, bound=8)
-    ok = isinstance(built, co.ConstructedNbhd) and \
-        built.subset == BoxSet.interval("-1/2", False, "1/2", False) and \
-        built.triple == AdmissibleTriple(0, 1, 1)
-    details.append(f"constructed (-1/2,1/2) with triple (0,1,1): {ok}")
-    passed &= ok
-    if ok:
-        cert = co.is_index_nbhd(dbl, built.subset, origin)
-        ok = isinstance(cert, co.IndexNbhdCertificate)
-        details.append(f"construction certified: {ok}")
-        passed &= ok
-        sim = dyn.sim_f(dbl, built.subset, built.compact_seed, bound=8)
-        ok = sim.is_equivalent
-        details.append(f"equivalent to compact seed: {ok} "
-                       f"(witnesses {sim.forward}, {sim.backward})")
-        passed &= ok
-    search = dyn.find_admissible(dbl, origin, unit, bound=16)
-    ok = not search.found and not search.complete
-    details.append(f"{{0}} vs [-1,1] search exhausts undecided: {ok}")
-    passed &= ok
-    _report(5, "doubling-map model reproduced", started, 5, passed, details)
+    res = suites.suite_worked_models()
+    lines = [line for line in res.lines if f"{model}: " in line]
+    passed = bool(lines) and not any(
+        line.startswith("COUNTEREXAMPLE") for line in lines)
+    _report(number, label, started, 5, passed, lines)
+
+
+def test_criterion_05_doubling_model():
+    _worked_model(5, "doubling", "doubling-map model reproduced")
 
 
 def test_criterion_06_shift_model():
-    started = time.time()
-    details = []
-    shift = suites.shift2d_map()
-    e_phi = suites.step_region(3, -3)
-    e_psi = suites.step_region(0, 0)
-    sim = dyn.sim_f(shift, e_phi, e_psi, bound=6)
-    ok = sim.is_equivalent and \
-        sim.forward[1] - sim.forward[0] == 3 and \
-        sim.backward[1] - sim.backward[0] == 3
-    details.append(f"step regions equivalent with bounded-difference "
-                   f"witnesses {sim.forward}, {sim.backward}: {ok}")
-    passed = ok
-    ok = dyn.is_compactifiable(shift, e_phi)
-    details.append(f"step region compactifiable: {ok}")
-    passed &= ok
-    ok = not e_phi.closure().is_compact() and not e_psi.closure().is_compact()
-    details.append(f"no step region relatively compact: {ok}")
-    passed &= ok
-    _report(6, "planar shift model reproduced", started, 5, passed, details)
+    _worked_model(6, "shift", "planar shift model reproduced")
 
 
 def test_criterion_07_connected_simple_system():

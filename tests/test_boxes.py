@@ -127,11 +127,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             onedim(iv(0, True, 2, True)).is_open_in(onedim(iv(0, True, 1, True)))
 
-    def test_relative_closedness(self):
-        amb = onedim(iv(0, True, 2, True))
-        assert onedim(iv(0, True, 1, True)).is_closed_in(amb)
-        assert not onedim(iv(0, True, 1, False)).is_closed_in(amb)
-
     def test_locally_compact_examples(self):
         assert onedim(Interval.point(0)).is_locally_compact()
         assert onedim(iv("-1/2", False, "1/2", False)).is_locally_compact()

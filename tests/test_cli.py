@@ -765,6 +765,55 @@ class TestCrashesAreNotNegatives:
         else:
             assert out == "unknown: resource exhausted\n"
 
+    # The child limits its own address space to 64 MB above its size and
+    # runs a sim handler whose frame holds a growing list until no
+    # allocation of any size succeeds.  It first makes its own and its
+    # caller's frame objects (one that cannot be made later drops the error
+    # and frees the frame), empties the dict free lists, and keeps two
+    # blocks that it frees for the tracebacks of its error.  So the error
+    # holds the frame and its list: until it is released, no dict or tuple
+    # can be made, and a reply built in the except clause fails again.
+    EXHAUST = """if True:
+        import os, resource, sys
+        from conley_kernel import cli
+
+        def hog(args, doc, bound):
+            sys._getframe(0), sys._getframe(1)
+            held = [{"k": i} for i in range(100)]
+            spare = [bytes(24), bytes(24)]
+            for size in [1 << 16, 1 << 12] + list(range(512, -1, -8)):
+                try:
+                    while True:
+                        held = (held, bytes(size))
+                except MemoryError:
+                    pass
+            del spare
+            raise MemoryError
+
+        cli.COMMANDS = tuple((name, text, hog if name == "sim" else handler, options)
+                             for name, text, handler, options in cli.COMMANDS)
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        limit = size + (64 << 20)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        sys.exit(cli.main(sys.argv[1:]))
+    """
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads the child's size from /proc")
+    def test_exhausted_memory_replies_unknown(self):
+        pytest.importorskip("resource")
+        done = subprocess.run(
+            [sys.executable, "-c", self.EXHAUST, "sim", fx("attractor.json"),
+             "--from", "S", "--set", "S", "--json"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 3, done.stdout + done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["status"] == "unknown"
+        assert payload["reason"] == "resource exhausted"
+        assert "bound" not in payload["meta"]
+
     def test_other_exceptions_are_internal_errors(self, capsys, monkeypatch):
         monkeypatch.setattr(dyn, "sim_f",
                             self.raising(RuntimeError("two\nlines")))

@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import os
 import re
@@ -39,6 +40,45 @@ def test_sweep_outputs_covers_every_command(capsys):
     check = next(c for c in calls if c["argv"][:1] == ["check"]
                  and c["argv"][-1] == "--json")
     assert check["exit"] == 0 and json.loads(check["stdout"])["table"]
+
+
+def sweep_record(*argv, code):
+    return json.dumps({"argv": list(argv), "exit": code, "stdout": "",
+                       "stderr": ""})
+
+
+def test_undecided_share_counts_the_json_calls_per_command(tmp_path, capsys):
+    doc = "d.json"
+    lines = [sweep_record("sim", doc, "--from", "A", "--set", "B", "--json",
+                          code=3),
+             sweep_record("sim", doc, "--from", "A", "--set", "B", "--human",
+                          code=3),
+             sweep_record("sim", doc, "--from", "B", "--set", "A", "--bound",
+                          "8", "--json", code=0),
+             sweep_record("index", doc, "--set", "S", "--nbhd", "N", "--json",
+                          code=1),
+             sweep_record("index", doc, "--set", "S", "--nbhd", "N",
+                          "--search", "8", "--json", code=3)]
+    sweep = tmp_path / "sweep.jsonl"
+    sweep.write_text("\n".join(lines) + "\n")
+    script = load("undecided_share")
+    assert script.main([str(sweep)]) == 0
+    assert capsys.readouterr().out == \
+        "sim: 1/2\nindex: 0/1\nindex --search: 1/1\n"
+
+
+@pytest.mark.parametrize("line", [
+    "not json", "[]", '{"argv": [], "exit": 0, "stdout": "", "stderr": ""}',
+    '{"argv": ["sim", "--json"], "exit": "3", "stdout": "", "stderr": ""}',
+    '{"argv": ["sim", "--json"], "exit": 3}',
+], ids=["text", "list", "no-argv", "exit-text", "no-output"])
+def test_undecided_share_rejects_a_line_that_is_no_sweep_record(
+        monkeypatch, capsys, line):
+    good = sweep_record("sim", "d.json", "--json", code=3)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{good}\n{line}\n"))
+    assert load("undecided_share").main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "input error: line 2 is not a sweep record\n"
 
 
 @pytest.mark.parametrize("doc, source, target", [
