@@ -69,17 +69,14 @@ class DiscreteTime:
 
     def time_map(self, f, t):
         """f^t: f^0 and f^1 as ``power`` builds them, then f^(n+1) = f o f^n,
-        one ``compose`` per step, all memoized on f except f itself (f^1 of
-        a finite map): f in its own memo would keep its parsed document
-        alive until a cyclic garbage collection."""
+        one ``compose`` per step, all memoized on f.  ``power`` gives f^1 as
+        a new map equal to f, never f itself: f in its own memo would keep
+        its parsed document alive until a cyclic garbage collection."""
         if t < 0:
             raise ValueError("negative power")
         seq = f._iterates.setdefault("power", [None, None])  # built when asked
         if t < 2 and seq[t] is None:
-            p = self.maps.power(f, t)
-            if p is f:
-                return f
-            seq[t] = p
+            seq[t] = self.maps.power(f, t)
         if len(seq) <= t:
             with self._grow:
                 while len(seq) <= t:

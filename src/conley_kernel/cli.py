@@ -19,7 +19,8 @@ kernel work of a request is done in it.  A process that loads a text once
 does the work it did without the cache.
 
 Exit codes are a stable contract: 0 success, 1 property or expectation
-violation, 2 input error (any ``ValueError``), 3 undecided (an
+violation, 2 input error (any ``ValueError``, and a text nested too
+deeply to decode), 3 undecided (an
 ``Undecided`` from any layer, which ``check`` catches per set, or a
 ``MemoryError`` or ``RecursionError``: resource exhausted), 4 internal
 error (any other exception, so that a crash never reads as a complete
@@ -60,12 +61,20 @@ EXHAUSTED = (MemoryError, RecursionError)
 PARSE_CACHE_SIZE = 32
 
 
+class _TooDeep(ValueError):
+    """A text nested too deeply for the decoder, which recurses per level."""
+
+
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _builder(text: str):
     """The document builder of one text, kept for the PARSE_CACHE_SIZE
     texts read last.  A parse is a pure function of the text, and a failure
     raises, so it is never kept."""
-    return document_builder(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:       # an unreadable text, not exhaustion
+        raise _TooDeep(f"nested too deeply to decode: {exc}") from None
+    return document_builder(data)
 
 
 def _load(path: str) -> SystemDocument:
@@ -73,7 +82,8 @@ def _load(path: str) -> SystemDocument:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         build = _builder(text)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            _TooDeep) as exc:
         raise DocumentError(f"cannot read document {path}: {exc}")
     return build()
 

@@ -51,32 +51,15 @@ class Failure:
 
 
 @dataclass(frozen=True)
-class IsolatingCertificate:
+class Certificate:
+    """E certified for S: every check it passed, in the order made."""
     subset: object
     invariant_set: object
     checks: tuple[Check, ...]
 
 
-@dataclass(frozen=True)
-class IndexNbhdCertificate:
-    isolating: IsolatingCertificate
-    compactifiability: tuple[Check, ...]
-
-    @property
-    def subset(self):
-        return self.isolating.subset
-
-    @property
-    def invariant_set(self):
-        return self.isolating.invariant_set
-
-    @property
-    def checks(self) -> tuple[Check, ...]:
-        return self.isolating.checks + self.compactifiability
-
-
 def is_isolating(f, e, s, cap: int | None = None):
-    """IsolatingCertificate or a named Failure; on box carriers raises
+    """A Certificate or a named Failure; on box carriers raises
     Undecided when S's invariance or the invariant part is undecided."""
     ca = carrier_for(f)
     ca.check_invariant(f, s)
@@ -107,19 +90,21 @@ def is_isolating(f, e, s, cap: int | None = None):
         return Failure("invariant part of closure(E) differs from S", tuple(checks))
 
     checks.append(Check("S compact", f"S={s!r} compact", s.is_compact()))
-    return IsolatingCertificate(e, s, tuple(checks))
+    return Certificate(e, s, tuple(checks))
 
 
 def is_index_nbhd(f, e, s, cap: int | None = None):
+    """A Certificate with the isolating checks, then the compactifiability
+    checks, or a named Failure."""
     iso = is_isolating(f, e, s, cap)
-    if not isinstance(iso, IsolatingCertificate):
+    if not iso:
         return iso
     raw = compactifiability_checks(f, e)
-    cchecks = tuple(Check(name, f"E={e!r}", ok) for name, ok in raw)
-    if not all(c.ok for c in cchecks):
-        bad = ", ".join(c.name for c in cchecks if not c.ok)
-        return Failure(f"E is not compactifiable: {bad}", iso.checks + cchecks)
-    return IndexNbhdCertificate(iso, cchecks)
+    checks = iso.checks + tuple(Check(name, f"E={e!r}", ok) for name, ok in raw)
+    if not all(ok for _, ok in raw):
+        bad = ", ".join(name for name, ok in raw if not ok)
+        return Failure(f"E is not compactifiable: {bad}", checks)
+    return Certificate(e, s, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +113,7 @@ def is_index_nbhd(f, e, s, cap: int | None = None):
 @dataclass(frozen=True)
 class ConstructedNbhd:
     subset: object
-    certificate: IndexNbhdCertificate
+    certificate: Certificate
     triple: AdmissibleTriple
     compact_seed: object
     checks: tuple[Check, ...]
@@ -168,7 +153,7 @@ def construct_index_nbhd(f, s, n, bound=None):
     """
     ca = carrier_for(f)
     iso = is_isolating(f, n, s)
-    if not isinstance(iso, IsolatingCertificate):
+    if not iso:
         return iso
 
     k = _compact_isolating_seed(f, s, n)
@@ -184,7 +169,7 @@ def construct_index_nbhd(f, s, n, bound=None):
 
     e2 = cross_domain(f, k, u, t)
     cert = is_index_nbhd(f, e2, s)
-    if not isinstance(cert, IndexNbhdCertificate):
+    if not cert:
         return cert
 
     checks = [Check("E'' inside seed", f"E''={e2!r} contained in K={k!r}",
@@ -396,7 +381,7 @@ def verify_simple_system(f, s, subsets: Sequence, bound=None):
     """
     for e in subsets:
         cert = is_index_nbhd(f, e, s)
-        if not isinstance(cert, IndexNbhdCertificate):
+        if not cert:
             return cert
 
     laws = _laws(f, subsets)

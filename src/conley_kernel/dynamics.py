@@ -23,6 +23,7 @@ from typing import Optional
 
 from .boxes import BoxSet, Interval
 from .carriers import DEFAULT_INTERVAL_BOUND, carrier_for
+from .finite import FiniteSubset
 from .semiflow import Undecided
 from .szymczak import BASEPOINT, BasedEndo
 
@@ -203,13 +204,16 @@ def triple_sum_law_check(f, e, e2, e3, t: AdmissibleTriple,
 
 
 def _checkpoints(lo, hi):
-    """The absolute indices 2^k - 1 in [lo, hi), then hi - 1."""
-    i = 0
+    """The absolute indices 2^k - 1 in [lo, hi), then hi - 1, as a list: a
+    suspended generator left by a test that exhausts memory fails to close
+    and prints ``Exception ignored in:`` on standard error."""
+    out, i = [], 0
     while i < hi - 1:
         if i >= lo:
-            yield i
+            out.append(i)
         i = 2 * i + 1
-    yield hi - 1
+    out.append(hi - 1)
+    return out
 
 
 def _least(test, times, lo, hi):
@@ -379,18 +383,15 @@ def one_point_endo(f, e) -> BasedEndo:
 # invariant parts
 
 def invariant_part(f, e):
-    """Exact invariant part on the finite carrier, by double stabilization."""
-    ca = carrier_for(f)
-    if ca.name != "finite":
+    """Exact invariant part on the finite carrier: the cycles of f inside E.
+    A finite S with f(S) = S is a union of cycles (f maps S onto S, so
+    bijectively), and every cycle inside E is invariant."""
+    if carrier_for(f).name != "finite":
         raise TypeError("invariant_part is the finite-carrier operation; "
                         "use invariant_part_exact on the interval carrier")
-    # D_n(E) shrinks until it repeats, so it is constant from n = |E| on
-    s = ca.dom(f, e, e.mask.bit_count())
-    while True:
-        s2 = f.image(s)
-        if s2 == s:
-            return s
-        s = s2
+    f.check_set(e)
+    cycles = (sum(1 << x for x in c) for c in f._orbits[1])
+    return FiniteSubset(e.space, sum(c for c in cycles if not c & ~e.mask))
 
 
 def invariant_part_outer(f, e, t):

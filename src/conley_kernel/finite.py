@@ -13,9 +13,15 @@ the mask as 0/1 bytes for ``itertools.compress``), with no Python loop per
 point.  Names (``members``, ``ordered()``, ``pairs``, ``table``) are views
 derived for output and oracles.  This is the one finite-map
 representation: the based endos of :mod:`conley_kernel.szymczak` are total
-maps with a basepoint index, and read the orbit walk a map caches.  A map
-holds the memo of the powers f^t, D_n(E) and f^-n(A) that
-:class:`conley_kernel.carriers.DiscreteTime` builds, in a field of its own.
+maps with a basepoint index, and read the orbit walk a map caches.
+
+f is eventually periodic, and one walk of every orbit (tails and cycles)
+records how: f^n of every finite map, based endos included, is f^p (the
+preperiod p is at most |X|) turned n - p places along the cycles, so
+:func:`power` composes nothing, and the invariant part of E is the cycles
+inside E.  A map also holds the memo of the powers f^t, D_n(E) and f^-n(A)
+that :class:`conley_kernel.carriers.DiscreteTime` builds, in a field of
+its own.
 """
 
 from __future__ import annotations
@@ -200,6 +206,36 @@ class FinitePartialMap:
         steps, cycles = self._orbits
         return max(steps, default=0), math.lcm(*map(len, cycles))
 
+    @cached_property
+    def _tables(self) -> dict:
+        """The memo of :meth:`_power`, keyed by the reduced exponent, with
+        f^0..f^p built by steps: p is at most |X|."""
+        step = (self.targets + (-1,)).__getitem__  # undefined stays undefined
+        tables = {0: tuple(range(len(self.targets)))}
+        for k in range(1, self.power_bounds[0] + 1):
+            tables[k] = tuple(map(step, tables[k - 1]))
+        return tables
+
+    def _power(self, n: int) -> tuple[int, ...]:
+        """The shared targets of f^n, with n > p reduced to p + (n - p) mod q.
+
+        f^p maps each point off Dom f or onto a cycle, which f turns, so
+        f^n is f^p moved n - p places along the cycle each point lands on
+        (-1 stays -1): no table is built per unit of the period q."""
+        if n == 1:              # f^1 needs no orbit walk
+            return self.targets
+        p, q = self.power_bounds
+        if n > p:
+            n = p + (n - p) % q
+        tables = self._tables
+        if n not in tables:
+            d, moved = n - p, list(self.targets + (-1,))
+            for c in self._orbits[1]:
+                for i, y in enumerate(c):
+                    moved[y] = c[(i + d) % len(c)]
+            tables[n] = tuple(map(moved.__getitem__, tables[p]))
+        return tables[n]
+
     def apply(self, x: str) -> str | None:
         return self.table.get(x)
 
@@ -254,11 +290,7 @@ def compose(g: FinitePartialMap, f: FinitePartialMap) -> FinitePartialMap:
 
 
 def power(f: FinitePartialMap, n: int) -> FinitePartialMap:
+    """f^n read off the orbit walk of f, as a new map (never f itself)."""
     if n < 0:
         raise ValueError("negative power")
-    if n == 0:
-        return identity_map(f.space)
-    out = f
-    for _ in range(n - 1):
-        out = compose(f, out)
-    return out
+    return FinitePartialMap(f.space, f._power(n))

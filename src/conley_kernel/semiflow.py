@@ -527,7 +527,7 @@ def invariant_part_F(flow, e: BoxSet):
             reason = "ceil axis unbounded below in E"
         else:
             continue
-        # imported at call time: dynamics imports this module through carriers
-        from .dynamics import invariant_part_outer
-        raise Undecided(reason, outer=invariant_part_outer(flow, e, 1))
+        # F^1(D_1(E)): the outer approximant of dynamics.invariant_part_outer
+        raise Undecided(reason, outer=time_map(flow, 1).image(
+            dom_interval(flow, e, 1)))
     return flow.fixed_set().intersect(e)

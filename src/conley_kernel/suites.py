@@ -1469,7 +1469,7 @@ def suite_cont_discriminator() -> SuiteResult:
     e_bad = BoxSet.interval(0, True, 1, False)
     s0 = BoxSet.interval(0, True, 0, True)
     cert = co.is_index_nbhd(flow, e_good, s0)
-    res.check(isinstance(cert, co.IndexNbhdCertificate),
+    res.check(isinstance(cert, co.Certificate),
               "[0,1] certified as a continuous index neighbourhood of {0}")
     res.check(sf.is_finite_time_proper(flow, e_bad) is False,
               "[0,1) fails finite-time properness")
@@ -1504,7 +1504,7 @@ def suite_worked_models() -> SuiteResult:
                   f"{getattr(built, 'triple', None)}")
     if ok:
         res.check(isinstance(co.is_index_nbhd(dbl, built.subset, s0),
-                             co.IndexNbhdCertificate),
+                             co.Certificate),
                   "doubling: constructed set certified as an index nbhd of {0}")
         sim = dyn.sim_f(dbl, built.subset, built.compact_seed, bound=8)
         res.check(sim.is_equivalent,

@@ -10,9 +10,9 @@ cycles), so negative answers are complete, not timeouts; names
 (``points``, ``base``, ``table``, ``cycles``, ``power_table``, the reprs)
 are views for output and the oracles.  The bounds come from the preperiod
 p, at most the number of points: class equality is one comparison at
-n = p, and f^n for n > p is f^p moved along the cycles.  The period (the
-lcm of the cycle lengths, which can be exponential) bounds no loop and
-sizes no table.
+n = p, and f^n, inherited from the finite map, is f^p moved along the
+cycles past p.  The period (the lcm of the cycle lengths, which can be
+exponential) bounds no loop and sizes no table.
 
 Shift equivalence is decided in polynomial time by the eventual-image
 rule: phi is a shift equivalence iff it maps the eventual image of f
@@ -75,33 +75,6 @@ class BasedEndo(FinitePartialMap):
     def eventual_image(self) -> tuple[str, ...]:
         """The points on cycles (step count 0; f is total), in `points` order."""
         return tuple(p for p, k in zip(self.points, self._orbits[0]) if k == 0)
-
-    @cached_property
-    def _tables(self) -> dict:
-        """The memo of :meth:`_power`, keyed by the reduced exponent, with
-        f^0..f^p built by steps: p is at most |X|."""
-        tables = {0: tuple(range(len(self.targets)))}
-        for k in range(1, self.power_bounds[0] + 1):
-            tables[k] = tuple(map(self.targets.__getitem__, tables[k - 1]))
-        return tables
-
-    def _power(self, n: int) -> tuple[int, ...]:
-        """The shared targets of f^n, with n > p reduced to p + (n - p) mod q.
-
-        f^p maps X onto the eventual image, whose cycles f turns, so f^n is
-        f^p moved n - p places along the cycle each point lands on: no
-        table is built per unit of the period q."""
-        p, q = self.power_bounds
-        if n > p:
-            n = p + (n - p) % q
-        tables = self._tables
-        if n not in tables:
-            d, moved = n - p, list(self.targets)
-            for c in self._orbits[1]:
-                for i, y in enumerate(c):
-                    moved[y] = c[(i + d) % len(c)]
-            tables[n] = tuple(map(moved.__getitem__, tables[p]))
-        return tables[n]
 
     def power_table(self, n: int) -> dict:
         if n < 0:

@@ -1,7 +1,7 @@
-"""Oracles and a generator that only the unit tests use, kept out of
-`conley_kernel.suites`, which holds what `conley-kernel verify` runs.  Each
-oracle is the slower path that a kernel function replaced; its docstring
-names which.
+"""Oracles, a generator and a certificate check that only the unit tests
+use, kept out of `conley_kernel.suites`, which holds what `conley-kernel
+verify` runs.  Each oracle is the slower path that a kernel function
+replaced; its docstring names which.
 
 The module is not named `oracles`: a script that puts `bench/` first on
 `sys.path` would then import `bench/oracles.py` in its place.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel import semiflow as sf
 from conley_kernel import szymczak as sz
@@ -21,6 +22,15 @@ from conley_kernel.suites import (
     brute_shift_bound, enumerate_equivariant_maps, is_shift_witness,
 )
 
+
+
+def is_index_nbhd_certificate(cert, f, e) -> bool:
+    """cert is a Certificate for E whose checks end with the
+    compactifiability checks of E: those that make an isolating
+    neighbourhood an index neighbourhood."""
+    names = [name for name, _ in dyn.compactifiability_checks(f, e)]
+    return isinstance(cert, co.Certificate) and \
+        [c.name for c in cert.checks][-len(names):] == names
 
 def direction(rule: sf.AxisRule) -> int:
     """Sign of the orbit's motion: -1 decreasing, +1 increasing, 0 still."""

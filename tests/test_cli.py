@@ -397,9 +397,18 @@ class TestParseCache:
         assert len({id(s._time_maps) for s in systems}) == 8
 
 
+# texts nested deeper than the JSON decoder recurses: unreadable, not an
+# exhausted resource
+DEEP_BRACKETS = b"[" * 200_000 + b"]" * 200_000
+DEEP_SET = (FIXTURES / "doubling.json").read_bytes().replace(
+    b'"unit": [[["-1", true, "1", true]]]',
+    b'"unit": ' + b"[" * 5000 + b"]" * 5000)
+
+
 @pytest.mark.parametrize("content", [
-    b"\xff\xfe{}", "\ufeff{}".encode("utf-8"), None],
-    ids=["not-utf-8", "utf-8-bom", "directory"])
+    b"\xff\xfe{}", "\ufeff{}".encode("utf-8"), None, DEEP_BRACKETS, DEEP_SET],
+    ids=["not-utf-8", "utf-8-bom", "directory", "nested-200000-deep",
+         "set-nested-5000-deep"])
 def test_every_read_failure_has_one_message(tmp_path, capsys, content):
     path = tmp_path / "doc.json"
     if content is None:

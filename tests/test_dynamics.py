@@ -699,6 +699,16 @@ class TestInvariantPart:
             assert dyn.invariant_part(f, e).members == \
                 brute_invariant_part(f, e).members
 
+    def test_matches_brute_force_up_to_twelve_points(self):
+        """The cycles of f inside E against the union of every invariant
+        subset of E, with E up to the whole space of up to 12 points."""
+        rng = random.Random(41)
+        for _ in range(200):
+            f = random_finite_system(rng, 12)
+            for e in (random_subset(rng, f.space),
+                      fin.FiniteSubset(f.space, (1 << len(f.space.points)) - 1)):
+                assert dyn.invariant_part(f, e) == brute_invariant_part(f, e)
+
     def test_result_is_invariant(self):
         rng = random.Random(37)
         for _ in range(80):

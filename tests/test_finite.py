@@ -83,6 +83,19 @@ class TestPower:
     def test_additivity(self, f, m, n):
         assert fin.power(f, m + n) == fin.compose(fin.power(f, m), fin.power(f, n))
 
+    def test_orbit_walk_matches_stepwise_composition(self):
+        """f^n read off the orbit walk against n compositions, for every
+        n < 60 and past p + q, on partial maps of up to 12 points."""
+        rng = random.Random(59)
+        for _ in range(300):
+            f = random_finite_system(rng, 12)
+            p, q = f.power_bounds
+            stepwise = fin.identity_map(f.space)
+            for n in range(max(60, p + q + 1)):
+                got = fin.power(f, n)
+                assert got == stepwise and got is not f, (f, n)
+                stepwise = fin.compose(f, stepwise)
+
 
 class TestPreimage:
     def test_two_steps(self):

@@ -17,8 +17,8 @@ from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import clamp_flow, translation_flow
 from kernel_oracles import (
-    oracle_candidate_times, oracle_dom_interval_1d, oracle_time_pieces,
-    random_flow,
+    is_index_nbhd_certificate, oracle_candidate_times, oracle_dom_interval_1d,
+    oracle_time_pieces, random_flow,
 )
 
 
@@ -417,7 +417,7 @@ class TestInvariantPart:
 class TestIndexNbhdCont:
     def test_unit_certifies(self):
         cert = co.is_index_nbhd(CLAMP, UNIT, S0)
-        assert isinstance(cert, co.IndexNbhdCertificate)
+        assert is_index_nbhd_certificate(cert, CLAMP, UNIT)
 
     def test_halfopen_rejected_for_properness(self):
         res = co.is_index_nbhd(CLAMP, HALFOPEN, S0)
@@ -432,7 +432,7 @@ class TestIndexNbhdCont:
         built = co.construct_index_nbhd(CLAMP, S0, UNIT)
         assert isinstance(built, co.ConstructedNbhd)
         again = co.is_index_nbhd(CLAMP, built.subset, S0)
-        assert isinstance(again, co.IndexNbhdCertificate)
+        assert is_index_nbhd_certificate(again, CLAMP, built.subset)
         assert dyn.sim_f(CLAMP, built.subset, built.compact_seed).is_equivalent
 
     def test_connecting_morphism(self):
@@ -457,7 +457,7 @@ class TestIndexNbhdCont:
                                Interval.closed(0, Fraction(1, 2)))])
         assert sf.invariant_part_F(flow, square) == corner
         cert = co.is_index_nbhd(flow, square, corner)
-        assert isinstance(cert, co.IndexNbhdCertificate)
+        assert is_index_nbhd_certificate(cert, flow, square)
         rep = co.verify_simple_system(flow, corner, [square, small])
         assert isinstance(rep, co.ConleyIndexReport) and rep.ok
 
@@ -480,8 +480,9 @@ class TestRepresentationIndependence:
     @pytest.mark.parametrize("form", sorted(FORMS))
     def test_is_index_nbhd_certifies(self, form):
         flow = sf.ExactSemiflow.of(self.RULES)
-        cert = co.is_index_nbhd(flow, BoxSet.of(2, self.FORMS[form]), self.S)
-        assert isinstance(cert, co.IndexNbhdCertificate)
+        n = BoxSet.of(2, self.FORMS[form])
+        cert = co.is_index_nbhd(flow, n, self.S)
+        assert is_index_nbhd_certificate(cert, flow, n)
 
     @pytest.mark.parametrize("form", sorted(FORMS))
     def test_carrier_accepted(self, form):
@@ -493,8 +494,8 @@ class TestRepresentationIndependence:
         n = BoxSet.of(2, self.FORMS["disjoint"])
         built = co.construct_index_nbhd(flow, self.S, n)
         assert isinstance(built, co.ConstructedNbhd)
-        assert isinstance(co.is_index_nbhd(flow, built.subset, self.S),
-                          co.IndexNbhdCertificate)
+        assert is_index_nbhd_certificate(
+            co.is_index_nbhd(flow, built.subset, self.S), flow, built.subset)
 
 
 class TestForwardInvariance:
