@@ -4,8 +4,9 @@
 Usage: python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Each checkout runs its own ``scripts/sweep_outputs.py`` on the change's
-``fixtures/*.json``, and its own ``scripts/sweep_bench_requests.py W 1 7
-13`` for every workload W of the change's ``BENCHMARK.json``, each sweep
+``fixtures/*.json``, its own ``scripts/sweep_bench_requests.py W 1 7 13``
+for every workload W of the change's ``BENCHMARK.json``, and its own
+``scripts/sweep_suites.py`` (``verify --json`` on every suite), each sweep
 in a process of its own.  Both sides get the same arguments, so the lines
 of an unchanged program are the same.  For each sweep one line is printed:
 ``NAME: identical (N lines)``, the first line that differs with both
@@ -22,10 +23,11 @@ import sys
 SEEDS = ("1", "7", "13")
 
 
-def sweeps(change_dir: str, fixtures=None, seeds=SEEDS) -> list:
+def sweeps(change_dir: str, fixtures=None, seeds=SEEDS, suites=()) -> list:
     """(name, script, argv) of every sweep: the output sweep on the
-    change's fixtures (or on ``fixtures``), then the request sweep of each
-    workload of the change's BENCHMARK.json on ``seeds``."""
+    change's fixtures (or on ``fixtures``), the request sweep of each
+    workload of the change's BENCHMARK.json on ``seeds``, then the suite
+    sweep on ``suites`` (none named: every suite)."""
     if fixtures is None:
         fixtures = sorted(glob.glob(os.path.join(change_dir, "fixtures",
                                                  "*.json")))
@@ -33,7 +35,8 @@ def sweeps(change_dir: str, fixtures=None, seeds=SEEDS) -> list:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
     return [("sweep_outputs", "sweep_outputs.py", list(fixtures))] + \
         [(f"sweep_bench_requests {w}", "sweep_bench_requests.py",
-          [w, *seeds]) for w in workloads]
+          [w, *seeds]) for w in workloads] + \
+        [("sweep_suites", "sweep_suites.py", list(suites))]
 
 
 def run_sweep(checkout: str, script: str, argv: list) -> list:
@@ -60,9 +63,9 @@ def first_difference(parent: list, change: list) -> str | None:
 
 
 def compare(parent_dir: str, change_dir: str, fixtures=None,
-            seeds=SEEDS) -> int:
+            seeds=SEEDS, suites=()) -> int:
     code = 0
-    for name, script, argv in sweeps(change_dir, fixtures, seeds):
+    for name, script, argv in sweeps(change_dir, fixtures, seeds, suites):
         try:
             parent = run_sweep(parent_dir, script, argv)
             change = run_sweep(change_dir, script, argv)

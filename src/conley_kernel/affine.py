@@ -99,10 +99,10 @@ partition that domain with one rule each, so :func:`compose` builds the
 map directly, without the overlap and continuity checks of `of`.
 
 Each map memoizes its set images and preimages by argument set (box sets
-hash and compare as sets), and the powers f^t, D_n(E) and f^-n(A) that
-:class:`conley_kernel.carriers.DiscreteTime` builds, in fields of the map
-object, so a memo lives as long as its map and no two maps or parsed
-documents share one.  :func:`power` stays the from-scratch reference.
+hash and compare as sets), its powers (:func:`power`), and the D_n(E) and
+f^-n(A) of :class:`conley_kernel.carriers.DiscreteTime`, in fields of the
+map object, so a memo lives as long as its map and no two maps or parsed
+documents share one.
 """
 
 from __future__ import annotations
@@ -631,9 +631,18 @@ def product(factors: Sequence[PiecewiseAffineMap]) -> PiecewiseAffineMap:
 
 
 def power(f: PiecewiseAffineMap, n: int) -> PiecewiseAffineMap:
+    """f^n, memoized on f by n: f^0 is the identity and f^(k+1) = f o f^k,
+    one :func:`compose` per missing step, stored by ``setdefault``, so
+    racing threads keep one of equal maps.  f^1 is a new map equal to f:
+    f in its own memo would keep its document alive until a cyclic GC."""
     if n < 0:
         raise ValueError("negative power")
-    out = PiecewiseAffineMap.identity(f.dimension)
-    for _ in range(n):
-        out = compose(f, out)
+    memo = f._iterates.get("power") or f._iterates.setdefault(
+        "power", {0: PiecewiseAffineMap.identity(f.dimension)})
+    k = n
+    while k not in memo:
+        k -= 1
+    out = memo[k]
+    for k in range(k + 1, n + 1):
+        out = memo.setdefault(k, compose(f, out))
     return out

@@ -23,10 +23,10 @@ what depends on time:
 
 Time in N: :class:`DiscreteTime`, with one instance for finite maps (searches
 derive a complete bound) and one for piecewise-affine maps on rational box
-sets.  It is the one place where f^t, D_n(E) and f^-n(A) are built: step by
-step, and memoized in a field of the map, so a memo lives as long as its map
-and no two maps or parsed documents share one.  Time in R>=0:
-:class:`SemiflowCarrier`, which takes its time maps, swept domains and
+sets.  Its f^t is the map type's ``power``; it is the one place where D_n(E)
+and f^-n(A) are built: step by step, and memoized in a field of the map, so
+a memo lives as long as its map and no two maps or documents share one.
+Time in R>=0: :class:`SemiflowCarrier`, which takes its time maps, swept domains and
 candidate times from :mod:`conley_kernel.semiflow`, where both are memoized
 on the flow; its realized maps are piecewise affine.
 """
@@ -37,52 +37,30 @@ import threading
 
 from . import affine, finite
 from . import semiflow as sf
-from .affine import PiecewiseAffineMap
-from .finite import FinitePartialMap
-from .semiflow import ExactSemiflow
 
 DEFAULT_INTERVAL_BOUND = 64
 
 
 class DiscreteTime:
-    """Time in N: f^t is the t-th power and D_t(E) the t-fold iterated domain.
-
-    The powers f^0, f^1, ..., the D_n(E) and the f^-n(A) are built step by
-    step and kept in the map's ``_iterates``, so a smaller time costs a
-    lookup and a larger one a step per missing time.
-
-    ``maps`` is the module of the realized maps; its ``compose`` and
-    ``power`` are looked up at call time, so wrappers installed on the
-    module take effect.
-
-    A sequence grows only under ``_grow``, which is taken only when the
-    memo misses, so a memo hit costs no lock.  Without it two threads
-    that both read length k would both append step k, and every later
-    index would be off by one.  It is reentrant, as f^n asks for f^1."""
+    """Time in N: f^t is the t-th power, the ``power`` of ``maps``, the
+    module of the realized maps, whose ``compose`` and ``power`` are looked
+    up at call time, so wrappers installed on the module take effect.
+    D_t(E) and f^-t(A) are built step by step and kept in the map's
+    ``_iterates``, so a smaller time costs a lookup and a larger one a step
+    per missing time.  A sequence grows only under ``_grow``, taken only
+    when the memo misses, so a memo hit costs no lock; without it two
+    threads that both read length k would both append step k, and every
+    later index would be off by one."""
 
     def __init__(self, name: str, default_bound, maps):
         self.name, self.default_bound, self.maps = name, default_bound, maps
-        self._grow = threading.RLock()
+        self._grow = threading.Lock()
 
     def compose(self, g, f):
         return self.maps.compose(g, f)
 
     def time_map(self, f, t):
-        """f^t: f^0 and f^1 as ``power`` builds them, then f^(n+1) = f o f^n,
-        one ``compose`` per step, all memoized on f.  ``power`` gives f^1 as
-        a new map equal to f, never f itself: f in its own memo would keep
-        its parsed document alive until a cyclic garbage collection."""
-        if t < 0:
-            raise ValueError("negative power")
-        seq = f._iterates.setdefault("power", [None, None])  # built when asked
-        if t < 2 and seq[t] is None:
-            seq[t] = self.maps.power(f, t)
-        if len(seq) <= t:
-            with self._grow:
-                while len(seq) <= t:
-                    seq.append(self.maps.compose(
-                        f, self.time_map(f, 1) if len(seq) == 2 else seq[-1]))
-        return seq[t]
+        return self.maps.power(f, t)
 
     def _sequence(self, f, a, kind, t):
         if t < 0:
@@ -206,10 +184,10 @@ SEMIFLOW = SemiflowCarrier()
 
 
 def carrier_for(f):
-    if isinstance(f, FinitePartialMap):
+    if isinstance(f, finite.FinitePartialMap):
         return FINITE
-    if isinstance(f, PiecewiseAffineMap):
+    if isinstance(f, affine.PiecewiseAffineMap):
         return INTERVAL
-    if isinstance(f, ExactSemiflow):
+    if isinstance(f, sf.ExactSemiflow):
         return SEMIFLOW
     raise TypeError(f"no carrier for {type(f).__name__}")

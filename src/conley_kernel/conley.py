@@ -5,12 +5,12 @@ interval carriers (times in N) and the semiflow carrier (times in R>=0)
 differ only through their set and map types and the time domain of
 :mod:`conley_kernel.carriers`.
 
-Certificates are replayable: each records the named checks with their inputs
-in printable form, so a third party can re-run every condition without
-trusting the tool.  The functor laws are written once and decided by the
-carrier's law set: Szymczak classes between explicit one-point endos on the
-finite carrier; on the box carriers the cross maps themselves, with the
-index object kept as (E, f_E) and each law an exact partial-map identity.
+A certificate records each named check, its outcome and a printable
+``repr`` of its inputs, not the inputs, so it cannot yet be re-run without
+the tool.  The functor laws are written once and decided by the carrier's
+law set: Szymczak classes between explicit one-point endos on the finite
+carrier; on the box carriers the cross maps themselves, with the index
+object kept as (E, f_E) and each law an exact partial-map identity.
 """
 
 from __future__ import annotations

@@ -20,12 +20,16 @@ from typing import Any, Callable
 from . import __version__
 from .affine import AffineRule, Piece, PiecewiseAffineMap
 from .boxes import BoxSet, Cut, Interval, NEG_INF, POS_INF
-from .finite import FinitePartialMap, FiniteSpace, FiniteSubset
+from .finite import FinitePartialMap, FiniteSpace, FiniteSubset, echo
 from .semiflow import AxisRule, ExactSemiflow
 
 
 class DocumentError(ValueError):
     pass
+
+
+def _shown(value) -> str:     # repr(value), cut as finite.echo cuts it
+    return echo(repr(value) if isinstance(value, str) else value)
 
 
 def format_rat(q: Fraction) -> str:
@@ -47,7 +51,7 @@ def parse_rat(tok) -> Fraction:
         if m is not None:
             n, d = m.groups()
             return Fraction(int(n), int(d)) if d else Fraction(int(n))
-    raise DocumentError(f"bad rational {tok!r} (use 'p' or 'p/q')")
+    raise DocumentError(f"bad rational {_shown(tok)} (use 'p' or 'p/q')")
 
 
 def cut_to_json(c: Cut) -> str:
@@ -73,7 +77,7 @@ def interval_to_json(iv: Interval) -> list:
 def interval_from_json(data) -> Interval:
     if not isinstance(data, (list, tuple)) or len(data) != 4:
         raise DocumentError(f"interval must be [lo, lo_closed, hi, hi_closed], "
-                            f"got {data!r}")
+                            f"got {_shown(data)}")
     lo, lc, hi, hc = data
     if not isinstance(lc, bool) or not isinstance(hc, bool):
         raise DocumentError("endpoint flags must be booleans")
@@ -113,7 +117,7 @@ class SystemDocument:
 def _dimension(data: dict) -> int:
     dim = data["dimension"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise DocumentError(f"dimension must be an integer >= 1, got {dim!r}")
+        raise DocumentError(f"dimension must be an integer >= 1, got {_shown(dim)}")
     return dim
 
 
@@ -191,7 +195,7 @@ def _parse_semiflow(data: dict) -> tuple[Callable, Callable]:
                 rule = AxisRule.floor if kind == "floor" else AxisRule.ceil
                 axes.append(rule(parse_rat(a["velocity"]), parse_rat(a["clamp"])))
             else:
-                raise DocumentError(f"unknown axis kind {kind!r}")
+                raise DocumentError(f"unknown axis kind {_shown(kind)}")
         carrier = None
         if "carrier" in data:
             carrier = boxset_from_json(data["carrier"], dim)
@@ -230,7 +234,7 @@ def document_builder(data: dict) -> Callable[[], SystemDocument]:
         raise DocumentError("document must be a JSON object")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _PARSERS:
-        raise DocumentError(f"unknown document kind {kind!r}")
+        raise DocumentError(f"unknown document kind {_shown(kind)}")
     system = _expect(data.get("system", {}), dict, "'system'")
     sets = _expect(data.get("sets", {}), dict, "'sets'")
     parse_set, build = _PARSERS[kind](system)

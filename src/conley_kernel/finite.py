@@ -18,15 +18,15 @@ maps with a basepoint index, and read the orbit walk a map caches.
 f is eventually periodic, and one walk of every orbit (tails and cycles)
 records how: f^n of every finite map, based endos included, is f^p (the
 preperiod p is at most |X|) turned n - p places along the cycles, so
-:func:`power` composes nothing, and the invariant part of E is the cycles
-inside E.  A map also holds the memo of the powers f^t, D_n(E) and f^-n(A)
-that :class:`conley_kernel.carriers.DiscreteTime` builds, in a field of
-its own.
+:func:`power`, the time map of :class:`conley_kernel.carriers.DiscreteTime`,
+composes nothing and keeps no map, and the invariant part of E is the cycles
+inside E.  A map holds the D_n(E) and f^-n(A) that the carrier builds.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress
@@ -34,6 +34,13 @@ from operator import or_
 from typing import Iterable, Mapping
 
 _BYTE_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def echo(value) -> str:
+    """value in an input-error message: text as it is, else its repr as
+    reprlib abbreviates it (six levels deep), cut to 60 characters."""
+    text = value if isinstance(value, str) else reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _flags(mask: int) -> bytes:
@@ -129,8 +136,8 @@ class FinitePartialMap:
             for x, fx in table.items():
                 targets[index[x]] = index[fx]
         except (KeyError, TypeError):      # unknown or unhashable
-            raise ValueError(
-                f"table entry {x}->{fx} leaves the space") from None
+            raise ValueError(f"table entry {echo(x)}->{echo(fx)} leaves "
+                             "the space") from None
         return FinitePartialMap(space, tuple(targets))
 
     @cached_property

@@ -12,11 +12,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from conley_kernel import affine as af
 from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
+from conley_kernel import finite as fin
 from conley_kernel import semiflow as sf
 from conley_kernel import szymczak as sz
-from conley_kernel.affine import AffineRule
+from conley_kernel.affine import AffineRule, PiecewiseAffineMap
 from conley_kernel.boxes import BoxSet, Cut, Interval, NEG_INF, POS_INF
 from conley_kernel.suites import (
     brute_shift_bound, enumerate_equivariant_maps, is_shift_witness,
@@ -227,6 +229,20 @@ def oracle_preimage(f, a, t):
     for _ in range(t):
         a = f.preimage(a)
     return a
+
+
+def oracle_power(f, n):
+    """f^n from scratch, n composes from the identity with the map type's
+    compose, touching no memo: the reference of affine.power (memoized step
+    by step on f) and finite.power (read off the orbit walk), each of which
+    is the time map of carriers.DiscreteTime."""
+    if isinstance(f, fin.FinitePartialMap):
+        out, compose = fin.identity_map(f.space), fin.compose
+    else:
+        out, compose = PiecewiseAffineMap.identity(f.dimension), af.compose
+    for _ in range(n):
+        out = compose(f, out)
+    return out
 
 
 def brute_shift_equivalence(phi: sz.EquivariantMap):

@@ -510,6 +510,30 @@ class TestExitCodes:
         assert err.startswith("input error: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("document, start", [
+        ((FIXTURES / "doubling.json").read_text().replace(
+            '"unit": [[["-1", true, "1", true]]]',
+            '"unit": ' + "[" * 900 + "]" * 900),
+         "input error: interval must be [lo, lo_closed, hi, hi_closed], "
+         "got [[[["),
+        (json.dumps({"kind": "finite_map", "system": {
+            "points": ["a", "b"], "table": {"a": "b" * 5000}}}),
+         "input error: bad finite system: table entry a->bbbb"),
+        ((FIXTURES / "doubling.json").read_text().replace(
+            '"slope": "2"', '"slope": "' + "9" * 3000 + '.5"'),
+         "input error: bad interval system: bad rational '9999"),
+    ], ids=["set-nested-900-deep", "target-5000-long", "slope-3000-digits"])
+    def test_a_long_bad_value_gives_a_short_message(self, tmp_path, capsys,
+                                                    document, start):
+        """The bad value is echoed cut, so the one message line stays
+        short however large or deep the value."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith(start) and err.count("\n") == 1
+        assert len(err) <= 201
+
     def test_default_bound_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CONLEY_DEFAULT_BOUND", "12")
         code, out, _ = run(capsys, "sim", fx("doubling.json"),

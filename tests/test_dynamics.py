@@ -25,8 +25,8 @@ from conley_kernel.suites import (
 )
 from conley_kernel.szymczak import BasedEndo
 from kernel_oracles import (
-    oracle_dom, oracle_find_admissible, oracle_preimage, oracle_sim_f,
-    random_flow,
+    oracle_dom, oracle_find_admissible, oracle_power, oracle_preimage,
+    oracle_sim_f, random_flow,
 )
 
 
@@ -337,14 +337,21 @@ class TestCarrierMemo:
     def test_threads_append_each_step_once(self):
         """Eight threads that ask a fresh map for the same times together:
         two that both read a sequence of length k used to append step k
-        twice, so that dom(f, E, k + 1) returned the larger D_k."""
-        n, threads, trials = 120, 8, 40
+        twice, so that dom(f, E, k + 1) returned the larger D_k.  On a
+        finite chain, and on x -> max(x - 1, 0), whose powers stay small
+        and are a memo keyed by k (affine.power)."""
+        n = 120
         space = fin.FiniteSpace.of(str(i) for i in range(n))
         table = {str(i): str(i + 1) for i in range(n - 1)}
-        e = fin.FiniteSubset.of(space, space.points)
-        last = fin.FiniteSubset.of(space, [str(n - 1)])
-        ca = dyn.carrier_for(fin.FinitePartialMap.of(space, table))
-        serial = fin.FinitePartialMap.of(space, table)
+        self._ask_together(
+            lambda: fin.FinitePartialMap.of(space, table), n, 40,
+            fin.FiniteSubset.of(space, space.points),
+            fin.FiniteSubset.of(space, [str(n - 1)]))
+        self._ask_together(clamp_map, 40, 20, box1(1, True, 40, True), ORIGIN)
+
+    @staticmethod
+    def _ask_together(new_map, n, trials, e, last, threads=8):
+        ca, serial = dyn.carrier_for(new_map()), new_map()
         want = [(ca.dom(serial, e, t), ca.preimage(serial, last, t),
                  ca.time_map(serial, t)) for t in range(n)]
         wrong = []              # per finished thread, the times it got wrong
@@ -359,7 +366,7 @@ class TestCarrierMemo:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(trials):
-                f = fin.FinitePartialMap.of(space, table)
+                f = new_map()
                 start = threading.Barrier(threads)
                 workers = [threading.Thread(target=ask, args=(f, start))
                            for _ in range(threads)]
@@ -382,16 +389,20 @@ class TestCarrierMemo:
                 with pytest.raises(ValueError, match="negative power"):
                     ask(f, e, -2)
             assert not f._iterates
-            ca.time_map(f, 2)       # and once f^0..f^2 are memoized
+            ca.time_map(f, 2)       # and once f^2 has been asked
             with pytest.raises(ValueError, match="negative power"):
                 ca.time_map(f, -1)
-            assert len(f._iterates["power"]) == 3
+            # a finite map keeps no power memo, an affine one f^0..f^2
+            if f is chain:
+                assert not f._iterates
+            else:
+                assert sorted(f._iterates["power"]) == [0, 1, 2]
 
     def test_powers(self):
         """f^t from the carrier, asked in random order and twice each,
-        against affine.power / finite.power on a copy with empty memos.
-        Affine maps compare by their canonical nodes, so == is map
-        equality and fixes every derived piece."""
+        against kernel_oracles.oracle_power (composes from the identity)
+        on a copy with empty memos.  Affine maps compare by their canonical
+        nodes, so == is map equality and fixes every derived piece."""
         rng = random.Random(101)
         systems = [(random_finite_system(rng, 7), 9) for _ in range(30)]
         systems += [(random_product_map(rng, 1), 7) for _ in range(15)]
@@ -399,13 +410,14 @@ class TestCarrierMemo:
         systems += [(doubling_map(), 7), (clamp_map(), 7)]
         for f, top in systems:
             fresh, ca = replace(f), dyn.carrier_for(f)
-            power = fin.power if isinstance(f, fin.FinitePartialMap) else af.power
             for t in _shuffled_times(rng, range(top)):
-                got, want = ca.time_map(f, t), power(fresh, t)
+                got, want = ca.time_map(f, t), oracle_power(fresh, t)
                 assert got == want, (f, t)
 
     @pytest.mark.parametrize("module", [af, fin], ids=["affine", "finite"])
     def test_powers_cost_one_compose_per_missing_step(self, module, monkeypatch):
+        """An affine f^t costs one compose per step not yet memoized; a
+        finite one is read off the orbit walk and composes nothing."""
         calls = []
         compose = module.compose
 
@@ -418,14 +430,33 @@ class TestCarrierMemo:
             fin.FinitePartialMap.of(SPACE, CHAIN.table)
         ca = dyn.carrier_for(f)
         ca.time_map(f, 5)
+        if module is fin:
+            assert not calls
         calls.clear()
         for k in (5, 0, 3, 1, 4, 2, 5):
             ca.time_map(f, k)
         assert not calls
         ca.time_map(f, 6)
-        assert len(calls) == 1
-        # f^1 of a finite map is f, which its own memo does not hold
-        assert all(p is not f for p in f._iterates["power"])
+        if module is fin:
+            ca.time_map(f, 10 ** 6)
+            assert not calls and not f._iterates
+        else:
+            assert len(calls) == 1
+            # f^1 is a map equal to f, which f's own memo does not hold
+            assert all(p is not f for p in f._iterates["power"].values())
+
+    def test_finite_time_maps_keep_no_map(self):
+        """f^t of a finite map is f^p turned along the cycles: on one
+        200-point cycle, f^20000 is the rotation by 20000 mod 200 and no
+        f^0..f^20000 are kept."""
+        n, t = 200, 20000
+        space = fin.FiniteSpace.of(str(i) for i in range(n))
+        f = fin.FinitePartialMap.of(
+            space, {str(i): str((i + 1) % n) for i in range(n)})
+        rotated = fin.FinitePartialMap.of(
+            space, {str(i): str((i + t) % n) for i in range(n)})
+        assert dyn.carrier_for(f).time_map(f, t) == rotated
+        assert not f._iterates
 
     def test_two_parses_of_one_document_share_no_memo(self):
         for name, label in (("attractor.json", "all"), ("doubling.json", "unit"),
@@ -446,7 +477,7 @@ class TestCarrierMemo:
                 assert getattr(f, m) is not getattr(two.system, m)
 
             def snapshot():     # copies the memoized sequences, too
-                return {m: {k: tuple(v) if isinstance(v, list) else v
+                return {m: {k: v.copy() if isinstance(v, (list, dict)) else v
                             for k, v in getattr(two.system, m).items()}
                         for m in memos}
 

@@ -230,6 +230,11 @@ class TestIndexRepresentation:
             with pytest.raises(ValueError,
                                match=rf"^table entry {re.escape(entry)} leaves the space$"):
                 fin.FinitePartialMap.of(SPACE, table)
+        # a long or deep bad value is echoed cut
+        for target in ("4" * 5000, [[[[[["2"]]]]]] * 100):
+            with pytest.raises(ValueError, match=r"^table entry 1->.{1,60} "
+                               r"leaves the space$"):
+                fin.FinitePartialMap.of(SPACE, {"1": target})
         other = fin.FiniteSubset.of(fin.FiniteSpace.of(["a"]), ["a"])
         for op in (fmap({}).image, fmap({}).preimage, fmap({}).restrict):
             with pytest.raises(ValueError,

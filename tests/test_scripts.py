@@ -128,6 +128,24 @@ def test_sweep_bench_requests_prints_seeds_in_one_stream(capsys):
         assert out == "" and err.startswith("usage:")
 
 
+def test_sweep_suites_prints_one_line_per_verify_run(capsys):
+    """Each suite at its defaults, and a seeded one again at --trials 20
+    --seed 7; an unknown suite is a usage error before any suite runs."""
+    script = load("sweep_suites")
+    assert script.main(["worked-models", "finite-algebra"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["argv"] for line in lines] == [
+        ["verify", "--suite", "worked-models", "--json"],
+        ["verify", "--suite", "finite-algebra", "--json"],
+        ["verify", "--suite", "finite-algebra", "--trials", "20", "--seed",
+         "7", "--json"]]
+    assert all(line["exit"] == 0 and line["stderr"] == "" for line in lines)
+    assert json.loads(lines[2]["stdout"])["meta"]["seed"] == 7
+    assert script.main(["worked-models", "no-such-suite"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:") and "no-such-suite" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--only", "no-such-suite"], "unknown suite 'no-such-suite'"),
     (["--only", "box-algebra", "--trials", "-1"],
@@ -174,6 +192,7 @@ def test_run_suites_rejects_a_bad_trial_count_no_suite_reads(capsys):
     ("run_suites", ["--only", "worked-models", "--trials", "1"]),
     ("sweep_outputs", [str(ROOT / "fixtures" / "shift2d.json")]),
     ("sweep_bench_requests", ["szymczak", "1"]),
+    ("sweep_suites", ["worked-models"]),
 ])
 @pytest.mark.parametrize("decoy", [False, True], ids=["unset", "decoy"])
 def test_scripts_run_on_their_own_checkout(tmp_path, name, argv, decoy):
@@ -194,7 +213,9 @@ def test_scripts_run_on_their_own_checkout(tmp_path, name, argv, decoy):
     assert done.stdout and done.stderr == ""
 
 
-COMPARED = ([str(ROOT / "fixtures" / "attractor.json")], ["1"])
+# one unseeded and one seeded suite
+COMPARED = ([str(ROOT / "fixtures" / "attractor.json")], ["1"],
+            ["worked-models", "finite-algebra"])
 
 
 def test_compare_outputs_finds_a_checkout_identical_to_itself(capsys):
@@ -204,7 +225,8 @@ def test_compare_outputs_finds_a_checkout_identical_to_itself(capsys):
     workloads = [w["name"] for w in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["workloads"]]
     assert [line.split(":")[0] for line in lines] == ["sweep_outputs"] + \
-        [f"sweep_bench_requests {w}" for w in workloads]
+        [f"sweep_bench_requests {w}" for w in workloads] + ["sweep_suites"]
+    assert lines[-1] == "sweep_suites: identical (3 lines)"
     assert all(re.fullmatch(r"[^:]+: identical \(\d+ lines\)", line)
                for line in lines)
     assert script.main([str(ROOT)]) == 2
@@ -222,6 +244,7 @@ def test_compare_outputs_shows_the_first_difference(capsys, tmp_path):
                           "  parent: other\n  change: {")
     assert f"sweep_bench_requests szymczak: failed (exit 1 in {stub.parent}: " \
         "no)" in out
+    assert f"sweep_suites: failed (exit 2 in {stub.parent}: " in out
     assert script.main([str(tmp_path), str(ROOT)]) == 2
 
 
