@@ -375,28 +375,26 @@ def _closure_or_interior(a, closure: bool):
     The atoms are the breakpoint values v and the open intervals between
     them.  An open atom keeps the closure (interior) of its value; a point
     atom takes the closure of the union (the interior of the intersection)
-    of its value and its two neighbours' values."""
+    of its value and its two neighbours' values.  Closure commutes with
+    finite unions and interior with finite intersections, so that is the
+    merge of the three values already swept: each value is swept once."""
     if _is_const(a):
         return a
     keys, vals = a
     op = _OR if closure else _AND
-    cur = vals[0]
-    out_keys, out_vals = [], [_closure_or_interior(cur, closure)]
+    swept = [_closure_or_interior(x, closure) for x in vals]
+    out_keys, out_vals = [], [swept[0]]
     i, n = 0, len(keys)
     while i < n:
         h, v, e = keys[i]
-        left = cur
+        left = swept[i]
         if e == 0:
             i += 1
-            cur = vals[i]
-        point = cur
+        point = swept[i]
         if i < n and keys[i] == (h, v, 1):
             i += 1
-            cur = vals[i]
-        at_point = _closure_or_interior(
-            _merge(_merge(left, point, op), cur, op), closure)
-        for k, x in (((h, v, 0), at_point),
-                     ((h, v, 1), _closure_or_interior(cur, closure))):
+        at_point = _merge(_merge(left, point, op), swept[i], op)
+        for k, x in (((h, v, 0), at_point), ((h, v, 1), swept[i])):
             if x != out_vals[-1]:
                 out_keys.append(k)
                 out_vals.append(x)

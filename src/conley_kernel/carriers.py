@@ -26,9 +26,12 @@ derive a complete bound) and one for piecewise-affine maps on rational box
 sets.  Its f^t is the map type's ``power``; it is the one place where D_n(E)
 and f^-n(A) are built: step by step, and memoized in a field of the map, so
 a memo lives as long as its map and no two maps or documents share one.
-Time in R>=0: :class:`SemiflowCarrier`, which takes its time maps, swept domains and
-candidate times from :mod:`conley_kernel.semiflow`, where both are memoized
-on the flow; its realized maps are piecewise affine.
+Time in R>=0: :class:`SemiflowCarrier`, which takes its time maps,
+preimages, swept domains and candidate times from
+:mod:`conley_kernel.semiflow`, where the first three are memoized on the
+flow; preimages and convex swept domains are read off the flow's axis
+rules, box by box, and build no time map; its realized maps are piecewise
+affine.
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ class SemiflowCarrier:
         return sf.time_map(f, t)
 
     def preimage(self, f, a, t=1):
-        return a if t == 0 else sf.time_map(f, t).preimage(a)
+        return sf.preimage(f, a, t)
 
     def dom(self, f, e, t):
         return sf.dom_interval(f, e, t)

@@ -7,20 +7,27 @@ coordinate is monotone in time, which is what makes the sweep computations
 exact.
 
 This module supplies what :class:`conley_kernel.carriers.SemiflowCarrier`
-needs for times in R>=0: exact time-t maps, swept domains D_t(E), the
-finite-time properness and open-definedness deciders, the rational
-candidate times a search runs over, and the rest-point invariant part.  The
-theory itself (admissible triples, cross maps, certificates, simple
-systems) is written once in :mod:`conley_kernel.dynamics` and
-:mod:`conley_kernel.conley`.  Exhausted semi-decisions raise
-:class:`Undecided`, never a fabricated negative.
+needs for times in R>=0: exact time-t maps, time-t preimages F_t^-1(A),
+swept domains D_t(E), the finite-time properness and open-definedness
+deciders, the rational candidate times a search runs over, and the
+rest-point invariant part.  The theory itself (admissible triples, cross
+maps, certificates, simple systems) is written once in
+:mod:`conley_kernel.dynamics` and :mod:`conley_kernel.conley`.  Exhausted
+semi-decisions raise :class:`Undecided`, never a fabricated negative.
 
-Each flow memoizes its time-t maps by t and its swept domains by (E, t)
-in fields of the flow object, so those sets and maps, with the maps'
-set-map memos (:mod:`conley_kernel.affine`), are shared by every caller
-holding the flow and live as long as it does.  These memos and the search
-tests key each time by its integer ratio, a pair of ints, which hashes far
-faster than a Fraction.
+Preimages and the swept domains of convex sets are read off the axes:
+F_t is the product of monotone axis maps restricted to the carrier, so the
+preimage of a box is the box of its axis preimages (one interval each,
+:meth:`AxisRule.preimage`).  No time-t map is built for them; one is built
+only where a realized map is needed (cross maps, induced powers, the
+properness probes and the outer approximant of the invariant part).
+
+Each flow memoizes its time-t maps by t, its preimages by (A, t) and its
+swept domains by (E, t) in fields of the flow object, so those sets and
+maps, with the maps' set-map memos (:mod:`conley_kernel.affine`), are
+shared by every caller holding the flow and live as long as it does.
+These memos and the search tests key each time by its integer ratio, a
+pair of ints, which hashes far faster than a Fraction.
 """
 
 from __future__ import annotations
@@ -118,8 +125,42 @@ class AxisRule:
                     ((AffineRule(Fraction(1), _mul_add(v, t, 0)),), clamped))
         return PiecewiseAffineMap(1, node)
 
+    def preimage(self, iv: Interval, t: Fraction) -> Interval | None:
+        """The x whose time-t factor value (:meth:`time_factor`, the
+        identity at t = 0) lies in iv, as one interval, or None when there
+        is none.
+
+        Translation pulls iv back to iv shifted by v*t.  The floor value is
+        max(x - v*t, L): when L is in iv every x <= hi + v*t qualifies, the
+        clamped ones included; when iv lies below L none does; when it lies
+        above L no clamped value is in it and the preimage is the shift.
+        The ceiling rule is the mirror."""
+        if self.kind == "identity" or t == 0:
+            return iv
+        v = self.velocity
+        if self.kind == "floor":
+            if iv.contains(self.clamp):
+                return Interval(NEG_INF, _shift(iv.hi, v, t), False,
+                                iv.hi_closed)
+            if iv.hi <= Cut.finite(self.clamp):
+                return None
+        elif self.kind == "ceil":
+            v = -v
+            if iv.contains(self.clamp):
+                return Interval(_shift(iv.lo, v, t), POS_INF, iv.lo_closed,
+                                False)
+            if Cut.finite(self.clamp) <= iv.lo:
+                return None
+        return Interval(_shift(iv.lo, v, t), _shift(iv.hi, v, t),
+                        iv.lo_closed, iv.hi_closed)
+
     def boundary_values(self) -> list[Fraction]:
         return [] if self.clamp is None else [self.clamp]
+
+
+def _shift(c: Cut, v: Fraction, t: Fraction) -> Cut:
+    """c + v*t; an infinite end stays where it is."""
+    return Cut(0, _mul_add(v, t, c.value)) if c.sign == 0 else c
 
 
 @dataclass(frozen=True)
@@ -143,6 +184,8 @@ class ExactSemiflow:
     carrier: BoxSet
     _time_maps: dict = field(default_factory=dict, init=False, compare=False,
                              hash=False, repr=False)
+    _pulled: dict = field(default_factory=dict, init=False, compare=False,
+                          hash=False, repr=False)
     _swept: dict = field(default_factory=dict, init=False, compare=False,
                          hash=False, repr=False)
 
@@ -199,6 +242,49 @@ def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:
     return tm
 
 
+def preimage(flow: ExactSemiflow, a: BoxSet, t) -> BoxSet:
+    """F_t^-1(A): the points of the carrier whose time-t value lies in A;
+    built once per flow, A and t.
+
+    F_t is the product of the axis maps phi_k restricted to the carrier.
+    Preimages commute with unions, so F_t^-1(A) is the union over the
+    boxes B of A of the product of the phi_k^-1(B_k), cut to the carrier,
+    and each phi_k is monotone, so each phi_k^-1(B_k) is one interval
+    (:meth:`AxisRule.preimage`).  The set is canonical, so it is the one
+    that pulling A back through ``time_map(flow, t)`` gives."""
+    t = rat(t)
+    key = (a, t.as_integer_ratio())
+    p = flow._pulled.get(key)
+    if p is not None:
+        return p
+    if t < 0:
+        raise ValueError("negative time")
+    if a.dimension != flow.dimension:
+        raise ValueError("dimension mismatch")
+    boxes = _pulled_boxes(flow.axes, a.boxes, t, False)
+    flow._pulled[key] = p = BoxSet.of(flow.dimension, boxes).intersect(
+        flow.carrier)
+    return p
+
+
+def _pulled_boxes(axes, boxes, t: Fraction, within: bool) -> list:
+    """Per box B, the box of the axis preimages phi_k^-1(B_k), or with
+    ``within`` of the B_k n phi_k^-1(B_k); the empty ones are left out."""
+    out = []
+    for box in boxes:
+        pulled = []
+        for r, iv in zip(axes, box):
+            p = r.preimage(iv, t)
+            if within and p is not None:
+                p = isect_iv(iv, p)
+            if p is None:
+                break
+            pulled.append(p)
+        else:
+            out.append(tuple(pulled))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # swept domains
 
@@ -210,10 +296,12 @@ def dom_interval(flow: ExactSemiflow, e: BoxSet, t) -> BoxSet:
     over the boxes B of E of B n F_t^-1(B): an orbit segment is connected,
     so it stays in E exactly when it stays in the box it starts in, and it
     is monotone on each axis, so it stays in that convex box exactly when
-    its end does.  Multi-box sets in higher dimension refine a sampled
-    outer bound until no box of it reaches E's complement within [0, t],
-    which certifies it, at steps down to t/SWEEP_CAP; past that they raise
-    Undecided with bound SWEEP_CAP.
+    its end does.  B lies in the carrier, where F_t is the product of the
+    axis maps phi_k, so B n F_t^-1(B) is the box of the B_k n phi_k^-1(B_k),
+    and no time map is built.  Multi-box sets in higher dimension refine a
+    sampled outer bound until no box of it reaches E's complement within
+    [0, t], which certifies it, at steps down to t/SWEEP_CAP; past that
+    they raise Undecided with bound SWEEP_CAP.
     """
     t = rat(t)
     key = (e, t.as_integer_ratio())
@@ -226,10 +314,8 @@ def dom_interval(flow: ExactSemiflow, e: BoxSet, t) -> BoxSet:
     if t == 0:
         d = e
     elif flow.dimension == 1 or len(e.boxes) <= 1:
-        fmap = time_map(flow, t)
-        parts = (BoxSet.of(flow.dimension, [box]) for box in e.boxes)
-        d = BoxSet.union_all(flow.dimension,
-                             (b.intersect(fmap.preimage(b)) for b in parts))
+        d = BoxSet.of(flow.dimension,
+                      _pulled_boxes(flow.axes, e.boxes, t, True))
     else:
         d = _dom_interval_sandwich(flow, e, t)
     flow._swept[key] = d
@@ -251,7 +337,7 @@ def _dom_interval_sandwich(flow: ExactSemiflow, e: BoxSet,
     while m <= SWEEP_CAP:
         # the times t*k/m with k odd; the even ones were taken at m/2
         for k in range(1, m + 1, 2):
-            outer = outer.intersect(time_map(flow, t * k / m).preimage(e))
+            outer = outer.intersect(preimage(flow, e, t * k / m))
         if not _reaches(flow.axes, outer, outside, window):
             return outer
         m *= 2
@@ -468,8 +554,9 @@ def _candidate_times(flow: ExactSemiflow, sets: list[BoxSet],
 
 class _ContContext:
     """Search state over times in R>=0: the absorption tests of a pair,
-    cached per candidate time.  Swept domains and time maps, with their
-    preimages, are memoized on the flow.
+    cached per candidate time.  Swept domains and preimages are memoized
+    on the flow; both are read off the axes, so a search builds no time
+    map.
 
     The times are a finite rational candidate set, so a failed search is
     never complete."""
@@ -490,7 +577,7 @@ class _ContContext:
         hit = tests.get(key)
         if hit is None:
             hit = tests[key] = dom_interval(self.flow, e, b).subset_of(
-                time_map(self.flow, a).preimage(e2))
+                preimage(self.flow, e2, a))
         return hit
 
     def cond1(self, a, b) -> bool:

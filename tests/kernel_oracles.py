@@ -19,7 +19,10 @@ from conley_kernel import finite as fin
 from conley_kernel import semiflow as sf
 from conley_kernel import szymczak as sz
 from conley_kernel.affine import AffineRule, PiecewiseAffineMap
-from conley_kernel.boxes import BoxSet, Cut, Interval, NEG_INF, POS_INF
+from conley_kernel.boxes import (
+    BoxSet, Cut, Interval, NEG_INF, POS_INF, _AND, _OR, _is_const, _merge,
+    _node,
+)
 from conley_kernel.suites import (
     brute_shift_bound, enumerate_equivariant_maps, is_shift_witness,
 )
@@ -154,6 +157,49 @@ def oracle_dom_interval_1d(flow: sf.ExactSemiflow, e: BoxSet, t) -> BoxSet:
             hits.append(_ray_down(iv.hi, iv.hi_closed).intersect(
                 fmap.preimage(_ray_up(iv.lo, iv.lo_closed))))
     return BoxSet.union_all(1, hits).complement().intersect(flow.carrier)
+
+
+def oracle_dom_interval_convex(flow: sf.ExactSemiflow, e: BoxSet,
+                               t) -> BoxSet:
+    """D_t(E) for a 1-D set or a single box as the union over the boxes B
+    of E of B n F_t^-1(B), each B pulled back through the time-t map: the
+    per-box formula that the axis intervals of semiflow.dom_interval
+    replaced."""
+    fmap = sf.time_map(flow, t)
+    parts = (BoxSet.of(flow.dimension, [box]) for box in e.boxes)
+    return BoxSet.union_all(flow.dimension,
+                            (b.intersect(fmap.preimage(b)) for b in parts))
+
+
+def oracle_closure_or_interior(a, closure: bool):
+    """The closure (interior) of node a by a sweep that recurses again into
+    the merge at each point atom: the sweep that boxes._closure_or_interior
+    replaced by merging values already swept."""
+    if _is_const(a):
+        return a
+    keys, vals = a
+    op = _OR if closure else _AND
+    cur = vals[0]
+    out_keys, out_vals = [], [oracle_closure_or_interior(cur, closure)]
+    i, n = 0, len(keys)
+    while i < n:
+        h, v, e = keys[i]
+        left = cur
+        if e == 0:
+            i += 1
+            cur = vals[i]
+        point = cur
+        if i < n and keys[i] == (h, v, 1):
+            i += 1
+            cur = vals[i]
+        at_point = oracle_closure_or_interior(
+            _merge(_merge(left, point, op), cur, op), closure)
+        for k, x in (((h, v, 0), at_point),
+                     ((h, v, 1), oracle_closure_or_interior(cur, closure))):
+            if x != out_vals[-1]:
+                out_keys.append(k)
+                out_vals.append(x)
+    return _node(out_keys, out_vals)
 
 
 def oracle_time_pieces(rule: sf.AxisRule, t) -> list:

@@ -522,3 +522,17 @@ def test_equal_sets_from_different_box_lists_hash_equal():
         a, b = BoxSet.of(d, one), BoxSet.of(d, two[::-1])
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.randoms(use_true_random=False))
+def test_closure_and_interior_match_the_recursive_sweep(dimension, rng):
+    """Merging the swept values at a point atom gives the node that sweeping
+    the merged value again gives."""
+    from conley_kernel.boxes import _closure_or_interior
+    from conley_kernel.suites import random_box_list
+    from kernel_oracles import oracle_closure_or_interior
+    a = BoxSet.of(dimension, random_box_list(rng, dimension, 4))
+    for closure in (True, False):
+        assert _closure_or_interior(a.node, closure) == \
+            oracle_closure_or_interior(a.node, closure)

@@ -209,6 +209,20 @@ def test_flow_builds_skip_the_carrier_checks(name, monkeypatch):
     assert flows[0].carrier is not flows[1].carrier
 
 
+@pytest.mark.parametrize("name", ["clamp_flow.json", "corner_flow.json",
+                                  "drift_flow"])
+def test_each_flow_build_starts_with_no_preimages(name):
+    build = docs.document_builder(load(name))
+    first = build()
+    assert first.system._pulled == {}
+    for e in first.sets.values():
+        sf.preimage(first.system, e, 1)
+    assert first.system._pulled
+    second = build()
+    assert second.system._pulled == {}
+    assert second.system._pulled is not first.system._pulled
+
+
 def _caches(cls) -> list:
     """The memo fields and cached properties of a class."""
     memos = [f.name for f in dataclasses.fields(cls) if not f.init] \

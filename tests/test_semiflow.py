@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conley_kernel import affine as af
 from conley_kernel import conley as co
@@ -18,7 +20,7 @@ from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import clamp_flow, translation_flow
 from kernel_oracles import (
     is_index_nbhd_certificate, oracle_candidate_times, oracle_dom_interval_1d,
-    oracle_time_pieces, random_flow,
+    oracle_dom_interval_convex, oracle_time_pieces, random_flow,
 )
 
 
@@ -643,3 +645,184 @@ class TestCandidateTimes:
         got = sf._candidate_times(flow, [e, e], Fraction(64))
         assert got == sorted(set(got)) and got[0] == 0 and got[-1] <= 64
         assert got == oracle_candidate_times(flow, [e, e], Fraction(64))
+
+
+def _iv(lo, lc, hi, hc):
+    return Interval.make(lo, lc, hi, hc)
+
+
+# floor max(x - 2t, 1) and ceiling min(x + 2t, 1) at t = 1/2, where 2t = 1
+FLOOR, CEIL, HALF_T = sf.AxisRule.floor(2, 1), sf.AxisRule.ceil(2, 1), \
+    Fraction(1, 2)
+AXIS_PREIMAGES = [
+    # the clamp inside iv: every x up to hi + 1 (down to lo - 1)
+    ("floor-clamp-inside", FLOOR, HALF_T, _iv(0, True, 3, True),
+     _iv("-inf", False, 4, True)),
+    ("floor-clamp-inside-open", FLOOR, HALF_T, _iv(0, False, 3, False),
+     _iv("-inf", False, 4, False)),
+    ("floor-clamp-at-closed-lo", FLOOR, HALF_T, _iv(1, True, 3, False),
+     _iv("-inf", False, 4, False)),
+    ("floor-clamp-at-closed-hi", FLOOR, HALF_T, _iv(-2, True, 1, True),
+     _iv("-inf", False, 2, True)),
+    ("ceil-clamp-inside", CEIL, HALF_T, _iv(0, True, 3, True),
+     _iv(-1, True, "inf", False)),
+    ("ceil-clamp-at-closed-hi", CEIL, HALF_T, _iv(-1, False, 1, True),
+     _iv(-2, False, "inf", False)),
+    # the clamp below iv (floor) or above it (ceiling): the shift
+    ("floor-clamp-below", FLOOR, HALF_T, _iv(2, True, 5, False),
+     _iv(3, True, 6, False)),
+    ("floor-clamp-at-open-lo", FLOOR, HALF_T, _iv(1, False, 3, True),
+     _iv(2, False, 4, True)),
+    ("ceil-clamp-above", CEIL, HALF_T, _iv(-3, True, 0, True),
+     _iv(-4, True, -1, True)),
+    ("ceil-clamp-at-open-hi", CEIL, HALF_T, _iv(-2, True, 1, False),
+     _iv(-3, True, 0, False)),
+    # the clamp on the far side: no value lands in iv
+    ("floor-clamp-above", FLOOR, HALF_T, _iv(-3, True, 0, True), None),
+    ("floor-clamp-at-open-hi", FLOOR, HALF_T, _iv(-2, True, 1, False), None),
+    ("ceil-clamp-below", CEIL, HALF_T, _iv(2, True, 5, False), None),
+    ("ceil-clamp-at-open-lo", CEIL, HALF_T, _iv(1, False, 3, True), None),
+    # infinite ends stay infinite
+    ("floor-line", FLOOR, HALF_T, Interval.line(), Interval.line()),
+    ("floor-ray-up", FLOOR, HALF_T, _iv(3, True, "inf", False),
+     _iv(4, True, "inf", False)),
+    ("floor-ray-down", FLOOR, HALF_T, _iv("-inf", False, 2, False),
+     _iv("-inf", False, 3, False)),
+    ("floor-ray-down-below", FLOOR, HALF_T, _iv("-inf", False, 0, True), None),
+    ("ceil-ray-up", CEIL, HALF_T, _iv(0, False, "inf", False),
+     _iv(-1, False, "inf", False)),
+    ("ceil-ray-down", CEIL, HALF_T, _iv("-inf", False, 0, True),
+     _iv("-inf", False, -1, True)),
+    ("floor-point-clamp", FLOOR, HALF_T, Interval.point(1),
+     _iv("-inf", False, 2, True)),
+    ("ceil-point", CEIL, HALF_T, Interval.point(0), Interval.point(-1)),
+    # translation by v*t, either way or not at all
+    ("translation", sf.AxisRule.translation(2), HALF_T, _iv(0, True, 1, False),
+     _iv(1, True, 2, False)),
+    ("translation-negative", sf.AxisRule.translation(-2), HALF_T,
+     _iv("-inf", False, 1, True), _iv("-inf", False, 0, True)),
+    ("translation-still", sf.AxisRule.translation(0), Fraction(7),
+     _iv(0, False, 1, True), _iv(0, False, 1, True)),
+    # t = 0 and identity: iv itself, as the time factor is the identity
+    ("floor-time-zero", FLOOR, Fraction(0), _iv(-3, True, 0, True),
+     _iv(-3, True, 0, True)),
+    ("ceil-time-zero", CEIL, Fraction(0), _iv(1, False, 3, True),
+     _iv(1, False, 3, True)),
+    ("identity", sf.AxisRule.identity(), Fraction(5), _iv(-1, True, 2, False),
+     _iv(-1, True, 2, False)),
+]
+
+
+class TestAxisPreimage:
+    @pytest.mark.parametrize("rule, t, iv, want",
+                             [row[1:] for row in AXIS_PREIMAGES],
+                             ids=[row[0] for row in AXIS_PREIMAGES])
+    def test_hand_worked(self, rule, t, iv, want):
+        got = rule.preimage(iv, t)
+        assert got == want
+        # x is in the preimage iff its time-t factor value is in iv
+        factor = rule.time_factor(t)
+        for x in (Fraction(k, 4) for k in range(-32, 33)):
+            inside = got is not None and got.contains(x)
+            assert inside == iv.contains(factor.eval_point([x])[0]), x
+
+    def test_dimension_mismatch_raises(self):
+        corner = sf.ExactSemiflow.of([sf.AxisRule.floor(1, 0),
+                                      sf.AxisRule.floor(2, 0)])
+        with pytest.raises(ValueError):
+            sf.preimage(corner, UNIT, 1)
+        with pytest.raises(ValueError):
+            sf.preimage(CLAMP, BoxSet.full(2), 1)
+
+
+_SET_VALUES = [Fraction(k, 2) for k in range(-7, 8)]
+
+
+@st.composite
+def _intervals(draw):
+    """Bounded, unbounded, open and point intervals over half-integers."""
+    a, b = sorted(draw(st.lists(st.sampled_from(_SET_VALUES), min_size=2,
+                                max_size=2)))
+    lc, hc = draw(st.booleans()), draw(st.booleans())
+    kind = draw(st.sampled_from(["bounded", "point", "up", "down", "line"]))
+    if kind == "point" or kind == "bounded" and a == b:
+        return Interval.point(a)
+    if kind == "up":
+        return _iv(a, lc, "inf", False)
+    if kind == "down":
+        return _iv("-inf", False, b, hc)
+    if kind == "line":
+        return Interval.line()
+    return _iv(a, lc, b, hc)
+
+
+@st.composite
+def _flows_and_sets(draw):
+    """A random accepted flow of 1 to 3 axes of every rule kind (zero and
+    negative translation speeds included) and a set of 1 to 3 boxes."""
+    flow = random_flow(draw(st.randoms(use_true_random=False)))
+    assume(flow is not None)
+    boxes = draw(st.lists(st.tuples(*[_intervals()] * flow.dimension),
+                          min_size=1, max_size=3))
+    return flow, BoxSet.of(flow.dimension, boxes)
+
+
+DIFF_TIMES = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1),
+                              Fraction(5, 2), Fraction(7)])
+
+
+class TestAxisIntervalsAgainstTimeMaps:
+    """Preimages and convex swept domains read off the axes equal the ones
+    pulled back through the time-t map."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_flows_and_sets(), DIFF_TIMES)
+    def test_preimage_is_the_time_map_pull(self, flow_and_set, t):
+        flow, a = flow_and_set
+        assert sf.preimage(flow, a, t) == sf.time_map(flow, t).preimage(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_flows_and_sets(), DIFF_TIMES)
+    def test_convex_swept_domain_is_the_per_box_formula(self, flow_and_set, t):
+        flow, a = flow_and_set
+        if flow.dimension == 1:
+            e = a.intersect(flow.carrier)
+        else:           # one box of A cut to one box of the carrier: a box
+            d = flow.dimension
+            e = BoxSet.of(d, a.boxes[:1]).intersect(
+                BoxSet.of(d, flow.carrier.boxes[:1]))
+        assert sf.dom_interval(flow, e, t) == \
+            oracle_dom_interval_convex(flow, e, t)
+
+
+def _count_time_maps(monkeypatch) -> list:
+    calls = []
+    built = sf.time_map
+    monkeypatch.setattr(sf, "time_map",
+                        lambda *a: calls.append(a) or built(*a))
+    return calls
+
+
+class TestSearchesBuildNoTimeMap:
+    @pytest.mark.parametrize("name", ["clamp_flow.json", "corner_flow.json"])
+    def test_find_admissible_and_sim_f(self, name, monkeypatch):
+        from conley_kernel.documents import parse_document
+        root = Path(__file__).resolve().parent.parent / "fixtures"
+        doc = parse_document(json.loads((root / name).read_text()))
+        calls = _count_time_maps(monkeypatch)
+        sets = list(doc.sets.values())
+        found = 0
+        for e, e2 in itertools.product(sets, repeat=2):
+            found += dyn.find_admissible(doc.system, e, e2).triple is not None
+            dyn.sim_f(doc.system, e, e2)
+        assert found and calls == []
+
+    def test_dom_interval_on_a_1d_set(self, monkeypatch):
+        calls = _count_time_maps(monkeypatch)
+        e = BoxSet.from_intervals([Interval.make(0, True, 1, False),
+                                   Interval.make(1, False, 2, True)])
+        flow = translation_flow()
+        assert sf.dom_interval(flow, e, Fraction(1, 4)) == \
+            BoxSet.from_intervals([Interval.make(Fraction(1, 4), True, 1, False),
+                                   Interval.make(Fraction(5, 4), False, 2, True)])
+        assert calls == [] and flow._time_maps == {}
