@@ -99,10 +99,11 @@ partition that domain with one rule each, so :func:`compose` builds the
 map directly, without the overlap and continuity checks of `of`.
 
 Each map memoizes its set images and preimages by argument set (box sets
-hash and compare as sets), its powers (:func:`power`), and the D_n(E) and
-f^-n(A) of :class:`conley_kernel.carriers.DiscreteTime`, in fields of the
-map object, so a memo lives as long as its map and no two maps or parsed
-documents share one.
+hash and compare as sets), its powers (:func:`power`), its restrictions to
+the sets E whose swept domains it steps (:meth:`PiecewiseAffineMap.dom_step`),
+and the D_n(E) and f^-n(A) of :class:`conley_kernel.carriers.DiscreteTime`,
+in fields of the map object, so a memo lives as long as its map and no two
+maps or parsed documents share one.
 """
 
 from __future__ import annotations
@@ -569,6 +570,16 @@ class PiecewiseAffineMap:
             out = self._preimages[a] = BoxSet(
                 self.dimension, _pull(self.node, a.node, 0, _set_node))
         return out
+
+    def dom_step(self, e: BoxSet, d: BoxSet) -> BoxSet:
+        """E n f^-1(D), the step D_n(E) -> D_{n+1}(E): D pulled back
+        through f restricted to E, whose node covers only E.  The
+        restriction is built once per E and kept in ``_iterates`` by
+        ``setdefault``, so racing threads keep one of equal maps."""
+        f_e = self._iterates.get((e, "restrict"))
+        if f_e is None:
+            f_e = self._iterates.setdefault((e, "restrict"), self.restrict(e))
+        return f_e.preimage(d)
 
     def is_proper_on(self, d: BoxSet, y: BoxSet) -> bool:
         """Exactly decide properness of self restricted to d, as a map into y.

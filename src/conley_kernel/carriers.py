@@ -6,7 +6,8 @@ live on the set types (:class:`~conley_kernel.finite.FiniteSubset`,
 ``closure``, ``is_compact``, ``is_open_in``, ...) and the partial-map
 operations on the map types (:class:`~conley_kernel.finite.FinitePartialMap`,
 :class:`~conley_kernel.affine.PiecewiseAffineMap`: ``domain``, ``image``,
-one-step ``preimage``, ``restrict``, ``is_proper_on``, ``check_set`` and
+one-step ``preimage``, the swept-domain step ``dom_step`` (E n f^-1(D)),
+``restrict``, ``is_proper_on``, ``check_set`` and
 ``maps_equal``, which is ``==`` on both, as each is held in a canonical
 form; :class:`~conley_kernel.semiflow.ExactSemiflow` has ``domain`` and
 ``check_set``).  :mod:`conley_kernel.dynamics` and
@@ -85,7 +86,8 @@ class DiscreteTime:
 
     def dom(self, f, e, t):
         """D_t(E): the intersection of f^-i(E) for i = 0..t, built as
-        D_{n+1} = E n f^-1(D_n) and memoized on f.  Once D_{k+1} = D_k,
+        D_{n+1} = E n f^-1(D_n) by the map type's ``dom_step`` and memoized
+        on f.  Once D_{k+1} = D_k,
         every later D_n is D_k: the sequence becomes a tuple ending at D_k
         and is never extended again."""
         seq = self._sequence(f, e, "dom", t)
@@ -93,7 +95,7 @@ class DiscreteTime:
             with self._grow:
                 seq = f._iterates[e, "dom"]     # it may have become a tuple
                 while len(seq) <= t and isinstance(seq, list):
-                    nxt = e.intersect(f.preimage(seq[-1]))
+                    nxt = f.dom_step(e, seq[-1])
                     if nxt == seq[-1]:
                         seq = f._iterates[e, "dom"] = tuple(seq)
                     else:

@@ -13,6 +13,19 @@ On the finite carrier every negative search answer is complete: the bounds
 come from eventual periodicity of the power sequence and stabilization of
 the iterated-domain sets.  On the interval and semiflow carriers exhausted
 searches are reported as undecided, never as negatives.
+
+The complete triple search is cut further than its derived bound.  Let p
+be the preperiod of f (f^p = f^(p+q)) and s the stabilization index of
+D_n(E).  Then D_s(E) is the set of points whose whole forward orbit stays
+in E, and for n >= p, f^n maps it onto Inv(E), the cycles of f inside E:
+each such orbit has run into its cycle by step p, that cycle lies in the
+orbit and so in E, and f^n maps every cycle onto itself.  So for a >=
+max(p, s) and b >= a the test D_b(E) <= f^-a(E') reads Inv(E) <= E',
+whatever a and b are, and the same holds for the second test of a triple
+past the preperiod and D(E')'s stabilization.  :func:`find_admissible`
+therefore tests no time past max(p, s1, s2), s1 and s2 the stabilization
+indices of D(E) and D(E'), which is at most the number of points; the
+period q bounds no loop.
 """
 
 from __future__ import annotations
@@ -142,8 +155,12 @@ class _SearchContext:
     cached.  D_n and f^-n come from the carrier, which memoizes them on f.
 
     Without a bound (finite carrier) the search is complete: f^-a(E') is
-    eventually periodic in a and D_b(E) stabilizes in b, and the derived
-    bound covers both."""
+    eventually periodic in a (f^p = f^(p+q), from ``f.power_bounds``) and
+    D_b(E) stabilizes in b at ``_stab[1]``, D_gamma(E') in gamma at
+    ``_stab[2]``, and the derived bound 2(p + q) + s1 + s2 + 2 covers both
+    and is what a complete search reports.  :func:`find_admissible` tests
+    no time past max(p, s1, s2) (see :func:`_least_triple`), and
+    :meth:`b_ranges` gives :func:`sim_f` the a below p + q."""
 
     def __init__(self, f, e, e2, bound=None):
         self.f, self.e, self.e2 = f, e, e2
@@ -280,8 +297,8 @@ def find_admissible(f, e, e2, bound=None) -> TripleSearch:
     """Lexicographically-least admissible triple among the search times.
 
     Finite carrier with bound=None: a complete decision (NotFound means the
-    triple set is empty).  Otherwise NotFound means undecided within the
-    bound.
+    triple set is empty), found by :func:`_least_triple`.  Otherwise
+    NotFound means undecided within the bound.
 
     Both conditions are monotone in their second time, because the swept
     domain D_t(E) shrinks as t grows.  In discrete time D_1 = E n f^-1(E)
@@ -297,6 +314,8 @@ def find_admissible(f, e, e2, bound=None) -> TripleSearch:
     lexicographic scan, with fewer tests.
     """
     ctx = carrier_for(f).search_context(f, e, e2, bound)
+    if ctx.complete:
+        return TripleSearch(_least_triple(ctx), True, ctx.bound)
     times = ctx.times
     for i, a in enumerate(times):
         j = _least(lambda b: ctx.cond1(a, b), times, i, len(times))
@@ -310,6 +329,59 @@ def find_admissible(f, e, e2, bound=None) -> TripleSearch:
                 return TripleSearch(AdmissibleTriple(a, b, a + times[k]),
                                     ctx.complete, ctx.bound)
     return TripleSearch(None, ctx.complete, ctx.bound)
+
+
+def _least_triple(ctx) -> Optional[AdmissibleTriple]:
+    """The lexicographically least triple (a, b, c) with c <= ctx.bound,
+    the derived bound of a complete (finite-carrier) context, else None.
+
+    Write p for the preperiod of f, s1 and s2 for the stabilization indices
+    of D(E) and D(E'), M = max(p, s2), and cond2(delta, gamma) for D_gamma(E')
+    <= f^-delta(E), delta = b - a, gamma = c - a.  By the module docstring,
+    cond1(a, b) for a >= max(p, s1), b >= a reads Inv(E) <= E', and
+    cond2(delta, gamma) for delta >= M, gamma >= delta reads Inv(E') <= E.
+
+    (i) A triple with a > max(p, s1) stays admissible shifted down by one:
+        cond1(a - 1, b - 1) reads Inv(E) <= E' as cond1(a, b) does, and
+        delta and gamma do not change.  So only a <= max(p, s1) is tried.
+    (ii) D_b(E) and D_gamma(E') do not change past s1 and s2, so the least
+        b for a lies in [a, max(a, s1)] if anywhere, and the least gamma
+        for delta in [delta, max(delta, s2)]; both gallops end there.
+    (iii) Let j(a) be the least b that passes cond1 for a; every later b
+        passes too, and j(a) <= max(a, s1), so delta0 = j(a) - a <= s1.
+        For delta = b - a, some gamma in [delta, bound - a] passes cond2
+        iff cond2(delta, max(delta, s2)) holds, which does not depend on
+        a, nor on delta once delta >= M.  So the least delta >= delta0
+        that has a gamma lies in [delta0, max(delta0, M)] or does not
+        exist, and it is found once per delta0.
+
+    Every time tested is at most max(p, s1, s2), and the triple has c <=
+    max(p, s1) + max(p, s1, s2) < bound, so the derived bound cuts no
+    candidate and the cut finds the triple of the scan over all times up to
+    the bound.  The tests number O((max(p, s1) + 1)(log s1 + 1) +
+    (max(s1, M) + 1)(log s2 + 1)): the period q bounds no loop."""
+    p, s1, s2 = ctx.f.power_bounds[0], ctx._stab[1], ctx._stab[2]
+    times, deltas = ctx.times, {}
+
+    def least_delta(delta0):
+        """(delta, least gamma) for the least delta >= delta0 with one."""
+        if delta0 not in deltas:
+            deltas[delta0] = None
+            for delta in range(delta0, max(delta0, p, s2) + 1):
+                k = _least(lambda gamma: ctx.cond2(delta, gamma), times,
+                           delta, max(delta, s2) + 1)
+                if k is not None:
+                    deltas[delta0] = delta, k
+                    break
+        return deltas[delta0]
+
+    for a in range(max(p, s1) + 1):
+        j = _least(lambda b: ctx.cond1(a, b), times, a, max(a, s1) + 1)
+        hit = None if j is None else least_delta(j - a)
+        if hit is not None:
+            delta, gamma = hit
+            return AdmissibleTriple(a, a + delta, a + gamma)
+    return None
 
 
 def cross_domain(f, e, e2, t: AdmissibleTriple):
@@ -415,8 +487,9 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     that iterate (D_n(E), or f^n(D) in the image loop) as its bound and no
     outer bound: printing thousands of boxes would help no reader.
 
-    Iterates D_n(E) for up to cap steps and, once they stabilize, the
-    forward images f^k(D) for up to cap more.  Exact when the images
+    Iterates D_n(E), read from the carrier (so a later search on E reuses
+    them), for up to cap steps and, once they stabilize, the forward images
+    f^k(D) for up to cap more.  Exact when the images
     stabilize too, or as soon as an iterate is bounded and lies in the
     closure of one affine piece with no axis of slope -1: then the
     fixed-set closed form is I_f(E).  Proof sketch: I_f(E) lies in Dom f
@@ -428,16 +501,17 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     stopping early gives the answer the whole cap would.
     """
     f.check_set(e)
-    if carrier_for(f).name == "finite":
+    ca = carrier_for(f)
+    if ca.name == "finite":
         return invariant_part(f, e)
 
     current = e
-    for step in (lambda d: e.intersect(f.preimage(d)), f.image):
+    for step in (lambda n, d: ca.dom(f, e, n), lambda n, d: f.image(d)):
         for n in range(1, cap + 1):
             exact = _fixed_set_closed_form(f, e, current)
             if isinstance(exact, BoxSet):
                 return exact
-            following = step(current)
+            following = step(n, current)
             if following == current:
                 break
             current = following

@@ -261,6 +261,11 @@ class FinitePartialMap:
         return FiniteSubset(self.space, reduce(
             or_, compress(self._preimage_bits, _flags(e.mask)), 0))
 
+    def dom_step(self, e: FiniteSubset, d: FiniteSubset) -> FiniteSubset:
+        """E n f^-1(D), the step D_n(E) -> D_{n+1}(E): two mask operations,
+        cheaper than restricting f to E."""
+        return e.intersect(self.preimage(d))
+
     def restrict(self, s: FiniteSubset) -> "FinitePartialMap":
         self.check_set(s)
         keep = _flags(s.mask).ljust(len(self.targets), b"\0")

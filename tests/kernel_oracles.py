@@ -90,6 +90,21 @@ def random_flow(rng: random.Random, max_dimension: int = 3):
         return None
 
 
+def prime_cycle_document(primes) -> dict:
+    """A finite document: a cycle of each length in primes plus a fixed
+    point z, with W one point of each cycle and Z = {z}.  No triple from W
+    to Z exists (z has no preimage outside {z}), while the derived search
+    bound grows with the lcm of the primes."""
+    points, table = [], {"z": "z"}
+    for length in primes:
+        cycle = [f"c{length}.{i}" for i in range(length)]
+        points += cycle
+        table.update({x: cycle[(i + 1) % length] for i, x in enumerate(cycle)})
+    return {"kind": "finite_map",
+            "system": {"points": points + ["z"], "table": table},
+            "sets": {"W": [f"c{length}.0" for length in primes], "Z": ["z"]}}
+
+
 def oracle_find_admissible(f, e, e2, bound=None) -> dyn.TripleSearch:
     """The lexicographic scan over the search times that
     dynamics.find_admissible replaces: every b >= a in turn, and for each b

@@ -14,6 +14,7 @@ from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel.cli import main
 from conley_kernel.documents import document_builder, parse_document
+from kernel_oracles import prime_cycle_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -890,18 +891,50 @@ class TestCrashesAreNotNegatives:
             assert out == "" and err.startswith("internal error: ZeroDivisionError")
 
 
+class TestPrimeCycleSearches:
+    """A cycle of each prime 2..7 (2..11) plus a fixed point z, searched
+    from W, one point of each cycle, to Z = {z}: no triple exists.  The
+    derived bound, reported as meta.bound, is 423 (4,623); the search
+    itself tests times 0 and 1 only (dynamics._least_triple)."""
+
+    @pytest.mark.parametrize("command", ["admissible", "szymczak-equal"])
+    @pytest.mark.parametrize("primes, bound", [
+        ((2, 3, 5, 7), 423), ((2, 3, 5, 7, 11), 4623)], ids=["2..7", "2..11"])
+    def test_complete_negative(self, capsys, tmp_path, command, primes, bound):
+        doc = write(tmp_path / "primes.json", prime_cycle_document(primes))
+        code, out, _ = run(capsys, command, doc, "--from", "W", "--set", "Z",
+                           "--json")
+        payload = json.loads(out)
+        assert code == 1, out
+        assert payload["status"] == "none"
+        assert payload["meta"]["bound"] == str(bound)
+
+
 class TestLargePeriod:
-    """Disjoint cycles of the primes 2..19: 77 points whose power sequence
-    has period 9,699,690.  No Szymczak table or loop is sized by the
-    period, so both commands answer under a 1 GB address-space limit set
+    """Disjoint prime cycles, whose power sequence has a huge period.  No
+    Szymczak table and no loop of the complete triple search is sized by
+    the period, so each command answers under an address-space limit set
     on the child alone."""
+
+    @staticmethod
+    def run_limited(command, doc, *argv, limit):
+        resource = pytest.importorskip("resource")
+
+        def set_limit():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        return subprocess.run(
+            [sys.executable, "-m", "conley_kernel.cli", command, str(doc),
+             *argv],
+            capture_output=True, text=True, timeout=120, preexec_fn=set_limit,
+            env={**os.environ, "PYTHONPATH": SRC})
 
     @pytest.mark.parametrize("argv, answer", [
         (["index", "--set", "S", "--nbhd", "N"], "carrier: finite"),
         (["szymczak-equal", "--from", "N", "--set", "N"], ": equal"),
     ], ids=["index", "szymczak-equal"])
     def test_answers_within_one_gigabyte(self, tmp_path, argv, answer):
-        resource = pytest.importorskip("resource")
+        # the primes 2..19: 77 points, period 9,699,690
         pts, table = [], {}
         for length in (2, 3, 5, 7, 11, 13, 17, 19):
             cycle = [f"c{length}.{i}" for i in range(length)]
@@ -911,14 +944,16 @@ class TestLargePeriod:
         doc.write_text(json.dumps({
             "kind": "finite_map", "system": {"points": pts, "table": table},
             "sets": {"S": pts, "N": pts}}))
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        done = subprocess.run(
-            [sys.executable, "-m", "conley_kernel.cli", argv[0], str(doc),
-             *argv[1:]],
-            capture_output=True, text=True, timeout=120, preexec_fn=limit,
-            env={**os.environ, "PYTHONPATH": SRC})
+        done = self.run_limited(argv[0], doc, *argv[1:], limit=1 << 30)
         assert done.returncode == 0, done.stdout + done.stderr
         assert answer in done.stdout
+
+    def test_prime_cycle_search_within_800_megabytes(self, tmp_path):
+        # the scan up to the derived bound 4,623 exhausted this limit
+        doc = write(tmp_path / "primes.json",
+                    prime_cycle_document((2, 3, 5, 7, 11)))
+        done = self.run_limited("admissible", doc, "--from", "W", "--set",
+                                "Z", "--json", limit=800 << 20)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert json.loads(done.stdout)["status"] == "none"
+        assert done.stderr == ""

@@ -26,7 +26,7 @@ from conley_kernel.suites import (
 from conley_kernel.szymczak import BasedEndo
 from kernel_oracles import (
     oracle_dom, oracle_find_admissible, oracle_power, oracle_preimage,
-    oracle_sim_f, random_flow,
+    oracle_sim_f, prime_cycle_document, random_flow,
 )
 
 
@@ -316,6 +316,34 @@ class TestCarrierMemo:
                 e = rng.choice(sets)
                 assert ca.dom(f, e, t) == oracle_dom(fresh, e, t)
                 assert ca.preimage(f, e, t) == oracle_preimage(fresh, e, t)
+
+    def test_affine_steps_restrict_once_per_set(self, monkeypatch):
+        """An affine D_{n+1}(E) pulls D_n(E) back through f restricted to
+        E, built once per E and kept in f's memo; the sets are those of
+        E n f^-1(D_n) (kernel_oracles.oracle_dom), here in two dimensions."""
+        restricted = []
+        restrict = af.PiecewiseAffineMap.restrict
+
+        def counted(f, s):
+            restricted.append(s)
+            return restrict(f, s)
+
+        monkeypatch.setattr(af.PiecewiseAffineMap, "restrict", counted)
+        rng = random.Random(107)
+        for _ in range(20):
+            f = random_product_map(rng, 2)
+            fresh, ca = replace(f), dyn.carrier_for(f)
+            sets = [BoxSet.of(2, [tuple(
+                Interval.closed(lo, lo + rng.randint(1, 6))
+                for lo in (rng.randint(-6, 2), rng.randint(-6, 2)))
+                for _ in range(rng.randint(1, 3))]) for _ in range(2)]
+            restricted.clear()
+            for t in _shuffled_times(rng, range(7)):
+                e = rng.choice(sets)
+                assert ca.dom(f, e, t) == oracle_dom(fresh, e, t)
+            assert len(restricted) == len(set(restricted)) <= 2
+            for e in restricted:
+                assert f._iterates[e, "restrict"] == restrict(f, e)
 
     def test_semiflows(self):
         rng = random.Random(97)
@@ -638,6 +666,118 @@ class TestGallopingSearch:
         assert len(scan._c1) == sum(n - i for i in range(depth)) + 1
 
 
+def _indices(f, e, e2):
+    """p, q of f and the stabilization indices s1, s2 of D(E) and D(E')."""
+    ca, n = dyn.carrier_for(f), len(f.space.points)
+    return (*f.power_bounds, ca.stab(f, e, n + 1), ca.stab(f, e2, n + 1))
+
+
+def _searched_context(monkeypatch, f, e, e2):
+    """The result of the complete find_admissible and its search context."""
+    made = []
+    init = dyn._SearchContext.__init__
+
+    def kept(ctx, *args):
+        init(ctx, *args)
+        made.append(ctx)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dyn._SearchContext, "__init__", kept)
+        got = dyn.find_admissible(f, e, e2)
+    (ctx,) = made
+    return got, ctx
+
+
+class TestCompleteFiniteSearch:
+    """The complete find_admissible tries a <= max(p, s1) only and, per
+    delta0 = j(a) - a, the delta in [delta0, max(delta0, p, s2)]
+    (dynamics._least_triple); kernel_oracles.oracle_find_admissible scans
+    every time up to the derived bound 2(p + q) + s1 + s2 + 2.
+
+    The cut is one step past max(p, s1), not one period: no system has its
+    least a in (max(p, s1), max(p, s1) + q), nor its least delta a period
+    past max(p, s2), as both tests read invariant parts there."""
+
+    @pytest.mark.parametrize("seed", [71, 73])
+    def test_random_systems_agree_with_the_scan(self, seed):
+        # random_finite_system leaves about a fifth of the points undefined
+        # and makes tails into its cycles
+        rng = random.Random(seed)
+        for _ in range(2000):
+            f = random_finite_system(rng, 12)
+            _assert_same_searches(f, random_subset(rng, f.space),
+                                  random_subset(rng, f.space))
+
+    def test_no_time_past_the_preperiod_and_stabilization(self, monkeypatch):
+        rng = random.Random(79)
+        for _ in range(300):
+            f = random_finite_system(rng, 12)
+            e, e2 = random_subset(rng, f.space), random_subset(rng, f.space)
+            p, _, s1, s2 = _indices(f, e, e2)
+            _, ctx = _searched_context(monkeypatch, f, e, e2)
+            top = max(p, s1, s2)
+            assert all(t <= top for key in (*ctx._cond1, *ctx._cond2)
+                       for t in key)
+
+    def test_tests_past_the_cut_read_invariant_parts(self):
+        # the fact of the dynamics module docstring that the cut rests on:
+        # for a >= max(p, s1) and b >= a, D_b(E) <= f^-a(E') iff Inv(E) <= E'
+        rng = random.Random(83)
+        for _ in range(300):
+            f = random_finite_system(rng, 8)
+            e, e2 = random_subset(rng, f.space), random_subset(rng, f.space)
+            p, q, s1, _ = _indices(f, e, e2)
+            ctx = dyn.carrier_for(f).search_context(f, e, e2, None)
+            holds = dyn.invariant_part(f, e).subset_of(e2)
+            start = max(p, s1)
+            assert all(ctx.cond1(a, b) == holds
+                       for a in range(start, start + q + 2)
+                       for b in range(a, a + 3))
+
+    @pytest.mark.parametrize("table, e, e2, triple, edge", [
+        # 4 -> 1 -> 2 <-> 3, p = q = 2: X lies in f^-a(E') only once every
+        # orbit is on the cycle, so the least a is max(p, s1) = 2
+        ({"1": "2", "2": "3", "3": "2", "4": "1"}, "1234", "234", (2, 2, 2),
+         "a"),
+        # 1 -> 3 -> 2 <-> 4: delta0 = 0, and X <= f^-delta(E) first at
+        # delta = max(p, s2) = 2, the end of the delta scan
+        ({"1": "3", "2": "4", "3": "2", "4": "2"}, "124", "1234", (0, 2, 2),
+         "delta"),
+        # 3 -> 2 <-> 1: D_b({2, 3}) <= {2} first at b = 2, so the delta
+        # scan starts at delta0 = 2, past max(p, s2) = 1
+        ({"1": "2", "2": "1", "3": "2"}, "23", "2", (0, 2, 2), "delta0"),
+    ], ids=["a", "delta", "delta0"])
+    def test_pinned_systems_at_the_edges_of_the_cut(self, table, e, e2,
+                                                    triple, edge):
+        space = fin.FiniteSpace.of(sorted(table))
+        f = fin.FinitePartialMap.of(space, table)
+        e, e2 = fin.FiniteSubset.of(space, e), fin.FiniteSubset.of(space, e2)
+        p, q, s1, s2 = _indices(f, e, e2)
+        got = dyn.find_admissible(f, e, e2)
+        assert got == oracle_find_admissible(f, e, e2)
+        a, b, _ = got.triple.as_tuple()
+        assert got.triple.as_tuple() == triple and q == 2
+        ctx = dyn.carrier_for(f).search_context(f, e, e2, None)
+        delta0 = next(t for t in range(a, got.bound + 1) if ctx.cond1(a, t)) - a
+        assert {"a": a == max(p, s1) > 0,
+                "delta": b - a == max(p, s2) > delta0,
+                "delta0": b - a == delta0 > max(p, s2)}[edge]
+
+    @pytest.mark.parametrize("primes, bound", [
+        ((2, 3, 5, 7), 423), ((2, 3, 5, 7, 11), 4623)], ids=["2..7", "2..11"])
+    def test_prime_cycles_take_a_few_tests(self, monkeypatch, primes, bound):
+        # the scan to the bound made 92,525 tests on 2..7
+        doc = parse_document(prime_cycle_document(primes))
+        f, w, z = doc.system, doc.sets["W"], doc.sets["Z"]
+        got, ctx = _searched_context(monkeypatch, f, w, z)
+        assert not got.found and got.complete and got.bound == bound
+        p, q, s1, s2 = _indices(f, w, z)
+        assert (p, s1, s2) == (0, 1, 0)
+        assert len(ctx._cond1) + len(ctx._cond2) <= \
+            3 * (max(p, s1) + max(p, s2) + q + 1)
+        assert all(t <= 1 for key in (*ctx._cond1, *ctx._cond2) for t in key)
+
+
 class TestCrossMap:
     def test_diagonal_power(self):
         e = subset("2", "3")
@@ -847,6 +987,17 @@ class TestInvariantPartEarlyExit:
         assert got.outer == BoxSet.of(2, [(Interval.closed(-1, 1),
                                            Interval.closed(0, Fraction(1, 256)))])
         assert steps == {"preimage": 1, "image": 8}
+
+    def test_a_later_search_reuses_its_domains(self, steps):
+        # D_1(E) and D_2(E) come from the carrier's memo, where a search
+        # on E reads them without a further pull-back
+        f, e = _piecewise_1d(3, (1, 2)), box1(-4, True, 4, True)
+        dyn.invariant_part_exact(f, e)
+        assert steps["preimage"] == 2
+        got = [dyn.dom_power(f, e, n) for n in (1, 2)]
+        assert steps["preimage"] == 2
+        assert got == [box1(-2, True, 2, True),
+                       box1(Fraction(-2, 3), True, Fraction(2, 3), True)]
 
     def test_folding_map_stops_at_the_box_budget(self, monkeypatch):
         # D_n of the folding map doubles its intervals about every step
