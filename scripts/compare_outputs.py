@@ -6,11 +6,12 @@ Usage: python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
 Each checkout runs its own ``scripts/sweep_outputs.py`` on the change's
 ``fixtures/*.json``, its own ``scripts/sweep_bench_requests.py W 1 7 13``
 for every workload W of the change's ``BENCHMARK.json``, and its own
-``scripts/sweep_suites.py`` (``verify --json`` on every suite), each sweep
-in a process of its own.  Both sides get the same arguments, so the lines
-of an unchanged program are the same.  For each sweep one line is printed:
-``NAME: identical (N lines)``, the first line that differs with both
-sides' text, or the sweep that failed.  Exit status: 0 every sweep
+``scripts/sweep_suites.py`` (``verify --json``) on every suite of the
+change, each sweep in a process of its own.  Both sides get the same
+arguments, so the lines of an unchanged program are the same, and a suite
+that the change removes is not a difference.  For each sweep one line is
+printed: ``NAME: identical (N lines)``, the first line that differs with
+both sides' text, or the sweep that failed.  Exit status: 0 every sweep
 identical, 1 a difference or a failed sweep, 2 bad arguments.
 """
 
@@ -27,7 +28,7 @@ def sweeps(change_dir: str, fixtures=None, seeds=SEEDS, suites=()) -> list:
     """(name, script, argv) of every sweep: the output sweep on the
     change's fixtures (or on ``fixtures``), the request sweep of each
     workload of the change's BENCHMARK.json on ``seeds``, then the suite
-    sweep on ``suites`` (none named: every suite)."""
+    sweep on ``suites`` (none named: every suite of the change)."""
     if fixtures is None:
         fixtures = sorted(glob.glob(os.path.join(change_dir, "fixtures",
                                                  "*.json")))
@@ -36,7 +37,21 @@ def sweeps(change_dir: str, fixtures=None, seeds=SEEDS, suites=()) -> list:
     return [("sweep_outputs", "sweep_outputs.py", list(fixtures))] + \
         [(f"sweep_bench_requests {w}", "sweep_bench_requests.py",
           [w, *seeds]) for w in workloads] + \
-        [("sweep_suites", "sweep_suites.py", list(suites))]
+        [("sweep_suites", "sweep_suites.py",
+          list(suites) or suite_names(change_dir))]
+
+
+def suite_names(change_dir: str) -> list:
+    """The names of the change's ``conley_kernel.suites.SUITES``, read in a
+    process with the change's ``src/`` first on the path; none when they do
+    not load, so that each side sweeps its own suites and the change's
+    sweep reports the failure."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "from conley_kernel.suites import SUITES; print(*sorted(SUITES))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, os.path.join(change_dir, "src")],
+        cwd=change_dir, capture_output=True, text=True)
+    return done.stdout.split() if done.returncode == 0 else []
 
 
 def run_sweep(checkout: str, script: str, argv: list) -> list:

@@ -1,7 +1,13 @@
-"""Oracles, a generator and a certificate check that only the unit tests
-use, kept out of `conley_kernel.suites`, which holds what `conley-kernel
-verify` runs.  Each oracle is the slower path that a kernel function
-replaced; its docstring names which.
+"""The implementation oracles, with the generators and the certificate
+check that the unit tests use; `conley_kernel.suites` holds only what
+`conley-kernel verify` runs, the checks of the paper's claims.  Each oracle
+is the slower path that a kernel function or canonical form replaced: the
+pairwise box-list algebra, box-by-box affine set maps, the piece-list map,
+the fixed-cap invariant-part loop, stepped finite powers, and the plain
+scans behind the searches and swept domains; its docstring or section
+names which.  The brute-force Szymczak searches stay in `suites`, whose
+`szymczak-oracle` suite runs them, and `brute_shift_equivalence` reads
+them from there.
 
 The module is not named `oracles`: a script that puts `bench/` first on
 `sys.path` would then import `bench/oracles.py` in its place.
@@ -9,6 +15,7 @@ The module is not named `oracles`: a script that puts `bench/` first on
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,15 +25,14 @@ from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
 from conley_kernel import semiflow as sf
 from conley_kernel import szymczak as sz
-from conley_kernel.affine import AffineRule, PiecewiseAffineMap
+from conley_kernel.affine import AffineRule, Piece, PiecewiseAffineMap
 from conley_kernel.boxes import (
-    BoxSet, Cut, Interval, NEG_INF, POS_INF, _AND, _OR, _is_const, _merge,
-    _node,
+    BoxSet, Cut, Interval, NEG_INF, POS_INF, _AND, _OR, _ekey, _is_const,
+    _merge, _node, _skey, isect_iv,
 )
 from conley_kernel.suites import (
     brute_shift_bound, enumerate_equivariant_maps, is_shift_witness,
 )
-
 
 
 def is_index_nbhd_certificate(cert, f, e) -> bool:
@@ -36,6 +42,7 @@ def is_index_nbhd_certificate(cert, f, e) -> bool:
     names = [name for name, _ in dyn.compactifiability_checks(f, e)]
     return isinstance(cert, co.Certificate) and \
         [c.name for c in cert.checks][-len(names):] == names
+
 
 def direction(rule: sf.AxisRule) -> int:
     """Sign of the orbit's motion: -1 decreasing, +1 increasing, 0 still."""
@@ -316,3 +323,535 @@ def brute_shift_equivalence(phi: sz.EquivariantMap):
             if is_shift_witness(phi, psi, a):
                 return sz.ShiftEquivalenceWitness(psi, a)
     return None
+
+
+# ---------------------------------------------------------------------------
+# generators of box sets, rules and piecewise-affine maps
+
+def random_interval_set(rng: random.Random, max_parts: int = 3) -> BoxSet:
+    ivs = []
+    for _ in range(rng.randint(0, max_parts)):
+        a = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
+        b = a + Fraction(rng.randint(0, 6), rng.choice((1, 2)))
+        if a == b:
+            ivs.append(Interval.point(a))
+        else:
+            ivs.append(Interval.make(a, rng.randint(0, 1) == 0, b, rng.randint(0, 1) == 0))
+    return BoxSet.from_intervals(ivs)
+
+
+def contraction_map() -> PiecewiseAffineMap:
+    return PiecewiseAffineMap.affine_1d(Fraction(1, 2), 0)
+
+
+def random_box_list(rng: random.Random, dimension: int, max_boxes: int = 3) -> list:
+    """Up to max_boxes boxes with half-integer endpoints in [-1, 2]; about one
+    endpoint in eight is infinite."""
+    boxes = []
+    for _ in range(rng.randint(0, max_boxes)):
+        box = []
+        for _ in range(dimension):
+            a = Fraction(rng.randint(-2, 2), 2)
+            b = a + Fraction(rng.randint(0, 2), 2)
+            lo = NEG_INF if rng.randint(1, 8) == 1 else Cut.finite(a)
+            hi = POS_INF if rng.randint(1, 8) == 1 else Cut.finite(b)
+            if lo.is_finite and hi.is_finite and a == b:
+                box.append(Interval.point(a))
+            else:
+                box.append(Interval(lo, hi, lo.is_finite and rng.randint(0, 1) == 0,
+                                    hi.is_finite and rng.randint(0, 1) == 0))
+        boxes.append(tuple(box))
+    return boxes
+
+
+ORACLE_SLOPES = tuple(Fraction(m) for m in
+                      (0, 1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3),
+                       Fraction(-1, 2)))
+
+
+def random_rules(rng: random.Random, dimension: int) -> tuple:
+    """One rule per axis: a slope from ORACLE_SLOPES and a half-integer
+    intercept in [-1, 1]."""
+    return tuple(AffineRule(rng.choice(ORACLE_SLOPES),
+                            Fraction(rng.randint(-2, 2), 2))
+                 for _ in range(dimension))
+
+
+def random_product_map(rng: random.Random, dimension: int) -> PiecewiseAffineMap:
+    """A product of continuous monotone 1-D maps.  Each axis fixes a
+    half-integer c with slope 3, 1/3, -2, -1/3 or -1 on [c - 1, c + 1] and,
+    half the time, has steep pieces of slope 3 or -3 (the core slope's sign)
+    beyond it instead of the same rule.  Monotone axes keep the iterated
+    domains to a few boxes; a fold would multiply them at every step."""
+    axes = []
+    for _ in range(dimension):
+        c = Fraction(rng.randint(-2, 2), 2)
+        s = rng.choice((Fraction(3), Fraction(1, 3), Fraction(-2),
+                        Fraction(-1, 3), Fraction(-1)))
+        core = AffineRule(s, c * (1 - s))
+        if rng.randint(0, 1):
+            axes.append([(Interval.line(), core)])
+            continue
+        m = 3 if s > 0 else -3
+        lo, hi = Cut.finite(c - 1), Cut.finite(c + 1)
+        axes.append([
+            (Interval(NEG_INF, lo, False, False),
+             AffineRule(Fraction(m), c - s - m * (c - 1))),
+            (Interval(lo, hi, True, True), core),
+            (Interval(hi, POS_INF, False, False),
+             AffineRule(Fraction(m), c + s - m * (c + 1))),
+        ])
+    return PiecewiseAffineMap.of(dimension, [
+        Piece(BoxSet.of(dimension, [tuple(iv for iv, _ in parts)]),
+              tuple(rule for _, rule in parts))
+        for parts in itertools.product(*axes)])
+
+
+def random_core_set(rng: random.Random, dimension: int) -> BoxSet:
+    """random_box_list's boxes and one box from -1, -3/2 or -2 to 1, 3/2 or
+    2 on each axis, which mostly holds the fixed point of a
+    random_product_map and often crosses its pieces."""
+    box = tuple(Interval(Cut.finite(Fraction(-rng.randint(2, 4), 2)),
+                         Cut.finite(Fraction(rng.randint(2, 4), 2)),
+                         rng.randint(0, 1) == 0, rng.randint(0, 1) == 0)
+                for _ in range(dimension))
+    return BoxSet.of(dimension, random_box_list(rng, dimension) + [box])
+
+
+def random_piece_list(rng: random.Random, dimension: int) -> list:
+    """Up to three pieces with random_rules on random_box_list domains, each
+    written with or without the part the earlier ones cover; one rule for
+    all of them half the time.  Overlaps and jumps are frequent."""
+    shared = random_rules(rng, dimension)
+    same = rng.randint(0, 1)
+    pieces, seen = [], BoxSet.empty(dimension)
+    for _ in range(rng.randint(1, 3)):
+        dom = BoxSet.of(dimension, random_box_list(rng, dimension, 2))
+        if rng.randint(0, 2):
+            dom = dom.difference(seen)
+        seen = seen.union(dom)
+        pieces.append(Piece(dom, shared if same else random_rules(rng, dimension)))
+    return pieces
+
+
+def rewritten_pieces(rng: random.Random, f: PiecewiseAffineMap) -> list:
+    """The pieces of f written another way, and half the time spoiled.
+
+    Up to three times a piece list is cut at a half-integer slab x_k = c:
+    each piece splits into its parts below and above the slab, and its
+    part on the slab goes to a random entry whose rule agrees there (often
+    its own part on either side, or a neighbour's) or stays a piece of its
+    own.  The list is then shuffled.  A spoiled list has one rule moved by
+    1/2 on one axis, or one domain widened by a random box, which the
+    constructor may or may not have to reject."""
+    d = f.dimension
+    entries = [[p.domain, p.rules] for p in f.pieces]
+    for _ in range(rng.randint(1, 3)):
+        k, c = rng.randrange(d), Fraction(rng.randint(-4, 4), 2)
+
+        def slab(iv):
+            return BoxSet.of(d, [tuple(iv if i == k else Interval.line()
+                                       for i in range(d))])
+        below = slab(Interval(NEG_INF, Cut.finite(c), False, False))
+        above = slab(Interval(Cut.finite(c), POS_INF, False, False))
+        cut = []
+        for dom, rules in entries:
+            cut += [[dom.intersect(below), rules], [dom.intersect(above), rules]]
+        for dom, rules in entries:
+            on = dom.difference(below).difference(above)
+            if on.is_empty:
+                continue
+            hosts = [e for e in cut if rules_agree_on(e[1], rules, on)]
+            host = rng.choice(hosts + [None])
+            if host is None:
+                cut.append([on, rules])
+            else:
+                host[0] = host[0].union(on)
+        entries = [e for e in cut if not e[0].is_empty]
+    rng.shuffle(entries)
+    spoil = rng.randint(0, 3)
+    if spoil == 1:
+        e = rng.choice(entries)
+        j = rng.randrange(d)
+        r = e[1][j]
+        e[1] = e[1][:j] + (AffineRule(r.slope, r.intercept + Fraction(1, 2)),) + \
+            e[1][j + 1:]
+    elif spoil == 2:
+        e = rng.choice(entries)
+        e[0] = e[0].union(BoxSet.of(d, random_box_list(rng, d, 1)))
+    return [Piece(dom, rules) for dom, rules in entries]
+
+
+# ---------------------------------------------------------------------------
+# finite powers and the fixed-cap invariant part
+
+def brute_preperiod_period(f: fin.FinitePartialMap) -> tuple[int, int]:
+    seq = [fin.identity_map(f.space)]
+    while True:
+        nxt = fin.compose(f, seq[-1])
+        for i, old in enumerate(seq):
+            if old == nxt:
+                return i, len(seq) - i
+        seq.append(nxt)
+
+
+def fixed_cap_invariant_part(f: PiecewiseAffineMap, e: BoxSet, cap: int = 64):
+    """The invariant part on the interval carrier by the full fixed-cap loop:
+    up to cap preimage steps, up to cap image steps once the domains
+    stabilize, and the single-piece fixed-set closed form (written out here
+    again) only on the last set.  An undecided result is the triple
+    (reason, bound, outer) that the kernel's Undecided carries."""
+    d = e
+    stabilized = False
+    for _ in range(cap):
+        d2 = e.intersect(f.preimage(d))
+        if d2 == d:
+            stabilized = True
+            break
+        d = d2
+    current = d
+    if stabilized:
+        s = d
+        for _ in range(cap):
+            s2 = f.image(s)
+            if s2 == s:
+                return s
+            s = s2
+        current = s
+    piece = next((p for p in f.pieces
+                  if current.subset_of(p.domain.closure())), None)
+    if piece is None or not current.is_bounded:
+        return ("invariant part did not stabilize", cap, current)
+    axes = []
+    for r in piece.rules:
+        if r.slope == 1 and r.intercept != 0:
+            return BoxSet.empty(f.dimension)
+        if r.slope == -1:
+            return ("reflection axis admits non-fixed invariant sets", cap,
+                    current)
+        axes.append(Interval.line() if r.slope == 1
+                    else Interval.point(r.intercept / (1 - r.slope)))
+    fix = BoxSet.of(f.dimension, [tuple(axes)])
+    return fix.intersect(piece.domain.closure()).intersect(f.domain).intersect(e)
+
+
+# ---------------------------------------------------------------------------
+# the pairwise box-list algebra, kept as the differential oracle of the
+# canonical form in `boxes`
+
+def _oracle_union_1d(ivs) -> tuple:
+    out = []
+    for iv in sorted(ivs, key=_skey):
+        ek = _ekey(out[-1]) if out else None
+        if out and _skey(iv) <= (ek[0], ek[1], ek[2] + 1):
+            prev = out.pop()
+            hk = max(ek, _ekey(iv))
+            out.append(Interval(prev.lo, Cut(hk[0], hk[1]), prev.lo_closed, hk[2] == 0))
+        else:
+            out.append(iv)
+    return tuple(out)
+
+
+def _diff_iv(a: Interval, b: Interval) -> tuple:
+    """a minus b as at most two intervals."""
+    ib = isect_iv(a, b)
+    if ib is None:
+        return (a,)
+    parts = []
+    for lo, lc, hi, hc in ((a.lo, a.lo_closed, ib.lo, not ib.lo_closed),
+                           (ib.hi, not ib.hi_closed, a.hi, a.hi_closed)):
+        try:
+            parts.append(Interval(lo, hi, lc, hc))
+        except ValueError:
+            pass
+    return tuple(parts)
+
+
+def _box_isect(a, b):
+    out = []
+    for ia, ib in zip(a, b):
+        iv = isect_iv(ia, ib)
+        if iv is None:
+            return None
+        out.append(iv)
+    return tuple(out)
+
+
+def _box_subset(a, b) -> bool:
+    return all(_skey(ib) <= _skey(ia) and _ekey(ia) <= _ekey(ib)
+               for ia, ib in zip(a, b))
+
+
+def box_minus_box(a, b) -> list:
+    ib = _box_isect(a, b)
+    if ib is None:
+        return [a]
+    out = []
+    cur = list(a)
+    for k in range(len(a)):
+        for part in _diff_iv(cur[k], ib[k]):
+            out.append(tuple(cur[:k]) + (part,) + tuple(a[k + 1:]))
+        cur[k] = ib[k]
+    return out
+
+
+def _reduce(boxes: tuple) -> tuple:
+    """Absorb contained boxes and merge axis-adjacent twins, restarting after
+    every merge."""
+    items = list(boxes)
+    changed = True
+    while changed:
+        changed = False
+        pruned = []
+        for i, b in enumerate(items):
+            contained = False
+            for j, o in enumerate(items):
+                if i == j or not _box_subset(b, o):
+                    continue
+                # drop duplicates once, keep the earlier copy
+                if _box_subset(o, b) and j > i:
+                    continue
+                contained = True
+                break
+            if not contained:
+                pruned.append(b)
+        if len(pruned) < len(items):
+            items = pruned
+            changed = True
+            continue
+        merged = None
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                m = _try_merge(items[i], items[j])
+                if m is not None:
+                    merged = (i, j, m)
+                    break
+            if merged:
+                break
+        if merged:
+            i, j, m = merged
+            items = [b for k, b in enumerate(items) if k not in (i, j)] + [m]
+            changed = True
+    return tuple(items)
+
+
+def _try_merge(a, b):
+    diff_axis = None
+    for k in range(len(a)):
+        if a[k] != b[k]:
+            if diff_axis is not None:
+                return None
+            diff_axis = k
+    if diff_axis is None:
+        return a
+    u = _oracle_union_1d([a[diff_axis], b[diff_axis]])
+    if len(u) != 1:
+        return None
+    return a[:diff_axis] + (u[0],) + a[diff_axis + 1:]
+
+
+class PairwiseBoxSet:
+    """A box set as a free list of boxes: union concatenates and reduces,
+    intersection and difference work box by box, set equality is two
+    differences and the interior is complement, closure, complement."""
+
+    def __init__(self, dimension: int, boxes):
+        bs = tuple(tuple(b) for b in boxes)
+        self.dimension = dimension
+        if dimension == 1:
+            self.boxes = tuple((iv,) for iv in _oracle_union_1d(b[0] for b in bs))
+        else:
+            self.boxes = _reduce(bs)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.boxes
+
+    @property
+    def is_bounded(self) -> bool:
+        return all(iv.is_bounded for b in self.boxes for iv in b)
+
+    def union(self, other):
+        return PairwiseBoxSet(self.dimension, self.boxes + other.boxes)
+
+    def intersect(self, other):
+        return PairwiseBoxSet(self.dimension, [
+            ib for a in self.boxes for b in other.boxes
+            if (ib := _box_isect(a, b)) is not None])
+
+    def difference(self, other):
+        pieces = list(self.boxes)
+        for b in other.boxes:
+            pieces = [p for a in pieces for p in box_minus_box(a, b)]
+        return PairwiseBoxSet(self.dimension, pieces)
+
+    def complement(self):
+        full = tuple(Interval.line() for _ in range(self.dimension))
+        return PairwiseBoxSet(self.dimension, [full]).difference(self)
+
+    def subset_of(self, other) -> bool:
+        return self.difference(other).is_empty
+
+    def set_eq(self, other) -> bool:
+        return self.subset_of(other) and other.subset_of(self)
+
+    def closure(self):
+        return PairwiseBoxSet(self.dimension, [tuple(iv.closure() for iv in b)
+                                               for b in self.boxes])
+
+    def interior(self):
+        return self.complement().closure().complement()
+
+    def interior_in(self, ambient):
+        return ambient.difference(ambient.difference(self).closure())
+
+    def is_closed(self) -> bool:
+        return self.closure().subset_of(self)
+
+    def is_open(self) -> bool:
+        return self.set_eq(self.interior())
+
+    def is_compact(self) -> bool:
+        return self.is_bounded and self.is_closed()
+
+    def is_open_in(self, ambient) -> bool:
+        return self.intersect(ambient.difference(self).closure()).is_empty
+
+    def is_locally_compact(self) -> bool:
+        return self.closure().difference(self).is_closed()
+
+
+# ---------------------------------------------------------------------------
+# box-by-box affine set maps and the piece-list map, kept as the
+# differential oracles of the node walk and the canonical maps of `affine`
+
+def _oracle_image_interval(r: AffineRule, iv: Interval) -> Interval:
+    if r.slope == 0:
+        return Interval.point(r.intercept)
+
+    def moved(c: Cut) -> Cut:
+        if c.sign:
+            return c if r.slope > 0 else -c
+        return Cut(0, r.slope * c.value + r.intercept)
+
+    lo, hi = moved(iv.lo), moved(iv.hi)
+    if r.slope > 0:
+        return Interval(lo, hi, iv.lo_closed, iv.hi_closed)
+    return Interval(hi, lo, iv.hi_closed, iv.lo_closed)
+
+
+def _oracle_preimage_interval(r: AffineRule, iv: Interval) -> Interval | None:
+    """The full line when a constant rule hits iv, None when it misses."""
+    if r.slope == 0:
+        return Interval.line() if iv.contains(r.intercept) else None
+    inverse = AffineRule(1 / r.slope, -r.intercept / r.slope)
+    return _oracle_image_interval(inverse, iv)
+
+
+def oracle_rules_image(rules, a: BoxSet) -> BoxSet:
+    return BoxSet.of(a.dimension, [
+        tuple(_oracle_image_interval(r, iv) for r, iv in zip(rules, b))
+        for b in a.boxes])
+
+
+def oracle_rules_preimage(rules, a: BoxSet) -> BoxSet:
+    boxes = []
+    for b in a.boxes:
+        pre = [_oracle_preimage_interval(r, iv) for r, iv in zip(rules, b)]
+        if None not in pre:
+            boxes.append(tuple(pre))
+    return BoxSet.of(a.dimension, boxes)
+
+
+def oracle_rules_agree_on(r1, r2, region: BoxSet) -> bool:
+    """Axis by axis: equal rules, or the region lies in the slab where two
+    rules of different slopes cross."""
+    if region.is_empty:
+        return True
+    for k, (a, b) in enumerate(zip(r1, r2)):
+        dm = a.slope - b.slope
+        dq = a.intercept - b.intercept
+        if dm == 0 and dq == 0:
+            continue
+        if dm == 0:
+            return False
+        slab = BoxSet.of(region.dimension, [tuple(
+            Interval.point(-dq / dm) if i == k else Interval.line()
+            for i in range(region.dimension))])
+        if not region.subset_of(slab):
+            return False
+    return True
+
+
+def rules_agree_on(r1, r2, region: BoxSet) -> bool:
+    """Whether two componentwise rules coincide on a box set: whether the
+    region lies in the zero set of their difference, one preimage under
+    the node walk of `affine`."""
+    d = region.dimension
+    diff = tuple(AffineRule(a.slope - b.slope, a.intercept - b.intercept)
+                 for a, b in zip(r1, r2))
+    return region.is_empty or region.subset_of(
+        af.rules_preimage(diff, BoxSet.points([(0,) * d], d)))
+
+
+class PieceListMap:
+    """The piece-list map that the canonical form of `affine` replaced, kept
+    as its oracle: the pieces as written, overlap checked against a running
+    union, continuity and equality decided on every pair of pieces, set
+    maps box by box, and composites that pair the pieces of both maps."""
+
+    def __init__(self, dimension: int, pieces):
+        self.dimension = dimension
+        self.pieces = tuple(p for p in pieces if not p.domain.is_empty)
+
+    @staticmethod
+    def of(dimension: int, pieces) -> "PieceListMap":
+        out = PieceListMap(dimension, pieces)
+        seen = BoxSet.empty(dimension)
+        for p in out.pieces:
+            if p.domain.dimension != dimension:
+                raise ValueError("piece dimension mismatch")
+            if not seen.intersect(p.domain).is_empty:
+                raise ValueError("piece domains overlap")
+            seen = seen.union(p.domain)
+        closures = [p.domain.closure() for p in out.pieces]
+        for (p, cp), (q, cq) in itertools.combinations(
+                zip(out.pieces, closures), 2):
+            touch = cp.intersect(cq)
+            if not touch.is_empty and not rules_agree_on(
+                    p.rules, q.rules, touch.intersect(p.domain.union(q.domain))):
+                raise ValueError("map is discontinuous across piece boundary")
+        return out
+
+    @property
+    def domain(self) -> BoxSet:
+        return BoxSet.union_all(self.dimension, (p.domain for p in self.pieces))
+
+    def restrict(self, s: BoxSet) -> "PieceListMap":
+        return PieceListMap(self.dimension, [
+            Piece(p.domain.intersect(s), p.rules) for p in self.pieces])
+
+    def image(self, a: BoxSet) -> BoxSet:
+        return BoxSet.union_all(self.dimension, (
+            oracle_rules_image(p.rules, a.intersect(p.domain))
+            for p in self.pieces))
+
+    def preimage(self, a: BoxSet) -> BoxSet:
+        return BoxSet.union_all(self.dimension, (
+            oracle_rules_preimage(p.rules, a).intersect(p.domain)
+            for p in self.pieces))
+
+    def maps_equal(self, other: "PieceListMap") -> bool:
+        """Same domain, and the rules of every two pieces agree where their
+        domains meet."""
+        if self.domain != other.domain:
+            return False
+        return all(rules_agree_on(p.rules, q.rules, p.domain.intersect(q.domain))
+                   for p in self.pieces for q in other.pieces)
+
+    def compose(self, f: "PieceListMap") -> "PieceListMap":
+        """self after f."""
+        return PieceListMap(self.dimension, [
+            Piece(pf.domain.intersect(oracle_rules_preimage(pf.rules, pg.domain)),
+                  tuple(rg.compose(rf) for rg, rf in zip(pg.rules, pf.rules)))
+            for pf in f.pieces for pg in self.pieces])

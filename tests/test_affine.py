@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +9,13 @@ from hypothesis import strategies as st
 from conley_kernel import affine as af
 from conley_kernel.affine import AffineRule, Piece, PiecewiseAffineMap
 from conley_kernel.boxes import BoxSet, Interval
-from conley_kernel.suites import clamp_map, doubling_map, random_interval_set, shift2d_map
-
-import random
+from conley_kernel.suites import clamp_map, doubling_map, shift2d_map
+from kernel_oracles import (
+    ORACLE_SLOPES, PieceListMap, contraction_map, oracle_rules_agree_on,
+    oracle_rules_image, oracle_rules_preimage, random_box_list,
+    random_interval_set, random_piece_list, random_product_map, random_rules,
+    rewritten_pieces, rules_agree_on,
+)
 
 
 def box1(lo, lc, hi, hc):
@@ -116,7 +122,6 @@ class TestNodeWalk:
         assert got.boxes == ((Interval.closed(0, 2), Interval.point(3)),)
 
     def test_rules_agree_on_the_crossing_point_only(self):
-        from conley_kernel.suites import rules_agree_on
         r1, r2 = (AffineRule.of(1, 0),), (AffineRule.of(-1, 2),)
         assert rules_agree_on(r1, r2, box1(1, True, 1, True))
         assert not rules_agree_on(r1, r2, box1(1, True, 2, False))
@@ -125,7 +130,6 @@ class TestNodeWalk:
         assert not rules_agree_on(r1, shifted, box1(1, True, 1, True))
 
     def test_results_are_canonical(self):
-        from conley_kernel.suites import random_box_list, random_rules
 
         def canonical(node):
             if node is True or node is False:
@@ -146,13 +150,34 @@ class TestNodeWalk:
                     assert canonical(got.node), (rules, a)
                     assert got.node == BoxSet.of(dimension, got.boxes).node
 
+    def test_set_maps_and_rule_agreement_match_the_box_by_box_oracle(self):
+        rng = random.Random(11)
+        for dimension, count in ((1, 80), (2, 60), (3, 30)):
+            for _ in range(count):
+                assert _affine_mismatch(rng, dimension) is None
+
+    def test_product_maps_match_the_box_by_box_oracle(self):
+        rng = random.Random(13)
+        for k in range(80):
+            f = random_product_map(rng, 1 + k % 3) if k % 4 else clamp_map()
+            a = BoxSet.of(f.dimension, random_box_list(rng, f.dimension))
+            fo = PieceListMap(f.dimension, f.pieces)
+            assert f.preimage(a) == fo.preimage(a) and \
+                f.image(a) == fo.image(a), (f, a)
+            for p, q in itertools.product(f.pieces, repeat=2):
+                meet = p.domain.closure().intersect(q.domain.closure())
+                assert rules_agree_on(p.rules, q.rules, meet) == \
+                    oracle_rules_agree_on(p.rules, q.rules, meet), (p, q)
+
 
 class TestComposition:
     def test_preimage_of_composite(self):
         rng = random.Random(3)
-        maps = [doubling_map(), clamp_map(),
-                PiecewiseAffineMap.affine_1d(-1, 1)]
-        for _ in range(30):
+        maps = [doubling_map(), contraction_map(), clamp_map(),
+                PiecewiseAffineMap.affine_1d(-1, 1),
+                PiecewiseAffineMap.affine_1d(-1, 0),
+                PiecewiseAffineMap.affine_1d(1, 1)]
+        for _ in range(80):
             f, g = rng.choice(maps), rng.choice(maps)
             a = random_interval_set(rng)
             assert af.compose(g, f).preimage(a) == (
@@ -185,8 +210,10 @@ class TestProperness:
 
     def test_compact_domain_always_proper(self):
         rng = random.Random(11)
-        for f in (doubling_map(), clamp_map(),
-                  PiecewiseAffineMap.affine_1d(Fraction(1, 3), 2)):
+        for f in (doubling_map(), contraction_map(), clamp_map(),
+                  PiecewiseAffineMap.affine_1d(Fraction(1, 3), 2),
+                  PiecewiseAffineMap.affine_1d(-1, 0),
+                  PiecewiseAffineMap.affine_1d(1, 1)):
             for _ in range(20):
                 d = random_interval_set(rng).closure()
                 d = d.intersect(box1(-4, True, 4, True)).intersect(f.domain)
@@ -320,7 +347,6 @@ class TestSetMapMemo:
     def test_memoized_results_equal_a_fresh_parse(self):
         from conley_kernel.documents import (
             SystemDocument, document_to_json, parse_document)
-        from conley_kernel.suites import random_box_list, random_product_map
         rng = random.Random(43)
         for dimension in (1, 2):
             f = random_product_map(rng, dimension)
@@ -360,9 +386,7 @@ CELLS = (Interval.make("-inf", False, "-3/2", True),
 def separated_map(rng, dimension):
     """Up to six pieces on products of CELLS with random rules, so pieces
     often share their range on one axis and differ on a later one."""
-    from itertools import product
-    from conley_kernel.suites import random_rules
-    cells = rng.sample(list(product(CELLS, repeat=dimension)),
+    cells = rng.sample(list(itertools.product(CELLS, repeat=dimension)),
                        min(rng.randint(1, 6), len(CELLS) ** dimension))
     return PiecewiseAffineMap.of(dimension, [
         Piece(BoxSet.of(dimension, [c]), random_rules(rng, dimension))
@@ -372,7 +396,6 @@ def separated_map(rng, dimension):
 def clamp_product_map(rng, dimension):
     """A product of 1-D clamps, doublings and x -> 1 - x, restricted to a
     set of up to four boxes."""
-    from conley_kernel.suites import random_box_list
     factors = (clamp_map, doubling_map,
                lambda: PiecewiseAffineMap.affine_1d(-1, 1))
     f = af.product([rng.choice(factors)() for _ in range(dimension)])
@@ -380,8 +403,6 @@ def clamp_product_map(rng, dimension):
 
 
 def walk_maps(rng, dimension):
-    from conley_kernel.suites import (
-        random_piece_list, random_product_map, rewritten_pieces)
     while True:
         kind = rng.randrange(4)
         try:
@@ -419,12 +440,108 @@ def node_features(node, depth=0, out=None):
     return out
 
 
+def _built(build, dimension: int, pieces):
+    """The map build(dimension, pieces), or the message it raised."""
+    try:
+        return build(dimension, pieces)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _piece_list_mismatch(written: list, other: PiecewiseAffineMap,
+                         sets: list, dimension: int):
+    """(accepted, the first operation on which the map written as the piece
+    list `written` disagrees with its piece-list oracle, or None): the
+    accept or reject verdict of `of`, its images and preimages of `sets`,
+    its restrictions to them, its composites with `other` both ways, and
+    equality with `other` and with each restriction."""
+    f = _built(PiecewiseAffineMap.of, dimension, written)
+    fo = _built(PieceListMap.of, dimension, written)
+    if isinstance(f, str) or isinstance(fo, str):
+        return False, None if f == fo else f"verdict {f!r}, oracle {fo!r}"
+    return True, _accepted_mismatch(f, fo, other, sets, dimension)
+
+
+def _accepted_mismatch(f, fo, other, sets, dimension):
+    """The first operation on which the accepted map f and its oracle fo
+    disagree, or None; results compare as piece lists by the oracle."""
+    go = PieceListMap(dimension, other.pieces)
+
+    def same(got: PiecewiseAffineMap, want: PieceListMap) -> bool:
+        return PieceListMap(dimension, got.pieces).maps_equal(want)
+
+    if f.domain != fo.domain or not same(f, fo):
+        return "the canonical pieces"
+    if (f == other) != fo.maps_equal(go):
+        return "maps_equal with the other map"
+    if not same(af.compose(other, f), go.compose(fo)) or \
+            not same(af.compose(f, other), fo.compose(go)):
+        return "compose"
+    for a in sets:
+        if f.image(a) != fo.image(a):
+            return f"image of {a}"
+        if f.preimage(a) != fo.preimage(a):
+            return f"preimage of {a}"
+        r, ro = f.restrict(a), fo.restrict(a)
+        if not same(r, ro):
+            return f"restrict to {a}"
+        if (r == f) != ro.maps_equal(fo):
+            return f"maps_equal with the restriction to {a}"
+    return None
+
+
+def _affine_mismatch(rng: random.Random, dimension: int):
+    """The first set map on which the node walk and the box-by-box oracle
+    disagree for random rules and a random_box_list set, or None.  The
+    preimage is also checked by membership, x in f^-1(A) iff f(x) in A, at
+    every breakpoint of either result and between and beyond them."""
+    rules = random_rules(rng, dimension)
+    a = BoxSet.of(dimension, random_box_list(rng, dimension))
+    pre = af.rules_preimage(rules, a)
+    if pre != oracle_rules_preimage(rules, a):
+        return f"preimage under {rules} of {a}"
+    if af.rules_image(rules, a) != oracle_rules_image(rules, a):
+        return f"image under {rules} of {a}"
+    if dimension < 3:
+        axes = []
+        for k in range(dimension):
+            ends = sorted({c.value for b in pre.boxes + a.boxes
+                           for c in (b[k].lo, b[k].hi) if c.is_finite})
+            ends = [ends[0] - 1] + ends + [ends[-1] + 1] if ends else [0]
+            axes.append(ends + [(x + y) / 2 for x, y in zip(ends, ends[1:])])
+        for x in itertools.product(*axes):
+            if pre.contains_point(x) != a.contains_point(
+                    [r.apply(v) for r, v in zip(rules, x)]):
+                return f"preimage membership at {list(x)} under {rules} of {a}"
+    # a second rule equal to the first, shifted in the intercept, or
+    # crossing it at a half-integer c, on each axis; the region is pinned
+    # to c on some crossing axes, so both answers occur
+    r2, boxes = [], random_box_list(rng, dimension, 2)
+    for k, r in enumerate(rules):
+        kind = rng.choice(("same", "same", "shift", "cross"))
+        c = Fraction(rng.randint(-2, 4), 2)
+        if kind == "same":
+            r2.append(r)
+        elif kind == "shift":
+            r2.append(AffineRule(r.slope, r.intercept + Fraction(1, 2)))
+        else:
+            m = rng.choice([s for s in ORACLE_SLOPES if s != r.slope])
+            r2.append(AffineRule(m, r.apply(c) - m * c))
+            if rng.randint(0, 2):
+                boxes = [b[:k] + (Interval.point(c),) + b[k + 1:] for b in boxes]
+    region = BoxSet.of(dimension, boxes)
+    if rules_agree_on(rules, tuple(r2), region) != \
+            oracle_rules_agree_on(rules, r2, region):
+        return f"rules_agree_on {rules}, {tuple(r2)} on {region}"
+    return None
+
+
+
 class TestPullBack:
     """Preimages and composites are one walk of the canonical nodes; the
     piece-list oracle handles one piece, or pair of pieces, at a time."""
 
     def test_against_the_piece_list_oracle(self):
-        from conley_kernel.suites import PieceListMap, random_box_list
         rng = random.Random(61)
         seen = set()
         for dimension in (1, 2, 3):
@@ -444,7 +561,6 @@ class TestPullBack:
                         "zero slope", "negative slope"}
 
     def test_composites_on_separated_pieces(self):
-        from conley_kernel.suites import PieceListMap
         rng = random.Random(67)
         for dimension in (2, 3):
             for _ in range(40):
@@ -517,3 +633,34 @@ class TestPullBack:
         assert af.compose(g, f) == PiecewiseAffineMap.of(2, [
             Piece(BoxSet.of(2, [a]), rules((1, 0), (1, 0))),
             Piece(BoxSet.of(2, [b]), rules((-2, 9), (1, 3)))])
+
+
+class TestPieceListOracle:
+    """The verdict of `of`, the canonical pieces, image, preimage,
+    restrict, compose and maps_equal against the piece-list map that the
+    canonical form replaced, on piece lists that often overlap or jump,
+    and on product maps and the clamp written another way."""
+
+    def test_random_piece_lists(self):
+        rng = random.Random(11)
+        for dimension, count in ((1, 40), (2, 30), (3, 10)):
+            for _ in range(count):
+                written = random_piece_list(rng, dimension)
+                other = PiecewiseAffineMap.single(
+                    random_rules(rng, dimension),
+                    BoxSet.of(dimension, random_box_list(rng, dimension)))
+                sets = [BoxSet.of(dimension, random_box_list(rng, dimension))]
+                assert _piece_list_mismatch(
+                    written, other, sets, dimension)[1] is None, written
+
+    def test_rewritten_product_maps(self):
+        rng = random.Random(13)
+        for k in range(40):
+            dimension = 1 + k % 2
+            f = random_product_map(rng, dimension) if k % 4 else clamp_map()
+            other = f if rng.randint(0, 1) else random_product_map(rng, dimension)
+            sets = [BoxSet.of(dimension, random_box_list(rng, dimension))
+                    for _ in range(2)]
+            written = rewritten_pieces(rng, f)
+            assert _piece_list_mismatch(
+                written, other, sets, dimension)[1] is None, (f, written)

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from conley_kernel.boxes import (
     BoxSet, Cut, Interval, NEG_INF, POS_INF, isect_iv,
 )
+from kernel_oracles import PairwiseBoxSet, PieceListMap, random_box_list
 
 
 def iv(lo, lc, hi, hc):
@@ -83,6 +86,7 @@ class TestSetAlgebra:
             a.intersect(b).union(a.intersect(c)))
         assert a.difference(b) == a.intersect(b.complement())
         assert a.difference(b.union(c)) == a.difference(b).difference(c)
+        assert a.union(b).difference(b) == a.difference(b)
 
     @settings(max_examples=60, deadline=None)
     @given(interval_sets(), interval_sets())
@@ -140,6 +144,10 @@ class TestTopology:
         assert a.interior().interior() == a.interior()
         assert a.interior().subset_of(a)
         assert a.subset_of(a.closure())
+        if a.is_bounded:
+            assert a.is_closed() == a.is_compact()
+        if a.interior() == a or a.is_compact():
+            assert a.is_locally_compact()
 
     @settings(max_examples=40, deadline=None)
     @given(interval_sets(), interval_sets())
@@ -173,7 +181,6 @@ class TestRasterOracle2D:
         return BoxSet.of(2, boxes)
 
     def test_algebra_matches_membership(self):
-        import random
         rng = random.Random(41)
         pts = [(Fraction(i, 2), Fraction(j, 2))
                for i in range(-9, 10) for j in range(-9, 10)]
@@ -194,6 +201,74 @@ class TestRasterOracle2D:
                     assert closure.contains_point(p)
 
 
+def _raster_mismatch(a: BoxSet, b: BoxSet):
+    """The first operation whose result disagrees with membership on the
+    quarter grid over [-5/4, 9/4]^n, or None.
+
+    Endpoints are half-integers in [-1, 2], so every grid point stands for
+    one cell (a half-integer point or an open half-unit interval per axis);
+    a point is in the closure (interior) of A iff some (every) grid point of
+    its cell's closure star is in A."""
+    coord = [Fraction(k - 6, 4) for k in range(17)]     # -3/2 .. 5/2
+    memo = {}
+
+    def member(s, p):
+        key = (id(s), p)
+        if key not in memo:
+            memo[key] = s.contains_point([coord[k] for k in p])
+        return memo[key]
+
+    def star(p):
+        return itertools.product(*[(k - 1, k, k + 1) if k % 2 == 0 else (k,)
+                                   for k in p])
+
+    results = {"union": a.union(b), "intersect": a.intersect(b),
+               "difference": a.difference(b), "complement": a.complement(),
+               "closure": a.closure(), "interior": a.interior()}
+    for p in itertools.product(range(1, 16), repeat=a.dimension):
+        ina, inb = member(a, p), member(b, p)
+        want = {"union": ina or inb, "intersect": ina and inb,
+                "difference": ina and not inb, "complement": not ina,
+                "closure": any(member(a, q) for q in star(p)),
+                "interior": all(member(a, q) for q in star(p))}
+        for name, got in results.items():
+            if member(got, p) != want[name]:
+                return f"{name} at {[coord[k] for k in p]}"
+    return None
+
+
+def _oracle_mismatch(ra: list, rb: list, dimension: int):
+    """The first operation or predicate on which the canonical form and the
+    pairwise oracle disagree, or None."""
+    a, b = BoxSet.of(dimension, ra), BoxSet.of(dimension, rb)
+    oa, ob = PairwiseBoxSet(dimension, ra), PairwiseBoxSet(dimension, rb)
+    sets = [("union", a.union(b), oa.union(ob)),
+            ("intersect", a.intersect(b), oa.intersect(ob)),
+            ("difference", a.difference(b), oa.difference(ob)),
+            ("complement", a.complement(), oa.complement()),
+            ("closure", a.closure(), oa.closure()),
+            ("interior", a.interior(), oa.interior()),
+            ("interior_in", a.intersect(b).interior_in(b),
+             oa.intersect(ob).interior_in(ob))]
+    for name, got, want in sets:
+        if BoxSet.of(dimension, want.boxes) != got or \
+                not want.set_eq(PairwiseBoxSet(dimension, got.boxes)):
+            return name
+    ab, oab = a.intersect(b), oa.intersect(ob)
+    preds = [("is_closed", a.is_closed(), oa.is_closed()),
+             ("is_open", a.is_open(), oa.is_open()),
+             ("is_compact", a.is_compact(), oa.is_compact()),
+             ("is_locally_compact", a.is_locally_compact(), oa.is_locally_compact()),
+             ("is_open_in", ab.is_open_in(b), oab.is_open_in(ob)),
+             ("subset_of", a.subset_of(b), oa.subset_of(ob)),
+             ("==", a == b, oa.set_eq(ob))]
+    for name, got, want in preds:
+        if got != want:
+            return name
+    return None
+
+
+
 class TestCanonicalForm:
     """One set, written as different box lists, is one value."""
 
@@ -212,8 +287,6 @@ class TestCanonicalForm:
                 + box[k + 1:]]
 
     def test_rewritten_box_lists_give_equal_sets(self):
-        import random
-        from conley_kernel.suites import random_box_list
         rng = random.Random(17)
         for dimension in (1, 2, 3):
             for _ in range(30):
@@ -231,9 +304,6 @@ class TestCanonicalForm:
                     assert got.boxes == want.boxes and repr(got) == repr(want)
 
     def test_boxes_are_disjoint(self):
-        import random
-        from conley_kernel.suites import random_box_list
-        from conley_kernel.boxes import isect_iv
         rng = random.Random(19)
         for dimension in (2, 3):
             for _ in range(30):
@@ -250,10 +320,15 @@ class TestCanonicalForm:
         assert overlapping == disjoint
         assert overlapping.boxes == disjoint.boxes
 
-    def test_box_algebra_suite(self):
-        from conley_kernel.suites import suite_box_algebra
-        res = suite_box_algebra()
-        assert res.passed, res.lines
+    def test_algebra_matches_raster_membership_and_the_pairwise_oracle(self):
+        rng = random.Random(11)
+        for dimension, pairs in ((1, 30), (2, 40), (3, 12)):
+            for _ in range(pairs):
+                ra = random_box_list(rng, dimension)
+                rb = random_box_list(rng, dimension)
+                assert _raster_mismatch(BoxSet.of(dimension, ra),
+                                        BoxSet.of(dimension, rb)) is None, (ra, rb)
+                assert _oracle_mismatch(ra, rb, dimension) is None, (ra, rb)
 
 
 class TestGeometry:
@@ -291,7 +366,6 @@ class TestFilteredKeys:
             assert _key(v, 1)[1:] == (v, 1)
 
     def test_key_order_is_value_order(self):
-        import random
         from conley_kernel.boxes import _key
         rng = random.Random(101)
         values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(40)]
@@ -316,7 +390,6 @@ class TestFilteredKeys:
         """_steps against a sorted merge, on keys whose filters tie (values
         within 2^-68, and equal values held by distinct Fractions); a tie
         is decided on integer ratios, so no Fraction comparison runs."""
-        import random
         from conley_kernel.boxes import _key, _steps
         compares = []
 
@@ -378,8 +451,6 @@ class TestFilteredKeys:
         return pool
 
     def test_box_algebra_against_the_pairwise_oracle(self):
-        import random
-        from conley_kernel.suites import _oracle_mismatch
         rng, pool = random.Random(103), self.pool()
         for dimension, pairs in ((1, 120), (2, 60), (3, 15)):
             for _ in range(pairs):
@@ -392,9 +463,7 @@ class TestFilteredKeys:
                         all(x.contains(v) for x in b) for b in ra), (ra, v)
 
     def test_preimages_against_the_piece_list_oracle(self):
-        import random
         from conley_kernel.affine import AffineRule, Piece, PiecewiseAffineMap
-        from conley_kernel.suites import PieceListMap
         rng, pool = random.Random(107), self.pool()
 
         def rules(dimension):
@@ -530,7 +599,6 @@ def test_closure_and_interior_match_the_recursive_sweep(dimension, rng):
     """Merging the swept values at a point atom gives the node that sweeping
     the merged value again gives."""
     from conley_kernel.boxes import _closure_or_interior
-    from conley_kernel.suites import random_box_list
     from kernel_oracles import oracle_closure_or_interior
     a = BoxSet.of(dimension, random_box_list(rng, dimension, 4))
     for closure in (True, False):

@@ -30,6 +30,28 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def unreached_definitions(path, roots) -> list:
+    """The top-level functions, classes and assignments of the module at
+    path that no chain of name references reaches from roots (docstrings,
+    which name other code too, do not count)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, node) for t in node.targets
+                        if isinstance(t, ast.Name))
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in seen:
+            seen.add(name)
+            todo += [n.id for n in ast.walk(defs[name])
+                     if isinstance(n, ast.Name)]
+    return sorted(set(defs) - seen)
+
+
 class TestCheck:
     def test_doubling_unit_not_compactifiable(self, capsys):
         code, out, _ = run(capsys, "check", fx("doubling.json"),
@@ -170,7 +192,7 @@ class TestVerify:
         assert code == 0
 
     def test_seeded_suite(self, capsys):
-        code, _, _ = run(capsys, "verify", "--suite", "finite-algebra",
+        code, _, _ = run(capsys, "verify", "--suite", "thm-4-properness",
                          "--trials", "50", "--seed", "7")
         assert code == 0
 
@@ -178,7 +200,15 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "unknown-name")
         assert code == 2 and out == ""
         assert err.startswith("input error: unknown suite 'unknown-name'; "
-                              "known: box-algebra, ")
+                              "known: cont-discriminator, ")
+        for name in ("box-algebra", "finite-algebra", "pam-laws"):
+            code, out, err = run(capsys, "verify", "--suite", name, "--json")
+            assert code == 2 and out == ""
+            assert err == (
+                f"input error: unknown suite {name!r}; known: "
+                "cont-discriminator, cont-laws, invariant-part-oracle, "
+                "simple-system, szymczak-oracle, thm-4-composition, "
+                "thm-4-properness, worked-models\n")
 
     def test_bound_is_a_usage_error(self, capsys):
         # no suite reads a bound, so verify takes none and echoes none
@@ -202,7 +232,7 @@ class TestVerify:
         assert err == f"input error: suite {suite!r} reads no {option}\n"
 
     def test_meta_echoes_the_seed_the_suite_read(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "finite-algebra",
+        code, out, _ = run(capsys, "verify", "--suite", "thm-4-properness",
                            "--trials", "3", "--seed", "99", "--json")
         assert code == 0 and json.loads(out)["meta"]["seed"] == 99
         code, out, _ = run(capsys, "verify", "--suite", "worked-models",
@@ -221,35 +251,29 @@ class TestVerify:
 
     def test_zero_trials_are_an_input_error(self, capsys):
         # a suite run on 0 trials used to report pass
-        code, out, err = run(capsys, "verify", "--suite", "box-algebra",
+        code, out, err = run(capsys, "verify", "--suite", "thm-4-composition",
                              "--trials", "0", "--json")
         assert code == 2 and out == ""
         assert err.startswith("input error: --trials must be at least 1")
 
     def test_suites_define_only_what_verify_runs(self):
-        """Every top-level function and class of suites.py is reached from
-        SUITES, run_suite or check_request through name references (not
-        docstrings, which name the test-only oracles too); what only tests
-        use lives under tests/."""
+        """Every top-level definition of suites.py is reached from SUITES,
+        run_suite or check_request; what only tests use lives under
+        tests/."""
         from conley_kernel import suites
-        tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
-        defs = {}
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[node.name] = node
-            elif isinstance(node, ast.Assign):
-                defs.update((t.id, node) for t in node.targets
-                            if isinstance(t, ast.Name))
-        seen, todo = set(), ["SUITES", "run_suite", "check_request"]
-        while todo:
-            name = todo.pop()
-            if name in defs and name not in seen:
-                seen.add(name)
-                todo += [n.id for n in ast.walk(defs[name])
-                         if isinstance(n, ast.Name)]
-        assert sorted(name for name, node in defs.items()
-                      if name not in seen and
-                      not isinstance(node, ast.Assign)) == []
+        roots = ["SUITES", "run_suite", "check_request"]
+        assert unreached_definitions(Path(suites.__file__), roots) == []
+
+    def test_kernel_oracles_define_only_what_tests_read(self):
+        """Every top-level definition of tests/kernel_oracles.py is read by
+        some tests/test_*.py, directly or through another definition of
+        that module: an oracle that no test runs is deleted, not kept."""
+        here = Path(__file__).resolve().parent
+        read = [alias.name for path in here.glob("test_*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "kernel_oracles" for alias in node.names]
+        assert unreached_definitions(here / "kernel_oracles.py", read) == []
 
     def test_only_verify_loads_the_suites(self):
         # the suites and their oracles are test code, which the other
@@ -882,7 +906,7 @@ class TestCrashesAreNotNegatives:
     def test_verify_keeps_the_contract(self, capsys, monkeypatch, exc, code):
         from conley_kernel import suites
         monkeypatch.setattr(suites, "run_suite", self.raising(exc))
-        got, out, err = run(capsys, "verify", "--suite", "box-algebra",
+        got, out, err = run(capsys, "verify", "--suite", "thm-4-composition",
                             "--json")
         assert got == code
         if code == 3:

@@ -19,14 +19,15 @@ from conley_kernel.documents import parse_document
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import (
-    brute_invariant_part, clamp_flow, clamp_map, contraction_map, doubling_map,
-    random_finite_system, random_interval_set, random_product_map,
-    random_subset, shift2d_map, step_region,
+    brute_invariant_part, clamp_flow, clamp_map, doubling_map,
+    random_finite_system, random_subset, shift2d_map, step_region,
 )
 from conley_kernel.szymczak import BasedEndo
 from kernel_oracles import (
-    oracle_dom, oracle_find_admissible, oracle_power, oracle_preimage,
-    oracle_sim_f, prime_cycle_document, random_flow,
+    contraction_map, fixed_cap_invariant_part, oracle_dom,
+    oracle_find_admissible, oracle_power, oracle_preimage, oracle_sim_f,
+    prime_cycle_document, random_box_list, random_core_set, random_flow,
+    random_interval_set, random_product_map,
 )
 
 
@@ -266,14 +267,6 @@ class TestDomSequence:
         assert ca.dom(f, UNIT, 5) == box1(Fraction(-1, 32), True, Fraction(1, 32), True)
         assert ca.dom(f, UNIT, 2) == box1(Fraction(-1, 4), True, Fraction(1, 4), True)
         assert len(f._iterates[UNIT, "dom"]) == 6
-
-
-def _outcome(fn, *args):
-    """fn(*args), or the bound of the Undecided it raises."""
-    try:
-        return fn(*args)
-    except Undecided as exc:
-        return ("undecided", exc.bound)
 
 
 def _shuffled_times(rng, times):
@@ -893,7 +886,6 @@ class TestInvariantPart:
         assert got == ORIGIN
 
     def test_contraction_closed_form(self):
-        from conley_kernel.suites import contraction_map
         got = dyn.invariant_part_exact(contraction_map(), UNIT)
         assert got == ORIGIN
 
@@ -937,7 +929,8 @@ def _piecewise_1d(core_slope, outer):
 class TestInvariantPartEarlyExit:
     """invariant_part_exact stops at the first iterate that is bounded and
     lies in one piece without a slope -1 axis; the fixed-cap loop it
-    replaced (suites.fixed_cap_invariant_part) ran every step to the cap."""
+    replaced (kernel_oracles.fixed_cap_invariant_part) ran every step to
+    the cap."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -1011,10 +1004,21 @@ class TestInvariantPartEarlyExit:
         assert "50 boxes" in info.value.reason
         assert info.value.outer is None
 
-    def test_pam_laws_suite(self):
-        from conley_kernel.suites import suite_pam_laws
-        res = suite_pam_laws()
-        assert res.passed, res.lines
+    def test_equals_the_fixed_cap_loop(self):
+        # the same set, or the same reason, bound and outer approximant
+        rng = random.Random(13)
+        for k in range(40):
+            dimension = 1 + k % 2
+            f = random_product_map(rng, dimension)
+            e = random_core_set(rng, dimension) if k % 4 < 2 else \
+                BoxSet.of(dimension, random_box_list(rng, dimension))
+            try:
+                got = dyn.invariant_part_exact(f, e)
+            except Undecided as exc:
+                got = (exc.reason, exc.bound, exc.outer)
+            # a fresh copy of f, so that no set-map memo is shared
+            fresh = af.PiecewiseAffineMap.of(dimension, f.pieces)
+            assert got == fixed_cap_invariant_part(fresh, e), (f, e)
 
 
 class TestOnePoint:

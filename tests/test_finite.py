@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
-from conley_kernel.suites import brute_preperiod_period, random_finite_system
+from conley_kernel.suites import random_finite_system
+from kernel_oracles import brute_preperiod_period
 
 
 SPACE = fin.FiniteSpace.of(["1", "2", "3"])

@@ -132,12 +132,12 @@ def test_sweep_suites_prints_one_line_per_verify_run(capsys):
     """Each suite at its defaults, and a seeded one again at --trials 20
     --seed 7; an unknown suite is a usage error before any suite runs."""
     script = load("sweep_suites")
-    assert script.main(["worked-models", "finite-algebra"]) == 0
+    assert script.main(["worked-models", "thm-4-properness"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line["argv"] for line in lines] == [
         ["verify", "--suite", "worked-models", "--json"],
-        ["verify", "--suite", "finite-algebra", "--json"],
-        ["verify", "--suite", "finite-algebra", "--trials", "20", "--seed",
+        ["verify", "--suite", "thm-4-properness", "--json"],
+        ["verify", "--suite", "thm-4-properness", "--trials", "20", "--seed",
          "7", "--json"]]
     assert all(line["exit"] == 0 and line["stderr"] == "" for line in lines)
     assert json.loads(lines[2]["stdout"])["meta"]["seed"] == 7
@@ -148,12 +148,12 @@ def test_sweep_suites_prints_one_line_per_verify_run(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["--only", "no-such-suite"], "unknown suite 'no-such-suite'"),
-    (["--only", "box-algebra", "--trials", "-1"],
+    (["--only", "thm-4-composition", "--trials", "-1"],
      "--trials must not be negative"),
-    (["--only", "box-algebra", "--trials", "0"],
+    (["--only", "thm-4-composition", "--trials", "0"],
      "input error: --trials must be at least 1"),
     (["--only", "worked-models", "--only", "no-such-suite"],
-     "unknown suite 'no-such-suite'; known: box-algebra, "),
+     "unknown suite 'no-such-suite'; known: cont-discriminator, "),
 ])
 def test_run_suites_rejects_bad_input(capsys, argv, message):
     # before it runs any suite, as verify reports every input error
@@ -170,14 +170,18 @@ def test_run_suites_runs_the_named_suites(capsys):
 
 def test_run_suites_passes_each_suite_what_it_reads(capsys):
     # worked-models reads no seed or trials; one --seed still runs it
-    argv = ["--only", "worked-models", "--only", "finite-algebra",
+    argv = ["--only", "worked-models", "--only", "thm-4-properness",
             "--seed", "3", "--trials", "2"]
     assert load("run_suites").main(argv) == 0
     out = capsys.readouterr().out
     assert [line.split()[:2] for line in out.splitlines()
             if not line.startswith(" ")] == [["worked-models", "pass"],
-                                            ["finite-algebra", "pass"]]
-    assert "laws on 2 random systems" in out
+                                            ["thm-4-properness", "pass"]]
+    note = "finite carrier: 1 weakly compactifiable pairs checked"
+    assert f"    {note}\n" in out
+    # at its defaults (300 trials, seed 19) the suite checks other pairs
+    from conley_kernel.suites import suite_thm_properness
+    assert suite_thm_properness().lines[0] != note
 
 
 def test_run_suites_rejects_a_bad_trial_count_no_suite_reads(capsys):
@@ -215,7 +219,7 @@ def test_scripts_run_on_their_own_checkout(tmp_path, name, argv, decoy):
 
 # one unseeded and one seeded suite
 COMPARED = ([str(ROOT / "fixtures" / "attractor.json")], ["1"],
-            ["worked-models", "finite-algebra"])
+            ["worked-models", "thm-4-properness"])
 
 
 def test_compare_outputs_finds_a_checkout_identical_to_itself(capsys):
@@ -246,6 +250,31 @@ def test_compare_outputs_shows_the_first_difference(capsys, tmp_path):
         "no)" in out
     assert f"sweep_suites: failed (exit 2 in {stub.parent}: " in out
     assert script.main([str(tmp_path), str(ROOT)]) == 2
+
+
+def test_compare_outputs_sweeps_the_suites_of_the_change(capsys, tmp_path):
+    """With no suite named, both sides sweep the change's suites, so a
+    suite that only the parent has is no difference (two stub checkouts
+    whose sweeps print the suite names)."""
+    sides = []
+    for side, names in (("parent", ["a", "b", "extra"]), ("change", ["a", "b"])):
+        root = tmp_path / side
+        (root / "scripts").mkdir(parents=True)
+        (root / "src" / "conley_kernel").mkdir(parents=True)
+        (root / "src" / "conley_kernel" / "__init__.py").write_text("")
+        (root / "src" / "conley_kernel" / "suites.py").write_text(
+            f"SUITES = dict.fromkeys({names!r})\n")
+        for name in ("sweep_outputs", "sweep_bench_requests"):
+            (root / "scripts" / f"{name}.py").write_text("print('same')\n")
+        (root / "scripts" / "sweep_suites.py").write_text(
+            "import sys\nsys.path.insert(0, 'src')\n"
+            "from conley_kernel.suites import SUITES\n"
+            "print(*(sys.argv[1:] or sorted(SUITES)), sep='\\n')\n")
+        (root / "BENCHMARK.json").write_text('{"workloads": [{"name": "w"}]}')
+        sides.append(str(root))
+    assert load("compare_outputs").compare(*sides) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "sweep_suites: identical (2 lines)"
 
 
 def test_bench_pairs_dry_run_alternates_the_sides(capsys, tmp_path):

@@ -20,7 +20,8 @@ from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import clamp_flow, translation_flow
 from kernel_oracles import (
     is_index_nbhd_certificate, oracle_candidate_times, oracle_dom_interval_1d,
-    oracle_dom_interval_convex, oracle_time_pieces, random_flow,
+    oracle_dom_interval_convex, oracle_time_pieces, random_box_list,
+    random_flow,
 )
 
 
@@ -506,7 +507,6 @@ class TestForwardInvariance:
 
     def test_against_sampling(self):
         import random
-        from conley_kernel.suites import random_box_list
         rng = random.Random(53)
         flows = [sf.ExactSemiflow.of([sf.AxisRule.floor(1, 0),
                                       sf.AxisRule.floor(2, 0)]),
