@@ -14,18 +14,33 @@ come from eventual periodicity of the power sequence and stabilization of
 the iterated-domain sets.  On the interval and semiflow carriers exhausted
 searches are reported as undecided, never as negatives.
 
-The complete triple search is cut further than its derived bound.  Let p
-be the preperiod of f (f^p = f^(p+q)) and s the stabilization index of
-D_n(E).  Then D_s(E) is the set of points whose whole forward orbit stays
-in E, and for n >= p, f^n maps it onto Inv(E), the cycles of f inside E:
-each such orbit has run into its cycle by step p, that cycle lies in the
-orbit and so in E, and f^n maps every cycle onto itself.  So for a >=
-max(p, s) and b >= a the test D_b(E) <= f^-a(E') reads Inv(E) <= E',
-whatever a and b are, and the same holds for the second test of a triple
-past the preperiod and D(E')'s stabilization.  :func:`find_admissible`
-therefore tests no time past max(p, s1, s2), s1 and s2 the stabilization
-indices of D(E) and D(E'), which is at most the number of points; the
-period q bounds no loop.
+On the finite carrier two subset tests decide whether a triple exists.
+Let p be the preperiod of f (f^p = f^(p+q)) and s the stabilization index
+of D_n(E).  Then D_s(E) is the set of points whose whole forward orbit
+stays in E, and for n >= p, f^n maps it onto Inv(E), the cycles of f
+inside E: each such orbit has run into its cycle by step p, that cycle
+lies in the orbit and so in E, and f^n maps every cycle onto itself.  So
+for a >= max(p, s) and b >= a the test D_b(E) <= f^-a(E') reads Inv(E) <=
+E', whatever a and b are, and the same holds for the second test of a
+triple past the preperiod and D(E')'s stabilization.  Hence a triple
+exists iff Inv(E) <= E' and Inv(E') <= E, and a forward (backward) pair of
+:func:`sim_f` exists iff the first (second) of them holds.  Necessity:
+Inv(E) lies in every D_b(E) and f^a maps it onto itself, so D_b(E) <=
+f^-a(E') gives Inv(E) = f^a(Inv(E)) <= E'.  Sufficiency: with s1, s2 the
+stabilization indices of D(E) and D(E'), (max(p, s1), max(p, s1)) is a
+forward pair, (max(p, s2), max(p, s2)) a backward one, and (a, a + d, a +
+d) with a = max(p, s1), d = max(p, s2) is a triple whose c lies within
+the derived bound.
+
+A complete search context reads the two tests off the cycles of f as
+``possible`` and then only looks for the least witness, with the loop of
+a bounded search.  D_b(E) does not change past s1 (D_gamma(E') past s2),
+so a gallop over b (gamma) ends at ``last``, one past max(i, s1) (max(i,
+s2)) for a range that starts at index i.  The least a with a b is at most
+max(p, s1), since the test passes at (a, a) there, and for that a the least
+delta = b - a with a gamma is at most max(delta0, p, s2), delta0 the
+offset of the least b: every time tested is at most max(p, s1, s2), which
+is at most the number of points, and the period q bounds no loop.
 """
 
 from __future__ import annotations
@@ -158,9 +173,11 @@ class _SearchContext:
     eventually periodic in a (f^p = f^(p+q), from ``f.power_bounds``) and
     D_b(E) stabilizes in b at ``_stab[1]``, D_gamma(E') in gamma at
     ``_stab[2]``, and the derived bound 2(p + q) + s1 + s2 + 2 covers both
-    and is what a complete search reports.  :func:`find_admissible` tests
-    no time past max(p, s1, s2) (see :func:`_least_triple`), and
-    :meth:`b_ranges` gives :func:`sim_f` the a below p + q."""
+    and is what a complete search reports.  ``possible[1]`` (``[2]``) is
+    whether a forward (backward) pair exists, always true on a bounded
+    search, and :meth:`last` ends each gallop (see the module docstring)."""
+
+    possible = {1: True, 2: True}
 
     def __init__(self, f, e, e2, bound=None):
         self.f, self.e, self.e2 = f, e, e2
@@ -171,9 +188,10 @@ class _SearchContext:
         if self.complete:
             p, q = f.power_bounds
             n = len(f.space.points)
-            self._period_end = p + q
             self._stab = {1: ca.stab(f, e, n + 1), 2: ca.stab(f, e2, n + 1)}
             bound = 2 * (p + q) + self._stab[1] + self._stab[2] + 2
+            self.possible = {1: not _invariant_mask(f, e) & ~e2.mask,
+                             2: not _invariant_mask(f, e2) & ~e.mask}
         self.bound = bound
         self.times = range(bound + 1)
 
@@ -192,15 +210,12 @@ class _SearchContext:
     def cond2(self, delta, gamma) -> bool:
         return self._absorbed(self._cond2, self.e2, self.e, delta, gamma)
 
-    def b_ranges(self, which):
-        """For each candidate a, in increasing order, the index range
-        [lo, hi) of the candidate b in ``times``, all with b >= a.  A
-        complete search stops where f^-a starts to repeat and where the
-        domain sets of the tested side stabilize."""
-        if not self.complete:
-            return ((a, a, len(self.times)) for a in self.times)
-        return ((a, a, max(a, self._stab[which]) + 1)
-                for a in range(max(self._period_end - 1, 0) + 1))
+    def last(self, which, i):
+        """The end of the index range of a gallop of test ``which`` that
+        starts at index i: past it the tested domain sets do not change."""
+        if self.complete:
+            return max(i, self._stab[which]) + 1
+        return len(self.times)
 
 
 def is_admissible(f, e, e2, t: AdmissibleTriple) -> bool:
@@ -266,11 +281,12 @@ def _least(test, times, lo, hi):
 
 
 def _least_pair(test, ctx, which):
-    """The lexicographically least candidate pair (a, b) with test(a, b)."""
-    for a, lo, hi in ctx.b_ranges(which):
-        i = _least(lambda b: test(a, b), ctx.times, lo, hi)
-        if i is not None:
-            return a, ctx.times[i]
+    """The lexicographically least pair (a, b) with test(a, b), else None."""
+    if ctx.possible[which]:
+        for i, a in enumerate(ctx.times):
+            j = _least(lambda b: test(a, b), ctx.times, i, ctx.last(which, i))
+            if j is not None:
+                return a, ctx.times[j]
     return None
 
 
@@ -297,8 +313,9 @@ def find_admissible(f, e, e2, bound=None) -> TripleSearch:
     """Lexicographically-least admissible triple among the search times.
 
     Finite carrier with bound=None: a complete decision (NotFound means the
-    triple set is empty), found by :func:`_least_triple`.  Otherwise
-    NotFound means undecided within the bound.
+    triple set is empty); whether a triple exists is read off the cycles of
+    f, and the search only looks for the least one (see the module
+    docstring).  Otherwise NotFound means undecided within the bound.
 
     Both conditions are monotone in their second time, because the swept
     domain D_t(E) shrinks as t grows.  In discrete time D_1 = E n f^-1(E)
@@ -314,74 +331,21 @@ def find_admissible(f, e, e2, bound=None) -> TripleSearch:
     lexicographic scan, with fewer tests.
     """
     ctx = carrier_for(f).search_context(f, e, e2, bound)
-    if ctx.complete:
-        return TripleSearch(_least_triple(ctx), True, ctx.bound)
     times = ctx.times
-    for i, a in enumerate(times):
-        j = _least(lambda b: ctx.cond1(a, b), times, i, len(times))
-        if j is None:
-            continue
-        for b in times[j:]:
-            k = _least(lambda gamma: ctx.cond2(b - a, gamma), times,
-                       bisect_left(times, b - a),
-                       bisect_right(times, ctx.bound - a))
-            if k is not None:
-                return TripleSearch(AdmissibleTriple(a, b, a + times[k]),
-                                    ctx.complete, ctx.bound)
-    return TripleSearch(None, ctx.complete, ctx.bound)
-
-
-def _least_triple(ctx) -> Optional[AdmissibleTriple]:
-    """The lexicographically least triple (a, b, c) with c <= ctx.bound,
-    the derived bound of a complete (finite-carrier) context, else None.
-
-    Write p for the preperiod of f, s1 and s2 for the stabilization indices
-    of D(E) and D(E'), M = max(p, s2), and cond2(delta, gamma) for D_gamma(E')
-    <= f^-delta(E), delta = b - a, gamma = c - a.  By the module docstring,
-    cond1(a, b) for a >= max(p, s1), b >= a reads Inv(E) <= E', and
-    cond2(delta, gamma) for delta >= M, gamma >= delta reads Inv(E') <= E.
-
-    (i) A triple with a > max(p, s1) stays admissible shifted down by one:
-        cond1(a - 1, b - 1) reads Inv(E) <= E' as cond1(a, b) does, and
-        delta and gamma do not change.  So only a <= max(p, s1) is tried.
-    (ii) D_b(E) and D_gamma(E') do not change past s1 and s2, so the least
-        b for a lies in [a, max(a, s1)] if anywhere, and the least gamma
-        for delta in [delta, max(delta, s2)]; both gallops end there.
-    (iii) Let j(a) be the least b that passes cond1 for a; every later b
-        passes too, and j(a) <= max(a, s1), so delta0 = j(a) - a <= s1.
-        For delta = b - a, some gamma in [delta, bound - a] passes cond2
-        iff cond2(delta, max(delta, s2)) holds, which does not depend on
-        a, nor on delta once delta >= M.  So the least delta >= delta0
-        that has a gamma lies in [delta0, max(delta0, M)] or does not
-        exist, and it is found once per delta0.
-
-    Every time tested is at most max(p, s1, s2), and the triple has c <=
-    max(p, s1) + max(p, s1, s2) < bound, so the derived bound cuts no
-    candidate and the cut finds the triple of the scan over all times up to
-    the bound.  The tests number O((max(p, s1) + 1)(log s1 + 1) +
-    (max(s1, M) + 1)(log s2 + 1)): the period q bounds no loop."""
-    p, s1, s2 = ctx.f.power_bounds[0], ctx._stab[1], ctx._stab[2]
-    times, deltas = ctx.times, {}
-
-    def least_delta(delta0):
-        """(delta, least gamma) for the least delta >= delta0 with one."""
-        if delta0 not in deltas:
-            deltas[delta0] = None
-            for delta in range(delta0, max(delta0, p, s2) + 1):
-                k = _least(lambda gamma: ctx.cond2(delta, gamma), times,
-                           delta, max(delta, s2) + 1)
+    if ctx.possible[1] and ctx.possible[2]:
+        for i, a in enumerate(times):
+            j = _least(lambda b: ctx.cond1(a, b), times, i, ctx.last(1, i))
+            if j is None:
+                continue
+            for b in times[j:]:
+                lo = bisect_left(times, b - a)
+                k = _least(lambda gamma: ctx.cond2(b - a, gamma), times, lo,
+                           min(ctx.last(2, lo),
+                               bisect_right(times, ctx.bound - a)))
                 if k is not None:
-                    deltas[delta0] = delta, k
-                    break
-        return deltas[delta0]
-
-    for a in range(max(p, s1) + 1):
-        j = _least(lambda b: ctx.cond1(a, b), times, a, max(a, s1) + 1)
-        hit = None if j is None else least_delta(j - a)
-        if hit is not None:
-            delta, gamma = hit
-            return AdmissibleTriple(a, a + delta, a + gamma)
-    return None
+                    return TripleSearch(AdmissibleTriple(a, b, a + times[k]),
+                                        ctx.complete, ctx.bound)
+    return TripleSearch(None, ctx.complete, ctx.bound)
 
 
 def cross_domain(f, e, e2, t: AdmissibleTriple):
@@ -462,8 +426,12 @@ def invariant_part(f, e):
         raise TypeError("invariant_part is the finite-carrier operation; "
                         "use invariant_part_exact on the interval carrier")
     f.check_set(e)
-    cycles = (sum(1 << x for x in c) for c in f._orbits[1])
-    return FiniteSubset(e.space, sum(c for c in cycles if not c & ~e.mask))
+    return FiniteSubset(e.space, _invariant_mask(f, e))
+
+
+def _invariant_mask(f, e) -> int:
+    """The mask of Inv(E), the union of the cycles of f inside E."""
+    return sum(c for c in f._cycle_masks if not c & ~e.mask)
 
 
 def invariant_part_outer(f, e, t):

@@ -204,6 +204,11 @@ class FinitePartialMap:
         return steps, cycles
 
     @cached_property
+    def _cycle_masks(self) -> tuple[int, ...]:
+        """The mask of each cycle of f."""
+        return tuple(sum(1 << x for x in c) for c in self._orbits[1])
+
+    @cached_property
     def power_bounds(self) -> tuple[int, int]:
         """Least (p, q) with f^p = f^(p+q), q >= 1, from the orbit structure.
 

@@ -125,34 +125,43 @@ class AxisRule:
                     ((AffineRule(Fraction(1), _mul_add(v, t, 0)),), clamped))
         return PiecewiseAffineMap(1, node)
 
-    def preimage(self, iv: Interval, t: Fraction) -> Interval | None:
-        """The x whose time-t factor value (:meth:`time_factor`, the
-        identity at t = 0) lies in iv, as one interval, or None when there
-        is none.
+    def pullback(self, iv: Interval):
+        """The ends of the time-t preimage of iv as affine functions of t,
+        each (cut, closed, slope) for cut + slope*t, or None when it is
+        empty.  They hold for t > 0, and at t = 0 too for x inside the
+        rule's natural range, where every caller's x lies.
 
-        Translation pulls iv back to iv shifted by v*t.  The floor value is
-        max(x - v*t, L): when L is in iv every x <= hi + v*t qualifies, the
-        clamped ones included; when iv lies below L none does; when it lies
-        above L no clamped value is in it and the preimage is the shift.
-        The ceiling rule is the mirror."""
-        if self.kind == "identity" or t == 0:
-            return iv
+        Translation (and identity, of velocity 0) pulls iv back to iv
+        shifted by v*t.  The floor value is max(x - v*t, L): when L is in iv
+        every x <= hi + v*t qualifies, the clamped ones included; when iv
+        lies below L none does; when it lies above L no clamped value is in
+        it and the preimage is the shift.  The ceiling rule is the mirror."""
         v = self.velocity
         if self.kind == "floor":
             if iv.contains(self.clamp):
-                return Interval(NEG_INF, _shift(iv.hi, v, t), False,
-                                iv.hi_closed)
+                return (NEG_INF, False, 0), (iv.hi, iv.hi_closed, v)
             if iv.hi <= Cut.finite(self.clamp):
                 return None
         elif self.kind == "ceil":
             v = -v
             if iv.contains(self.clamp):
-                return Interval(_shift(iv.lo, v, t), POS_INF, iv.lo_closed,
-                                False)
+                return (iv.lo, iv.lo_closed, v), (POS_INF, False, 0)
             if Cut.finite(self.clamp) <= iv.lo:
                 return None
-        return Interval(_shift(iv.lo, v, t), _shift(iv.hi, v, t),
-                        iv.lo_closed, iv.hi_closed)
+        return (iv.lo, iv.lo_closed, v), (iv.hi, iv.hi_closed, v)
+
+    def preimage(self, iv: Interval, t: Fraction) -> Interval | None:
+        """The x whose time-t factor value (:meth:`time_factor`, the
+        identity at t = 0) lies in iv, as one interval, or None when there
+        is none: :meth:`pullback` at t."""
+        if self.kind == "identity" or t == 0:
+            return iv
+        ends = self.pullback(iv)
+        if ends is None:
+            return None
+        (lo, lo_closed, v_lo), (hi, hi_closed, v_hi) = ends
+        return Interval(_shift(lo, v_lo, t), _shift(hi, v_hi, t), lo_closed,
+                        hi_closed)
 
     def boundary_values(self) -> list[Fraction]:
         return [] if self.clamp is None else [self.clamp]
@@ -359,7 +368,10 @@ def _reaches(axes, src: BoxSet, dst: BoxSet, horizon: Interval) -> bool:
     Exact: the time-tau image of a box is the box of its per-axis images,
     and per axis the tau at which the image of one interval meets another
     form one interval, so a pair of boxes meets at some tau iff the per-axis
-    intervals and the horizon have a common point."""
+    intervals and the horizon have a common point.  src lies in the
+    product of the natural ranges, as :func:`_axis_escape_tau` needs: each
+    caller passes a set in the carrier or the closure of one, and those
+    ranges are closed."""
     for g in src.boxes:
         for c in dst.boxes:
             taus = horizon
@@ -374,33 +386,17 @@ def _reaches(axes, src: BoxSet, dst: BoxSet, horizon: Interval) -> bool:
 
 
 def _axis_escape_tau(rule: AxisRule, g: Interval, e: Interval) -> Interval | None:
-    """The tau >= 0 where the time-tau image of g meets e, as one interval.
+    """The tau >= 0 where the time-tau image of g meets e, as one interval,
+    for g inside the rule's natural range.
 
-    Uses the fact that the time-tau preimage of an interval under these rules
-    is a single interval whose endpoints are affine in tau with a formula
-    independent of tau."""
-    e = isect_iv(e, rule.natural_range)
-    if e is None:
+    The time-tau preimage of e is one interval whose ends are affine in tau
+    (:meth:`AxisRule.pullback`), so the overlap with g reduces to two
+    one-variable affine key inequalities."""
+    ends = rule.pullback(e)
+    if ends is None:
         return None
-    # The time-tau preimage of e is one interval whose endpoints are affine
-    # in tau with a tau-independent formula; overlap with g reduces to two
-    # one-variable affine key inequalities.
-    if rule.kind == "identity" or rule.velocity == 0:
-        return _tau_all() if isect_iv(g, e) is not None else None
-    if rule.kind == "translation":
-        return _solve_overlap(g, e.lo, e.lo_closed, rule.velocity,
-                              e.hi, e.hi_closed, rule.velocity)
-    if rule.kind == "floor":
-        if e.contains(rule.clamp):
-            return _solve_overlap(g, Cut.finite(rule.clamp), True, Fraction(0),
-                                  e.hi, e.hi_closed, rule.velocity)
-        return _solve_overlap(g, e.lo, e.lo_closed, rule.velocity,
-                              e.hi, e.hi_closed, rule.velocity)
-    if e.contains(rule.clamp):
-        return _solve_overlap(g, e.lo, e.lo_closed, -rule.velocity,
-                              Cut.finite(rule.clamp), True, Fraction(0))
-    return _solve_overlap(g, e.lo, e.lo_closed, -rule.velocity,
-                          e.hi, e.hi_closed, -rule.velocity)
+    (lo, lo_closed, v_lo), (hi, hi_closed, v_hi) = ends
+    return _solve_overlap(g, lo, lo_closed, v_lo, hi, hi_closed, v_hi)
 
 
 def _solve_overlap(g: Interval, plo: Cut, plo_closed: bool, slope_lo: Fraction,
@@ -559,9 +555,10 @@ class _ContContext:
     map.
 
     The times are a finite rational candidate set, so a failed search is
-    never complete."""
+    never complete, and either pair may exist."""
 
     complete = False
+    possible = {1: True, 2: True}
 
     def __init__(self, flow, e, e2, bound):
         self.flow, self.e, self.e2 = flow, e, e2
@@ -586,10 +583,9 @@ class _ContContext:
     def cond2(self, delta, gamma) -> bool:
         return self._absorbed(self._c2, self.e2, self.e, delta, gamma)
 
-    def b_ranges(self, which):
-        """For each candidate a, in increasing order, the index range
-        [lo, hi) of the candidate b >= a in ``times``."""
-        return ((a, i, len(self.times)) for i, a in enumerate(self.times))
+    def last(self, which, i):
+        """The end of the index range of every gallop: the last time."""
+        return len(self.times)
 
 
 # ---------------------------------------------------------------------------

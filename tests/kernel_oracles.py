@@ -132,15 +132,16 @@ def oracle_find_admissible(f, e, e2, bound=None) -> dyn.TripleSearch:
 
 
 def oracle_sim_f(f, e, e2, bound=None) -> dyn.SimResult:
-    """The lexicographic scan over the candidate pairs that dynamics.sim_f
-    replaces: the first (a, b) that passes, both ways."""
+    """The lexicographic scan that dynamics.sim_f replaces: every a of the
+    search times and every b >= a in turn, the first (a, b) that passes,
+    both ways."""
     ctx = dyn.carrier_for(f).search_context(f, e, e2, bound)
 
-    def first(test, which):
-        return next(((a, b) for a, lo, hi in ctx.b_ranges(which)
-                     for b in ctx.times[lo:hi] if test(a, b)), None)
+    def first(test):
+        return next(((a, b) for a in ctx.times for b in ctx.times
+                     if b >= a and test(a, b)), None)
 
-    fwd, bwd = first(ctx.cond1, 1), first(ctx.cond2, 2)
+    fwd, bwd = first(ctx.cond1), first(ctx.cond2)
     if fwd and bwd:
         status = "equivalent"
     else:

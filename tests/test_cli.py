@@ -918,8 +918,8 @@ class TestCrashesAreNotNegatives:
 class TestPrimeCycleSearches:
     """A cycle of each prime 2..7 (2..11) plus a fixed point z, searched
     from W, one point of each cycle, to Z = {z}: no triple exists.  The
-    derived bound, reported as meta.bound, is 423 (4,623); the search
-    itself tests times 0 and 1 only (dynamics._least_triple)."""
+    derived bound, reported as meta.bound, is 423 (4,623); Inv(Z) = Z is
+    not in W, which decides the triple search before it tests a time."""
 
     @pytest.mark.parametrize("command", ["admissible", "szymczak-equal"])
     @pytest.mark.parametrize("primes, bound", [

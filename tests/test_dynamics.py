@@ -665,8 +665,8 @@ def _indices(f, e, e2):
     return (*f.power_bounds, ca.stab(f, e, n + 1), ca.stab(f, e2, n + 1))
 
 
-def _searched_context(monkeypatch, f, e, e2):
-    """The result of the complete find_admissible and its search context."""
+def _searched_context(monkeypatch, f, e, e2, search=dyn.find_admissible):
+    """The result of the complete search and its search context."""
     made = []
     init = dyn._SearchContext.__init__
 
@@ -676,16 +676,24 @@ def _searched_context(monkeypatch, f, e, e2):
 
     with monkeypatch.context() as patch:
         patch.setattr(dyn._SearchContext, "__init__", kept)
-        got = dyn.find_admissible(f, e, e2)
+        got = search(f, e, e2)
     (ctx,) = made
     return got, ctx
 
 
+def _times(tests):
+    return [t for key in tests for t in key]
+
+
 class TestCompleteFiniteSearch:
-    """The complete find_admissible tries a <= max(p, s1) only and, per
-    delta0 = j(a) - a, the delta in [delta0, max(delta0, p, s2)]
-    (dynamics._least_triple); kernel_oracles.oracle_find_admissible scans
-    every time up to the derived bound 2(p + q) + s1 + s2 + 2.
+    """A triple exists iff Inv(E) <= E' and Inv(E') <= E, a forward
+    (backward) pair iff the first (second) holds, and the complete context
+    reads both off the cycles of f as ``possible``.  The searches then try
+    a <= max(p, s1) only, each gallop ends where its domain sets stabilize,
+    and the triple search tries delta in [delta0, max(delta0, p, s2)]
+    (the dynamics module docstring); kernel_oracles.oracle_find_admissible
+    and oracle_sim_f scan every time up to the derived bound 2(p + q) + s1
+    + s2 + 2.
 
     The cut is one step past max(p, s1), not one period: no system has its
     least a in (max(p, s1), max(p, s1) + q), nor its least delta a period
@@ -698,8 +706,12 @@ class TestCompleteFiniteSearch:
         rng = random.Random(seed)
         for _ in range(2000):
             f = random_finite_system(rng, 12)
-            _assert_same_searches(f, random_subset(rng, f.space),
-                                  random_subset(rng, f.space))
+            e, e2 = random_subset(rng, f.space), random_subset(rng, f.space)
+            _assert_same_searches(f, e, e2)
+            want = oracle_sim_f(f, e, e2)
+            ctx = dyn.carrier_for(f).search_context(f, e, e2, None)
+            assert ctx.possible == {1: want.forward is not None,
+                                    2: want.backward is not None}
 
     def test_no_time_past_the_preperiod_and_stabilization(self, monkeypatch):
         rng = random.Random(79)
@@ -707,10 +719,15 @@ class TestCompleteFiniteSearch:
             f = random_finite_system(rng, 12)
             e, e2 = random_subset(rng, f.space), random_subset(rng, f.space)
             p, _, s1, s2 = _indices(f, e, e2)
-            _, ctx = _searched_context(monkeypatch, f, e, e2)
-            top = max(p, s1, s2)
-            assert all(t <= top for key in (*ctx._cond1, *ctx._cond2)
-                       for t in key)
+            got, ctx = _searched_context(monkeypatch, f, e, e2)
+            assert all(t <= max(p, s1) for t in _times(ctx._cond1))
+            # past max(p, s2) only the first delta, delta0, is tested, and
+            # its first gamma passes
+            assert all(t <= max(p, s2) for t in _times(ctx._cond2)) or \
+                list(ctx._cond2) == [(got.triple.b - got.triple.a,) * 2]
+            _, ctx = _searched_context(monkeypatch, f, e, e2, dyn.sim_f)
+            assert all(t <= max(p, s1) for t in _times(ctx._cond1))
+            assert all(t <= max(p, s2) for t in _times(ctx._cond2))
 
     def test_tests_past_the_cut_read_invariant_parts(self):
         # the fact of the dynamics module docstring that the cut rests on:
@@ -759,16 +776,21 @@ class TestCompleteFiniteSearch:
     @pytest.mark.parametrize("primes, bound", [
         ((2, 3, 5, 7), 423), ((2, 3, 5, 7, 11), 4623)], ids=["2..7", "2..11"])
     def test_prime_cycles_take_a_few_tests(self, monkeypatch, primes, bound):
-        # the scan to the bound made 92,525 tests on 2..7
+        # the scan to the bound made 92,525 tests on 2..7; Inv(Z) = Z is
+        # not in W, so no triple and no backward pair is looked for
         doc = parse_document(prime_cycle_document(primes))
         f, w, z = doc.system, doc.sets["W"], doc.sets["Z"]
         got, ctx = _searched_context(monkeypatch, f, w, z)
         assert not got.found and got.complete and got.bound == bound
-        p, q, s1, s2 = _indices(f, w, z)
+        assert ctx.possible == {1: True, 2: False}
+        assert len(ctx._cond1) + len(ctx._cond2) == 0
+        p, _, s1, s2 = _indices(f, w, z)
         assert (p, s1, s2) == (0, 1, 0)
-        assert len(ctx._cond1) + len(ctx._cond2) <= \
-            3 * (max(p, s1) + max(p, s2) + q + 1)
-        assert all(t <= 1 for key in (*ctx._cond1, *ctx._cond2) for t in key)
+        sim, ctx = _searched_context(monkeypatch, f, w, z, dyn.sim_f)
+        assert sim == dyn.SimResult("not_equivalent", (0, 1), None, bound)
+        assert len(ctx._cond2) == 0
+        assert len(ctx._cond1) <= 3 * (max(p, s1) + 1)
+        assert all(t <= 1 for t in _times(ctx._cond1))
 
 
 class TestCrossMap:
