@@ -177,14 +177,13 @@ class _SearchContext:
     whether a forward (backward) pair exists, always true on a bounded
     search, and :meth:`last` ends each gallop (see the module docstring)."""
 
-    possible = {1: True, 2: True}
-
     def __init__(self, f, e, e2, bound=None):
         self.f, self.e, self.e2 = f, e, e2
         self.ca = ca = carrier_for(f)
         self._cond1: dict = {}
         self._cond2: dict = {}
         self.complete = bound is None
+        self.possible = {1: True, 2: True}
         if self.complete:
             p, q = f.power_bounds
             n = len(f.space.points)

@@ -558,10 +558,10 @@ class _ContContext:
     never complete, and either pair may exist."""
 
     complete = False
-    possible = {1: True, 2: True}
 
     def __init__(self, flow, e, e2, bound):
         self.flow, self.e, self.e2 = flow, e, e2
+        self.possible = {1: True, 2: True}
         self.bound = rat(bound)
         self.times = _candidate_times(flow, [e, e2], self.bound)
         self._c1: dict = {}

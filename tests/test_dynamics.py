@@ -228,10 +228,12 @@ def _outcome(search, *args, **kwargs):
 
 
 def _assert_same_searches(f, e, e2, bound=None):
+    """Both searches agree with their oracles; the oracle's sim outcome."""
     assert _outcome(dyn.find_admissible, f, e, e2, bound) == \
         _outcome(oracle_find_admissible, f, e, e2, bound)
-    assert _outcome(dyn.sim_f, f, e, e2, bound) == \
-        _outcome(oracle_sim_f, f, e, e2, bound)
+    want = _outcome(oracle_sim_f, f, e, e2, bound)
+    assert _outcome(dyn.sim_f, f, e, e2, bound) == want
+    return want
 
 
 def _flow_box(rng, flow):
@@ -707,8 +709,7 @@ class TestCompleteFiniteSearch:
         for _ in range(2000):
             f = random_finite_system(rng, 12)
             e, e2 = random_subset(rng, f.space), random_subset(rng, f.space)
-            _assert_same_searches(f, e, e2)
-            want = oracle_sim_f(f, e, e2)
+            want = _assert_same_searches(f, e, e2)
             ctx = dyn.carrier_for(f).search_context(f, e, e2, None)
             assert ctx.possible == {1: want.forward is not None,
                                     2: want.backward is not None}
@@ -721,8 +722,9 @@ class TestCompleteFiniteSearch:
             p, _, s1, s2 = _indices(f, e, e2)
             got, ctx = _searched_context(monkeypatch, f, e, e2)
             assert all(t <= max(p, s1) for t in _times(ctx._cond1))
-            # past max(p, s2) only the first delta, delta0, is tested, and
-            # its first gamma passes
+            # delta0 <= s1, as D_b(E) is stable from s1 on; past max(p, s2)
+            # only delta0 itself is tested, and its first gamma passes
+            assert all(t <= max(p, s1, s2) for t in _times(ctx._cond2))
             assert all(t <= max(p, s2) for t in _times(ctx._cond2)) or \
                 list(ctx._cond2) == [(got.triple.b - got.triple.a,) * 2]
             _, ctx = _searched_context(monkeypatch, f, e, e2, dyn.sim_f)
