@@ -3,15 +3,20 @@
 
 Usage: python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR
 
-Each checkout runs its own ``scripts/sweep_outputs.py`` on the change's
-``fixtures/*.json``, its own ``scripts/sweep_bench_requests.py W 1 7 13``
-for every workload W of the change's ``BENCHMARK.json``, and its own
-``scripts/sweep_suites.py`` (``verify --json``) on every suite of the
-change, each sweep in a process of its own.  Both sides get the same
-arguments, so the lines of an unchanged program are the same, and a suite
-that the change removes is not a difference.  For each sweep one line is
-printed: ``NAME: identical (N lines)``, the first line that differs with
-both sides' text, or the sweep that failed.  Exit status: 0 every sweep
+The change's sweep scripts run on each checkout's kernel: for each side a
+temporary tree holds a link to the change's ``scripts/`` and links to that
+checkout's ``src/`` and ``bench/``.  The scripts take ``ROOT`` from
+``os.path.abspath(__file__)``, which keeps the links, so they load the
+linked kernel and benchmark, and a sweep script that the change adds runs
+against an older parent too.  The sweeps are ``sweep_outputs.py`` on the
+change's ``fixtures/*.json``, ``sweep_bench_requests.py W 1 7 13`` for
+every workload W of the change's ``BENCHMARK.json``, and
+``sweep_suites.py`` (``verify --json``) on every suite of the change, each
+in a process of its own.  Both sides get the same scripts and arguments,
+so the lines of an unchanged program are the same, and a suite that the
+change removes is not a difference.  For each sweep one line is printed:
+``NAME: identical (N lines)``, the first line that differs with both
+sides' text, or the sweep that failed.  Exit status: 0 every sweep
 identical, 1 a difference or a failed sweep, 2 bad arguments.
 """
 
@@ -20,6 +25,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 SEEDS = ("1", "7", "13")
 
@@ -54,12 +60,24 @@ def suite_names(change_dir: str) -> list:
     return done.stdout.split() if done.returncode == 0 else []
 
 
-def run_sweep(checkout: str, script: str, argv: list) -> list:
-    """The output lines of one checkout's sweep; raises RuntimeError with
-    the sweep's last error line when it fails."""
+def sweep_tree(checkout: str, change_dir: str, tree: str) -> str:
+    """Make ``tree``: a link to the change's ``scripts/`` and links to the
+    checkout's ``src/`` and ``bench/``."""
+    os.mkdir(tree)
+    os.symlink(os.path.join(change_dir, "scripts"),
+               os.path.join(tree, "scripts"))
+    for name in ("src", "bench"):
+        os.symlink(os.path.join(checkout, name), os.path.join(tree, name))
+    return tree
+
+
+def run_sweep(tree: str, checkout: str, script: str, argv: list) -> list:
+    """The output lines of one sweep run in ``tree`` on the kernel of
+    ``checkout``; raises RuntimeError with the sweep's last error line
+    when it fails."""
     done = subprocess.run(
-        [sys.executable, os.path.join(checkout, "scripts", script), *argv],
-        cwd=checkout, capture_output=True, text=True)
+        [sys.executable, os.path.join(tree, "scripts", script), *argv],
+        cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         last = (done.stderr.strip().splitlines() or [""])[-1]
         raise RuntimeError(f"exit {done.returncode} in {checkout}: {last}")
@@ -80,29 +98,33 @@ def first_difference(parent: list, change: list) -> str | None:
 def compare(parent_dir: str, change_dir: str, fixtures=None,
             seeds=SEEDS, suites=()) -> int:
     code = 0
-    for name, script, argv in sweeps(change_dir, fixtures, seeds, suites):
-        try:
-            parent = run_sweep(parent_dir, script, argv)
-            change = run_sweep(change_dir, script, argv)
-        except RuntimeError as exc:
-            print(f"{name}: failed ({exc})")
-            code = 1
-            continue
-        diff = first_difference(parent, change)
-        print(f"{name}: " + (diff or f"identical ({len(change)} lines)"))
-        if diff is not None:
-            code = 1
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [(sweep_tree(d, change_dir, os.path.join(tmp, side)), d)
+                 for side, d in (("parent", parent_dir), ("change", change_dir))]
+        for name, script, argv in sweeps(change_dir, fixtures, seeds, suites):
+            try:
+                parent, change = [run_sweep(tree, d, script, argv)
+                                  for tree, d in sides]
+            except RuntimeError as exc:
+                print(f"{name}: failed ({exc})")
+                code = 1
+                continue
+            diff = first_difference(parent, change)
+            print(f"{name}: " + (diff or f"identical ({len(change)} lines)"))
+            if diff is not None:
+                code = 1
     return code
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2 or not all(os.path.isdir(os.path.join(d, "scripts"))
+    if len(argv) != 2 or not all(os.path.isdir(os.path.join(d, "src"))
                                  for d in argv) or \
+            not os.path.isdir(os.path.join(argv[1], "scripts")) or \
             not os.path.isfile(os.path.join(argv[1], "BENCHMARK.json")):
         print("usage: python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR "
-              "(two checkouts with scripts/; the change with BENCHMARK.json)",
-              file=sys.stderr)
+              "(two checkouts with src/; the change with scripts/ and "
+              "BENCHMARK.json)", file=sys.stderr)
         return 2
     return compare(*(os.path.abspath(d) for d in argv))
 

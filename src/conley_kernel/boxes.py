@@ -595,8 +595,8 @@ class BoxSet:
     def axis_bounded(self, k: int) -> bool:
         return all(b[k].is_bounded for b in self.boxes)
 
-    def inflate(self, delta: RatLike, closed: bool = True) -> "BoxSet":
-        """Closed (or open) box neighbourhood of the hull, widened by delta."""
+    def inflate(self, delta: RatLike) -> "BoxSet":
+        """Closed box neighbourhood of the hull, widened by delta."""
         hull = self.hull_box()
         if hull is None:
             return BoxSet.empty(self.dimension)
@@ -605,7 +605,7 @@ class BoxSet:
         for iv in hull:
             if not iv.is_bounded:
                 raise ValueError("inflate requires a bounded set")
-            out.append(Interval.make(iv.lo.value - d, closed, iv.hi.value + d, closed))
+            out.append(Interval.closed(iv.lo.value - d, iv.hi.value + d))
         return BoxSet.of(self.dimension, [tuple(out)])
 
     def _check(self, other: "BoxSet"):

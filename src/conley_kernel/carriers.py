@@ -25,8 +25,8 @@ what depends on time:
 Time in N: :class:`DiscreteTime`, with one instance for finite maps (searches
 derive a complete bound) and one for piecewise-affine maps on rational box
 sets.  Its f^t is the map type's ``power``; it is the one place where D_n(E)
-and f^-n(A) are built: step by step, and memoized in a field of the map, so
-a memo lives as long as its map and no two maps or documents share one.
+and f^-n(A) are built: by one step routine that memoizes them in a field of
+the map, so a memo lives as long as its map and no two maps share one.
 Time in R>=0: :class:`SemiflowCarrier`, which takes its time maps,
 preimages, swept domains and candidate times from
 :mod:`conley_kernel.semiflow`, where the first three are memoized on the
@@ -38,6 +38,7 @@ affine.
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 
 from . import affine, finite
 from . import semiflow as sf
@@ -49,12 +50,12 @@ class DiscreteTime:
     """Time in N: f^t is the t-th power, the ``power`` of ``maps``, the
     module of the realized maps, whose ``compose`` and ``power`` are looked
     up at call time, so wrappers installed on the module take effect.
-    D_t(E) and f^-t(A) are built step by step and kept in the map's
-    ``_iterates``, so a smaller time costs a lookup and a larger one a step
-    per missing time.  A sequence grows only under ``_grow``, taken only
-    when the memo misses, so a memo hit costs no lock; without it two
-    threads that both read length k would both append step k, and every
-    later index would be off by one."""
+    D_t(E) and f^-t(A) are built step by step by :meth:`_iterate` and kept
+    in the map's ``_iterates``, so a smaller time costs a lookup and a
+    larger one a step per missing time.  A sequence grows only under
+    ``_grow``, taken only when the memo misses, so a memo hit costs no lock;
+    without it two threads that both read length k would both append step
+    k, and every later index would be off by one."""
 
     def __init__(self, name: str, default_bound, maps):
         self.name, self.default_bound, self.maps = name, default_bound, maps
@@ -66,41 +67,35 @@ class DiscreteTime:
     def time_map(self, f, t):
         return self.maps.power(f, t)
 
-    def _sequence(self, f, a, kind, t):
+    def _iterate(self, f, a, kind, t):
+        """The t-th set from A by the step of ``kind``, "dom" (D -> A n
+        f^-1(D), ``dom_step``) or "preimage" (D -> f^-1(D)), memoized on f;
+        once a step returns its input, the sequence is frozen into a tuple."""
         if t < 0:
             raise ValueError("negative power")
         seq = f._iterates.get((a, kind))
         if seq is None:         # a set equal to a key has passed the check
             f.check_set(a)
             seq = f._iterates.setdefault((a, kind), [a])
-        return seq
-
-    def preimage(self, f, a, t=1):
-        """f^-t(A), built as f^-1(f^-(t-1)(A)) and memoized on f."""
-        seq = self._sequence(f, a, "preimage", t)
-        if len(seq) <= t:
-            with self._grow:
-                while len(seq) <= t:
-                    seq.append(f.preimage(seq[-1]))
-        return seq[t]
-
-    def dom(self, f, e, t):
-        """D_t(E): the intersection of f^-i(E) for i = 0..t, built as
-        D_{n+1} = E n f^-1(D_n) by the map type's ``dom_step`` and memoized
-        on f.  Once D_{k+1} = D_k,
-        every later D_n is D_k: the sequence becomes a tuple ending at D_k
-        and is never extended again."""
-        seq = self._sequence(f, e, "dom", t)
         if len(seq) <= t and isinstance(seq, list):
             with self._grow:
-                seq = f._iterates[e, "dom"]     # it may have become a tuple
+                seq = f._iterates[a, kind]      # it may have become a tuple
                 while len(seq) <= t and isinstance(seq, list):
-                    nxt = f.dom_step(e, seq[-1])
+                    nxt = f.dom_step(a, seq[-1]) if kind == "dom" else \
+                        f.preimage(seq[-1])
                     if nxt == seq[-1]:
-                        seq = f._iterates[e, "dom"] = tuple(seq)
+                        seq = f._iterates[a, kind] = tuple(seq)
                     else:
                         seq.append(nxt)
         return seq[min(t, len(seq) - 1)]
+
+    def preimage(self, f, a, t=1):
+        """f^-t(A), built as f^-1(f^-(t-1)(A))."""
+        return self._iterate(f, a, "preimage", t)
+
+    def dom(self, f, e, t):
+        """D_t(E) = E n f^-1(D_{t-1}(E)), the meet of f^-i(E), i <= t."""
+        return self._iterate(f, e, "dom", t)
 
     def stab(self, f, e, cap) -> int:
         """The first n < cap with D_{n+1}(E) = D_n(E), else cap."""
@@ -111,16 +106,19 @@ class DiscreteTime:
     def interior(self, f, a):
         return a.interior()
 
-    # dynamics imports this module, so its names are imported at call time
+    @cached_property
+    def _dynamics(self):
+        """dynamics, which imports this module, imported once, not per call."""
+        from . import dynamics
+        return dynamics
+
     def search_context(self, f, e, e2, bound):
-        from .dynamics import _SearchContext
-        return _SearchContext(f, e, e2,
-                              self.default_bound if bound is None else bound)
+        return self._dynamics._SearchContext(
+            f, e, e2, self.default_bound if bound is None else bound)
 
     def invariant_part(self, f, e, cap=None):
-        from .dynamics import invariant_part_exact
-        return invariant_part_exact(f, e,
-                                    self.default_bound if cap is None else cap)
+        return self._dynamics.invariant_part_exact(
+            f, e, self.default_bound if cap is None else cap)
 
     def check_invariant(self, f, s):
         f.check_set(s)

@@ -133,7 +133,7 @@ def _compact_isolating_seed(f, s, n):
     clip = carrier_for(f).name == "semiflow"
     delta = Fraction(1)
     for _ in range(SEED_HALVINGS):
-        cand = s.inflate(delta, closed=True)
+        cand = s.inflate(delta)
         if clip:
             cand = cand.intersect(f.carrier)
         if cand.is_compact() and cand.subset_of(n):

@@ -32,11 +32,11 @@ forward pair, (max(p, s2), max(p, s2)) a backward one, and (a, a + d, a +
 d) with a = max(p, s1), d = max(p, s2) is a triple whose c lies within
 the derived bound.
 
-A complete search context reads the two tests off the cycles of f as
-``possible`` and then only looks for the least witness, with the loop of
-a bounded search.  D_b(E) does not change past s1 (D_gamma(E') past s2),
-so a gallop over b (gamma) ends at ``last``, one past max(i, s1) (max(i,
-s2)) for a range that starts at index i.  The least a with a b is at most
+A complete search context reads the two tests off the carrier's
+``invariant_part`` as ``possible`` and then only looks for the least
+witness, with the loop of a bounded search.  D_b(E) does not change past s1
+(D_gamma(E') past s2), so a gallop over b (gamma) ends at ``last``, one
+past max(i, s1) (max(i, s2)) for a range that starts at index i.  The least a with a b is at most
 max(p, s1), since the test passes at (a, a) there, and for that a the least
 delta = b - a with a gamma is at most max(delta0, p, s2), delta0 the
 offset of the least b: every time tested is at most max(p, s1, s2), which
@@ -173,9 +173,10 @@ class _SearchContext:
     eventually periodic in a (f^p = f^(p+q), from ``f.power_bounds``) and
     D_b(E) stabilizes in b at ``_stab[1]``, D_gamma(E') in gamma at
     ``_stab[2]``, and the derived bound 2(p + q) + s1 + s2 + 2 covers both
-    and is what a complete search reports.  ``possible[1]`` (``[2]``) is
-    whether a forward (backward) pair exists, always true on a bounded
-    search, and :meth:`last` ends each gallop (see the module docstring)."""
+    and is what a complete search reports.  ``possible[1]`` (``[2]``),
+    Inv(E) <= E' (Inv(E') <= E), is whether a forward (backward) pair
+    exists, always true on a bounded search, and :meth:`last` ends each
+    gallop (see the module docstring)."""
 
     def __init__(self, f, e, e2, bound=None):
         self.f, self.e, self.e2 = f, e, e2
@@ -189,8 +190,8 @@ class _SearchContext:
             n = len(f.space.points)
             self._stab = {1: ca.stab(f, e, n + 1), 2: ca.stab(f, e2, n + 1)}
             bound = 2 * (p + q) + self._stab[1] + self._stab[2] + 2
-            self.possible = {1: not _invariant_mask(f, e) & ~e2.mask,
-                             2: not _invariant_mask(f, e2) & ~e.mask}
+            self.possible = {1: ca.invariant_part(f, e).subset_of(e2),
+                             2: ca.invariant_part(f, e2).subset_of(e)}
         self.bound = bound
         self.times = range(bound + 1)
 
@@ -417,22 +418,6 @@ def one_point_endo(f, e) -> BasedEndo:
 # ---------------------------------------------------------------------------
 # invariant parts
 
-def invariant_part(f, e):
-    """Exact invariant part on the finite carrier: the cycles of f inside E.
-    A finite S with f(S) = S is a union of cycles (f maps S onto S, so
-    bijectively), and every cycle inside E is invariant."""
-    if carrier_for(f).name != "finite":
-        raise TypeError("invariant_part is the finite-carrier operation; "
-                        "use invariant_part_exact on the interval carrier")
-    f.check_set(e)
-    return FiniteSubset(e.space, _invariant_mask(f, e))
-
-
-def _invariant_mask(f, e) -> int:
-    """The mask of Inv(E), the union of the cycles of f inside E."""
-    return sum(c for c in f._cycle_masks if not c & ~e.mask)
-
-
 def invariant_part_outer(f, e, t):
     """The outer approximant f^t(D_t(E)); decreasing in t and contains I_f(E)."""
     ca = carrier_for(f)
@@ -448,7 +433,11 @@ ITERATE_BOX_BUDGET = 4096
 
 
 def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
-    """Interval carrier: exact invariant part, else raise Undecided with the
+    """Finite carrier: the invariant part, the cycles of f inside E.  A
+    finite S with f(S) = S is a union of cycles (f maps S onto S, so
+    bijectively), and every cycle inside E is invariant.
+
+    Interval carrier: exact invariant part, else raise Undecided with the
     cap and the last iterate as outer bound.  An iterate of more than
     ITERATE_BOX_BUDGET boxes raises Undecided at once, with the step n of
     that iterate (D_n(E), or f^n(D) in the image loop) as its bound and no
@@ -470,7 +459,8 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     f.check_set(e)
     ca = carrier_for(f)
     if ca.name == "finite":
-        return invariant_part(f, e)
+        return FiniteSubset(e.space,
+                            sum(c for c in f._cycle_masks if not c & ~e.mask))
 
     current = e
     for step in (lambda n, d: ca.dom(f, e, n), lambda n, d: f.image(d)):

@@ -425,17 +425,14 @@ def _tau_all() -> Interval:
 
 
 def _solve_key_le(const_key, aff_key, slope: Fraction) -> Interval | None:
-    """{tau >= 0 : const + eps_c <= aff + slope*tau + eps_a} as an interval."""
+    """{tau >= 0 : const + eps_c <= aff + slope*tau + eps_a} as an interval.
+    The affine key, the upper end of a nonempty pulled-back interval or the
+    negated lower end, is never -inf; the constant key, the lower end of a
+    nonempty box interval or the negated upper end, is never +inf."""
     c, eps_c = const_key
     a, eps_a = aff_key
-    if a.sign > 0:
+    if a.sign > 0 or c.sign < 0:
         return _tau_all()
-    if a.sign < 0:
-        return None
-    if c.sign < 0:
-        return _tau_all()
-    if c.sign > 0:
-        return None
     if slope == 0:
         return _tau_all() if (c.value, eps_c) <= (a.value, eps_a) else None
     star = _sub_div(c.value, a.value, slope)
@@ -450,10 +447,10 @@ def _solve_key_le(const_key, aff_key, slope: Fraction) -> Interval | None:
     return Interval(Cut.finite(0), Cut(0, star), True, at_star_ok)
 
 
-def _escape_exists(flow: ExactSemiflow, e: BoxSet, window=Fraction(1)) -> bool:
-    """Does some boundary point of E flow back into E within (0, window]?"""
+def _escape_exists(flow: ExactSemiflow, e: BoxSet) -> bool:
+    """Does some boundary point of E flow back into E within (0, 1]?"""
     return _reaches(flow.axes, e.closure().difference(e), e,
-                    Interval(Cut.finite(0), Cut.finite(window), False, True))
+                    Interval(Cut.finite(0), Cut.finite(1), False, True))
 
 
 _PROBE_TIMES = (Fraction(1, 2), Fraction(1), Fraction(2))

@@ -6,8 +6,8 @@ functions back the pytest acceptance tests.
 
 The brute-force oracles that the suites run live here and nowhere in the
 kernel: the largest invariant subset by subset enumeration
-(`brute_invariant_part`), which `dynamics.invariant_part` is checked
-against; and the Szymczak-category decisions by enumerating every
+(`brute_invariant_part`), which `dynamics.invariant_part_exact` is
+checked against; and the Szymczak-category decisions by enumerating every
 candidate table (`brute_sz_is_iso`, with `is_shift_witness` checking the
 kernel's witnesses) and class equality by trying every exponent up to
 preperiod plus period of the stepped power sequence (`oracle_sz_equal`),
@@ -501,7 +501,7 @@ def suite_invariant_part_oracle(trials=60, seed=23) -> SuiteResult:
     for n in range(1, 5):
         for f in all_partial_maps(n):
             for e in all_subsets(f.space):
-                got = dyn.invariant_part(f, e)
+                got = dyn.invariant_part_exact(f, e)
                 want = brute_invariant_part(f, e)
                 if got.members != want.members:
                     res.fail(f"invariant part mismatch: {f}, E={e}")
@@ -517,7 +517,7 @@ def suite_invariant_part_oracle(trials=60, seed=23) -> SuiteResult:
                  if rng.randint(1, 20) <= 17}
         f = fin.FinitePartialMap.of(space, table)
         e = random_subset(rng, space)
-        if dyn.invariant_part(f, e).members != brute_invariant_part(f, e).members:
+        if dyn.invariant_part_exact(f, e) != brute_invariant_part(f, e):
             res.fail(f"random mismatch at |X|={n}: {f}, E={e}")
     res.note(f"random agreement at |X| in (5, 6): {trials} instances")
     return res

@@ -143,6 +143,23 @@ class TestIndex:
         assert rep["ok"]
         assert rep["neighbourhoods"][0]["canonical_invariant"] == [2, [1, 1]]
 
+    @pytest.mark.parametrize("nbhd, endo", [
+        (["*", "a"], "Endo{*->*, a->*, **->**}"),
+        (["*", "a", "**"], "Endo{*->*, a->*, **->a, ***->***}")])
+    def test_basepoint_is_renamed_past_the_points_of_n(self, tmp_path, capsys,
+                                                        nbhd, endo):
+        # the point added by the one-point compactification is named *, **,
+        # ... until the name is no point of N
+        doc = write(tmp_path / "star.json", {
+            "kind": "finite_map",
+            "system": {"points": ["*", "a", "**"],
+                       "table": {"*": "*", "a": "*", "**": "a"}},
+            "sets": {"S": ["*"], "N": nbhd}})
+        code, out, _ = run(capsys, "index", doc, "--set", "S", "--nbhd", "N",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["report"]["neighbourhoods"][0]["object"] == endo
+
     def test_doubling_with_search(self, capsys):
         code, out, _ = run(capsys, "index", fx("doubling.json"),
                            "--set", "S", "--nbhd", "unit",

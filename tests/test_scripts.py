@@ -222,9 +222,20 @@ COMPARED = ([str(ROOT / "fixtures" / "attractor.json")], ["1"],
             ["worked-models", "thm-4-properness"])
 
 
-def test_compare_outputs_finds_a_checkout_identical_to_itself(capsys):
+def test_compare_outputs_finds_a_checkout_identical_to_itself(capsys,
+                                                               tmp_path):
+    """The parent is a copy of this checkout (links to its src/ and bench/)
+    whose scripts/ lacks sweep_suites.py: both sides run the change's
+    scripts, each on its own kernel, so every sweep is identical."""
+    parent = tmp_path / "parent"
+    (parent / "scripts").mkdir(parents=True)
+    for name in ("src", "bench"):
+        (parent / name).symlink_to(ROOT / name)
+    for path in SCRIPTS.glob("*.py"):
+        if path.name != "sweep_suites.py":
+            (parent / "scripts" / path.name).write_bytes(path.read_bytes())
     script = load("compare_outputs")
-    assert script.compare(str(ROOT), str(ROOT), *COMPARED) == 0
+    assert script.compare(str(parent), str(ROOT), *COMPARED) == 0
     lines = capsys.readouterr().out.splitlines()
     workloads = [w["name"] for w in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -237,18 +248,22 @@ def test_compare_outputs_finds_a_checkout_identical_to_itself(capsys):
 
 
 def test_compare_outputs_shows_the_first_difference(capsys, tmp_path):
-    stub = tmp_path / "stub" / "scripts"
-    stub.mkdir(parents=True)
-    (stub / "sweep_outputs.py").write_text("print('other')\n")
-    (stub / "sweep_bench_requests.py").write_text("raise SystemExit('no')\n")
+    """The change's sweeps run on a stub parent whose kernel is a CLI that
+    prints one word and that has no suites and no benchmark."""
+    kernel = tmp_path / "stub" / "src" / "conley_kernel"
+    kernel.mkdir(parents=True)
+    (kernel / "__init__.py").write_text("")
+    (kernel / "cli.py").write_text("def main(argv):\n    print('other')\n")
+    stub = kernel.parent.parent
     script = load("compare_outputs")
-    assert script.compare(str(stub.parent), str(ROOT), *COMPARED) == 1
+    assert script.compare(str(stub), str(ROOT), *COMPARED) == 1
     out = capsys.readouterr().out
-    assert out.startswith("sweep_outputs: differs at line 1:\n"
-                          "  parent: other\n  change: {")
-    assert f"sweep_bench_requests szymczak: failed (exit 1 in {stub.parent}: " \
-        "no)" in out
-    assert f"sweep_suites: failed (exit 2 in {stub.parent}: " in out
+    assert out.startswith("sweep_outputs: differs at line 1:\n  parent: {")
+    assert '"stdout": "other\\n"}\n  change: {' in out
+    assert f"sweep_bench_requests szymczak: failed (exit 1 in {stub}: " \
+        "ModuleNotFoundError: No module named 'run')" in out
+    assert f"sweep_suites: failed (exit 1 in {stub}: ModuleNotFoundError: " \
+        "No module named 'conley_kernel.suites')" in out
     assert script.main([str(tmp_path), str(ROOT)]) == 2
 
 
