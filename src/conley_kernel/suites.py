@@ -8,13 +8,15 @@ The brute-force oracles that the suites run live here and nowhere in the
 kernel: the largest invariant subset by subset enumeration
 (`brute_invariant_part`), which `dynamics.invariant_part_exact` is
 checked against; and the Szymczak-category decisions by enumerating every
-candidate table (`brute_sz_is_iso`, with `is_shift_witness` checking the
-kernel's witnesses) and class equality by trying every exponent up to
-preperiod plus period of the stepped power sequence (`oracle_sz_equal`),
-which the polynomial deciders are checked against.  The oracles of the
-kernel's own algebra (box sets, affine and finite maps, searches), the
-slower paths that its canonical forms and walks replaced, are test code:
-they live in `tests/kernel_oracles.py`, and the unit tests run them.
+candidate table (`enumerate_equivariant_maps` walks all tables on the
+non-base points and keeps the equivariant ones; `brute_sz_is_iso` tries
+them as inverses, and `is_shift_witness` checks the kernel's witnesses)
+and class equality by trying every exponent up to preperiod plus period of
+the stepped power sequence (`oracle_sz_equal`), which the polynomial
+deciders are checked against.  The oracles of the kernel's own algebra
+(box sets, affine and finite maps, searches), the slower paths that its
+canonical forms and walks replaced, are test code: they live in
+`tests/kernel_oracles.py`, and the unit tests run them.
 """
 
 from __future__ import annotations
@@ -176,67 +178,23 @@ def enumerate_based_endos(n_free: int):
         yield sz.BasedEndo.of(pts, table)
 
 
-def enumerate_equivariant_maps(source: sz.BasedEndo, target: sz.BasedEndo):
-    """All equivariant maps source -> target, lexicographic in the tables
-    (target points in their order, on the non-base points in theirs).
-
-    phi f = g phi fixes phi along f once it is chosen on one point of each
-    cycle of f, where it must take a value t with g^L(t) = t for a cycle of
-    length L, and on each point outside f's image.  Only those values are
-    chosen; each is carried along f until it meets a point already set,
-    and a choice that meets a different value there is dropped."""
+@functools.lru_cache(maxsize=8192)
+def enumerate_equivariant_maps(source: sz.BasedEndo, target: sz.BasedEndo
+                               ) -> tuple[sz.EquivariantMap, ...]:
+    """All equivariant maps source -> target: every table on the non-base
+    points, in lexicographic order (target points in their order, on the
+    non-base points in theirs), with the basepoint sent to the basepoint,
+    kept when phi f = g phi.  Cached per ordered pair, which holds every
+    pair of the exhaustive Szymczak sweep: the maps are shared."""
     f, g = source.apply, target.apply
-    n = len(source.points)
-    gens, on_cycle = [], {source.base}
-    for x in source.points:
-        c = x
-        for _ in range(n):
-            c = f(c)              # c lies on the cycle that x runs into
-        if c not in on_cycle:
-            cycle = [c]
-            while f(cycle[-1]) != c:
-                cycle.append(f(cycle[-1]))
-            on_cycle.update(cycle)
-            values = []
-            for t in target.points:
-                u = t
-                for _ in cycle:
-                    u = g(u)
-                if u == t:
-                    values.append(t)
-            gens.append((c, values))
-    image = {f(x) for x in source.points}
-    gens += [(x, target.points) for x in source.points if x not in image]
-    table = {source.base: target.base}
-
-    def carry(x, t) -> list | None:
-        path = []
-        while x not in table:
-            table[x] = t
-            path.append(x)
-            x, t = f(x), g(t)
-        if table[x] == t:
-            return path
-        for p in path:
-            del table[p]
-        return None
-
-    def extend(i: int):
-        if i == len(gens):
-            yield dict(table)
-            return
-        x, values = gens[i]
-        for t in values:
-            path = carry(x, t)
-            if path is not None:
-                yield from extend(i + 1)
-                for p in path:
-                    del table[p]
-
-    rank = {p: i for i, p in enumerate(target.points)}
     free = [p for p in source.points if p != source.base]
-    for t in sorted(extend(0), key=lambda t: [rank[t[x]] for x in free]):
-        yield sz.EquivariantMap.of(source, target, t)
+    maps = []
+    for choice in itertools.product(target.points, repeat=len(free)):
+        table = dict(zip(free, choice))
+        table[source.base] = target.base
+        if all(table[f(x)] == g(table[x]) for x in source.points):
+            maps.append(sz.EquivariantMap.of(source, target, table))
+    return tuple(maps)
 
 
 @functools.lru_cache(maxsize=1024)

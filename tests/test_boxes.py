@@ -161,46 +161,6 @@ class TestTopology:
         assert e.interior_in(x) == onedim(iv(0, True, 1, False))
 
 
-class TestRasterOracle2D:
-    """Membership sampling as a necessary-condition filter in dimension 2."""
-
-    @staticmethod
-    def _random_boxset(rng):
-        boxes = []
-        for _ in range(rng.randint(0, 3)):
-            box = []
-            for _ in range(2):
-                a = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
-                b = a + Fraction(rng.randint(0, 4), rng.choice((1, 2)))
-                if a == b:
-                    box.append(Interval.point(a))
-                else:
-                    box.append(Interval.make(a, rng.randint(0, 1) == 0,
-                                             b, rng.randint(0, 1) == 0))
-            boxes.append(tuple(box))
-        return BoxSet.of(2, boxes)
-
-    def test_algebra_matches_membership(self):
-        rng = random.Random(41)
-        pts = [(Fraction(i, 2), Fraction(j, 2))
-               for i in range(-9, 10) for j in range(-9, 10)]
-        for _ in range(25):
-            a = self._random_boxset(rng)
-            b = self._random_boxset(rng)
-            inter, union, diff = a.intersect(b), a.union(b), a.difference(b)
-            interior = a.interior()
-            closure = a.closure()
-            for p in pts:
-                ina, inb = a.contains_point(p), b.contains_point(p)
-                assert inter.contains_point(p) == (ina and inb)
-                assert union.contains_point(p) == (ina or inb)
-                assert diff.contains_point(p) == (ina and not inb)
-                if interior.contains_point(p):
-                    assert ina
-                if ina:
-                    assert closure.contains_point(p)
-
-
 def _raster_mismatch(a: BoxSet, b: BoxSet):
     """The first operation whose result disagrees with membership on the
     quarter grid over [-5/4, 9/4]^n, or None.
