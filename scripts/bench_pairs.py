@@ -2,7 +2,8 @@
 """Run the benchmark in alternating pairs on two checkouts and record it.
 
 Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
-           --seeds 7,3 --pairs N --label L [--claim METRIC] [--dry-run]
+           --seeds 7,3 --pairs N --label L [--claim METRIC] [--setup-only]
+           [--dry-run]
 
 For each seed, pair i runs ``bench/run.py --workload W --seed SEED
 --seconds S --trace 0`` once from each checkout, each from its own
@@ -16,8 +17,13 @@ every run, per side) and ``summary`` (per end-to-end metric of
 pairs the change was better).  An existing file
 of that name keeps its other workloads and seeds, so one file can collect
 several invocations; ``--claim METRIC`` records this workload, metric and
-seeds as the claimed gain.  ``--dry-run`` prints the run order and runs
-nothing.  Exit status: 0 done, 1 a run failed, 2 bad arguments.
+seeds as the claimed gain.  ``--setup-only`` runs ``bench/run.py
+--setup-only --workload W --seed SEED`` instead, one timed set-up in a
+fresh interpreter per run, whose ``setup_s`` samples go under the key
+``W seed SEED setup-only``, summarized as ``setup_s`` alone: a full run
+gives one median of 7 set-ups, too few to resolve a change in set-up
+time.  ``--dry-run`` prints the run order and runs nothing.  Exit status:
+0 done, 1 a run failed, 2 bad arguments.
 """
 
 import argparse
@@ -29,9 +35,11 @@ import statistics
 import subprocess
 import sys
 
-METHOD = ("bench/run.py --workload W --seed N --seconds {} --trace 0, run "
-          "alternately on the parent and on the change (pair i runs the "
-          "parent first when i is even), each from its own checkout")
+METHOD = ("bench/run.py --workload W --seed N --seconds {} --trace 0 (with "
+          "--setup-only and no --seconds or --trace for the runs keyed "
+          "'setup-only'), run alternately on the parent and on the change "
+          "(pair i runs the parent first when i is even), each from its own "
+          "checkout")
 
 
 def parse_args(argv):
@@ -44,6 +52,7 @@ def parse_args(argv):
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--claim", metavar="METRIC")
+    p.add_argument("--setup-only", action="store_true")
     p.add_argument("--dry-run", action="store_true")
     args = p.parse_args(argv)
     for d in (args.parent_dir, args.change_dir):
@@ -69,6 +78,8 @@ def parse_args(argv):
     metrics = [m["name"] for m in args.spec["end_to_end"]]
     if args.claim is not None and args.claim not in metrics:
         p.error(f"unknown metric {args.claim!r} (one of {', '.join(metrics)})")
+    if args.setup_only and args.claim not in (None, "setup_s"):
+        p.error("--setup-only measures setup_s alone")
     return args
 
 
@@ -82,6 +93,9 @@ def run_order(args):
 
 
 def bench_argv(args, seed):
+    if args.setup_only:
+        return [sys.executable, "bench/run.py", "--setup-only", "--workload",
+                args.workload, "--seed", str(seed)]
     return [sys.executable, "bench/run.py", "--workload", args.workload,
             "--seed", str(seed), "--seconds", str(args.spec["run_seconds"]),
             "--trace", "0"]
@@ -97,24 +111,34 @@ def run_once(args, seed, folder):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def compare_samples(a: list, b: list, sign: int) -> dict:
+    """Median and inclusive quartiles of the parent's samples ``a`` and the
+    change's ``b``, and the pairs the change won (ties count for neither);
+    ``sign`` is 1 where higher is better, -1 where lower is."""
+    row = {}
+    for side, xs in (("parent", a), ("change", b)):
+        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") \
+            if len(xs) > 1 else (xs[0],) * 3
+        row.update({f"{side}_median": round(med, 4),
+                    f"{side}_q1": round(q1, 4),
+                    f"{side}_q3": round(q3, 4)})
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    row["change_wins"] = f"{wins}/{len(a)}"
+    return row
+
+
 def summarize(spec, parent: list, change: list) -> dict:
-    """Median and inclusive quartiles per side, and the pairs the change
-    won (ties count for neither), per end-to-end metric."""
+    """Per end-to-end metric, :func:`compare_samples` of the two sides'
+    runs, or of their ``setup_s`` alone for ``--setup-only`` samples."""
+    if "metrics" not in parent[0]:
+        return {"setup_s": compare_samples([r["setup_s"] for r in parent],
+                                           [r["setup_s"] for r in change], -1)}
     out = {}
     for m in spec["end_to_end"]:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
-        a = [r["metrics"][name]["value"] for r in parent]
-        b = [r["metrics"][name]["value"] for r in change]
-        row = {}
-        for side, xs in (("parent", a), ("change", b)):
-            q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") \
-                if len(xs) > 1 else (xs[0],) * 3
-            row.update({f"{side}_median": round(med, 4),
-                        f"{side}_q1": round(q1, 4),
-                        f"{side}_q3": round(q3, 4)})
-        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
-        row["change_wins"] = f"{wins}/{len(a)}"
-        out[name] = row
+        out[name] = compare_samples(
+            [r["metrics"][name]["value"] for r in parent],
+            [r["metrics"][name]["value"] for r in change], sign)
     out["correct"] = all(r["correct"] for r in parent + change)
     out["failed"] = sorted({r["failed"] for r in parent + change})
     return out
@@ -135,7 +159,8 @@ def main(argv=None) -> int:
             record = json.load(fh)
     runs = {}
     for seed, i, side, folder in order:
-        key = f"{args.workload} seed {seed}"
+        key = f"{args.workload} seed {seed}" + \
+            (" setup-only" if args.setup_only else "")
         runs.setdefault(key, {"parent": [], "change": []})
         try:
             runs[key][side].append(run_once(args, seed, folder))

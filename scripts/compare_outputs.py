@@ -9,12 +9,15 @@ checkout's ``src/`` and ``bench/``.  The scripts take ``ROOT`` from
 ``os.path.abspath(__file__)``, which keeps the links, so they load the
 linked kernel and benchmark, and a sweep script that the change adds runs
 against an older parent too.  The sweeps are ``sweep_outputs.py`` on the
-change's ``fixtures/*.json``, ``sweep_bench_requests.py W 1 7 13`` for
-every workload W of the change's ``BENCHMARK.json``, and
-``sweep_suites.py`` (``verify --json``) on every suite of the change, each
-in a process of its own.  Both sides get the same scripts and arguments,
-so the lines of an unchanged program are the same, and a suite that the
-change removes is not a difference.  For each sweep one line is printed:
+change's ``fixtures/*.json``, one fixture per process, so that each runs
+in a process that has loaded only what its document kind loads,
+``sweep_bench_requests.py W 1 7 13`` for every workload W of the change's
+``BENCHMARK.json``, and ``sweep_suites.py`` (``verify --json``) on every
+suite of the change, each in a process of its own; a sweep's lines are
+those of its processes in order.  Both sides get the same scripts and
+arguments, so the lines of an unchanged program are the same, and a suite
+that the change removes is not a difference.  For each sweep one line is
+printed:
 ``NAME: identical (N lines)``, the first line that differs with both
 sides' text, or the sweep that failed.  Exit status: 0 every sweep
 identical, 1 a difference or a failed sweep, 2 bad arguments.
@@ -31,20 +34,21 @@ SEEDS = ("1", "7", "13")
 
 
 def sweeps(change_dir: str, fixtures=None, seeds=SEEDS, suites=()) -> list:
-    """(name, script, argv) of every sweep: the output sweep on the
-    change's fixtures (or on ``fixtures``), the request sweep of each
-    workload of the change's BENCHMARK.json on ``seeds``, then the suite
-    sweep on ``suites`` (none named: every suite of the change)."""
+    """(name, script, argvs) of every sweep, one process per argv: the
+    output sweep on each of the change's fixtures (or of ``fixtures``), the
+    request sweep of each workload of the change's BENCHMARK.json on
+    ``seeds``, then the suite sweep on ``suites`` (none named: every suite
+    of the change)."""
     if fixtures is None:
         fixtures = sorted(glob.glob(os.path.join(change_dir, "fixtures",
                                                  "*.json")))
     with open(os.path.join(change_dir, "BENCHMARK.json")) as fh:
         workloads = [w["name"] for w in json.load(fh)["workloads"]]
-    return [("sweep_outputs", "sweep_outputs.py", list(fixtures))] + \
+    return [("sweep_outputs", "sweep_outputs.py", [[f] for f in fixtures])] + \
         [(f"sweep_bench_requests {w}", "sweep_bench_requests.py",
-          [w, *seeds]) for w in workloads] + \
+          [[w, *seeds]]) for w in workloads] + \
         [("sweep_suites", "sweep_suites.py",
-          list(suites) or suite_names(change_dir))]
+          [list(suites) or suite_names(change_dir)])]
 
 
 def suite_names(change_dir: str) -> list:
@@ -71,17 +75,20 @@ def sweep_tree(checkout: str, change_dir: str, tree: str) -> str:
     return tree
 
 
-def run_sweep(tree: str, checkout: str, script: str, argv: list) -> list:
+def run_sweep(tree: str, checkout: str, script: str, argvs: list) -> list:
     """The output lines of one sweep run in ``tree`` on the kernel of
-    ``checkout``; raises RuntimeError with the sweep's last error line
-    when it fails."""
-    done = subprocess.run(
-        [sys.executable, os.path.join(tree, "scripts", script), *argv],
-        cwd=tree, capture_output=True, text=True)
-    if done.returncode != 0:
-        last = (done.stderr.strip().splitlines() or [""])[-1]
-        raise RuntimeError(f"exit {done.returncode} in {checkout}: {last}")
-    return done.stdout.splitlines()
+    ``checkout``, a process per argv; raises RuntimeError with the last
+    error line of the first process that fails."""
+    lines = []
+    for argv in argvs:
+        done = subprocess.run(
+            [sys.executable, os.path.join(tree, "scripts", script), *argv],
+            cwd=tree, capture_output=True, text=True)
+        if done.returncode != 0:
+            last = (done.stderr.strip().splitlines() or [""])[-1]
+            raise RuntimeError(f"exit {done.returncode} in {checkout}: {last}")
+        lines += done.stdout.splitlines()
+    return lines
 
 
 def first_difference(parent: list, change: list) -> str | None:
@@ -101,9 +108,9 @@ def compare(parent_dir: str, change_dir: str, fixtures=None,
     with tempfile.TemporaryDirectory() as tmp:
         sides = [(sweep_tree(d, change_dir, os.path.join(tmp, side)), d)
                  for side, d in (("parent", parent_dir), ("change", change_dir))]
-        for name, script, argv in sweeps(change_dir, fixtures, seeds, suites):
+        for name, script, argvs in sweeps(change_dir, fixtures, seeds, suites):
             try:
-                parent, change = [run_sweep(tree, d, script, argv)
+                parent, change = [run_sweep(tree, d, script, argvs)
                                   for tree, d in sides]
             except RuntimeError as exc:
                 print(f"{name}: failed ({exc})")

@@ -117,6 +117,7 @@ from typing import Iterable, Sequence
 from .boxes import (
     BoxSet, _key, _mul_add, _node, _steps, _sub_div, _union_all, rat, RatLike,
 )
+from .carriers import INTERVAL, register
 
 
 @dataclass(frozen=True)
@@ -613,6 +614,9 @@ class PiecewiseAffineMap:
     def maps_equal(self, other: "PiecewiseAffineMap") -> bool:
         """Exact partial-map equality: the canonical nodes are equal."""
         return self == other
+
+
+register(PiecewiseAffineMap, INTERVAL)
 
 
 def compose(g: PiecewiseAffineMap, f: PiecewiseAffineMap) -> PiecewiseAffineMap:

@@ -33,23 +33,32 @@ preimages, swept domains and candidate times from
 flow; preimages and convex swept domains are read off the flow's axis
 rules, box by box, and build no time map; its realized maps are piecewise
 affine.
+
+This module imports no carrier module, so a process loads only the
+carriers its documents use.  Each map module enters its map type in the
+carrier table with :func:`register` as it loads, so :func:`carrier_for` is
+one lookup that imports nothing; a carrier imports the modules of its maps
+and time functions on first use and keeps them, so that no import runs
+on a request.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import cached_property
+from importlib import import_module
 
-from . import affine, finite
-from . import semiflow as sf
+from .errors import Undecided
 
 DEFAULT_INTERVAL_BOUND = 64
+DEFAULT_TIME_BOUND = 8
 
 
 class DiscreteTime:
     """Time in N: f^t is the t-th power, the ``power`` of ``maps``, the
-    module of the realized maps, whose ``compose`` and ``power`` are looked
-    up at call time, so wrappers installed on the module take effect.
+    module of the realized maps, named by ``module`` and imported on first
+    use; its ``compose`` and ``power`` are looked up at call time, so
+    wrappers installed on the module take effect.
     D_t(E) and f^-t(A) are built step by step by :meth:`_iterate` and kept
     in the map's ``_iterates``, so a smaller time costs a lookup and a
     larger one a step per missing time.  A sequence grows only under
@@ -57,9 +66,14 @@ class DiscreteTime:
     without it two threads that both read length k would both append step
     k, and every later index would be off by one."""
 
-    def __init__(self, name: str, default_bound, maps):
-        self.name, self.default_bound, self.maps = name, default_bound, maps
+    def __init__(self, name: str, default_bound, module: str):
+        self.name, self.default_bound = name, default_bound
+        self.module = module
         self._grow = threading.Lock()
+
+    @cached_property
+    def maps(self):
+        return import_module(f"{__package__}.{self.module}")
 
     def compose(self, g, f):
         return self.maps.compose(g, f)
@@ -136,32 +150,44 @@ class DiscreteTime:
 class SemiflowCarrier:
     """Time in R>=0 on box sets inside the flow's carrier.
 
-    Realized maps (time maps, cross maps) are piecewise affine."""
+    Realized maps (time maps, cross maps) are piecewise affine, those of
+    ``maps``; the time-domain functions are those of ``sf``.  Both modules
+    are imported on first use and looked up at call time."""
 
     name = "semiflow"
-    default_bound = sf.DEFAULT_TIME_BOUND
+    default_bound = DEFAULT_TIME_BOUND
+
+    @cached_property
+    def maps(self):
+        from . import affine
+        return affine
+
+    @cached_property
+    def sf(self):
+        from . import semiflow
+        return semiflow
 
     def compose(self, g, f):
-        return affine.compose(g, f)
+        return self.maps.compose(g, f)
 
     def time_map(self, f, t):
-        return sf.time_map(f, t)
+        return self.sf.time_map(f, t)
 
     def preimage(self, f, a, t=1):
-        return sf.preimage(f, a, t)
+        return self.sf.preimage(f, a, t)
 
     def dom(self, f, e, t):
-        return sf.dom_interval(f, e, t)
+        return self.sf.dom_interval(f, e, t)
 
     def interior(self, f, a):
         return a.interior_in(f.carrier)
 
     def search_context(self, f, e, e2, bound):
-        return sf._ContContext(f, e, e2,
-                               self.default_bound if bound is None else bound)
+        return self.sf._ContContext(
+            f, e, e2, self.default_bound if bound is None else bound)
 
     def invariant_part(self, f, e, cap=None):
-        return sf.invariant_part_F(f, e)
+        return self.sf.invariant_part_F(f, e)
 
     def check_invariant(self, f, s):
         """S must be a set of rest points; unbounded S is undecided."""
@@ -170,27 +196,32 @@ class SemiflowCarrier:
             return
         if not s.is_bounded and any(r.kind != "identity" and r.velocity != 0
                                     for r in f.axes):
-            raise sf.Undecided("invariance of an unbounded set is undecided")
+            raise Undecided("invariance of an unbounded set is undecided")
         if not s.subset_of(f.fixed_set()):
             raise ValueError("S is not invariant under the semiflow")
 
     def weak_compactifiability_checks(self, f, e):
         return [("induced semiflow finite-time proper",
-                 sf.is_finite_time_proper(f, e)),
+                 self.sf.is_finite_time_proper(f, e)),
                 ("induced semiflow openly defined",
-                 sf.is_openly_defined_cont(f, e))]
+                 self.sf.is_openly_defined_cont(f, e))]
 
 
-FINITE = DiscreteTime("finite", None, finite)     # searches derive a complete bound
-INTERVAL = DiscreteTime("interval", DEFAULT_INTERVAL_BOUND, affine)
+FINITE = DiscreteTime("finite", None, "finite")  # searches derive a complete bound
+INTERVAL = DiscreteTime("interval", DEFAULT_INTERVAL_BOUND, "affine")
 SEMIFLOW = SemiflowCarrier()
+
+# map type -> carrier, entered by each map module as it loads, so that a
+# lookup imports nothing
+_CARRIER_OF: dict = {}
+
+
+def register(map_type, carrier):
+    _CARRIER_OF[map_type] = carrier
 
 
 def carrier_for(f):
-    if isinstance(f, finite.FinitePartialMap):
-        return FINITE
-    if isinstance(f, affine.PiecewiseAffineMap):
-        return INTERVAL
-    if isinstance(f, sf.ExactSemiflow):
-        return SEMIFLOW
-    raise TypeError(f"no carrier for {type(f).__name__}")
+    try:
+        return _CARRIER_OF[type(f)]
+    except KeyError:
+        raise TypeError(f"no carrier for {type(f).__name__}") from None

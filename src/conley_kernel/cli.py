@@ -39,13 +39,12 @@ import sys
 
 from . import conley as co
 from . import dynamics as dyn
-from . import szymczak as sz
 from .carriers import carrier_for
 from .documents import (
     DocumentError, SystemDocument, boxset_to_json, checks_to_json,
     document_builder, meta_block, report_to_json, set_to_json,
 )
-from .semiflow import Undecided
+from .errors import Undecided
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -265,6 +264,7 @@ def shift_equiv(args, doc, bound):
     e, e2 = _pair(args, doc)
     if carrier_for(doc.system).name == "finite":
         # explicit based endos: decide shift equivalence directly
+        from . import szymczak as sz
         m = co.connecting_morphism(doc.system, e, e2)
         if isinstance(m, co.Failure):
             return EXIT_VIOLATION, {"status": "no", "reason": m.reason}, \

@@ -18,16 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import szymczak as sz
 from .carriers import carrier_for
 from .dynamics import (
     AdmissibleTriple, CrossMap, compactifiability_checks, cross_domain,
     cross_map, find_admissible, induced_power, is_weakly_compactifiable,
     one_point_endo,
 )
-from .semiflow import Undecided
+from .errors import Undecided
+
+if TYPE_CHECKING:       # annotations only: the finite law set imports it
+    from . import szymczak as sz
 
 
 @dataclass(frozen=True)
@@ -236,35 +238,42 @@ def _laws(f, subsets):
 class _SzClassLaws:
     """Finite carrier: Szymczak classes between the one-point endos of the
     neighbourhoods, decided exactly.  Every subset of a discrete space is
-    compactifiable, so the endos are built without the check."""
+    compactifiable, so the endos are built without the check.
+    :mod:`conley_kernel.szymczak`, which only this carrier loads, is
+    ``self.sz``, its names looked up at call time."""
 
     def __init__(self, f, subsets):
+        from . import szymczak
+        self.sz = szymczak
         self.endos = {e: one_point_endo(f, e) for e in subsets}
 
     def report(self, e) -> NbhdReport:
         endo = self.endos[e]
-        return NbhdReport(repr(e), repr(endo), sz.canonical_invariant(endo))
+        return NbhdReport(repr(e), repr(endo),
+                          self.sz.canonical_invariant(endo))
 
     def morphism(self, cm: CrossMap) -> sz.SzMorphism:
-        src, tgt = self.endos[cm.source], self.endos[cm.target]
+        sz, src, tgt = self.sz, self.endos[cm.source], self.endos[cm.target]
         table = {x: cm.realized.table.get(x, tgt.base)
                  for x in cm.source.ordered()} | {src.base: tgt.base}
         return sz.SzMorphism(sz.EquivariantMap.of(src, tgt, table), cm.triple.c)
 
-    same = staticmethod(sz.sz_equal)
+    def same(self, m, m2) -> bool:
+        return self.sz.sz_equal(m, m2)
 
     def identity(self, m: sz.SzMorphism, i) -> Check:
+        sz = self.sz
         return Check("identity law", f"phi_EE = id for E#{i}",
                      sz.sz_equal(m, sz.identity_morphism(m.source)))
 
     def composes(self, m, m2, m3) -> bool:
-        return sz.sz_equal(sz.sz_compose(m, m2), m3)
+        return self.sz.sz_equal(self.sz.sz_compose(m, m2), m3)
 
     def invertibility(self, m: sz.SzMorphism, back: sz.SzMorphism, i, j):
         """The witness is the inverse [psi, (a - k) mod lcm(q_f, q_g)] of
         m = [phi, k] from a shift equivalence (psi, a) of phi, kept only once
         sz_equal shows that both composites are identity classes."""
-        f, g = m.source, m.target
+        sz, f, g = self.sz, m.source, m.target
         inv, wit = None, sz.is_shift_equivalence(m.phi)
         if wit is not None:
             period = math.lcm(f.power_bounds[1], g.power_bounds[1])

@@ -8,6 +8,12 @@ serializing then parsing is the identity on every valid document.
 builds a new system and new sets from them, with empty memos, on every
 load, the first included: each kind's parser returns the parser of its
 sets and the builder of its loads.
+
+Each kind's parser imports the modules of its kind (``finite_map``:
+finite; ``interval_map``: boxes and affine; ``semiflow``: boxes, affine
+and semiflow), and the box-set readers import boxes on first use, so
+reading one kind loads no other kind's modules; the serializers read
+attributes only and import nothing.
 """
 
 from __future__ import annotations
@@ -15,13 +21,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from functools import cache
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import __version__
-from .affine import AffineRule, Piece, PiecewiseAffineMap
-from .boxes import BoxSet, Cut, Interval, NEG_INF, POS_INF
-from .finite import FinitePartialMap, FiniteSpace, FiniteSubset, echo
-from .semiflow import AxisRule, ExactSemiflow
+from .errors import echo
+
+if TYPE_CHECKING:       # annotations only: the box readers import on use
+    from .boxes import BoxSet, Cut, Interval
 
 
 class DocumentError(ValueError):
@@ -54,6 +61,13 @@ def parse_rat(tok) -> Fraction:
     raise DocumentError(f"bad rational {_shown(tok)} (use 'p' or 'p/q')")
 
 
+@cache
+def _boxes():
+    """:mod:`conley_kernel.boxes`, imported by the first box value read."""
+    from . import boxes
+    return boxes
+
+
 def cut_to_json(c: Cut) -> str:
     if c.sign < 0:
         return "-inf"
@@ -63,11 +77,12 @@ def cut_to_json(c: Cut) -> str:
 
 
 def cut_from_json(tok) -> Cut:
+    bx = _boxes()
     if tok == "inf":
-        return POS_INF
+        return bx.POS_INF
     if tok == "-inf":
-        return NEG_INF
-    return Cut.finite(parse_rat(tok))
+        return bx.NEG_INF
+    return bx.Cut.finite(parse_rat(tok))
 
 
 def interval_to_json(iv: Interval) -> list:
@@ -82,7 +97,7 @@ def interval_from_json(data) -> Interval:
     if not isinstance(lc, bool) or not isinstance(hc, bool):
         raise DocumentError("endpoint flags must be booleans")
     try:
-        return Interval(cut_from_json(lo), cut_from_json(hi), lc, hc)
+        return _boxes().Interval(cut_from_json(lo), cut_from_json(hi), lc, hc)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -99,7 +114,7 @@ def boxset_from_json(data, dimension: int) -> BoxSet:
         if not isinstance(box, list) or len(box) != dimension:
             raise DocumentError(f"each box needs {dimension} interval(s)")
         boxes.append(tuple(interval_from_json(iv) for iv in box))
-    return BoxSet.of(dimension, boxes)
+    return _boxes().BoxSet.of(dimension, boxes)
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,7 @@ def _expect(val, kind: type, what: str):
 
 
 def _parse_finite(data: dict) -> tuple[Callable, Callable]:
+    from .finite import FinitePartialMap, FiniteSpace, FiniteSubset
     try:
         points = data["points"]
         if not isinstance(points, list) or \
@@ -157,6 +173,8 @@ def _parse_finite(data: dict) -> tuple[Callable, Callable]:
 
 
 def _parse_interval(data: dict) -> tuple[Callable, Callable]:
+    from .affine import AffineRule, Piece, PiecewiseAffineMap
+    BoxSet = _boxes().BoxSet
     try:
         dim = _dimension(data)
         pieces = []
@@ -179,6 +197,8 @@ def _parse_interval(data: dict) -> tuple[Callable, Callable]:
 
 
 def _parse_semiflow(data: dict) -> tuple[Callable, Callable]:
+    from .semiflow import AxisRule, ExactSemiflow
+    BoxSet = _boxes().BoxSet
     try:
         dim = _dimension(data)
         axes = []

@@ -49,11 +49,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .boxes import BoxSet, Interval
 from .carriers import DEFAULT_INTERVAL_BOUND, carrier_for
-from .finite import FiniteSubset
-from .semiflow import Undecided
-from .szymczak import BASEPOINT, BasedEndo
+from .errors import Undecided
 
 
 @dataclass(frozen=True)
@@ -407,6 +404,7 @@ def one_point_endo(f, e) -> BasedEndo:
     every finite map on point indices (E's order, the basepoint last).  No
     check is needed: in a discrete space every partial map is proper and
     every subset is open and locally compact."""
+    from .szymczak import BASEPOINT, BasedEndo
     realized = induced(f, e).realized
     base, index = BASEPOINT, e.space.index
     while base in index and e.mask >> index[base] & 1:
@@ -459,14 +457,14 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     f.check_set(e)
     ca = carrier_for(f)
     if ca.name == "finite":
-        return FiniteSubset(e.space,
-                            sum(c for c in f._cycle_masks if not c & ~e.mask))
+        return type(e)(e.space,
+                       sum(c for c in f._cycle_masks if not c & ~e.mask))
 
     current = e
     for step in (lambda n, d: ca.dom(f, e, n), lambda n, d: f.image(d)):
         for n in range(1, cap + 1):
             exact = _fixed_set_closed_form(f, e, current)
-            if isinstance(exact, BoxSet):
+            if isinstance(exact, type(e)):      # a box set, not a reason
                 return exact
             following = step(n, current)
             if following == current:
@@ -480,7 +478,7 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     else:
         return current          # the images stabilized: current is invariant
     last = _fixed_set_closed_form(f, e, current)
-    if isinstance(last, BoxSet):
+    if isinstance(last, type(e)):
         return last
     raise Undecided(last or "invariant part did not stabilize", bound=cap,
                     outer=current)
@@ -506,6 +504,7 @@ def _fixed_set_closed_form(f, e, outer):
                  None)
     if piece is None:
         return None
+    from .boxes import BoxSet, Interval
     axes = []
     for r in piece.rules:
         if r.slope == 1 and r.intercept != 0:

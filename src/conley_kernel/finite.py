@@ -26,21 +26,16 @@ inside E.  A map holds the D_n(E) and f^-n(A) that the carrier builds.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
 from typing import Iterable, Mapping
 
+from .carriers import FINITE, register
+from .errors import echo
+
 _BYTE_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def echo(value) -> str:
-    """value in an input-error message: text as it is, else its repr as
-    reprlib abbreviates it (six levels deep), cut to 60 characters."""
-    text = value if isinstance(value, str) else reprlib.repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _flags(mask: int) -> bytes:
@@ -50,15 +45,19 @@ def _flags(mask: int) -> bytes:
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    points: tuple[str, ...]
+    """The points, in input order.  :meth:`of`, the checked constructor,
+    checks that they are unique; the plain constructor checks nothing, and
+    besides :meth:`of` only the document builder calls it, with the points
+    of a space that :meth:`of` made."""
 
-    def __post_init__(self):
-        if len(self.index) != len(self.points):
-            raise ValueError("point identifiers must be unique")
+    points: tuple[str, ...]
 
     @staticmethod
     def of(points: Iterable[str]) -> "FiniteSpace":
-        return FiniteSpace(tuple(points))
+        space = FiniteSpace(tuple(points))
+        if len(space.index) != len(space.points):
+            raise ValueError("point identifiers must be unique")
+        return space
 
     @cached_property
     def index(self) -> dict:
@@ -291,6 +290,9 @@ class FinitePartialMap:
     def __repr__(self):
         body = ", ".join(f"{x}->{y}" for x, y in self.pairs)
         return "{" + body + "}"
+
+
+register(FinitePartialMap, FINITE)
 
 
 def identity_map(space: FiniteSpace) -> FinitePartialMap:

@@ -13,7 +13,9 @@ deciders, the rational candidate times a search runs over, and the
 rest-point invariant part.  The theory itself (admissible triples, cross
 maps, certificates, simple systems) is written once in
 :mod:`conley_kernel.dynamics` and :mod:`conley_kernel.conley`.  Exhausted
-semi-decisions raise :class:`Undecided`, never a fabricated negative.
+semi-decisions raise :class:`Undecided`, never a fabricated negative; it is
+defined in :mod:`conley_kernel.errors`, which finite-only processes load
+too, and re-exported here.
 
 Preimages and the swept domains of convex sets are read off the axes:
 F_t is the product of monotone axis maps restricted to the carrier, so the
@@ -42,19 +44,10 @@ from .boxes import (
     BoxSet, Cut, Interval, NEG_INF, POS_INF, _key, _mul_add, _sub_div,
     isect_iv, rat, RatLike,
 )
+from .carriers import SEMIFLOW, register
+from .errors import Undecided
 
-DEFAULT_TIME_BOUND = 8
 SWEEP_CAP = 64      # the swept-domain refinement samples steps down to t/64
-
-
-class Undecided(Exception):
-    """No exact answer within ``bound``, the bound the work actually used
-    (None where it used none); never a negative.  ``outer``, where known,
-    is an outer approximant of an invariant part."""
-
-    def __init__(self, reason: str, bound=None, outer=None):
-        super().__init__(reason)
-        self.reason, self.bound, self.outer = reason, bound, outer
 
 
 @dataclass(frozen=True)
@@ -233,6 +226,9 @@ class ExactSemiflow:
             else:
                 return BoxSet.empty(self.dimension)
         return BoxSet.of(self.dimension, [tuple(axes)]).intersect(self.carrier)
+
+
+register(ExactSemiflow, SEMIFLOW)
 
 
 def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:

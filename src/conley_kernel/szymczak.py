@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from .carriers import FINITE, register
 from .finite import FinitePartialMap, FiniteSpace
 
 BASEPOINT = "*"
@@ -84,6 +85,9 @@ class BasedEndo(FinitePartialMap):
 
     def __repr__(self):
         return "Endo" + super().__repr__()
+
+
+register(BasedEndo, FINITE)
 
 
 @dataclass(frozen=True)

@@ -515,6 +515,8 @@ class TestExitCodes:
         ("interval_map", "sets", {"A": [[]]}, "each box needs 1 interval(s)"),
         ("finite_map", "sets", {"A": "1"},
          "a finite set must be a list of point names"),
+        ("finite_map", "points", ["1", "2", "1"],
+         "bad finite system: point identifiers must be unique\n"),
         ("interval_map", "pieces",
          [{"domain": [[["0", True, "1", True]]], "rules": []}],
          "bad interval system: one rule per axis required"),
@@ -527,8 +529,8 @@ class TestExitCodes:
             "pieces-string", "axes-object", "axes-string", "axes-count",
             "kind-list", "kind-object", "target-number", "target-list",
             "member-number", "member-list", "boxes-string", "box-size",
-            "finite-set-string", "rule-count", "axis-kind", "document-list",
-            "set-off-carrier"])
+            "finite-set-string", "duplicate-points", "rule-count",
+            "axis-kind", "document-list", "set-off-carrier"])
     def test_malformed_system_shapes(self, tmp_path, capsys, kind, key, value,
                                      message):
         """Point names are strings: a number naming a point is not

@@ -189,6 +189,8 @@ def test_builder_gives_new_objects_and_keeps_none(name):
         assert vars(a).keys() == vars(b).keys() == keys   # no cache filled
     if second.kind == "finite_map":    # the sets hold the map's own space
         assert second.system.space is not third.system.space
+        # the parse checked the points unique: a build reads no index
+        assert "index" not in vars(second.system.space)
         assert all(s.space is second.system.space
                    for s in second.sets.values())
 

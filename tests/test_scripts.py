@@ -247,6 +247,17 @@ def test_compare_outputs_finds_a_checkout_identical_to_itself(capsys,
     assert script.main([str(ROOT)]) == 2
 
 
+def test_compare_outputs_sweeps_each_fixture_in_a_process_of_its_own():
+    """A fixture's sweep runs in a process that has loaded only what its
+    own document kind loads, so a name that a box-only process misses
+    shows."""
+    name, script, argvs = load("compare_outputs").sweeps(str(ROOT))[0]
+    assert (name, script) == ("sweep_outputs", "sweep_outputs.py")
+    assert argvs == [[str(path)] for path in
+                     sorted((ROOT / "fixtures").glob("*.json"))]
+    assert len(argvs) > 1
+
+
 def test_compare_outputs_shows_the_first_difference(capsys, tmp_path):
     """The change's sweeps run on a stub parent whose kernel is a CLI that
     prints one word and that has no suites and no benchmark."""
@@ -317,6 +328,54 @@ def test_bench_pairs_dry_run_alternates_the_sides(capsys, tmp_path):
                f"--seed {seed} --seconds {seconds} --trace 0)" in line
     assert not list(tmp_path.glob("BENCH_*.json"))
     assert not (ROOT / "BENCH_t.json").exists()
+
+
+def test_bench_pairs_setup_only_alternates_timed_set_ups(capsys, tmp_path):
+    """--setup-only runs the bench's one timed set-up per run; a dry run
+    lists the commands, and a claim can only be setup_s."""
+    other = tmp_path / "parent"
+    (other / "bench").mkdir(parents=True)
+    (other / "bench" / "run.py").write_text("raise SystemExit(1)\n")
+    argv = [str(other), str(ROOT), "--workload", "szymczak", "--seeds", "7",
+            "--pairs", "2", "--label", "t", "--setup-only", "--dry-run"]
+    assert load("bench_pairs").main(argv) == 0
+    command = "python3 bench/run.py --setup-only --workload szymczak --seed 7"
+    assert capsys.readouterr().out.splitlines() == [
+        f"seed 7 pair 0 parent: (cd {other} && {command})",
+        f"seed 7 pair 0 change: (cd {ROOT} && {command})",
+        f"seed 7 pair 1 change: (cd {ROOT} && {command})",
+        f"seed 7 pair 1 parent: (cd {other} && {command})"]
+    with pytest.raises(SystemExit) as exc:
+        load("bench_pairs").main(argv + ["--claim", "verdicts_per_s"])
+    assert exc.value.code == 2
+    assert "--setup-only measures setup_s alone" in capsys.readouterr().err
+
+
+def test_bench_pairs_records_setup_samples(tmp_path, monkeypatch):
+    """Stand-in checkouts whose bench/run.py prints a fixed set-up time:
+    the record keeps every sample per side, summarized as setup_s."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    folders = []
+    for side, seconds in (("parent", 0.15), ("change", 0.12)):
+        folder = tmp_path / side
+        (folder / "bench").mkdir(parents=True)
+        (folder / "BENCHMARK.json").write_text(json.dumps(spec))
+        (folder / "bench" / "run.py").write_text(
+            f"print({json.dumps(json.dumps({'setup_s': seconds}))})\n")
+        folders.append(str(folder))
+    monkeypatch.chdir(tmp_path)
+    assert load("bench_pairs").main([
+        *folders, "--workload", "szymczak", "--seeds", "7", "--pairs", "3",
+        "--label", "t", "--setup-only", "--claim", "setup_s"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    runs = record["runs"]["szymczak seed 7 setup-only"]
+    assert runs == {"parent": [{"setup_s": 0.15}] * 3,
+                    "change": [{"setup_s": 0.12}] * 3}
+    assert record["summary"]["szymczak seed 7 setup-only"] == {"setup_s": {
+        "parent_median": 0.15, "parent_q1": 0.15, "parent_q3": 0.15,
+        "change_median": 0.12, "change_q1": 0.12, "change_q3": 0.12,
+        "change_wins": "3/3"}}
+    assert record["claimed"]["metric"] == "setup_s"
 
 
 @pytest.mark.parametrize("change, message", [
