@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating pairs on two checkouts and record it.
 
-Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
+Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W[,W2...]
            --seeds 7,3 --pairs N --label L [--claim METRIC] [--setup-only]
            [--dry-run]
 
-For each seed, pair i runs ``bench/run.py --workload W --seed SEED
---seconds S --trace 0`` once from each checkout, each from its own
-directory with its own ``src/``: the parent first when i is even, the
-change first when i is odd.  S is the ``run_seconds`` of the change's
+For each workload W of the comma list, in turn, and each seed, pair i runs
+``bench/run.py --workload W --seed SEED --seconds S --trace 0`` once from
+each checkout, each from its own directory with its own ``src/``: the
+parent first when i is even, the change first when i is odd.  S is the ``run_seconds`` of the change's
 ``BENCHMARK.json``, the same on both sides.  The result goes to
 ``BENCH_<label>.json`` in the current directory, with ``label``,
 ``what``, ``machine``, ``claimed``, ``runs`` (the bench's JSON result of
 every run, per side) and ``summary`` (per end-to-end metric of
-``BENCHMARK.json``: each side's median and quartiles, and in how many
-pairs the change was better).  An existing file
-of that name keeps its other workloads and seeds, so one file can collect
-several invocations; ``--claim METRIC`` records this workload, metric and
-seeds as the claimed gain.  ``--setup-only`` runs ``bench/run.py
+``BENCHMARK.json``: each side's median and quartiles, in how many pairs
+the change was better, ``worse_by``, how much worse the change's median is
+than the parent's as a fraction, in the metric's worse direction (negative
+when it is better), and ``within_bound``, whether ``worse_by`` is at most
+the metric's ``bound``).  An existing file of that name keeps its other
+workloads and seeds, so one file can collect several invocations;
+``--claim METRIC`` records the workload (give one), metric and seeds as
+the claimed gain.  ``--setup-only`` runs ``bench/run.py
 --setup-only --workload W --seed SEED`` instead, one timed set-up in a
 fresh interpreter per run, whose ``setup_s`` samples go under the key
 ``W seed SEED setup-only``, summarized as ``setup_s`` alone: a full run
@@ -47,7 +50,8 @@ def parse_args(argv):
         prog="bench_pairs.py", description=__doc__.splitlines()[0])
     p.add_argument("parent_dir")
     p.add_argument("change_dir")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, help="comma list, e.g. "
+                   "finite-index,box-nd")
     p.add_argument("--seeds", required=True, help="comma list, e.g. 7,3")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--label", required=True)
@@ -64,9 +68,10 @@ def parse_args(argv):
     with open(spec_path) as fh:
         args.spec = json.load(fh)
     workloads = [w["name"] for w in args.spec["workloads"]]
-    if args.workload not in workloads:
-        p.error(f"unknown workload {args.workload!r} "
-                f"(one of {', '.join(workloads)})")
+    args.workloads = args.workload.split(",")
+    for w in args.workloads:
+        if w not in workloads:
+            p.error(f"unknown workload {w!r} (one of {', '.join(workloads)})")
     if not re.fullmatch(r"\d+(,\d+)*", args.seeds):
         p.error(f"--seeds must be a comma list of integers: {args.seeds!r}")
     args.seeds = [int(s) for s in args.seeds.split(",")]
@@ -78,31 +83,35 @@ def parse_args(argv):
     metrics = [m["name"] for m in args.spec["end_to_end"]]
     if args.claim is not None and args.claim not in metrics:
         p.error(f"unknown metric {args.claim!r} (one of {', '.join(metrics)})")
+    if args.claim is not None and len(args.workloads) > 1:
+        p.error("--claim names the metric of one workload")
     if args.setup_only and args.claim not in (None, "setup_s"):
         p.error("--setup-only measures setup_s alone")
     return args
 
 
 def run_order(args):
-    """(seed, pair, side, checkout) of every run, in the order run."""
+    """(workload, seed, pair, side, checkout) of every run, in the order
+    run."""
     sides = (("parent", args.parent_dir), ("change", args.change_dir))
-    for seed in args.seeds:
-        for i in range(args.pairs):
-            for side, folder in (sides if i % 2 == 0 else sides[::-1]):
-                yield seed, i, side, folder
+    for workload in args.workloads:
+        for seed in args.seeds:
+            for i in range(args.pairs):
+                for side, folder in (sides if i % 2 == 0 else sides[::-1]):
+                    yield workload, seed, i, side, folder
 
 
-def bench_argv(args, seed):
+def bench_argv(args, workload, seed):
     if args.setup_only:
         return [sys.executable, "bench/run.py", "--setup-only", "--workload",
-                args.workload, "--seed", str(seed)]
-    return [sys.executable, "bench/run.py", "--workload", args.workload,
+                workload, "--seed", str(seed)]
+    return [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(args.spec["run_seconds"]),
             "--trace", "0"]
 
 
-def run_once(args, seed, folder):
-    proc = subprocess.run(bench_argv(args, seed), cwd=folder,
+def run_once(args, workload, seed, folder):
+    proc = subprocess.run(bench_argv(args, workload, seed), cwd=folder,
                           capture_output=True, text=True,
                           timeout=60 * args.spec["run_seconds"] + 600)
     if proc.returncode != 0 or not proc.stdout.strip():
@@ -111,34 +120,45 @@ def run_once(args, seed, folder):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def compare_samples(a: list, b: list, sign: int) -> dict:
+def compare_samples(a: list, b: list, sign: int, bound=None) -> dict:
     """Median and inclusive quartiles of the parent's samples ``a`` and the
-    change's ``b``, and the pairs the change won (ties count for neither);
-    ``sign`` is 1 where higher is better, -1 where lower is."""
-    row = {}
+    change's ``b``, the pairs the change won (ties count for neither), and
+    ``worse_by`` and ``within_bound`` (None without a bound, or where the
+    parent's median is 0); ``sign`` is 1 where higher is better, -1 where
+    lower is."""
+    row, medians = {}, []
     for side, xs in (("parent", a), ("change", b)):
         q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") \
             if len(xs) > 1 else (xs[0],) * 3
+        medians.append(med)
         row.update({f"{side}_median": round(med, 4),
                     f"{side}_q1": round(q1, 4),
                     f"{side}_q3": round(q3, 4)})
     wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
     row["change_wins"] = f"{wins}/{len(a)}"
+    parent, change = medians
+    worse = sign * (parent - change) / abs(parent) if parent else None
+    row["worse_by"] = None if worse is None else round(worse, 4)
+    row["within_bound"] = None if worse is None or bound is None else \
+        worse <= bound
     return row
 
 
 def summarize(spec, parent: list, change: list) -> dict:
     """Per end-to-end metric, :func:`compare_samples` of the two sides'
-    runs, or of their ``setup_s`` alone for ``--setup-only`` samples."""
+    runs against the metric's bound, or of their ``setup_s`` alone for
+    ``--setup-only`` samples."""
+    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     if "metrics" not in parent[0]:
         return {"setup_s": compare_samples([r["setup_s"] for r in parent],
-                                           [r["setup_s"] for r in change], -1)}
+                                           [r["setup_s"] for r in change], -1,
+                                           bounds.get("setup_s"))}
     out = {}
     for m in spec["end_to_end"]:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         out[name] = compare_samples(
             [r["metrics"][name]["value"] for r in parent],
-            [r["metrics"][name]["value"] for r in change], sign)
+            [r["metrics"][name]["value"] for r in change], sign, bounds[name])
     out["correct"] = all(r["correct"] for r in parent + change)
     out["failed"] = sorted({r["failed"] for r in parent + change})
     return out
@@ -148,9 +168,9 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     order = list(run_order(args))
     if args.dry_run:
-        for seed, i, side, folder in order:
+        for workload, seed, i, side, folder in order:
             print(f"seed {seed} pair {i} {side}: (cd {folder} && python3 "
-                  f"{' '.join(bench_argv(args, seed)[1:])})")
+                  f"{' '.join(bench_argv(args, workload, seed)[1:])})")
         return 0
     path = f"BENCH_{args.label}.json"
     record = {"label": args.label, "claimed": None, "runs": {}}
@@ -158,12 +178,12 @@ def main(argv=None) -> int:
         with open(path) as fh:
             record = json.load(fh)
     runs = {}
-    for seed, i, side, folder in order:
-        key = f"{args.workload} seed {seed}" + \
+    for workload, seed, i, side, folder in order:
+        key = f"{workload} seed {seed}" + \
             (" setup-only" if args.setup_only else "")
         runs.setdefault(key, {"parent": [], "change": []})
         try:
-            runs[key][side].append(run_once(args, seed, folder))
+            runs[key][side].append(run_once(args, workload, seed, folder))
         except (RuntimeError, subprocess.TimeoutExpired) as exc:
             print(f"bench_pairs: {exc}", file=sys.stderr)
             return 1

@@ -101,9 +101,11 @@ map directly, without the overlap and continuity checks of `of`.
 Each map memoizes its set images and preimages by argument set (box sets
 hash and compare as sets), its powers (:func:`power`), its restrictions to
 the sets E whose swept domains it steps (:meth:`PiecewiseAffineMap.dom_step`),
-and the D_n(E) and f^-n(A) of :class:`conley_kernel.carriers.DiscreteTime`,
-in fields of the map object, so a memo lives as long as its map and no two
-maps or parsed documents share one.
+and the D_n(E) and f^-n(A) of its base
+:class:`conley_kernel.carriers.DiscreteTime`, in fields of the map object,
+so a memo lives as long as its map and no two maps or parsed documents
+share one.  A map is its own time domain, times in N with search bound 64:
+its ``time_map`` is :func:`power` and its ``after`` :func:`compose`.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ from typing import Iterable, Sequence
 from .boxes import (
     BoxSet, _key, _mul_add, _node, _steps, _sub_div, _union_all, rat, RatLike,
 )
-from .carriers import INTERVAL, register
+from .carriers import DiscreteTime
 
 
 @dataclass(frozen=True)
@@ -466,7 +468,7 @@ class Piece:
 
 
 @dataclass(frozen=True)
-class PiecewiseAffineMap:
+class PiecewiseAffineMap(DiscreteTime):
     """A continuous piecewise-affine partial map, held in its canonical
     node: `==` is map equality, and :attr:`pieces` is derived, one piece
     per distinct rule tuple."""
@@ -479,6 +481,9 @@ class PiecewiseAffineMap:
                              hash=False, repr=False)
     _iterates: dict = field(default_factory=dict, init=False, compare=False,
                             hash=False, repr=False)
+
+    carrier_name = "interval"
+    default_bound = 64
 
     # -- constructors ------------------------------------------------------
 
@@ -615,8 +620,11 @@ class PiecewiseAffineMap:
         """Exact partial-map equality: the canonical nodes are equal."""
         return self == other
 
+    def time_map(self, t):
+        return power(self, t)
 
-register(PiecewiseAffineMap, INTERVAL)
+    def after(self, f):
+        return compose(self, f)
 
 
 def compose(g: PiecewiseAffineMap, f: PiecewiseAffineMap) -> PiecewiseAffineMap:

@@ -2,8 +2,8 @@
 
 Written once for every carrier and both time domains: the finite and
 interval carriers (times in N) and the semiflow carrier (times in R>=0)
-differ only through their set and map types and the time domain of
-:mod:`conley_kernel.carriers`.
+differ only through their set types and their systems, each its own time
+domain (:mod:`conley_kernel.carriers`).
 
 A certificate records each named check, its outcome and a printable
 ``repr`` of its inputs, not the inputs, so it cannot yet be re-run without
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .carriers import carrier_for
 from .dynamics import (
     AdmissibleTriple, CrossMap, compactifiability_checks, cross_domain,
     cross_map, find_admissible, induced_power, is_weakly_compactifiable,
@@ -63,12 +62,11 @@ class Certificate:
 def is_isolating(f, e, s, cap: int | None = None):
     """A Certificate or a named Failure; on box carriers raises
     Undecided when S's invariance or the invariant part is undecided."""
-    ca = carrier_for(f)
-    ca.check_invariant(f, s)
+    f.check_invariant(s)
     f.check_set(e)
 
     checks = []
-    nbhd = s.subset_of(ca.interior(f, e))
+    nbhd = s.subset_of(f.interior_of(e))
     checks.append(Check("neighbourhood", f"S contained in interior of E={e!r}", nbhd))
     if not nbhd:
         return Failure("E is not a neighbourhood of S", tuple(checks))
@@ -84,7 +82,7 @@ def is_isolating(f, e, s, cap: int | None = None):
     if not in_dom:
         return Failure("closure(E) is not contained in Dom f", tuple(checks))
 
-    inv = ca.invariant_part(f, clo, cap)
+    inv = f.invariant_part(clo, cap)
     isolate = inv == s
     checks.append(Check("invariant part", f"I(closure(E))={inv!r} equals S={s!r}",
                         isolate))
@@ -132,7 +130,7 @@ def _compact_isolating_seed(f, s, n):
     semiflow; raises Undecided after SEED_HALVINGS tries."""
     if n.is_closed():
         return n
-    clip = carrier_for(f).name == "semiflow"
+    clip = f.carrier_name == "semiflow"
     delta = Fraction(1)
     for _ in range(SEED_HALVINGS):
         cand = s.inflate(delta)
@@ -153,13 +151,12 @@ def construct_index_nbhd(f, s, n, bound=None):
     E'' as the connecting-map domain.  Also verifies E'' ~ K by its
     explicit absorption witnesses.
     """
-    ca = carrier_for(f)
     iso = is_isolating(f, n, s)
     if not iso:
         return iso
 
     k = _compact_isolating_seed(f, s, n)
-    u = ca.interior(f, k)
+    u = f.interior_of(k)
 
     search = find_admissible(f, k, u, bound)
     if not search.found:
@@ -179,7 +176,7 @@ def construct_index_nbhd(f, s, n, bound=None):
     depth = t.b + t.c - t.a
     checks.append(Check("seed absorbed into E''",
                         f"D_{depth}(K) contained in E''",
-                        ca.dom(f, k, depth).subset_of(e2)))
+                        f.dom(k, depth).subset_of(e2)))
     if not all(c.ok for c in checks):
         return Failure("constructed set fails its absorption witnesses",
                        tuple(checks))
@@ -230,7 +227,7 @@ def _laws(f, subsets):
     parallel morphisms are one class, the identity check, whether m2 o m
     equals m3, and the invertibility evidence of m given the morphism back:
     invertible, witness and checks."""
-    if carrier_for(f).name == "finite":
+    if f.carrier_name == "finite":
         return _SzClassLaws(f, subsets)
     return _PartialMapLaws(f)
 
@@ -301,7 +298,7 @@ class _PartialMapLaws:
     identity; no one-point compactification is built."""
 
     def __init__(self, f):
-        self.f, self.ca = f, carrier_for(f)
+        self.f = f
 
     def report(self, e) -> NbhdReport:
         return NbhdReport(repr(e), f"(E={e!r}, f_E)", None)
@@ -312,8 +309,8 @@ class _PartialMapLaws:
     def same(self, m: CrossMap, m2: CrossMap) -> bool:
         """The interchange identity m o f_E^{c2} = m2 o f_E^{c}, witness n = 0."""
         e = m.source
-        lhs = self.ca.compose(m.realized, induced_power(self.f, e, m2.shift))
-        rhs = self.ca.compose(m2.realized, induced_power(self.f, e, m.shift))
+        lhs = m.realized.after(induced_power(self.f, e, m2.shift))
+        rhs = m2.realized.after(induced_power(self.f, e, m.shift))
         return lhs.maps_equal(rhs)
 
     def identity(self, m: CrossMap, i) -> Check:
@@ -323,7 +320,7 @@ class _PartialMapLaws:
     def _composite(self, m: CrossMap, m2: CrossMap):
         """m2 o m, and the cross map of the sum triple: the composition
         identity says that they are equal."""
-        comp = self.ca.compose(m2.realized, m.realized)
+        comp = m2.realized.after(m.realized)
         return comp, cross_map(self.f, m.source, m2.target, m.triple + m2.triple)
 
     def composes(self, m, m2, m3) -> bool:
@@ -416,7 +413,7 @@ def verify_simple_system(f, s, subsets: Sequence, bound=None):
         MorphismReport(nbhds[i].label, nbhds[j].label, triples[(i, j)], m.shift,
                        *laws.invertibility(m, ms[(j, i)], i, j))
         for (i, j), m in ms.items() if i != j)
-    return ConleyIndexReport(carrier_for(f).name, repr(s), nbhds, morphisms,
+    return ConleyIndexReport(f.carrier_name, repr(s), nbhds, morphisms,
                              tuple(checks))
 
 

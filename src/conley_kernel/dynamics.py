@@ -3,11 +3,12 @@
 Induced partial maps, iterated-domain sets, admissible triples and their
 connecting maps, the absorption relation between subsets, compactifiability
 predicates, invariant parts, and one-point compactification.  Sets and maps
-carry their own algebra, and the time domain comes from
-:mod:`conley_kernel.carriers`, so the finite and interval carriers (times in
-N) and the semiflow carrier (times in R>=0) share one code path: a search
-runs over the times of the carrier's search context, and D_t(E), f^-t and
-f^t come from the carrier, which memoizes the sets on the system.
+carry their own algebra, and each system is its own time domain (see
+:mod:`conley_kernel.carriers`), so the finite and interval carriers (times
+in N) and the semiflow carrier (times in R>=0) share one code path: a
+search runs over the times of the system's ``search_context``, and
+``f.dom(E, t)``, ``f.preimage_n(A, t)`` and ``f.time_map(t)`` are D_t(E),
+f^-t(A) and f^t, memoized on the system.
 
 On the finite carrier every negative search answer is complete: the bounds
 come from eventual periodicity of the power sequence and stabilization of
@@ -32,7 +33,7 @@ forward pair, (max(p, s2), max(p, s2)) a backward one, and (a, a + d, a +
 d) with a = max(p, s1), d = max(p, s2) is a triple whose c lies within
 the derived bound.
 
-A complete search context reads the two tests off the carrier's
+A complete search context reads the two tests off the map's
 ``invariant_part`` as ``possible`` and then only looks for the least
 witness, with the loop of a bounded search.  D_b(E) does not change past s1
 (D_gamma(E') past s2), so a gallop over b (gamma) ends at ``last``, one
@@ -49,7 +50,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .carriers import DEFAULT_INTERVAL_BOUND, carrier_for
 from .errors import Undecided
 
 
@@ -146,17 +146,7 @@ def induced(f, e) -> InducedMap:
 
 def induced_power(f, e, t):
     """Realized f_E^t: the time-t map on the swept domain D_t(E)."""
-    ca = carrier_for(f)
-    return ca.time_map(f, t).restrict(ca.dom(f, e, t))
-
-
-def dom_power(f, e, t):
-    """Dom f_E^t = D_t(E): the points whose orbit over [0, t] stays in E."""
-    return carrier_for(f).dom(f, e, t)
-
-
-def preimage_n(f, e, t):
-    return carrier_for(f).preimage(f, e, t)
+    return f.time_map(t).restrict(f.dom(e, t))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +154,7 @@ def preimage_n(f, e, t):
 
 class _SearchContext:
     """Search state over times in N: the absorption tests of a pair,
-    cached.  D_n and f^-n come from the carrier, which memoizes them on f.
+    cached.  D_n and f^-n come from the map, which memoizes them.
 
     Without a bound (finite carrier) the search is complete: f^-a(E') is
     eventually periodic in a (f^p = f^(p+q), from ``f.power_bounds``) and
@@ -177,7 +167,6 @@ class _SearchContext:
 
     def __init__(self, f, e, e2, bound=None):
         self.f, self.e, self.e2 = f, e, e2
-        self.ca = ca = carrier_for(f)
         self._cond1: dict = {}
         self._cond2: dict = {}
         self.complete = bound is None
@@ -185,10 +174,10 @@ class _SearchContext:
         if self.complete:
             p, q = f.power_bounds
             n = len(f.space.points)
-            self._stab = {1: ca.stab(f, e, n + 1), 2: ca.stab(f, e2, n + 1)}
+            self._stab = {1: f.stab(e, n + 1), 2: f.stab(e2, n + 1)}
             bound = 2 * (p + q) + self._stab[1] + self._stab[2] + 2
-            self.possible = {1: ca.invariant_part(f, e).subset_of(e2),
-                             2: ca.invariant_part(f, e2).subset_of(e)}
+            self.possible = {1: f.invariant_part(e).subset_of(e2),
+                             2: f.invariant_part(e2).subset_of(e)}
         self.bound = bound
         self.times = range(bound + 1)
 
@@ -196,9 +185,8 @@ class _SearchContext:
         """D_b(e) <= f^-a(e2), cached in ``tests`` by (a, b)."""
         hit = tests.get((a, b))
         if hit is None:
-            ca, f = self.ca, self.f
-            hit = tests[a, b] = ca.dom(f, e, b).subset_of(
-                ca.preimage(f, e2, a))
+            f = self.f
+            hit = tests[a, b] = f.dom(e, b).subset_of(f.preimage_n(e2, a))
         return hit
 
     def cond1(self, a, b) -> bool:
@@ -217,9 +205,8 @@ class _SearchContext:
 
 def is_admissible(f, e, e2, t: AdmissibleTriple) -> bool:
     """Exact check of both absorption inclusions for the triple."""
-    ca = carrier_for(f)
-    return ca.dom(f, e, t.b).subset_of(ca.preimage(f, e2, t.a)) and \
-        ca.dom(f, e2, t.c - t.a).subset_of(ca.preimage(f, e, t.b - t.a))
+    return f.dom(e, t.b).subset_of(f.preimage_n(e2, t.a)) and \
+        f.dom(e2, t.c - t.a).subset_of(f.preimage_n(e, t.b - t.a))
 
 
 def triple_sum_law_check(f, e, e2, e3, t: AdmissibleTriple,
@@ -252,7 +239,7 @@ def _least(test, times, lo, hi):
     Gallops over :func:`_checkpoints`, then bisects between the last false
     checkpoint and the first true one.  The checkpoints are absolute
     indices, so searches that start at different lo test the same times
-    and share the sets the carrier memoizes for them.  Galloping can test a
+    and share the sets the system memoizes for them.  Galloping can test a
     time that a linear scan never reaches; if that raises Undecided, the
     linear scan over [lo, hi) decides instead, so the search raises only
     where the scan itself raises."""
@@ -296,7 +283,7 @@ def sim_f(f, e, e2, bound=None) -> SimResult:
     :func:`_least`, since D_b(E) <= f^-a(E') is false and then true in b
     (see :func:`find_admissible`); the same holds for D_b(E') <= f^-a(E).
     """
-    ctx = carrier_for(f).search_context(f, e, e2, bound)
+    ctx = f.search_context(e, e2, bound)
     fwd = _least_pair(ctx.cond1, ctx, 1)
     bwd = _least_pair(ctx.cond2, ctx, 2)
     if fwd and bwd:
@@ -327,7 +314,7 @@ def find_admissible(f, e, e2, bound=None) -> TripleSearch:
     [b - a, bound - a] gives the least c = a + gamma: the triple of a
     lexicographic scan, with fewer tests.
     """
-    ctx = carrier_for(f).search_context(f, e, e2, bound)
+    ctx = f.search_context(e, e2, bound)
     times = ctx.times
     if ctx.possible[1] and ctx.possible[2]:
         for i, a in enumerate(times):
@@ -347,17 +334,14 @@ def find_admissible(f, e, e2, bound=None) -> TripleSearch:
 
 def cross_domain(f, e, e2, t: AdmissibleTriple):
     """Domain of the connecting map of t: D_b(E) n f^-a(D_{c-a}(E'))."""
-    ca = carrier_for(f)
-    return ca.dom(f, e, t.b).intersect(
-        ca.preimage(f, ca.dom(f, e2, t.c - t.a), t.a))
+    return f.dom(e, t.b).intersect(f.preimage_n(f.dom(e2, t.c - t.a), t.a))
 
 
 def cross_map(f, e, e2, t: AdmissibleTriple) -> CrossMap:
     """Realize the connecting map f^{(a,b,c)} from E to E' on its exact domain."""
-    ca = carrier_for(f)
     if not is_admissible(f, e, e2, t):
         raise ValueError(f"triple {t} is not admissible for (E, E')")
-    realized = ca.time_map(f, t.c).restrict(cross_domain(f, e, e2, t))
+    realized = f.time_map(t.c).restrict(cross_domain(f, e, e2, t))
     return CrossMap(f, e, e2, t, realized)
 
 
@@ -365,11 +349,11 @@ def cross_map(f, e, e2, t: AdmissibleTriple) -> CrossMap:
 # compactifiability
 
 def weak_compactifiability_checks(f, e) -> list[tuple[str, bool]]:
-    """The carrier's checks that the induced system on E is proper and
+    """The system's checks that the induced system on E is proper and
     openly defined (for a semiflow: finite-time proper; may raise
     Undecided)."""
     f.check_set(e)
-    return carrier_for(f).weak_compactifiability_checks(f, e)
+    return f.weak_compactifiability_checks(e)
 
 
 def is_weakly_compactifiable(f, e) -> bool:
@@ -393,7 +377,7 @@ def one_point(f, e):
     the induced map f_E itself, which stands for the pair (E, f_E)."""
     if not is_compactifiable(f, e):
         raise ValueError("E is not compactifiable; the based map would be discontinuous")
-    if carrier_for(f).name == "finite":
+    if f.carrier_name == "finite":
         return one_point_endo(f, e)
     return induced(f, e)
 
@@ -418,8 +402,7 @@ def one_point_endo(f, e) -> BasedEndo:
 
 def invariant_part_outer(f, e, t):
     """The outer approximant f^t(D_t(E)); decreasing in t and contains I_f(E)."""
-    ca = carrier_for(f)
-    return ca.time_map(f, t).image(ca.dom(f, e, t))
+    return f.time_map(t).image(f.dom(e, t))
 
 
 # The most boxes an iterate of invariant_part_exact may hold.  A folding map
@@ -430,7 +413,7 @@ def invariant_part_outer(f, e, t):
 ITERATE_BOX_BUDGET = 4096
 
 
-def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
+def invariant_part_exact(f, e, cap: int | None = None):
     """Finite carrier: the invariant part, the cycles of f inside E.  A
     finite S with f(S) = S is a union of cycles (f maps S onto S, so
     bijectively), and every cycle inside E is invariant.
@@ -441,8 +424,9 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     that iterate (D_n(E), or f^n(D) in the image loop) as its bound and no
     outer bound: printing thousands of boxes would help no reader.
 
-    Iterates D_n(E), read from the carrier (so a later search on E reuses
-    them), for up to cap steps and, once they stabilize, the forward images
+    Iterates D_n(E), read from the map (so a later search on E reuses
+    them), for up to cap steps (the map's ``default_bound`` when cap is
+    None) and, once they stabilize, the forward images
     f^k(D) for up to cap more.  Exact when the images
     stabilize too, or as soon as an iterate is bounded and lies in the
     closure of one affine piece with no axis of slope -1: then the
@@ -455,13 +439,13 @@ def invariant_part_exact(f, e, cap: int = DEFAULT_INTERVAL_BOUND):
     stopping early gives the answer the whole cap would.
     """
     f.check_set(e)
-    ca = carrier_for(f)
-    if ca.name == "finite":
+    if f.carrier_name == "finite":
         return type(e)(e.space,
                        sum(c for c in f._cycle_masks if not c & ~e.mask))
 
+    cap = f.default_bound if cap is None else cap
     current = e
-    for step in (lambda n, d: ca.dom(f, e, n), lambda n, d: f.image(d)):
+    for step in (lambda n, d: f.dom(e, n), lambda n, d: f.image(d)):
         for n in range(1, cap + 1):
             exact = _fixed_set_closed_form(f, e, current)
             if isinstance(exact, type(e)):      # a box set, not a reason

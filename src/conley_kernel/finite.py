@@ -18,9 +18,11 @@ maps with a basepoint index, and read the orbit walk a map caches.
 f is eventually periodic, and one walk of every orbit (tails and cycles)
 records how: f^n of every finite map, based endos included, is f^p (the
 preperiod p is at most |X|) turned n - p places along the cycles, so
-:func:`power`, the time map of :class:`conley_kernel.carriers.DiscreteTime`,
-composes nothing and keeps no map, and the invariant part of E is the cycles
-inside E.  A map holds the D_n(E) and f^-n(A) that the carrier builds.
+:func:`power`, a map's ``time_map``, composes nothing and keeps no map, and
+the invariant part of E is the cycles inside E.  A map is its own time
+domain (times in N, searches with a derived complete bound): its base
+:class:`conley_kernel.carriers.DiscreteTime` builds and holds its D_n(E)
+and f^-n(A).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from itertools import compress
 from operator import or_
 from typing import Iterable, Mapping
 
-from .carriers import FINITE, register
+from .carriers import DiscreteTime
 from .errors import echo
 
 _BYTE_BITS = bytes.maketrans(b"01", b"\0\1")
@@ -122,11 +124,14 @@ class FiniteSubset:
 
 
 @dataclass(frozen=True)
-class FinitePartialMap:
+class FinitePartialMap(DiscreteTime):
     space: FiniteSpace
     targets: tuple[int, ...]   # index of f(x) per point index x, -1 undefined
     _iterates: dict = field(default_factory=dict, init=False, compare=False,
                             hash=False, repr=False)
+
+    carrier_name = "finite"
+    default_bound = None        # a search derives its own complete bound
 
     @staticmethod
     def of(space: FiniteSpace, table: Mapping[str, str]) -> "FinitePartialMap":
@@ -287,12 +292,15 @@ class FinitePartialMap:
             raise ValueError("f(d) must be contained in y")
         return True
 
+    def time_map(self, t):
+        return power(self, t)
+
+    def after(self, f):
+        return compose(self, f)
+
     def __repr__(self):
         body = ", ".join(f"{x}->{y}" for x, y in self.pairs)
         return "{" + body + "}"
-
-
-register(FinitePartialMap, FINITE)
 
 
 def identity_map(space: FiniteSpace) -> FinitePartialMap:

@@ -6,12 +6,14 @@ carrier, so all partiality arises through induced restriction; every orbit
 coordinate is monotone in time, which is what makes the sweep computations
 exact.
 
-This module supplies what :class:`conley_kernel.carriers.SemiflowCarrier`
-needs for times in R>=0: exact time-t maps, time-t preimages F_t^-1(A),
-swept domains D_t(E), the finite-time properness and open-definedness
-deciders, the rational candidate times a search runs over, and the
-rest-point invariant part.  The theory itself (admissible triples, cross
-maps, certificates, simple systems) is written once in
+A flow is its own time domain, times in R>=0 with search bound 8: the
+methods of :class:`ExactSemiflow` (``time_map``, ``preimage_n``, ``dom``,
+``search_context``, ``invariant_part``, ...) answer from this module's
+exact time-t maps, time-t preimages F_t^-1(A), swept domains D_t(E), the
+finite-time properness and open-definedness deciders, the rational
+candidate times a search runs over, and the rest-point invariant part;
+its realized maps are piecewise affine.  The theory itself (admissible
+triples, cross maps, certificates, simple systems) is written once in
 :mod:`conley_kernel.dynamics` and :mod:`conley_kernel.conley`.  Exhausted
 semi-decisions raise :class:`Undecided`, never a fabricated negative; it is
 defined in :mod:`conley_kernel.errors`, which finite-only processes load
@@ -44,7 +46,6 @@ from .boxes import (
     BoxSet, Cut, Interval, NEG_INF, POS_INF, _key, _mul_add, _sub_div,
     isect_iv, rat, RatLike,
 )
-from .carriers import SEMIFLOW, register
 from .errors import Undecided
 
 SWEEP_CAP = 64      # the swept-domain refinement samples steps down to t/64
@@ -191,6 +192,9 @@ class ExactSemiflow:
     _swept: dict = field(default_factory=dict, init=False, compare=False,
                          hash=False, repr=False)
 
+    carrier_name = "semiflow"
+    default_bound = 8
+
     @staticmethod
     def of(axes: Sequence[AxisRule], carrier: BoxSet | None = None) -> "ExactSemiflow":
         axes = tuple(axes)
@@ -227,8 +231,44 @@ class ExactSemiflow:
                 return BoxSet.empty(self.dimension)
         return BoxSet.of(self.dimension, [tuple(axes)]).intersect(self.carrier)
 
+    # -- time in R>=0: each answer calls a module function, looked up at
+    # call time, so a wrapper installed on the module takes effect
 
-register(ExactSemiflow, SEMIFLOW)
+    def time_map(self, t):
+        return time_map(self, t)
+
+    def preimage_n(self, a, t):
+        return preimage(self, a, t)
+
+    def dom(self, e, t):
+        return dom_interval(self, e, t)
+
+    def interior_of(self, a):
+        return a.interior_in(self.carrier)
+
+    def search_context(self, e, e2, bound):
+        return _ContContext(
+            self, e, e2, self.default_bound if bound is None else bound)
+
+    def invariant_part(self, e, cap=None):
+        return invariant_part_F(self, e)
+
+    def check_invariant(self, s):
+        """S must be a set of rest points; unbounded S is undecided."""
+        self.check_set(s)
+        if s.is_empty:
+            return
+        if not s.is_bounded and any(r.kind != "identity" and r.velocity != 0
+                                    for r in self.axes):
+            raise Undecided("invariance of an unbounded set is undecided")
+        if not s.subset_of(self.fixed_set()):
+            raise ValueError("S is not invariant under the semiflow")
+
+    def weak_compactifiability_checks(self, e):
+        return [("induced semiflow finite-time proper",
+                 is_finite_time_proper(self, e)),
+                ("induced semiflow openly defined",
+                 is_openly_defined_cont(self, e))]
 
 
 def time_map(flow: ExactSemiflow, t) -> PiecewiseAffineMap:

@@ -284,40 +284,37 @@ def brute_sz_is_iso(m: sz.SzMorphism):
 def _laws_for_pair(res, f, e, e2, t):
     """The identity/power form on the diagonal, and equivariance at times 1
     and c: the cross map intertwines f_E^s and f_E'^s."""
-    ca = dyn.carrier_for(f)
     cm = dyn.cross_map(f, e, e2, t)
     if e == e2 and not cm.realized.maps_equal(dyn.induced_power(f, e, t.c)):
         res.fail(f"diagonal cross map is not the induced power: {t}")
     for s in {1, t.c}:
-        lhs = ca.compose(cm.realized, dyn.induced_power(f, e, s))
-        rhs = ca.compose(dyn.induced_power(f, e2, s), cm.realized)
+        lhs = cm.realized.after(dyn.induced_power(f, e, s))
+        rhs = dyn.induced_power(f, e2, s).after(cm.realized)
         if not lhs.maps_equal(rhs):
             res.fail(f"equivariance at time {s} fails for {t}")
 
 
 def _composition_laws(res, f, e, e2, e3, t, t2):
-    ca = dyn.carrier_for(f)
     if not dyn.triple_sum_law_check(f, e, e2, e3, t, t2):
         res.fail(f"sum triple not admissible: {t}, {t2}")
         return
     m1 = dyn.cross_map(f, e, e2, t)
     m2 = dyn.cross_map(f, e2, e3, t2)
     msum = dyn.cross_map(f, e, e3, t + t2)
-    if not ca.compose(m2.realized, m1.realized).maps_equal(msum.realized):
+    if not m2.realized.after(m1.realized).maps_equal(msum.realized):
         res.fail(f"composition identity fails: {t}, {t2}")
 
 
 def _interchange_law(res, f, e, e2, t, t2):
     # callers pass c-inflated copies of admissible triples, which stay
     # admissible (the second inclusion is monotone in its depth)
-    ca = dyn.carrier_for(f)
     if not dyn.is_admissible(f, e, e2, t2):
         res.fail(f"inflated triple not admissible: {t2}")
         return
     m1 = dyn.cross_map(f, e, e2, t)
     m2 = dyn.cross_map(f, e, e2, t2)
-    lhs = ca.compose(m1.realized, dyn.induced_power(f, e, t2.c))
-    rhs = ca.compose(m2.realized, dyn.induced_power(f, e, t.c))
+    lhs = m1.realized.after(dyn.induced_power(f, e, t2.c))
+    rhs = m2.realized.after(dyn.induced_power(f, e, t.c))
     if not lhs.maps_equal(rhs):
         res.fail(f"interchange fails: {t}, {t2}")
 
@@ -386,14 +383,13 @@ def _properness_for_pair(res, f, e, e2, bound=None) -> bool:
     s = dyn.find_admissible(f, e, e2, bound=bound)
     if not s.found:
         return False
-    ca = dyn.carrier_for(f)
     cm = dyn.cross_map(f, e, e2, s.triple)
-    fc, d = ca.time_map(f, s.triple.c), cm.domain
+    fc, d = f.time_map(s.triple.c), cm.domain
     if not (d.subset_of(fc.domain) and fc.image(d).subset_of(e2)
             and fc.is_proper_on(d, e2)):
-        res.fail(f"{ca.name} cross map not proper: {f}, {e}, {e2}, {s.triple}")
+        res.fail(f"{f.carrier_name} cross map not proper: {f}, {e}, {e2}, {s.triple}")
     if not d.is_open_in(e):
-        res.fail(f"{ca.name} cross map not openly defined: {f}, {e}, {e2}, "
+        res.fail(f"{f.carrier_name} cross map not openly defined: {f}, {e}, {e2}, "
                  f"{s.triple}")
     return True
 
@@ -413,7 +409,7 @@ def suite_thm_properness(trials=300, seed=19) -> SuiteResult:
         for f, subsets in instances():
             count += sum(_properness_for_pair(res, f, e, e2, bound=6)
                          for e in subsets for e2 in subsets)
-        res.note(f"{dyn.carrier_for(f).name} carrier: {count} weakly "
+        res.note(f"{f.carrier_name} carrier: {count} weakly "
                  f"compactifiable pairs checked")
     return res
 

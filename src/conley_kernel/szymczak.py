@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .carriers import FINITE, register
 from .finite import FinitePartialMap, FiniteSpace
 
 BASEPOINT = "*"
@@ -85,9 +84,6 @@ class BasedEndo(FinitePartialMap):
 
     def __repr__(self):
         return "Endo" + super().__repr__()
-
-
-register(BasedEndo, FINITE)
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def oracle_find_admissible(f, e, e2, bound=None) -> dyn.TripleSearch:
     """The lexicographic scan over the search times that
     dynamics.find_admissible replaces: every b >= a in turn, and for each b
     that passes the first test every gamma in [b - a, bound - a] in turn."""
-    ctx = dyn.carrier_for(f).search_context(f, e, e2, bound)
+    ctx = f.search_context(e, e2, bound)
     for a in ctx.times:
         for b in ctx.times:
             if b < a or not ctx.cond1(a, b):
@@ -135,7 +135,7 @@ def oracle_sim_f(f, e, e2, bound=None) -> dyn.SimResult:
     """The lexicographic scan that dynamics.sim_f replaces: every a of the
     search times and every b >= a in turn, the first (a, b) that passes,
     both ways."""
-    ctx = dyn.carrier_for(f).search_context(f, e, e2, bound)
+    ctx = f.search_context(e, e2, bound)
 
     def first(test):
         return next(((a, b) for a in ctx.times for b in ctx.times
@@ -304,7 +304,7 @@ def oracle_power(f, n):
     """f^n from scratch, n composes from the identity with the map type's
     compose, touching no memo: the reference of affine.power (memoized step
     by step on f) and finite.power (read off the orbit walk), each of which
-    is the time map of carriers.DiscreteTime."""
+    is its map type's time_map."""
     if isinstance(f, fin.FinitePartialMap):
         out, compose = fin.identity_map(f.space), fin.compose
     else:

@@ -73,6 +73,35 @@ class TestCheck:
         table = json.loads(out)["table"]
         assert all(v["compactifiable"] for v in table.values())
 
+    @staticmethod
+    def _flow_with(tmp_path, boxes):
+        """clamp_flow.json, under floor(1, 0), with the set X of the boxes."""
+        doc = json.loads(Path(fx("clamp_flow.json")).read_text())
+        doc["sets"]["X"] = [[box] for box in boxes]
+        return write(tmp_path / "flow.json", doc)
+
+    def test_semiflow_probes_decide_false(self, capsys, tmp_path):
+        # [0, 1) u [2, 3) is not forward invariant; the probes find both
+        # induced-semiflow predicates false
+        path = self._flow_with(tmp_path, [["0", True, "1", False],
+                                          ["2", True, "3", False]])
+        code, out, _ = run(capsys, "check", path, "--set", "X", "--json")
+        assert code == 0
+        row = json.loads(out)["table"]["X"]
+        assert row["induced semiflow finite-time proper"] is False
+        assert row["induced semiflow openly defined"] is False
+        assert row["compactifiable"] is False
+
+    def test_semiflow_probes_undecided(self, capsys, tmp_path):
+        # on (0, 1] u [2, 3] no probe time shows a failure of properness
+        path = self._flow_with(tmp_path, [["0", False, "1", True],
+                                          ["2", True, "3", True]])
+        code, out, _ = run(capsys, "check", path, "--set", "X", "--json")
+        assert code == 3
+        assert json.loads(out)["table"]["X"] == {
+            "compactifiable": "unknown",
+            "reason": "finite-time properness undecided for this set"}
+
 
 class TestInvariantPart:
     def test_exact(self, capsys):
@@ -341,9 +370,8 @@ class TestParseCache:
             assert one.system.carrier is not two.system.carrier
             assert vars(one.system.carrier).keys() == \
                 vars(parsed.system.carrier).keys()
-        ca = dyn.carrier_for(one.system)
-        ca.dom(one.system, one.sets[label], 3)
-        ca.time_map(one.system, 2)
+        one.system.dom(one.sets[label], 3)
+        one.system.time_map(2)
         assert any(getattr(one.system, m, None) for m in MEMOS)
         assert not any(getattr(two.system, m, None) for m in MEMOS)
 

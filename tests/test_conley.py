@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,12 @@ from conley_kernel.boxes import BoxSet, Interval
 from conley_kernel.dynamics import AdmissibleTriple
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import (
-    clamp_flow, doubling_map, shift2d_map, step_region, translation_flow,
+    clamp_flow, doubling_map, random_finite_system, random_subset,
+    shift2d_map, step_region, translation_flow,
 )
-from conley_kernel.szymczak import sz_equal, identity_morphism
+from conley_kernel.szymczak import (
+    identity_morphism, is_shift_equivalence, sz_equal,
+)
 from kernel_oracles import is_index_nbhd_certificate
 
 
@@ -135,6 +140,25 @@ class TestConnectingMorphism:
         got = co.connecting_morphism(DBL, UNIT, OPEN_HALF, bound=4)
         assert isinstance(got, co.Failure)
         assert got.reason == "E is not weakly compactifiable"
+
+    def test_every_finite_connecting_morphism_is_a_shift_equivalence(self):
+        """A finite morphism exists iff a triple does, and then maps the
+        cycles in E and the basepoint bijectively onto those of E' (the
+        proof is in cli.shift_equiv), so shift-equiv never says a finite
+        no for a morphism it has built."""
+        rng = random.Random(5)
+        built = 0
+        for _ in range(150):
+            f = random_finite_system(rng, 9)
+            subsets = [random_subset(rng, f.space) for _ in range(4)]
+            for e, e2 in itertools.product(subsets, repeat=2):
+                m = co.connecting_morphism(f, e, e2)
+                if isinstance(m, co.Failure):
+                    assert not dyn.find_admissible(f, e, e2).found
+                    continue
+                built += 1
+                assert is_shift_equivalence(m.phi) is not None, (f, e, e2)
+        assert built > 1000
 
 
 class TestSimpleSystem:

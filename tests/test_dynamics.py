@@ -78,14 +78,14 @@ class TestInduced:
 
 class TestDomPower:
     def test_halving(self):
-        assert dyn.dom_power(doubling_map(), UNIT, 3) == (
+        assert doubling_map().dom(UNIT, 3) == (
             box1("-1/8", True, "1/8", True))
 
     def test_zero(self):
-        assert dyn.dom_power(CHAIN, subset("2"), 0) == subset("2")
+        assert CHAIN.dom(subset("2"), 0) == subset("2")
 
     def test_forward_invariant(self):
-        assert dyn.dom_power(CHAIN, subset("2", "3"), 5) == subset("2", "3")
+        assert CHAIN.dom(subset("2", "3"), 5) == subset("2", "3")
 
 
 class TestAdmissibility:
@@ -212,9 +212,9 @@ class TestSearchCompleteness:
             e2 = random_subset(rng, f.space)
             res = dyn.sim_f(f, e, e2)
             brute = any(
-                dyn.dom_power(f, e, b).subset_of(dyn.preimage_n(f, e2, a))
+                f.dom(e, b).subset_of(f.preimage_n(e2, a))
                 for a in range(10) for b in range(a, 10)) and any(
-                dyn.dom_power(f, e2, b).subset_of(dyn.preimage_n(f, e, a))
+                f.dom(e2, b).subset_of(f.preimage_n(e, a))
                 for a in range(10) for b in range(a, 10))
             assert res.is_equivalent == brute
 
@@ -257,29 +257,27 @@ class TestDomSequence:
         half = BoxSet.interval(-1, True, 1, True)
         chain = fin.FinitePartialMap.of(SPACE, CHAIN.table)
         for f, e in ((contraction_map(), half), (chain, subset("2", "3"))):
-            ca = dyn.carrier_for(f)
-            assert ca.dom(f, e, 64) == e and ca.dom(f, e, 1) == e
+            assert f.dom(e, 64) == e and f.dom(e, 1) == e
             assert len(f._iterates[e, "dom"]) <= 2
-            assert ca.stab(f, e, 64) == 0
+            assert f.stab(e, 64) == 0
 
     def test_stable_preimages_are_not_extended(self):
         # f^-1(A) = A, so f^-n(A) = A for every n: {1, 2} under the swap
         # 1 <-> 2, 3 -> 3, and {0} under x -> x/2
         swap = fin.FinitePartialMap.of(SPACE, {"1": "2", "2": "1", "3": "3"})
         for f, a in ((swap, subset("1", "2")), (contraction_map(), ORIGIN)):
-            fresh, ca = replace(f), dyn.carrier_for(f)
-            assert ca.preimage(f, a, 64) == a
+            fresh = replace(f)
+            assert f.preimage_n(a, 64) == a
             seq = f._iterates[a, "preimage"]
             assert isinstance(seq, tuple) and len(seq) <= 2
             for t in (0, 1, 2, 65, 64):
-                assert ca.preimage(f, a, t) == oracle_preimage(fresh, a, t)
+                assert f.preimage_n(a, t) == oracle_preimage(fresh, a, t)
 
     def test_unstable_sequence_is_exact(self):
         # under doubling D_n([-1, 1]) = [-2^-n, 2^-n] never repeats
         f = doubling_map()
-        ca = dyn.carrier_for(f)
-        assert ca.dom(f, UNIT, 5) == box1(Fraction(-1, 32), True, Fraction(1, 32), True)
-        assert ca.dom(f, UNIT, 2) == box1(Fraction(-1, 4), True, Fraction(1, 4), True)
+        assert f.dom(UNIT, 5) == box1(Fraction(-1, 32), True, Fraction(1, 32), True)
+        assert f.dom(UNIT, 2) == box1(Fraction(-1, 4), True, Fraction(1, 4), True)
         assert len(f._iterates[UNIT, "dom"]) == 6
 
 
@@ -291,8 +289,8 @@ def _shuffled_times(rng, times):
 
 
 class TestCarrierMemo:
-    """f^t, D_t(E) and f^-t(A) from the carrier, which memoizes them on the
-    system, against the from-scratch loops (power,
+    """f^t, D_t(E) and f^-t(A) from the system, which memoizes them,
+    against the from-scratch loops (power,
     kernel_oracles.oracle_dom, kernel_oracles.oracle_preimage) on a copy of
     the system with empty memos, with times asked out of order and past
     stabilization."""
@@ -301,15 +299,15 @@ class TestCarrierMemo:
         rng = random.Random(83)
         for _ in range(60):
             f = random_finite_system(rng, 7)
-            fresh, ca = replace(f), dyn.carrier_for(f)
+            fresh = replace(f)
             sets = [random_subset(rng, f.space) for _ in range(2)]
             # D_t stabilizes by t = |X| <= 7
             for t in _shuffled_times(rng, range(13)):
                 e = rng.choice(sets)
-                assert ca.dom(f, e, t) == oracle_dom(fresh, e, t)
-                assert ca.preimage(f, e, t) == oracle_preimage(fresh, e, t)
+                assert f.dom(e, t) == oracle_dom(fresh, e, t)
+                assert f.preimage_n(e, t) == oracle_preimage(fresh, e, t)
             for e in sets:
-                assert ca.stab(f, e, 12) == next(
+                assert f.stab(e, 12) == next(
                     (n for n in range(12)
                      if oracle_dom(fresh, e, n + 1) == oracle_dom(fresh, e, n)), 12)
 
@@ -317,12 +315,12 @@ class TestCarrierMemo:
         rng = random.Random(89)
         for _ in range(30):
             f = random_product_map(rng, 1)
-            fresh, ca = replace(f), dyn.carrier_for(f)
+            fresh = replace(f)
             sets = [random_interval_set(rng, 3) for _ in range(2)]
             for t in _shuffled_times(rng, range(9)):
                 e = rng.choice(sets)
-                assert ca.dom(f, e, t) == oracle_dom(fresh, e, t)
-                assert ca.preimage(f, e, t) == oracle_preimage(fresh, e, t)
+                assert f.dom(e, t) == oracle_dom(fresh, e, t)
+                assert f.preimage_n(e, t) == oracle_preimage(fresh, e, t)
 
     def test_affine_steps_restrict_once_per_set(self, monkeypatch):
         """An affine D_{n+1}(E) pulls D_n(E) back through f restricted to
@@ -339,7 +337,7 @@ class TestCarrierMemo:
         rng = random.Random(107)
         for _ in range(20):
             f = random_product_map(rng, 2)
-            fresh, ca = replace(f), dyn.carrier_for(f)
+            fresh = replace(f)
             sets = [BoxSet.of(2, [tuple(
                 Interval.closed(lo, lo + rng.randint(1, 6))
                 for lo in (rng.randint(-6, 2), rng.randint(-6, 2)))
@@ -347,7 +345,7 @@ class TestCarrierMemo:
             restricted.clear()
             for t in _shuffled_times(rng, range(7)):
                 e = rng.choice(sets)
-                assert ca.dom(f, e, t) == oracle_dom(fresh, e, t)
+                assert f.dom(e, t) == oracle_dom(fresh, e, t)
             assert len(restricted) == len(set(restricted)) <= 2
             for e in restricted:
                 assert f._iterates[e, "restrict"] == restrict(f, e)
@@ -361,12 +359,11 @@ class TestCarrierMemo:
                 continue
             sets = [_flow_box(rng, flow) for _ in range(2)]
             tried += 1
-            ca = dyn.carrier_for(flow)
             for t in _shuffled_times(rng, (Fraction(k, 2) for k in range(9))):
                 e, fresh = rng.choice(sets), replace(flow)
-                assert _outcome(ca.dom, flow, e, t) == \
+                assert _outcome(flow.dom, e, t) == \
                     _outcome(sf.dom_interval, fresh, e, t)
-                assert ca.preimage(flow, e, t) == \
+                assert flow.preimage_n(e, t) == \
                     sf.time_map(fresh, t).preimage(e)
 
     def test_threads_append_each_step_once(self):
@@ -386,14 +383,14 @@ class TestCarrierMemo:
 
     @staticmethod
     def _ask_together(new_map, n, trials, e, last, threads=8):
-        ca, serial = dyn.carrier_for(new_map()), new_map()
-        want = [(ca.dom(serial, e, t), ca.preimage(serial, last, t),
-                 ca.time_map(serial, t)) for t in range(n)]
+        serial = new_map()
+        want = [(serial.dom(e, t), serial.preimage_n(last, t),
+                 serial.time_map(t)) for t in range(n)]
         wrong = []              # per finished thread, the times it got wrong
 
         def ask(f, start):
             start.wait(timeout=60)
-            got = [(ca.dom(f, e, t), ca.preimage(f, last, t), ca.time_map(f, t))
+            got = [(f.dom(e, t), f.preimage_n(last, t), f.time_map(t))
                    for t in range(n)]
             wrong.append([t for t in range(n) if got[t] != want[t]])
 
@@ -415,18 +412,16 @@ class TestCarrierMemo:
         assert wrong == [[]] * (threads * trials)
 
     def test_negative_times_raise(self):
-        # preimage_n(f, {3}, -2) used to return {3} unchanged
+        # f.preimage_n({3}, -2) used to return {3} unchanged
         chain = fin.FinitePartialMap.of(SPACE, CHAIN.table)
         for f, e in ((chain, subset("3")), (doubling_map(), UNIT)):
-            ca = dyn.carrier_for(f)
-            for ask in (dyn.dom_power, dyn.preimage_n,
-                        lambda f, e, t: ca.time_map(f, t)):
+            for ask in (f.dom, f.preimage_n, lambda e, t: f.time_map(t)):
                 with pytest.raises(ValueError, match="negative power"):
-                    ask(f, e, -2)
+                    ask(e, -2)
             assert not f._iterates
-            ca.time_map(f, 2)       # and once f^2 has been asked
+            f.time_map(2)       # and once f^2 has been asked
             with pytest.raises(ValueError, match="negative power"):
-                ca.time_map(f, -1)
+                f.time_map(-1)
             # a finite map keeps no power memo, an affine one f^0..f^2
             if f is chain:
                 assert not f._iterates
@@ -434,7 +429,7 @@ class TestCarrierMemo:
                 assert sorted(f._iterates["power"]) == [0, 1, 2]
 
     def test_powers(self):
-        """f^t from the carrier, asked in random order and twice each,
+        """f^t from the system, asked in random order and twice each,
         against kernel_oracles.oracle_power (composes from the identity)
         on a copy with empty memos.  Affine maps compare by their canonical
         nodes, so == is map equality and fixes every derived piece."""
@@ -444,9 +439,9 @@ class TestCarrierMemo:
         systems += [(random_product_map(rng, 2), 5) for _ in range(10)]
         systems += [(doubling_map(), 7), (clamp_map(), 7)]
         for f, top in systems:
-            fresh, ca = replace(f), dyn.carrier_for(f)
+            fresh = replace(f)
             for t in _shuffled_times(rng, range(top)):
-                got, want = ca.time_map(f, t), oracle_power(fresh, t)
+                got, want = f.time_map(t), oracle_power(fresh, t)
                 assert got == want, (f, t)
 
     @pytest.mark.parametrize("module", [af, fin], ids=["affine", "finite"])
@@ -463,17 +458,16 @@ class TestCarrierMemo:
         monkeypatch.setattr(module, "compose", counted)
         f = clamp_map() if module is af else \
             fin.FinitePartialMap.of(SPACE, CHAIN.table)
-        ca = dyn.carrier_for(f)
-        ca.time_map(f, 5)
+        f.time_map(5)
         if module is fin:
             assert not calls
         calls.clear()
         for k in (5, 0, 3, 1, 4, 2, 5):
-            ca.time_map(f, k)
+            f.time_map(k)
         assert not calls
-        ca.time_map(f, 6)
+        f.time_map(6)
         if module is fin:
-            ca.time_map(f, 10 ** 6)
+            f.time_map(10 ** 6)
             assert not calls and not f._iterates
         else:
             assert len(calls) == 1
@@ -490,7 +484,7 @@ class TestCarrierMemo:
             space, {str(i): str((i + 1) % n) for i in range(n)})
         rotated = fin.FinitePartialMap.of(
             space, {str(i): str((i + t) % n) for i in range(n)})
-        assert dyn.carrier_for(f).time_map(f, t) == rotated
+        assert f.time_map(t) == rotated
         assert not f._iterates
 
     def test_two_parses_of_one_document_share_no_memo(self):
@@ -500,12 +494,11 @@ class TestCarrierMemo:
             one, two = parse_document(data), parse_document(data)
             assert one.system == two.system
             f, e = one.system, one.sets[label]
-            ca = dyn.carrier_for(f)
-            assert ca.dom(f, e, 3) == ca.dom(two.system, two.sets[label], 3)
-            assert ca.preimage(f, e, 2) == \
-                ca.preimage(two.system, two.sets[label], 2)
-            assert ca.time_map(f, 2) == ca.time_map(two.system, 2)
-            assert ca.time_map(f, 2) is not ca.time_map(two.system, 2)
+            assert f.dom(e, 3) == two.system.dom(two.sets[label], 3)
+            assert f.preimage_n(e, 2) == \
+                two.system.preimage_n(two.sets[label], 2)
+            assert f.time_map(2) == two.system.time_map(2)
+            assert f.time_map(2) is not two.system.time_map(2)
             memos = [m for m in ("_iterates", "_swept", "_time_maps")
                      if hasattr(f, m)]
             for m in memos:
@@ -517,9 +510,9 @@ class TestCarrierMemo:
                         for m in memos}
 
             before = snapshot()
-            ca.dom(f, e, 5)
-            ca.preimage(f, e, 4)
-            ca.time_map(f, 4)
+            f.dom(e, 5)
+            f.preimage_n(e, 4)
+            f.time_map(4)
             assert snapshot() == before
 
 
@@ -628,10 +621,10 @@ class TestGallopingSearch:
         e, e2 = box1(0, True, 3, True), box1(0, True, 1, True)
         dom = DiscreteTime.dom
 
-        def undecided_past_two(ca, f, e, n):
+        def undecided_past_two(f, e, n):
             if n > 2:
                 raise Undecided("no swept domain past time 2", bound=n)
-            return dom(ca, f, e, n)
+            return dom(f, e, n)
 
         monkeypatch.setattr(DiscreteTime, "dom", undecided_past_two)
         want = oracle_find_admissible(f, e, e2, bound=8)
@@ -675,8 +668,8 @@ class TestGallopingSearch:
 
 def _indices(f, e, e2):
     """p, q of f and the stabilization indices s1, s2 of D(E) and D(E')."""
-    ca, n = dyn.carrier_for(f), len(f.space.points)
-    return (*f.power_bounds, ca.stab(f, e, n + 1), ca.stab(f, e2, n + 1))
+    n = len(f.space.points)
+    return (*f.power_bounds, f.stab(e, n + 1), f.stab(e2, n + 1))
 
 
 def _searched_context(monkeypatch, f, e, e2, search=dyn.find_admissible):
@@ -722,7 +715,7 @@ class TestCompleteFiniteSearch:
             f = random_finite_system(rng, 12)
             e, e2 = random_subset(rng, f.space), random_subset(rng, f.space)
             want = _assert_same_searches(f, e, e2)
-            ctx = dyn.carrier_for(f).search_context(f, e, e2, None)
+            ctx = f.search_context(e, e2, None)
             assert ctx.possible == {1: want.forward is not None,
                                     2: want.backward is not None}
 
@@ -751,7 +744,7 @@ class TestCompleteFiniteSearch:
             f = random_finite_system(rng, 8)
             e, e2 = random_subset(rng, f.space), random_subset(rng, f.space)
             p, q, s1, _ = _indices(f, e, e2)
-            ctx = dyn.carrier_for(f).search_context(f, e, e2, None)
+            ctx = f.search_context(e, e2, None)
             holds = dyn.invariant_part_exact(f, e).subset_of(e2)
             start = max(p, s1)
             assert all(ctx.cond1(a, b) == holds
@@ -781,7 +774,7 @@ class TestCompleteFiniteSearch:
         assert got == oracle_find_admissible(f, e, e2)
         a, b, _ = got.triple.as_tuple()
         assert got.triple.as_tuple() == triple and q == 2
-        ctx = dyn.carrier_for(f).search_context(f, e, e2, None)
+        ctx = f.search_context(e, e2, None)
         delta0 = next(t for t in range(a, got.bound + 1) if ctx.cond1(a, t)) - a
         assert {"a": a == max(p, s1) > 0,
                 "delta": b - a == max(p, s2) > delta0,
@@ -1019,12 +1012,12 @@ class TestInvariantPartEarlyExit:
         assert steps == {"preimage": 1, "image": 8}
 
     def test_a_later_search_reuses_its_domains(self, steps):
-        # D_1(E) and D_2(E) come from the carrier's memo, where a search
+        # D_1(E) and D_2(E) come from the map's memo, where a search
         # on E reads them without a further pull-back
         f, e = _piecewise_1d(3, (1, 2)), box1(-4, True, 4, True)
         dyn.invariant_part_exact(f, e)
         assert steps["preimage"] == 2
-        got = [dyn.dom_power(f, e, n) for n in (1, 2)]
+        got = [f.dom(e, n) for n in (1, 2)]
         assert steps["preimage"] == 2
         assert got == [box1(-2, True, 2, True),
                        box1(Fraction(-2, 3), True, Fraction(2, 3), True)]
@@ -1034,7 +1027,7 @@ class TestInvariantPartEarlyExit:
         monkeypatch.setattr(dyn, "ITERATE_BOX_BUDGET", 50)
         f, e = _piecewise_1d(-2, (3, -5)), box1(-1, True, 4, True)
         first_over = next(n for n in range(1, 64)
-                          if len(dyn.dom_power(f, e, n).boxes) > 50)
+                          if len(f.dom(e, n).boxes) > 50)
         with pytest.raises(Undecided) as info:
             dyn.invariant_part_exact(f, e)
         assert info.value.bound == first_over

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
 from conley_kernel.suites import random_finite_system
 from kernel_oracles import brute_preperiod_period
@@ -101,22 +100,22 @@ class TestPower:
 class TestPreimage:
     def test_two_steps(self):
         f = fmap({"1": "2", "2": "3", "3": "3"})
-        assert dyn.preimage_n(f, subset("3"), 2) == subset("1", "2", "3")
+        assert f.preimage_n(subset("3"), 2) == subset("1", "2", "3")
 
     def test_zero_steps(self):
         f = fmap({"1": "2"})
-        assert dyn.preimage_n(f, subset("1", "3"), 0) == subset("1", "3")
+        assert f.preimage_n(subset("1", "3"), 0) == subset("1", "3")
 
     def test_nothing_maps_back(self):
         f = fmap({"1": "2"})
-        assert dyn.preimage_n(f, subset("1"), 1) == subset()
+        assert f.preimage_n(subset("1"), 1) == subset()
 
     @settings(max_examples=60, deadline=None)
     @given(finite_maps(), st.integers(0, 4), st.integers(0, 4))
     def test_additivity(self, f, m, n):
         e = fin.FiniteSubset.of(f.space, f.space.points[::2])
-        assert dyn.preimage_n(f, e, m + n) == \
-            dyn.preimage_n(f, dyn.preimage_n(f, e, n), m)
+        assert f.preimage_n(e, m + n) == \
+            f.preimage_n(f.preimage_n(e, n), m)
 
 
 class TestEventualPeriodicity:

@@ -2,6 +2,7 @@
 document kinds it reads, and the package loads none of them."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -85,9 +86,28 @@ def test_the_one_undecided_class_is_caught_everywhere():
     assert cli.Undecided is dyn.Undecided is co.Undecided is sf.Undecided
 
 
-def test_a_carrier_is_looked_up_by_map_type():
-    from conley_kernel.carriers import FINITE, carrier_for
+# what a system answers about its time domain, with the same parameters on
+# every system type
+TIME_DOMAIN = ("dom", "preimage_n", "time_map", "interior_of",
+               "search_context", "invariant_part", "check_invariant",
+               "weak_compactifiability_checks")
+
+
+def test_every_system_answers_the_time_domain_interface():
+    from conley_kernel.affine import PiecewiseAffineMap
+    from conley_kernel.finite import FinitePartialMap
     from conley_kernel.szymczak import BasedEndo
-    assert carrier_for(BasedEndo.of(["*"], {"*": "*"})) is FINITE
-    with pytest.raises(TypeError, match="^no carrier for object$"):
-        carrier_for(object())
+    systems = {FinitePartialMap: ("finite", None),
+               BasedEndo: ("finite", None),
+               PiecewiseAffineMap: ("interval", 64),
+               sf.ExactSemiflow: ("semiflow", 8)}
+    for name in TIME_DOMAIN:
+        parameters = {str(list(inspect.signature(getattr(t, name))
+                               .parameters.values())) for t in systems}
+        assert len(parameters) == 1, (name, parameters)
+    for t, (carrier_name, default_bound) in systems.items():
+        assert (t.carrier_name, t.default_bound) == (carrier_name,
+                                                     default_bound)
+    # g o f of realized maps: a semiflow's are piecewise affine
+    assert inspect.signature(FinitePartialMap.after).parameters == \
+        inspect.signature(PiecewiseAffineMap.after).parameters

@@ -304,27 +304,29 @@ def test_compare_outputs_sweeps_the_suites_of_the_change(capsys, tmp_path):
 
 
 def test_bench_pairs_dry_run_alternates_the_sides(capsys, tmp_path):
-    """The parent runs first on even pairs and the change on odd ones, seed
-    by seed; a dry run runs nothing and writes no file."""
+    """Workload by workload and seed by seed, the parent runs first on even
+    pairs and the change on odd ones; a dry run runs nothing and writes no
+    file."""
     other = tmp_path / "parent"
     (other / "bench").mkdir(parents=True)
     (other / "bench" / "run.py").write_text("raise SystemExit(1)\n")
-    argv = [str(other), str(ROOT), "--workload", "box-nd", "--seeds", "7,3",
-            "--pairs", "3", "--label", "t", "--dry-run"]
+    argv = [str(other), str(ROOT), "--workload", "box-nd,szymczak", "--seeds",
+            "7,3", "--pairs", "3", "--label", "t", "--dry-run"]
     assert load("bench_pairs").main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     order = [line.split(":")[0] for line in lines]
-    assert order == [f"seed {s} pair {i} {side}" for s in (7, 3)
+    assert order == [f"seed {s} pair {i} {side}" for _ in range(2)
+                     for s in (7, 3)
                      for i, sides in enumerate((("parent", "change"),
                                                 ("change", "parent"),
                                                 ("parent", "change")))
                      for side in sides]
-    for line in lines:
+    for k, line in enumerate(lines):
         folder = str(other) if line.split(":")[0].endswith("parent") \
             else str(ROOT)
-        seed = line.split()[1]
-        assert f"(cd {folder} && python3 bench/run.py --workload box-nd " \
+        workload, seed = ("box-nd", "szymczak")[k // 12], line.split()[1]
+        assert f"(cd {folder} && python3 bench/run.py --workload {workload} " \
                f"--seed {seed} --seconds {seconds} --trace 0)" in line
     assert not list(tmp_path.glob("BENCH_*.json"))
     assert not (ROOT / "BENCH_t.json").exists()
@@ -374,7 +376,7 @@ def test_bench_pairs_records_setup_samples(tmp_path, monkeypatch):
     assert record["summary"]["szymczak seed 7 setup-only"] == {"setup_s": {
         "parent_median": 0.15, "parent_q1": 0.15, "parent_q3": 0.15,
         "change_median": 0.12, "change_q1": 0.12, "change_q3": 0.12,
-        "change_wins": "3/3"}}
+        "change_wins": "3/3", "worse_by": -0.2, "within_bound": True}}
     assert record["claimed"]["metric"] == "setup_s"
 
 
@@ -386,6 +388,9 @@ def test_bench_pairs_records_setup_samples(tmp_path, monkeypatch):
     (["--label", "a/b"], "--label may hold letters"),
     (["--claim", "speed"], "unknown metric 'speed'"),
     (["--pairs", "two"], "invalid int value: 'two'"),
+    (["--workload", "box-nd,nope"], "unknown workload 'nope'"),
+    (["--workload", "box-nd,szymczak", "--claim", "setup_s"],
+     "--claim names the metric of one workload"),
 ])
 def test_bench_pairs_rejects_bad_arguments(capsys, change, message):
     argv = {"--workload": "box-nd", "--seeds": "7,3", "--pairs": "2",
@@ -410,8 +415,9 @@ def test_bench_pairs_needs_two_checkouts(capsys, tmp_path):
 
 def test_bench_pairs_summary_counts_wins_by_direction():
     script = load("bench_pairs")
-    spec = {"end_to_end": [{"name": "verdicts_per_s", "better": "higher"},
-                           {"name": "latency_p50_ms", "better": "lower"}]}
+    spec = {"end_to_end": [
+        {"name": "verdicts_per_s", "better": "higher", "bound": 0.25},
+        {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]}
 
     def run(v, lat, failed=0):
         return {"correct": True, "failed": failed, "metrics": {
@@ -422,9 +428,38 @@ def test_bench_pairs_summary_counts_wins_by_direction():
     assert got["verdicts_per_s"] == {
         "parent_median": 11, "parent_q1": 10.5, "parent_q3": 11.5,
         "change_median": 13, "change_q1": 12.5, "change_q3": 13.5,
-        "change_wins": "2/3"}
+        "change_wins": "2/3", "worse_by": round(-2 / 11, 4),
+        "within_bound": True}
     assert got["latency_p50_ms"]["change_wins"] == "2/3"
+    assert got["latency_p50_ms"]["worse_by"] == round(-1 / 3, 4)
     assert got["correct"] is True and got["failed"] == [0, 1]
+
+
+def test_bench_pairs_summary_measures_each_metric_against_its_bound():
+    """worse_by is the change's median against the parent's, as a fraction
+    in the metric's worse direction; within_bound compares it with the
+    metric's bound."""
+    script = load("bench_pairs")
+    spec = {"end_to_end": [
+        {"name": "verdicts_per_s", "better": "higher", "bound": 0.25},
+        {"name": "latency_p50_ms", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
+
+    def run(v, lat, rss):
+        return {"correct": True, "failed": 0, "metrics": {
+            "verdicts_per_s": {"value": v}, "latency_p50_ms": {"value": lat},
+            "peak_rss_mb": {"value": rss}}}
+    parent = [run(100, 2, 20)] * 3
+    change = [run(70, 2.5, 22.5)] * 3
+    got = script.summarize(spec, parent, change)
+    assert (got["verdicts_per_s"]["worse_by"],
+            got["verdicts_per_s"]["within_bound"]) == (0.3, False)
+    assert (got["latency_p50_ms"]["worse_by"],
+            got["latency_p50_ms"]["within_bound"]) == (0.25, True)
+    assert (got["peak_rss_mb"]["worse_by"],
+            got["peak_rss_mb"]["within_bound"]) == (0.125, False)
+    assert script.compare_samples([0.0], [0.0], -1, 0.25)["worse_by"] is None
+    assert script.compare_samples([2.0], [1.0], -1)["within_bound"] is None
 
 
 def test_bench_pairs_writes_and_extends_the_record(tmp_path, monkeypatch):

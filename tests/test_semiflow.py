@@ -290,6 +290,17 @@ class TestProperness:
     def test_halfopen_fails(self):
         assert not sf.is_finite_time_proper(CLAMP, HALFOPEN)
 
+    def test_a_probe_time_finds_the_failure(self):
+        # [0, 1) u (2, 3] is neither closed nor forward invariant, so the
+        # probes decide: at t = 1/2, x -> 1- leaves D_t(E) while x - t ->
+        # 1 - t stays in E
+        e = box1(0, True, 1, False).union(box1(2, False, 3, True))
+        assert not e.is_closed() and not sf._forward_invariant(CLAMP.axes, e)
+        t = Fraction(1, 2)
+        assert not sf.time_map(CLAMP, t).is_proper_on(
+            sf.dom_interval(CLAMP, e, t), e)
+        assert sf.is_finite_time_proper(CLAMP, e) is False
+
     def test_halfopen_still_openly_defined(self):
         assert sf.is_openly_defined_cont(CLAMP, HALFOPEN)
 
