@@ -16,8 +16,13 @@ every run, per side) and ``summary`` (per end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles, in how many pairs
 the change was better, ``worse_by``, how much worse the change's median is
 than the parent's as a fraction, in the metric's worse direction (negative
-when it is better), and ``within_bound``, whether ``worse_by`` is at most
-the metric's ``bound``).  An existing file of that name keeps its other
+when it is better), ``within_bound``, whether ``worse_by`` is at most
+the metric's ``bound``, and the rule for claiming a gain: ``gain_shown``,
+whether the change won at least 9/10 of the pairs and its median beats the
+parent's by more than the parent's inter-quartile range, and
+``unresolved``, whether the parent's runs spread wider than the bound
+while not every change run beats every parent run).
+An existing file of that name keeps its other
 workloads and seeds, so one file can collect several invocations;
 ``--claim METRIC`` records the workload (give one), metric and seeds as
 the claimed gain.  ``--setup-only`` runs ``bench/run.py
@@ -122,25 +127,35 @@ def run_once(args, workload, seed, folder):
 
 def compare_samples(a: list, b: list, sign: int, bound=None) -> dict:
     """Median and inclusive quartiles of the parent's samples ``a`` and the
-    change's ``b``, the pairs the change won (ties count for neither), and
+    change's ``b``, the pairs the change won (ties count for neither),
     ``worse_by`` and ``within_bound`` (None without a bound, or where the
-    parent's median is 0); ``sign`` is 1 where higher is better, -1 where
+    parent's median is 0), ``gain_shown`` (the change won at least 9/10 of
+    the pairs and its median is better than the parent's by more than the
+    parent's inter-quartile range) and ``unresolved`` (the parent's
+    inter-quartile range, as a fraction of its median, is wider than the
+    bound, and not every change run beats every parent run; None where
+    ``within_bound`` is); ``sign`` is 1 where higher is better, -1 where
     lower is."""
-    row, medians = {}, []
+    row, stats = {}, []
     for side, xs in (("parent", a), ("change", b)):
         q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") \
             if len(xs) > 1 else (xs[0],) * 3
-        medians.append(med)
+        stats.append((q1, med, q3))
         row.update({f"{side}_median": round(med, 4),
                     f"{side}_q1": round(q1, 4),
                     f"{side}_q3": round(q3, 4)})
     wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
     row["change_wins"] = f"{wins}/{len(a)}"
-    parent, change = medians
+    (q1, parent, q3), (_, change, _) = stats
     worse = sign * (parent - change) / abs(parent) if parent else None
     row["worse_by"] = None if worse is None else round(worse, 4)
     row["within_bound"] = None if worse is None or bound is None else \
         worse <= bound
+    row["gain_shown"] = 10 * wins >= 9 * len(a) and \
+        sign * (change - parent) > q3 - q1
+    beaten = all(sign * (y - x) > 0 for x in a for y in b)
+    row["unresolved"] = None if row["within_bound"] is None else \
+        (q3 - q1) / abs(parent) > bound and not beaten
     return row
 
 

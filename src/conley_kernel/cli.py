@@ -1,7 +1,12 @@
 """Batch front-end: parse system documents, dispatch operations, emit reports.
 
 The commands come from one table, :data:`COMMANDS` (name, help, handler,
-options), from which :func:`build_parser` builds the sub-parsers.  Every
+options), from which :func:`build_parser` builds the sub-parsers.  The
+request path reads a plain document command line (the command, the
+document, full flag names with their values, ``--json`` or ``--human``)
+off the same table with :func:`_read`, which builds no parser; argparse
+parses every other line and stays the one definition of help,
+abbreviations, ``--flag=value`` and every usage message.  Every
 document command takes one request path, :func:`main`: it checks the
 negative flags, loads the document, derives the search bound, and builds
 the ``meta`` block and the JSON or human output.  A handler maps (args,
@@ -90,8 +95,7 @@ def _emit(args, payload: dict, human_lines: list[str]):
     """Print the reply and flush it, so that a closed standard output
     raises here, inside :func:`main`'s handlers."""
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         for line in human_lines:
             print(line)
@@ -316,6 +320,10 @@ def _set_nbhd(set_help=None, nbhd_help=None):
 _FROM_SET = (("--from", {"dest": "from_", "required": True}),
              ("--set", {"required": True}))
 
+# the flag every document command takes besides its options
+_BOUND = ("--bound", {"type": int, "default": None,
+                      "help": "search bound (default CONLEY_DEFAULT_BOUND or 64)"})
+
 # name, help, handler (None: no document), options
 COMMANDS = (
     ("check", "predicate table for named subsets", check,
@@ -356,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if handler is not None:
             p.add_argument("doc", help="path to a JSON system document")
-            p.add_argument("--bound", type=int, default=None,
-                           help="search bound (default CONLEY_DEFAULT_BOUND or 64)")
+            p.add_argument(_BOUND[0], **_BOUND[1])
         group = p.add_mutually_exclusive_group()
         group.add_argument("--json", action="store_true", help="JSON output")
         group.add_argument("--human", dest="json", action="store_false",
@@ -375,8 +382,71 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.lru_cache(maxsize=None)
+def _grammar() -> dict:
+    """Per document command of :data:`COMMANDS`, read off it once per
+    process: its handler, its flags, ``--bound`` and its options, as
+    {flag: (dest, appends, type)}, their dests' defaults, and the required
+    dests."""
+    grammar = {}
+    for name, _, handler, options in COMMANDS:
+        if handler is None:
+            continue
+        flags, defaults, required = {}, {}, set()
+        for flag, kwargs in (_BOUND,) + options:
+            dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+            flags[flag] = (dest, kwargs.get("action") == "append",
+                           kwargs.get("type", str))
+            defaults[dest] = kwargs.get("default")
+            if kwargs.get("required"):
+                required.add(dest)
+        grammar[name] = handler, flags, defaults, required
+    return grammar
+
+
+def _read(argv):
+    """The namespace ``parse_args`` gives a plain document command line, or
+    None for any other line, which argparse then parses or rejects.
+
+    A plain line is CMD DOC, DOC not starting with '-', followed by at most
+    one ``--json`` or ``--human`` and by FLAG VALUE pairs: each FLAG one of
+    CMD's, spelt in full, used once unless it appends, and each VALUE not
+    starting with '-' and passing FLAG's type; every required flag is
+    present.  Help, abbreviations, ``--flag=value``, ``--`` and negative
+    numbers are never plain, so argparse keeps their meaning and every
+    usage message."""
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) < 2 or argv[0] not in _grammar() or argv[1].startswith("-"):
+        return None
+    handler, flags, defaults, required = _grammar()[argv[0]]
+    values = dict(defaults, command=argv[0], doc=argv[1], json=False,
+                  handler=handler)
+    seen = set()
+    words = iter(argv[2:])
+    for word in words:
+        if word in ("--json", "--human"):
+            if "json" in seen:
+                return None
+            seen.add("json")
+            values["json"] = word == "--json"
+            continue
+        value = next(words, "-")         # a flag at the end has no value
+        if word not in flags or value.startswith("-"):
+            return None
+        dest, appends, kind = flags[word]
+        if dest in seen and not appends:
+            return None
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        values[dest] = (values[dest] or []) + [value] if appends else value
+        seen.add(dest)
+    return argparse.Namespace(**values) if required <= seen else None
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _read(argv) or _parser().parse_args(argv)
     try:
         return _run(args)
     except ValueError as exc:            # DocumentError is a ValueError

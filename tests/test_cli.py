@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conley_kernel import cli
 from conley_kernel import conley as co
@@ -1028,3 +1033,103 @@ class TestLargePeriod:
         assert done.returncode == 1, done.stdout + done.stderr
         assert json.loads(done.stdout)["status"] == "none"
         assert done.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# plain lines are read off COMMANDS; argparse parses or rejects the rest
+
+FLAGS = sorted({flag for *_, options in cli.COMMANDS for flag, _ in options}
+               | {"--bound"})
+WORDS = ([name for name, *_ in cli.COMMANDS] + FLAGS +
+         [fx("attractor.json"), "--json", "--human", "-h", "--help", "--fr",
+          "--set=all", "--", "-1", "-0", "", " 7", "1e3", "5", "S", "N",
+          "all", "core", "unit"])
+
+
+def parse_or_none(argv):
+    """argparse's namespace for argv, or None where it exits: a rejected
+    line or a help text."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@st.composite
+def command_lines(draw):
+    """A document line of one command, all its required flags given, with
+    up to two words of WORDS put in or over it."""
+    name, _, _, options = draw(st.sampled_from(cli.COMMANDS))
+    flags = [flag for flag, kwargs in options if kwargs.get("required")] + \
+        draw(st.lists(st.sampled_from(["--bound"] + [f for f, _ in options]),
+                      max_size=2))
+    values = st.sampled_from(["S", "all", "core", "5", "", " 7", "1e3"])
+    pairs = draw(st.permutations([[flag, draw(values)] for flag in flags]))
+    argv = [name, fx("attractor.json")] + [w for pair in pairs for w in pair] \
+        + draw(st.sampled_from([[], ["--json"], ["--human"]]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(st.sampled_from(WORDS))]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_the_reader_agrees_with_argparse(argv):
+    """A line the reader reads parses to the same namespace, and never is
+    one that argparse rejects or answers with help."""
+    read = cli._read(argv)
+    assert read is None or read == parse_or_none(argv)
+
+
+def test_every_sweep_line_is_plain():
+    """Every line scripts/sweep_outputs.py runs is read without argparse,
+    to the namespace argparse gives it."""
+    spec = importlib.util.spec_from_file_location(
+        "sweep_outputs", Path(SRC).parent / "scripts" / "sweep_outputs.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    lines = 0
+    for doc in sorted(FIXTURES.glob("*.json")):
+        labels = sorted(json.loads(doc.read_text())["sets"])
+        for line in sweep.command_lines(str(doc), labels):
+            for bound in ([], ["--bound", "8"]):
+                for mode in ("--json", "--human"):
+                    argv = line + bound + [mode]
+                    read = cli._read(argv)
+                    assert read is not None and read == parse_or_none(argv)
+                    lines += 1
+    assert lines > 3000
+
+
+def test_appended_sets_are_a_fresh_list_per_line():
+    argv = ["check", fx("attractor.json"), "--set", "S", "--set", "core"]
+    first = cli._read(argv)
+    assert first.set == ["S", "core"] and cli._read(argv).set is not first.set
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["sim", fx("attractor.json"), "--fr", "all", "--set", "core"], 0,
+     "equivalent\n", ""),
+    (["check", fx("attractor.json"), "--set=all"], 0, "all:\n", ""),
+    (["check", fx("attractor.json"), "--json", "--human"], 2, "",
+     "not allowed with"),
+    (["check", fx("attractor.json"), "--bound", "1e3"], 2, "",
+     "invalid int value"),
+    (["index", fx("doubling.json"), "--set", "S", "--nbhd", "unit",
+      "--search", "-0", "--json"], 3, '{\n  "meta": {\n    "bound": "0",', ""),
+    (["--help"], 0, "usage:", ""),
+    (["index", "--help"], 0, "usage:", ""),
+], ids=["abbreviation", "equals-form", "json-and-human", "bad-int",
+        "negative-zero", "help", "command-help"])
+def test_lines_only_argparse_serves(capsys, argv, code, out, err):
+    assert cli._read(argv) is None
+    try:
+        got = main(argv)
+    except SystemExit as exc:           # argparse's help and usage errors
+        got = exc.code
+    stdout, stderr = capsys.readouterr()
+    assert got == code
+    assert stdout.startswith(out) and err in stderr

@@ -376,7 +376,8 @@ def test_bench_pairs_records_setup_samples(tmp_path, monkeypatch):
     assert record["summary"]["szymczak seed 7 setup-only"] == {"setup_s": {
         "parent_median": 0.15, "parent_q1": 0.15, "parent_q3": 0.15,
         "change_median": 0.12, "change_q1": 0.12, "change_q3": 0.12,
-        "change_wins": "3/3", "worse_by": -0.2, "within_bound": True}}
+        "change_wins": "3/3", "worse_by": -0.2, "within_bound": True,
+        "gain_shown": True, "unresolved": False}}
     assert record["claimed"]["metric"] == "setup_s"
 
 
@@ -429,7 +430,7 @@ def test_bench_pairs_summary_counts_wins_by_direction():
         "parent_median": 11, "parent_q1": 10.5, "parent_q3": 11.5,
         "change_median": 13, "change_q1": 12.5, "change_q3": 13.5,
         "change_wins": "2/3", "worse_by": round(-2 / 11, 4),
-        "within_bound": True}
+        "within_bound": True, "gain_shown": False, "unresolved": False}
     assert got["latency_p50_ms"]["change_wins"] == "2/3"
     assert got["latency_p50_ms"]["worse_by"] == round(-1 / 3, 4)
     assert got["correct"] is True and got["failed"] == [0, 1]
@@ -460,6 +461,30 @@ def test_bench_pairs_summary_measures_each_metric_against_its_bound():
             got["peak_rss_mb"]["within_bound"]) == (0.125, False)
     assert script.compare_samples([0.0], [0.0], -1, 0.25)["worse_by"] is None
     assert script.compare_samples([2.0], [1.0], -1)["within_bound"] is None
+
+
+def test_bench_pairs_applies_the_claim_rule():
+    """gain_shown needs 9/10 pairs won and a median shift wider than the
+    parent's inter-quartile range; unresolved marks a parent spread wider
+    than the bound unless every change run beats every parent run."""
+    compare = load("bench_pairs").compare_samples
+    parent = [100.0 + i for i in range(10)]     # quartiles 102.25, 106.75
+    nine = [x - 20 for x in parent[:9]] + [200.0]
+    eight = [x - 20 for x in parent[:8]] + [200.0] * 2
+    row = compare(parent, nine, -1, 0.25)
+    assert (row["change_wins"], row["gain_shown"]) == ("9/10", True)
+    row = compare(parent, eight, -1, 0.25)
+    assert (row["change_wins"], row["gain_shown"]) == ("8/10", False)
+    row = compare(parent, [x - 1 for x in parent], -1, 0.25)
+    assert (row["change_wins"], row["gain_shown"]) == ("10/10", False)
+    row = compare(parent, [x + 20 for x in parent], 1, 0.25)
+    assert (row["change_wins"], row["gain_shown"]) == ("10/10", True)
+    assert not row["unresolved"]
+    wide = [60.0 + 10 * i for i in range(10)]   # IQR 45 of a median of 105
+    row = compare(wide, [x - 5 for x in wide], -1, 0.25)
+    assert (row["within_bound"], row["unresolved"]) == (True, True)
+    assert compare(wide, [50.0] * 10, -1, 0.25)["unresolved"] is False
+    assert compare(wide, [50.0] * 10, -1)["unresolved"] is None
 
 
 def test_bench_pairs_writes_and_extends_the_record(tmp_path, monkeypatch):
