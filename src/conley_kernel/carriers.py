@@ -3,8 +3,8 @@
 A system is its own time domain: the map and flow types answer what depends
 on time, and :mod:`conley_kernel.dynamics` and :mod:`conley_kernel.conley`
 call them directly.  Each answers ``carrier_name``, ``default_bound``,
-``search_context`` (the search state over its times), ``time_map`` f^t,
-``dom`` D_t(E) (the points whose orbit segment over [0, t] stays in E),
+``search_context`` (the times and bound of a search, and whether it is
+complete), ``time_map`` f^t, ``dom`` D_t(E) (the points whose orbit segment over [0, t] stays in E),
 ``preimage_n`` f^-t(A), ``interior_of`` (relative to its carrier),
 ``invariant_part``, ``check_invariant`` (the precondition on S) and the
 ``weak_compactifiability_checks`` of the induced system; a realized map
@@ -29,7 +29,7 @@ from . import dynamics
 
 
 class DiscreteTime:
-    """Time in N: f^t is the t-th power.
+    """Time in N: f^t is the t-th power, and a search tests 0..bound.
     D_t(E) and f^-t(A) are built step by step by :meth:`_iterate` and kept
     in the map's ``_iterates``, so a smaller time costs a lookup and a
     larger one a step per missing time.  A sequence grows only under
@@ -81,8 +81,8 @@ class DiscreteTime:
         return a.interior()
 
     def search_context(self, e, e2, bound):
-        return dynamics._SearchContext(
-            self, e, e2, self.default_bound if bound is None else bound)
+        bound = self.default_bound if bound is None else bound
+        return dynamics._SearchContext(self, e, e2, range(bound + 1), bound)
 
     def invariant_part(self, e, cap=None):
         return dynamics.invariant_part_exact(self, e, cap)

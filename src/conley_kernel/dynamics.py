@@ -6,9 +6,9 @@ predicates, invariant parts, and one-point compactification.  Sets and maps
 carry their own algebra, and each system is its own time domain (see
 :mod:`conley_kernel.carriers`), so the finite and interval carriers (times
 in N) and the semiflow carrier (times in R>=0) share one code path: a
-search runs over the times of the system's ``search_context``, and
-``f.dom(E, t)``, ``f.preimage_n(A, t)`` and ``f.time_map(t)`` are D_t(E),
-f^-t(A) and f^t, memoized on the system.
+search runs over one :class:`_SearchContext` on the times the system's
+``search_context`` supplies, and ``f.dom(E, t)``, ``f.preimage_n(A, t)``
+and ``f.time_map(t)`` are D_t(E), f^-t(A) and f^t, memoized on f.
 
 On the finite carrier every negative search answer is complete: the bounds
 come from eventual periodicity of the power sequence and stabilization of
@@ -33,15 +33,16 @@ forward pair, (max(p, s2), max(p, s2)) a backward one, and (a, a + d, a +
 d) with a = max(p, s1), d = max(p, s2) is a triple whose c lies within
 the derived bound.
 
-A complete search context reads the two tests off the map's
+The finite map's complete search context reads the two tests off its
 ``invariant_part`` as ``possible`` and then only looks for the least
 witness, with the loop of a bounded search.  D_b(E) does not change past s1
 (D_gamma(E') past s2), so a gallop over b (gamma) ends at ``last``, one
-past max(i, s1) (max(i, s2)) for a range that starts at index i.  The least a with a b is at most
-max(p, s1), since the test passes at (a, a) there, and for that a the least
-delta = b - a with a gamma is at most max(delta0, p, s2), delta0 the
-offset of the least b: every time tested is at most max(p, s1, s2), which
-is at most the number of points, and the period q bounds no loop.
+past max(i, s1) (max(i, s2)) for a range that starts at index i.  The
+least a with a b is at most max(p, s1), since the test passes at (a, a)
+there, and for that a the least delta = b - a with a gamma is at most
+max(delta0, p, s2), delta0 the offset of the least b: every time tested
+is at most max(p, s1, s2), which is at most the number of points, and the
+period q bounds no loop.
 """
 
 from __future__ import annotations
@@ -153,40 +154,32 @@ def induced_power(f, e, t):
 # admissibility
 
 class _SearchContext:
-    """Search state over times in N: the absorption tests of a pair,
-    cached.  D_n and f^-n come from the map, which memoizes them.
+    """Search state over a system's times, for maps and flows alike: the
+    absorption tests of a pair, cached.  D_t and f^-t come from the system,
+    which memoizes them.  Its ``search_context`` supplies the sorted
+    ``times`` and the ``bound`` a search reports and, for a complete search
+    (the finite map's without a bound), ``stab``, where D_b(E) stabilizes
+    in b (``stab[1]``) and D_gamma(E') in gamma (``stab[2]``), and
+    ``possible``, whether a forward (backward) pair exists; :meth:`last`
+    ends each gallop (see the module docstring)."""
 
-    Without a bound (finite carrier) the search is complete: f^-a(E') is
-    eventually periodic in a (f^p = f^(p+q), from ``f.power_bounds``) and
-    D_b(E) stabilizes in b at ``_stab[1]``, D_gamma(E') in gamma at
-    ``_stab[2]``, and the derived bound 2(p + q) + s1 + s2 + 2 covers both
-    and is what a complete search reports.  ``possible[1]`` (``[2]``),
-    Inv(E) <= E' (Inv(E') <= E), is whether a forward (backward) pair
-    exists, always true on a bounded search, and :meth:`last` ends each
-    gallop (see the module docstring)."""
-
-    def __init__(self, f, e, e2, bound=None):
+    def __init__(self, f, e, e2, times, bound, stab=None, possible=None):
         self.f, self.e, self.e2 = f, e, e2
+        self.times, self.bound = times, bound
+        self._stab = stab
+        self.complete = stab is not None
+        self.possible = {1: True, 2: True} if possible is None else possible
         self._cond1: dict = {}
         self._cond2: dict = {}
-        self.complete = bound is None
-        self.possible = {1: True, 2: True}
-        if self.complete:
-            p, q = f.power_bounds
-            n = len(f.space.points)
-            self._stab = {1: f.stab(e, n + 1), 2: f.stab(e2, n + 1)}
-            bound = 2 * (p + q) + self._stab[1] + self._stab[2] + 2
-            self.possible = {1: f.invariant_part(e).subset_of(e2),
-                             2: f.invariant_part(e2).subset_of(e)}
-        self.bound = bound
-        self.times = range(bound + 1)
 
     def _absorbed(self, tests, e, e2, a, b) -> bool:
-        """D_b(e) <= f^-a(e2), cached in ``tests`` by (a, b)."""
-        hit = tests.get((a, b))
+        """D_b(e) <= f^-a(e2), cached in ``tests`` by the integer ratios of
+        (a, b), which hash far faster than Fractions."""
+        key = (a.as_integer_ratio(), b.as_integer_ratio())
+        hit = tests.get(key)
         if hit is None:
             f = self.f
-            hit = tests[a, b] = f.dom(e, b).subset_of(f.preimage_n(e2, a))
+            hit = tests[key] = f.dom(e, b).subset_of(f.preimage_n(e2, a))
         return hit
 
     def cond1(self, a, b) -> bool:

@@ -20,7 +20,8 @@ records how: f^n of every finite map, based endos included, is f^p (the
 preperiod p is at most |X|) turned n - p places along the cycles, so
 :func:`power`, a map's ``time_map``, composes nothing and keeps no map, and
 the invariant part of E is the cycles inside E.  A map is its own time
-domain (times in N, searches with a derived complete bound): its base
+domain (times in N, complete searches without a bound, from
+:meth:`FinitePartialMap.search_context`): its base
 :class:`conley_kernel.carriers.DiscreteTime` builds and holds its D_n(E)
 and f^-n(A).
 """
@@ -35,6 +36,7 @@ from operator import or_
 from typing import Iterable, Mapping
 
 from .carriers import DiscreteTime
+from .dynamics import _SearchContext
 from .errors import echo
 
 _BYTE_BITS = bytes.maketrans(b"01", b"\0\1")
@@ -291,6 +293,23 @@ class FinitePartialMap(DiscreteTime):
         if not self.image(d).subset_of(y):
             raise ValueError("f(d) must be contained in y")
         return True
+
+    def search_context(self, e, e2, bound):
+        """Without a bound, the complete search (proof in the
+        :mod:`conley_kernel.dynamics` docstring): the derived bound 2(p + q)
+        + s1 + s2 + 2, the stabilization indices s1, s2 of D(E), D(E'), and
+        whether a forward (backward) pair exists, Inv(E) <= E' (Inv(E') <=
+        E); given one, the bounded search of every map."""
+        if bound is not None:
+            return super().search_context(e, e2, bound)
+        p, q = self.power_bounds
+        n = len(self.space.points)
+        stab = {1: self.stab(e, n + 1), 2: self.stab(e2, n + 1)}
+        bound = 2 * (p + q) + stab[1] + stab[2] + 2
+        possible = {1: self.invariant_part(e).subset_of(e2),
+                    2: self.invariant_part(e2).subset_of(e)}
+        return _SearchContext(self, e, e2, range(bound + 1), bound, stab,
+                              possible)
 
     def time_map(self, t):
         return power(self, t)

@@ -13,11 +13,12 @@ exact time-t maps, time-t preimages F_t^-1(A), swept domains D_t(E), the
 finite-time properness and open-definedness deciders, the rational
 candidate times a search runs over, and the rest-point invariant part;
 its realized maps are piecewise affine.  The theory itself (admissible
-triples, cross maps, certificates, simple systems) is written once in
-:mod:`conley_kernel.dynamics` and :mod:`conley_kernel.conley`.  Exhausted
-semi-decisions raise :class:`Undecided`, never a fabricated negative; it is
-defined in :mod:`conley_kernel.errors`, which finite-only processes load
-too, and re-exported here.
+triples, cross maps, certificates, simple systems, the search state) is
+written once in :mod:`conley_kernel.dynamics` and
+:mod:`conley_kernel.conley`.  Exhausted semi-decisions raise
+:class:`Undecided`, never a fabricated negative; it is defined in
+:mod:`conley_kernel.errors`, which finite-only processes load too, and
+re-exported here.
 
 Preimages and the swept domains of convex sets are read off the axes:
 F_t is the product of monotone axis maps restricted to the carrier, so the
@@ -30,8 +31,8 @@ Each flow memoizes its time-t maps by t, its preimages by (A, t) and its
 swept domains by (E, t) in fields of the flow object, so those sets and
 maps, with the maps' set-map memos (:mod:`conley_kernel.affine`), are
 shared by every caller holding the flow and live as long as it does.
-These memos and the search tests key each time by its integer ratio, a
-pair of ints, which hashes far faster than a Fraction.
+These memos key each time by its integer ratio, a pair of ints, which
+hashes far faster than a Fraction; so do the cached tests of a search.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .boxes import (
     BoxSet, Cut, Interval, NEG_INF, POS_INF, _key, _mul_add, _sub_div,
     isect_iv, rat, RatLike,
 )
+from .dynamics import _SearchContext
 from .errors import Undecided
 
 SWEEP_CAP = 64      # the swept-domain refinement samples steps down to t/64
@@ -247,8 +249,10 @@ class ExactSemiflow:
         return a.interior_in(self.carrier)
 
     def search_context(self, e, e2, bound):
-        return _ContContext(
-            self, e, e2, self.default_bound if bound is None else bound)
+        """A search over the candidate times in [0, bound]; never complete."""
+        bound = rat(self.default_bound if bound is None else bound)
+        return _SearchContext(self, e, e2,
+                              _candidate_times(self, [e, e2], bound), bound)
 
     def invariant_part(self, e, cap=None):
         return invariant_part_F(self, e)
@@ -582,43 +586,10 @@ def _candidate_times(flow: ExactSemiflow, sets: list[BoxSet],
 
 
 class _ContContext:
-    """Search state over times in R>=0: the absorption tests of a pair,
-    cached per candidate time.  Swept domains and preimages are memoized
-    on the flow; both are read off the axes, so a search builds no time
-    map.
-
-    The times are a finite rational candidate set, so a failed search is
-    never complete, and either pair may exist."""
-
-    complete = False
-
-    def __init__(self, flow, e, e2, bound):
-        self.flow, self.e, self.e2 = flow, e, e2
-        self.possible = {1: True, 2: True}
-        self.bound = rat(bound)
-        self.times = _candidate_times(flow, [e, e2], self.bound)
-        self._c1: dict = {}
-        self._c2: dict = {}
-
-    def _absorbed(self, tests, e, e2, a, b) -> bool:
-        """D_b(e) <= F_a^-1(e2), cached in ``tests`` by the integer
-        ratios of (a, b)."""
-        key = (a.as_integer_ratio(), b.as_integer_ratio())
-        hit = tests.get(key)
-        if hit is None:
-            hit = tests[key] = dom_interval(self.flow, e, b).subset_of(
-                preimage(self.flow, e2, a))
-        return hit
-
-    def cond1(self, a, b) -> bool:
-        return self._absorbed(self._c1, self.e, self.e2, a, b)
-
-    def cond2(self, delta, gamma) -> bool:
-        return self._absorbed(self._c2, self.e2, self.e, delta, gamma)
-
-    def last(self, which, i):
-        """The end of the index range of every gallop: the last time."""
-        return len(self.times)
+    """Never built: a flow's searches build
+    :class:`conley_kernel.dynamics._SearchContext` like every other
+    system's.  Only ``CONTEXTS`` of ``bench/tracer.py`` reads this name;
+    the benchmark change that drops that entry deletes this class."""
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -1084,13 +1086,19 @@ def test_the_reader_agrees_with_argparse(argv):
     assert read is None or read == parse_or_none(argv)
 
 
-def test_every_sweep_line_is_plain():
-    """Every line scripts/sweep_outputs.py runs is read without argparse,
-    to the namespace argparse gives it."""
+def load_sweep_outputs():
+    """The module of scripts/sweep_outputs.py."""
     spec = importlib.util.spec_from_file_location(
         "sweep_outputs", Path(SRC).parent / "scripts" / "sweep_outputs.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_every_sweep_line_is_plain():
+    """Every line scripts/sweep_outputs.py runs is read without argparse,
+    to the namespace argparse gives it."""
+    sweep = load_sweep_outputs()
     lines = 0
     for doc in sorted(FIXTURES.glob("*.json")):
         labels = sorted(json.loads(doc.read_text())["sets"])
@@ -1133,3 +1141,122 @@ def test_lines_only_argparse_serves(capsys, argv, code, out, err):
     stdout, stderr = capsys.readouterr()
     assert got == code
     assert stdout.startswith(out) and err in stderr
+
+
+# ---------------------------------------------------------------------------
+# metamorphic invariance: a change of coordinates changes no exact answer
+
+def _flags(checks):
+    return None if checks is None else [(c["name"], c["ok"]) for c in checks]
+
+
+def _relabelling_invariants(record):
+    """What the sweep record of a --json line keeps under a relabelling of
+    points: the exit code, the status, the bound, the triples and
+    witnesses, the exponent and the report's verdict, canonical invariants
+    and check flags; not the sets, reprs and least tables, which follow
+    point names and order."""
+    reply = json.loads(record["stdout"] or "{}")
+    report = reply.get("report") or {}
+    return (record["exit"], reply.get("status"), reply.get("meta", {}).get("bound"),
+            reply.get("triple"), reply.get("triples"), reply.get("forward"),
+            reply.get("backward"), reply.get("equal"), reply.get("exponent"),
+            report.get("ok"),
+            [n["canonical_invariant"] for n in report.get("neighbourhoods", [])],
+            _flags(reply.get("checks")), _flags(report.get("checks")))
+
+
+def _random_finite_document(rng):
+    """A partial map on up to 8 points with sets A, B and S; S is the
+    cycles inside a random set, so that ``index`` has invariant sets to
+    certify."""
+    points = [f"p{i}" for i in range(rng.randint(1, 8))]
+    table = {x: rng.choice(points) for x in points if rng.random() < 0.8}
+    sets = {name: [x for x in points if rng.random() < 0.5] for name in "ABS"}
+    doc = {"kind": "finite_map", "system": {"points": points, "table": table},
+           "sets": sets}
+    parsed = parse_document(doc)
+    sets["S"] = list(parsed.system.invariant_part(parsed.sets["S"]).ordered())
+    return doc
+
+
+def _relabelled(doc, rng):
+    """doc with every point renamed and the points in a shuffled order."""
+    old = doc["system"]["points"]
+    new = [f"x{i}" for i in rng.sample(range(100), len(old))]
+    name = dict(zip(old, new))
+    points = rng.sample(new, len(new))
+    table = {name[x]: name[y] for x, y in doc["system"]["table"].items()}
+    sets = {k: rng.sample([name[x] for x in v], len(v))
+            for k, v in doc["sets"].items()}
+    return {"kind": "finite_map", "system": {"points": points, "table": table},
+            "sets": sets}
+
+
+RELABELLED_COMMANDS = (("sim", "--from", "--set"),
+                       ("admissible", "--from", "--set"),
+                       ("szymczak-equal", "--from", "--set"),
+                       ("shift-equiv", "--from", "--set"),
+                       ("index", "--set", "--nbhd"),
+                       ("index-nbhd", "--set", "--nbhd"))
+
+
+def test_finite_relabelling_changes_no_exact_answer(tmp_path):
+    """Renaming and reordering the points of a finite document changes no
+    exit code, status, bound, triple, witness, exponent or index
+    invariant, on every ordered pair of its sets."""
+    sweep = load_sweep_outputs()
+    rng = random.Random(97)
+    calls = certified = 0
+    for k in range(30):
+        doc = _random_finite_document(rng)
+        paths = [write(tmp_path / f"{k}.json", doc),
+                 write(tmp_path / f"{k}r.json", _relabelled(doc, rng))]
+        for command, first, second in RELABELLED_COMMANDS:
+            for a in doc["sets"]:
+                for b in doc["sets"]:
+                    got = [_relabelling_invariants(sweep.run(
+                        [command, path, first, a, second, b, "--json"]))
+                        for path in paths]
+                    assert got[0] == got[1], (doc, command, a, b)
+                    calls += 2
+                    certified += command == "index" and got[0][0] == 0
+    assert calls == 3240 and certified > 50
+
+
+def _scaled_flow(path, c):
+    """The flow document at path with every speed multiplied by c."""
+    doc = json.loads(Path(path).read_text())
+    for axis in doc["system"]["axes"]:
+        axis["velocity"] = str(Fraction(axis["velocity"]) * c)
+    return doc
+
+
+def _time_scale_invariants(record):
+    """What the sweep record of a flow's --json line keeps when its time is
+    rescaled: the exit code, the status, the ``check`` table, ``equal`` and
+    the report's verdict."""
+    reply = json.loads(record["stdout"] or "{}")
+    return (record["exit"], reply.get("status"), reply.get("table"), reply.get("equal"),
+            (reply.get("report") or {}).get("ok"))
+
+
+@pytest.mark.parametrize("c", [Fraction(3), Fraction(1, 5)],
+                         ids=["three", "one-fifth"])
+def test_flow_time_rescaling_changes_no_verdict(tmp_path, c):
+    """Every speed times c is the same flow in time t/c: every sweep line
+    of the two flow fixtures keeps its verdict.  Triples should scale by
+    1/c, but at c = 1/5 two admissible pairs of clamp_flow.json keep the
+    least candidate time instead, so they are not compared here."""
+    sweep = load_sweep_outputs()
+    calls = 0
+    for name in ("clamp_flow.json", "corner_flow.json"):
+        scaled = write(tmp_path / name, _scaled_flow(fx(name), c))
+        labels = sorted(json.loads(Path(fx(name)).read_text())["sets"])
+        for line in sweep.command_lines(fx(name), labels):
+            want = _time_scale_invariants(sweep.run(line + ["--json"]))
+            line[1] = scaled
+            assert _time_scale_invariants(sweep.run(line + ["--json"])) == \
+                want, line
+            calls += 2
+    assert calls == 428

@@ -644,13 +644,13 @@ class TestGallopingSearch:
             [Interval.make(48, True, "inf", False)] +
             [Interval.point(Fraction(k, 2)) for k in range(1, 25)])
         made = []
-        init = sf._ContContext.__init__
+        init = dyn._SearchContext.__init__
 
         def kept(ctx, *args):
             init(ctx, *args)
             made.append(ctx)
 
-        monkeypatch.setattr(sf._ContContext, "__init__", kept)
+        monkeypatch.setattr(dyn._SearchContext, "__init__", kept)
         got = dyn.find_admissible(flow, e, e2, bound=64)
         swept = len(flow._swept)     # the oracle's scan shares the flow's memo
         assert got.triple == AdmissibleTriple(48, 48, 48)
@@ -661,9 +661,9 @@ class TestGallopingSearch:
         assert n >= 100 and depth >= 90
         log_n = math.ceil(math.log2(n))
         assert swept <= 2 * log_n + 2
-        assert len(ctx._c1) <= 3 * (depth + 1) + log_n
+        assert len(ctx._cond1) <= 3 * (depth + 1) + log_n
         # the scan tested every pair (a, b) with a below the least a
-        assert len(scan._c1) == sum(n - i for i in range(depth)) + 1
+        assert len(scan._cond1) == sum(n - i for i in range(depth)) + 1
 
 
 def _indices(f, e, e2):
@@ -689,7 +689,8 @@ def _searched_context(monkeypatch, f, e, e2, search=dyn.find_admissible):
 
 
 def _times(tests):
-    return [t for key in tests for t in key]
+    """The times of the cached tests, each read from its integer ratio."""
+    return [Fraction(n, d) for key in tests for n, d in key]
 
 
 class TestCompleteFiniteSearch:
@@ -731,7 +732,7 @@ class TestCompleteFiniteSearch:
             # only delta0 itself is tested, and its first gamma passes
             assert all(t <= max(p, s1, s2) for t in _times(ctx._cond2))
             assert all(t <= max(p, s2) for t in _times(ctx._cond2)) or \
-                list(ctx._cond2) == [(got.triple.b - got.triple.a,) * 2]
+                list(ctx._cond2) == [((got.triple.b - got.triple.a, 1),) * 2]
             _, ctx = _searched_context(monkeypatch, f, e, e2, dyn.sim_f)
             assert all(t <= max(p, s1) for t in _times(ctx._cond1))
             assert all(t <= max(p, s2) for t in _times(ctx._cond2))

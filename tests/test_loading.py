@@ -111,3 +111,25 @@ def test_every_system_answers_the_time_domain_interface():
     # g o f of realized maps: a semiflow's are piecewise affine
     assert inspect.signature(FinitePartialMap.after).parameters == \
         inspect.signature(PiecewiseAffineMap.after).parameters
+
+
+def test_one_context_class_serves_every_system():
+    """Every system's search_context builds dynamics._SearchContext over
+    the times and with the bound that the system supplies; only the finite
+    map searched without a bound is complete."""
+    from conley_kernel.documents import parse_document
+    # the derived bound of s -> s <- a on (all, core) is 2(p + q) + s1 + s2
+    # + 2 with p = q = 1 and s1 = s2 = 0
+    cases = [("attractor.json", "all", "core", None, True, 6),
+             ("attractor.json", "all", "core", 8, False, 8),
+             ("doubling.json", "unit", "origin", None, False, 64),
+             ("clamp_flow.json", "unit", "half", None, False, 8)]
+    for name, source, target, bound, complete, used in cases:
+        doc = parse_document(json.loads((ROOT / "fixtures" / name).read_text()))
+        f, e, e2 = doc.system, doc.sets[source], doc.sets[target]
+        ctx = f.search_context(e, e2, bound)
+        assert type(ctx) is dyn._SearchContext, name
+        assert (ctx.complete, ctx.bound) == (complete, used), name
+        times = sf._candidate_times(f, [e, e2], ctx.bound) \
+            if isinstance(f, sf.ExactSemiflow) else range(used + 1)
+        assert ctx.times == times, name

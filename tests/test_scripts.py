@@ -83,7 +83,7 @@ def test_undecided_share_rejects_a_line_that_is_no_sweep_record(
 
 @pytest.mark.parametrize("doc, source, target", [
     ("attractor.json", "all", "core"),      # dynamics._SearchContext
-    ("clamp_flow.json", "unit", "half"),    # semiflow._ContContext
+    ("clamp_flow.json", "unit", "half"),    # the same class, a flow's times
 ], ids=["finite", "semiflow"])
 def test_bench_tracer_counts_the_search_tests(capsys, doc, source, target):
     """The per-layer tracer of the benchmark (``--trace 1``) still finds the
