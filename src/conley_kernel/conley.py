@@ -3,14 +3,16 @@
 Written once for every carrier and both time domains: the finite and
 interval carriers (times in N) and the semiflow carrier (times in R>=0)
 differ only through their set types and their systems, each its own time
-domain (:mod:`conley_kernel.carriers`).
+domain (see :mod:`conley_kernel.dynamics`).
 
 A certificate records each named check, its outcome and a printable
 ``repr`` of its inputs, not the inputs, so it cannot yet be re-run without
 the tool.  The functor laws are written once and decided by the carrier's
 law set: Szymczak classes between explicit one-point endos on the finite
 carrier; on the box carriers the cross maps themselves, with the index
-object kept as (E, f_E) and each law an exact partial-map identity.
+object kept as (E, f_E) and each law an exact partial-map identity.  The
+law set also gives the index object of a neighbourhood, which
+:func:`one_point` returns as the one-point compactification of f_E.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .dynamics import (
     AdmissibleTriple, CrossMap, compactifiability_checks, cross_domain,
-    cross_map, find_admissible, induced_power, is_weakly_compactifiable,
-    one_point_endo,
+    cross_map, find_admissible, induced, induced_power, is_compactifiable,
+    is_weakly_compactifiable,
 )
 from .errors import Undecided
 
@@ -223,13 +225,23 @@ class ConleyIndexReport:
 
 def _laws(f, subsets):
     """The law set of f's carrier over the neighbourhoods.  It answers: the
-    report of a neighbourhood, the morphism of a cross map, whether two
-    parallel morphisms are one class, the identity check, whether m2 o m
-    equals m3, and the invertibility evidence of m given the morphism back:
-    invertible, witness and checks."""
+    index object of a neighbourhood, its report, the morphism of a cross
+    map, whether two parallel morphisms are one class, the identity check,
+    whether m2 o m equals m3, and the invertibility evidence of m given the
+    morphism back: invertible, witness and checks."""
     if f.carrier_name == "finite":
         return _SzClassLaws(f, subsets)
     return _PartialMapLaws(f)
+
+
+def one_point(f, e):
+    """One-point compactification of f_E; E must be compactifiable.
+
+    Finite carrier: the based endo of the finite law set.  Box carriers:
+    the induced map f_E itself, which stands for the pair (E, f_E)."""
+    if not is_compactifiable(f, e):
+        raise ValueError("E is not compactifiable; the based map would be discontinuous")
+    return _laws(f, (e,)).index_object(e)
 
 
 class _SzClassLaws:
@@ -242,7 +254,24 @@ class _SzClassLaws:
     def __init__(self, f, subsets):
         from . import szymczak
         self.sz = szymczak
-        self.endos = {e: one_point_endo(f, e) for e in subsets}
+        self.endos = {e: self._one_point_endo(f, e) for e in subsets}
+
+    def _one_point_endo(self, f, e) -> sz.BasedEndo:
+        """The based endo of f_E, undefined points sent to the basepoint:
+        f_E made total on E plus one added point, held like every finite
+        map on point indices (E's order, the basepoint last).  No check is
+        needed: in a discrete space every partial map is proper and every
+        subset is open and locally compact."""
+        realized = induced(f, e).realized
+        base, index = self.sz.BASEPOINT, e.space.index
+        while base in index and e.mask >> index[base] & 1:
+            base += self.sz.BASEPOINT
+        table = {x: realized.table.get(x, base) for x in e.ordered()} | \
+            {base: base}
+        return self.sz.BasedEndo.of(e.ordered() + (base,), table, base=base)
+
+    def index_object(self, e) -> sz.BasedEndo:
+        return self.endos[e]
 
     def report(self, e) -> NbhdReport:
         endo = self.endos[e]
@@ -299,6 +328,9 @@ class _PartialMapLaws:
 
     def __init__(self, f):
         self.f = f
+
+    def index_object(self, e):
+        return induced(self.f, e)
 
     def report(self, e) -> NbhdReport:
         return NbhdReport(repr(e), f"(E={e!r}, f_E)", None)

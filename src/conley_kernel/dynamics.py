@@ -1,14 +1,23 @@
-"""Carrier-generic dynamics in discrete and continuous time.
+"""Carrier-blind dynamics in discrete and continuous time.
 
 Induced partial maps, iterated-domain sets, admissible triples and their
 connecting maps, the absorption relation between subsets, compactifiability
-predicates, invariant parts, and one-point compactification.  Sets and maps
-carry their own algebra, and each system is its own time domain (see
-:mod:`conley_kernel.carriers`), so the finite and interval carriers (times
-in N) and the semiflow carrier (times in R>=0) share one code path: a
-search runs over one :class:`_SearchContext` on the times the system's
+predicates and the outer approximant of the invariant part.  Sets and maps
+carry their own algebra, and each system is its own time domain: the map
+and flow types answer ``carrier_name``, ``default_bound``,
+``search_context`` (the times and bound of a search, and whether it is
+complete), ``time_map`` f^t, ``dom`` D_t(E) (the points whose orbit segment
+over [0, t] stays in E), ``preimage_n`` f^-t(A), ``interior_of`` (relative
+to its carrier), ``invariant_part``, ``check_invariant`` (the precondition
+on S) and the ``weak_compactifiability_checks`` of the induced system; a
+realized map answers ``after``, g o f.  So the finite and interval carriers
+(times in N) and the semiflow carrier (times in R>=0) share one code path:
+a search runs over one :class:`_SearchContext` on the times the system's
 ``search_context`` supplies, and ``f.dom(E, t)``, ``f.preimage_n(A, t)``
-and ``f.time_map(t)`` are D_t(E), f^-t(A) and f^t, memoized on f.
+and ``f.time_map(t)`` are D_t(E), f^-t(A) and f^t, memoized on f.  This
+module reads no carrier: :class:`DiscreteTime`, the base of the finite and
+piecewise-affine map types, builds their D_n(E) and f^-n(A), and each
+system type computes its own invariant part.
 
 On the finite carrier every negative search answer is complete: the bounds
 come from eventual periodicity of the power sequence and stabilization of
@@ -47,6 +56,7 @@ period q bounds no loop.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -339,22 +349,93 @@ def cross_map(f, e, e2, t: AdmissibleTriple) -> CrossMap:
 
 
 # ---------------------------------------------------------------------------
+# time in N
+
+class DiscreteTime:
+    """Time in N, the base of :class:`~conley_kernel.finite.
+    FinitePartialMap` and :class:`~conley_kernel.affine.PiecewiseAffineMap`,
+    whose modules give ``time_map`` (their ``power``), ``after`` (their
+    ``compose``) and ``invariant_part``: f^t is the t-th power, and a
+    search tests 0..bound.  D_t(E) and f^-t(A) are built step by step by
+    :meth:`_iterate` and kept in the map's ``_iterates``, so a smaller time
+    costs a lookup and a larger one a step per missing time; a memo lives
+    as long as its map and no two maps share one.  A sequence grows only
+    under ``_grow``, one lock for both map types, taken only when the memo
+    misses, so a memo hit costs no lock; without it two threads that both
+    read length k would both append step k, and every later index would be
+    off by one."""
+
+    _grow = threading.Lock()
+
+    def _iterate(self, a, kind, t):
+        """The t-th set from A by the step of ``kind``, "dom" (D -> A n
+        f^-1(D), ``dom_step``) or "preimage" (D -> f^-1(D)), memoized on the
+        map; once a step returns its input, the sequence is frozen into a
+        tuple."""
+        if t < 0:
+            raise ValueError("negative power")
+        seq = self._iterates.get((a, kind))
+        if seq is None:         # a set equal to a key has passed the check
+            self.check_set(a)
+            seq = self._iterates.setdefault((a, kind), [a])
+        if len(seq) <= t and isinstance(seq, list):
+            with self._grow:
+                seq = self._iterates[a, kind]   # it may have become a tuple
+                while len(seq) <= t and isinstance(seq, list):
+                    nxt = self.dom_step(a, seq[-1]) if kind == "dom" else \
+                        self.preimage(seq[-1])
+                    if nxt == seq[-1]:
+                        seq = self._iterates[a, kind] = tuple(seq)
+                    else:
+                        seq.append(nxt)
+        return seq[min(t, len(seq) - 1)]
+
+    def preimage_n(self, a, t):
+        """f^-t(A), built as f^-1(f^-(t-1)(A))."""
+        return self._iterate(a, "preimage", t)
+
+    def dom(self, e, t):
+        """D_t(E) = E n f^-1(D_{t-1}(E)), the meet of f^-i(E), i <= t."""
+        return self._iterate(e, "dom", t)
+
+    def stab(self, e, cap) -> int:
+        """The first n < cap with D_{n+1}(E) = D_n(E), else cap."""
+        self.dom(e, cap)
+        seq = self._iterates[e, "dom"]
+        return min(len(seq) - 1, cap) if isinstance(seq, tuple) else cap
+
+    def interior_of(self, a):
+        return a.interior()
+
+    def search_context(self, e, e2, bound):
+        bound = self.default_bound if bound is None else bound
+        return _SearchContext(self, e, e2, range(bound + 1), bound)
+
+    def check_invariant(self, s):
+        self.check_set(s)
+        if not s.subset_of(self.domain):
+            raise ValueError("S is not invariant: S is not contained in Dom f")
+        if self.image(s) != s:
+            raise ValueError("S is not invariant: f(S) != S")
+
+    def weak_compactifiability_checks(self, e):
+        """Whether f_E is proper and openly defined; ``dom`` checks E."""
+        dom = self.dom(e, 1)
+        return [("induced map proper", self.is_proper_on(dom, e)),
+                ("induced domain open in E", dom.is_open_in(e))]
+
+
+# ---------------------------------------------------------------------------
 # compactifiability
 
-def weak_compactifiability_checks(f, e) -> list[tuple[str, bool]]:
-    """The system's checks that the induced system on E is proper and
-    openly defined (for a semiflow: finite-time proper; may raise
-    Undecided)."""
-    f.check_set(e)
-    return f.weak_compactifiability_checks(e)
-
-
 def is_weakly_compactifiable(f, e) -> bool:
-    return all(ok for _, ok in weak_compactifiability_checks(f, e))
+    """Whether the induced system on E is proper and openly defined (for a
+    semiflow: finite-time proper; may raise Undecided)."""
+    return all(ok for _, ok in f.weak_compactifiability_checks(e))
 
 
 def compactifiability_checks(f, e) -> list[tuple[str, bool]]:
-    checks = weak_compactifiability_checks(f, e)
+    checks = f.weak_compactifiability_checks(e)
     checks.append(("E locally compact", e.is_locally_compact()))
     return checks
 
@@ -363,134 +444,9 @@ def is_compactifiable(f, e) -> bool:
     return all(ok for _, ok in compactifiability_checks(f, e))
 
 
-def one_point(f, e):
-    """One-point compactification of f_E; E must be compactifiable.
-
-    Finite carrier: the based endo of :func:`one_point_endo`.  Box carriers:
-    the induced map f_E itself, which stands for the pair (E, f_E)."""
-    if not is_compactifiable(f, e):
-        raise ValueError("E is not compactifiable; the based map would be discontinuous")
-    if f.carrier_name == "finite":
-        return one_point_endo(f, e)
-    return induced(f, e)
-
-
-def one_point_endo(f, e) -> BasedEndo:
-    """The based endo of f_E on the finite carrier, undefined points sent
-    to the basepoint: f_E made total on E plus one added point, held like
-    every finite map on point indices (E's order, the basepoint last).  No
-    check is needed: in a discrete space every partial map is proper and
-    every subset is open and locally compact."""
-    from .szymczak import BASEPOINT, BasedEndo
-    realized = induced(f, e).realized
-    base, index = BASEPOINT, e.space.index
-    while base in index and e.mask >> index[base] & 1:
-        base += BASEPOINT
-    table = {x: realized.table.get(x, base) for x in e.ordered()} | {base: base}
-    return BasedEndo.of(e.ordered() + (base,), table, base=base)
-
-
 # ---------------------------------------------------------------------------
 # invariant parts
 
 def invariant_part_outer(f, e, t):
     """The outer approximant f^t(D_t(E)); decreasing in t and contains I_f(E)."""
     return f.time_map(t).image(f.dom(e, t))
-
-
-# The most boxes an iterate of invariant_part_exact may hold.  A folding map
-# multiplies them at every step: x -> -2x on [-1, 1], 3x - 5 beyond 1 and
-# 3x + 5 below -1 takes E = [-1, 4] to 4,180 intervals at n = 16 and
-# 196,417 at n = 24, and its invariant part is a Cantor set, which no
-# iterate reaches.  The fixtures and the benchmark stay below 20 boxes.
-ITERATE_BOX_BUDGET = 4096
-
-
-def invariant_part_exact(f, e, cap: int | None = None):
-    """Finite carrier: the invariant part, the cycles of f inside E.  A
-    finite S with f(S) = S is a union of cycles (f maps S onto S, so
-    bijectively), and every cycle inside E is invariant.
-
-    Interval carrier: exact invariant part, else raise Undecided with the
-    cap and the last iterate as outer bound.  An iterate of more than
-    ITERATE_BOX_BUDGET boxes raises Undecided at once, with the step n of
-    that iterate (D_n(E), or f^n(D) in the image loop) as its bound and no
-    outer bound: printing thousands of boxes would help no reader.
-
-    Iterates D_n(E), read from the map (so a later search on E reuses
-    them), for up to cap steps (the map's ``default_bound`` when cap is
-    None) and, once they stabilize, the forward images
-    f^k(D) for up to cap more.  Exact when the images
-    stabilize too, or as soon as an iterate is bounded and lies in the
-    closure of one affine piece with no axis of slope -1: then the
-    fixed-set closed form is I_f(E).  Proof sketch: I_f(E) lies in Dom f
-    and in every iterate, and the iterates decrease, so every full orbit in
-    I_f(E) stays in a bounded set on which that piece's rule holds (on Dom
-    f the rule of a piece extends continuously to its closure); under a
-    componentwise affine rule that forces each axis with |slope| != 1 onto
-    the rule's fixed point.  Later iterates lie in the same closure, so
-    stopping early gives the answer the whole cap would.
-    """
-    f.check_set(e)
-    if f.carrier_name == "finite":
-        return type(e)(e.space,
-                       sum(c for c in f._cycle_masks if not c & ~e.mask))
-
-    cap = f.default_bound if cap is None else cap
-    current = e
-    for step in (lambda n, d: f.dom(e, n), lambda n, d: f.image(d)):
-        for n in range(1, cap + 1):
-            exact = _fixed_set_closed_form(f, e, current)
-            if isinstance(exact, type(e)):      # a box set, not a reason
-                return exact
-            following = step(n, current)
-            if following == current:
-                break
-            current = following
-            if len(current.boxes) > ITERATE_BOX_BUDGET:
-                raise Undecided(f"an iterate exceeded {ITERATE_BOX_BUDGET} "
-                                f"boxes", bound=n)
-        else:
-            break               # the cap ran out before stabilization
-    else:
-        return current          # the images stabilized: current is invariant
-    last = _fixed_set_closed_form(f, e, current)
-    if isinstance(last, type(e)):
-        return last
-    raise Undecided(last or "invariant part did not stabilize", bound=cap,
-                    outer=current)
-
-
-_REFLECTION = "reflection axis admits non-fixed invariant sets"
-
-
-def _fixed_set_closed_form(f, e, outer):
-    """I_f(E) from a bounded outer region inside the closure of one affine
-    piece, else None.  By continuity the piece's rule holds on all of its
-    closure that lies in Dom f, so on every iterate and on I_f(E).
-
-    Invariance forces each axis with |slope| != 1 onto the rule's fixed
-    point, axes that translate (slope 1, intercept != 0) kill everything,
-    and slope 1 with intercept 0 leaves the axis free.  Slope -1 admits
-    2-cycles and is left undecided: the result is then the reason
-    _REFLECTION, which the caller raises only on its last iterate.
-    """
-    if not outer.is_bounded:
-        return None
-    piece = next((p for p in f.pieces if outer.subset_of(p.domain.closure())),
-                 None)
-    if piece is None:
-        return None
-    from .boxes import BoxSet, Interval
-    axes = []
-    for r in piece.rules:
-        if r.slope == 1 and r.intercept != 0:
-            return BoxSet.empty(f.dimension)
-        if r.slope == -1:
-            return _REFLECTION
-        if r.slope == 1:
-            axes.append(Interval.line())
-        else:
-            axes.append(Interval.point(r.intercept / (1 - r.slope)))
-    fix = BoxSet.of(f.dimension, [tuple(axes)])
-    return fix.intersect(piece.domain.closure()).intersect(f.domain).intersect(e)

@@ -19,11 +19,11 @@ f is eventually periodic, and one walk of every orbit (tails and cycles)
 records how: f^n of every finite map, based endos included, is f^p (the
 preperiod p is at most |X|) turned n - p places along the cycles, so
 :func:`power`, a map's ``time_map``, composes nothing and keeps no map, and
-the invariant part of E is the cycles inside E.  A map is its own time
-domain (times in N, complete searches without a bound, from
-:meth:`FinitePartialMap.search_context`): its base
-:class:`conley_kernel.carriers.DiscreteTime` builds and holds its D_n(E)
-and f^-n(A).
+the invariant part of E, :meth:`FinitePartialMap.invariant_part`, is the
+cycles inside E.  A map is its own time domain (times in N, complete
+searches without a bound, from :meth:`FinitePartialMap.search_context`):
+its base :class:`conley_kernel.dynamics.DiscreteTime` builds and holds its
+D_n(E) and f^-n(A).
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from itertools import compress
 from operator import or_
 from typing import Iterable, Mapping
 
-from .carriers import DiscreteTime
-from .dynamics import _SearchContext
+from .dynamics import DiscreteTime, _SearchContext
 from .errors import echo
 
 _BYTE_BITS = bytes.maketrans(b"01", b"\0\1")
@@ -310,6 +309,14 @@ class FinitePartialMap(DiscreteTime):
                     2: self.invariant_part(e2).subset_of(e)}
         return _SearchContext(self, e, e2, range(bound + 1), bound, stab,
                               possible)
+
+    def invariant_part(self, e, cap=None):
+        """The cycles of f inside E: a finite S with f(S) = S is a union of
+        cycles (f maps S onto S, so bijectively), and every cycle inside E
+        is invariant.  No cap is needed."""
+        self.check_set(e)
+        return FiniteSubset(e.space, sum(
+            c for c in self._cycle_masks if not c & ~e.mask))
 
     def time_map(self, t):
         return power(self, t)

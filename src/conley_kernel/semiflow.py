@@ -10,15 +10,15 @@ A flow is its own time domain, times in R>=0 with search bound 8: the
 methods of :class:`ExactSemiflow` (``time_map``, ``preimage_n``, ``dom``,
 ``search_context``, ``invariant_part``, ...) answer from this module's
 exact time-t maps, time-t preimages F_t^-1(A), swept domains D_t(E), the
-finite-time properness and open-definedness deciders, the rational
-candidate times a search runs over, and the rest-point invariant part;
-its realized maps are piecewise affine.  The theory itself (admissible
-triples, cross maps, certificates, simple systems, the search state) is
-written once in :mod:`conley_kernel.dynamics` and
-:mod:`conley_kernel.conley`.  Exhausted semi-decisions raise
-:class:`Undecided`, never a fabricated negative; it is defined in
-:mod:`conley_kernel.errors`, which finite-only processes load too, and
-re-exported here.
+finite-time properness and open-definedness deciders and the rational
+candidate times a search runs over, and its ``invariant_part`` is the
+rest-point closed form; its realized maps are piecewise affine.  The
+theory itself (admissible triples, cross maps, certificates, simple
+systems, the search state) is written once in
+:mod:`conley_kernel.dynamics` and :mod:`conley_kernel.conley`.
+Exhausted semi-decisions raise :class:`Undecided`, never a fabricated
+negative; it is defined in :mod:`conley_kernel.errors`, which finite-only
+processes load too, and re-exported here.
 
 Preimages and the swept domains of convex sets are read off the axes:
 F_t is the product of monotone axis maps restricted to the carrier, so the
@@ -255,7 +255,32 @@ class ExactSemiflow:
                               _candidate_times(self, [e, e2], bound), bound)
 
     def invariant_part(self, e, cap=None):
-        return invariant_part_F(self, e)
+        """Exact invariant part via the rest-point closed form, else
+        Undecided; no cap is needed.
+
+        For these monotone product flows every invariant set that is
+        bounded along each moving axis must sit on the rest set;
+        boundedness of E along the moving axes therefore gives I_F(E) =
+        Fix(F) n E exactly; an unbounded moving axis raises Undecided with
+        no bound."""
+        self.check_set(e)
+        for k, r in enumerate(self.axes):
+            if r.kind == "identity" or r.velocity == 0:
+                continue
+            if r.kind == "translation" and not e.axis_bounded(k):
+                reason = "translation axis unbounded in E"
+            elif r.kind == "floor" and not all(b[k].hi.is_finite
+                                               for b in e.boxes):
+                reason = "floor axis unbounded above in E"
+            elif r.kind == "ceil" and not all(b[k].lo.is_finite
+                                              for b in e.boxes):
+                reason = "ceil axis unbounded below in E"
+            else:
+                continue
+            # F^1(D_1(E)), the outer approximant invariant_part_outer at 1
+            raise Undecided(reason, outer=time_map(self, 1).image(
+                dom_interval(self, e, 1)))
+        return self.fixed_set().intersect(e)
 
     def check_invariant(self, s):
         """S must be a set of rest points; unbounded S is undecided."""
@@ -590,31 +615,3 @@ class _ContContext:
     :class:`conley_kernel.dynamics._SearchContext` like every other
     system's.  Only ``CONTEXTS`` of ``bench/tracer.py`` reads this name;
     the benchmark change that drops that entry deletes this class."""
-
-
-# ---------------------------------------------------------------------------
-# invariant parts
-
-def invariant_part_F(flow, e: BoxSet):
-    """Exact invariant part via the rest-point closed form, else Undecided.
-
-    For these monotone product flows every invariant set that is bounded
-    along each moving axis must sit on the rest set; boundedness of E along
-    the moving axes therefore gives I_F(E) = Fix(F) n E exactly; an
-    unbounded moving axis raises Undecided with no bound."""
-    flow.check_set(e)
-    for k, r in enumerate(flow.axes):
-        if r.kind == "identity" or r.velocity == 0:
-            continue
-        if r.kind == "translation" and not e.axis_bounded(k):
-            reason = "translation axis unbounded in E"
-        elif r.kind == "floor" and not all(b[k].hi.is_finite for b in e.boxes):
-            reason = "floor axis unbounded above in E"
-        elif r.kind == "ceil" and not all(b[k].lo.is_finite for b in e.boxes):
-            reason = "ceil axis unbounded below in E"
-        else:
-            continue
-        # F^1(D_1(E)): the outer approximant of dynamics.invariant_part_outer
-        raise Undecided(reason, outer=time_map(flow, 1).image(
-            dom_interval(flow, e, 1)))
-    return flow.fixed_set().intersect(e)

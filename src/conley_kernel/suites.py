@@ -6,7 +6,7 @@ functions back the pytest acceptance tests.
 
 The brute-force oracles that the suites run live here and nowhere in the
 kernel: the largest invariant subset by subset enumeration
-(`brute_invariant_part`), which `dynamics.invariant_part_exact` is
+(`brute_invariant_part`), which `FinitePartialMap.invariant_part` is
 checked against; and the Szymczak-category decisions by enumerating every
 candidate table (`enumerate_equivariant_maps` walks all tables on the
 non-base points and keeps the equivariant ones; `brute_sz_is_iso` tries
@@ -455,7 +455,7 @@ def suite_invariant_part_oracle(trials=60, seed=23) -> SuiteResult:
     for n in range(1, 5):
         for f in all_partial_maps(n):
             for e in all_subsets(f.space):
-                got = dyn.invariant_part_exact(f, e)
+                got = f.invariant_part(e)
                 want = brute_invariant_part(f, e)
                 if got.members != want.members:
                     res.fail(f"invariant part mismatch: {f}, E={e}")
@@ -471,7 +471,7 @@ def suite_invariant_part_oracle(trials=60, seed=23) -> SuiteResult:
                  if rng.randint(1, 20) <= 17}
         f = fin.FinitePartialMap.of(space, table)
         e = random_subset(rng, space)
-        if dyn.invariant_part_exact(f, e) != brute_invariant_part(f, e):
+        if f.invariant_part(e) != brute_invariant_part(f, e):
             res.fail(f"random mismatch at |X|={n}: {f}, E={e}")
     res.note(f"random agreement at |X| in (5, 6): {trials} instances")
     return res
@@ -541,9 +541,9 @@ def suite_cont_discriminator() -> SuiteResult:
     rej = co.is_index_nbhd(flow, e_bad, s0)
     res.check(isinstance(rej, co.Failure) and "finite-time proper" in rej.reason,
               f"[0,1) rejected specifically for finite-time properness")
-    inv = sf.invariant_part_F(flow, e_good)
+    inv = flow.invariant_part(e_good)
     res.check(inv == s0, f"invariant part of [0,1] is {{0}}: {inv!r}")
-    sampled = dyn.invariant_part_exact(sf.time_map(flow, Fraction(1, 2)), e_good)
+    sampled = sf.time_map(flow, Fraction(1, 2)).invariant_part(e_good)
     res.check(sampled == inv,
               "sampled-time oracle agrees with the closed form")
     return res

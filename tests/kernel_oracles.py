@@ -3,7 +3,8 @@ check that the unit tests use; `conley_kernel.suites` holds only what
 `conley-kernel verify` runs, the checks of the paper's claims.  Each oracle
 is the slower path that a kernel function or canonical form replaced: the
 pairwise box-list algebra, box-by-box affine set maps, the piece-list map,
-the fixed-cap invariant-part loop, stepped finite powers, and the plain
+the fixed-cap invariant-part loop (of `PiecewiseAffineMap.invariant_part`),
+stepped finite powers, and the plain
 scans behind the searches and swept domains; its docstring or section
 names which.  The brute-force Szymczak searches stay in `suites`, whose
 `szymczak-oracle` suite runs them, and `brute_shift_equivalence` reads
@@ -286,7 +287,7 @@ def oracle_candidate_times(flow: sf.ExactSemiflow, sets: list, bound) -> list:
 
 def oracle_dom(f, e, t):
     """D_t(E) from scratch, the intersection of f^-i(E) for i = 0..t: the
-    loop that the memoized sequence of carriers.DiscreteTime.dom replaced."""
+    loop that the memoized sequence of dynamics.DiscreteTime.dom replaced."""
     d = e
     for _ in range(t):
         d = e.intersect(f.preimage(d))

@@ -51,6 +51,14 @@ class TestConstruction:
         assert f.domain == (
             box1(0, False, 1, False).union(box1(1, False, 2, False)))
 
+    def test_error_messages(self):
+        """A set of another dimension is rejected by the map's own checks."""
+        f, square = doubling_map(), BoxSet.of(2, [(Interval.closed(0, 1),) * 2])
+        for op in (f.invariant_part, f.weak_compactifiability_checks):
+            with pytest.raises(ValueError,
+                               match=r"^carrier mismatch: dimension differs$"):
+                op(square)
+
 
 class TestSetMaps:
     def test_doubling_preimage(self):

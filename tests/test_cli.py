@@ -815,7 +815,7 @@ class TestUndecidedPayload:
                                                         capsys):
         # x -> -2x on [-1, 1], 3x - 5 beyond 1, 3x + 5 below -1: the
         # invariant part of [-1, 4] is a Cantor set, and D_16 is the first
-        # iterate of more than dyn.ITERATE_BOX_BUDGET = 4096 intervals
+        # iterate of more than affine.ITERATE_BOX_BUDGET = 4096 intervals
         def rule(slope, intercept):
             return [{"slope": slope, "intercept": intercept}]
         doc = tmp_path / "fold.json"

@@ -230,12 +230,13 @@ class TestFiniteCompactifiabilityDecidedOnce:
     @pytest.fixture
     def decided(self, monkeypatch):
         seen = []
-        real = dyn.weak_compactifiability_checks
+        real = fin.FinitePartialMap.weak_compactifiability_checks
 
         def counting(f, e):
             seen.append(e)
             return real(f, e)
-        monkeypatch.setattr(dyn, "weak_compactifiability_checks", counting)
+        monkeypatch.setattr(fin.FinitePartialMap,
+                            "weak_compactifiability_checks", counting)
         return seen
 
     def test_simple_system(self, decided):
@@ -370,19 +371,19 @@ UNDECIDED_PRODUCERS = {
         lambda: sf.is_openly_defined_cont(CLAMP, LEFT_OPEN),
         "open-definedness undecided for this set", 2),
     "translation axis": (
-        lambda: sf.invariant_part_F(translation_flow(), BoxSet.full(1)),
+        lambda: translation_flow().invariant_part(BoxSet.full(1)),
         "translation axis unbounded in E", None),
     "floor axis": (
-        lambda: sf.invariant_part_F(CLAMP, RAY),
+        lambda: CLAMP.invariant_part(RAY),
         "floor axis unbounded above in E", None),
     "ceil axis": (
-        lambda: sf.invariant_part_F(CEIL, CEIL.carrier),
+        lambda: CEIL.invariant_part(CEIL.carrier),
         "ceil axis unbounded below in E", None),
     "invariant part cap": (
-        lambda: dyn.invariant_part_exact(shift2d_map(), step_region(1, 1), cap=8),
+        lambda: shift2d_map().invariant_part(step_region(1, 1), cap=8),
         "invariant part did not stabilize", 8),
     "reflection axis": (
-        lambda: dyn.invariant_part_exact(REFLECTION, FLAT, cap=8),
+        lambda: REFLECTION.invariant_part(FLAT, cap=8),
         "reflection axis admits non-fixed invariant sets", 8),
     "compact seed": (
         lambda: co.construct_index_nbhd(

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from conley_kernel import affine as af
+from conley_kernel import conley as co
 from conley_kernel import dynamics as dyn
 from conley_kernel import finite as fin
 from conley_kernel import semiflow as sf
 from conley_kernel.boxes import BoxSet, Interval
-from conley_kernel.carriers import DiscreteTime
 from conley_kernel.documents import parse_document
-from conley_kernel.dynamics import AdmissibleTriple
+from conley_kernel.dynamics import AdmissibleTriple, DiscreteTime
 from conley_kernel.semiflow import Undecided
 from conley_kernel.suites import (
     brute_invariant_part, clamp_flow, clamp_map, doubling_map,
@@ -746,7 +746,7 @@ class TestCompleteFiniteSearch:
             e, e2 = random_subset(rng, f.space), random_subset(rng, f.space)
             p, q, s1, _ = _indices(f, e, e2)
             ctx = f.search_context(e, e2, None)
-            holds = dyn.invariant_part_exact(f, e).subset_of(e2)
+            holds = f.invariant_part(e).subset_of(e2)
             start = max(p, s1)
             assert all(ctx.cond1(a, b) == holds
                        for a in range(start, start + q + 2)
@@ -865,7 +865,7 @@ class TestCompactifiability:
         assert dyn.is_compactifiable(doubling_map(), ORIGIN)
 
     def test_unit_fails_open_domain(self):
-        checks = dict(dyn.weak_compactifiability_checks(doubling_map(), UNIT))
+        checks = dict(doubling_map().weak_compactifiability_checks(UNIT))
         assert checks["induced map proper"]
         assert not checks["induced domain open in E"]
 
@@ -879,18 +879,18 @@ class TestCompactifiability:
 class TestInvariantPart:
     def test_small_example(self):
         f = fin.FinitePartialMap.of(SPACE, {"1": "2", "2": "2", "3": "1"})
-        assert dyn.invariant_part_exact(f, subset("1", "2")) == subset("2")
+        assert f.invariant_part(subset("1", "2")) == subset("2")
 
     def test_identity_keeps_everything(self):
-        assert dyn.invariant_part_exact(fin.identity_map(SPACE),
-                                        subset("1", "3")) == subset("1", "3")
+        assert fin.identity_map(SPACE).invariant_part(subset("1", "3")) == \
+            subset("1", "3")
 
     def test_matches_brute_force(self):
         rng = random.Random(31)
         for _ in range(150):
             f = random_finite_system(rng, 5)
             e = random_subset(rng, f.space)
-            assert dyn.invariant_part_exact(f, e).members == \
+            assert f.invariant_part(e).members == \
                 brute_invariant_part(f, e).members
 
     def test_matches_brute_force_up_to_twelve_points(self):
@@ -901,37 +901,37 @@ class TestInvariantPart:
             f = random_finite_system(rng, 12)
             for e in (random_subset(rng, f.space),
                       fin.FiniteSubset(f.space, (1 << len(f.space.points)) - 1)):
-                assert dyn.invariant_part_exact(f, e) == \
+                assert f.invariant_part(e) == \
                     brute_invariant_part(f, e)
 
     def test_result_is_invariant(self):
         rng = random.Random(37)
         for _ in range(80):
             f = random_finite_system(rng, 6)
-            i = dyn.invariant_part_exact(f, random_subset(rng, f.space))
+            i = f.invariant_part(random_subset(rng, f.space))
             assert f.image(i).members == i.members
 
     def test_doubling_closed_form(self):
-        got = dyn.invariant_part_exact(doubling_map(), UNIT)
+        got = doubling_map().invariant_part(UNIT)
         assert isinstance(got, BoxSet)
         assert got == ORIGIN
 
     def test_contraction_closed_form(self):
-        got = dyn.invariant_part_exact(contraction_map(), UNIT)
+        got = contraction_map().invariant_part(UNIT)
         assert got == ORIGIN
 
     def test_identity_interval(self):
         from conley_kernel.affine import PiecewiseAffineMap
         ident = PiecewiseAffineMap.identity(1)
-        assert dyn.invariant_part_exact(ident, UNIT) == UNIT
+        assert ident.invariant_part(UNIT) == UNIT
 
     def test_translation_kills_bounded(self):
         from conley_kernel.affine import PiecewiseAffineMap
         trans = PiecewiseAffineMap.affine_1d(1, 1)
-        assert dyn.invariant_part_exact(trans, UNIT).is_empty
+        assert trans.invariant_part(UNIT).is_empty
 
     def test_clamp_fixed_point(self):
-        got = dyn.invariant_part_exact(clamp_map(), box1(0, True, 2, True))
+        got = clamp_map().invariant_part(box1(0, True, 2, True))
         assert got == ORIGIN
 
     def test_outer_contains_exact(self):
@@ -941,7 +941,7 @@ class TestInvariantPart:
 
     def test_shift_region_undecided(self):
         with pytest.raises(Undecided) as info:
-            dyn.invariant_part_exact(shift2d_map(), step_region(1, 1), cap=8)
+            shift2d_map().invariant_part(step_region(1, 1), cap=8)
         assert info.value.outer is not None
 
 
@@ -958,7 +958,7 @@ def _piecewise_1d(core_slope, outer):
 
 
 class TestInvariantPartEarlyExit:
-    """invariant_part_exact stops at the first iterate that is bounded and
+    """PiecewiseAffineMap.invariant_part stops at the first iterate that is bounded and
     lies in one piece without a slope -1 axis; the fixed-cap loop it
     replaced (kernel_oracles.fixed_cap_invariant_part) ran every step to
     the cap."""
@@ -982,20 +982,20 @@ class TestInvariantPartEarlyExit:
         return counts
 
     def test_doubling_takes_no_step(self, steps):
-        assert dyn.invariant_part_exact(doubling_map(), UNIT) == ORIGIN
+        assert doubling_map().invariant_part(UNIT) == ORIGIN
         assert steps == {"preimage": 0, "image": 0}
 
     def test_exits_when_the_domain_fits_the_core(self, steps):
         # D_1 = [-2, 2] still meets the translating outer pieces,
         # D_2 = [-2/3, 2/3] lies in the expanding core
         f = _piecewise_1d(3, (1, 2))
-        assert dyn.invariant_part_exact(f, box1(-4, True, 4, True)) == ORIGIN
+        assert f.invariant_part(box1(-4, True, 4, True)) == ORIGIN
         assert steps == {"preimage": 2, "image": 0}
 
     def test_contracting_core_exits_in_the_image_loop(self, steps):
         # D_1 = E, so the domains stabilize at once; f(E) = [-1/2, 1/2]
         f = _piecewise_1d(Fraction(1, 3), (Fraction(1, 6), Fraction(1, 6)))
-        assert dyn.invariant_part_exact(f, box1(-2, True, 2, True)) == ORIGIN
+        assert f.invariant_part(box1(-2, True, 2, True)) == ORIGIN
         assert steps == {"preimage": 1, "image": 1}
 
     def test_reflection_axis_is_undecided_with_its_bound(self, steps):
@@ -1004,7 +1004,7 @@ class TestInvariantPartEarlyExit:
                                        AffineRule.of(Fraction(1, 2), 0)))
         e = BoxSet.of(2, [(Interval.closed(-1, 1), Interval.closed(0, 1))])
         with pytest.raises(Undecided) as info:
-            dyn.invariant_part_exact(f, e, cap=8)
+            f.invariant_part(e, cap=8)
         got = info.value
         assert "reflection" in got.reason
         assert got.bound == 8
@@ -1016,7 +1016,7 @@ class TestInvariantPartEarlyExit:
         # D_1(E) and D_2(E) come from the map's memo, where a search
         # on E reads them without a further pull-back
         f, e = _piecewise_1d(3, (1, 2)), box1(-4, True, 4, True)
-        dyn.invariant_part_exact(f, e)
+        f.invariant_part(e)
         assert steps["preimage"] == 2
         got = [f.dom(e, n) for n in (1, 2)]
         assert steps["preimage"] == 2
@@ -1025,12 +1025,12 @@ class TestInvariantPartEarlyExit:
 
     def test_folding_map_stops_at_the_box_budget(self, monkeypatch):
         # D_n of the folding map doubles its intervals about every step
-        monkeypatch.setattr(dyn, "ITERATE_BOX_BUDGET", 50)
+        monkeypatch.setattr(af, "ITERATE_BOX_BUDGET", 50)
         f, e = _piecewise_1d(-2, (3, -5)), box1(-1, True, 4, True)
         first_over = next(n for n in range(1, 64)
                           if len(f.dom(e, n).boxes) > 50)
         with pytest.raises(Undecided) as info:
-            dyn.invariant_part_exact(f, e)
+            f.invariant_part(e)
         assert info.value.bound == first_over
         assert "50 boxes" in info.value.reason
         assert info.value.outer is None
@@ -1044,7 +1044,7 @@ class TestInvariantPartEarlyExit:
             e = random_core_set(rng, dimension) if k % 4 < 2 else \
                 BoxSet.of(dimension, random_box_list(rng, dimension))
             try:
-                got = dyn.invariant_part_exact(f, e)
+                got = f.invariant_part(e)
             except Undecided as exc:
                 got = (exc.reason, exc.bound, exc.outer)
             # a fresh copy of f, so that no set-map memo is shared
@@ -1055,32 +1055,32 @@ class TestInvariantPartEarlyExit:
 class TestOnePoint:
     def test_table_formula(self):
         f = fin.FinitePartialMap.of(SPACE, {"1": "2"})
-        endo = dyn.one_point(f, subset("1", "2"))
+        endo = co.one_point(f, subset("1", "2"))
         assert endo.table == {"1": "2", "2": "*", "*": "*"}
 
     def test_attractor(self):
         sp = fin.FiniteSpace.of(["s", "a"])
         f = fin.FinitePartialMap.of(sp, {"s": "s", "a": "s"})
-        endo = dyn.one_point(f, fin.FiniteSubset.of(sp, ["s", "a"]))
+        endo = co.one_point(f, fin.FiniteSubset.of(sp, ["s", "a"]))
         assert endo.table == {"s": "s", "a": "s", "*": "*"}
         assert isinstance(endo, BasedEndo)
 
     def test_rejects_noncompactifiable(self):
         with pytest.raises(ValueError):
-            dyn.one_point(doubling_map(), UNIT)
+            co.one_point(doubling_map(), UNIT)
 
     def test_symbolic_on_interval(self):
-        sym = dyn.one_point(doubling_map(), ORIGIN)
+        sym = co.one_point(doubling_map(), ORIGIN)
         assert isinstance(sym, dyn.InducedMap)
         assert sym.domain == ORIGIN
 
     def test_symbolic_on_clamp_flow(self):
         unit = box1(0, True, 1, True)
-        sym = dyn.one_point(clamp_flow(), unit)
+        sym = co.one_point(clamp_flow(), unit)
         assert isinstance(sym, dyn.InducedMap)
         assert sym.subset == unit
         assert sym.domain == unit
 
     def test_clamp_flow_rejects_noncompactifiable(self):
         with pytest.raises(ValueError):
-            dyn.one_point(clamp_flow(), box1(0, True, 1, False))
+            co.one_point(clamp_flow(), box1(0, True, 1, False))

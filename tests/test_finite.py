@@ -236,7 +236,9 @@ class TestIndexRepresentation:
                                r"leaves the space$"):
                 fin.FinitePartialMap.of(SPACE, {"1": target})
         other = fin.FiniteSubset.of(fin.FiniteSpace.of(["a"]), ["a"])
-        for op in (fmap({}).image, fmap({}).preimage, fmap({}).restrict):
+        for op in (fmap({}).image, fmap({}).preimage, fmap({}).restrict,
+                   fmap({}).invariant_part,
+                   fmap({}).weak_compactifiability_checks):
             with pytest.raises(ValueError,
                                match=r"^carrier mismatch: subset lives on another space$"):
                 op(other)

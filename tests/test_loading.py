@@ -56,7 +56,7 @@ def test_a_process_loads_only_its_document_kind(capsys, monkeypatch, argv,
     monkeypatch.chdir(ROOT)
     assert (code, "".join(reply)) == (cli.main(argv), capsys.readouterr().out)
     assert code == 0 and not unloaded & set(loaded)
-    assert {"cli", "documents", "carriers"} <= set(loaded)
+    assert {"cli", "documents", "dynamics"} <= set(loaded)
 
 
 def test_the_package_loads_no_kernel_module():
@@ -80,6 +80,28 @@ def test_every_public_name_resolves():
             assert getattr(conley_kernel, name) is getattr(module, name)
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         conley_kernel.nothing
+
+
+def test_each_system_owns_its_invariant_part():
+    """Each system type computes its own invariant part and compactifiability
+    checks, and dynamics reads no carrier: it imports no kernel module but
+    errors and names no carrier, and carriers.py is gone."""
+    import ast
+    from conley_kernel.affine import PiecewiseAffineMap
+    from conley_kernel.finite import FinitePartialMap
+    for t in (FinitePartialMap, PiecewiseAffineMap, sf.ExactSemiflow):
+        assert "invariant_part" in vars(t), t
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("conley_kernel.carriers")
+    for name in ("invariant_part_exact", "weak_compactifiability_checks",
+                 "one_point"):
+        assert not hasattr(dyn, name), name
+    assert not hasattr(sf, "invariant_part_F")
+    nodes = list(ast.walk(ast.parse(inspect.getsource(dyn))))
+    assert not any(isinstance(node, ast.Attribute) and
+                   node.attr == "carrier_name" for node in nodes)
+    assert {node.module for node in nodes
+            if isinstance(node, ast.ImportFrom) and node.level} == {"errors"}
 
 
 def test_the_one_undecided_class_is_caught_everywhere():

@@ -63,6 +63,17 @@ class TestConstruction:
         assert CLAMP.carrier == box1(0, True, "inf", False)
         assert TRANS.carrier == BoxSet.full(1)
 
+    @pytest.mark.parametrize("e, message", [
+        (box1(-2, True, -1, True), "set leaves the semiflow carrier"),
+        (BoxSet.of(2, [(Interval.closed(0, 1),) * 2]), "dimension mismatch"),
+    ], ids=["off-carrier", "other-dimension"])
+    def test_error_messages(self, e, message):
+        """A set off the flow's carrier, or of another dimension, is
+        rejected by the flow's own checks."""
+        for op in (CLAMP.invariant_part, CLAMP.weak_compactifiability_checks):
+            with pytest.raises(ValueError, match=rf"^{message}$"):
+                op(e)
+
     def test_clamped_velocity_positive(self):
         with pytest.raises(ValueError):
             sf.AxisRule.floor(0, 0)
@@ -401,31 +412,31 @@ class TestAdmissibility:
 
 class TestInvariantPart:
     def test_clamp_fixed_point(self):
-        assert sf.invariant_part_F(CLAMP, UNIT) == S0
+        assert CLAMP.invariant_part(UNIT) == S0
 
     def test_translation_empty(self):
-        got = sf.invariant_part_F(TRANS, UNIT)
+        got = TRANS.invariant_part(UNIT)
         assert isinstance(got, BoxSet) and got.is_empty
 
     def test_unbounded_translation_undecided(self):
         with pytest.raises(Undecided):
-            sf.invariant_part_F(TRANS, BoxSet.full(1))
+            TRANS.invariant_part(BoxSet.full(1))
 
     def test_identity_axis_free(self):
         flow = sf.ExactSemiflow.of([sf.AxisRule.floor(1, 0),
                                     sf.AxisRule.identity()])
         e = BoxSet.of(2, [(Interval.closed(0, 2), Interval.closed(-1, 1))])
         want = BoxSet.of(2, [(Interval.point(0), Interval.closed(-1, 1))])
-        assert sf.invariant_part_F(flow, e) == want
+        assert flow.invariant_part(e) == want
 
     def test_outer_contains_invariant_part(self):
         outer = dyn.invariant_part_outer(CLAMP, UNIT, 3)
         assert S0.subset_of(outer)
 
     def test_sampled_time_oracle(self):
-        sampled = dyn.invariant_part_exact(sf.time_map(CLAMP, Fraction(1, 4)), UNIT)
+        sampled = sf.time_map(CLAMP, Fraction(1, 4)).invariant_part(UNIT)
         assert isinstance(sampled, BoxSet)
-        assert sampled == sf.invariant_part_F(CLAMP, UNIT)
+        assert sampled == CLAMP.invariant_part(UNIT)
 
 
 class TestIndexNbhdCont:
@@ -469,7 +480,7 @@ class TestIndexNbhdCont:
         square = BoxSet.of(2, [(Interval.closed(0, 1), Interval.closed(0, 1))])
         small = BoxSet.of(2, [(Interval.closed(0, Fraction(1, 2)),
                                Interval.closed(0, Fraction(1, 2)))])
-        assert sf.invariant_part_F(flow, square) == corner
+        assert flow.invariant_part(square) == corner
         cert = co.is_index_nbhd(flow, square, corner)
         assert is_index_nbhd_certificate(cert, flow, square)
         rep = co.verify_simple_system(flow, corner, [square, small])
