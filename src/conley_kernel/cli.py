@@ -30,8 +30,7 @@ deeply to decode), 3 undecided (an
 ``MemoryError`` or ``RecursionError``: resource exhausted), 4 internal
 error (any other exception, so that a crash never reads as a complete
 negative; a standard output closed before the reply is written, too).
-The default search bound is 64, overridable via CONLEY_DEFAULT_BOUND;
-negative bounds are input errors.
+The default search bound is 64; negative bounds are input errors.
 """
 
 from __future__ import annotations
@@ -115,19 +114,10 @@ def _silence_stdout():
 
 
 def _search_bound(doc, args):
-    """The bound the work on doc runs with and reports: --bound or the
-    default, and none on the finite carrier, whose searches derive their
-    own complete bound and whose other work takes none."""
-    bound = args.bound
-    if bound is None:
-        raw = os.environ.get("CONLEY_DEFAULT_BOUND", "64")
-        try:
-            bound = int(raw)
-        except ValueError:
-            raise DocumentError(f"CONLEY_DEFAULT_BOUND must be an integer, got {raw!r}")
-        if bound < 0:
-            raise DocumentError(f"CONLEY_DEFAULT_BOUND must not be negative, got {raw!r}")
-    return None if doc.system.default_bound is None else bound
+    """The bound the work on doc runs with and reports: --bound, and none
+    on the finite carrier, whose searches derive their own complete bound
+    and whose other work takes none."""
+    return None if doc.system.default_bound is None else args.bound
 
 
 def _pair(args, doc):
@@ -226,7 +216,8 @@ def index(args, doc, bound):
     report = co.verify_simple_system(doc.system, s, [e], bound=bound)
     if isinstance(report, co.Failure):
         return _certificate(report)
-    payload = {"report": report_to_json(report)}
+    payload = {"status": "certified" if report.ok else "violated",
+               "report": report_to_json(report)}
     lines = [f"carrier: {report.carrier}", f"invariant set: {report.invariant_set}"]
     if constructed is not None:
         payload["constructed"] = {
@@ -256,7 +247,7 @@ def szymczak_equal(args, doc, bound):
     t2 = dyn.AdmissibleTriple(t1.a, t1.b, t1.c + 1)
     equal = co.same_class(doc.system, e, e2, t1, t2)
     return ((EXIT_OK if equal else EXIT_VIOLATION),
-            {"equal": equal,
+            {"status": "equal" if equal else "different", "equal": equal,
              "triples": [[str(x) for x in t.as_tuple()] for t in (t1, t2)]},
             [f"morphism classes from triples {t1} and {t2}: "
              f"{'equal' if equal else 'DIFFERENT'}"],
@@ -321,8 +312,8 @@ _FROM_SET = (("--from", {"dest": "from_", "required": True}),
              ("--set", {"required": True}))
 
 # the flag every document command takes besides its options
-_BOUND = ("--bound", {"type": int, "default": None,
-                      "help": "search bound (default CONLEY_DEFAULT_BOUND or 64)"})
+_BOUND = ("--bound", {"type": int, "default": 64,
+                      "help": "search bound (default 64)"})
 
 # name, help, handler (None: no document), options
 COMMANDS = (

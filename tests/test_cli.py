@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -217,6 +218,56 @@ class TestIndex:
                            "--set", "S", "--nbhd", "square", "--json")
         assert code == 0
         assert json.loads(out)["report"]["ok"]
+
+
+class TestDecidedStatus:
+    """A decided index or szymczak-equal reply names its outcome in
+    ``status``; a failed law, forced here, is the other value."""
+
+    INDEX = {"attractor.json": ("S", "all"),
+             "doubling.json": ("S", "open_half"),
+             "clamp_flow.json": ("S", "unit")}
+    EQUAL = {"attractor.json": ("all", "core"),
+             "doubling.json": ("open_half", "open_quarter"),
+             "clamp_flow.json": ("unit", "half")}
+
+    @pytest.mark.parametrize("name", sorted(INDEX))
+    def test_index(self, capsys, monkeypatch, name):
+        s, nbhd = self.INDEX[name]
+        argv = ("index", fx(name), "--set", s, "--nbhd", nbhd, "--bound", "8",
+                "--json")
+        code, out, _ = run(capsys, *argv)
+        assert (code, json.loads(out)["status"]) == (0, "certified")
+        real = co.verify_simple_system
+
+        def failing(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            return dataclasses.replace(rep, checks=rep.checks + (
+                co.Check("forced", "a failed law", False),))
+        monkeypatch.setattr(co, "verify_simple_system", failing)
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["report"]["ok"]) == \
+            (1, "violated", False)
+        code, out, _ = run(capsys, *argv[:-1])
+        assert (code, out.splitlines()[-1]) == (1, "VIOLATION in functor laws")
+
+    @pytest.mark.parametrize("name", sorted(EQUAL))
+    def test_szymczak_equal(self, capsys, monkeypatch, name):
+        source, target = self.EQUAL[name]
+        argv = ("szymczak-equal", fx(name), "--from", source, "--set", target,
+                "--bound", "8", "--json")
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["equal"]) == \
+            (0, "equal", True)
+        monkeypatch.setattr(co, "same_class", lambda *args: False)
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["equal"]) == \
+            (1, "different", False)
+        code, out, _ = run(capsys, *argv[:-1])
+        assert code == 1 and out.endswith(": DIFFERENT\n")
 
 
 class TestSzymczakCommands:
@@ -613,48 +664,27 @@ class TestExitCodes:
         assert err.startswith(start) and err.count("\n") == 1
         assert len(err) <= 201
 
-    def test_default_bound_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONLEY_DEFAULT_BOUND", "12")
-        code, out, _ = run(capsys, "sim", fx("doubling.json"),
-                           "--from", "origin", "--set", "unit", "--json")
-        assert code == 3
-        assert json.loads(out)["meta"]["bound"] == "12"
-
-    def test_default_bound_env_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONLEY_DEFAULT_BOUND", "x")
-        code, out, err = run(capsys, "sim", fx("doubling.json"),
-                             "--from", "origin", "--set", "unit", "--json")
-        assert code == 2 and out == ""
-        assert err == "input error: CONLEY_DEFAULT_BOUND must be an " \
-            "integer, got 'x'\n"
-
 
 NEGATIVE_BOUNDS = {
-    "admissible --bound": ({}, "admissible", "doubling.json", "--from", "unit",
+    "admissible --bound": ("admissible", "doubling.json", "--from", "unit",
                            "--set", "open_half", "--bound", "-1"),
-    "invariant-part --bound": ({}, "invariant-part", "doubling.json",
+    "invariant-part --bound": ("invariant-part", "doubling.json",
                                "--set", "unit", "--bound", "-2"),
-    "index --search": ({}, "index", "doubling.json", "--set", "S",
+    "index --search": ("index", "doubling.json", "--set", "S",
                        "--nbhd", "unit", "--search", "-3"),
-    "finite index --search": ({}, "index", "attractor.json", "--set", "core",
+    "finite index --search": ("index", "attractor.json", "--set", "core",
                               "--nbhd", "all", "--search", "-3"),
-    "finite sim --bound": ({}, "sim", "attractor.json", "--from", "all",
+    "finite sim --bound": ("sim", "attractor.json", "--from", "all",
                            "--set", "core", "--bound", "-1"),
-    "flow check --bound": ({}, "check", "clamp_flow.json", "--bound", "-1"),
-    "env on a map": ({"CONLEY_DEFAULT_BOUND": "-4"}, "sim", "doubling.json",
-                     "--from", "origin", "--set", "unit"),
-    "env on a finite map": ({"CONLEY_DEFAULT_BOUND": "-4"}, "admissible",
-                            "attractor.json", "--from", "all", "--set", "core"),
-    "verify --trials": ({}, "verify", "--suite", "thm-4-composition",
+    "flow check --bound": ("check", "clamp_flow.json", "--bound", "-1"),
+    "verify --trials": ("verify", "--suite", "thm-4-composition",
                         "--trials", "-1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NEGATIVE_BOUNDS))
-def test_negative_bounds_are_input_errors(case, capsys, monkeypatch):
-    env, command, *argv = NEGATIVE_BOUNDS[case]
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_negative_bounds_are_input_errors(case, capsys):
+    command, *argv = NEGATIVE_BOUNDS[case]
     argv = [fx(a) if a.endswith(".json") else a for a in argv]
     code, out, err = run(capsys, command, *argv, "--json")
     assert code == 2 and out == ""
